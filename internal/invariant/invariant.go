@@ -15,9 +15,10 @@
 //
 //   - State-driven (package network, via Report): per-VC credit
 //     conservation, retransmission-buffer age soundness, VA-binding
-//     consistency, probe-memory bounds, and quiescence safety. Those
-//     need access to live component state, so the network walks its own
-//     structures and reports what it finds here.
+//     consistency, probe-memory bounds, quiescence safety, and port-mask
+//     soundness (CheckPortMarks). Those need access to live component
+//     state, so the network walks its own structures and reports what it
+//     finds here.
 //
 // The checker is wired through Config.Invariants / the -check CLI flags
 // and is off by default: it exists to make test and fuzz runs
@@ -263,6 +264,40 @@ func (c *Checker) Emit(e trace.Event) {
 			return
 		}
 		delete(c.episodes, e.Node)
+	}
+}
+
+// PortMarks is one router port at a cycle boundary: the three mask bits
+// the router's tick is driven by, beside independent counts of what each
+// bit summarises, taken from the wires and the transmitter themselves.
+// A router polls a port only when its bit is set, so the law is one-way:
+// a clear bit promises there is nothing to poll for. A set bit over an
+// empty port is merely a wasted poll.
+type PortMarks struct {
+	RxPending, TxPending, TxHeld bool
+
+	Flits      int // flits visible on the port's input wire
+	Handshakes int // credits + NACKs visible on the output's backward wires
+	Retained   int // shifter entries + replay-queue flits in the transmitter
+}
+
+// CheckPortMarks asserts mask soundness for one port: a clear rxPending
+// bit means no visible flit, a clear txPending bit no visible credit or
+// NACK, a clear txHeld bit empty shifters and no replay queue. A
+// violation means a delivery or a send failed to mark the mask, and the
+// router would never service that traffic.
+func (c *Checker) CheckPortMarks(cycle uint64, node int32, port int8, m PortMarks) {
+	if !m.RxPending && m.Flits > 0 {
+		c.reportf("port-masks", cycle, node, port, -1, 0,
+			"rxPending clear with %d flit(s) visible on the input wire", m.Flits)
+	}
+	if !m.TxPending && m.Handshakes > 0 {
+		c.reportf("port-masks", cycle, node, port, -1, 0,
+			"txPending clear with %d credit/NACK(s) visible on the backward wires", m.Handshakes)
+	}
+	if !m.TxHeld && m.Retained > 0 {
+		c.reportf("port-masks", cycle, node, port, -1, 0,
+			"txHeld clear with %d flit(s) in shifters or replay queue", m.Retained)
 	}
 }
 

@@ -259,3 +259,37 @@ func TestViolationErrorRendering(t *testing.T) {
 		t.Errorf("unattributable violation leaked placeholder fields: %q", s2)
 	}
 }
+
+// The mask-soundness law is one-way: a clear bit over a busy port is a
+// violation carrying cycle, node and port; a set bit over an idle port is
+// only a wasted poll.
+func TestCheckPortMarks(t *testing.T) {
+	busy := PortMarks{Flits: 1, Handshakes: 2, Retained: 3}
+	cases := []struct {
+		name  string
+		marks PortMarks
+		want  []string // substrings, one per expected violation, in order
+	}{
+		{"idle port, bits clear", PortMarks{}, nil},
+		{"idle port, bits set", PortMarks{RxPending: true, TxPending: true, TxHeld: true}, nil},
+		{"busy port, bits set", PortMarks{RxPending: true, TxPending: true, TxHeld: true, Flits: 1, Handshakes: 2, Retained: 3}, nil},
+		{"flit behind a clear rxPending", PortMarks{TxPending: true, TxHeld: true, Flits: busy.Flits}, []string{"rxPending clear with 1 flit"}},
+		{"credit behind a clear txPending", PortMarks{RxPending: true, Handshakes: busy.Handshakes}, []string{"txPending clear with 2 credit"}},
+		{"shifter behind a clear txHeld", PortMarks{Retained: busy.Retained}, []string{"txHeld clear with 3 flit"}},
+		{"everything dropped", busy, []string{"rxPending", "txPending", "txHeld"}},
+	}
+	for _, tc := range cases {
+		c := New(Config{})
+		c.CheckPortMarks(77, 5, 2, tc.marks)
+		got := c.Violations()
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d violations %v, want %d", tc.name, len(got), got, len(tc.want))
+			continue
+		}
+		for i, v := range got {
+			if v.Check != "port-masks" || v.Cycle != 77 || v.Node != 5 || v.Port != 2 || !strings.Contains(v.Msg, tc.want[i]) {
+				t.Errorf("%s: violation %d = %+v, want port-masks at cycle 77 node 5 port 2 mentioning %q", tc.name, i, v, tc.want[i])
+			}
+		}
+	}
+}

@@ -326,22 +326,47 @@ func (c *Channel) DestroyData(vc int, fn func(flit.Flit)) int {
 // dead channel so the transmitter never replays onto it.
 func (c *Channel) DropNACKs() { c.nacks.Filter(func(NACK) bool { return true }, nil) }
 
-// SetFlitWake installs the forward flit pipe's delivery callback: it runs
-// whenever a latch leaves flits visible to the receiver, waking the
-// consuming actor (see sim.Kernel.Waker). Credit pipes need no wake:
-// credits accumulate unobserved in the visible slot and are drained by
-// the consumer's BeginCycle whenever it next ticks, before any decision
-// depends on them.
-func (c *Channel) SetFlitWake(f func()) { c.flits.SetWake(f) }
+// The four methods below install the channel's delivery hooks (see
+// sim.Delivery). Each end does its own half: the component that polls an
+// end gives it a mask bit (MarkRx / MarkTx — a router does this when the
+// end is attached to one of its ports), and whoever registers that
+// component with a kernel adds the wake (WakeRx / WakeTx). A channel with
+// no hooks behaves as a bare set of wires: nothing is marked, nobody is
+// woken, and both ends must be polled every cycle.
 
-// SetNACKWake installs the backward NACK pipe's delivery callback, waking
-// the transmitter-owning actor when a NACK becomes visible. Under strict
-// quiescence this was unnecessary — a router holding retransmission-buffer
-// entries (the only NACK targets) could not sleep. Relaxed quiescence lets
-// it sleep with a timed wake at the oldest entry's expiry, and misroute or
-// recovery NACKs can arrive before that deadline; this wake guarantees
-// they are processed on their exact visibility cycle. (Link-error NACKs
-// need no wake even then: one is visible at the transmitter exactly
-// NACKWindow cycles after the flawed flit was sent, which coincides with
-// that flit's expiry wake.)
-func (c *Channel) SetNACKWake(f func()) { c.nacks.SetWake(f) }
+// MarkRx makes every latch that leaves flits visible to the receiver set
+// bit in *mask.
+func (c *Channel) MarkRx(mask *uint8, bit uint8) {
+	c.flits.SetDelivery(c.flits.Delivery().WithMark(mask, bit))
+}
+
+// MarkTx makes every latch that leaves a credit or a NACK visible to the
+// transmitter set bit in *mask.
+func (c *Channel) MarkTx(mask *uint8, bit uint8) {
+	c.credits.SetDelivery(c.credits.Delivery().WithMark(mask, bit))
+	c.nacks.SetDelivery(c.nacks.Delivery().WithMark(mask, bit))
+}
+
+// WakeRx wakes actor h whenever flits become visible to the receiver.
+func (c *Channel) WakeRx(h sim.Handle) { c.flits.SetDelivery(c.flits.Delivery().WithWake(h)) }
+
+// WakeTx wakes actor h — the transmitter's owner — whenever a NACK
+// becomes visible. Credits never wake: they accumulate unobserved in the
+// visible slot (marking the owner's mask, if it has one) and are drained
+// by the owner's BeginCycle whenever it next ticks, before any decision
+// depends on them. NACKs must wake because relaxed quiescence lets the
+// owner sleep with occupied retransmission shifters and a timed wake at
+// the oldest entry's expiry: a misroute or recovery NACK can arrive
+// before that deadline and has to be processed on its exact visibility
+// cycle. (A link-error NACK is visible exactly NACKWindow cycles after
+// the flawed flit was sent, which coincides with that flit's expiry
+// wake.)
+func (c *Channel) WakeTx(h sim.Handle) { c.nacks.SetDelivery(c.nacks.Delivery().WithWake(h)) }
+
+// VisibleFlits and VisibleHandshakes count what each end would see if it
+// polled now: flits on the forward wire, credits plus NACKs on the
+// backward wires. Invariant-checker inspection (mask soundness).
+func (c *Channel) VisibleFlits() int { return c.flits.Visible() }
+
+// VisibleHandshakes: see VisibleFlits.
+func (c *Channel) VisibleHandshakes() int { return c.credits.Visible() + c.nacks.Visible() }

@@ -122,8 +122,8 @@ func TestTransmitterAbandon(t *testing.T) {
 	for _, f := range flitsOnVC(2, 1, 2) {
 		h.tx.Send(f, 1, 0)
 	}
-	if occ := h.tx.ShifterOccupied(); occ != 5 {
-		t.Fatalf("ShifterOccupied = %d, want 5", occ)
+	if occ, _ := h.tx.ShifterOccupancy(); occ != 5 || !h.tx.Held() {
+		t.Fatalf("ShifterOccupancy = %d (held %v), want 5 held", occ, h.tx.Held())
 	}
 	if h.tx.Channel() != h.ch {
 		t.Fatal("Channel() does not return the wired channel")
@@ -135,8 +135,8 @@ func TestTransmitterAbandon(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("AbandonVC(0) observed %d flits, want 3", len(seen))
 	}
-	if occ := h.tx.ShifterOccupied(); occ != 2 {
-		t.Fatalf("ShifterOccupied = %d after AbandonVC(0), want 2", occ)
+	if occ, _ := h.tx.ShifterOccupancy(); occ != 2 {
+		t.Fatalf("ShifterOccupancy = %d after AbandonVC(0), want 2", occ)
 	}
 	// Shifter copies hold no credits: abandoning must not mint any.
 	if h.tx.Credits(0) != credits0 {
@@ -150,8 +150,8 @@ func TestTransmitterAbandon(t *testing.T) {
 	}
 
 	h.tx.AbandonAll(nil)
-	if occ := h.tx.ShifterOccupied(); occ != 0 {
-		t.Fatalf("ShifterOccupied = %d after AbandonAll, want 0", occ)
+	if occ, _ := h.tx.ShifterOccupancy(); occ != 0 || h.tx.Held() {
+		t.Fatalf("ShifterOccupancy = %d (held %v) after AbandonAll, want 0 and nothing held", occ, h.tx.Held())
 	}
 	if n := h.tx.PendingReplay(); n != 0 {
 		t.Fatalf("PendingReplay = %d after AbandonAll, want 0", n)

@@ -89,6 +89,10 @@ func NewReceiver(ch *Channel, vcs int, protection Protection, events *stats.Even
 	}
 }
 
+// Channel returns the receiver's channel (hook installation, invariant
+// inspection).
+func (r *Receiver) Channel() *Channel { return r.ch }
+
 // Protection returns the receiver's link-error handling scheme.
 func (r *Receiver) Protection() Protection { return r.protection }
 

@@ -25,7 +25,9 @@ type RetransBuffer struct {
 	ring  []retransEntry
 	head  int
 	count int
-	// scratch backs Drain's return value, reused across drains.
+	// scratch backs Drain's return value, reused across drains; allocated
+	// by the first Drain, so buffers drained only through AppendDrain (a
+	// transmitter's) never carry one.
 	scratch []flit.Flit
 }
 
@@ -41,11 +43,16 @@ func NewRetransBuffer(depth int) *RetransBuffer {
 	if depth < 1 {
 		panic("link: retransmission buffer depth must be >= 1")
 	}
-	return &RetransBuffer{
-		depth:   depth,
-		ring:    make([]retransEntry, depth),
-		scratch: make([]flit.Flit, 0, depth),
+	return &RetransBuffer{depth: depth, ring: make([]retransEntry, depth)}
+}
+
+// slot maps a logical position (0 = oldest) to its ring index. Positions
+// stay below 2*depth, so one conditional subtraction replaces the modulo.
+func (rb *RetransBuffer) slot(i int) int {
+	if i += rb.head; i >= rb.depth {
+		i -= rb.depth
 	}
+	return i
 }
 
 // Depth returns the configured slot count.
@@ -65,7 +72,7 @@ func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
 	if rb.count >= rb.depth {
 		panic(fmt.Sprintf("link: retransmission buffer overflow (depth %d)", rb.depth))
 	}
-	rb.ring[(rb.head+rb.count)%rb.depth] = retransEntry{f: f, sent: cycle}
+	rb.ring[rb.slot(rb.count)] = retransEntry{f: f, sent: cycle}
 	rb.count++
 }
 
@@ -79,7 +86,7 @@ func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
 func (rb *RetransBuffer) Expire(cycle uint64) int {
 	n := 0
 	for rb.count > 0 && cycle >= rb.ring[rb.head].sent+NACKWindow {
-		rb.head = (rb.head + 1) % rb.depth
+		rb.head = rb.slot(1)
 		rb.count--
 		n++
 	}
@@ -105,12 +112,18 @@ func (rb *RetransBuffer) Drain() []flit.Flit {
 	if rb.count == 0 {
 		return nil
 	}
-	out := rb.scratch[:0]
+	rb.scratch = rb.AppendDrain(rb.scratch[:0])
+	return rb.scratch
+}
+
+// AppendDrain is Drain into a caller-owned slice: the retained flits are
+// removed and appended to dst, oldest first.
+func (rb *RetransBuffer) AppendDrain(dst []flit.Flit) []flit.Flit {
 	for i := 0; i < rb.count; i++ {
-		out = append(out, rb.ring[(rb.head+i)%rb.depth].f)
+		dst = append(dst, rb.ring[rb.slot(i)].f)
 	}
 	rb.head, rb.count = 0, 0
-	return out
+	return dst
 }
 
 // Snapshot returns copies of the retained flits, oldest first; nil when
@@ -121,7 +134,7 @@ func (rb *RetransBuffer) Snapshot() []flit.Flit {
 	}
 	out := make([]flit.Flit, 0, rb.count)
 	for i := 0; i < rb.count; i++ {
-		out = append(out, rb.ring[(rb.head+i)%rb.depth].f)
+		out = append(out, rb.ring[rb.slot(i)].f)
 	}
 	return out
 }

@@ -17,9 +17,12 @@ import (
 // Fig. 3 is the upstream input-VC buffer feeding this port; the router
 // owns it.
 type Transmitter struct {
-	ch       *Channel
-	shifters []*RetransBuffer
-	credits  []int
+	ch  *Channel
+	vcs []txVC
+	// inShifters is the summed occupancy of every VC's shifter, maintained
+	// where entries are captured, expired and drained, so occupancy and
+	// "anything held?" are O(1) for per-cycle samplers and port masks.
+	inShifters int
 	// replay[replayHead:] is the pending replay queue; the backing array
 	// is recycled once it drains.
 	replay     []flit.Flit
@@ -36,6 +39,13 @@ type Transmitter struct {
 	bus       *trace.Bus
 	traceNode int32
 	tracePort int8
+}
+
+// txVC is one virtual channel's sending state: its credit counter beside
+// its barrel shifter, so a send touches one cache line.
+type txVC struct {
+	credits int
+	shifter RetransBuffer
 }
 
 // SetTrace attaches the structured event bus and this transmitter's
@@ -60,23 +70,39 @@ func (t *Transmitter) SetRetransBufFaults(rate float64, duplicate bool, rng *sim
 // NewTransmitter creates the sending side of a channel with vcs virtual
 // channels, each granted downstreamCap credits and a shifterDepth-deep
 // retransmission buffer (NACKWindow for the paper's scheme; 2*NACKWindow
-// with the duplicate-buffer option of §4.5).
+// with the duplicate-buffer option of §4.5). The per-VC state is one
+// slice and the shifter rings are windows of one arena (as NewFIFOs does
+// for the input buffers): three allocations per transmitter however many
+// VCs it has.
 func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) *Transmitter {
 	if vcs < 1 || downstreamCap < 1 {
 		panic("link: transmitter needs >=1 VC and >=1 credit")
 	}
+	if shifterDepth < 1 {
+		panic("link: retransmission buffer depth must be >= 1")
+	}
 	t := &Transmitter{
 		ch:       ch,
-		shifters: make([]*RetransBuffer, vcs),
-		credits:  make([]int, vcs),
+		vcs:      make([]txVC, vcs),
 		events:   events,
 		counters: counters,
 	}
-	for i := range t.shifters {
-		t.shifters[i] = NewRetransBuffer(shifterDepth)
-		t.credits[i] = downstreamCap
+	arena := make([]retransEntry, vcs*shifterDepth)
+	for i := range t.vcs {
+		t.vcs[i].credits = downstreamCap
+		t.vcs[i].shifter = RetransBuffer{
+			depth: shifterDepth,
+			ring:  arena[i*shifterDepth : (i+1)*shifterDepth : (i+1)*shifterDepth],
+		}
 	}
 	return t
+}
+
+// drainShifter moves a VC's retained flits onto dst, oldest first.
+func (t *Transmitter) drainShifter(vc int, dst []flit.Flit) []flit.Flit {
+	sh := &t.vcs[vc].shifter
+	t.inShifters -= sh.Len()
+	return sh.AppendDrain(dst)
 }
 
 // BeginCycle ingests the cycle's incoming handshakes: credits replenish
@@ -93,14 +119,14 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 			routerNACKs = append(routerNACKs, n)
 			continue
 		}
-		if int(n.VC) >= len(t.shifters) {
+		if int(n.VC) >= len(t.vcs) {
 			continue // corrupted handshake naming a non-existent VC; drop
 		}
-		t.replay = append(t.replay, t.shifters[n.VC].Drain()...)
+		t.replay = t.drainShifter(int(n.VC), t.replay)
 	}
 	for _, c := range t.ch.RecvCredits() {
-		if int(c.VC) < len(t.credits) {
-			t.credits[c.VC]++
+		if int(c.VC) < len(t.vcs) {
+			t.vcs[c.VC].credits++
 		}
 	}
 	return routerNACKs
@@ -111,13 +137,22 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 // misroute NACKs, whose Recall must see the full window — have been
 // processed, and before any send.
 func (t *Transmitter) ExpireShifters(cycle uint64) {
-	for _, sh := range t.shifters {
-		sh.Expire(cycle)
+	if t.inShifters == 0 {
+		return
+	}
+	for i := range t.vcs {
+		t.inShifters -= t.vcs[i].shifter.Expire(cycle)
 	}
 }
 
 // Credits returns the free downstream slots for a VC.
-func (t *Transmitter) Credits(vc int) int { return t.credits[vc] }
+func (t *Transmitter) Credits(vc int) int { return t.vcs[vc].credits }
+
+// Held reports whether the transmitter still owes per-cycle service: a
+// shifter entry awaiting expiry or a replay flit awaiting the wire. When
+// false and no handshake is visible, BeginCycle, ExpireShifters and
+// TickReplay are all no-ops.
+func (t *Transmitter) Held() bool { return t.inShifters > 0 || t.HasReplay() }
 
 // HasReplay reports whether NACKed flits are waiting to be re-sent; while
 // true the router must not grant new flits to this port (replay has
@@ -132,7 +167,7 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 	}
 	f := t.replay[t.replayHead]
 	vc := int(f.VC)
-	if t.credits[vc] <= 0 {
+	if t.vcs[vc].credits <= 0 {
 		// The credits returned by the receiver's drops are still in
 		// flight; the port idles this cycle but stays reserved.
 		return true
@@ -159,7 +194,7 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 // capturing a clean copy in the VC's retransmission buffer. The caller
 // must have checked Credits(vc) > 0 and HasReplay() == false.
 func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) {
-	if t.credits[vc] <= 0 {
+	if t.vcs[vc].credits <= 0 {
 		panic("link: send without credit")
 	}
 	if t.HasReplay() {
@@ -170,8 +205,8 @@ func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) {
 }
 
 func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
-	vc := int(f.VC)
-	t.credits[vc]--
+	tv := &t.vcs[f.VC]
+	tv.credits--
 	// Capture the clean copy before the wire corrupts it. A soft error in
 	// the buffer itself (§4.5) corrupts the stored copy with two bit
 	// flips — uncorrectable, so a replay of it is doomed. Duplicate
@@ -186,7 +221,8 @@ func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
 			stored.Word = ecc.FlipDataBit(ecc.FlipDataBit(stored.Word, t.rbRNG.Intn(64)), (t.rbRNG.Intn(63)+17)%64)
 		}
 	}
-	t.shifters[vc].Capture(stored, cycle)
+	tv.shifter.Capture(stored, cycle)
+	t.inShifters++
 	t.events.RetransWrites++
 	t.ch.Send(f)
 }
@@ -206,8 +242,11 @@ func (t *Transmitter) SendControl(f flit.Flit) {
 // router sleep with occupied shifters: no entry can expire — and no
 // link-error NACK for one can arrive — before that cycle.
 func (t *Transmitter) EarliestExpiry() (cycle uint64, ok bool) {
-	for _, sh := range t.shifters {
-		if sent, has := sh.OldestSent(); has {
+	if t.inShifters == 0 {
+		return 0, false
+	}
+	for i := range t.vcs {
+		if sent, has := t.vcs[i].shifter.OldestSent(); has {
 			if !ok || sent+NACKWindow < cycle {
 				cycle, ok = sent+NACKWindow, true
 			}
@@ -219,20 +258,18 @@ func (t *Transmitter) EarliestExpiry() (cycle uint64, ok bool) {
 // ShifterOccupancy returns the summed occupancy and capacity of the
 // port's retransmission buffers, for the Fig. 9 utilization metric.
 func (t *Transmitter) ShifterOccupancy() (occupied, capacity int) {
-	for _, sh := range t.shifters {
-		occupied += sh.Len()
-		capacity += sh.Depth()
-	}
-	return occupied, capacity
+	return t.inShifters, len(t.vcs) * t.vcs[0].shifter.Depth()
 }
 
-// ShifterOccupied is the occupancy half of ShifterOccupancy without the
-// capacity walk, for per-cycle samplers that cache the fixed capacity.
-func (t *Transmitter) ShifterOccupied() (occupied int) {
-	for _, sh := range t.shifters {
-		occupied += sh.Len()
+// Retained counts the flits the transmitter can still resend, by walking
+// the shifters and the replay queue rather than trusting the running
+// count Held reads. Invariant-checker inspection (mask soundness).
+func (t *Transmitter) Retained() int {
+	n := t.PendingReplay()
+	for i := range t.vcs {
+		n += t.vcs[i].shifter.Len()
 	}
-	return occupied
+	return n
 }
 
 // PendingReplay returns the number of queued replay flits (tests).
@@ -249,8 +286,8 @@ func (t *Transmitter) EachRetained(fn func(flit.Flit)) {
 	for _, f := range t.replay[t.replayHead:] {
 		fn(f)
 	}
-	for _, sh := range t.shifters {
-		for _, f := range sh.Snapshot() {
+	for i := range t.vcs {
+		for _, f := range t.vcs[i].shifter.Snapshot() {
 			fn(f)
 		}
 	}
@@ -260,19 +297,25 @@ func (t *Transmitter) EachRetained(fn func(flit.Flit)) {
 // boundary (clock = the cycle about to be ticked): every shifter entry
 // must still be inside its NACK window — Expire frees slots at
 // sent+NACKWindow, so an older entry means the expiry clock was skipped —
+// the running occupancy count must equal the shifters' summed lengths,
 // and every queued replay flit must name a real VC, or it could never be
 // resent. It returns a description of the first violation, or "".
 func (t *Transmitter) AuditRetrans(clock uint64) string {
-	for vc, sh := range t.shifters {
-		if sent, ok := sh.OldestSent(); ok && clock > sent+NACKWindow {
+	sum := 0
+	for vc := range t.vcs {
+		sum += t.vcs[vc].shifter.Len()
+		if sent, ok := t.vcs[vc].shifter.OldestSent(); ok && clock > sent+NACKWindow {
 			return fmt.Sprintf("vc %d: shifter entry sent at %d still present at %d (window %d)",
 				vc, sent, clock, NACKWindow)
 		}
 	}
+	if sum != t.inShifters {
+		return fmt.Sprintf("occupancy count %d but shifters hold %d", t.inShifters, sum)
+	}
 	for _, f := range t.replay[t.replayHead:] {
-		if int(f.VC) >= len(t.credits) {
+		if int(f.VC) >= len(t.vcs) {
 			return fmt.Sprintf("replay flit pid %d names VC %d of %d — unresendable",
-				f.PID, f.VC, len(t.credits))
+				f.PID, f.VC, len(t.vcs))
 		}
 	}
 	return ""
@@ -285,10 +328,10 @@ func (t *Transmitter) AuditRetrans(clock uint64) string {
 // segment of a destroyed worm; fn (if non-nil) observes each abandoned
 // flit for packet accounting. Serial use only.
 func (t *Transmitter) AbandonVC(vc int, fn func(flit.Flit)) {
-	if vc < 0 || vc >= len(t.shifters) {
+	if vc < 0 || vc >= len(t.vcs) {
 		return
 	}
-	for _, f := range t.shifters[vc].Drain() {
+	for _, f := range t.drainShifter(vc, nil) {
 		if fn != nil {
 			fn(f)
 		}
@@ -315,8 +358,8 @@ func (t *Transmitter) AbandonVC(vc int, fn func(flit.Flit)) {
 // can ever be resent. fn (if non-nil) observes each abandoned flit.
 // Serial use only.
 func (t *Transmitter) AbandonAll(fn func(flit.Flit)) {
-	for vc := range t.shifters {
-		for _, f := range t.shifters[vc].Drain() {
+	for vc := range t.vcs {
+		for _, f := range t.drainShifter(vc, nil) {
 			if fn != nil {
 				fn(f)
 			}
@@ -336,14 +379,8 @@ func (t *Transmitter) AbandonAll(fn func(flit.Flit)) {
 // recalled header (and any body flits behind it) rather than re-send them
 // on the same path. The result is freshly allocated — callers retain it.
 func (t *Transmitter) Recall(vc int) []flit.Flit {
-	if vc < 0 || vc >= len(t.shifters) {
+	if vc < 0 || vc >= len(t.vcs) {
 		return nil
 	}
-	drained := t.shifters[vc].Drain()
-	if len(drained) == 0 {
-		return nil
-	}
-	out := make([]flit.Flit, len(drained))
-	copy(out, drained)
-	return out
+	return t.drainShifter(vc, nil)
 }

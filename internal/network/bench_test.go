@@ -190,6 +190,31 @@ func BenchmarkKernelSteadyLowLoad(b *testing.B) {
 	reportKernel(b, n)
 }
 
+// BenchmarkKernelSparse16x16 is the low-load steady state the 4x4
+// benchmarks never reach: a 16x16 mesh at 0.02 injection under the event
+// kernel, where three ticks in four are skipped and routers sleep while
+// credits trickle back to them. What a cycle costs here is the sweep
+// overhead the port masks remove — polling idle ports, sampling idle
+// shifters — so it is the guard for "a tick costs what is in flight",
+// and like the other steady benchmarks it must allocate nothing per
+// cycle (scripts/bench.sh --smoke fails the build otherwise).
+func BenchmarkKernelSparse16x16(b *testing.B) {
+	cfg := benchConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.InjectionRate = 0.02
+	n := New(cfg)
+	for i := 0; i < 6000; i++ {
+		n.kernel.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.kernel.Step()
+	}
+	b.StopTimer()
+	reportKernel(b, n)
+}
+
 // reportKernel attaches the skipped-actor-tick ratio to the benchmark
 // output, and cycles/sec as the human-facing inverse of ns/op.
 func reportKernel(b *testing.B, n *Network) {

@@ -190,3 +190,47 @@ func TestInvariantConfigDefaults(t *testing.T) {
 		t.Errorf("fresh checker reports error: %v", err)
 	}
 }
+
+// TestInvariantCheckerCatchesDroppedMark is the mask-soundness law's
+// proof of work: one input wire's delivery hook loses its mark (the wake
+// survives), so flits become visible on a port whose rxPending bit stays
+// clear and the router — woken, but told there is nothing to poll —
+// never ingests them. The per-cycle state walk must report exactly that
+// port, under every kernel, from the first cycle a flit sits there.
+func TestInvariantCheckerCatchesDroppedMark(t *testing.T) {
+	for _, k := range kernel.Kinds() {
+		cfg := NewConfig()
+		cfg.Width, cfg.Height = 4, 4
+		cfg.WarmupMessages = 0
+		cfg.TotalMessages = 400
+		cfg.MaxCycles = 20_000
+		cfg.StallCycles = 2_000
+		cfg.Seed = 17
+		cfg.Kernel = k
+		chk := attachChecker(&cfg)
+		n := New(cfg)
+
+		broken := n.loops[0]
+		if broken.toPE || broken.fromPE {
+			t.Fatal("expected loops[0] to be an inter-router link")
+		}
+		broken.ch.MarkRx(nil, 0)
+
+		n.Run()
+
+		found := 0
+		for _, v := range chk.Violations() {
+			if v.Check != "port-masks" {
+				continue
+			}
+			found++
+			if v.Node != int32(broken.downNode) || v.Port != int8(broken.downPort) || v.Cycle == 0 {
+				t.Errorf("%v kernel: violation %v, want node %d port %d at a cycle > 0",
+					k, v, broken.downNode, broken.downPort)
+			}
+		}
+		if found == 0 {
+			t.Fatalf("%v kernel: dropped rxPending mark went undetected (total violations: %d)", k, chk.Total())
+		}
+	}
+}

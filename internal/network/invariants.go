@@ -32,6 +32,9 @@ type creditLoop struct {
 	downNode int
 	downPort topology.Port
 	toPE     bool
+	// fromPE marks a PE's injection channel: the transmitter end belongs
+	// to the PE, which polls it every tick and keeps no port masks.
+	fromPE bool
 }
 
 // watchLink registers a channel with the invariant machinery: its credit
@@ -40,10 +43,10 @@ type creditLoop struct {
 // clean — a correction that does not is a miscorrection). Called from
 // New only when a checker is attached.
 func (n *Network) watchLink(tx *link.Transmitter, rx *link.Receiver, ch *link.Channel,
-	node int32, port int8, downNode int, downPort topology.Port, toPE bool) {
+	node int32, port int8, downNode int, downPort topology.Port, toPE, fromPE bool) {
 	n.loops = append(n.loops, creditLoop{
 		tx: tx, rx: rx, ch: ch, node: node, port: port,
-		downNode: downNode, downPort: downPort, toPE: toPE,
+		downNode: downNode, downPort: downPort, toPE: toPE, fromPE: fromPE,
 	})
 	rxNode, rxPort := int32(downNode), int8(downPort)
 	inv := n.inv
@@ -59,9 +62,12 @@ func (n *Network) watchLink(tx *link.Transmitter, rx *link.Receiver, ch *link.Ch
 
 // checkState is the per-cycle structural audit, run at the cycle
 // boundary after kernel.Step (clock = the next cycle to tick, when all
-// latches have settled): credit conservation on every loop, each
-// router's internal consistency (VA bindings, retransmission-buffer
-// ages, probe-memory bounds), quiescence safety — a kernel-asleep actor
+// latches have settled): credit conservation on every loop, port-mask
+// soundness at both router ends of every loop (what the wires and the
+// transmitter actually hold against the mask bits that drive the
+// routers' ticks), each router's internal consistency (VA bindings,
+// occupancy counts, retransmission-buffer ages, probe-memory bounds),
+// quiescence safety — a kernel-asleep actor
 // must still satisfy its own Quiescent predicate, proving idle-skipping
 // never slept a live component — and recovery-episode liveness.
 func (n *Network) checkState(clock uint64) {
@@ -80,6 +86,19 @@ func (n *Network) checkState(clock uint64) {
 						have-lp.tx.Credits(vc)-lp.ch.InFlightCredits(vc)-lp.ch.InFlightData(vc), n.cfg.BufDepth),
 				})
 			}
+		}
+		if !lp.fromPE {
+			_, pending, held := n.routers[lp.node].PortMarks(topology.Port(lp.port))
+			inv.CheckPortMarks(clock, lp.node, lp.port, invariant.PortMarks{
+				TxPending: pending, Handshakes: lp.ch.VisibleHandshakes(),
+				TxHeld: held, Retained: lp.tx.Retained(),
+			})
+		}
+		if !lp.toPE {
+			pending, _, _ := n.routers[lp.downNode].PortMarks(lp.downPort)
+			inv.CheckPortMarks(clock, int32(lp.downNode), int8(lp.downPort), invariant.PortMarks{
+				RxPending: pending, Flits: lp.ch.VisibleFlits(),
+			})
 		}
 	}
 	for i, r := range n.routers {

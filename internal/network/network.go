@@ -32,9 +32,6 @@ type Network struct {
 	// Kernel handles for wake wiring and quiescence-aware sampling.
 	routerH []sim.Handle
 	peH     []sim.Handle
-	// Cached per-router buffer capacities (constant after build), letting
-	// sampleUtilization skip walking a quiescent router's VCs.
-	bufCap []int
 
 	// events is the serial accounting shard: PE-side activity plus
 	// everything else charged outside router ticks. routerEvents[i] is
@@ -307,8 +304,8 @@ func New(cfg Config) *Network {
 
 	// flitWires records, for every channel, which actor consumes its
 	// forward flit pipe and which actor owns its transmitter (the NACK
-	// consumer); the wake callbacks are installed once actor handles exist
-	// (after registration below).
+	// consumer); the wakes are added to the channels' delivery hooks once
+	// actor handles exist (after registration below).
 	type flitWire struct {
 		ch     *link.Channel
 		node   int
@@ -350,7 +347,7 @@ func New(cfg Config) *Network {
 		n.routers[l.From].AttachOutput(l.Dir, tx)
 		n.routers[dst].AttachInput(l.Dir.Opposite(), rx)
 		if n.inv != nil {
-			n.watchLink(tx, rx, ch, int32(l.From), int8(l.Dir), int(dst), l.Dir.Opposite(), false)
+			n.watchLink(tx, rx, ch, int32(l.From), int8(l.Dir), int(dst), l.Dir.Opposite(), false, false)
 		}
 	}
 
@@ -384,8 +381,8 @@ func New(cfg Config) *Network {
 			down.SetArmShards(n.groupOf[i]+1, 0)
 		}
 		if n.inv != nil {
-			n.watchLink(upTx, upRx, up, int32(i), int8(topology.Local), i, topology.Local, false)
-			n.watchLink(downTx, downRx, down, int32(i), int8(topology.Local), i, topology.Local, true)
+			n.watchLink(upTx, upRx, up, int32(i), int8(topology.Local), i, topology.Local, false, true)
+			n.watchLink(downTx, downRx, down, int32(i), int8(topology.Local), i, topology.Local, true, false)
 		}
 
 		src := traffic.NewSource(id, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, trafficRNG.Split())
@@ -404,21 +401,23 @@ func New(cfg Config) *Network {
 	// Quiescence wiring: every flit pipe wakes its consuming actor when a
 	// latch leaves flits visible, and every NACK pipe wakes the
 	// transmitter-owning actor (relaxed quiescence lets an actor sleep
-	// with occupied retransmission shifters — see link.Channel.SetNACKWake
-	// for why that makes NACK wakes necessary). Credit pipes need no wakes
-	// (see link.Channel.SetFlitWake). Only with all deliveries covered is
-	// it sound to opt the actors into idle skipping.
+	// with occupied retransmission shifters — see link.Channel.WakeTx for
+	// why that makes NACK wakes necessary, and why credits need none).
+	// The wakes extend the hooks the routers installed at attachment, so
+	// one delivery both marks the router's port mask and wakes it. Only
+	// with all deliveries covered is it sound to opt the actors into idle
+	// skipping.
 	for _, w := range wires {
 		h := n.routerH[w.node]
 		if w.toPE {
 			h = n.peH[w.node]
 		}
-		w.ch.SetFlitWake(n.kernel.Waker(h))
+		w.ch.WakeRx(h)
 		th := n.routerH[w.txNode]
 		if w.txPE {
 			th = n.peH[w.txNode]
 		}
-		w.ch.SetNACKWake(n.kernel.Waker(th))
+		w.ch.WakeTx(th)
 	}
 	for i := 0; i < nodes; i++ {
 		n.kernel.EnableQuiescence(n.routerH[i])
@@ -705,28 +704,15 @@ func (n *Network) accounted() uint64 {
 func (n *Network) sampleUtilization() {
 	if n.routerUtil == nil {
 		n.routerUtil = make([]stats.Utilization, len(n.routers))
-		n.bufCap = make([]int, len(n.routers))
-		for i, r := range n.routers {
-			_, n.bufCap[i] = r.BufferOccupancy()
-		}
 	}
+	// Neither read walks the router: buffer occupancy is a running count
+	// and shifter occupancy sums the held ports' running counts. A
+	// sleeping router's shifters may still hold entries awaiting their
+	// NACK-window expiry (relaxed quiescence); that frozen occupancy is
+	// exactly what the naive kernel would observe — no entry can expire
+	// before the declared wake.
 	to, tc, ro, rc := 0, 0, 0, 0
 	for i, r := range n.routers {
-		if n.kernel.Asleep(n.routerH[i]) {
-			// A quiescent router proved every VC buffer empty, so its
-			// buffer sample is (0, capacity) without walking them. Its
-			// retransmission shifters may still hold entries awaiting
-			// their NACK-window expiry (relaxed quiescence), and that
-			// frozen occupancy is exactly what the naive kernel would
-			// observe — no entry can expire before the declared wake —
-			// so it is read for real.
-			n.routerUtil[i].Sample(0, n.bufCap[i])
-			tc += n.bufCap[i]
-			o, c := r.ShifterOccupancy()
-			ro += o
-			rc += c
-			continue
-		}
 		o, c := r.BufferOccupancy()
 		n.routerUtil[i].Sample(o, c)
 		to += o

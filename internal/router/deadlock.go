@@ -284,6 +284,8 @@ func (r *Router) recoveryStep(cycle uint64) {
 			for j := 0; j < room; j++ {
 				f, _ := ivc.buf.Pop()
 				ivc.pending = append(ivc.pending, f)
+				r.buffered--
+				r.parked++
 				r.in[ivc.port].rx.ReturnCredit(ivc.idx)
 				r.cfg.Events.BufReads++
 				r.cfg.Events.RetransWrites++

@@ -16,16 +16,12 @@ import (
 // after the fault-adaptive routing function rebuilds its distance
 // tables: the memos capture Route() results from the previous topology
 // epoch and would keep steering packets along the dead orientation.
+// Every memo byte returns to "not computed" and the interned sets are
+// forgotten; candidate slices already bound to input VCs keep their own
+// backing arrays (RefreshWaitingRoutes rewrites the ones that matter).
 func (r *Router) FlushRouteCache() {
-	for i := range r.routeCache {
-		r.routeCache[i] = nil
-	}
-	for p := range r.neighborRoute {
-		cache := r.neighborRoute[p]
-		for i := range cache {
-			cache[i] = nil
-		}
-	}
+	clear(r.memos)
+	r.routeSets = r.routeSets[:0]
 }
 
 // RefreshWaitingRoutes recomputes the candidate set of every VA-waiting
@@ -162,11 +158,13 @@ func (r *Router) KillVC(cycle uint64, p topology.Port, vc int, fn func(flit.Flit
 			break
 		}
 		ip.rx.ReturnCredit(vc)
+		r.buffered--
 		removed++
 		if fn != nil {
 			fn(f)
 		}
 	}
+	r.parked -= len(ivc.pending)
 	for _, f := range ivc.pending {
 		removed++
 		if fn != nil {

@@ -1,0 +1,171 @@
+package router
+
+import (
+	"fmt"
+	"testing"
+
+	"ftnoc/internal/flit"
+	"ftnoc/internal/topology"
+)
+
+// maskViolation states the mask-soundness law from the wires and the
+// transmitters themselves: on every attached port a clear bit must mean
+// nothing to service. It returns the first breach, or "".
+func maskViolation(r *Router) string {
+	for p := topology.Port(0); p < topology.NumPorts; p++ {
+		rx, tx, held := r.PortMarks(p)
+		if ip := r.in[p]; ip != nil && !rx {
+			if n := ip.rx.Channel().VisibleFlits(); n > 0 {
+				return fmt.Sprintf("router %d in %v: rxPending clear with %d flits visible", r.id, p, n)
+			}
+		}
+		if op := r.out[p]; op != nil {
+			if n := op.tx.Channel().VisibleHandshakes(); !tx && n > 0 {
+				return fmt.Sprintf("router %d out %v: txPending clear with %d handshakes visible", r.id, p, n)
+			}
+			if n := op.tx.Retained(); !held && n > 0 {
+				return fmt.Sprintf("router %d out %v: txHeld clear with %d flits retained", r.id, p, n)
+			}
+		}
+	}
+	return ""
+}
+
+// audit runs the mask law and the structural audit (which includes the
+// running occupancy counts) on every router of the grid.
+func (p *pair) audit(t *testing.T, when string) {
+	t.Helper()
+	for _, r := range append([]*Router{p.a, p.b}, p.extra...) {
+		if msg := maskViolation(r); msg != "" {
+			t.Fatalf("%s, cycle %d: %s", when, p.k.Cycle(), msg)
+		}
+		if msg := r.AuditInvariants(p.k.Cycle()); msg != "" {
+			t.Fatalf("%s, cycle %d: %s", when, p.k.Cycle(), msg)
+		}
+	}
+}
+
+// A router wired by hand — channels attached, actors registered, no
+// kernel wake and no network — must still see every flit and every
+// credit: attachment alone installs the hooks that drive its port masks.
+func TestHandWiredRouterNeedsNoWaker(t *testing.T) {
+	p := newPair(t, 3)
+	p.autoSink()
+	// Three packets on one VC: 12 flits through 4-deep buffers, so the
+	// stream only completes if credits keep coming back.
+	var fs []flit.Flit
+	for pid := 1; pid <= 3; pid++ {
+		fs = append(fs, flit.Packet{ID: flit.PacketID(pid), Src: 0, Dst: 1, Size: 4}.Flits()...)
+	}
+	p.driveSource(fs)
+	for i := 0; i < 60; i++ {
+		p.k.Step()
+		p.audit(t, "streaming")
+	}
+	if len(p.arrived) != len(fs) {
+		t.Fatalf("arrived %d flits, want %d: the router missed flits or credits", len(p.arrived), len(fs))
+	}
+	east := p.a.out[topology.East].tx
+	for vc := 0; vc < 2; vc++ {
+		if got := east.Credits(vc); got != 4 {
+			t.Errorf("a.East VC %d ended with %d credits, want all 4 back", vc, got)
+		}
+	}
+	for _, r := range []*Router{p.a, p.b} {
+		if r.rxPending|r.txPending|r.txHeld != 0 {
+			t.Errorf("router %d idle with masks rx %#x tx %#x held %#x, want all clear",
+				r.id, r.rxPending, r.txPending, r.txHeld)
+		}
+	}
+}
+
+// Hard-fault surgery runs between steps, behind the routers' backs. Every
+// primitive only removes traffic (or pushes credits through the ordinary
+// latched wire), so the masks must stay sound through and after each one,
+// the routers must go on to drain whatever the surgery left visible, and
+// a route-cache flush must leave every memo byte at "not computed".
+func TestMaskSoundnessUnderSurgery(t *testing.T) {
+	surgeries := []struct {
+		name string
+		cut  func(t *testing.T, r *row)
+	}{
+		{"DestroyData per VC", func(t *testing.T, r *row) {
+			for vc := 0; vc < 2; vc++ {
+				r.a.out[topology.East].tx.Channel().DestroyData(vc, nil)
+			}
+		}},
+		{"DestroyData whole channel + DropNACKs", func(t *testing.T, r *row) {
+			ch := r.a.out[topology.East].tx.Channel()
+			ch.DestroyData(-1, nil)
+			ch.DropNACKs()
+		}},
+		{"AbandonVC", func(t *testing.T, r *row) {
+			for vc := 0; vc < 2; vc++ {
+				r.a.out[topology.East].tx.AbandonVC(vc, nil)
+			}
+		}},
+		{"AbandonAll", func(t *testing.T, r *row) { r.a.out[topology.East].tx.AbandonAll(nil) }},
+		{"Recall", func(t *testing.T, r *row) {
+			for vc := 0; vc < 2; vc++ {
+				r.a.out[topology.East].tx.Recall(vc)
+			}
+		}},
+		{"KillVC", func(t *testing.T, r *row) {
+			for vc := 0; vc < 2; vc++ {
+				r.b.KillVC(r.k.Cycle(), topology.West, vc, nil)
+			}
+		}},
+		{"FlushRouteCache", func(t *testing.T, r *row) {
+			if len(r.a.routeSets) == 0 || len(r.b.routeSets) == 0 {
+				t.Fatal("a and b interned no route before the flush; the test flushes nothing")
+			}
+			for _, x := range []*Router{r.a, r.b, r.c} {
+				x.FlushRouteCache()
+				for i, s := range x.memos {
+					if s != 0 {
+						t.Fatalf("router %d memo byte %d = %d after flush, want 0", x.id, i, s)
+					}
+				}
+				if len(x.routeSets) != 0 {
+					t.Fatalf("router %d kept %d interned sets after flush", x.id, len(x.routeSets))
+				}
+			}
+		}},
+	}
+	for _, s := range surgeries {
+		t.Run(s.name, func(t *testing.T) {
+			r := newRow(t)
+			r.autoSink()
+			var fs []flit.Flit
+			for pid := 1; pid <= 3; pid++ {
+				fs = append(fs, flit.Packet{ID: flit.PacketID(pid), Src: 0, Dst: 2, Size: 4}.Flits()...)
+			}
+			r.driveSource(fs)
+			// Seven cycles in, the first packet straddles a's East shifters,
+			// the a->b wire and b's West buffers.
+			for i := 0; i < 7; i++ {
+				r.k.Step()
+				r.audit(t, "before surgery")
+			}
+			if !r.a.out[topology.East].tx.Held() || r.b.buffered == 0 {
+				t.Fatal("nothing in flight at the cut; the surgery would be vacuous")
+			}
+			s.cut(t, r)
+			r.audit(t, "right after surgery")
+			for i := 0; i < 60; i++ {
+				r.k.Step()
+				r.audit(t, "after surgery")
+			}
+			for _, x := range []*Router{r.a, r.b, r.c} {
+				for p := topology.Port(0); p < topology.NumPorts; p++ {
+					if ip := x.in[p]; ip != nil && ip.rx.Channel().VisibleFlits() != 0 {
+						t.Errorf("router %d in %v: flits left on the wire", x.id, p)
+					}
+					if op := x.out[p]; op != nil && op.tx.Channel().VisibleHandshakes() != 0 {
+						t.Errorf("router %d out %v: credits or NACKs left on the wire", x.id, p)
+					}
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"ftnoc/internal/ac"
@@ -35,6 +36,33 @@ type Router struct {
 
 	vaRR  int // rotates VA priority over input VCs
 	outRR int // rotates SA priority over output ports
+
+	// Port masks (bit p = port p): every per-tick port loop walks the set
+	// bits of one of these instead of sweeping all ports, so a tick costs
+	// what is in flight. Each is a superset of the ports that need
+	// service — a set bit on an idle port costs one no-op poll, a clear
+	// bit on a busy port would lose traffic (invariant "port-masks").
+	//
+	//   rxPending  input ports whose wire shows flits. Set by the flit
+	//              pipe's latch (hook installed in AttachInput), cleared
+	//              by ingest once ReceiveAll has drained the wire.
+	//   txPending  output ports whose backward wires show a credit or a
+	//              NACK. Set by those pipes' latches (AttachOutput),
+	//              cleared by beginOutputs once BeginCycle has drained
+	//              them.
+	//   txHeld     output ports with an occupied shifter or a pending
+	//              replay. Set where the router sends (executeGrant),
+	//              cleared by beginOutputs when Transmitter.Held turns
+	//              false.
+	//
+	// Writers: the kernel's serial latch phase sets rx/txPending; this
+	// router's own tick does everything else. Hard-fault surgery between
+	// steps only ever removes traffic, which leaves the masks supersets.
+	rxPending uint8
+	txPending uint8
+	txHeld    uint8
+	// outAttached marks the output ports that have a transmitter.
+	outAttached uint8
 
 	// Deadlock machinery (§3.2.2).
 	probeSeen  map[probeKey]uint64
@@ -70,13 +98,20 @@ type Router struct {
 	// visits a dead VC. liveList materialises the set bits ascending once
 	// per tick (after ingest), so the allocator phases iterate live VCs
 	// instead of scanning ports x VCs.
-	sparse      bool
-	liveVCs     uint64
-	liveList    []int
+	sparse   bool
+	liveVCs  uint64
+	liveList []int
+	// Occupancy, O(1) for the per-cycle utilization sampler. bufCapTotal
+	// and shCapTotal are the summed buffer and shifter capacities of the
+	// attached ports, accumulated at attachment. buffered counts the flits
+	// in input VC buffers and parked those in pending queues, each
+	// adjusted where a flit enters or leaves (ingestData, takeFront,
+	// recoveryStep, recoverMisroute, KillVC) and audited against a full
+	// walk by AuditInvariants.
 	bufCapTotal int
-	bufCapKnown bool
 	shCapTotal  int
-	shCapKnown  bool
+	buffered    int
+	parked      int
 
 	// saCand buckets the live, vcActive input VCs by bound output port,
 	// rebuilt once per allocateSA pass (sparse mode only). Each port's
@@ -86,13 +121,19 @@ type Router struct {
 	// walk's (saRR+j)%n requester sequence exactly.
 	saCand [topology.NumPorts][]int
 
-	// routeCache memoises the routing function per destination: routes
-	// are pure in (cur, dst) — link health is filtered later, in
-	// legalCandidates — so one computation serves the whole run.
-	// neighborRoute does the same for the §4.2 arrival-direction check,
-	// per upstream port.
-	routeCache    [][]topology.Port
-	neighborRoute [topology.NumPorts][][]topology.Port
+	// Route memos: routes are pure in (cur, dst) — link health is
+	// filtered later, in legalCandidates — so one computation serves the
+	// whole run. A memo is one byte per destination: 0 = not yet computed,
+	// s > 0 = routeSets[s-1]. routeSets interns the distinct candidate
+	// sets this router has seen (a handful: the routing functions return
+	// short ordered port lists), shared by all the memos. routeMemo[p]
+	// memoises the routing function of the node upstream of input port p:
+	// the neighbor through p, for the §4.2 arrival-direction check, and
+	// for Local — whose upstream is this node's own PE — this router's
+	// own function. All are windows of memos, one allocation.
+	memos     []uint8
+	routeMemo [topology.NumPorts][]uint8
+	routeSets [][]topology.Port
 
 	// Per-cycle scratch buffers, reused across ticks; capacities are
 	// bounded by the port/VC counts so the steady state never allocates.
@@ -116,7 +157,7 @@ func New(cfg Config) *Router {
 	cfg.validate()
 	np := int(topology.NumPorts)
 	n := np * cfg.VCs
-	return &Router{
+	r := &Router{
 		cfg:           cfg,
 		id:            cfg.ID,
 		probeSeen:     make(map[probeKey]uint64),
@@ -125,7 +166,7 @@ func New(cfg Config) *Router {
 		fifos:         link.NewFIFOs(n, cfg.BufDepth),
 		sparse:        cfg.Sparse && n <= 64,
 		liveList:      make([]int, 0, n),
-		routeCache:    make([][]topology.Port, cfg.Topo.Nodes()),
+		routeSets:     make([][]topology.Port, 0, routeSetsCap),
 		scratchLegal:  make([]topology.Port, 0, np),
 		scratchBind:   make([]ac.Binding, 0, np*cfg.VCs),
 		scratchGrants: make([]ac.Grant, 0, np),
@@ -133,14 +174,22 @@ func New(cfg Config) *Router {
 		scratchKept:   make([]saRequest, 0, np),
 		scratchViol:   make([]ac.Violation, 0, np),
 	}
+	nodes := cfg.Topo.Nodes()
+	r.memos = make([]uint8, np*nodes)
+	for p := range r.routeMemo {
+		r.routeMemo[p] = r.memos[p*nodes : (p+1)*nodes]
+	}
+	return r
 }
 
 // ID returns the router's node identifier.
 func (r *Router) ID() flit.NodeID { return r.id }
 
-// AttachInput connects the receiving side of a channel to port p and
+// AttachInput connects the receiving side of a channel to port p,
 // creates the port's input VC buffers (slots in the router's contiguous
-// VC arena).
+// VC arena), and hooks the channel's flit deliveries to this port's
+// rxPending bit — attachment is what makes the masks sound, so a router
+// wired by hand needs nothing else.
 func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
 	vcs := make([]*inputVC, r.cfg.VCs)
 	for i := range vcs {
@@ -149,13 +198,24 @@ func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
 		*ivc = inputVC{port: p, idx: i, flat: slot, buf: &r.fifos[slot]}
 		vcs[i] = ivc
 		r.flatVCs[slot] = ivc
+		r.bufCapTotal += ivc.buf.Cap()
 	}
 	r.in[p] = &inPort{port: p, rx: rx, vcs: vcs}
+	rx.Channel().MarkRx(&r.rxPending, 1<<p)
 }
 
-// AttachOutput connects the transmitting side of a channel to port p.
+// AttachOutput connects the transmitting side of a channel to port p and
+// hooks the channel's credit and NACK deliveries to this port's
+// txPending bit. A transmitter that already holds flits marks txHeld.
 func (r *Router) AttachOutput(p topology.Port, tx *link.Transmitter) {
 	r.out[p] = &outputPort{port: p, tx: tx, vcs: make([]outputVC, r.cfg.VCs)}
+	_, c := tx.ShifterOccupancy()
+	r.shCapTotal += c
+	tx.Channel().MarkTx(&r.txPending, 1<<p)
+	r.outAttached |= 1 << p
+	if tx.Held() {
+		r.txHeld |= 1 << p
+	}
 }
 
 // Tick evaluates one cycle of the router pipeline. The phases mirror the
@@ -244,14 +304,14 @@ func (r *Router) CatchUpTo(target uint64) {
 // drains). Credits and NACKs may still arrive while asleep: they
 // accumulate on their wires and are drained by beginOutputs at the wake
 // cycle, before any decision reads them. Flit arrivals wake the router
-// via the channel's delivery callback.
+// via the channel's delivery hook.
 //
 // Occupied retransmission shifters do NOT keep the router awake: no entry
 // can expire — and no link-error NACK for one can become visible — before
 // the oldest entry's expiry cycle, which the router declares as its timed
 // wake. The two NACK kinds that can arrive sooner (a neighbour's misroute
 // report, or recovery on/off) wake it through the channels' NACK-pipe
-// delivery callbacks, so every handshake is still processed on its exact
+// delivery hooks, so every handshake is still processed on its exact
 // visibility cycle. While asleep nothing captures into the shifters, so
 // the declared expiry stays the earliest.
 func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
@@ -280,30 +340,30 @@ func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
 			}
 		}
 	}
+	// Only a held port can be replaying or owe an expiry.
 	var wake uint64
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		op := r.out[p]
-		if op == nil {
-			continue
-		}
-		if op.tx.HasReplay() {
+	for m := r.txHeld; m != 0; m &= m - 1 {
+		tx := r.out[bits.TrailingZeros8(m)].tx
+		if tx.HasReplay() {
 			return false, 0
 		}
-		if exp, ok := op.tx.EarliestExpiry(); ok && (wake == 0 || exp < wake) {
+		if exp, ok := tx.EarliestExpiry(); ok && (wake == 0 || exp < wake) {
 			wake = exp
 		}
 	}
 	return true, wake
 }
 
-// beginOutputs ingests handshakes on every output channel and services
-// misroute NACKs (§4.2 recovery).
+// beginOutputs ingests handshakes on the output channels and services
+// misroute NACKs (§4.2 recovery). Only ports with a visible handshake
+// (txPending) or something held (txHeld) are visited, in ascending port
+// order: on any other port BeginCycle would drain two empty wires and
+// ExpireShifters walk empty shifters — no state change, no RNG draw, no
+// event — so skipping it is exact.
 func (r *Router) beginOutputs(cycle uint64) {
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
+	for m := r.txPending | r.txHeld; m != 0; m &= m - 1 {
+		p := topology.Port(bits.TrailingZeros8(m))
 		op := r.out[p]
-		if op == nil {
-			continue
-		}
 		for _, n := range op.tx.BeginCycle(cycle) {
 			switch n.Kind {
 			case link.NACKMisroute:
@@ -318,7 +378,11 @@ func (r *Router) beginOutputs(cycle uint64) {
 			// being used; the handshake exists for energy accounting.
 		}
 		op.tx.ExpireShifters(cycle)
+		if !op.tx.Held() {
+			r.txHeld &^= 1 << p
+		}
 	}
+	r.txPending = 0
 }
 
 // recoverMisroute handles a neighbor's report that the header we sent on
@@ -336,6 +400,7 @@ func (r *Router) recoverMisroute(p topology.Port, ov int, cycle uint64) {
 	recalled := op.tx.Recall(ov)
 	op.vcs[ov] = outputVC{}
 	ivc.pending = append(recalled, ivc.pending...)
+	r.parked += len(recalled)
 	if r.cfg.Bus.Enabled() {
 		for _, f := range recalled {
 			r.cfg.Bus.Emit(trace.Event{
@@ -351,15 +416,14 @@ func (r *Router) recoverMisroute(p topology.Port, ov int, cycle uint64) {
 	r.cfg.Counters.AddCorrected(fault.RTLogic)
 }
 
-// ingest receives this cycle's arrivals on every input port, applies the
-// misroute consistency check to headers, and writes accepted flits into
-// the VC buffers.
+// ingest receives this cycle's arrivals, applies the misroute consistency
+// check to headers, and writes accepted flits into the VC buffers. Only
+// ports whose wire shows flits (rxPending) are visited, in ascending port
+// order; ReceiveAll on an empty wire returns nothing and changes nothing.
 func (r *Router) ingest(cycle uint64) {
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
+	for m := r.rxPending; m != 0; m &= m - 1 {
+		p := topology.Port(bits.TrailingZeros8(m))
 		ip := r.in[p]
-		if ip == nil {
-			continue
-		}
 		data, ctrl := ip.rx.ReceiveAll(cycle)
 		for _, f := range ctrl {
 			r.handleControl(cycle, p, f)
@@ -368,6 +432,7 @@ func (r *Router) ingest(cycle uint64) {
 			r.ingestData(cycle, ip, f)
 		}
 	}
+	r.rxPending = 0
 }
 
 func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
@@ -383,7 +448,7 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
 		// must match the route the previous node should have taken.
 		if up, ok := r.cfg.Topo.Neighbor(r.id, ip.port); ok {
 			dst := flit.DecodeHeader(f.Word).Dst
-			exp := r.cachedNeighborRoute(ip.port, up, dst)
+			exp := r.memoRoute(r.routeMemo[ip.port], up, dst)
 			if len(exp) == 1 && exp[0] != ip.port.Opposite() {
 				ip.rx.ForceDrop(vc, cycle, link.NACKMisroute, uint64(f.PID), f.Seq)
 				return
@@ -404,6 +469,7 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
 		ivc.lastProgress = cycle
 	}
 	ivc.buf.Push(f)
+	r.buffered++
 	if r.sparse {
 		// The single dead->live site: every other mutation that keeps a VC
 		// live (VA/SA state changes, recovery parking, misroute recall)
@@ -456,7 +522,7 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 	if f.Type != flit.Head {
 		// Stray flit with no wormhole: only possible when an
 		// unprotected fault broke packet framing. Drop it.
-		dropped, fromBuf := ivc.popFront()
+		dropped, fromBuf := r.takeFront(ivc)
 		if fromBuf {
 			ip.rx.ReturnCredit(ivc.idx)
 		}
@@ -482,12 +548,25 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 	ivc.earliestVA = cycle + vaOffset(r.cfg.PipelineDepth)
 }
 
+// takeFront removes the next flit ivc must emit, keeping the occupancy
+// counts in step. fromBuf reports that the flit left the buffer (and so
+// frees a credited slot) rather than the pending queue.
+func (r *Router) takeFront(ivc *inputVC) (f flit.Flit, fromBuf bool) {
+	f, fromBuf = ivc.popFront()
+	if fromBuf {
+		r.buffered--
+	} else {
+		r.parked--
+	}
+	return f, fromBuf
+}
+
 // computeRoute runs the routing function for the packet resident in ivc,
 // with RT-logic fault injection (§4.2: a transient fault misdirects the
 // packet by replacing the candidate set).
 func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	r.cfg.Events.RTComputes++
-	cands := r.cachedRoute(ivc.dst)
+	cands := r.memoRoute(r.routeMemo[topology.Local], r.id, ivc.dst)
 	if r.cfg.RTFault.Upset() {
 		r.cfg.Counters.AddInjected(fault.RTLogic)
 		cands = []topology.Port{topology.Port(r.cfg.RTFault.Pick(int(topology.NumPorts)))}
@@ -507,44 +586,45 @@ func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	return cands
 }
 
-// cachedRoute memoises Route(r.id, dst). The static routing functions
-// are pure in (cur, dst): link health is consulted in legalCandidates,
-// not here, so a cached candidate set stays valid across hard-fault
-// changes. The fault-adaptive function's tables DO change at hard-fault
-// boundaries; the reconfiguration controller calls FlushRouteCache on
-// every router after each table rebuild. Cached slices are shared
-// read-only — input VCs rebind candidates but never mutate them.
-func (r *Router) cachedRoute(dst flit.NodeID) []topology.Port {
-	if i := int(dst); i >= 0 && i < len(r.routeCache) {
-		if c := r.routeCache[i]; c != nil {
-			return c
-		}
-		c := r.cfg.Route.Route(r.id, dst)
-		r.routeCache[i] = c
-		return c
-	}
-	// A corrupted destination outside the node space (possible only in
-	// unprotected ablations): fall through uncached.
-	return r.cfg.Route.Route(r.id, dst)
-}
+// routeSetsCap pre-sizes the interned candidate-set table so it does not
+// grow during a run: any one static routing function produces at most 9
+// distinct lists (five single ports, four two-port pairs), and up*/down*
+// at most 17 (Local plus the subsets of the four directions) of which a
+// router sees a few. maxRouteSets is what a byte can index; past it
+// routes are simply recomputed.
+const (
+	routeSetsCap = 16
+	maxRouteSets = 255
+)
 
-// cachedNeighborRoute memoises Route(up, dst) for the arrival-direction
-// consistency check, keyed by the arrival port (which fixes up).
-func (r *Router) cachedNeighborRoute(p topology.Port, up, dst flit.NodeID) []topology.Port {
-	i := int(dst)
-	if i < 0 || i >= len(r.routeCache) {
-		return r.cfg.Route.Route(up, dst)
+// memoRoute returns Route(cur, dst) through one of the byte-wide memos
+// (see routeMemo). The static routing functions are pure in (cur, dst):
+// link health is consulted in legalCandidates, not here, so a memoised
+// candidate set stays valid across hard-fault changes. The fault-adaptive
+// function's tables DO change at hard-fault boundaries; the
+// reconfiguration controller calls FlushRouteCache on every router after
+// each table rebuild. Interned sets are shared read-only — input VCs
+// rebind candidates but never mutate them.
+func (r *Router) memoRoute(memo []uint8, cur, dst flit.NodeID) []topology.Port {
+	if int(dst) >= len(memo) {
+		// A corrupted destination outside the node space (possible only in
+		// unprotected ablations): fall through unmemoised.
+		return r.cfg.Route.Route(cur, dst)
 	}
-	cache := r.neighborRoute[p]
-	if cache == nil {
-		cache = make([][]topology.Port, len(r.routeCache))
-		r.neighborRoute[p] = cache
+	if s := memo[dst]; s != 0 {
+		return r.routeSets[s-1]
 	}
-	if c := cache[i]; c != nil {
-		return c
+	c := r.cfg.Route.Route(cur, dst)
+	for i, set := range r.routeSets {
+		if slices.Equal(set, c) {
+			memo[dst] = uint8(i + 1)
+			return set
+		}
 	}
-	c := r.cfg.Route.Route(up, dst)
-	cache[i] = c
+	if len(r.routeSets) < maxRouteSets {
+		r.routeSets = append(r.routeSets, c)
+		memo[dst] = uint8(len(r.routeSets))
+	}
 	return c
 }
 
@@ -776,80 +856,50 @@ func (r *Router) saRequestFor(ivc *inputVC, winner saRequest, won bool) (saReque
 // vector with the Allocation Comparator (§4.3), and performs switch +
 // link traversal for the winners.
 func (r *Router) allocateSA(cycle uint64) {
-	grantedInput := [topology.NumPorts]bool{}
+	var grantedIn uint8 // input ports already granted this cycle
 	grants := r.scratchGrants[:0]
 	grantReqs := r.scratchReqs[:0]
 
+	// ports is the set of output ports worth arbitrating: on any other
+	// port no VC requests and nothing replays, so its pass would neither
+	// count, draw, nor rotate anything. The dense walk finds requesters
+	// by scanning, so it visits every attached port.
+	ports := r.outAttached
 	if r.sparse {
 		// One pass over the live list buckets the active VCs by output
 		// port; VA ran earlier this tick, so bindings are settled, and
 		// grants execute only after every port is arbitrated, so no
-		// state moves under the buckets mid-pass.
+		// state moves under the buckets mid-pass. Replay needs the
+		// channel whether or not anyone requests it, and only a held
+		// port can be replaying.
 		for p := range r.saCand {
 			r.saCand[p] = r.saCand[p][:0]
 		}
+		ports = r.txHeld
 		for _, fi := range r.liveList {
 			ivc := r.flatVCs[fi]
 			if ivc.state == vcActive && ivc.outPort >= 0 && ivc.outPort < topology.NumPorts {
 				r.saCand[ivc.outPort] = append(r.saCand[ivc.outPort], fi)
+				ports |= 1 << ivc.outPort
 			}
 		}
+		ports &= r.outAttached
 	}
 
-	for i := 0; i < int(topology.NumPorts); i++ {
-		p := topology.Port((r.outRR + i) % int(topology.NumPorts))
-		op := r.out[p]
-		if op == nil {
-			continue
-		}
-		if op.tx.HasReplay() {
-			// Retransmission has channel priority (§3.1).
-			op.tx.TickReplay(cycle)
-			continue
-		}
-		// The winner is held by value: taking a loop-local request's
-		// address would heap-allocate it every allocation round. An
-		// SA-eligible VC is vcActive, hence live, so the sparse path
-		// rotates over the live list at the port's round-robin origin —
-		// the same requester sequence as the dense walk.
-		var winner saRequest
-		won := false
-		n := r.inputVCCount()
-		if r.sparse {
-			cand := r.saCand[p]
-			split := sort.SearchInts(cand, op.saRR%n)
-			for _, fi := range cand[split:] {
-				if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && !grantedInput[ivc.port] {
-					winner, won = r.saRequestFor(ivc, winner, won)
-				}
+	// Visit ports in rotated order: outRR's port first, wrapping.
+	start := uint(r.outRR % int(topology.NumPorts))
+	fromStart := ports >> start << start
+	for _, m := range [2]uint8{fromStart, ports &^ fromStart} {
+		for ; m != 0; m &= m - 1 {
+			p := topology.Port(bits.TrailingZeros8(m))
+			winner, ok := r.arbitrate(cycle, p, grantedIn)
+			if !ok {
+				continue
 			}
-			for _, fi := range cand[:split] {
-				if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && !grantedInput[ivc.port] {
-					winner, won = r.saRequestFor(ivc, winner, won)
-				}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				ivc := r.inputVCAt((op.saRR + j) % n)
-				if ivc == nil || !r.eligibleForSA(ivc, p, cycle) || grantedInput[ivc.port] {
-					continue
-				}
-				winner, won = r.saRequestFor(ivc, winner, won)
-			}
+			grantedIn |= 1 << winner.ivc.port
+			grants = append(grants, ac.Grant{InPort: winner.ivc.port, InVC: winner.ivc.idx, OutPort: p})
+			grantReqs = append(grantReqs, winner)
 		}
-		if !won {
-			continue
-		}
-		op.saRR++
-		if winner.upset && !winner.ivc.upsetWins(r) {
-			// Case (a) of §4.3: the upset suppressed the grant. The flit
-			// keeps requesting; one cycle lost, nothing to correct.
-			r.cfg.Counters.AddUndetected(fault.SALogic)
-			continue
-		}
-		grantedInput[winner.ivc.port] = true
-		grants = append(grants, ac.Grant{InPort: winner.ivc.port, InVC: winner.ivc.idx, OutPort: p})
-		grantReqs = append(grantReqs, winner)
 	}
 	r.outRR++
 
@@ -892,6 +942,59 @@ func (r *Router) allocateSA(cycle uint64) {
 	for i, g := range keep {
 		r.executeGrant(cycle, g, grantReqs[i].upset && !r.cfg.ACEnabled)
 	}
+}
+
+// arbitrate runs switch allocation for output port p: replay takes the
+// channel if one is pending (§3.1), otherwise the requesters are polled
+// from the port's round-robin origin and the first eligible one wins.
+// grantedIn masks input ports already granted this cycle. ok is false
+// when the port grants nothing.
+func (r *Router) arbitrate(cycle uint64, p topology.Port, grantedIn uint8) (winner saRequest, ok bool) {
+	op := r.out[p]
+	if op.tx.HasReplay() {
+		op.tx.TickReplay(cycle)
+		return winner, false
+	}
+	// The winner is held by value: taking a loop-local request's address
+	// would heap-allocate it every allocation round. An SA-eligible VC is
+	// vcActive, hence live, so the sparse path rotates over the port's
+	// bucket at its round-robin origin — the same requester sequence as
+	// the dense walk.
+	won := false
+	n := r.inputVCCount()
+	if r.sparse {
+		cand := r.saCand[p]
+		split := sort.SearchInts(cand, op.saRR%n)
+		for _, fi := range cand[split:] {
+			if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
+				winner, won = r.saRequestFor(ivc, winner, won)
+			}
+		}
+		for _, fi := range cand[:split] {
+			if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
+				winner, won = r.saRequestFor(ivc, winner, won)
+			}
+		}
+	} else {
+		for j := 0; j < n; j++ {
+			ivc := r.inputVCAt((op.saRR + j) % n)
+			if ivc == nil || !r.eligibleForSA(ivc, p, cycle) || grantedIn&(1<<ivc.port) != 0 {
+				continue
+			}
+			winner, won = r.saRequestFor(ivc, winner, won)
+		}
+	}
+	if !won {
+		return winner, false
+	}
+	op.saRR++
+	if winner.upset && !winner.ivc.upsetWins(r) {
+		// Case (a) of §4.3: the upset suppressed the grant. The flit
+		// keeps requesting; one cycle lost, nothing to correct.
+		r.cfg.Counters.AddUndetected(fault.SALogic)
+		return winner, false
+	}
+	return winner, true
 }
 
 // upsetWins decides whether an SA upset on a winning request corrupts the
@@ -964,7 +1067,7 @@ func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool
 // physically possible, otherwise it is lost.
 func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 	ivc := r.in[g.InPort].vcs[g.InVC]
-	f, fromBuf := ivc.popFront()
+	f, fromBuf := r.takeFront(ivc)
 	if fromBuf {
 		r.in[g.InPort].rx.ReturnCredit(g.InVC)
 	}
@@ -1015,6 +1118,7 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 			r.cfg.DeadSend(cycle, r.id, g.OutPort, vc, uint64(f.PID))
 		}
 		op.tx.Send(f, vc, cycle)
+		r.txHeld |= 1 << g.OutPort
 		if corrupted {
 			r.cfg.Counters.AddUndetected(fault.SALogic)
 		}
@@ -1048,75 +1152,32 @@ func (r *Router) inputVCCount() int { return int(topology.NumPorts) * r.cfg.VCs 
 
 func (r *Router) inputVCAt(i int) *inputVC { return r.flatVCs[i] }
 
-// BufferOccupancy sums input VC buffer occupancy and capacity (the
-// transmission-buffer utilization metric of Fig. 8). Capacity is fixed at
-// attachment time and cached; a dead VC holds nothing, so the sparse path
-// sums occupancy over the live mask only.
+// BufferOccupancy returns the input VC buffers' summed occupancy and
+// capacity (the transmission-buffer utilization metric of Fig. 8).
 func (r *Router) BufferOccupancy() (occupied, capacity int) {
-	if !r.bufCapKnown {
-		for p := topology.Port(0); p < topology.NumPorts; p++ {
-			if r.in[p] == nil {
-				continue
-			}
-			for _, ivc := range r.in[p].vcs {
-				r.bufCapTotal += ivc.buf.Cap()
-			}
-		}
-		r.bufCapKnown = true
-	}
-	capacity = r.bufCapTotal
-	if r.sparse {
-		for m := r.liveVCs; m != 0; m &= m - 1 {
-			occupied += r.flatVCs[bits.TrailingZeros64(m)].buf.Len()
-		}
-		return occupied, capacity
-	}
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		if r.in[p] == nil {
-			continue
-		}
-		for _, ivc := range r.in[p].vcs {
-			occupied += ivc.buf.Len()
-		}
-	}
-	return occupied, capacity
+	return r.buffered, r.bufCapTotal
 }
 
 // ShifterOccupancy sums retransmission-buffer occupancy and capacity (the
-// metric of Fig. 9). Flits parked during deadlock recovery conceptually
-// occupy the shifters (that is the resource-sharing point of §3.2), so
-// pending queues count as occupancy; a parked queue keeps its VC live, so
-// the sparse path scans the live mask for them.
+// metric of Fig. 9). Only a held port's shifters can be occupied, and
+// each transmitter keeps its own running count. Flits parked during
+// deadlock recovery conceptually occupy the shifters (that is the
+// resource-sharing point of §3.2), so pending queues count as occupancy.
 func (r *Router) ShifterOccupancy() (occupied, capacity int) {
-	if !r.shCapKnown {
-		for p := topology.Port(0); p < topology.NumPorts; p++ {
-			if r.out[p] != nil {
-				_, c := r.out[p].tx.ShifterOccupancy()
-				r.shCapTotal += c
-			}
-		}
-		r.shCapKnown = true
+	occupied = r.parked
+	for m := r.txHeld; m != 0; m &= m - 1 {
+		o, _ := r.out[bits.TrailingZeros8(m)].tx.ShifterOccupancy()
+		occupied += o
 	}
-	capacity = r.shCapTotal
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		if r.out[p] != nil {
-			occupied += r.out[p].tx.ShifterOccupied()
-		}
-	}
-	if r.sparse {
-		for m := r.liveVCs; m != 0; m &= m - 1 {
-			occupied += len(r.flatVCs[bits.TrailingZeros64(m)].pending)
-		}
-		return occupied, capacity
-	}
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		if r.in[p] != nil {
-			for _, ivc := range r.in[p].vcs {
-				occupied += len(ivc.pending)
-			}
-		}
-	}
-	return occupied, capacity
+	return occupied, r.shCapTotal
+}
+
+// PortMarks reports port p's three mask bits (see the rxPending field),
+// for the mask-soundness invariant: whoever holds the port's channels
+// checks that a clear bit really means nothing to service.
+func (r *Router) PortMarks(p topology.Port) (rxPending, txPending, txHeld bool) {
+	bit := uint8(1) << p
+	return r.rxPending&bit != 0, r.txPending&bit != 0, r.txHeld&bit != 0
 }
 
 // InRecovery reports whether the router is in deadlock-recovery mode.
@@ -1261,7 +1322,8 @@ func (r *Router) EachRetainedFlit(fn func(flit.Flit)) {
 
 // AuditInvariants runs the per-cycle structural audit at a cycle boundary
 // (clock = the cycle about to tick): the VA-binding consistency of
-// CheckInvariants, every output port's retransmission-buffer soundness,
+// CheckInvariants, the running occupancy counts against a walk of the
+// VCs, every output port's retransmission-buffer soundness,
 // and the probe-memory bound — pruning runs every probeSeenWindow cycles
 // and discards entries older than the window, so no entry may be older
 // than 3x the window (2x from pruning cadence plus slack for entries
@@ -1270,6 +1332,17 @@ func (r *Router) EachRetainedFlit(fn func(flit.Flit)) {
 func (r *Router) AuditInvariants(clock uint64) string {
 	if s := r.CheckInvariants(); s != "" {
 		return s
+	}
+	buffered, parked := 0, 0
+	for _, ivc := range r.flatVCs {
+		if ivc != nil {
+			buffered += ivc.buf.Len()
+			parked += len(ivc.pending)
+		}
+	}
+	if buffered != r.buffered || parked != r.parked {
+		return fmt.Sprintf("router %d: occupancy counts %d buffered / %d parked, VCs hold %d / %d",
+			r.id, r.buffered, r.parked, buffered, parked)
 	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if r.out[p] == nil {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ftnoc/internal/flit"
@@ -69,6 +70,23 @@ func (f *FaultAdaptiveFunc) Algorithm() Algorithm { return FaultAdaptive }
 
 // dirs is the deterministic neighbor iteration order.
 var dirs = [...]topology.Port{topology.North, topology.East, topology.South, topology.West}
+
+// dirSubsets interns every subset of dirs, in dirs order, indexed by the
+// bitmask of chosen positions: Route picks hops by testing each direction
+// in turn, so its result is one of these sixteen shared read-only lists
+// and never allocates. dirSubsets[0] is nil, the unreachable verdict.
+var dirSubsets = func() (t [1 << len(dirs)][]topology.Port) {
+	for m := range t {
+		var l []topology.Port
+		for i, d := range dirs {
+			if m&(1<<i) != 0 {
+				l = append(l, d)
+			}
+		}
+		t[m] = slices.Clip(l)
+	}
+	return t
+}()
 
 // Rebuild recomputes the BFS orientation and all per-destination
 // distance tables from the topology's current live links. O(n²) time
@@ -192,29 +210,29 @@ func (f *FaultAdaptiveFunc) Reachable(cur, dst flit.NodeID) bool {
 // declare the packet undeliverable rather than let it wait forever.
 func (f *FaultAdaptiveFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return portList(topology.Local, noPort)
 	}
 	down := f.down[int(dst)*f.n : (int(dst)+1)*f.n]
 	updown := f.updown[int(dst)*f.n : (int(dst)+1)*f.n]
 	if updown[cur] == infDist {
 		return nil
 	}
-	var ps []topology.Port
+	hops := 0 // bitmask over dirs
 	if dd := down[cur]; dd != infDist {
-		for _, d := range dirs {
+		for i, d := range dirs {
 			nbr, ok := f.liveNeighbor(cur, d)
 			if ok && f.before(cur, nbr) && down[nbr] == dd-1 {
-				ps = append(ps, d)
+				hops |= 1 << i
 			}
 		}
-		return ps
+		return dirSubsets[hops]
 	}
 	ud := updown[cur]
-	for _, d := range dirs {
+	for i, d := range dirs {
 		nbr, ok := f.liveNeighbor(cur, d)
 		if ok && f.before(nbr, cur) && updown[nbr] == ud-1 {
-			ps = append(ps, d)
+			hops |= 1 << i
 		}
 	}
-	return ps
+	return dirSubsets[hops]
 }

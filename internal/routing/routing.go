@@ -8,6 +8,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ftnoc/internal/flit"
@@ -93,7 +94,9 @@ func (a Algorithm) Adaptive() bool { return a != XY }
 // Func computes the legal output ports for a packet at cur heading for
 // dst. Implementations must return Local exactly when cur == dst, and must
 // never return a port without a physical link. Candidate order expresses
-// preference; the allocator tries earlier ports first.
+// preference; the allocator tries earlier ports first. The returned slice
+// is shared and read-only (see portList): callers may keep it but must
+// not write through it.
 type Func interface {
 	Route(cur, dst flit.NodeID) []topology.Port
 	Algorithm() Algorithm
@@ -114,6 +117,47 @@ func New(a Algorithm, topo *topology.Topology) Func {
 		return NewFaultAdaptiveFunc(topo)
 	default:
 		panic("routing: unknown algorithm")
+	}
+}
+
+// noPort is portList's "no candidate in this position".
+const noPort = topology.NumPorts
+
+// portLists interns every ordered candidate list of up to two ports, so
+// the routing functions — which run on routers' hot paths, once per
+// memo miss — return a shared slice instead of allocating one.
+// portLists[a][b] is {a, b} with noPort positions left out. Each list's
+// capacity equals its length, so a caller that appends gets a copy.
+var portLists = func() (t [noPort + 1][noPort + 1][]topology.Port) {
+	for a := topology.Port(0); a <= noPort; a++ {
+		for b := topology.Port(0); b <= noPort; b++ {
+			var l []topology.Port
+			if a != noPort {
+				l = append(l, a)
+			}
+			if b != noPort {
+				l = append(l, b)
+			}
+			t[a][b] = slices.Clip(l)
+		}
+	}
+	return t
+}()
+
+// portList returns the shared read-only candidate list {a, b}; either
+// may be noPort.
+func portList(a, b topology.Port) []topology.Port { return portLists[a][b] }
+
+// toward maps a signed offset to the port that reduces it: pos for a
+// positive offset, neg for a negative one, noPort for zero.
+func toward(d int, pos, neg topology.Port) topology.Port {
+	switch {
+	case d > 0:
+		return pos
+	case d < 0:
+		return neg
+	default:
+		return noPort
 	}
 }
 
@@ -144,19 +188,16 @@ func (f xyFunc) Algorithm() Algorithm { return XY }
 
 func (f xyFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return portList(topology.Local, noPort)
 	}
 	dx, dy := offsets(f.t, cur, dst)
-	switch {
-	case dx > 0:
-		return []topology.Port{topology.East}
-	case dx < 0:
-		return []topology.Port{topology.West}
-	case dy > 0:
-		return []topology.Port{topology.South}
-	default:
-		return []topology.Port{topology.North}
+	if h := toward(dx, topology.East, topology.West); h != noPort {
+		return portList(h, noPort)
 	}
+	if dy > 0 {
+		return portList(topology.South, noPort)
+	}
+	return portList(topology.North, noPort)
 }
 
 type adaptiveFunc struct{ t *topology.Topology }
@@ -165,21 +206,10 @@ func (f adaptiveFunc) Algorithm() Algorithm { return MinimalAdaptive }
 
 func (f adaptiveFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return portList(topology.Local, noPort)
 	}
 	dx, dy := offsets(f.t, cur, dst)
-	var ps []topology.Port
-	if dx > 0 {
-		ps = append(ps, topology.East)
-	} else if dx < 0 {
-		ps = append(ps, topology.West)
-	}
-	if dy > 0 {
-		ps = append(ps, topology.South)
-	} else if dy < 0 {
-		ps = append(ps, topology.North)
-	}
-	return ps
+	return portList(toward(dx, topology.East, topology.West), toward(dy, topology.South, topology.North))
 }
 
 type westFirstFunc struct{ t *topology.Topology }
@@ -188,23 +218,14 @@ func (f westFirstFunc) Algorithm() Algorithm { return WestFirst }
 
 func (f westFirstFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return portList(topology.Local, noPort)
 	}
 	dx, dy := offsets(f.t, cur, dst)
 	if dx < 0 {
 		// All westward movement first, no adaptivity.
-		return []topology.Port{topology.West}
+		return portList(topology.West, noPort)
 	}
-	var ps []topology.Port
-	if dx > 0 {
-		ps = append(ps, topology.East)
-	}
-	if dy > 0 {
-		ps = append(ps, topology.South)
-	} else if dy < 0 {
-		ps = append(ps, topology.North)
-	}
-	return ps
+	return portList(toward(dx, topology.East, noPort), toward(dy, topology.South, topology.North))
 }
 
 type oddEvenFunc struct{ t *topology.Topology }
@@ -217,47 +238,31 @@ func (f oddEvenFunc) Algorithm() Algorithm { return OddEven }
 // applying the column-parity rules yields the classic formulation below.
 func (f oddEvenFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return portList(topology.Local, noPort)
 	}
 	cc := f.t.CoordOf(cur)
 	dc := f.t.CoordOf(dst)
 	dx, dy := offsets(f.t, cur, dst)
-	var ps []topology.Port
+	vertical := toward(dy, topology.South, topology.North)
 	if dx == 0 {
 		if dy > 0 {
-			ps = append(ps, topology.South)
-		} else {
-			ps = append(ps, topology.North)
+			return portList(topology.South, noPort)
 		}
-		return ps
+		return portList(topology.North, noPort)
 	}
 	if dx > 0 { // eastbound
-		if dy == 0 {
-			ps = append(ps, topology.East)
-			return ps
-		}
 		// EN/ES turns are forbidden in even columns, so only allow the
 		// vertical move when the current column is odd, or when the
 		// packet is one column west of the destination (last chance).
 		if cc.X%2 == 1 || cc.X == dc.X-1 {
-			if dy > 0 {
-				ps = append(ps, topology.South)
-			} else {
-				ps = append(ps, topology.North)
-			}
+			return portList(vertical, topology.East)
 		}
-		ps = append(ps, topology.East)
-		return ps
+		return portList(topology.East, noPort)
 	}
 	// westbound: NW/SW turns are forbidden in odd columns — take the
 	// vertical move only in even columns; West is always available.
-	if dy != 0 && cc.X%2 == 0 {
-		if dy > 0 {
-			ps = append(ps, topology.South)
-		} else {
-			ps = append(ps, topology.North)
-		}
+	if cc.X%2 == 0 {
+		return portList(vertical, topology.West)
 	}
-	ps = append(ps, topology.West)
-	return ps
+	return portList(topology.West, noPort)
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,3 +200,32 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 	}()
 	New(Algorithm(99), mesh8())
 }
+
+// Route runs on the routers' hot path, once per route-memo miss, and the
+// steady-state kernel benchmarks hold that path to zero allocations:
+// every algorithm must return one of the shared interned lists.
+func TestRouteAllocatesNothing(t *testing.T) {
+	topo := topology.New(topology.Mesh, 6, 6)
+	topo.FailLink(8, topology.East)
+	for _, a := range []Algorithm{XY, MinimalAdaptive, WestFirst, OddEven, FaultAdaptive} {
+		r := New(a, topo)
+		i := 0
+		n := testing.AllocsPerRun(500, func() {
+			i++
+			sinkPorts = r.Route(flit.NodeID(i%36), flit.NodeID((i*7+13)%36))
+		})
+		if n != 0 {
+			t.Errorf("%v: Route allocates %v times per call, want 0", a, n)
+		}
+	}
+	// A caller that appends to a shared list must get a copy, not write
+	// into the next list's storage.
+	l := New(MinimalAdaptive, topo).Route(0, 35)
+	before := append([]topology.Port(nil), New(MinimalAdaptive, topo).Route(0, 35)...)
+	_ = append(l, topology.Local)
+	if got := New(MinimalAdaptive, topo).Route(0, 35); !slices.Equal(got, before) {
+		t.Fatalf("appending to a routed list changed the shared copy: %v -> %v", before, got)
+	}
+}
+
+var sinkPorts []topology.Port

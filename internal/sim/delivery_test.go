@@ -1,0 +1,173 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// A marking hook with no wake sets the consumer's bit at the latch that
+// makes values visible — not before — and leaves a sleeping consumer
+// asleep: the credit-wire contract.
+func TestDeliveryMarkWithoutWake(t *testing.T) {
+	for _, mode := range []Mode{ModeQuiescent, ModeEvent} {
+		var k Kernel
+		k.SetMode(mode)
+		s := &sleeper{}
+		h := k.RegisterActor(s)
+		k.EnableQuiescence(h)
+		p := NewPipe[int](&k, 2)
+		var mask uint8
+		p.SetDelivery(Delivery{}.WithMark(&mask, 1<<3))
+		k.Step() // sleeper ticks once and sleeps for good
+		p.Push(7)
+		k.Step()
+		if mask != 0 {
+			t.Fatalf("mode %v: mask %#x set one latch early", mode, mask)
+		}
+		k.Step()
+		if mask != 1<<3 {
+			t.Fatalf("mode %v: mask %#x after delivery, want %#x", mode, mask, 1<<3)
+		}
+		k.Run(5)
+		if len(s.ticks) != 1 || !k.Asleep(h) {
+			t.Fatalf("mode %v: mark-only delivery woke the consumer (ticks %v)", mode, s.ticks)
+		}
+		// The bit is the consumer's to clear; an undrained pipe re-marks it
+		// at every latch, a drained one never does.
+		mask = 0
+		k.Step()
+		if mask != 1<<3 {
+			t.Fatalf("mode %v: undrained pipe did not re-mark (mask %#x)", mode, mask)
+		}
+		p.PopAll()
+		mask = 0
+		k.Run(3)
+		if mask != 0 {
+			t.Fatalf("mode %v: drained pipe marked mask %#x", mode, mask)
+		}
+	}
+}
+
+// Mark and wake compose in either order, and a hook attached while values
+// are already visible marks at once.
+func TestDeliveryComposeAndLateAttach(t *testing.T) {
+	var k Kernel
+	k.SetMode(ModeEvent)
+	s := &sleeper{}
+	h := k.RegisterActor(s)
+	k.EnableQuiescence(h)
+	p := NewPipe[int](&k, 1)
+	s.in = p
+	var mask uint8
+	p.SetDelivery(p.Delivery().WithWake(h))
+	p.SetDelivery(p.Delivery().WithMark(&mask, 1))
+	k.Step()
+	p.Push(1)
+	k.Step() // latch delivers: mark + wake
+	if mask != 1 {
+		t.Fatalf("mask %#x, want 1", mask)
+	}
+	k.Step()
+	if want := []uint64{0, 2}; len(s.ticks) != 2 || s.ticks[1] != want[1] {
+		t.Fatalf("ticks %v, want %v", s.ticks, want)
+	}
+
+	q := NewPipe[int](&k, 1)
+	q.Push(9)
+	k.Step()
+	var late uint8
+	q.SetDelivery(Delivery{}.WithMark(&late, 4))
+	if late != 4 {
+		t.Fatalf("late attach over a visible value left mask %#x, want 4", late)
+	}
+}
+
+// The calendar ring is a bitset per cycle: with several words of actors
+// and random deliveries and timers, the event schedule must equal the
+// quiescent one tick for tick, and every cycle's ticks must run in
+// ascending registration order.
+func TestEventKernelWideBitsetMatchesQuiescent(t *testing.T) {
+	const actors = 150 // three words
+	var order []Handle
+	build := func(mode Mode) [][]uint64 {
+		var k Kernel
+		k.SetMode(mode)
+		rng := rand.New(rand.NewSource(42))
+		ss := make([]*sleeper, actors)
+		pipes := make([]*Pipe[int], actors)
+		for i := range ss {
+			ss[i] = &sleeper{offset: uint64(rng.Intn(4)) * uint64(rng.Intn(200))}
+			h := k.RegisterActor(orderSpy{ss[i], Handle(i), &order})
+			k.EnableQuiescence(h)
+			pipes[i] = NewPipe[int](&k, 1+rng.Intn(2))
+			ss[i].in = pipes[i]
+			pipes[i].SetDelivery(Delivery{}.WithWake(h))
+		}
+		for c := 0; c < 700; c++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				pipes[rng.Intn(actors)].Push(c)
+			}
+			order = order[:0]
+			k.Step()
+			for i := 1; i < len(order); i++ {
+				if order[i] <= order[i-1] {
+					t.Fatalf("mode %v cycle %d: tick order %v not ascending", mode, c, order)
+				}
+			}
+		}
+		out := make([][]uint64, actors)
+		for i, s := range ss {
+			out[i] = s.ticks
+		}
+		return out
+	}
+	want, got := build(ModeQuiescent), build(ModeEvent)
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Fatalf("actor %d: quiescent ticked %d times, event %d", i, len(want[i]), len(got[i]))
+		}
+		for j := range want[i] {
+			if want[i][j] != got[i][j] {
+				t.Fatalf("actor %d tick %d: quiescent at %d, event at %d", i, j, want[i][j], got[i][j])
+			}
+		}
+	}
+}
+
+// orderSpy records the handle of each tick so a test can check intra-cycle
+// order; quiescence is the wrapped sleeper's.
+type orderSpy struct {
+	*sleeper
+	h     Handle
+	order *[]Handle
+}
+
+func (o orderSpy) Tick(c uint64) {
+	*o.order = append(*o.order, o.h)
+	o.sleeper.Tick(c)
+}
+
+// An actor registered after the event kernel has started — here the 65th,
+// which needs a second bitset word — is scheduled one cycle out, and bits
+// already in the ring survive the re-layout.
+func TestEventKernelLateRegistrationGrowsRing(t *testing.T) {
+	var k Kernel
+	k.SetMode(ModeEvent)
+	first := make([]*sleeper, 64)
+	for i := range first {
+		first[i] = &sleeper{offset: 10}
+		k.EnableQuiescence(k.RegisterActor(first[i]))
+	}
+	k.Run(3) // all tick at 0 and sleep until 10
+	late := &sleeper{offset: 5}
+	k.EnableQuiescence(k.RegisterActor(late))
+	k.Run(20)
+	if len(late.ticks) < 2 || late.ticks[0] != 4 || late.ticks[1] != 9 {
+		t.Fatalf("late actor ticks %v, want [4 9 ...]", late.ticks)
+	}
+	for i, s := range first {
+		if len(s.ticks) < 3 || s.ticks[1] != 10 || s.ticks[2] != 20 {
+			t.Fatalf("actor %d ticks %v, want [0 10 20]", i, s.ticks)
+		}
+	}
+}

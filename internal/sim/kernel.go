@@ -23,8 +23,9 @@
 // idle, which is the actor's contract to uphold (see DESIGN.md, "Kernel
 // performance"). A quiescent actor returns to the active set when
 //
-//   - a delay line delivers a value to it (the pipe's wake callback, wired
-//     via Waker, fires when a latch leaves values visible), or
+//   - a delay line delivers a value to it (the pipe's Delivery hook, given
+//     the actor's handle via WithWake, fires when a latch leaves values
+//     visible), or
 //   - its self-declared timed wake cycle arrives (for purely clock-driven
 //     work such as a traffic source's next injection slot).
 //
@@ -38,9 +39,10 @@
 //   - ModeQuiescent (the zero value) walks the actor list each cycle but
 //     skips sleeping actors.
 //   - ModeEvent is a calendar-queue discrete-event scheduler: each actor
-//     carries a pending-tick cycle, due handles are drained from a
-//     256-bucket ring (plus an overflow min-heap for far-future wakes),
-//     and cost scales with dispatched events rather than cycles x actors.
+//     carries a pending-tick cycle, due handles are drained from a ring
+//     of 256 per-cycle bitsets over the actor handles (plus an overflow
+//     min-heap for far-future wakes), and cost scales with dispatched
+//     events rather than cycles x actors.
 //     Busy actors simply reschedule themselves for the next cycle, so a
 //     fully-active network degenerates gracefully to the per-cycle walk.
 //
@@ -51,7 +53,7 @@
 package sim
 
 import (
-	"slices"
+	"math/bits"
 	"time"
 )
 
@@ -78,7 +80,7 @@ func (f ActorFunc) Tick(cycle uint64) { f(cycle) }
 // The contract: while suspended, the actor's tick must have been a
 // semantic no-op apart from state it can reconstruct on wake (catch-up),
 // and every external input it reacts to must arrive through a delay line
-// whose wake callback targets it (or be covered by the timed wake).
+// whose Delivery hook wakes it (or be covered by the timed wake).
 type Quiescer interface {
 	Actor
 	// Quiescent reports whether the actor is idle after ticking cycle.
@@ -87,7 +89,7 @@ type Quiescer interface {
 	Quiescent(cycle uint64) (quiet bool, wakeAt uint64)
 }
 
-// Handle identifies a registered actor, for wake wiring.
+// Handle identifies a registered actor, for wake wiring (Delivery.WithWake).
 type Handle int
 
 // Mode selects the kernel's scheduling strategy. All modes simulate the
@@ -190,14 +192,17 @@ type Kernel struct {
 	shards [][]activeLatch
 
 	// Calendar queue (ModeEvent). pendingAt[i] is the cycle actor i is
-	// scheduled to tick on (noPending = none); ring buckets hold handles
-	// due within numBuckets cycles, keyed by cycle & bucketMask. Entries
-	// whose pendingAt no longer matches the drain cycle are stale —
-	// superseded by an earlier wake — and skipped, so duplicates are
-	// harmless.
+	// scheduled to tick on (noPending = none). ring holds one bitset over
+	// the actor handles per cycle residue: bucket b occupies
+	// ring[b*ringWords:(b+1)*ringWords], and bit h of it means "handle h
+	// may be due at the next cycle congruent to b". Draining a bucket in
+	// word and TrailingZeros order IS ascending registration order, a
+	// handle scheduled twice for one cycle is one bit, and the ring never
+	// grows. A bit whose pendingAt no longer matches the drain cycle is
+	// stale — superseded by an earlier wake — and skipped.
 	pendingAt []uint64
-	buckets   [numBuckets][]Handle
-	due       []Handle
+	ring      []uint64
+	ringWords int
 	evInit    bool
 
 	// Parallel scheduling (ModeParallel, see SetParallel). serialH holds
@@ -234,12 +239,12 @@ func (k *Kernel) Register(actors ...Actor) {
 }
 
 // RegisterActor adds one actor and returns its handle, for wake wiring
-// via Waker.
+// via Delivery.WithWake.
 //
 // Implementing Quiescer is not by itself enough to be skipped: skipping
-// an actor is only sound once every delay line feeding it has a wake
-// callback installed, which the kernel cannot verify. Whoever does that
-// wiring opts the actor in with EnableQuiescence.
+// an actor is only sound once every delay line feeding it has a waking
+// Delivery hook installed, which the kernel cannot verify. Whoever does
+// that wiring opts the actor in with EnableQuiescence.
 func (k *Kernel) RegisterActor(a Actor) Handle {
 	h := Handle(len(k.actors))
 	k.actors = append(k.actors, a)
@@ -248,13 +253,14 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 	k.wakeAt = append(k.wakeAt, 0)
 	k.pendingAt = append(k.pendingAt, noPending)
 	if k.evInit {
+		k.growRing()
 		k.scheduleTick(h, k.cycle+1)
 	}
 	return h
 }
 
 // EnableQuiescence opts a registered Quiescer into idle skipping. Call
-// only after wiring wake callbacks on every pipe that delivers to it. A
+// only after installing waking hooks on every pipe that delivers to it. A
 // non-Quiescer actor is left untouched.
 func (k *Kernel) EnableQuiescence(h Handle) {
 	if q, ok := k.actors[h].(Quiescer); ok {
@@ -262,20 +268,26 @@ func (k *Kernel) EnableQuiescence(h Handle) {
 	}
 }
 
-// Waker returns the wake callback for an actor: invoking it returns the
-// actor to the active set so it ticks next cycle. Safe to call on awake
-// actors (no-op) and repeatedly.
-func (k *Kernel) Waker(h Handle) func() {
-	return func() {
-		if k.mode == ModeEvent {
-			k.asleep[h] = false
-			k.scheduleTick(h, k.cycle+1)
-			return
-		}
-		if k.asleep[h] {
-			k.asleep[h] = false
-			k.wakeAt[h] = 0
-		}
+// deliver runs a pipe's delivery hook from the serial latch phase: mark
+// the consumer's mask bit, then return the consumer to the active set so
+// it ticks next cycle. Waking an awake actor is a no-op, so repeated
+// deliveries are harmless.
+func (k *Kernel) deliver(d Delivery) {
+	if d.mask != nil {
+		*d.mask |= d.bit
+	}
+	if d.wake == 0 {
+		return
+	}
+	h := d.wake - 1
+	if k.mode == ModeEvent {
+		k.asleep[h] = false
+		k.scheduleTick(h, k.cycle+1)
+		return
+	}
+	if k.asleep[h] {
+		k.asleep[h] = false
+		k.wakeAt[h] = 0
 	}
 }
 
@@ -453,11 +465,11 @@ func heapPop(heap *[]wakeEntry) wakeEntry {
 }
 
 // scheduleTick (ModeEvent) records that actor h must tick at cycle at,
-// unless an earlier tick is already pending. Near wakes go in the ring
-// bucket for their cycle — an entry lands in bucket at&bucketMask only
-// when at is the next cycle with that residue, so every entry in a
+// unless an earlier tick is already pending. Near wakes set h's bit in
+// the ring bucket for their cycle — a bit lands in bucket at&bucketMask
+// only when at is the next cycle with that residue, so every bit in a
 // drained bucket is due exactly then; far wakes overflow to the heap.
-// Superseded entries are left in place and filtered at drain time.
+// Superseded bits are left in place and filtered at drain time.
 func (k *Kernel) scheduleTick(h Handle, at uint64) {
 	if at <= k.cycle {
 		at = k.cycle + 1
@@ -467,11 +479,30 @@ func (k *Kernel) scheduleTick(h Handle, at uint64) {
 	}
 	k.pendingAt[h] = at
 	if at-k.cycle < numBuckets {
-		b := &k.buckets[at&bucketMask]
-		*b = append(*b, h)
+		k.markDue(h, at)
 	} else {
 		heapPush(&k.heap, wakeEntry{at: at, h: h})
 	}
+}
+
+// markDue sets h's bit in the ring bucket of cycle at.
+func (k *Kernel) markDue(h Handle, at uint64) {
+	k.ring[int(at&bucketMask)*k.ringWords+int(h)>>6] |= 1 << (uint(h) & 63)
+}
+
+// growRing sizes the calendar ring for the registered actors, keeping
+// any bits already scheduled. Called at the first event-mode step and by
+// registrations after it; a no-op while the bitsets are wide enough.
+func (k *Kernel) growRing() {
+	words := (len(k.actors) + 63) / 64
+	if words <= k.ringWords {
+		return
+	}
+	ring := make([]uint64, numBuckets*words)
+	for b := 0; b < numBuckets && k.ringWords > 0; b++ {
+		copy(ring[b*words:], k.ring[b*k.ringWords:(b+1)*k.ringWords])
+	}
+	k.ring, k.ringWords = ring, words
 }
 
 // Cycle returns the number of completed cycles.
@@ -524,60 +555,59 @@ func (k *Kernel) Step() {
 	k.latchAndAdvance()
 }
 
-// stepEvent advances one cycle under the calendar-queue scheduler: drain
-// this cycle's ring bucket plus any due overflow-heap entries, dispatch
-// the surviving handles in registration order, and let each actor either
-// reschedule for the next cycle (busy), sleep until a delivery (quiet),
-// or sleep with a timed wake (quiet with a deadline).
+// stepEvent advances one cycle under the calendar-queue scheduler: fold
+// any due overflow-heap entries into this cycle's ring bucket, dispatch
+// the bucket's surviving handles in registration order, and let each
+// actor either reschedule for the next cycle (busy), sleep until a
+// delivery (quiet), or sleep with a timed wake (quiet with a deadline).
 func (k *Kernel) stepEvent() {
 	c := k.cycle
 	if !k.evInit {
 		// First event-mode step: every registered actor starts due now.
 		k.evInit = true
-		b := &k.buckets[c&bucketMask]
+		k.growRing()
 		for h := range k.actors {
 			k.pendingAt[h] = c
-			*b = append(*b, Handle(h))
+			k.markDue(Handle(h), c)
 		}
 	}
+	for len(k.heap) > 0 && k.heap[0].at <= c {
+		k.markDue(heapPop(&k.heap).h, c)
+	}
 
-	// Collect due handles. The bucket is copied then truncated in place:
+	// Each word is taken and zeroed before its handles dispatch:
 	// reschedules during dispatch target later cycles, so they can never
 	// land back in this cycle's bucket (at == c+numBuckets overflows to
-	// the heap rather than aliasing the ring).
-	due := k.due[:0]
-	b := &k.buckets[c&bucketMask]
-	due = append(due, (*b)...)
-	*b = (*b)[:0]
-	for len(k.heap) > 0 && k.heap[0].at <= c {
-		due = append(due, heapPop(&k.heap).h)
-	}
-	// Registration order = tick order, matching the other schedulers'
-	// intra-cycle trace order exactly.
-	slices.Sort(due)
-
+	// the heap rather than aliasing the ring). Ascending word and bit
+	// order is registration order = tick order, matching the other
+	// schedulers' intra-cycle trace order exactly.
 	ticked := 0
-	for _, h := range due {
-		if k.pendingAt[h] != c {
-			continue // superseded by an earlier wake, or a duplicate
-		}
-		k.pendingAt[h] = noPending
-		k.asleep[h] = false
-		k.actors[h].Tick(c)
-		ticked++
-		k.events++
-		if q := k.quiescers[h]; q != nil {
-			if quiet, at := q.Quiescent(c); quiet {
-				k.asleep[h] = true
-				if at > c {
-					k.scheduleTick(h, at)
-				}
-				continue
+	bucket := k.ring[int(c&bucketMask)*k.ringWords:][:k.ringWords]
+	for w := range bucket {
+		word := bucket[w]
+		bucket[w] = 0
+		for ; word != 0; word &= word - 1 {
+			h := Handle(w<<6 + bits.TrailingZeros64(word))
+			if k.pendingAt[h] != c {
+				continue // superseded by an earlier wake
 			}
+			k.pendingAt[h] = noPending
+			k.asleep[h] = false
+			k.actors[h].Tick(c)
+			ticked++
+			if q := k.quiescers[h]; q != nil {
+				if quiet, at := q.Quiescent(c); quiet {
+					k.asleep[h] = true
+					if at > c {
+						k.scheduleTick(h, at)
+					}
+					continue
+				}
+			}
+			k.scheduleTick(h, c+1)
 		}
-		k.scheduleTick(h, c+1)
 	}
-	k.due = due[:0]
+	k.events += uint64(ticked)
 	k.ticked += uint64(ticked)
 	k.skipped += uint64(len(k.actors) - ticked)
 
@@ -611,7 +641,7 @@ func (k *Kernel) stepParallel() {
 	}
 
 	// Serial phase: timed wakes then ticks for the serial group, exactly
-	// the quiescent schedule restricted to serialH. Pipe wake callbacks
+	// the quiescent schedule restricted to serialH. Pipe delivery hooks
 	// fired later in the latch phase also run here on the coordinator.
 	for len(k.heap) > 0 && k.heap[0].at <= c {
 		e := heapPop(&k.heap)
@@ -705,8 +735,8 @@ func (k *Kernel) tickGroup(w int, c uint64) {
 // latchAndAdvance runs the cycle's latch phase and advances the clock.
 // Latch-order equals arm-order, which may differ from historical
 // registration order — sound because latches are independent: each
-// pipe only rotates its own ring. Wake callbacks fired here return
-// consumers to the active set for the next cycle.
+// pipe only rotates its own ring. Delivery hooks fired here mark the
+// consumers' masks and return them to the active set for the next cycle.
 func (k *Kernel) latchAndAdvance() {
 	for s, shard := range k.shards {
 		n := 0

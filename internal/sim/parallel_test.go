@@ -20,7 +20,7 @@ func buildParallel(t *testing.T, offsets []uint64, workers int) (*Kernel, []*sle
 		k.EnableQuiescence(h)
 		p := NewPipe[int](&k, 1)
 		s.in = p
-		p.SetWake(k.Waker(h))
+		p.SetDelivery(Delivery{}.WithWake(h))
 		pipes[i] = p
 		groups[i] = i % workers
 	}
@@ -55,7 +55,7 @@ func TestParallelKernelMatchesQuiescent(t *testing.T) {
 		ref.EnableQuiescence(h)
 		p := NewPipe[int](&ref, 1)
 		s.in = p
-		p.SetWake(ref.Waker(h))
+		p.SetDelivery(Delivery{}.WithWake(h))
 		refPipes[i] = p
 	}
 	run(&ref, refPipes)

@@ -44,9 +44,41 @@ type Pipe[T any] struct {
 	// written only by the producer (Push) and the serial latch phase,
 	// which the per-cycle barrier orders.
 	armed bool
-	// wake, when set, runs whenever a latch leaves values visible — the
-	// delivery signal that returns a quiescent consumer to the active set.
-	wake func()
+	// hook is what the pipe does for its consumer whenever a latch leaves
+	// values visible (see Delivery); the zero value does nothing.
+	hook Delivery
+}
+
+// Delivery is a pipe's delivery hook: what happens for the consumer when
+// a latch leaves values visible. It is a plain value — no closure, no
+// allocation per wire — with two independent parts. WithMark names a bit
+// in a mask the consumer owns: the latch sets it, the consumer clears it
+// once it has drained the pipe, so a consumer fed by many pipes polls
+// only those whose bit is set (a clear bit proves the pipe shows
+// nothing, and draining nothing is a no-op, so skipping is exact).
+// WithWake adds the kernel wake that returns a quiescent consumer to the
+// active set. The zero value does nothing.
+//
+// Bits are set only by the kernel's serial latch phase and cleared only
+// by the owning consumer's tick, which the per-cycle barrier orders, so
+// the masks need no synchronisation under the parallel kernel.
+type Delivery struct {
+	mask *uint8
+	bit  uint8
+	// wake is 1 + the handle to wake, so the zero value wakes nobody.
+	wake Handle
+}
+
+// WithMark returns d extended to also set bit in *mask on delivery.
+func (d Delivery) WithMark(mask *uint8, bit uint8) Delivery {
+	d.mask, d.bit = mask, bit
+	return d
+}
+
+// WithWake returns d extended to also wake actor h on delivery.
+func (d Delivery) WithWake(h Handle) Delivery {
+	d.wake = h + 1
+	return d
 }
 
 // NewPipe creates a delay line with the given latency (>= 1) and registers
@@ -63,10 +95,21 @@ func NewPipe[T any](k *Kernel, latency int) *Pipe[T] {
 	return p
 }
 
-// SetWake installs the delivery callback: it runs at the end of any cycle
-// whose latch leaves at least one value visible, signalling the pipe's
-// consumer to wake (see Kernel.Waker). At most one callback is supported.
-func (p *Pipe[T]) SetWake(wake func()) { p.wake = wake }
+// SetDelivery installs the delivery hook, which fires at the end of any
+// cycle whose latch leaves at least one value visible. One hook per pipe:
+// a pipe has a single consumer. Values already visible mark the new mask
+// at once, so attaching late never hides them.
+func (p *Pipe[T]) SetDelivery(d Delivery) {
+	p.hook = d
+	if d.mask != nil && !p.Empty() {
+		*d.mask |= d.bit
+	}
+}
+
+// Delivery returns the installed hook, for callers that extend it (the
+// consumer installs its mask bit, whoever registers the consumer with a
+// kernel adds the wake).
+func (p *Pipe[T]) Delivery() Delivery { return p.hook }
 
 // SetArmShard assigns the kernel arm-shard this pipe arms into. The shard
 // must identify the pipe's single producer: 0 (the default) for pipes
@@ -130,6 +173,9 @@ func (p *Pipe[T]) PopAll() []T {
 // Empty reports whether no value is visible this cycle. Values still in
 // flight (pushed fewer than latency cycles ago) do not count.
 func (p *Pipe[T]) Empty() bool { return p.off >= len(p.bufs[p.vis]) }
+
+// Visible reports how many values a consumer could pop this cycle.
+func (p *Pipe[T]) Visible() int { return len(p.bufs[p.vis]) - p.off }
 
 // InFlight reports the total number of values buffered anywhere in the
 // pipe, including those not yet visible and any not yet latched. Valid
@@ -212,8 +258,8 @@ func (p *Pipe[T]) latch() bool {
 	p.bufs[p.vis] = p.bufs[p.vis][:0]
 	p.vis = next
 	p.off = 0
-	if len(p.bufs[p.vis]) > 0 && p.wake != nil {
-		p.wake()
+	if len(p.bufs[p.vis]) > 0 {
+		p.k.deliver(p.hook)
 	}
 	p.armed = p.pushed != p.popped
 	return p.armed

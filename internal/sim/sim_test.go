@@ -405,7 +405,7 @@ func TestEventKernelDeliveryWakeSupersedesTimer(t *testing.T) {
 	k.EnableQuiescence(h)
 	p := NewPipe[int](&k, 1)
 	s.in = p
-	p.SetWake(k.Waker(h))
+	p.SetDelivery(Delivery{}.WithWake(h))
 	k.Run(3) // sleeper ticks at 0, sleeps until 50
 	p.Push(1)
 	k.Run(60)
@@ -477,7 +477,7 @@ func TestEventKernelMatchesQuiescent(t *testing.T) {
 			k.EnableQuiescence(h)
 			p := NewPipe[int](&k, 1)
 			s.in = p
-			p.SetWake(k.Waker(h))
+			p.SetDelivery(Delivery{}.WithWake(h))
 			pipes[h] = p
 		}
 		for i := 0; i < 500; i++ {

@@ -14,8 +14,9 @@
 # Smoke mode is the CI guard: it runs every kernel benchmark once (so
 # they cannot bit-rot) and fails the build if the steady-state
 # benchmark of any scheduler — event (BenchmarkKernelSteady), naive,
-# quiescent, parallel, or the metrics-on variant — reports any
-# allocations per simulated cycle:
+# quiescent, parallel, the metrics-on variant, or the low-load 16x16
+# event-kernel run (BenchmarkKernelSparse16x16, where routers sleep with
+# credits still arriving) — reports any allocations per simulated cycle:
 #
 #   scripts/bench.sh --smoke
 set -euo pipefail
@@ -26,16 +27,18 @@ if [[ "${1:-}" == "--smoke" ]]; then
     go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -benchmem
 
     # Allocation guard. 200 measured cycles after each benchmark's own
-    # 2000-cycle warm-up is enough for any per-cycle allocation to show
+    # warm-up (2000 cycles; 6000 on the 16x16) is enough for any per-cycle allocation to show
     # up as allocs/op >= 1 (Go reports the floor of the mean). All four
     # kernels are guarded — the calendar queue, the quiescence scan, the
     # naive loop and the parallel barrier step must each stay
     # allocation-free at steady state. The Metrics variant guards the
     # zero-cost-when-unscraped observability contract: gauges
-    # registered, sampling interval never firing.
+    # registered, sampling interval never firing. The Sparse16x16
+    # variant guards the other regime: most routers asleep, woken by
+    # single flits, credits pooling on their wires meanwhile.
     for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
                  BenchmarkKernelSteadyQuiescent BenchmarkKernelSteadyParallel \
-                 BenchmarkKernelSteadyMetrics; do
+                 BenchmarkKernelSteadyMetrics BenchmarkKernelSparse16x16; do
         line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
             -benchtime=200x -benchmem | grep "^${bench}")
         allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
