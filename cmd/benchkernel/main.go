@@ -43,9 +43,8 @@ type workload struct {
 // bites: the error-handling machinery is nearly idle and scheduler +
 // allocator overhead dominates. The 0.10-injection variant covers the
 // low-load end of the paper's 0.1–0.4 operating range, where quiescence
-// itself pays the most. The 16x16 large-mesh row is the parallel
-// kernel's home turf: 512 actors per cycle give the row bands enough
-// work to amortise the per-cycle barrier.
+// itself pays the most. The 16x16 large-mesh row ticks 512 actors per
+// cycle, the scale at which scheduler bookkeeping shows.
 func workloads() []workload {
 	quick := func() ftnoc.Config {
 		cfg := ftnoc.NewConfig()
@@ -80,7 +79,6 @@ type measurement struct {
 	CyclesPerSec   float64 `json:"cycles_per_sec"`
 	SkippedRatio   float64 `json:"skipped_ratio,omitempty"`
 	Events         uint64  `json:"events_dispatched,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
 	SpeedupVsNaive float64 `json:"speedup_vs_naive,omitempty"`
 }
 
@@ -102,10 +100,8 @@ type benchResult struct {
 	Metrics map[string]float64 `json:"metrics"` // unit -> value (ns/op, allocs/op, ...)
 }
 
-// report is the BENCH_kernel.json schema. GOMAXPROCS qualifies every
-// parallel-kernel number: on a 1-CPU host the parallel workers
-// timeshare one core and the speedup column measures barrier overhead,
-// not scaling.
+// report is the BENCH_kernel.json schema. GOMAXPROCS stamps the host
+// shape the numbers were taken on.
 type report struct {
 	GoVersion   string           `json:"go_version"`
 	GOOS        string           `json:"goos"`
@@ -121,7 +117,6 @@ func main() {
 	baseline := flag.String("baseline", "", "git ref to build and time as the baseline (empty: skip)")
 	reps := flag.Int("reps", 3, "timed repetitions per workload (best run is reported)")
 	benchtime := flag.String("benchtime", "2s", "go test -benchtime for the microbenchmarks")
-	kernelWorkers := flag.Int("kernel-workers", 0, "parallel-kernel worker goroutines (0 = GOMAXPROCS, clamped to mesh height)")
 	flag.Parse()
 
 	rep := report{
@@ -149,9 +144,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchkernel: %s\n", w.name)
 		r := workloadResult{Name: w.name, Kernels: map[string]measurement{}}
 		for _, k := range ftnoc.KernelKinds() {
-			cfg := w.cfg
-			cfg.KernelWorkers = *kernelWorkers
-			m, cycles := timeInProcess(cfg, k, *reps)
+			m, cycles := timeInProcess(w.cfg, k, *reps)
 			r.Cycles = cycles
 			if naive := r.Kernels[ftnoc.KernelNaive.String()]; naive.WallMS > 0 {
 				m.SpeedupVsNaive = round3(m.CyclesPerSec / naive.CyclesPerSec)
@@ -212,7 +205,6 @@ func timeInProcess(cfg ftnoc.Config, kind ftnoc.KernelKind, reps int) (measureme
 			WallMS:       round3(float64(wall.Microseconds()) / 1e3),
 			CyclesPerSec: round3(float64(res.Cycles) / wall.Seconds()),
 			Events:       ks.Events,
-			Workers:      len(ks.Workers),
 		}
 		if total := ks.Ticked + ks.Skipped; total > 0 {
 			m.SkippedRatio = round3(float64(ks.Skipped) / float64(total))

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ftnoc"
+	"ftnoc/internal/kernel"
 	"ftnoc/internal/visual"
 )
 
@@ -54,8 +55,7 @@ func main() {
 	eventsOut := flag.String("events-out", "", "stream structured events to an NDJSON file")
 	metricsOut := flag.String("metrics-out", "", "stream sampled per-router metrics to an NDJSON file")
 	metricsEvery := flag.Uint64("metrics-every", 100, "metrics sampling interval in cycles")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: naive, quiescent, event or parallel; results are identical, only speed differs")
-	kernelWorkers := flag.Int("kernel-workers", 0, "with -kernel parallel, worker goroutines (0 = GOMAXPROCS, clamped to mesh height)")
+	kernelName := flag.String("kernel", "event", "simulation scheduler: "+kernel.Names()+"; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the runtime invariant checker alongside the simulation; exit non-zero on any violation")
 	checkEvery := flag.Uint64("check-every", 1, "with -check, audit network state every N cycles (1 = every cycle)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -199,7 +199,6 @@ func main() {
 	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
 		fatal(err)
 	}
-	cfg.KernelWorkers = *kernelWorkers
 	var chk *ftnoc.InvariantChecker
 	if *check {
 		chk = ftnoc.NewInvariantChecker(ftnoc.InvariantConfig{Every: *checkEvery})
@@ -323,10 +322,6 @@ func kernelSummary(net *ftnoc.Network, kind ftnoc.KernelKind, cycles uint64, wal
 	}
 	if ks.Events > 0 {
 		s += fmt.Sprintf(", %d events dispatched", ks.Events)
-	}
-	for i, w := range ks.Workers {
-		s += fmt.Sprintf("\n                worker %d: %d ticked, %d skipped, barrier wait %v",
-			i, w.Ticked, w.Skipped, time.Duration(w.BarrierWaitNs).Round(time.Microsecond))
 	}
 	return s
 }

@@ -23,10 +23,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ftnoc"
 	"ftnoc/internal/campaign"
+	"ftnoc/internal/kernel"
 	"ftnoc/internal/trace"
 )
 
@@ -47,8 +47,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base simulation seed")
 	seeds := flag.Int("seeds", 1, "replicates per point (distinct derived seeds; metrics print mean ± 95% CI)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: naive, quiescent, event or parallel; results are identical, only speed differs")
-	kernelWorkers := flag.Int("kernel-workers", 0, "with -kernel parallel, worker goroutines per simulation (0 = GOMAXPROCS, clamped to mesh height)")
+	kernelName := flag.String("kernel", "event", "simulation scheduler: "+kernel.Names()+"; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the invariant checker inside every replicate; violations fail the replicate")
 	csvOut := flag.String("csv", "", "also write the full result table to this CSV file")
 	ndjsonOut := flag.String("ndjson", "", "also write the per-replicate result table to this NDJSON file")
@@ -87,7 +86,6 @@ func main() {
 	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
 		fatal(err)
 	}
-	cfg.KernelWorkers = *kernelWorkers
 
 	cfg.Width, cfg.Height = *width, *height
 	cfg.VCs = *vcs
@@ -208,11 +206,10 @@ func main() {
 
 // kernelSummary aggregates scheduler throughput across every completed
 // replicate: simulated cycles per wall-clock second (summed over the
-// parallel workers), the fraction of actor ticks elided relative to the
+// pool's workers), the fraction of actor ticks elided relative to the
 // naive schedule, and calendar events dispatched (event kernel only).
 func kernelSummary(report *campaign.Report) string {
 	var cycles, ticked, skipped, events uint64
-	var workers []ftnoc.KernelWorkerStats
 	for _, p := range report.Points {
 		for _, rr := range p.Reps {
 			if rr.Err != nil || rr.Seed == 0 {
@@ -222,14 +219,6 @@ func kernelSummary(report *campaign.Report) string {
 			ticked += rr.KernelTicked
 			skipped += rr.KernelSkipped
 			events += rr.KernelEvents
-			for i, w := range rr.KernelWorkers {
-				if i >= len(workers) {
-					workers = append(workers, ftnoc.KernelWorkerStats{})
-				}
-				workers[i].Ticked += w.Ticked
-				workers[i].Skipped += w.Skipped
-				workers[i].BarrierWaitNs += w.BarrierWaitNs
-			}
 		}
 	}
 	rate := "n/a"
@@ -243,10 +232,6 @@ func kernelSummary(report *campaign.Report) string {
 		rate, 100*float64(skipped)/float64(ticked+skipped))
 	if events > 0 {
 		s += fmt.Sprintf(", %d events dispatched", events)
-	}
-	for i, w := range workers {
-		s += fmt.Sprintf("\nsweep: kernel: sim worker %d: %d ticked, %d skipped, barrier wait %v",
-			i, w.Ticked, w.Skipped, time.Duration(w.BarrierWaitNs).Round(time.Microsecond))
 	}
 	return s
 }

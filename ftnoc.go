@@ -102,18 +102,15 @@ const (
 )
 
 // KernelKind selects the simulation scheduler (Config.Kernel): the naive
-// tick-everything oracle, the quiescence-skipping kernel, the
-// calendar-queue event-driven kernel (the default), or the
-// mesh-partitioned parallel kernel (see Config.KernelWorkers). All four
-// produce byte-identical Results; they differ only in wall-clock speed.
+// tick-everything oracle or the calendar-queue event-driven kernel (the
+// default). Both produce byte-identical Results; they differ only in
+// wall-clock speed.
 type KernelKind = kernel.Kind
 
 // Kernel kinds.
 const (
-	KernelNaive     = kernel.Naive
-	KernelQuiescent = kernel.Quiescent
-	KernelEvent     = kernel.Event
-	KernelParallel  = kernel.Parallel
+	KernelNaive = kernel.Naive
+	KernelEvent = kernel.Event
 )
 
 // KernelKinds returns every kernel kind in its canonical order — the
@@ -124,12 +121,8 @@ func KernelKinds() []KernelKind { return kernel.Kinds() }
 
 // KernelStats is the scheduler's cumulative counter record (actor ticks
 // executed, ticks skipped relative to the naive schedule, calendar events
-// dispatched, and — under the parallel kernel — the per-worker breakdown
-// with barrier-wait times), returned by Network.KernelStats.
+// dispatched), returned by Network.KernelStats.
 type KernelStats = sim.Stats
-
-// KernelWorkerStats is one parallel worker's slice of KernelStats.
-type KernelWorkerStats = sim.WorkerStats
 
 // TopologyKind selects the network shape.
 type TopologyKind = topology.Kind
@@ -282,8 +275,8 @@ func ParseProtection(s string) (Protection, error) { return link.ParseProtection
 // (case-insensitive).
 func ParseTopology(s string) (TopologyKind, error) { return topology.ParseKind(s) }
 
-// ParseKernel parses a CLI kernel name: naive, quiescent, event,
-// parallel (case-insensitive).
+// ParseKernel parses a CLI kernel name, one of KernelKinds
+// (case-insensitive).
 func ParseKernel(s string) (KernelKind, error) { return kernel.Parse(s) }
 
 // ParseMortality parses a CLI hard-fault schedule: "none", or a

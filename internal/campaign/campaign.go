@@ -31,7 +31,6 @@ import (
 	"ftnoc/internal/network"
 	"ftnoc/internal/power"
 	"ftnoc/internal/routing"
-	"ftnoc/internal/sim"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
@@ -129,9 +128,6 @@ type RepResult struct {
 	// simulated network, and must not perturb result hashing or
 	// serialisation.
 	KernelTicked, KernelSkipped, KernelEvents uint64
-	// KernelWorkers is the parallel kernel's per-worker breakdown of the
-	// counters above plus barrier-wait time (nil for serial kernels).
-	KernelWorkers []sim.WorkerStats
 	// Wall is the replicate's wall-clock execution time on its worker.
 	// Like the kernel counters it describes the engine, not the
 	// simulated network: it varies run to run, so it stays out of the
@@ -598,7 +594,6 @@ func runReplicate(ctx context.Context, cfg network.Config, check bool) (rr RepRe
 	rr.Results = net.RunContext(ctx)
 	ks := net.KernelStats()
 	rr.KernelTicked, rr.KernelSkipped, rr.KernelEvents = ks.Ticked, ks.Skipped, ks.Events
-	rr.KernelWorkers = ks.Workers
 	if cfg.Invariants != nil && !rr.Results.Aborted {
 		if err := cfg.Invariants.Err(); err != nil {
 			rr.Err = fmt.Errorf("campaign: replicate seed %d: %w", rr.Seed, err)

@@ -20,6 +20,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add(`{"topologies":["mesh","torus"]}`)
 	f.Add(`{"sizes":["axb"]}`)
 	f.Add(`{"base":{"injection_rate":2}}`)
+	f.Add(`{"kernel":"naive"}`)
+	f.Add(`{"kernel":"parallel","kernel_workers":2}`)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		spec, err := ParseSpec([]byte(doc))

@@ -22,9 +22,9 @@ import (
 // than numeric codes; `base` is a network.Config override document with
 // the same semantics as a -config file (absent fields keep NewConfig
 // defaults). Sizes may be given as "8x8" strings. The optional `kernel`
-// field ("naive", "quiescent" or "event") picks the simulation
-// scheduler; it never changes results, so it does not contribute to
-// CanonicalHash (the Kernel field is excluded from canonical configs).
+// field (a kernel.Parse name) picks the simulation scheduler; it never
+// changes results, so it does not contribute to CanonicalHash (the
+// Kernel field is excluded from canonical configs).
 type specWire struct {
 	Base           json.RawMessage `json:"base"`
 	Sizes          []wireSize      `json:"sizes"`
@@ -41,7 +41,6 @@ type specWire struct {
 	Workers        int       `json:"workers"`
 	Invariants     bool      `json:"invariants"`
 	Kernel         string    `json:"kernel"`
-	KernelWorkers  int       `json:"kernel_workers,omitempty"`
 }
 
 // wireSize accepts either {"width":8,"height":8} or the string "8x8";
@@ -111,10 +110,6 @@ func ParseSpec(data []byte) (Spec, error) {
 		}
 		spec.Base.Kernel = k
 	}
-	if w.KernelWorkers < 0 {
-		return Spec{}, fmt.Errorf("campaign: spec kernel_workers must be >= 0, have %d", w.KernelWorkers)
-	}
-	spec.Base.KernelWorkers = w.KernelWorkers
 	for _, s := range w.Sizes {
 		spec.Sizes = append(spec.Sizes, s.Size)
 	}
@@ -162,7 +157,7 @@ func ParseSpec(data []byte) (Spec, error) {
 // same CanonicalHash as s): the base config travels as its canonical
 // JSON, axes as their CLI names. Workers is deliberately dropped (each
 // worker sizes its own pool — results are scheduling-independent), and
-// the hash-excluded Kernel / KernelWorkers preferences stay local too.
+// the hash-excluded Kernel preference stays local too.
 func (s Spec) WireJSON() ([]byte, error) {
 	base, err := s.Base.CanonicalJSON()
 	if err != nil {

@@ -60,19 +60,31 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"bogus": 1}`,
-		"unknown base field":      `{"base": {"Bogus": 1}}`,
-		"unknown routing":         `{"routings": ["zigzag"]}`,
-		"unknown pattern":         `{"patterns": ["XX"]}`,
-		"unknown protection":      `{"protections": ["tmr"]}`,
-		"unknown topology":        `{"topologies": ["ring"]}`,
-		"bad size string":         `{"sizes": ["4by4"]}`,
-		"unknown size field":      `{"sizes": [{"width": 4, "depth": 4}]}`,
+	// doc, and a substring the one-line error must contain. The removed
+	// schedulers and their knob are plain unknown input: rejected by name,
+	// never mapped to the default kernel.
+	cases := map[string][2]string{
+		"unknown top-level field":  {`{"bogus": 1}`, "bogus"},
+		"unknown base field":       {`{"base": {"Bogus": 1}}`, "Bogus"},
+		"unknown routing":          {`{"routings": ["zigzag"]}`, "zigzag"},
+		"unknown pattern":          {`{"patterns": ["XX"]}`, "XX"},
+		"unknown protection":       {`{"protections": ["tmr"]}`, "tmr"},
+		"unknown topology":         {`{"topologies": ["ring"]}`, "ring"},
+		"bad size string":          {`{"sizes": ["4by4"]}`, "4by4"},
+		"unknown size field":       {`{"sizes": [{"width": 4, "depth": 4}]}`, "depth"},
+		"unknown kernel":           {`{"kernel": "warp"}`, "want naive or event"},
+		"removed kernel parallel":  {`{"kernel": "parallel"}`, `"parallel" (want naive or event)`},
+		"removed kernel quiescent": {`{"kernel": "quiescent"}`, `"quiescent" (want naive or event)`},
+		"removed kernel_workers":   {`{"kernel": "event", "kernel_workers": 2}`, `unknown field "kernel_workers"`},
 	}
-	for name, doc := range cases {
-		if _, err := ParseSpec([]byte(doc)); err == nil {
-			t.Errorf("%s: ParseSpec accepted %s", name, doc)
+	for name, c := range cases {
+		_, err := ParseSpec([]byte(c[0]))
+		if err == nil {
+			t.Errorf("%s: ParseSpec accepted %s", name, c[0])
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c[1]) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q is not one line mentioning %q", name, msg, c[1])
 		}
 	}
 	// An empty document is a valid single-point spec over the defaults.

@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/flit"
@@ -326,23 +327,15 @@ type Counters struct {
 	Observer func(op CounterOp, cl Class) `json:"-"`
 }
 
-// Merge folds o's counts into c. Observers are left untouched. The
-// network keeps one counter shard per actor under the parallel kernel
-// and merges them into a single record when results are read; merging is
-// exact because every count is attributed to exactly one shard.
-func (c *Counters) Merge(o *Counters) {
-	for cl, v := range o.Injected {
-		c.Injected[cl] += v
-	}
-	for cl, v := range o.Corrected {
-		c.Corrected[cl] += v
-	}
-	for cl, v := range o.Undetected {
-		c.Undetected[cl] += v
-	}
-	c.Retransmissions += o.Retransmissions
-	c.NACKs += o.NACKs
-	c.DroppedFlits += o.DroppedFlits
+// Snapshot returns a deep copy of the counts with no Observer attached:
+// the form in which a finished run hands its counters to callers.
+func (c *Counters) Snapshot() *Counters {
+	s := *c
+	s.Injected = maps.Clone(c.Injected)
+	s.Corrected = maps.Clone(c.Corrected)
+	s.Undetected = maps.Clone(c.Undetected)
+	s.Observer = nil
+	return &s
 }
 
 // NewCounters returns an empty counter set.

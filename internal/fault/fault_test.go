@@ -158,4 +158,15 @@ func TestCounters(t *testing.T) {
 	if c.Injected[LinkError] != 2 || c.Corrected[LinkError] != 1 || c.Undetected[SALogic] != 1 {
 		t.Fatalf("counters wrong: %+v", c)
 	}
+
+	// A snapshot is detached: same counts, no observer, and later activity
+	// on the live counters does not reach it.
+	c.NACKs = 3
+	c.Observer = func(CounterOp, Class) {}
+	snap := c.Snapshot()
+	c.AddInjected(LinkError)
+	c.NACKs++
+	if snap.Observer != nil || snap.Injected[LinkError] != 2 || snap.NACKs != 3 || snap.Undetected[SALogic] != 1 {
+		t.Fatalf("snapshot not a detached copy: %+v", snap)
+	}
 }

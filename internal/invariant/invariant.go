@@ -27,7 +27,6 @@ package invariant
 
 import (
 	"fmt"
-	"sync"
 
 	"ftnoc/internal/link"
 	"ftnoc/internal/trace"
@@ -117,11 +116,6 @@ type pidState struct {
 type Checker struct {
 	cfg Config
 
-	// mu guards Report: most reporters run serially at cycle boundaries,
-	// but the ECC verifier hook fires inside receiver ticks, which the
-	// parallel kernel runs on concurrent workers. Violations are rare, so
-	// the lock is uncontended in healthy runs.
-	mu         sync.Mutex
 	violations []Violation
 	total      int
 
@@ -156,11 +150,8 @@ func (c *Checker) Every() uint64 { return c.cfg.Every }
 // RecoveryBound returns the configured livelock bound.
 func (c *Checker) RecoveryBound() uint64 { return c.cfg.RecoveryBound }
 
-// Report records a violation found by an external state walker. Safe for
-// concurrent use (see mu).
+// Report records a violation found by an external state walker.
 func (c *Checker) Report(v Violation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.total++
 	if len(c.violations) < c.cfg.Limit {
 		c.violations = append(c.violations, v)

@@ -1,5 +1,5 @@
 // Package kernel names the simulation scheduler implementations. The
-// choice is pure scheduling policy: every kernel produces byte-identical
+// choice is pure scheduling policy: both kernels produce byte-identical
 // Results (the differential grids in internal/network prove it), so the
 // kind is excluded from canonical config JSON and campaign hashes — it
 // may change how fast an answer arrives, never the answer.
@@ -16,21 +16,12 @@ type Kind uint8
 
 const (
 	// Naive ticks every actor every cycle — the slow, obviously-correct
-	// oracle the other kernels are differentially tested against.
+	// oracle the event kernel is differentially tested against.
 	Naive Kind = iota + 1
-	// Quiescent skips actors that proved themselves idle, waking them on
-	// pipe delivery or a self-declared timer (the PR 4 kernel).
-	Quiescent
 	// Event is the calendar-queue discrete-event scheduler: actors are
 	// stepped only on cycles where an event is due, and cost scales with
 	// events rather than cycles x actors. The default.
 	Event
-	// Parallel partitions the mesh into contiguous router regions and
-	// steps each region on its own goroutine, synchronising at a
-	// per-cycle barrier. Cross-region traffic is handed off through the
-	// same latched delay lines, applied in (cycle, registration-order)
-	// sequence, so results stay byte-identical to the serial kernels.
-	Parallel
 )
 
 // String returns the canonical lower-case name, the exact form Parse
@@ -39,38 +30,39 @@ func (k Kind) String() string {
 	switch k {
 	case Naive:
 		return "naive"
-	case Quiescent:
-		return "quiescent"
 	case Event:
 		return "event"
-	case Parallel:
-		return "parallel"
 	}
 	return fmt.Sprintf("kernel.Kind(%d)", uint8(k))
 }
 
 // Valid reports whether k names a real kernel.
-func (k Kind) Valid() bool {
-	return k == Naive || k == Quiescent || k == Event || k == Parallel
-}
+func (k Kind) Valid() bool { return k == Naive || k == Event }
 
 // Kinds returns every valid kernel kind in declaration order. Tools that
 // enumerate kernels (benchmarks, differential harnesses) iterate this
 // rather than hardcoding the list, so a new kernel cannot be missed.
-func Kinds() []Kind { return []Kind{Naive, Quiescent, Event, Parallel} }
+func Kinds() []Kind { return []Kind{Naive, Event} }
 
-// Parse resolves a kernel name (case-insensitive): naive, quiescent,
-// event, parallel.
-func Parse(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "naive":
-		return Naive, nil
-	case "quiescent":
-		return Quiescent, nil
-	case "event":
-		return Event, nil
-	case "parallel":
-		return Parallel, nil
+// Names renders the accepted kernel names as "naive or event", for error
+// and help text. Built from Kinds so the wording cannot drift from what
+// Parse accepts.
+func Names() string {
+	kinds := Kinds()
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
 	}
-	return 0, fmt.Errorf("unknown kernel %q (want naive, quiescent, event or parallel)", s)
+	return strings.Join(names, " or ")
+}
+
+// Parse resolves a kernel name (case-insensitive) to one of Kinds.
+func Parse(s string) (Kind, error) {
+	name := strings.ToLower(strings.TrimSpace(s))
+	for _, k := range Kinds() {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown kernel %q (want %s)", s, Names())
 }

@@ -22,13 +22,10 @@ func TestParseStringRoundTrip(t *testing.T) {
 
 func TestParseCaseAndSpace(t *testing.T) {
 	for in, want := range map[string]Kind{
-		"Naive":      Naive,
-		"QUIESCENT":  Quiescent,
-		"  event  ":  Event,
-		"\tEvEnT\n":  Event,
-		" quiescent": Quiescent,
-		"Parallel":   Parallel,
-		"PARALLEL ":  Parallel,
+		"Naive":     Naive,
+		" NAIVE":    Naive,
+		"  event  ": Event,
+		"\tEvEnT\n": Event,
 	} {
 		got, err := Parse(in)
 		if err != nil {
@@ -40,12 +37,16 @@ func TestParseCaseAndSpace(t *testing.T) {
 	}
 }
 
+// The removed schedulers' names are ordinary unknown input: one line that
+// lists what is accepted, never a fallback to event.
 func TestParseRejectsUnknown(t *testing.T) {
-	for _, in := range []string{"", "fast", "naïve", "event kernel", "quiescent,event"} {
-		if k, err := Parse(in); err == nil {
+	for _, in := range []string{"", "fast", "naïve", "event kernel", "naive,event", "quiescent", "parallel", "Parallel "} {
+		k, err := Parse(in)
+		if err == nil {
 			t.Fatalf("Parse(%q) = %v, want error", in, k)
-		} else if !strings.Contains(err.Error(), "kernel") {
-			t.Fatalf("Parse(%q) error %q does not name the problem", in, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "want naive or event") || strings.Contains(msg, "\n") {
+			t.Fatalf("Parse(%q) error %q does not name the accepted kernels on one line", in, msg)
 		}
 	}
 }

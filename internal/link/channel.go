@@ -116,17 +116,9 @@ type Channel struct {
 	nacks   *sim.Pipe[NACK]
 
 	injector fault.Corruptor // nil for fault-free channels
-	// events/counters are the TRANSMITTER-side accounts, charged by Send
-	// and RecvNACKs; rxEvents/rxCounters are the RECEIVER-side accounts,
-	// charged by SendCredit and SendNACK. They default to the same
-	// objects; under the parallel kernel the two endpoints may live on
-	// different workers, so each side must charge a shard its own worker
-	// owns (see SetRxStats).
-	events     *stats.Events
-	counters   *fault.Counters
-	rxEvents   *stats.Events
-	rxCounters *fault.Counters
-	local      bool // PE<->router channel: no fault injection, separate energy class
+	events   *stats.Events
+	counters *fault.Counters
+	local    bool // PE<->router channel: no fault injection, separate energy class
 
 	// injScratch backs Send's fault-injection call: passing a stack
 	// flit's address through the Corruptor interface would heap-allocate
@@ -157,36 +149,14 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
 	return &Channel{
-		flits:      sim.NewPipe[flit.Flit](k, FlitLatency),
-		credits:    sim.NewPipe[Credit](k, CreditLatency),
-		nacks:      sim.NewPipe[NACK](k, NACKLatency),
-		injector:   injector,
-		events:     events,
-		counters:   counters,
-		rxEvents:   events,
-		rxCounters: counters,
-		local:      local,
+		flits:    sim.NewPipe[flit.Flit](k, FlitLatency),
+		credits:  sim.NewPipe[Credit](k, CreditLatency),
+		nacks:    sim.NewPipe[NACK](k, NACKLatency),
+		injector: injector,
+		events:   events,
+		counters: counters,
+		local:    local,
 	}
-}
-
-// SetRxStats redirects the receiver-side accounting (credits sent, NACKs
-// raised) to the given accounts, leaving the transmitter side on the
-// ones passed to NewChannel. Required when the two endpoints are stepped
-// by different parallel workers; harmless (and exact, since all accounts
-// are summed) under the serial kernels.
-func (c *Channel) SetRxStats(events *stats.Events, counters *fault.Counters) {
-	c.rxEvents = events
-	c.rxCounters = counters
-}
-
-// SetArmShards assigns the kernel arm-shards for the channel's three
-// wires by producer: the forward flit wire is pushed by the transmitter
-// owner (tx), the backward credit and NACK wires by the receiver owner
-// (rx). See sim.Pipe.SetArmShard.
-func (c *Channel) SetArmShards(tx, rx int) {
-	c.flits.SetArmShard(tx)
-	c.credits.SetArmShard(rx)
-	c.nacks.SetArmShard(rx)
 }
 
 // Send puts a flit on the wire, applying fault injection. It returns the
@@ -217,7 +187,7 @@ func (c *Channel) Recv() (flit.Flit, bool) { return c.flits.Pop() }
 
 // SendCredit returns a buffer slot to the transmitter.
 func (c *Channel) SendCredit(vc uint8) {
-	c.rxEvents.Credits++
+	c.events.Credits++
 	c.credits.Push(Credit{VC: vc})
 }
 
@@ -226,8 +196,8 @@ func (c *Channel) RecvCredits() []Credit { return c.credits.PopAll() }
 
 // SendNACK raises the error handshake toward the transmitter.
 func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
-	c.rxEvents.NACKs++
-	c.rxCounters.NACKs++
+	c.events.NACKs++
+	c.counters.NACKs++
 	c.nacks.Push(NACK{VC: vc, Kind: kind})
 }
 
@@ -302,9 +272,9 @@ func (c *Channel) EachDataFlit(fn func(flit.Flit)) {
 // kill. With vc >= 0 only that virtual channel's data flits are
 // destroyed (a live channel carrying one segment of a killed worm);
 // with vc < 0 every data AND control flit goes (the channel itself is
-// dead). fn (if non-nil) observes each destroyed data flit. Serial use
-// only — this must run between kernel steps. The credit and NACK wires
-// stay functional: the kill protocol itself rides them.
+// dead). fn (if non-nil) observes each destroyed data flit. This must
+// run between kernel steps. The credit and NACK wires stay functional:
+// the kill protocol itself rides them.
 func (c *Channel) DestroyData(vc int, fn func(flit.Flit)) int {
 	n := 0
 	c.flits.Filter(func(f flit.Flit) bool {

@@ -87,74 +87,8 @@ func BenchmarkKernelSteadyNaive(b *testing.B) {
 	reportKernel(b, n)
 }
 
-// BenchmarkKernelSteadyQuiescent is the same workload under the
-// quiescent scheduler: the per-cycle active-set walk with dense VC
-// iteration, kept live as the middle point between naive and event.
-func BenchmarkKernelSteadyQuiescent(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Kernel = kernel.Quiescent
-	n := New(cfg)
-	for i := 0; i < 2000; i++ {
-		n.kernel.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.kernel.Step()
-	}
-	b.StopTimer()
-	reportKernel(b, n)
-}
-
-// BenchmarkKernelSteadyParallel is the same workload under the
-// mesh-partitioned parallel scheduler. It shares the CI allocation
-// gate with the other steady benchmarks: after warm-up the per-cycle
-// step is worker wake/join over pre-allocated channels plus in-place
-// heap walks, so it must allocate nothing even with the barrier in the
-// loop. On a 4x4 mesh the bands are small and barrier overhead
-// dominates — see the 16x16 variant for the workload the kernel is for.
-func BenchmarkKernelSteadyParallel(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Kernel = kernel.Parallel
-	n := New(cfg)
-	defer n.kernel.StopWorkers()
-	for i := 0; i < 2000; i++ {
-		n.kernel.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.kernel.Step()
-	}
-	b.StopTimer()
-	reportKernel(b, n)
-}
-
-// BenchmarkKernelSteadyParallel16 is the parallel kernel's home
-// workload: a 16x16 mesh at the paper's 0.25 operating point, where
-// each row band carries enough routers per cycle to amortise the
-// barrier. Compare against BenchmarkKernelSteadyEvent16.
-func BenchmarkKernelSteadyParallel16(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Width, cfg.Height = 16, 16
-	cfg.Kernel = kernel.Parallel
-	n := New(cfg)
-	defer n.kernel.StopWorkers()
-	for i := 0; i < 6000; i++ {
-		n.kernel.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.kernel.Step()
-	}
-	b.StopTimer()
-	reportKernel(b, n)
-}
-
-// BenchmarkKernelSteadyEvent16 is the serial comparison point for
-// BenchmarkKernelSteadyParallel16: the default event kernel on the
-// identical 16x16 workload.
+// BenchmarkKernelSteadyEvent16 is the steady workload on a 16x16 mesh:
+// 512 actors per cycle at the paper's 0.25 operating point.
 func BenchmarkKernelSteadyEvent16(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Width, cfg.Height = 16, 16

@@ -105,23 +105,14 @@ type Config struct {
 	E2ETimeout uint64
 
 	// Kernel selects the simulation scheduler: kernel.Naive ticks every
-	// actor every cycle (the differential oracle), kernel.Quiescent skips
-	// provably idle actors, kernel.Event (the default) runs the calendar-
-	// queue scheduler that steps actors only when an event is due, and
-	// kernel.Parallel partitions the mesh into row bands ticked by
-	// concurrent workers. Results are identical across all four (that is
+	// actor every cycle (the differential oracle) and kernel.Event (the
+	// default) runs the calendar-queue scheduler that steps actors only
+	// when an event is due. Results are identical under both (that is
 	// the scheduling contract, enforced by the differential tests); the
 	// knob exists as the escape hatch and the baseline axis for
 	// benchmarks. Excluded from JSON so scheduling never perturbs
 	// ConfigHash or canonical configs.
 	Kernel kernel.Kind `json:"-"`
-
-	// KernelWorkers caps the worker count of the parallel kernel. Zero
-	// (the default) means GOMAXPROCS; the value is further clamped to the
-	// mesh height, since the partition unit is a row band. Ignored by the
-	// serial kernels. Excluded from JSON for the same reason as Kernel:
-	// scheduling must never perturb ConfigHash.
-	KernelWorkers int `json:"-"`
 
 	Seed uint64
 }
@@ -198,9 +189,7 @@ func (c Config) Validate() error {
 	case c.Width*c.Height > maxNodes:
 		return fail("topology %dx%d exceeds %d nodes", c.Width, c.Height, maxNodes)
 	case c.Kernel != 0 && !c.Kernel.Valid():
-		return fail("unknown kernel %d (want naive, quiescent, event or parallel)", c.Kernel)
-	case c.KernelWorkers < 0:
-		return fail("KernelWorkers must be >= 0, have %d", c.KernelWorkers)
+		return fail("unknown kernel %d (want %s)", c.Kernel, kernel.Names())
 	}
 	// Fault rates are probabilities; out-of-range (or NaN) values would
 	// otherwise surface as panics deep inside New's injector assembly.

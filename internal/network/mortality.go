@@ -19,8 +19,8 @@ import (
 // a death, disseminates per-router fault maps through the network, and
 // accounts messages that can no longer be delivered. Everything here
 // runs serially between kernel steps — every kernel's Step advances
-// exactly one cycle, so death boundaries land identically under all
-// four kernels.
+// exactly one cycle, so death boundaries land identically under both
+// kernels.
 
 const (
 	// hazardSeedSalt decorrelates the hazard process from every other

@@ -118,8 +118,7 @@ func oracleFraction(w, h int, deadLinks []undirectedLink, deadRouters []flit.Nod
 // random mid-run cycles), every kernel must terminate without stalling,
 // account for every injected message as delivered or undeliverable,
 // report the exact BFS reachable-pair fraction, and keep the runtime
-// invariant checker silent. Run it under -race to also exercise the
-// parallel kernel's cross-band kill paths.
+// invariant checker silent.
 func TestMortalityPropertyRandomFaults(t *testing.T) {
 	const w, h = 4, 4
 	all := meshLinks(w, h)
@@ -157,7 +156,6 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 			cfg := mortalityConfig(uint64(1000 + pat))
 			cfg.Faults.Mortality = mort
 			cfg.Kernel = k
-			cfg.KernelWorkers = h
 			chk := attachChecker(&cfg)
 			t.Run(fmt.Sprintf("pattern%d/%v", pat, k), func(t *testing.T) {
 				n := New(cfg)
@@ -197,15 +195,12 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 // TestKernelDifferentialMortality extends the kernel differential grid
 // with mid-run mortality: every scheduler must reproduce the naive
 // oracle's Results and full event stream bit-for-bit while links and a
-// router die mid-flight. The schedule deliberately includes vertical
-// (South) links — with KernelWorkers = Height each mesh row is its own
-// band, so those deaths sever parallel-kernel partition boundaries and
-// the cross-band kill/handoff machinery is on the hook for determinism.
+// router die mid-flight, vertical (South) links included.
 func TestKernelDifferentialMortality(t *testing.T) {
 	schedules := []fault.Mortality{
 		{Links: []fault.LinkDeath{
-			{From: 5, Dir: topology.South, Cycle: 250}, // band boundary row1→row2
-			{From: 9, Dir: topology.South, Cycle: 450}, // band boundary row2→row3
+			{From: 5, Dir: topology.South, Cycle: 250}, // row1→row2
+			{From: 9, Dir: topology.South, Cycle: 450}, // row2→row3
 		}},
 		{
 			Links:   []fault.LinkDeath{{From: 2, Dir: topology.East, Cycle: 200}},
@@ -215,7 +210,6 @@ func TestKernelDifferentialMortality(t *testing.T) {
 	for si, mort := range schedules {
 		cfg := mortalityConfig(uint64(7 + si))
 		cfg.Faults.Mortality = mort
-		cfg.KernelWorkers = cfg.Height
 		cfg.TracePIDs = []uint64{1, 2, 3, 5, 8, 13}
 
 		want, wantEvents := runCapture(t, cfg, kernel.Naive)
@@ -382,8 +376,8 @@ func TestValidateMortality(t *testing.T) {
 func TestMortalityHazardReproducible(t *testing.T) {
 	cfg := mortalityConfig(21)
 	cfg.Faults.Mortality = fault.Mortality{HazardRate: 5e-3, HazardStart: 100}
-	first := comparable(New(cfg).Run())
-	again := comparable(New(cfg).Run())
+	first := New(cfg).Run()
+	again := New(cfg).Run()
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("hazard runs diverge:\n got %+v\nwant %+v", again, first)
 	}

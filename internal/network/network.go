@@ -3,7 +3,6 @@ package network
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"ftnoc/internal/fault"
@@ -33,41 +32,10 @@ type Network struct {
 	routerH []sim.Handle
 	peH     []sim.Handle
 
-	// events is the serial accounting shard: PE-side activity plus
-	// everything else charged outside router ticks. routerEvents[i] is
-	// router i's shard; run totals are the sum (see totalEvents). Under
-	// the serial kernels the split is cosmetic — shards are summed, and
-	// integer sums are order-independent — but under the parallel kernel
-	// each worker writes only the shards of the routers it owns, so the
-	// accounting hot path stays lock- and contention-free.
-	events       stats.Events
-	routerEvents []stats.Events
-	// routerMirrors[i] receives a copy of routerEvents[i] at the start of
-	// each executed tick of router i (parallel kernel only); measurement
-	// snapshots use it to observe a router the parallel schedule has
-	// already run past the serial observation point (see snapshotEvents).
-	routerMirrors []stats.Events
-	// Per-actor fault-counter shards, merged when results are read. PEs
-	// get shards too (not just routers) so each shard's bus Observer can
-	// emit into the owning actor's trace buffer under the parallel kernel.
-	routerCounters []*fault.Counters
-	peCounters     []*fault.Counters
-
-	// Parallel-kernel partition: workers row bands, groupOf[node] the
-	// band (worker index) owning that node's router. Nil/zero for the
-	// serial kernels.
-	parallel bool
-	workers  int
-	groupOf  []int
-
-	// Per-actor trace buffering, active only under the parallel kernel
-	// with an enabled bus: each actor emits into its own buffer during
-	// the concurrent phase and flushTrace replays the buffers into the
-	// real bus in registration order after every step, reproducing the
-	// serial kernels' intra-cycle event order exactly.
-	routerBus []trace.Bus
-	peBus     []trace.Bus
-	actorBuf  []*traceBuffer // [2i] = router i, [2i+1] = PE i
+	// events and counters are the run-total accounts every router, link
+	// endpoint and PE charges.
+	events   stats.Events
+	counters *fault.Counters
 
 	latency    stats.LatencyStats
 	txUtil     stats.Utilization
@@ -165,97 +133,26 @@ func New(cfg Config) *Network {
 		n.mort = newMortalityState(n, route)
 	}
 
-	// Parallel partition: contiguous row bands, one worker each. The
-	// worker count defaults to GOMAXPROCS and is clamped to the mesh
-	// height (a band is at least one row).
-	n.parallel = cfg.Kernel == kernel.Parallel
-	if n.parallel {
-		w := cfg.KernelWorkers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > cfg.Height {
-			w = cfg.Height
-		}
-		if w < 1 {
-			w = 1
-		}
-		n.workers = w
-		n.groupOf = make([]int, nodes)
-		for i := range n.groupOf {
-			n.groupOf[i] = (i / cfg.Width) * w / cfg.Height
-		}
-	}
-
-	// Accounting shards: one Events + Counters per router, one Counters
-	// per PE (PE events share the serial shard n.events).
-	n.routerEvents = make([]stats.Events, nodes)
-	n.routerCounters = make([]*fault.Counters, nodes)
-	n.peCounters = make([]*fault.Counters, nodes)
-	for i := 0; i < nodes; i++ {
-		n.routerCounters[i] = fault.NewCounters()
-		n.peCounters[i] = fault.NewCounters()
-	}
-	if n.parallel {
-		n.routerMirrors = make([]stats.Events, nodes)
-	}
-
-	// Trace buffering (see the field comment). The decision is taken
-	// here, after every construction-time sink is attached: sinks
-	// attached later via Bus() are unsupported under the parallel kernel.
-	buffered := n.parallel && n.bus.Enabled()
-	if buffered {
-		n.routerBus = make([]trace.Bus, nodes)
-		n.peBus = make([]trace.Bus, nodes)
-		n.actorBuf = make([]*traceBuffer, 2*nodes)
-		for i := 0; i < nodes; i++ {
-			rb, pb := new(traceBuffer), new(traceBuffer)
-			n.actorBuf[2*i], n.actorBuf[2*i+1] = rb, pb
-			n.routerBus[i].Attach(rb)
-			n.peBus[i].Attach(pb)
-		}
-	}
-	routerBus := func(i int) *trace.Bus {
-		if buffered {
-			return &n.routerBus[i]
-		}
-		return &n.bus
-	}
-	peBus := func(i int) *trace.Bus {
-		if buffered {
-			return &n.peBus[i]
-		}
-		return &n.bus
-	}
-
+	n.counters = fault.NewCounters()
 	if n.bus.Enabled() {
 		// Republish fault accounting as structured events, stamped with
-		// the live cycle (the counters themselves are cycle-blind). One
-		// observer per shard, emitting into the shard owner's bus, so
-		// under the parallel kernel the emission lands in the owning
-		// actor's buffer rather than racing on the shared bus.
-		observer := func(bus *trace.Bus) func(op fault.CounterOp, cl fault.Class) {
-			return func(op fault.CounterOp, cl fault.Class) {
-				var k trace.Kind
-				switch op {
-				case fault.OpInjected:
-					k = trace.FaultInjected
-				case fault.OpCorrected:
-					k = trace.FaultCorrected
-				case fault.OpUndetected:
-					k = trace.FaultUndetected
-				default:
-					return
-				}
-				bus.Emit(trace.Event{
-					Cycle: n.kernel.Cycle(), Kind: k,
-					Node: -1, Port: -1, VC: -1, Aux: uint64(cl),
-				})
+		// the live cycle (the counters themselves are cycle-blind).
+		n.counters.Observer = func(op fault.CounterOp, cl fault.Class) {
+			var k trace.Kind
+			switch op {
+			case fault.OpInjected:
+				k = trace.FaultInjected
+			case fault.OpCorrected:
+				k = trace.FaultCorrected
+			case fault.OpUndetected:
+				k = trace.FaultUndetected
+			default:
+				return
 			}
-		}
-		for i := 0; i < nodes; i++ {
-			n.routerCounters[i].Observer = observer(routerBus(i))
-			n.peCounters[i].Observer = observer(peBus(i))
+			n.bus.Emit(trace.Event{
+				Cycle: n.kernel.Cycle(), Kind: k,
+				Node: -1, Port: -1, VC: -1, Aux: uint64(cl),
+			})
 		}
 	}
 
@@ -274,12 +171,9 @@ func New(cfg Config) *Network {
 			RecoveryEnabled: cfg.RecoveryEnabled,
 			Cthres:          cfg.Cthres,
 			Sparse:          cfg.Kernel == kernel.Event,
-			Events:          &n.routerEvents[i],
-			Counters:        n.routerCounters[i],
-			Bus:             routerBus(i),
-		}
-		if n.parallel {
-			rc.EventsMirror = &n.routerMirrors[i]
+			Events:          &n.events,
+			Counters:        n.counters,
+			Bus:             &n.bus,
 		}
 		if n.mort != nil {
 			rc.FaultMap = n.mort.maps[i]
@@ -323,27 +217,19 @@ func New(cfg Config) *Network {
 		if cfg.Faults.Link > 0 {
 			inj = fault.NewLinkInjector(cfg.Faults.Link, cfg.Faults.LinkDouble, linkRNG.Split())
 		}
-		// Endpoint accounting: the transmitter side (Send, NACK receipt,
-		// retransmission) is ticked by router l.From, the receiver side
-		// (credits, NACK raising, ECC) by router dst — each charges its
-		// own shard.
-		ch := link.NewChannel(&n.kernel, inj, false, &n.routerEvents[l.From], n.routerCounters[l.From])
-		ch.SetRxStats(&n.routerEvents[dst], n.routerCounters[dst])
+		ch := link.NewChannel(&n.kernel, inj, false, &n.events, n.counters)
 		n.chanAt[int(l.From)*int(topology.NumPorts)+int(l.Dir)] = ch
 		wires = append(wires, flitWire{ch: ch, node: int(dst), txNode: int(l.From)})
 		if cfg.Faults.Handshake > 0 {
 			ch.SetHandshakeFaults(cfg.Faults.Handshake, cfg.TMREnabled, linkRNG.Split())
 		}
-		tx := link.NewTransmitter(ch, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.routerEvents[l.From], n.routerCounters[l.From])
+		tx := link.NewTransmitter(ch, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
 		if cfg.Faults.RetransBuf > 0 {
 			tx.SetRetransBufFaults(cfg.Faults.RetransBuf, cfg.DuplicateRetrans, linkRNG.Split())
 		}
-		rx := link.NewReceiver(ch, cfg.VCs, cfg.Protection, &n.routerEvents[dst], n.routerCounters[dst])
-		tx.SetTrace(routerBus(int(l.From)), int32(l.From), int8(l.Dir))
-		rx.SetTrace(routerBus(int(dst)), int32(dst), int8(l.Dir.Opposite()))
-		if n.parallel {
-			ch.SetArmShards(n.groupOf[l.From]+1, n.groupOf[dst]+1)
-		}
+		rx := link.NewReceiver(ch, cfg.VCs, cfg.Protection, &n.events, n.counters)
+		tx.SetTrace(&n.bus, int32(l.From), int8(l.Dir))
+		rx.SetTrace(&n.bus, int32(dst), int8(l.Dir.Opposite()))
 		n.routers[l.From].AttachOutput(l.Dir, tx)
 		n.routers[dst].AttachInput(l.Dir.Opposite(), rx)
 		if n.inv != nil {
@@ -355,38 +241,32 @@ func New(cfg Config) *Network {
 	trafficRNG := root.Split()
 	for i := 0; i < nodes; i++ {
 		id := flit.NodeID(i)
-		// PE -> router: the PE owns the transmitter side (serial shards),
-		// router i the receiver side.
-		up := link.NewChannel(&n.kernel, nil, true, &n.events, n.peCounters[i])
-		up.SetRxStats(&n.routerEvents[i], n.routerCounters[i])
+		// PE -> router: the PE owns the transmitter side, router i the
+		// receiver side.
+		up := link.NewChannel(&n.kernel, nil, true, &n.events, n.counters)
 		n.peUp[i] = up
 		wires = append(wires, flitWire{ch: up, node: i, txNode: i, txPE: true})
-		upTx := link.NewTransmitter(up, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.peCounters[i])
-		upRx := link.NewReceiver(up, cfg.VCs, cfg.Protection, &n.routerEvents[i], n.routerCounters[i])
-		upTx.SetTrace(peBus(i), int32(i), int8(topology.Local))
-		upRx.SetTrace(routerBus(i), int32(i), int8(topology.Local))
+		upTx := link.NewTransmitter(up, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
+		upRx := link.NewReceiver(up, cfg.VCs, cfg.Protection, &n.events, n.counters)
+		upTx.SetTrace(&n.bus, int32(i), int8(topology.Local))
+		upRx.SetTrace(&n.bus, int32(i), int8(topology.Local))
 		n.routers[i].AttachInput(topology.Local, upRx)
 		// Router -> PE: mirror image.
-		down := link.NewChannel(&n.kernel, nil, true, &n.routerEvents[i], n.routerCounters[i])
-		down.SetRxStats(&n.events, n.peCounters[i])
+		down := link.NewChannel(&n.kernel, nil, true, &n.events, n.counters)
 		n.peDown[i] = down
 		wires = append(wires, flitWire{ch: down, node: i, toPE: true, txNode: i})
-		downTx := link.NewTransmitter(down, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.routerEvents[i], n.routerCounters[i])
-		downRx := link.NewReceiver(down, cfg.VCs, cfg.Protection, &n.events, n.peCounters[i])
-		downTx.SetTrace(routerBus(i), int32(i), int8(topology.Local))
-		downRx.SetTrace(peBus(i), int32(i), int8(topology.Local))
+		downTx := link.NewTransmitter(down, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
+		downRx := link.NewReceiver(down, cfg.VCs, cfg.Protection, &n.events, n.counters)
+		downTx.SetTrace(&n.bus, int32(i), int8(topology.Local))
+		downRx.SetTrace(&n.bus, int32(i), int8(topology.Local))
 		n.routers[i].AttachOutput(topology.Local, downTx)
-		if n.parallel {
-			up.SetArmShards(0, n.groupOf[i]+1)
-			down.SetArmShards(n.groupOf[i]+1, 0)
-		}
 		if n.inv != nil {
 			n.watchLink(upTx, upRx, up, int32(i), int8(topology.Local), i, topology.Local, false, true)
 			n.watchLink(downTx, downRx, down, int32(i), int8(topology.Local), i, topology.Local, true, false)
 		}
 
 		src := traffic.NewSource(id, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, trafficRNG.Split())
-		n.pes[i] = newPE(n, id, src, upTx, downRx, peBus(i))
+		n.pes[i] = newPE(n, id, src, upTx, downRx)
 	}
 
 	// Registration order (router i, PE i, router i+1, ...) fixes the
@@ -423,23 +303,7 @@ func New(cfg Config) *Network {
 		n.kernel.EnableQuiescence(n.routerH[i])
 		n.kernel.EnableQuiescence(n.peH[i])
 	}
-	switch cfg.Kernel {
-	case kernel.Naive:
-		n.kernel.SetMode(sim.ModeNaive)
-	case kernel.Quiescent:
-		n.kernel.SetMode(sim.ModeQuiescent)
-	case kernel.Parallel:
-		// Routers go to their band's worker; PEs stay serial (group -1):
-		// they share global injection state (PID counter, delivery and
-		// failure tallies, the latency accumulator) and must tick in
-		// registration order.
-		groups := make([]int, 2*nodes)
-		for i := 0; i < nodes; i++ {
-			groups[int(n.routerH[i])] = n.groupOf[i]
-			groups[int(n.peH[i])] = -1
-		}
-		n.kernel.SetParallel(groups, n.workers)
-	default:
+	if cfg.Kernel == kernel.Event { // kernel.Naive is the sim.Kernel zero value
 		n.kernel.SetMode(sim.ModeEvent)
 	}
 
@@ -470,11 +334,7 @@ func occupancyFraction(occupied, capacity int) float64 {
 }
 
 // Bus exposes the network's structured event bus, letting embedding
-// harnesses attach additional sinks before Run. Under the parallel
-// kernel the bus must already be enabled at construction (TracePIDs,
-// TraceSink or Invariants set) for per-actor buffering to engage; a
-// first sink attached only here would receive racy concurrent
-// emissions, so configure at least one sink through Config instead.
+// harnesses attach additional sinks before Run.
 func (n *Network) Bus() *trace.Bus { return &n.bus }
 
 // Topology returns the network's topology (for tooling).
@@ -514,78 +374,8 @@ func (n *Network) recordDelivery(cycle, injectedAt uint64, node int) {
 func (n *Network) startMeasuring(cycle uint64, node int) {
 	n.syncIdleCounters(cycle, node)
 	n.measuring = true
-	n.warmupEvents = n.snapshotEvents(cycle, node)
+	n.warmupEvents = n.events
 	n.warmupCycle = cycle
-}
-
-// totalEvents sums the serial shard and every per-router shard into the
-// run-total counters. Integer sums are order-independent, so the result
-// is identical no matter which kernel filled the shards.
-func (n *Network) totalEvents() stats.Events {
-	t := n.events
-	for i := range n.routerEvents {
-		t.Add(n.routerEvents[i])
-	}
-	return t
-}
-
-// snapshotEvents reconstructs the run-total event counters as the naive
-// kernel would show them at an observation point during cycle's actor
-// loop, from PE node's tick (node = -1 at a clean cycle boundary). The
-// serial shard and routers with index <= node are exactly current: PEs
-// past node cannot have ticked yet, and syncIdleCounters has replayed
-// sleeping routers to the right point. A router PAST node has not
-// reached this cycle's tick in the serial order — but the parallel
-// kernel ticks every router before any PE, so it may already hold this
-// cycle's contributions. Its mirror preserves the pre-tick state for
-// exactly this case: used when the kernel executed the router's tick
-// this cycle, otherwise the live shard (idle catch-up included) is
-// already right.
-func (n *Network) snapshotEvents(cycle uint64, node int) stats.Events {
-	t := n.events
-	for i := range n.routerEvents {
-		if n.parallel && i > node {
-			if last, ok := n.kernel.LastTicked(n.routerH[i]); ok && last == cycle {
-				t.Add(n.routerMirrors[i])
-				continue
-			}
-		}
-		t.Add(n.routerEvents[i])
-	}
-	return t
-}
-
-// mergedCounters folds the per-actor fault-counter shards into one
-// record. Exact regardless of kernel: every count is attributed to
-// exactly one shard.
-func (n *Network) mergedCounters() *fault.Counters {
-	m := fault.NewCounters()
-	for _, c := range n.routerCounters {
-		m.Merge(c)
-	}
-	for _, c := range n.peCounters {
-		m.Merge(c)
-	}
-	return m
-}
-
-// traceBuffer is a trace.Sink recording one actor's events for deferred
-// in-order replay. The backing slice keeps its capacity across cycles.
-type traceBuffer struct{ evs []trace.Event }
-
-// Emit implements trace.Sink.
-func (t *traceBuffer) Emit(e trace.Event) { t.evs = append(t.evs, e) }
-
-// flushTrace replays the per-actor trace buffers into the real bus in
-// registration order (router 0, PE 0, router 1, ...), reproducing the
-// serial kernels' intra-cycle event order.
-func (n *Network) flushTrace() {
-	for _, b := range n.actorBuf {
-		for _, e := range b.evs {
-			n.bus.Emit(e)
-		}
-		b.evs = b.evs[:0]
-	}
 }
 
 // syncIdleCounters brings every sleeping router's externally visible
@@ -625,9 +415,6 @@ func (n *Network) RunContext(ctx context.Context) Results {
 }
 
 func (n *Network) run(done <-chan struct{}) Results {
-	// The parallel kernel keeps persistent worker goroutines between
-	// steps; release them however the run ends. No-op for serial kernels.
-	defer n.kernel.StopWorkers()
 	if n.cfg.WarmupMessages == 0 {
 		n.startMeasuring(0, -1)
 	}
@@ -654,16 +441,13 @@ func (n *Network) run(done <-chan struct{}) Results {
 		if n.mort != nil {
 			// Hard-fault boundary processing for cycle c, before the step
 			// executes it: every kernel's Step advances exactly one cycle,
-			// so deaths land at identical boundaries under all four.
+			// so deaths land at identical boundaries under both.
 			n.mort.preStep(c)
 			if n.accounted() >= n.cfg.TotalMessages {
 				break
 			}
 		}
 		n.kernel.Step()
-		if n.actorBuf != nil {
-			n.flushTrace()
-		}
 		if n.inv != nil {
 			if cl := n.kernel.Cycle(); cl%n.inv.Every() == 0 {
 				n.checkState(cl)
@@ -728,7 +512,7 @@ func (n *Network) sampleUtilization() {
 // KernelStats reports the kernel's cumulative scheduling counters: actor
 // ticks executed, actor ticks skipped relative to the naive schedule, and
 // calendar-queue events dispatched (event mode only). Deliberately not
-// part of Results — scheduling is an implementation detail and all
+// part of Results — scheduling is an implementation detail and both
 // kernels must produce identical Results.
 func (n *Network) KernelStats() sim.Stats { return n.kernel.Stats() }
 
@@ -752,7 +536,7 @@ func (n *Network) results(stalled bool) Results {
 	// Runs end at a clean cycle boundary; settle any counter catch-up
 	// still pending in sleeping routers before reading the totals.
 	n.syncIdleCounters(n.kernel.Cycle(), -1)
-	total := n.totalEvents()
+	total := n.events
 	measured := stats.Events{}
 	if n.measuring {
 		measured = subtractEvents(total, n.warmupEvents)
@@ -787,7 +571,7 @@ func (n *Network) results(stalled bool) Results {
 		TxBufUtil:             n.txUtil.Mean(),
 		RtBufUtil:             n.rtUtil.Mean(),
 		RouterTxUtil:          routerMeans(n.routerUtil),
-		Counters:              n.mergedCounters(),
+		Counters:              n.counters.Snapshot(),
 		Recoveries:            recoveries,
 		ProbesSent:            probes,
 		WormholeViolations:    viol,

@@ -39,11 +39,6 @@ type pe struct {
 	src *traffic.Source
 	tx  *link.Transmitter
 	rx  *link.Receiver
-	// bus is where this PE publishes trace events: the network's shared
-	// bus under the serial kernels, a per-PE replay buffer under the
-	// parallel kernel (see Network.flushTrace).
-	bus *trace.Bus
-
 	// Injection side. queue[qHead:] are the waiting packets, front first;
 	// the head index avoids re-slicing the backing array away on every pop.
 	queue   []flit.Packet
@@ -71,7 +66,7 @@ type pe struct {
 	retention map[flit.PacketID]retained
 }
 
-func newPE(n *Network, id flit.NodeID, src *traffic.Source, tx *link.Transmitter, rx *link.Receiver, bus *trace.Bus) *pe {
+func newPE(n *Network, id flit.NodeID, src *traffic.Source, tx *link.Transmitter, rx *link.Receiver) *pe {
 	vcs := n.cfg.VCs
 	return &pe{
 		net:         n,
@@ -79,7 +74,6 @@ func newPE(n *Network, id flit.NodeID, src *traffic.Source, tx *link.Transmitter
 		src:         src,
 		tx:          tx,
 		rx:          rx,
-		bus:         bus,
 		vcFlits:     make([][]flit.Flit, vcs),
 		vcBuf:       make([][]flit.Flit, vcs),
 		sinkPID:     make([]flit.PacketID, vcs),
@@ -194,8 +188,8 @@ func (p *pe) generate(cycle uint64) {
 	}
 	p.net.injected++
 	pid := p.net.nextPID()
-	if p.bus.Enabled() {
-		p.bus.Emit(trace.Event{
+	if p.net.bus.Enabled() {
+		p.net.bus.Emit(trace.Event{
 			Cycle: cycle, Kind: trace.FlitInjected,
 			Node: int32(p.id), Port: -1, VC: -1,
 			PID: uint64(pid), Aux: uint64(dst),
@@ -324,8 +318,8 @@ func (p *pe) eject(cycle uint64) {
 // conservation audits can account for every packet that will never be
 // cleanly ejected.
 func (p *pe) emitDrop(cycle uint64, vc int, pid flit.PacketID, reason uint64) {
-	if p.bus.Enabled() {
-		p.bus.Emit(trace.Event{
+	if p.net.bus.Enabled() {
+		p.net.bus.Emit(trace.Event{
 			Cycle: cycle, Kind: trace.FlitDropped,
 			Node: int32(p.id), Port: -1, VC: int8(vc),
 			PID: uint64(pid), Aux: reason,
@@ -401,8 +395,8 @@ func (p *pe) consume(cycle uint64, vc int, f flit.Flit) {
 		}
 		return
 	}
-	if p.bus.Enabled() {
-		p.bus.Emit(trace.Event{
+	if p.net.bus.Enabled() {
+		p.net.bus.Emit(trace.Event{
 			Cycle: cycle, Kind: trace.FlitEjected,
 			Node: int32(p.id), Port: -1, VC: int8(vc),
 			PID: uint64(pid), Aux: uint64(src),

@@ -9,6 +9,7 @@ import (
 	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/trace"
 )
 
 // attachChecker gives cfg a fresh runtime invariant checker (one per
@@ -54,28 +55,36 @@ func diffConfig(alg routing.Algorithm, prot link.Protection, linkRate float64, s
 	return cfg
 }
 
-// comparable strips the one non-comparable field from a Results: the
-// counters' Observer callback (a func, installed whenever tracing is on,
-// never DeepEqual). Everything measured stays.
-func comparable(r Results) Results {
-	if r.Counters != nil {
-		c := *r.Counters
-		c.Observer = nil
-		r.Counters = &c
-	}
-	return r
-}
-
 // runKernel executes cfg under the given scheduler with a fresh checker
-// attached and returns the comparable results plus the scheduler stats.
+// attached and returns the results plus the scheduler's skipped-tick
+// count. Results are DeepEqual-comparable as returned: the counters are
+// a snapshot with no Observer callback attached.
 func runKernel(t *testing.T, cfg Config, k kernel.Kind) (Results, uint64) {
 	t.Helper()
 	cfg.Kernel = k
 	chk := attachChecker(&cfg)
 	n := New(cfg)
-	res := comparable(n.Run())
+	res := n.Run()
 	assertClean(t, k.String(), chk)
 	return res, n.KernelStats().Skipped
+}
+
+// captureSink records every trace event in emission order, so two runs
+// can be compared event-for-event — a much stronger check than Results
+// equality alone, because it pins down the cycle stamp and the ordering
+// of every event, not just the aggregate outcome.
+type captureSink struct{ events []trace.Event }
+
+func (c *captureSink) Emit(e trace.Event) { c.events = append(c.events, e) }
+
+// runCapture executes cfg under the given scheduler with a trace capture
+// attached and returns the results plus the ordered stream.
+func runCapture(t *testing.T, cfg Config, k kernel.Kind) (Results, []trace.Event) {
+	t.Helper()
+	cfg.Kernel = k
+	sink := &captureSink{}
+	cfg.TraceSink = sink
+	return New(cfg).Run(), sink.events
 }
 
 // diffKernels are the schedulers checked against the naive oracle: every
@@ -93,7 +102,7 @@ func diffKernels() []kernel.Kind {
 }
 
 // TestKernelDifferential is the scheduling contract made executable: for
-// every grid point, the quiescent and event kernels must produce
+// every grid point, every kernel but the oracle must produce
 // Results — counters, latencies, utilizations, and the traced packet
 // journeys — deeply equal to the naive tick-everyone oracle's. Subtests
 // are keyed by the config's canonical hash, so a failure names the exact
@@ -127,17 +136,6 @@ func TestKernelDifferential(t *testing.T) {
 							t.Errorf("%v kernel never skipped a tick on a fault-free run", k)
 						}
 					}
-					// The parallel kernel must be worker-count blind:
-					// band boundaries move with the worker count, and
-					// every placement must reproduce the oracle exactly.
-					for _, w := range []int{1, 2, 3} {
-						c := cfg
-						c.KernelWorkers = w
-						got, _ := runKernel(t, c, kernel.Parallel)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("parallel kernel with %d workers diverged from naive:\nnaive:    %+v\nparallel: %+v", w, want, got)
-						}
-					}
 				})
 			}
 		}
@@ -146,8 +144,8 @@ func TestKernelDifferential(t *testing.T) {
 
 // TestKernelDifferentialBurst covers the injection-limit path: once the
 // network-wide limit is reached, sleeping sources stop replaying their
-// accumulators — that divergence must stay unobservable under both
-// skipping schedulers.
+// accumulators — that divergence must stay unobservable under a
+// skipping scheduler.
 func TestKernelDifferentialBurst(t *testing.T) {
 	cfg := diffConfig(routing.XY, link.HBH, 1e-3, 11)
 	cfg.WarmupMessages = 0
@@ -166,8 +164,8 @@ func TestKernelDifferentialBurst(t *testing.T) {
 }
 
 // TestKernelDifferentialRecovery drives the deadlock-recovery and
-// hard-fault machinery (probes, activations, reroutes) under all three
-// kernels: the protocol state machines must be cycle-identical too.
+// hard-fault machinery (probes, activations, reroutes) under every
+// kernel: the protocol state machines must be cycle-identical too.
 func TestKernelDifferentialRecovery(t *testing.T) {
 	cfg := diffConfig(routing.MinimalAdaptive, link.HBH, 1e-3, 3)
 	cfg.InjectionRate = 0.30
@@ -180,5 +178,28 @@ func TestKernelDifferentialRecovery(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("recovery run diverged under %v:\nnaive: %+v\n%v:    %+v", k, want, k, got)
 		}
+	}
+}
+
+// TestSparseScheduleUnchanged pins what the event kernel does on the
+// sparse_16x16 benchmark configuration (16x16, 0.02 load, seed 1001): the
+// run's length and the exact tick schedule. A scheduler or accounting
+// change that claims "same bytes out" must leave all four numbers alone;
+// one that means to change the schedule re-pins them on purpose.
+func TestSparseScheduleUnchanged(t *testing.T) {
+	cfg := NewConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.InjectionRate = 0.02
+	cfg.Faults.Link = 1e-5
+	cfg.WarmupMessages, cfg.TotalMessages = 500, 2500
+	cfg.Seed = 1001
+	n := New(cfg)
+	res := n.Run()
+	ks := n.KernelStats()
+	if ks.Ticked != 235211 || ks.Skipped != 786741 || ks.Events != 235211 {
+		t.Errorf("kernel stats %+v, want 235211 ticked / 786741 skipped / 235211 events", ks)
+	}
+	if res.Cycles != 1996 {
+		t.Errorf("run took %d cycles, want 1996", res.Cycles)
 	}
 }

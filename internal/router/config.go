@@ -70,17 +70,8 @@ type Config struct {
 	XbarFault *fault.LogicInjector
 
 	// Events and Counters are the shared accounting sinks (required).
-	// Under the parallel kernel each router gets its own shard of both,
-	// summed into run totals when results are read.
 	Events   *stats.Events
 	Counters *fault.Counters
-
-	// EventsMirror, when non-nil, receives a copy of Events at the start
-	// of every executed tick — after skipped-cycle catch-up, before the
-	// cycle's own contributions. The parallel kernel's measurement
-	// snapshots use it to reconstruct a router's counters as they stood
-	// at a mid-cycle observation point the router has already raced past.
-	EventsMirror *stats.Events
 
 	// Bus is the structured event bus this router publishes to. Nil (or
 	// a bus with no sinks) disables publishing at zero cost.

@@ -55,7 +55,7 @@ type Router struct {
 	//              cleared by beginOutputs when Transmitter.Held turns
 	//              false.
 	//
-	// Writers: the kernel's serial latch phase sets rx/txPending; this
+	// Writers: the kernel's latch phase sets rx/txPending; this
 	// router's own tick does everything else. Hard-fault surgery between
 	// steps only ever removes traffic, which leaves the masks supersets.
 	rxPending uint8
@@ -226,11 +226,6 @@ func (r *Router) Tick(cycle uint64) {
 		r.catchUp(cycle - r.nextExpected)
 	}
 	r.nextExpected = cycle + 1
-	if r.cfg.EventsMirror != nil {
-		// Snapshot the pre-tick counters (catch-up included: those belong
-		// to cycles before this one) for mid-cycle measurement snapshots.
-		*r.cfg.EventsMirror = *r.cfg.Events
-	}
 	r.beginOutputs(cycle)
 	r.ingest(cycle)
 	if r.sparse {

@@ -39,8 +39,6 @@ type serverObs struct {
 	simCycles    *obs.Counter
 	simTicks     *obs.CounterVec // ticked, skipped
 	simEvents    *obs.Counter
-	simWorker    *obs.CounterVec // parallel kernel: worker, outcome
-	simBarrier   *obs.CounterVec // parallel kernel: worker
 
 	jobsByState map[State]*obs.Gauge
 
@@ -89,14 +87,6 @@ func newServerObs() *serverObs {
 			"outcome"),
 		simEvents: reg.Counter("nocd_sim_events_dispatched_total",
 			"Calendar-queue events dispatched across completed replicates (event kernel only)."),
-		simWorker: reg.CounterVec("nocd_sim_worker_ticks_total",
-			"Parallel-kernel per-worker actor ticks across completed replicates, "+
-				"by worker index and outcome (ticked or skipped).",
-			"worker", "outcome"),
-		simBarrier: reg.CounterVec("nocd_sim_worker_barrier_wait_seconds_total",
-			"Parallel-kernel time each worker spent waiting at the per-cycle "+
-				"barrier, by worker index.",
-			"worker"),
 	}
 
 	// State-derived families: closures over the per-scrape snapshot.

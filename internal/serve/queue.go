@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ftnoc/internal/campaign"
 	"ftnoc/internal/kernel"
-	"ftnoc/internal/sim"
 	"ftnoc/internal/trace"
 )
 
@@ -234,7 +232,6 @@ func (s *Server) runJob(j *job) {
 // spec hashes regardless of the kernel that produced them.
 func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
 	var cycles, ticked, skipped, events uint64
-	var workers []sim.WorkerStats
 	for i := range report.Points {
 		for _, rr := range report.Points[i].Reps {
 			if rr.Err != nil || rr.Seed == 0 {
@@ -244,14 +241,6 @@ func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
 			ticked += rr.KernelTicked
 			skipped += rr.KernelSkipped
 			events += rr.KernelEvents
-			for wi, w := range rr.KernelWorkers {
-				if wi >= len(workers) {
-					workers = append(workers, sim.WorkerStats{})
-				}
-				workers[wi].Ticked += w.Ticked
-				workers[wi].Skipped += w.Skipped
-				workers[wi].BarrierWaitNs += w.BarrierWaitNs
-			}
 		}
 	}
 	if ticked+skipped == 0 {
@@ -261,12 +250,6 @@ func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
 	s.obs.simTicks.With("ticked").Add(float64(ticked))
 	s.obs.simTicks.With("skipped").Add(float64(skipped))
 	s.obs.simEvents.Add(float64(events))
-	for wi, w := range workers {
-		label := strconv.Itoa(wi)
-		s.obs.simWorker.With(label, "ticked").Add(float64(w.Ticked))
-		s.obs.simWorker.With(label, "skipped").Add(float64(w.Skipped))
-		s.obs.simBarrier.With(label).Add(float64(w.BarrierWaitNs) / 1e9)
-	}
 	kind := j.spec.Base.Kernel
 	if kind == 0 {
 		kind = kernel.Event // the applyDefaults choice inside network.New

@@ -26,23 +26,10 @@ type Pipe[T any] struct {
 	bufs [][]T
 	vis  int
 	off  int
-	// pushed and popped count values ever enqueued and ever consumed;
-	// their difference is the number of unconsumed values anywhere in the
-	// ring (staged, in-flight, and visible-but-unpopped). They are split
-	// rather than kept as one counter because under the parallel kernel a
-	// pipe's producer and consumer may live on different workers within a
-	// cycle: pushed is written only by the producer, popped only by the
-	// consumer, and only the serial latch phase reads both together.
-	pushed, popped int
-	// shard indexes the kernel's arm-shard this pipe joins when it arms:
-	// shard 0 is the serial shard, shard w+1 belongs to worker w. A pipe
-	// arms from its producer's context, so giving each producer its own
-	// shard keeps the active-latch lists race-free under the parallel
-	// kernel (see Kernel.arm).
-	shard int
-	// armed mirrors membership in the kernel's active-latch list. It is
-	// written only by the producer (Push) and the serial latch phase,
-	// which the per-cycle barrier orders.
+	// held counts the unconsumed values anywhere in the ring: staged,
+	// in-flight, and visible-but-unpopped.
+	held int
+	// armed mirrors membership in the kernel's active-latch list.
 	armed bool
 	// hook is what the pipe does for its consumer whenever a latch leaves
 	// values visible (see Delivery); the zero value does nothing.
@@ -58,10 +45,6 @@ type Pipe[T any] struct {
 // nothing, and draining nothing is a no-op, so skipping is exact).
 // WithWake adds the kernel wake that returns a quiescent consumer to the
 // active set. The zero value does nothing.
-//
-// Bits are set only by the kernel's serial latch phase and cleared only
-// by the owning consumer's tick, which the per-cycle barrier orders, so
-// the masks need no synchronisation under the parallel kernel.
 type Delivery struct {
 	mask *uint8
 	bit  uint8
@@ -111,30 +94,17 @@ func (p *Pipe[T]) SetDelivery(d Delivery) {
 // kernel adds the wake).
 func (p *Pipe[T]) Delivery() Delivery { return p.hook }
 
-// SetArmShard assigns the kernel arm-shard this pipe arms into. The shard
-// must identify the pipe's single producer: 0 (the default) for pipes
-// pushed from the serial phase, w+1 for pipes pushed by parallel worker
-// w. Serial kernels ignore the distinction — every shard is latched — so
-// wiring shards unconditionally is free.
-func (p *Pipe[T]) SetArmShard(shard int) { p.shard = shard }
-
 // Latency returns the pipe's configured delay in cycles.
 func (p *Pipe[T]) Latency() int { return p.latency }
 
-// Push enqueues v for delivery latency cycles from now. Under the
-// parallel kernel the staging buffer bufs[(vis+latency)%len] is disjoint
-// from the consumer's visible buffer for every latency >= 1 and vis only
-// moves at the serial latch, so a producer may push across a region
-// boundary while the consumer drains the visible buffer concurrently —
-// the staging buffer is the cycle-stamped boundary queue, ordered by the
-// producer's own deterministic emission order.
+// Push enqueues v for delivery latency cycles from now.
 func (p *Pipe[T]) Push(v T) {
 	s := (p.vis + p.latency) % len(p.bufs)
 	p.bufs[s] = append(p.bufs[s], v)
-	p.pushed++
+	p.held++
 	if !p.armed {
 		p.armed = true
-		p.k.arm(p, p.shard)
+		p.k.arm(p)
 	}
 }
 
@@ -147,7 +117,7 @@ func (p *Pipe[T]) Pop() (v T, ok bool) {
 	}
 	v = head[p.off]
 	p.off++
-	p.popped++
+	p.held--
 	return v, true
 }
 
@@ -166,7 +136,7 @@ func (p *Pipe[T]) Peek() (v T, ok bool) {
 func (p *Pipe[T]) PopAll() []T {
 	head := p.bufs[p.vis][p.off:]
 	p.off = len(p.bufs[p.vis])
-	p.popped += len(head)
+	p.held -= len(head)
 	return head
 }
 
@@ -178,9 +148,8 @@ func (p *Pipe[T]) Empty() bool { return p.off >= len(p.bufs[p.vis]) }
 func (p *Pipe[T]) Visible() int { return len(p.bufs[p.vis]) - p.off }
 
 // InFlight reports the total number of values buffered anywhere in the
-// pipe, including those not yet visible and any not yet latched. Valid
-// only outside a parallel step (the counters live on the two endpoints).
-func (p *Pipe[T]) InFlight() int { return p.pushed - p.popped }
+// pipe, including those not yet visible and any not yet latched.
+func (p *Pipe[T]) InFlight() int { return p.held }
 
 // Each visits every value still held by the pipe — visible-but-unpopped,
 // in-flight, and staged this cycle — in no particular order. It is a
@@ -201,10 +170,9 @@ func (p *Pipe[T]) Each(fn func(T)) {
 // Filter destructively removes every value v for which remove(v) is
 // true, from every stage of the pipe — visible-but-unpopped, in-flight,
 // and staged — invoking fn (if non-nil) on each removed value. It
-// returns the number removed. Serial use only: it is the hard-fault
-// machinery's wire-destruction primitive and must run between kernel
-// steps, never from a concurrent actor tick. Relative order of the kept
-// values is preserved.
+// returns the number removed. It is the hard-fault machinery's
+// wire-destruction primitive and must run between kernel steps, never
+// from an actor tick. Relative order of the kept values is preserved.
 func (p *Pipe[T]) Filter(remove func(T) bool, fn func(T)) int {
 	removed := 0
 	for i := 0; i <= p.latency; i++ {
@@ -228,7 +196,7 @@ func (p *Pipe[T]) Filter(remove func(T) bool, fn func(T)) int {
 		}
 		p.bufs[idx] = b[:kept]
 	}
-	p.popped += removed
+	p.held -= removed
 	return removed
 }
 
@@ -261,6 +229,6 @@ func (p *Pipe[T]) latch() bool {
 	if len(p.bufs[p.vis]) > 0 {
 		p.k.deliver(p.hook)
 	}
-	p.armed = p.pushed != p.popped
+	p.armed = p.held != 0
 	return p.armed
 }

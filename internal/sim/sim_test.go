@@ -314,26 +314,37 @@ func TestPipeLatencyAccessor(t *testing.T) {
 }
 
 // sleeper is a Quiescer that sleeps after every tick with a fixed timed
-// wake offset (0 = sleep until delivery), recording its tick cycles and
-// draining its input pipe, if any.
+// wake offset (0 = sleep until delivery), draining its input pipe, if any.
+// It decides inside Tick whether the cycle is a work tick — its first
+// cycle, a value visible on its pipe, or the cycle it last declared as
+// its timed wake — and logs only those in ticks, so the log is the same
+// under ModeNaive (which ticks it every cycle) as under ModeEvent (which
+// should tick it on exactly the work cycles). calls counts every Tick.
 type sleeper struct {
-	ticks  []uint64
-	offset uint64
-	in     *Pipe[int]
+	ticks   []uint64
+	calls   int
+	offset  uint64
+	in      *Pipe[int]
+	started bool
+	wake    uint64 // declared timed wake, 0 = none
 }
 
 func (s *sleeper) Tick(c uint64) {
+	s.calls++
+	if s.started && c != s.wake && (s.in == nil || s.in.Empty()) {
+		return
+	}
+	s.started = true
 	s.ticks = append(s.ticks, c)
 	if s.in != nil {
 		s.in.PopAll()
 	}
-}
-func (s *sleeper) Quiescent(c uint64) (bool, uint64) {
-	if s.offset == 0 {
-		return true, 0
+	s.wake = 0
+	if s.offset != 0 {
+		s.wake = c + s.offset
 	}
-	return true, c + s.offset
 }
+func (s *sleeper) Quiescent(uint64) (bool, uint64) { return true, s.wake }
 
 func TestEventKernelTicksNonQuiescersEveryCycle(t *testing.T) {
 	var k Kernel
@@ -461,11 +472,14 @@ func (s *orderSleeper) Quiescent(c uint64) (bool, uint64) {
 	return true, next
 }
 
-// TestEventKernelMatchesQuiescent runs a randomized mix of sleepers and
-// always-on actors under both schedulers and requires identical tick
-// traces — the unit-level version of the network differential grids.
+// TestEventKernelMatchesQuiescent (named for the quiescence protocol it
+// exercises) runs a mix of sleepers under the naive oracle and the event
+// scheduler and requires identical work-tick logs — the unit-level
+// version of the network differential grids. The event kernel must also
+// execute no tick that is not a work tick, so a missed wake, a late wake
+// and a spurious tick all fail.
 func TestEventKernelMatchesQuiescent(t *testing.T) {
-	build := func(mode Mode) []*sleeper {
+	build := func(mode Mode) ([]*sleeper, Stats) {
 		var k Kernel
 		k.SetMode(mode)
 		actors := []*sleeper{
@@ -486,18 +500,56 @@ func TestEventKernelMatchesQuiescent(t *testing.T) {
 			}
 			k.Step()
 		}
-		return actors
+		return actors, k.Stats()
 	}
-	want := build(ModeQuiescent)
-	got := build(ModeEvent)
+	want, _ := build(ModeNaive)
+	got, st := build(ModeEvent)
+	work := 0
 	for i := range want {
-		if len(want[i].ticks) != len(got[i].ticks) {
-			t.Fatalf("actor %d: quiescent ticked %d, event ticked %d", i, len(want[i].ticks), len(got[i].ticks))
+		requireSameTicks(t, i, want[i].ticks, got[i].ticks)
+		work += len(got[i].ticks)
+	}
+	if st.Ticked != uint64(work) {
+		t.Fatalf("event kernel executed %d ticks for %d work ticks", st.Ticked, work)
+	}
+}
+
+// requireSameTicks fails unless one actor's naive and event work-tick
+// logs are equal.
+func requireSameTicks(t *testing.T, actor int, naive, event []uint64) {
+	t.Helper()
+	if len(naive) != len(event) {
+		t.Fatalf("actor %d: naive logged %d work ticks, event %d", actor, len(naive), len(event))
+	}
+	for j := range naive {
+		if naive[j] != event[j] {
+			t.Fatalf("actor %d work tick %d: naive at %d, event at %d", actor, j, naive[j], event[j])
 		}
-		for j := range want[i].ticks {
-			if want[i].ticks[j] != got[i].ticks[j] {
-				t.Fatalf("actor %d tick %d: quiescent at %d, event at %d", i, j, want[i].ticks[j], got[i].ticks[j])
-			}
-		}
+	}
+}
+
+// The zero-value Kernel is a ready serial scheduler: with no SetMode,
+// every registered actor ticks every cycle — Quiescers included, opted in
+// or not — and pipes latch.
+func TestKernelZeroValueTicksEverything(t *testing.T) {
+	var k Kernel
+	if k.Mode() != ModeNaive {
+		t.Fatalf("zero-value mode = %v, want ModeNaive", k.Mode())
+	}
+	s := &sleeper{}
+	n := 0
+	k.Register(ActorFunc(func(uint64) { n++ }))
+	k.EnableQuiescence(k.RegisterActor(s))
+	p := NewPipe[int](&k, 2)
+	p.Push(5)
+	k.Run(6)
+	if n != 6 || s.calls != 6 {
+		t.Fatalf("6 cycles ticked the plain actor %d times and the Quiescer %d times, want 6 and 6", n, s.calls)
+	}
+	if v, ok := p.Pop(); !ok || v != 5 {
+		t.Fatalf("pipe did not latch under the zero-value kernel: got (%d,%v)", v, ok)
+	}
+	if st := k.Stats(); st.Ticked != 12 || st.Skipped != 0 || st.Events != 0 {
+		t.Fatalf("Stats = %+v, want 12 ticked, nothing skipped or dispatched", st)
 	}
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — kernel performance harness.
 #
-# Full mode (default) times the Fig 5/6 quick workloads under every
-# scheduler (naive, quiescent, event, parallel), runs the kernel
-# microbenchmarks, and writes BENCH_kernel.json at the repo root — each
-# kernel's entry records speedup_vs_naive. Pass a git ref to also build
+# Full mode (default) times the Fig 5/6 quick workloads under both
+# schedulers (naive, event), runs the kernel microbenchmarks, and writes
+# BENCH_kernel.json at the repo root — each kernel's entry records
+# speedup_vs_naive. Pass a git ref to also build
 # that revision's nocsim and record the speedup against it:
 #
 #   scripts/bench.sh                      # current tree only
@@ -13,10 +13,10 @@
 #
 # Smoke mode is the CI guard: it runs every kernel benchmark once (so
 # they cannot bit-rot) and fails the build if the steady-state
-# benchmark of any scheduler — event (BenchmarkKernelSteady), naive,
-# quiescent, parallel, the metrics-on variant, or the low-load 16x16
-# event-kernel run (BenchmarkKernelSparse16x16, where routers sleep with
-# credits still arriving) — reports any allocations per simulated cycle:
+# benchmark of either scheduler — event (BenchmarkKernelSteady), naive,
+# the metrics-on variant, or the low-load 16x16 event-kernel run
+# (BenchmarkKernelSparse16x16, where routers sleep with credits still
+# arriving) — reports any allocations per simulated cycle:
 #
 #   scripts/bench.sh --smoke
 set -euo pipefail
@@ -27,17 +27,16 @@ if [[ "${1:-}" == "--smoke" ]]; then
     go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -benchmem
 
     # Allocation guard. 200 measured cycles after each benchmark's own
-    # warm-up (2000 cycles; 6000 on the 16x16) is enough for any per-cycle allocation to show
-    # up as allocs/op >= 1 (Go reports the floor of the mean). All four
-    # kernels are guarded — the calendar queue, the quiescence scan, the
-    # naive loop and the parallel barrier step must each stay
-    # allocation-free at steady state. The Metrics variant guards the
-    # zero-cost-when-unscraped observability contract: gauges
-    # registered, sampling interval never firing. The Sparse16x16
-    # variant guards the other regime: most routers asleep, woken by
-    # single flits, credits pooling on their wires meanwhile.
+    # warm-up (2000 cycles; 6000 on the 16x16) is enough for any
+    # per-cycle allocation to show up as allocs/op >= 1 (Go reports the
+    # floor of the mean). Both kernels are guarded — the calendar queue
+    # and the naive loop must each stay allocation-free at steady state.
+    # The Metrics variant guards the zero-cost-when-unscraped
+    # observability contract: gauges registered, sampling interval never
+    # firing. The Sparse16x16 variant guards the other regime: most
+    # routers asleep, woken by single flits, credits pooling on their
+    # wires meanwhile.
     for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
-                 BenchmarkKernelSteadyQuiescent BenchmarkKernelSteadyParallel \
                  BenchmarkKernelSteadyMetrics BenchmarkKernelSparse16x16; do
         line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
             -benchtime=200x -benchmem | grep "^${bench}")
