@@ -161,9 +161,12 @@ func NewLinkInjector(rate, double float64, rng *sim.RNG) *LinkInjector {
 	return &LinkInjector{rate: rate, double: double, rng: rng}
 }
 
-// maxMissBatch bounds how many Bernoulli misses a refill precomputes, so
-// one refill's cost stays bounded regardless of the error rate.
-const maxMissBatch = 4096
+// maxMissBatch bounds how many Bernoulli misses a refill draws ahead of
+// the traversals that consume them. A link that carries few flits leaves
+// most of its last batch unused, and a mesh has hundreds of links, so the
+// bound is what a quiet link wastes; it is long enough that the refill
+// call itself is amortised away.
+const maxMissBatch = 64
 
 // refill draws Bool(rate) from the stream until the first success (or the
 // batch bound), recording the run of misses. Exactly the draws the

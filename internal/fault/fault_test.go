@@ -170,3 +170,94 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("snapshot not a detached copy: %+v", snap)
 	}
 }
+
+// unbatchedCorrupt is the reference the batched LinkInjector must equal:
+// one Bernoulli draw per traversal, then the bit choices on a hit.
+func unbatchedCorrupt(f *flit.Flit, rate, double float64, rng *sim.RNG) LinkOutcome {
+	if !rng.Bool(rate) {
+		return NoError
+	}
+	a := rng.Intn(72)
+	flipBit(f, a)
+	if !rng.Bool(double) {
+		return SingleFlip
+	}
+	b := rng.Intn(71)
+	if b >= a {
+		b++
+	}
+	flipBit(f, b)
+	return DoubleFlip
+}
+
+// drawsFrom reports how many Uint64 draws took a stream seeded with seed
+// to the state of rng.
+func drawsFrom(t *testing.T, seed uint64, rng *sim.RNG) int {
+	t.Helper()
+	at := sim.NewRNG(seed)
+	for d := 0; d < 1<<22; d++ {
+		if *at == *rng {
+			return d
+		}
+		at.Uint64()
+	}
+	t.Fatal("stream never reached the injector's state")
+	return 0
+}
+
+// Drawing ahead must not change what a link does: the same outcomes and
+// flipped bits as one draw per traversal, and once the reference has made
+// the miss draws the injector still holds in hand, the same RNG state.
+func TestLinkInjectorMatchesUnbatchedStream(t *testing.T) {
+	const traversals = 20_000
+	for _, rate := range []float64{1e-5, 1e-2, 0.1, 1} {
+		for _, double := range []float64{0, 0.5, 1} {
+			const seed = 77
+			rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+			inj := NewLinkInjector(rate, double, rng)
+			for i := 0; i < traversals; i++ {
+				got, want := cleanFlit(), cleanFlit()
+				o, w := inj.Corrupt(&got), unbatchedCorrupt(&want, rate, double, ref)
+				if o != w || got != want {
+					t.Fatalf("rate %g double %g traversal %d: outcome %v flit %+v, unbatched %v %+v",
+						rate, double, i, o, got, w, want)
+				}
+			}
+			for i := 0; i < inj.misses; i++ {
+				if ref.Bool(rate) {
+					t.Fatalf("rate %g double %g: a miss the injector holds is a hit in the stream", rate, double)
+				}
+			}
+			if inj.hitNext && !ref.Bool(rate) {
+				t.Fatalf("rate %g double %g: the hit the injector holds is a miss in the stream", rate, double)
+			}
+			if *rng != *ref {
+				t.Fatalf("rate %g double %g: RNG states differ after %d traversals", rate, double, traversals)
+			}
+		}
+	}
+}
+
+// A link draws ahead of its traffic by a small bounded run, however few
+// flits cross it: a mesh has hundreds of links and most carry little, so
+// what a quiet link draws and never uses is paid hundreds of times.
+func TestLinkInjectorDrawAheadIsBounded(t *testing.T) {
+	const bound = 128 // draws; the literal keeps a larger maxMissBatch from passing unnoticed
+	for _, traversals := range []int{1, 10, 1000} {
+		for _, rate := range []float64{1e-5, 0.1} {
+			const seed = 5
+			rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+			inj := NewLinkInjector(rate, DefaultLinkDouble, rng)
+			for i := 0; i < traversals; i++ {
+				f, g := cleanFlit(), cleanFlit()
+				inj.Corrupt(&f)
+				unbatchedCorrupt(&g, rate, DefaultLinkDouble, ref)
+			}
+			used, needed := drawsFrom(t, seed, rng), drawsFrom(t, seed, ref)
+			if used < needed || used > needed+bound {
+				t.Fatalf("rate %g: %d traversals consumed %d draws, one per traversal needs %d, allowed ahead %d",
+					rate, traversals, used, needed, bound)
+			}
+		}
+	}
+}

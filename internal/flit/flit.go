@@ -76,25 +76,29 @@ type PacketID uint64
 // DecodeHeader; after link corruption the receiver must decode from the
 // (possibly corrected) word, not trust the cached fields.
 type Flit struct {
+	// Fields are ordered widest first so the struct packs into 40 bytes:
+	// a flit is copied at every buffer write, wire push and shifter
+	// capture.
+
+	PID PacketID
+	// Word is the 64-bit content: packed header for Head flits, payload
+	// otherwise.
+	Word uint64
+	// InjectedAt is the cycle the packet entered the source queue; used
+	// for end-to-end latency accounting.
+	InjectedAt uint64
+	Src        NodeID
+	Dst        NodeID
+	// Hops counts completed link traversals, for energy accounting.
+	Hops uint16
 	Type Type
-	Src  NodeID
-	Dst  NodeID
-	PID  PacketID
 	// Seq is the flit's index within its packet (0 for the head).
 	Seq uint8
 	// VC is the virtual-channel identifier the flit travels on for the
 	// current link; rewritten hop by hop.
 	VC uint8
-	// Word is the 64-bit content: packed header for Head flits, payload
-	// otherwise.
-	Word uint64
 	// Check holds the SEC/DED check bits computed over Word.
 	Check uint8
-	// InjectedAt is the cycle the packet entered the source queue; used
-	// for end-to-end latency accounting.
-	InjectedAt uint64
-	// Hops counts completed link traversals, for energy accounting.
-	Hops uint16
 }
 
 // String renders a compact human-readable form, used by trace tests.

@@ -3,7 +3,16 @@ package flit
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A flit is copied at every buffer write, wire push and shifter capture;
+// the field order keeps it at five words.
+func TestFlitSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Flit{}) = %d, want 40", got)
+	}
+}
 
 func TestHeaderRoundTrip(t *testing.T) {
 	cases := []Header{

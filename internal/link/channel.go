@@ -109,11 +109,13 @@ const (
 )
 
 // Channel is one direction of an inter-router (or PE-router) connection:
-// a flit wire forward, and credit + NACK wires backward.
+// a flit wire forward, and credit + NACK wires backward. The three wires
+// live inside the channel's own block, so polling an idle one touches no
+// other memory; a Channel must not be copied.
 type Channel struct {
-	flits   *sim.Pipe[flit.Flit]
-	credits *sim.Pipe[Credit]
-	nacks   *sim.Pipe[NACK]
+	flits   sim.Pipe[flit.Flit]
+	credits sim.Pipe[Credit]
+	nacks   sim.Pipe[NACK]
 
 	injector fault.Corruptor // nil for fault-free channels
 	events   *stats.Events
@@ -148,15 +150,16 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // fault-free link (e.g. the PE-to-router channel, which the paper does
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
-	return &Channel{
-		flits:    sim.NewPipe[flit.Flit](k, FlitLatency),
-		credits:  sim.NewPipe[Credit](k, CreditLatency),
-		nacks:    sim.NewPipe[NACK](k, NACKLatency),
+	c := &Channel{
 		injector: injector,
 		events:   events,
 		counters: counters,
 		local:    local,
 	}
+	c.flits.Init(k, FlitLatency)
+	c.credits.Init(k, CreditLatency)
+	c.nacks.Init(k, NACKLatency)
+	return c
 }
 
 // Send puts a flit on the wire, applying fault injection. It returns the
@@ -304,14 +307,13 @@ func (c *Channel) DropNACKs() { c.nacks.Filter(func(NACK) bool { return true }, 
 // no hooks behaves as a bare set of wires: nothing is marked, nobody is
 // woken, and both ends must be polled every cycle.
 
-// MarkRx makes every latch that leaves flits visible to the receiver set
-// bit in *mask.
+// MarkRx makes flits becoming visible to the receiver set bit in *mask.
 func (c *Channel) MarkRx(mask *uint8, bit uint8) {
 	c.flits.SetDelivery(c.flits.Delivery().WithMark(mask, bit))
 }
 
-// MarkTx makes every latch that leaves a credit or a NACK visible to the
-// transmitter set bit in *mask.
+// MarkTx makes a credit or a NACK becoming visible to the transmitter set
+// bit in *mask.
 func (c *Channel) MarkTx(mask *uint8, bit uint8) {
 	c.credits.SetDelivery(c.credits.Delivery().WithMark(mask, bit))
 	c.nacks.SetDelivery(c.nacks.Delivery().WithMark(mask, bit))

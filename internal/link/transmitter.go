@@ -141,7 +141,9 @@ func (t *Transmitter) ExpireShifters(cycle uint64) {
 		return
 	}
 	for i := range t.vcs {
-		t.inShifters -= t.vcs[i].shifter.Expire(cycle)
+		if sh := &t.vcs[i].shifter; !sh.Empty() {
+			t.inShifters -= sh.Expire(cycle)
+		}
 	}
 }
 

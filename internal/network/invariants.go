@@ -61,11 +61,11 @@ func (n *Network) watchLink(tx *link.Transmitter, rx *link.Receiver, ch *link.Ch
 }
 
 // checkState is the per-cycle structural audit, run at the cycle
-// boundary after kernel.Step (clock = the next cycle to tick, when all
-// latches have settled): credit conservation on every loop, port-mask
-// soundness at both router ends of every loop (what the wires and the
-// transmitter actually hold against the mask bits that drive the
-// routers' ticks), each router's internal consistency (VA bindings,
+// boundary after kernel.Step (clock = the next cycle to tick, when the
+// step's deliveries have been made): credit conservation on every loop,
+// port-mask soundness at both router ends of every loop (what the wires
+// and the transmitter actually hold against the mask bits that drive
+// the routers' ticks), each router's internal consistency (VA bindings,
 // occupancy counts, retransmission-buffer ages, probe-memory bounds),
 // quiescence safety — a kernel-asleep actor
 // must still satisfy its own Quiescent predicate, proving idle-skipping

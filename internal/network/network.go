@@ -278,8 +278,8 @@ func New(cfg Config) *Network {
 		n.peH[i] = n.kernel.RegisterActor(n.pes[i])
 	}
 
-	// Quiescence wiring: every flit pipe wakes its consuming actor when a
-	// latch leaves flits visible, and every NACK pipe wakes the
+	// Quiescence wiring: every flit pipe wakes its consuming actor as
+	// flits become visible, and every NACK pipe wakes the
 	// transmitter-owning actor (relaxed quiescence lets an actor sleep
 	// with occupied retransmission shifters — see link.Channel.WakeTx for
 	// why that makes NACK wakes necessary, and why credits need none).

@@ -87,8 +87,7 @@ func TestEnergyZeroForNoEvents(t *testing.T) {
 func TestEnergyAdditive(t *testing.T) {
 	a := stats.Events{LinkTraversals: 10, BufWrites: 5}
 	b := stats.Events{LinkTraversals: 3, XbTraversals: 7}
-	sum := a
-	sum.Add(b)
+	sum := stats.Events{LinkTraversals: 13, BufWrites: 5, XbTraversals: 7}
 	if !approx(Energy(sum), Energy(a)+Energy(b), 1e-12) {
 		t.Fatalf("energy not additive: %v vs %v", Energy(sum), Energy(a)+Energy(b))
 	}

@@ -44,18 +44,19 @@ type Router struct {
 	// bit on a busy port would lose traffic (invariant "port-masks").
 	//
 	//   rxPending  input ports whose wire shows flits. Set by the flit
-	//              pipe's latch (hook installed in AttachInput), cleared
-	//              by ingest once ReceiveAll has drained the wire.
+	//              pipe's delivery (hook installed in AttachInput),
+	//              cleared by ingest once ReceiveAll has drained the wire.
 	//   txPending  output ports whose backward wires show a credit or a
-	//              NACK. Set by those pipes' latches (AttachOutput),
+	//              NACK. Set by those pipes' deliveries (AttachOutput),
 	//              cleared by beginOutputs once BeginCycle has drained
-	//              them.
+	//              them. A delivery marks once, as values become visible,
+	//              so a bit may be cleared only after draining.
 	//   txHeld     output ports with an occupied shifter or a pending
 	//              replay. Set where the router sends (executeGrant),
 	//              cleared by beginOutputs when Transmitter.Held turns
 	//              false.
 	//
-	// Writers: the kernel's latch phase sets rx/txPending; this
+	// Writers: the kernel's delivery phase sets rx/txPending; this
 	// router's own tick does everything else. Hard-fault surgery between
 	// steps only ever removes traffic, which leaves the masks supersets.
 	rxPending uint8

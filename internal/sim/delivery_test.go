@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// A marking hook with no wake sets the consumer's bit at the latch that
-// makes values visible — not before — and leaves a sleeping consumer
-// asleep: the credit-wire contract. Marking is the same under the naive
-// schedule, where nobody sleeps in the first place.
+// A marking hook with no wake sets the consumer's bit at the end of the
+// cycle before values become visible — not earlier — and leaves a
+// sleeping consumer asleep: the credit-wire contract. Marking is the same
+// under the naive schedule, where nobody sleeps in the first place.
 func TestDeliveryMarkWithoutWake(t *testing.T) {
 	for _, mode := range []Mode{ModeNaive, ModeEvent} {
 		var k Kernel
@@ -23,7 +23,7 @@ func TestDeliveryMarkWithoutWake(t *testing.T) {
 		p.Push(7)
 		k.Step()
 		if mask != 0 {
-			t.Fatalf("mode %v: mask %#x set one latch early", mode, mask)
+			t.Fatalf("mode %v: mask %#x set one cycle early", mode, mask)
 		}
 		k.Step()
 		if mask != 1<<3 {
@@ -33,12 +33,18 @@ func TestDeliveryMarkWithoutWake(t *testing.T) {
 		if len(s.ticks) != 1 || k.Asleep(h) != (mode == ModeEvent) {
 			t.Fatalf("mode %v: mark-only delivery woke the consumer (ticks %v)", mode, s.ticks)
 		}
-		// The bit is the consumer's to clear; an undrained pipe re-marks it
-		// at every latch, a drained one never does.
+		// The bit is the consumer's to clear, after draining: a delivery
+		// marks once, when its values become visible, and an undrained
+		// value that merely stays visible does not mark again.
 		mask = 0
 		k.Step()
-		if mask != 1<<3 {
-			t.Fatalf("mode %v: undrained pipe did not re-mark (mask %#x)", mode, mask)
+		if mask != 0 || p.Visible() != 1 {
+			t.Fatalf("mode %v: undrained value re-marked (mask %#x, %d visible)", mode, mask, p.Visible())
+		}
+		p.Push(8) // a new arrival behind the undrained one is a new delivery
+		k.Run(2)
+		if mask != 1<<3 || p.Visible() != 2 {
+			t.Fatalf("mode %v: second arrival left mask %#x with %d visible", mode, mask, p.Visible())
 		}
 		p.PopAll()
 		mask = 0
@@ -64,7 +70,7 @@ func TestDeliveryComposeAndLateAttach(t *testing.T) {
 	p.SetDelivery(p.Delivery().WithMark(&mask, 1))
 	k.Step()
 	p.Push(1)
-	k.Step() // latch delivers: mark + wake
+	k.Step() // delivers for the next cycle: mark + wake
 	if mask != 1 {
 		t.Fatalf("mask %#x, want 1", mask)
 	}

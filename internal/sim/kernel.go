@@ -1,15 +1,18 @@
 // Package sim provides the cycle-driven simulation kernel underneath the
-// network model: a deterministic clock, actor scheduling, and latched
-// delay lines that decouple intra-cycle evaluation order from observable
-// behaviour.
+// network model: a deterministic clock, actor scheduling, and delay lines
+// that decouple intra-cycle evaluation order from observable behaviour.
 //
 // The kernel is synchronous. Each call to Kernel.Step advances the global
 // clock by one cycle in two phases:
 //
-//  1. every registered Actor's Tick(cycle) runs, reading only values
-//     latched in previous cycles and writing only into delay lines;
-//  2. every delay line advances, making this cycle's writes visible at
-//     their programmed latency.
+//  1. the due Actors' Tick(cycle) runs, reading only values that became
+//     visible in this or an earlier cycle and writing only into delay
+//     lines, which stamp each value with the cycle it becomes visible at
+//     (now + the line's latency, at least one cycle on);
+//  2. the delivery hooks of the lines whose values become visible next
+//     cycle run — mark the consumer's mask, wake it — and the clock
+//     advances. No delay line is visited: a wire costs what is pushed
+//     and popped, not the cycles in between.
 //
 // Because actors never observe same-cycle writes, the order in which they
 // tick is immaterial, which is what makes the model cycle-accurate rather
@@ -17,7 +20,7 @@
 //
 // # Scheduling modes
 //
-// SetMode selects between two schedulers that share the actor/latch model
+// SetMode selects between two schedulers that share the actor/pipe model
 // and produce identical simulations:
 //
 //   - ModeNaive (the zero value) ticks every actor every cycle — the
@@ -37,8 +40,7 @@
 // then stops ticking it until
 //
 //   - a delay line delivers a value to it (the pipe's Delivery hook, given
-//     the actor's handle via WithWake, fires when a latch leaves values
-//     visible), or
+//     the actor's handle via WithWake, fires as values become visible), or
 //   - its self-declared timed wake cycle arrives (for purely clock-driven
 //     work such as a traffic source's next injection slot).
 //
@@ -51,13 +53,14 @@
 // "Kernel performance"); the differential tests hold the two schedules
 // to identical output.
 //
-// Latch skipping is on in both modes: an empty pipe's latch is the
-// identity, so eliding it is exact. Due handles are dispatched in
-// ascending registration order in both modes, keeping intra-cycle trace
-// order identical across schedulers.
+// Due handles are dispatched in ascending registration order in both
+// modes, keeping intra-cycle trace order identical across schedulers.
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Actor is a component evaluated once per simulated clock cycle.
 type Actor interface {
@@ -113,13 +116,6 @@ type Stats struct {
 	Events  uint64
 }
 
-// activeLatch is implemented by delay lines; the kernel advances armed
-// ones after all actors have ticked. latch reports whether the line still
-// holds values and must remain armed.
-type activeLatch interface {
-	latch() bool
-}
-
 // wakeEntry is one far-future scheduled tick in the overflow min-heap.
 type wakeEntry struct {
 	at uint64
@@ -146,9 +142,12 @@ const (
 type Kernel struct {
 	cycle  uint64
 	actors []Actor
-	// armed holds the delay lines with values in them; pipes arm
-	// themselves on Push and disarm by returning false from latch.
-	armed []activeLatch
+	// due[c&(len(due)-1)] lists the delivery hooks of the pipes holding
+	// values that become visible at cycle c, for the cycles after the
+	// current one; Step applies a list at the end of cycle c-1 and keeps
+	// its capacity. len(due) is zero or a power of two above every pipe's
+	// latency, so a residue names one future cycle.
+	due [][]*Delivery
 
 	// The rest is ModeEvent state. quiescers[i] is actors[i] if it was
 	// opted in with EnableQuiescence, else nil; asleep[i] is set while
@@ -214,10 +213,10 @@ func (k *Kernel) EnableQuiescence(h Handle) {
 	}
 }
 
-// deliver runs a pipe's delivery hook from the latch phase: mark the
-// consumer's mask bit, then (ModeEvent) return the consumer to the active
-// set so it ticks next cycle. Under ModeNaive nobody sleeps, so there is
-// nobody to wake.
+// deliver runs a pipe's delivery hook at the end of the cycle before its
+// values become visible: mark the consumer's mask bit, then (ModeEvent)
+// return the consumer to the active set so it ticks next cycle. Under
+// ModeNaive nobody sleeps, so there is nobody to wake.
 func (k *Kernel) deliver(d Delivery) {
 	if d.mask != nil {
 		*d.mask |= d.bit
@@ -246,8 +245,48 @@ func (k *Kernel) Stats() Stats {
 	return Stats{Ticked: k.ticked, Skipped: k.skipped, Events: k.events}
 }
 
-// arm adds a delay line to the active-latch list (called by Pipe.Push).
-func (k *Kernel) arm(l activeLatch) { k.armed = append(k.armed, l) }
+// fitDue sizes the due ring for a pipe of the given latency (called by
+// Pipe.Init), moving any queued deliveries to their new residues.
+func (k *Kernel) fitDue(latency int) {
+	if latency < len(k.due) {
+		return
+	}
+	n := max(4, len(k.due))
+	for n <= latency {
+		n *= 2
+	}
+	due := make([][]*Delivery, n)
+	for i, list := range k.due {
+		// The one cycle in (cycle, cycle+len(k.due)) with residue i; the
+		// current cycle's own list was applied a step ago and is empty.
+		at := k.cycle + (uint64(i)-k.cycle)&uint64(len(k.due)-1)
+		due[at&uint64(n-1)] = list
+	}
+	k.due = due
+}
+
+// dueList returns the list of deliveries to make for cycle at, one of the
+// next len(k.due)-1 cycles.
+func (k *Kernel) dueList(at uint64) *[]*Delivery { return &k.due[at&uint64(len(k.due)-1)] }
+
+// queueDelivery has hook d applied at the end of cycle at-1 (called by
+// Pipe.Push, once per pipe and visible-at cycle). Delivery waits for the
+// end of the actor phase even when at is the next cycle: a consumer still
+// due this cycle would have the wake dropped by scheduleTick, and could
+// then go quiet and sleep through the arrival.
+func (k *Kernel) queueDelivery(d *Delivery, at uint64) {
+	list := k.dueList(at)
+	*list = append(*list, d)
+}
+
+// cancelDelivery withdraws d from cycle at's list, if it is there (called
+// by Pipe.Filter, which destroys in-flight values between steps).
+func (k *Kernel) cancelDelivery(d *Delivery, at uint64) {
+	list := k.dueList(at)
+	if i := slices.Index(*list, d); i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+	}
+}
 
 // heapPush schedules an entry on a min-heap ordered by at.
 func heapPush(heap *[]wakeEntry, e wakeEntry) {
@@ -336,7 +375,7 @@ func (k *Kernel) growRing() {
 func (k *Kernel) Cycle() uint64 { return k.cycle }
 
 // Step advances simulated time by one cycle: tick the due actors, then
-// latch the armed delay lines.
+// deliver for the pipes whose values become visible next cycle.
 func (k *Kernel) Step() {
 	if k.mode == ModeEvent {
 		k.tickDue()
@@ -348,18 +387,16 @@ func (k *Kernel) Step() {
 		k.ticked += uint64(len(k.actors))
 	}
 
-	// Latch order is arm order, which may differ from registration order —
-	// sound because latches are independent: each pipe only rotates its
-	// own ring. Delivery hooks fired here mark the consumers' masks and
-	// return them to the active set for the next cycle.
-	n := 0
-	for _, l := range k.armed {
-		if l.latch() {
-			k.armed[n] = l
-			n++
+	// Delivery order is push order, which may differ from registration
+	// order — sound because deliveries commute: each ORs a mask bit and
+	// asks for a tick next cycle.
+	if len(k.due) != 0 {
+		list := k.dueList(k.cycle + 1)
+		for _, d := range *list {
+			k.deliver(*d)
 		}
+		*list = (*list)[:0]
 	}
-	k.armed = k.armed[:n]
 	k.cycle++
 }
 

@@ -31,26 +31,6 @@ type Events struct {
 	RTComputes      uint64 // routing-unit computations
 }
 
-// Add accumulates o into e.
-func (e *Events) Add(o Events) {
-	e.BufWrites += o.BufWrites
-	e.BufReads += o.BufReads
-	e.XbTraversals += o.XbTraversals
-	e.LinkTraversals += o.LinkTraversals
-	e.LocalTraversals += o.LocalTraversals
-	e.VAAllocs += o.VAAllocs
-	e.SAAllocs += o.SAAllocs
-	e.RetransWrites += o.RetransWrites
-	e.Retransmitted += o.Retransmitted
-	e.NACKs += o.NACKs
-	e.Credits += o.Credits
-	e.Probes += o.Probes
-	e.ECCDecodes += o.ECCDecodes
-	e.ECCCorrections += o.ECCCorrections
-	e.ACChecks += o.ACChecks
-	e.RTComputes += o.RTComputes
-}
-
 // LatencyStats accumulates per-message latency samples (injection to tail
 // ejection, in cycles) with warm-up discarding handled by the caller.
 type LatencyStats struct {

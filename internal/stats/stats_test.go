@@ -134,15 +134,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestEventsAdd(t *testing.T) {
-	a := Events{BufWrites: 1, LinkTraversals: 2, ACChecks: 3, RTComputes: 4}
-	b := Events{BufWrites: 10, Probes: 5, RTComputes: 1}
-	a.Add(b)
-	if a.BufWrites != 11 || a.LinkTraversals != 2 || a.Probes != 5 || a.RTComputes != 5 || a.ACChecks != 3 {
-		t.Fatalf("Add wrong: %+v", a)
-	}
-}
-
 func TestMeanCI95(t *testing.T) {
 	if e := MeanCI95(nil); e != (Estimate{}) {
 		t.Fatalf("empty input: got %+v, want zero", e)
