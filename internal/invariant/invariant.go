@@ -14,9 +14,10 @@
 //     liveness (episodes pair up and terminate within a bound).
 //
 //   - State-driven (package network, via Report): per-VC credit
-//     conservation, retransmission-buffer age soundness, VA-binding
-//     consistency, probe-memory bounds, quiescence safety, and port-mask
-//     soundness (CheckPortMarks). Those need access to live component
+//     conservation, retransmission-buffer window soundness, VA-binding
+//     consistency, probe-memory bounds, quiescence safety, port-mask
+//     soundness (CheckPortMarks) and allocator-mask exactness
+//     ("vc-masks"). Those need access to live component
 //     state, so the network walks its own structures and reports what it
 //     finds here.
 //
@@ -265,30 +266,31 @@ func (c *Checker) Emit(e trace.Event) {
 // a clear bit promises there is nothing to poll for. A set bit over an
 // empty port is merely a wasted poll.
 type PortMarks struct {
-	RxPending, TxPending, TxHeld bool
+	RxPending, TxPending, TxReplay bool
 
-	Flits      int // flits visible on the port's input wire
-	Handshakes int // credits + NACKs visible on the output's backward wires
-	Retained   int // shifter entries + replay-queue flits in the transmitter
+	Flits  int // flits visible on the port's input wire
+	NACKs  int // NACKs visible on the output's backward wire
+	Replay int // replay-queue flits in the transmitter
 }
 
 // CheckPortMarks asserts mask soundness for one port: a clear rxPending
-// bit means no visible flit, a clear txPending bit no visible credit or
-// NACK, a clear txHeld bit empty shifters and no replay queue. A
-// violation means a delivery or a send failed to mark the mask, and the
-// router would never service that traffic.
+// bit means no visible flit, a clear txPending bit no visible NACK
+// (credits are counters, not arrivals, and are no part of the law), and
+// a clear txReplay bit an empty replay queue. A violation means a
+// delivery or a NACK drain failed to mark the mask, and the router would
+// never service that traffic.
 func (c *Checker) CheckPortMarks(cycle uint64, node int32, port int8, m PortMarks) {
 	if !m.RxPending && m.Flits > 0 {
 		c.reportf("port-masks", cycle, node, port, -1, 0,
 			"rxPending clear with %d flit(s) visible on the input wire", m.Flits)
 	}
-	if !m.TxPending && m.Handshakes > 0 {
+	if !m.TxPending && m.NACKs > 0 {
 		c.reportf("port-masks", cycle, node, port, -1, 0,
-			"txPending clear with %d credit/NACK(s) visible on the backward wires", m.Handshakes)
+			"txPending clear with %d NACK(s) visible on the backward wire", m.NACKs)
 	}
-	if !m.TxHeld && m.Retained > 0 {
+	if !m.TxReplay && m.Replay > 0 {
 		c.reportf("port-masks", cycle, node, port, -1, 0,
-			"txHeld clear with %d flit(s) in shifters or replay queue", m.Retained)
+			"txReplay clear with %d flit(s) in the replay queue", m.Replay)
 	}
 }
 

@@ -264,19 +264,19 @@ func TestViolationErrorRendering(t *testing.T) {
 // violation carrying cycle, node and port; a set bit over an idle port is
 // only a wasted poll.
 func TestCheckPortMarks(t *testing.T) {
-	busy := PortMarks{Flits: 1, Handshakes: 2, Retained: 3}
+	busy := PortMarks{Flits: 1, NACKs: 2, Replay: 4}
 	cases := []struct {
 		name  string
 		marks PortMarks
 		want  []string // substrings, one per expected violation, in order
 	}{
 		{"idle port, bits clear", PortMarks{}, nil},
-		{"idle port, bits set", PortMarks{RxPending: true, TxPending: true, TxHeld: true}, nil},
-		{"busy port, bits set", PortMarks{RxPending: true, TxPending: true, TxHeld: true, Flits: 1, Handshakes: 2, Retained: 3}, nil},
-		{"flit behind a clear rxPending", PortMarks{TxPending: true, TxHeld: true, Flits: busy.Flits}, []string{"rxPending clear with 1 flit"}},
-		{"credit behind a clear txPending", PortMarks{RxPending: true, Handshakes: busy.Handshakes}, []string{"txPending clear with 2 credit"}},
-		{"shifter behind a clear txHeld", PortMarks{Retained: busy.Retained}, []string{"txHeld clear with 3 flit"}},
-		{"everything dropped", busy, []string{"rxPending", "txPending", "txHeld"}},
+		{"idle port, bits set", PortMarks{RxPending: true, TxPending: true, TxReplay: true}, nil},
+		{"busy port, bits set", PortMarks{RxPending: true, TxPending: true, TxReplay: true, Flits: 1, NACKs: 2, Replay: 4}, nil},
+		{"flit behind a clear rxPending", PortMarks{TxPending: true, TxReplay: true, Flits: busy.Flits}, []string{"rxPending clear with 1 flit"}},
+		{"NACK behind a clear txPending", PortMarks{RxPending: true, NACKs: busy.NACKs}, []string{"txPending clear with 2 NACK"}},
+		{"replay behind a clear txReplay", PortMarks{RxPending: true, Replay: busy.Replay}, []string{"txReplay clear with 4 flit"}},
+		{"everything dropped", busy, []string{"rxPending", "txPending", "txReplay"}},
 	}
 	for _, tc := range cases {
 		c := New(Config{})

@@ -42,9 +42,9 @@ func TestTransmitterArena(t *testing.T) {
 	}
 }
 
-// The running occupancy count and Held must track the shifters through
-// every way an entry can leave: expiry, a link-error NACK draining into
-// the replay queue, replay re-capturing, and abandonment.
+// What the send window says the transmitter holds must track a walk of
+// the shifters through every way an entry can leave: expiry, a link-error
+// NACK draining into the replay queue, and replay re-capturing.
 func TestTransmitterHeldTracksRetained(t *testing.T) {
 	corr := &scriptedCorruptor{plan: map[int]int{1: 2}} // second traversal: double error
 	h := newHarness(HBH, corr, 8, packet4())
@@ -56,9 +56,6 @@ func TestTransmitterHeldTracksRetained(t *testing.T) {
 		if want := h.tx.Retained() - h.tx.PendingReplay(); occ != want {
 			t.Fatalf("cycle %d: ShifterOccupancy %d, shifters hold %d", i, occ, want)
 		}
-		if h.tx.Held() != (h.tx.Retained() > 0) {
-			t.Fatalf("cycle %d: Held %v with %d retained", i, h.tx.Held(), h.tx.Retained())
-		}
 		if msg := h.tx.AuditRetrans(h.k.Cycle()); msg != "" {
 			t.Fatalf("cycle %d: %s", i, msg)
 		}
@@ -67,8 +64,8 @@ func TestTransmitterHeldTracksRetained(t *testing.T) {
 	if !sawReplay {
 		t.Fatal("the scripted double error never reached the replay queue")
 	}
-	if len(h.accepted) != 4 || h.tx.Held() {
-		t.Fatalf("accepted %d flits, held %v; want 4 and nothing held", len(h.accepted), h.tx.Held())
+	if len(h.accepted) != 4 || h.tx.Retained() != 0 {
+		t.Fatalf("accepted %d flits, %d retained; want 4 and nothing retained", len(h.accepted), h.tx.Retained())
 	}
 }
 

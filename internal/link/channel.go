@@ -108,14 +108,39 @@ const (
 	NACKLatency   = 2
 )
 
+// creditVC is one virtual channel's share of the credit wire. A credit
+// carries nothing but its VC, so the wire is a pair of counters instead
+// of a queue: next counts the credits sent during cycle nextAt-1, which
+// become visible at nextAt, and ready those visible already and not yet
+// taken. CreditLatency is one cycle, so whatever next holds when a later
+// cycle's first credit arrives is visible by then and moves to ready —
+// two slots are exact. Sending is one increment; nothing is queued,
+// delivered or marked, and the transmitter picks the visible credits up
+// the next time it reads its counter (takeCredits).
+type creditVC struct {
+	ready  int32
+	next   int32
+	nextAt uint64
+}
+
+// The two-slot credit wire is exact only for a one-cycle latency.
+var _ [1]struct{} = [CreditLatency]struct{}{}
+
 // Channel is one direction of an inter-router (or PE-router) connection:
-// a flit wire forward, and credit + NACK wires backward. The three wires
-// live inside the channel's own block, so polling an idle one touches no
+// a flit wire forward, and credit + NACK wires backward. The wires live
+// inside the channel's own block, so polling an idle one touches no
 // other memory; a Channel must not be copied.
 type Channel struct {
-	flits   sim.Pipe[flit.Flit]
-	credits sim.Pipe[Credit]
-	nacks   sim.Pipe[NACK]
+	flits sim.Pipe[flit.Flit]
+	nacks sim.Pipe[NACK]
+	k     *sim.Kernel
+
+	// cred is the credit wire, one entry per VC (see creditVC). It windows
+	// fewVCs until a channel carries more VCs than that, so the usual
+	// channel allocates nothing for it. credOut backs RecvCredits.
+	cred    []creditVC
+	fewVCs  [4]creditVC
+	credOut []Credit
 
 	injector fault.Corruptor // nil for fault-free channels
 	events   *stats.Events
@@ -151,15 +176,27 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
 	c := &Channel{
+		k:        k,
 		injector: injector,
 		events:   events,
 		counters: counters,
 		local:    local,
 	}
 	c.flits.Init(k, FlitLatency)
-	c.credits.Init(k, CreditLatency)
 	c.nacks.Init(k, NACKLatency)
 	return c
+}
+
+// fitCredits sizes the credit wire for at least vcs virtual channels,
+// keeping what it holds.
+func (c *Channel) fitCredits(vcs int) {
+	switch {
+	case vcs <= len(c.cred):
+	case vcs <= len(c.fewVCs):
+		c.cred = c.fewVCs[:vcs]
+	default:
+		c.cred = append(make([]creditVC, 0, vcs), c.cred...)[:vcs]
+	}
 }
 
 // Send puts a flit on the wire, applying fault injection. It returns the
@@ -191,11 +228,49 @@ func (c *Channel) Recv() (flit.Flit, bool) { return c.flits.Pop() }
 // SendCredit returns a buffer slot to the transmitter.
 func (c *Channel) SendCredit(vc uint8) {
 	c.events.Credits++
-	c.credits.Push(Credit{VC: vc})
+	c.addCredit(vc)
 }
 
-// RecvCredits drains all credits visible this cycle.
-func (c *Channel) RecvCredits() []Credit { return c.credits.PopAll() }
+// addCredit puts one credit on the wire, visible next cycle.
+func (c *Channel) addCredit(vc uint8) {
+	if int(vc) >= len(c.cred) {
+		c.fitCredits(int(vc) + 1)
+	}
+	cv := &c.cred[vc]
+	if at := c.k.Cycle() + CreditLatency; cv.nextAt != at {
+		cv.ready += cv.next // an earlier cycle's credits: visible by now
+		cv.next, cv.nextAt = 0, at
+	}
+	cv.next++
+}
+
+// takeCredits removes and returns the credits visible on vc's wire this
+// cycle. vc must be one the wire was sized for.
+func (c *Channel) takeCredits(vc int) int {
+	cv := &c.cred[vc]
+	n := cv.ready
+	cv.ready = 0
+	if cv.next != 0 && cv.nextAt <= c.k.Cycle() {
+		n += cv.next
+		cv.next = 0
+	}
+	return int(n)
+}
+
+// RecvCredits drains all credits visible this cycle, grouped by VC. It is
+// the bare-wire view for an end with no Transmitter; a Transmitter takes
+// its credits itself, as it reads its counters. The returned slice is
+// valid until the next RecvCredits.
+func (c *Channel) RecvCredits() []Credit {
+	out := c.credOut[:0]
+	for vc := range c.cred {
+		for n := c.takeCredits(vc); n > 0; n-- {
+			out = append(out, Credit{VC: uint8(vc)})
+		}
+	}
+	c.credOut = out
+	return out
+}
 
 // SendNACK raises the error handshake toward the transmitter.
 func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
@@ -248,15 +323,13 @@ func (c *Channel) InFlightData(vc int) int {
 }
 
 // InFlightCredits counts the credits anywhere in the backward credit wire
-// for the given VC. Invariant-checker inspection.
+// for the given VC, visible or not, without taking them.
+// Invariant-checker inspection.
 func (c *Channel) InFlightCredits(vc int) int {
-	n := 0
-	c.credits.Each(func(cr Credit) {
-		if int(cr.VC) == vc {
-			n++
-		}
-	})
-	return n
+	if vc < 0 || vc >= len(c.cred) {
+		return 0
+	}
+	return int(c.cred[vc].ready + c.cred[vc].next)
 }
 
 // EachDataFlit visits every data flit anywhere in the forward wire.
@@ -287,7 +360,7 @@ func (c *Channel) DestroyData(vc int, fn func(flit.Flit)) int {
 			return
 		}
 		n++
-		c.credits.Push(Credit{VC: f.VC})
+		c.addCredit(f.VC)
 		if fn != nil {
 			fn(f)
 		}
@@ -312,10 +385,10 @@ func (c *Channel) MarkRx(mask *uint8, bit uint8) {
 	c.flits.SetDelivery(c.flits.Delivery().WithMark(mask, bit))
 }
 
-// MarkTx makes a credit or a NACK becoming visible to the transmitter set
-// bit in *mask.
+// MarkTx makes a NACK becoming visible to the transmitter set bit in
+// *mask. Credits mark nothing: they are counters the transmitter reads
+// when it next needs one (see creditVC), not arrivals to be polled for.
 func (c *Channel) MarkTx(mask *uint8, bit uint8) {
-	c.credits.SetDelivery(c.credits.Delivery().WithMark(mask, bit))
 	c.nacks.SetDelivery(c.nacks.Delivery().WithMark(mask, bit))
 }
 
@@ -323,22 +396,21 @@ func (c *Channel) MarkTx(mask *uint8, bit uint8) {
 func (c *Channel) WakeRx(h sim.Handle) { c.flits.SetDelivery(c.flits.Delivery().WithWake(h)) }
 
 // WakeTx wakes actor h — the transmitter's owner — whenever a NACK
-// becomes visible. Credits never wake: they accumulate unobserved in the
-// visible slot (marking the owner's mask, if it has one) and are drained
-// by the owner's BeginCycle whenever it next ticks, before any decision
-// depends on them. NACKs must wake because relaxed quiescence lets the
-// owner sleep with occupied retransmission shifters and a timed wake at
-// the oldest entry's expiry: a misroute or recovery NACK can arrive
-// before that deadline and has to be processed on its exact visibility
-// cycle. (A link-error NACK is visible exactly NACKWindow cycles after
-// the flawed flit was sent, which coincides with that flit's expiry
-// wake.)
+// becomes visible. It is the only wake the backward side of a link
+// needs. Credits never wake: they accumulate in their counters and are
+// folded in when the owner next reads one, before any decision depends on
+// them. Occupied retransmission shifters need no wake either: an entry's
+// NACK window closes by the clock, whether or not the owner ticks (see
+// Transmitter). What the owner must act on, on its exact visibility
+// cycle, is a NACK — a link-error NACK draining the shifter into the
+// replay queue, a neighbour's misroute report, recovery on/off — and the
+// owner may be asleep with in-window entries when one arrives.
 func (c *Channel) WakeTx(h sim.Handle) { c.nacks.SetDelivery(c.nacks.Delivery().WithWake(h)) }
 
-// VisibleFlits and VisibleHandshakes count what each end would see if it
-// polled now: flits on the forward wire, credits plus NACKs on the
-// backward wires. Invariant-checker inspection (mask soundness).
+// VisibleFlits and VisibleNACKs count what each end would see if it
+// polled now: flits on the forward wire, NACKs on the backward one.
+// Invariant-checker inspection (mask soundness).
 func (c *Channel) VisibleFlits() int { return c.flits.Visible() }
 
-// VisibleHandshakes: see VisibleFlits.
-func (c *Channel) VisibleHandshakes() int { return c.credits.Visible() + c.nacks.Visible() }
+// VisibleNACKs: see VisibleFlits.
+func (c *Channel) VisibleNACKs() int { return c.nacks.Visible() }

@@ -122,8 +122,8 @@ func TestTransmitterAbandon(t *testing.T) {
 	for _, f := range flitsOnVC(2, 1, 2) {
 		h.tx.Send(f, 1, 0)
 	}
-	if occ, _ := h.tx.ShifterOccupancy(); occ != 5 || !h.tx.Held() {
-		t.Fatalf("ShifterOccupancy = %d (held %v), want 5 held", occ, h.tx.Held())
+	if occ, _ := h.tx.ShifterOccupancy(); occ != 5 || h.tx.Retained() != 5 {
+		t.Fatalf("ShifterOccupancy = %d (%d retained), want 5", occ, h.tx.Retained())
 	}
 	if h.tx.Channel() != h.ch {
 		t.Fatal("Channel() does not return the wired channel")
@@ -150,8 +150,8 @@ func TestTransmitterAbandon(t *testing.T) {
 	}
 
 	h.tx.AbandonAll(nil)
-	if occ, _ := h.tx.ShifterOccupancy(); occ != 0 || h.tx.Held() {
-		t.Fatalf("ShifterOccupancy = %d (held %v) after AbandonAll, want 0 and nothing held", occ, h.tx.Held())
+	if occ, _ := h.tx.ShifterOccupancy(); occ != 0 || h.tx.Retained() != 0 {
+		t.Fatalf("ShifterOccupancy = %d (%d retained) after AbandonAll, want 0 and nothing retained", occ, h.tx.Retained())
 	}
 	if n := h.tx.PendingReplay(); n != 0 {
 		t.Fatalf("PendingReplay = %d after AbandonAll, want 0", n)

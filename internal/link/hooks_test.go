@@ -20,8 +20,7 @@ func (n *napper) Quiescent(uint64) (bool, uint64) { return true, 0 }
 
 // The channel's two ends are hooked independently: flits mark and wake
 // the receiver's owner, NACKs mark and wake the transmitter's owner, and
-// credits only mark — they never wake, so a sleeping owner's schedule is
-// exactly what it was before the masks existed.
+// credits do neither — they wait in their counters to be read.
 func TestChannelHooks(t *testing.T) {
 	var k sim.Kernel
 	k.SetMode(sim.ModeEvent)
@@ -62,16 +61,15 @@ func TestChannelHooks(t *testing.T) {
 	nRx = len(rxA.ticks)
 	ch.SendCredit(1)
 	k.Run(CreditLatency + 1)
-	if txMask != 1<<4 || rxMask != 0 {
-		t.Fatalf("after a credit: tx mask %#x rx mask %#x, want %#x and 0", txMask, rxMask, 1<<4)
+	if txMask != 0 || rxMask != 0 {
+		t.Fatalf("after a credit: tx mask %#x rx mask %#x, want both 0", txMask, rxMask)
 	}
 	if len(txA.ticks) != nTx || len(rxA.ticks) != nRx {
-		t.Fatal("a credit woke somebody; credits must only mark")
+		t.Fatal("a credit woke somebody; credits must neither mark nor wake")
 	}
-	if ch.VisibleHandshakes() != 1 || len(ch.RecvCredits()) != 1 || ch.VisibleHandshakes() != 0 {
-		t.Fatal("credit not visible exactly once")
+	if ch.InFlightCredits(1) != 1 || len(ch.RecvCredits()) != 1 || ch.InFlightCredits(1) != 0 || len(ch.RecvCredits()) != 0 {
+		t.Fatal("credit not readable exactly once")
 	}
-	txMask = 0
 
 	sentAt := k.Cycle()
 	ch.SendNACK(0, NACKMisroute)

@@ -18,6 +18,12 @@ const NACKWindow = 3
 // once the NACK window has elapsed without complaint. On a NACK, the
 // still-buffered flits (the corrupted one plus any sent after it) are
 // drained, in order, for retransmission.
+//
+// Nothing shifts per cycle. Every entry carries the cycle it was sent at
+// and entries sit in send order, so which of them are still inside their
+// window is a comparison against the clock: the expired ones are a
+// prefix, and whoever next captures into the buffer or takes entries out
+// of it drops that prefix first.
 type RetransBuffer struct {
 	depth int
 	// ring is a fixed-size circular buffer: entries live at
@@ -64,11 +70,13 @@ func (rb *RetransBuffer) Len() int { return rb.count }
 // Empty reports whether no flit is retained.
 func (rb *RetransBuffer) Empty() bool { return rb.count == 0 }
 
-// Capture stores a copy of a flit transmitted at the given cycle. It
-// panics if the shifter is full: the flow-control invariant is that at
+// Capture stores a copy of a flit transmitted at the given cycle, first
+// freeing the slots whose window has elapsed by then (Expire). It panics
+// if the shifter is still full: the flow-control invariant is that at
 // most NACKWindow flits can be inside their NACK window at once, so
-// overflow indicates the transmitter failed to call Expire each cycle.
+// overflow means the sender outran its own window.
 func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
+	rb.Expire(cycle)
 	if rb.count >= rb.depth {
 		panic(fmt.Sprintf("link: retransmission buffer overflow (depth %d)", rb.depth))
 	}
@@ -78,14 +86,24 @@ func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
 
 // Expire discards entries whose NACK window has elapsed: a flit sent at
 // cycle s has its NACK, if any, visible at the transmitter at exactly
-// s+NACKWindow, so once that cycle's NACKs have been processed (the
-// caller runs Expire after NACK ingestion) the slot is free — the
-// barrel-shift to the front and off the end. Freeing at s+NACKWindow is
-// what lets a 3-deep shifter sustain one flit per cycle. It returns the
-// number of slots freed.
-func (rb *RetransBuffer) Expire(cycle uint64) int {
+// s+NACKWindow, so once that cycle's NACKs have been processed (a sender
+// ingests NACKs before it sends) the slot is free — the barrel-shift to
+// the front and off the end. Freeing at s+NACKWindow is what lets a
+// 3-deep shifter sustain one flit per cycle. It returns the number of
+// slots freed.
+func (rb *RetransBuffer) Expire(cycle uint64) int { return rb.settle(cycle + 1) }
+
+// live reports whether an entry sent at cycle sent is still inside its
+// NACK window at clock: through cycle sent+NACKWindow, on which its NACK
+// can still arrive, and gone at the boundary after it. That is what
+// expiring every cycle leaves behind.
+func live(sent, clock uint64) bool { return sent+NACKWindow >= clock }
+
+// settle drops the entries no longer live at clock and returns how many
+// went.
+func (rb *RetransBuffer) settle(clock uint64) int {
 	n := 0
-	for rb.count > 0 && cycle >= rb.ring[rb.head].sent+NACKWindow {
+	for rb.count > 0 && !live(rb.ring[rb.head].sent, clock) {
 		rb.head = rb.slot(1)
 		rb.count--
 		n++
@@ -93,14 +111,13 @@ func (rb *RetransBuffer) Expire(cycle uint64) int {
 	return n
 }
 
-// OldestSent returns the transmission cycle of the oldest retained flit;
-// ok is false when the buffer is empty. Invariant checkers use it to
-// assert no entry outlives its NACK window.
-func (rb *RetransBuffer) OldestSent() (cycle uint64, ok bool) {
-	if rb.count == 0 {
-		return 0, false
+// expired counts the entries settle(clock) would drop, dropping nothing.
+func (rb *RetransBuffer) expired(clock uint64) int {
+	n := 0
+	for n < rb.count && !live(rb.ring[rb.slot(n)].sent, clock) {
+		n++
 	}
-	return rb.ring[rb.head].sent, true
+	return n
 }
 
 // Drain removes and returns all retained flits, oldest first. The caller

@@ -16,13 +16,22 @@ import (
 // replay queue that services NACKs. The FIFO "transmission buffer" of
 // Fig. 3 is the upstream input-VC buffer feeding this port; the router
 // owns it.
+//
+// The backward side of the hop costs nothing until it is read. Credits
+// are counters on the channel, folded in by Credits. A shifter entry sent
+// at cycle s is live while s+NACKWindow >= the kernel clock, whoever
+// ticks in between: nothing expires entries cycle by cycle, the code that
+// captures, drains or inspects a shifter discounts the expired prefix
+// itself, and the owner needs no wake for an entry's sake — only for a
+// NACK (Channel.WakeTx), which BeginCycle ingests.
 type Transmitter struct {
 	ch  *Channel
 	vcs []txVC
-	// inShifters is the summed occupancy of every VC's shifter, maintained
-	// where entries are captured, expired and drained, so occupancy and
-	// "anything held?" are O(1) for per-cycle samplers and port masks.
-	inShifters int
+	// sends counts this transmitter's live shifter entries by send cycle;
+	// total, when set (CountInto), is a window the same captures and drains
+	// are also counted in — a router's, summing all its ports.
+	sends SendWindow
+	total *SendWindow
 	// replay[replayHead:] is the pending replay queue; the backing array
 	// is recycled once it drains.
 	replay     []flit.Flit
@@ -46,6 +55,45 @@ type Transmitter struct {
 type txVC struct {
 	credits int
 	shifter RetransBuffer
+}
+
+// SendWindow counts shifter captures by the cycle they were made on:
+// slot s%len holds the captures of cycle s (= at) that no drain has taken
+// back. The live entries are exactly those of the last NACKWindow+1 send
+// cycles the clock still covers, so the occupancy of the shifters counted
+// into a window — Fig. 9's metric — is a sum over its slots: O(1), and
+// exact at every cycle whether or not anybody ticked.
+type SendWindow [NACKWindow + 1]sendCount
+
+type sendCount struct {
+	at uint64
+	n  int
+}
+
+// add counts n captures made at cycle. A cycle older than the slot's
+// can only be out of every window already, and is dropped.
+func (w *SendWindow) add(cycle uint64, n int) {
+	switch s := &w[cycle%uint64(len(w))]; {
+	case s.at == cycle:
+		s.n += n
+	case s.at < cycle:
+		*s = sendCount{at: cycle, n: n}
+	}
+}
+
+// drop takes back one capture of a live entry sent at cycle sent; its
+// slot cannot have been reused while the entry is live.
+func (w *SendWindow) drop(sent uint64) { w[sent%uint64(len(w))].n-- }
+
+// Live sums the captures still inside their NACK window at clock.
+func (w *SendWindow) Live(clock uint64) int {
+	n := 0
+	for i := range w {
+		if s := &w[i]; live(s.at, clock) {
+			n += s.n
+		}
+	}
+	return n
 }
 
 // SetTrace attaches the structured event bus and this transmitter's
@@ -87,6 +135,7 @@ func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *s
 		events:   events,
 		counters: counters,
 	}
+	ch.fitCredits(vcs)
 	arena := make([]retransEntry, vcs*shifterDepth)
 	for i := range t.vcs {
 		t.vcs[i].credits = downstreamCap
@@ -98,23 +147,46 @@ func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *s
 	return t
 }
 
-// drainShifter moves a VC's retained flits onto dst, oldest first.
+// clock is the kernel's cycle: the one being ticked, or between steps the
+// next one to tick.
+func (t *Transmitter) clock() uint64 { return t.ch.k.Cycle() }
+
+// CountInto makes w count this transmitter's captures and drains too,
+// beginning with the entries it holds now. A router gives all its output
+// ports one window, so its occupancy sampler reads one sum.
+func (t *Transmitter) CountInto(w *SendWindow) {
+	for _, s := range t.sends {
+		w.add(s.at, s.n)
+	}
+	t.total = w
+}
+
+// drainShifter moves a VC's live flits onto dst, oldest first, and takes
+// them out of the occupancy windows.
 func (t *Transmitter) drainShifter(vc int, dst []flit.Flit) []flit.Flit {
 	sh := &t.vcs[vc].shifter
-	t.inShifters -= sh.Len()
+	sh.settle(t.clock())
+	for i := 0; i < sh.count; i++ {
+		sent := sh.ring[sh.slot(i)].sent
+		t.sends.drop(sent)
+		if t.total != nil {
+			t.total.drop(sent)
+		}
+	}
 	return sh.AppendDrain(dst)
 }
 
-// BeginCycle ingests the cycle's incoming handshakes: credits replenish
-// counters; link-error NACKs drain the affected shifter into the replay
-// queue. NACKs of other kinds (AC invalidations, misroute reports) are
-// returned for the router to act on — their flits stay in the shifters
-// until the router Recalls them. Must be called exactly once per cycle,
-// before any send, and must be followed by ExpireShifters once the
-// returned NACKs have been handled.
+// BeginCycle ingests the NACKs visible this cycle: link-error NACKs drain
+// the affected shifter into the replay queue; NACKs of other kinds (AC
+// invalidations, misroute reports) are returned for the router to act on
+// — their flits stay in the shifters until the router Recalls them. It
+// must run before the cycle's sends on any cycle a NACK is visible, and
+// costs one look at an empty wire on any other. The returned slice is
+// valid until the next BeginCycle.
 func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
-	var routerNACKs []NACK
-	for _, n := range t.ch.RecvNACKs() {
+	ns := t.ch.RecvNACKs()
+	routerNACKs := ns[:0] // filtered in place: the wire's own scratch
+	for _, n := range ns {
 		if n.Kind != NACKLinkError {
 			routerNACKs = append(routerNACKs, n)
 			continue
@@ -124,37 +196,33 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 		}
 		t.replay = t.drainShifter(int(n.VC), t.replay)
 	}
-	for _, c := range t.ch.RecvCredits() {
-		if int(c.VC) < len(t.vcs) {
-			t.vcs[c.VC].credits++
-		}
-	}
 	return routerNACKs
 }
 
-// ExpireShifters frees retransmission-buffer slots whose NACK window has
-// elapsed. It must run every cycle after BeginCycle's NACKs — including
-// misroute NACKs, whose Recall must see the full window — have been
-// processed, and before any send.
+// ExpireShifters frees the retransmission-buffer slots no longer live at
+// cycle now, rather than when they are next touched. Nothing depends on
+// it being called — expiry is by the clock (see Transmitter) — and it
+// changes nothing another method reports. A hand-wired sender may keep
+// calling it after BeginCycle.
 func (t *Transmitter) ExpireShifters(cycle uint64) {
-	if t.inShifters == 0 {
-		return
-	}
 	for i := range t.vcs {
-		if sh := &t.vcs[i].shifter; !sh.Empty() {
-			t.inShifters -= sh.Expire(cycle)
-		}
+		t.vcs[i].shifter.settle(cycle)
 	}
 }
 
-// Credits returns the free downstream slots for a VC.
-func (t *Transmitter) Credits(vc int) int { return t.vcs[vc].credits }
+// Credits returns the free downstream slots for a VC, first folding in
+// the credits that have become visible on the channel since the last
+// read.
+func (t *Transmitter) Credits(vc int) int {
+	tv := &t.vcs[vc]
+	tv.credits += t.ch.takeCredits(vc)
+	return tv.credits
+}
 
-// Held reports whether the transmitter still owes per-cycle service: a
-// shifter entry awaiting expiry or a replay flit awaiting the wire. When
-// false and no handshake is visible, BeginCycle, ExpireShifters and
-// TickReplay are all no-ops.
-func (t *Transmitter) Held() bool { return t.inShifters > 0 || t.HasReplay() }
+// FoldedCredits is Credits without the fold: the counter as it stands,
+// leaving visible credits on the channel (where InFlightCredits counts
+// them). Invariant-checker inspection.
+func (t *Transmitter) FoldedCredits(vc int) int { return t.vcs[vc].credits }
 
 // HasReplay reports whether NACKed flits are waiting to be re-sent; while
 // true the router must not grant new flits to this port (replay has
@@ -169,7 +237,7 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 	}
 	f := t.replay[t.replayHead]
 	vc := int(f.VC)
-	if t.vcs[vc].credits <= 0 {
+	if t.Credits(vc) <= 0 {
 		// The credits returned by the receiver's drops are still in
 		// flight; the port idles this cycle but stays reserved.
 		return true
@@ -196,7 +264,7 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 // capturing a clean copy in the VC's retransmission buffer. The caller
 // must have checked Credits(vc) > 0 and HasReplay() == false.
 func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) {
-	if t.vcs[vc].credits <= 0 {
+	if t.Credits(vc) <= 0 {
 		panic("link: send without credit")
 	}
 	if t.HasReplay() {
@@ -224,7 +292,10 @@ func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
 		}
 	}
 	tv.shifter.Capture(stored, cycle)
-	t.inShifters++
+	t.sends.add(cycle, 1)
+	if t.total != nil {
+		t.total.add(cycle, 1)
+	}
 	t.events.RetransWrites++
 	t.ch.Send(f)
 }
@@ -238,38 +309,20 @@ func (t *Transmitter) SendControl(f flit.Flit) {
 	t.ch.Send(f)
 }
 
-// EarliestExpiry returns the earliest cycle at which any retransmission-
-// buffer entry on this port expires (oldest capture + NACKWindow), and
-// whether such an entry exists. It is the timed-wake deadline that lets a
-// router sleep with occupied shifters: no entry can expire — and no
-// link-error NACK for one can arrive — before that cycle.
-func (t *Transmitter) EarliestExpiry() (cycle uint64, ok bool) {
-	if t.inShifters == 0 {
-		return 0, false
-	}
-	for i := range t.vcs {
-		if sent, has := t.vcs[i].shifter.OldestSent(); has {
-			if !ok || sent+NACKWindow < cycle {
-				cycle, ok = sent+NACKWindow, true
-			}
-		}
-	}
-	return cycle, ok
-}
-
 // ShifterOccupancy returns the summed occupancy and capacity of the
 // port's retransmission buffers, for the Fig. 9 utilization metric.
 func (t *Transmitter) ShifterOccupancy() (occupied, capacity int) {
-	return t.inShifters, len(t.vcs) * t.vcs[0].shifter.Depth()
+	return t.sends.Live(t.clock()), len(t.vcs) * t.vcs[0].shifter.Depth()
 }
 
 // Retained counts the flits the transmitter can still resend, by walking
-// the shifters and the replay queue rather than trusting the running
-// count Held reads. Invariant-checker inspection (mask soundness).
+// the shifters and the replay queue rather than trusting the send
+// window. Invariant-checker and test inspection.
 func (t *Transmitter) Retained() int {
-	n := t.PendingReplay()
-	for i := range t.vcs {
-		n += t.vcs[i].shifter.Len()
+	n, clock := t.PendingReplay(), t.clock()
+	for vc := range t.vcs {
+		sh := &t.vcs[vc].shifter
+		n += sh.count - sh.expired(clock)
 	}
 	return n
 }
@@ -282,37 +335,47 @@ func (t *Transmitter) PendingReplay() int { return len(t.replay) - t.replayHead 
 func (t *Transmitter) Channel() *Channel { return t.ch }
 
 // EachRetained visits every flit the transmitter can still resend: the
-// pending replay queue followed by each VC's retransmission buffer.
-// Invariant-checker inspection.
+// pending replay queue followed by each VC's live shifter entries, oldest
+// first, settling nothing. Invariant-checker inspection.
 func (t *Transmitter) EachRetained(fn func(flit.Flit)) {
 	for _, f := range t.replay[t.replayHead:] {
 		fn(f)
 	}
-	for i := range t.vcs {
-		for _, f := range t.vcs[i].shifter.Snapshot() {
-			fn(f)
+	clock := t.clock()
+	for vc := range t.vcs {
+		sh := &t.vcs[vc].shifter
+		for i := sh.expired(clock); i < sh.count; i++ {
+			fn(sh.ring[sh.slot(i)].f)
 		}
 	}
 }
 
 // AuditRetrans checks the retransmission machinery's soundness at a cycle
-// boundary (clock = the cycle about to be ticked): every shifter entry
-// must still be inside its NACK window — Expire frees slots at
-// sent+NACKWindow, so an older entry means the expiry clock was skipped —
-// the running occupancy count must equal the shifters' summed lengths,
-// and every queued replay flit must name a real VC, or it could never be
-// resent. It returns a description of the first violation, or "".
+// boundary (clock = the cycle about to be ticked), without settling
+// anything: every shifter must hold its entries in send order — expiry
+// drops a prefix, so an out-of-order entry would outlive or underlive its
+// window — no VC may have more than NACKWindow entries live, the
+// occupancy the send window reports must equal a walk of the live
+// entries, and every queued replay flit must name a real VC, or it could
+// never be resent. It returns a description of the first violation, or
+// "".
 func (t *Transmitter) AuditRetrans(clock uint64) string {
-	sum := 0
+	walked := 0
 	for vc := range t.vcs {
-		sum += t.vcs[vc].shifter.Len()
-		if sent, ok := t.vcs[vc].shifter.OldestSent(); ok && clock > sent+NACKWindow {
-			return fmt.Sprintf("vc %d: shifter entry sent at %d still present at %d (window %d)",
-				vc, sent, clock, NACKWindow)
+		sh := &t.vcs[vc].shifter
+		for i := 1; i < sh.count; i++ {
+			if a, b := sh.ring[sh.slot(i-1)].sent, sh.ring[sh.slot(i)].sent; a > b {
+				return fmt.Sprintf("vc %d: shifter entry sent at %d sits ahead of one sent at %d", vc, a, b)
+			}
 		}
+		inWindow := sh.count - sh.expired(clock)
+		if inWindow > NACKWindow {
+			return fmt.Sprintf("vc %d: %d entries inside a %d-cycle NACK window at %d", vc, inWindow, NACKWindow, clock)
+		}
+		walked += inWindow
 	}
-	if sum != t.inShifters {
-		return fmt.Sprintf("occupancy count %d but shifters hold %d", t.inShifters, sum)
+	if occ := t.sends.Live(clock); occ != walked {
+		return fmt.Sprintf("send window reports %d occupied at %d but shifters hold %d live entries", occ, clock, walked)
 	}
 	for _, f := range t.replay[t.replayHead:] {
 		if int(f.VC) >= len(t.vcs) {

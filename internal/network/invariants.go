@@ -19,7 +19,11 @@ import (
 // holds because every send pairs a credit decrement with a wire copy,
 // and every arrival either occupies a credited buffer slot or returns
 // its credit (drop windows, NACK drops, force-drops, parking, ejection).
-// Replay/shifter copies and recovery-parked flits hold no credits.
+// Replay/shifter copies and recovery-parked flits hold no credits. The
+// audit reads the transmitter's counter as it stands (FoldedCredits) and
+// the channel's counters beside it, taking nothing: a credit is counted
+// once wherever it is, so the sum does not depend on whether the
+// transmitter has folded it in yet.
 type creditLoop struct {
 	tx   *link.Transmitter
 	rx   *link.Receiver // receiving end (tests reach its fault hooks here)
@@ -66,7 +70,8 @@ func (n *Network) watchLink(tx *link.Transmitter, rx *link.Receiver, ch *link.Ch
 // port-mask soundness at both router ends of every loop (what the wires
 // and the transmitter actually hold against the mask bits that drive
 // the routers' ticks), each router's internal consistency (VA bindings,
-// occupancy counts, retransmission-buffer ages, probe-memory bounds),
+// occupancy counts, retransmission-buffer windows, probe-memory bounds),
+// the allocator masks against the VC states they summarise,
 // quiescence safety — a kernel-asleep actor
 // must still satisfy its own Quiescent predicate, proving idle-skipping
 // never slept a live component — and recovery-episode liveness.
@@ -74,24 +79,24 @@ func (n *Network) checkState(clock uint64) {
 	inv := n.inv
 	for _, lp := range n.loops {
 		for vc := 0; vc < n.cfg.VCs; vc++ {
-			have := lp.tx.Credits(vc) + lp.ch.InFlightCredits(vc) + lp.ch.InFlightData(vc)
+			credits, onWire, data := lp.tx.FoldedCredits(vc), lp.ch.InFlightCredits(vc), lp.ch.InFlightData(vc)
+			buffered := 0
 			if !lp.toPE {
-				have += n.routers[lp.downNode].VCBufLen(lp.downPort, vc)
+				buffered = n.routers[lp.downNode].VCBufLen(lp.downPort, vc)
 			}
-			if have != n.cfg.BufDepth {
+			if credits+onWire+data+buffered != n.cfg.BufDepth {
 				inv.Report(invariant.Violation{
 					Check: "credits", Cycle: clock, Node: lp.node, Port: lp.port, VC: int8(vc),
 					Msg: fmt.Sprintf("credits %d + credit-wire %d + data-wire %d + buffered %d != depth %d",
-						lp.tx.Credits(vc), lp.ch.InFlightCredits(vc), lp.ch.InFlightData(vc),
-						have-lp.tx.Credits(vc)-lp.ch.InFlightCredits(vc)-lp.ch.InFlightData(vc), n.cfg.BufDepth),
+						credits, onWire, data, buffered, n.cfg.BufDepth),
 				})
 			}
 		}
 		if !lp.fromPE {
-			_, pending, held := n.routers[lp.node].PortMarks(topology.Port(lp.port))
+			_, pending, replay := n.routers[lp.node].PortMarks(topology.Port(lp.port))
 			inv.CheckPortMarks(clock, lp.node, lp.port, invariant.PortMarks{
-				TxPending: pending, Handshakes: lp.ch.VisibleHandshakes(),
-				TxHeld: held, Retained: lp.tx.Retained(),
+				TxPending: pending, NACKs: lp.ch.VisibleNACKs(),
+				TxReplay: replay, Replay: lp.tx.PendingReplay(),
 			})
 		}
 		if !lp.toPE {
@@ -105,6 +110,11 @@ func (n *Network) checkState(clock uint64) {
 		if s := r.AuditInvariants(clock); s != "" {
 			inv.Report(invariant.Violation{
 				Check: "router-state", Cycle: clock, Node: int32(i), Port: -1, VC: -1, Msg: s,
+			})
+		}
+		if s := r.AuditVCMasks(); s != "" {
+			inv.Report(invariant.Violation{
+				Check: "vc-masks", Cycle: clock, Node: int32(i), Port: -1, VC: -1, Msg: s,
 			})
 		}
 		if n.kernel.Asleep(n.routerH[i]) {

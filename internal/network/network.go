@@ -280,13 +280,14 @@ func New(cfg Config) *Network {
 
 	// Quiescence wiring: every flit pipe wakes its consuming actor as
 	// flits become visible, and every NACK pipe wakes the
-	// transmitter-owning actor (relaxed quiescence lets an actor sleep
-	// with occupied retransmission shifters — see link.Channel.WakeTx for
-	// why that makes NACK wakes necessary, and why credits need none).
-	// The wakes extend the hooks the routers installed at attachment, so
-	// one delivery both marks the router's port mask and wakes it. Only
-	// with all deliveries covered is it sound to opt the actors into idle
-	// skipping.
+	// transmitter-owning actor — an actor sleeps with shifter entries
+	// still inside their NACK window, and a NACK for one must be served on
+	// the cycle it becomes visible (link.Channel.WakeTx). Nothing else on
+	// a link wakes anybody: credits are counters read on demand, and
+	// shifter entries expire by the clock. The wakes extend the hooks the
+	// routers installed at attachment, so one delivery both marks the
+	// router's port mask and wakes it. Only with all deliveries covered is
+	// it sound to opt the actors into idle skipping.
 	for _, w := range wires {
 		h := n.routerH[w.node]
 		if w.toPE {
@@ -315,7 +316,7 @@ func New(cfg Config) *Network {
 				return occupancyFraction(r.BufferOccupancy())
 			})
 			cfg.Metrics.Register(i, "retrans-occupancy", func() float64 {
-				return occupancyFraction(r.ShifterOccupancy())
+				return occupancyFraction(r.ShifterOccupancy(n.kernel.Cycle()))
 			})
 			cfg.Metrics.Register(i, "credit-stalls", func() float64 {
 				return float64(r.CreditStalls())
@@ -490,18 +491,18 @@ func (n *Network) sampleUtilization() {
 		n.routerUtil = make([]stats.Utilization, len(n.routers))
 	}
 	// Neither read walks the router: buffer occupancy is a running count
-	// and shifter occupancy sums the held ports' running counts. A
-	// sleeping router's shifters may still hold entries awaiting their
-	// NACK-window expiry (relaxed quiescence); that frozen occupancy is
-	// exactly what the naive kernel would observe — no entry can expire
-	// before the declared wake.
+	// and shifter occupancy sums the router's sends of the last NACKWindow
+	// cycles not since drained. That is a function of the clock, so a
+	// router asleep since its last send reads exactly what the naive
+	// kernel's per-cycle expiry would leave.
+	clock := n.kernel.Cycle()
 	to, tc, ro, rc := 0, 0, 0, 0
 	for i, r := range n.routers {
 		o, c := r.BufferOccupancy()
 		n.routerUtil[i].Sample(o, c)
 		to += o
 		tc += c
-		o, c = r.ShifterOccupancy()
+		o, c = r.ShifterOccupancy(clock)
 		ro += o
 		rc += c
 	}

@@ -102,7 +102,6 @@ func (p *pe) Tick(cycle uint64) {
 	}
 	p.nextExpected = cycle + 1
 	p.tx.BeginCycle(cycle)
-	p.tx.ExpireShifters(cycle)
 	p.eject(cycle)
 	p.generate(cycle)
 	p.assign()
@@ -131,13 +130,12 @@ func (p *pe) catchUp(gap uint64) {
 // side has nothing queued, staged or in flight. Sink-side reassembly
 // state needs no attention between arrivals — every arrival wakes the PE
 // through the router->PE flit pipe. Occupied retransmission shifters do
-// not keep the PE awake: the local PE->router channel is fault-free and
-// the router never NACKs its Local input (no XY check, no recovery
-// handshake on Local ports), so the only shifter duty is expiry, covered
-// by a timed wake at the oldest entry's deadline. Two more duties are
-// purely clock-driven and covered the same way: the traffic source's
-// next injection slot and, while packet copies are retained, the next
-// retention-sweep boundary.
+// not keep the PE awake and ask for no wake: their entries leave the NACK
+// window by the clock (link.Transmitter), and a NACK, should one ever
+// come back on the PE->router channel, wakes the PE through the channel's
+// hook. Two duties are purely clock-driven and covered by a timed wake:
+// the traffic source's next injection slot and, while packet copies are
+// retained, the next retention-sweep boundary.
 func (p *pe) Quiescent(cycle uint64) (bool, uint64) {
 	if p.qHead < len(p.queue) || len(p.ctrl) != 0 {
 		return false, 0
@@ -151,9 +149,6 @@ func (p *pe) Quiescent(cycle uint64) (bool, uint64) {
 		return false, 0
 	}
 	var wake uint64
-	if exp, ok := p.tx.EarliestExpiry(); ok {
-		wake = exp
-	}
 	if lim := p.net.cfg.InjectLimit; (lim == 0 || p.net.injected < lim) && !p.dead() {
 		if k, crosses := p.src.NextCrossing(srcLookahead); crosses || k > 0 {
 			if w := cycle + k; wake == 0 || w < wake {

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
 	"ftnoc/internal/topology"
@@ -38,11 +40,11 @@ func (r *Router) deadlock(cycle uint64) {
 		return
 	}
 	// Rule 1: probe for every VC blocked past the threshold. A blocked VC
-	// is non-idle, hence live, so the sparse path scans the live list
+	// is non-idle, so the sparse path scans the VA-waiting and active VCs
 	// (ascending, matching the dense flat order).
 	if r.sparse {
-		for _, i := range r.liveList {
-			r.probeRule1(cycle, r.flatVCs[i])
+		for m := r.waitVA | r.activeVCs(); m != 0; m &= m - 1 {
+			r.probeRule1(cycle, r.flatVCs[bits.TrailingZeros64(m)])
 		}
 		return
 	}

@@ -176,6 +176,6 @@ func (r *Router) KillVC(cycle uint64, p topology.Port, vc int, fn func(flit.Flit
 		ivc.outVC >= 0 && ivc.outVC < r.cfg.VCs {
 		r.out[ivc.outPort].vcs[ivc.outVC] = outputVC{}
 	}
-	ivc.reset(cycle)
+	r.resetVC(ivc, cycle)
 	return removed
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ftnoc/internal/flit"
@@ -13,18 +14,18 @@ import (
 // nothing to service. It returns the first breach, or "".
 func maskViolation(r *Router) string {
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		rx, tx, held := r.PortMarks(p)
+		rx, tx, replay := r.PortMarks(p)
 		if ip := r.in[p]; ip != nil && !rx {
 			if n := ip.rx.Channel().VisibleFlits(); n > 0 {
 				return fmt.Sprintf("router %d in %v: rxPending clear with %d flits visible", r.id, p, n)
 			}
 		}
 		if op := r.out[p]; op != nil {
-			if n := op.tx.Channel().VisibleHandshakes(); !tx && n > 0 {
-				return fmt.Sprintf("router %d out %v: txPending clear with %d handshakes visible", r.id, p, n)
+			if n := op.tx.Channel().VisibleNACKs(); !tx && n > 0 {
+				return fmt.Sprintf("router %d out %v: txPending clear with %d NACKs visible", r.id, p, n)
 			}
-			if n := op.tx.Retained(); !held && n > 0 {
-				return fmt.Sprintf("router %d out %v: txHeld clear with %d flits retained", r.id, p, n)
+			if n := op.tx.PendingReplay(); !replay && n > 0 {
+				return fmt.Sprintf("router %d out %v: txReplay clear with %d flits to replay", r.id, p, n)
 			}
 		}
 	}
@@ -42,12 +43,18 @@ func (p *pair) audit(t *testing.T, when string) {
 		if msg := r.AuditInvariants(p.k.Cycle()); msg != "" {
 			t.Fatalf("%s, cycle %d: %s", when, p.k.Cycle(), msg)
 		}
+		if msg := r.AuditVCMasks(); msg != "" {
+			t.Fatalf("%s, cycle %d: %s", when, p.k.Cycle(), msg)
+		}
 	}
 }
 
 // A router wired by hand — channels attached, actors registered, no
 // kernel wake and no network — must still see every flit and every
-// credit: attachment alone installs the hooks that drive its port masks.
+// credit: attachment alone installs the hooks that drive its port masks,
+// and credits need none. And a sender that has put its last flit on the
+// wire is quiet at once, asking for no timed wake, while that flit still
+// sits in the shifter inside its NACK window.
 func TestHandWiredRouterNeedsNoWaker(t *testing.T) {
 	p := newPair(t, 3)
 	p.autoSink()
@@ -58,23 +65,38 @@ func TestHandWiredRouterNeedsNoWaker(t *testing.T) {
 		fs = append(fs, flit.Packet{ID: flit.PacketID(pid), Src: 0, Dst: 1, Size: 4}.Flits()...)
 	}
 	p.driveSource(fs)
+	east := p.a.out[topology.East].tx
+	quietWhileHeld := false
 	for i := 0; i < 60; i++ {
 		p.k.Step()
 		p.audit(t, "streaming")
+		if p.a.buffered == 0 && p.a.waitVA == 0 && p.a.activeVCs() == 0 && east.Retained() > 0 {
+			quiet, wake := p.a.Quiescent(p.k.Cycle() - 1)
+			if !quiet || wake != 0 {
+				t.Fatalf("cycle %d: sender drained, %d flits still in their NACK window: Quiescent = %v, wake %d; want quiet with no timed wake",
+					p.k.Cycle(), east.Retained(), quiet, wake)
+			}
+			quietWhileHeld = true
+		}
+	}
+	if !quietWhileHeld {
+		t.Fatal("never saw the sender drained with flits still in its shifters; the quiescence check is vacuous")
 	}
 	if len(p.arrived) != len(fs) {
 		t.Fatalf("arrived %d flits, want %d: the router missed flits or credits", len(p.arrived), len(fs))
 	}
-	east := p.a.out[topology.East].tx
 	for vc := 0; vc < 2; vc++ {
 		if got := east.Credits(vc); got != 4 {
 			t.Errorf("a.East VC %d ended with %d credits, want all 4 back", vc, got)
 		}
 	}
 	for _, r := range []*Router{p.a, p.b} {
-		if r.rxPending|r.txPending|r.txHeld != 0 {
-			t.Errorf("router %d idle with masks rx %#x tx %#x held %#x, want all clear",
-				r.id, r.rxPending, r.txPending, r.txHeld)
+		if r.rxPending|r.txPending|r.txReplay != 0 {
+			t.Errorf("router %d idle with masks rx %#x tx %#x replay %#x, want all clear",
+				r.id, r.rxPending, r.txPending, r.txReplay)
+		}
+		if occ, _ := r.ShifterOccupancy(p.k.Cycle()); occ != 0 {
+			t.Errorf("router %d idle: shifter occupancy %d, want 0", r.id, occ)
 		}
 	}
 }
@@ -147,7 +169,7 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 				r.k.Step()
 				r.audit(t, "before surgery")
 			}
-			if !r.a.out[topology.East].tx.Held() || r.b.buffered == 0 {
+			if r.a.out[topology.East].tx.Retained() == 0 || r.b.buffered == 0 {
 				t.Fatal("nothing in flight at the cut; the surgery would be vacuous")
 			}
 			s.cut(t, r)
@@ -161,11 +183,52 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 					if ip := x.in[p]; ip != nil && ip.rx.Channel().VisibleFlits() != 0 {
 						t.Errorf("router %d in %v: flits left on the wire", x.id, p)
 					}
-					if op := x.out[p]; op != nil && op.tx.Channel().VisibleHandshakes() != 0 {
-						t.Errorf("router %d out %v: credits or NACKs left on the wire", x.id, p)
+					if op := x.out[p]; op != nil && op.tx.Channel().VisibleNACKs() != 0 {
+						t.Errorf("router %d out %v: NACKs left on the wire", x.id, p)
 					}
 				}
 			}
 		})
+	}
+}
+
+// The allocator masks are exact, not supersets: the vc-masks audit must
+// name a set bit over a VC that has moved on, a missing bit under one
+// that waits, a VC filed under the wrong output port, and a live VC the
+// live set has lost — and pass on every cycle of an honest run.
+func TestAuditVCMasksCatchesDrift(t *testing.T) {
+	p := newPair(t, 3)
+	p.a.sparse = true // the live-set clause is the sparse walk's
+	p.autoSink()
+	p.driveSource(flit.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}.Flits())
+	var sawWait, sawActive bool
+	for i := 0; i < 12 && !(sawWait && sawActive); i++ {
+		p.k.Step()
+		p.audit(t, "honest run")
+		local := p.a.in[topology.Local].vcs[0]
+		bit := uint64(1) << uint(local.flat)
+		breaks := map[string]func(){}
+		switch local.state {
+		case vcVAWait:
+			sawWait = true
+			breaks["waitVA"] = func() { p.a.waitVA &^= bit }
+			breaks["saMask"] = func() { p.a.saMask[topology.East] |= bit }
+		case vcActive:
+			sawActive = true
+			breaks["waitVA"] = func() { p.a.waitVA |= bit }
+			breaks["saMask"] = func() { p.a.saMask[topology.East], p.a.saMask[topology.West] = 0, bit }
+			breaks["liveVCs"] = func() { p.a.liveVCs &^= bit }
+		}
+		for want, damage := range breaks {
+			waitVA, saMask, live := p.a.waitVA, p.a.saMask, p.a.liveVCs
+			damage()
+			if msg := p.a.AuditVCMasks(); !strings.Contains(msg, want) {
+				t.Errorf("cycle %d, VC state %d, damaged %s: audit says %q", p.k.Cycle(), local.state, want, msg)
+			}
+			p.a.waitVA, p.a.saMask, p.a.liveVCs = waitVA, saMask, live
+		}
+	}
+	if !sawWait || !sawActive {
+		t.Fatalf("packet never seen in VA wait (%v) and active (%v) at a boundary", sawWait, sawActive)
 	}
 }

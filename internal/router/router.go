@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"ftnoc/internal/ac"
 	"ftnoc/internal/ecc"
@@ -46,22 +45,26 @@ type Router struct {
 	//   rxPending  input ports whose wire shows flits. Set by the flit
 	//              pipe's delivery (hook installed in AttachInput),
 	//              cleared by ingest once ReceiveAll has drained the wire.
-	//   txPending  output ports whose backward wires show a credit or a
-	//              NACK. Set by those pipes' deliveries (AttachOutput),
-	//              cleared by beginOutputs once BeginCycle has drained
-	//              them. A delivery marks once, as values become visible,
-	//              so a bit may be cleared only after draining.
-	//   txHeld     output ports with an occupied shifter or a pending
-	//              replay. Set where the router sends (executeGrant),
-	//              cleared by beginOutputs when Transmitter.Held turns
-	//              false.
+	//   txPending  output ports whose NACK wire shows a NACK. Set by that
+	//              pipe's delivery (AttachOutput), cleared by beginOutputs
+	//              once BeginCycle has drained it. A delivery marks once,
+	//              as values become visible, so a bit may be cleared only
+	//              after draining. Credits mark nothing: they are counters
+	//              read where a decision needs them.
+	//   txReplay   output ports with a pending replay, which owns the
+	//              physical channel until it drains. Set by beginOutputs
+	//              when a link-error NACK has filled the replay queue,
+	//              cleared by arbitrate when it finds the queue empty.
+	//
+	// No mask follows the shifters: their entries leave the NACK window by
+	// the clock, with nothing for a tick to do (see sends below).
 	//
 	// Writers: the kernel's delivery phase sets rx/txPending; this
 	// router's own tick does everything else. Hard-fault surgery between
 	// steps only ever removes traffic, which leaves the masks supersets.
 	rxPending uint8
 	txPending uint8
-	txHeld    uint8
+	txReplay  uint8
 	// outAttached marks the output ports that have a transmitter.
 	outAttached uint8
 
@@ -92,35 +95,34 @@ type Router struct {
 	arena []inputVC
 	fifos []link.FIFO
 
-	// Sparse fast path (Config.Sparse, <=64 input VCs): liveVCs is a
-	// conservative superset of the VCs that are not (idle AND empty).
-	// The ONLY dead->live transition is a flit arrival (ingestData), the
-	// single place a bit is set; bits are cleared lazily when a scan
-	// visits a dead VC. liveList materialises the set bits ascending once
-	// per tick (after ingest), so the allocator phases iterate live VCs
-	// instead of scanning ports x VCs.
-	sparse   bool
-	liveVCs  uint64
-	liveList []int
+	// Sparse fast path (Config.Sparse, <=64 input VCs): the allocator
+	// phases walk bitmasks over the flat VC index instead of scanning
+	// ports x VCs. liveVCs is a conservative superset of the VCs that are
+	// not (idle AND empty): the ONLY dead->live transition is a flit
+	// arrival (ingestData), the single place a bit is set, and bits are
+	// cleared lazily when a scan visits a dead VC. waitVA (the vcVAWait
+	// VCs) and saMask[p] (the vcActive VCs bound to output port p) are
+	// exact: setState, the one place a VC's state changes, keeps them.
+	// Walking a mask ascending from a round-robin origin (rotated) visits
+	// the same requesters in the same order as the dense (rr+j)%n probe.
+	sparse  bool
+	liveVCs uint64
+	waitVA  uint64
+	saMask  [topology.NumPorts]uint64
 	// Occupancy, O(1) for the per-cycle utilization sampler. bufCapTotal
 	// and shCapTotal are the summed buffer and shifter capacities of the
 	// attached ports, accumulated at attachment. buffered counts the flits
 	// in input VC buffers and parked those in pending queues, each
 	// adjusted where a flit enters or leaves (ingestData, takeFront,
-	// recoveryStep, recoverMisroute, KillVC) and audited against a full
-	// walk by AuditInvariants.
+	// recoveryStep, recoverMisroute, KillVC). sends is the send window all
+	// the output ports' transmitters count into (link.SendWindow): the
+	// shifter entries still inside their NACK window, by the clock, asleep
+	// or awake. All are audited against a full walk by AuditInvariants.
 	bufCapTotal int
 	shCapTotal  int
 	buffered    int
 	parked      int
-
-	// saCand buckets the live, vcActive input VCs by bound output port,
-	// rebuilt once per allocateSA pass (sparse mode only). Each port's
-	// arbitration then rotates over its own few requesters instead of
-	// re-scanning every live VC per port — the flat-index order inside a
-	// bucket is ascending, so the rotated split reproduces the dense
-	// walk's (saRR+j)%n requester sequence exactly.
-	saCand [topology.NumPorts][]int
+	sends       link.SendWindow
 
 	// Route memos: routes are pure in (cur, dst) — link health is
 	// filtered later, in legalCandidates — so one computation serves the
@@ -166,7 +168,6 @@ func New(cfg Config) *Router {
 		arena:         make([]inputVC, n),
 		fifos:         link.NewFIFOs(n, cfg.BufDepth),
 		sparse:        cfg.Sparse && n <= 64,
-		liveList:      make([]int, 0, n),
 		routeSets:     make([][]topology.Port, 0, routeSetsCap),
 		scratchLegal:  make([]topology.Port, 0, np),
 		scratchBind:   make([]ac.Binding, 0, np*cfg.VCs),
@@ -205,17 +206,19 @@ func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
 	rx.Channel().MarkRx(&r.rxPending, 1<<p)
 }
 
-// AttachOutput connects the transmitting side of a channel to port p and
-// hooks the channel's credit and NACK deliveries to this port's
-// txPending bit. A transmitter that already holds flits marks txHeld.
+// AttachOutput connects the transmitting side of a channel to port p,
+// hooks the channel's NACK deliveries to this port's txPending bit and
+// has the transmitter count its shifter entries into the router's send
+// window. A transmitter that already awaits replay marks txReplay.
 func (r *Router) AttachOutput(p topology.Port, tx *link.Transmitter) {
 	r.out[p] = &outputPort{port: p, tx: tx, vcs: make([]outputVC, r.cfg.VCs)}
 	_, c := tx.ShifterOccupancy()
 	r.shCapTotal += c
 	tx.Channel().MarkTx(&r.txPending, 1<<p)
+	tx.CountInto(&r.sends)
 	r.outAttached |= 1 << p
-	if tx.Held() {
-		r.txHeld |= 1 << p
+	if tx.HasReplay() {
+		r.txReplay |= 1 << p
 	}
 }
 
@@ -229,12 +232,6 @@ func (r *Router) Tick(cycle uint64) {
 	r.nextExpected = cycle + 1
 	r.beginOutputs(cycle)
 	r.ingest(cycle)
-	if r.sparse {
-		// The live set is fixed for the rest of the tick: ingest is the
-		// only phase that can revive a dead VC (see liveVCs). Build the
-		// ascending index list the allocator phases iterate.
-		r.buildLive()
-	}
 	r.advance(cycle)
 	r.allocateVA(cycle)
 	r.allocateSA(cycle)
@@ -246,23 +243,62 @@ func (r *Router) markLive(ivc *inputVC) {
 	r.liveVCs |= 1 << uint(ivc.flat)
 }
 
-// buildLive refreshes liveList from the mask, lazily clearing bits whose
-// VC has gone back to (idle AND empty) — the only scan that shrinks the
-// live set, so membership is a stable superset within a tick.
-func (r *Router) buildLive() {
-	list := r.liveList[:0]
-	m := r.liveVCs
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		ivc := r.flatVCs[i]
-		if ivc == nil || (ivc.state == vcIdle && ivc.occupied() == 0) {
-			r.liveVCs &^= 1 << uint(i)
-			continue
+// setState moves ivc to state s and keeps the allocator masks equal to
+// what a walk of the VCs would compute: waitVA holds exactly the
+// vcVAWait VCs, saMask[p] exactly the vcActive VCs whose outPort is p
+// (an Active VC with no valid port — never produced today — would join
+// none). It is the only writer of inputVC.state; a caller making a VC
+// Active sets outPort first, and outPort must not change while Active.
+// Beyond 64 input VCs the shifts fall off the word and the masks mean
+// nothing — nor are they read: that router walks densely.
+func (r *Router) setState(ivc *inputVC, s vcState) {
+	bit := uint64(1) << uint(ivc.flat)
+	switch ivc.state {
+	case vcVAWait:
+		r.waitVA &^= bit
+	case vcActive:
+		if ivc.outPort.Valid() {
+			r.saMask[ivc.outPort] &^= bit
 		}
-		list = append(list, i)
 	}
-	r.liveList = list
+	ivc.state = s
+	switch s {
+	case vcVAWait:
+		r.waitVA |= bit
+	case vcActive:
+		if ivc.outPort.Valid() {
+			r.saMask[ivc.outPort] |= bit
+		}
+	}
+}
+
+// resetVC returns ivc to idle between packets.
+func (r *Router) resetVC(ivc *inputVC, cycle uint64) {
+	r.setState(ivc, vcIdle)
+	ivc.candidates = nil
+	ivc.outPort = 0
+	ivc.outVC = 0
+	ivc.probeOutstanding = false
+	ivc.member = false
+	ivc.lastProgress = cycle
+}
+
+// activeVCs is the union of the per-port SA masks: every vcActive VC.
+func (r *Router) activeVCs() uint64 {
+	var m uint64
+	for _, pm := range r.saMask {
+		m |= pm
+	}
+	return m
+}
+
+// rotated splits mask at a round-robin origin: walking the first word's
+// set bits ascending and then the second's visits bit (origin+j)%n for
+// j = 0..n-1, skipping clear bits — the dense rotated probe restricted
+// to the mask. origin must be below 64.
+func rotated(mask uint64, origin int) [2]uint64 {
+	from := mask >> uint(origin) << uint(origin)
+	return [2]uint64{from, mask &^ from}
 }
 
 // catchUp replays the per-cycle mutations a quiescent-eligible router
@@ -297,34 +333,29 @@ func (r *Router) CatchUpTo(target uint64) {
 // input VC is idle and empty, no output port is replaying, no deadlock
 // machinery is live, and the probe-memory table is empty (pruning it is
 // clock-driven, so a non-empty table keeps the router ticking until it
-// drains). Credits and NACKs may still arrive while asleep: they
-// accumulate on their wires and are drained by beginOutputs at the wake
-// cycle, before any decision reads them. Flit arrivals wake the router
-// via the channel's delivery hook.
-//
-// Occupied retransmission shifters do NOT keep the router awake: no entry
-// can expire — and no link-error NACK for one can become visible — before
-// the oldest entry's expiry cycle, which the router declares as its timed
-// wake. The two NACK kinds that can arrive sooner (a neighbour's misroute
-// report, or recovery on/off) wake it through the channels' NACK-pipe
-// delivery hooks, so every handshake is still processed on its exact
-// visibility cycle. While asleep nothing captures into the shifters, so
-// the declared expiry stays the earliest.
+// drains). It never asks for a timed wake. Flit arrivals wake it through
+// the input channels' delivery hooks and NACKs through the output
+// channels' (link.Channel.WakeTx), each on its exact visibility cycle;
+// everything else on the backward side of a hop waits to be read. Credits
+// sit in the channels' counters until a switch-allocation decision reads
+// one. Shifter entries sent before the router went quiet leave their NACK
+// window by the clock, with nothing to do when they go: a later send
+// evicts them, a NACK inside the window finds them, and the occupancy
+// sampler counts them by the cycle they were sent at.
 func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
 	if r.inRecovery || len(r.probeSeen) > 0 {
 		return false, 0
 	}
 	if r.sparse {
-		m := r.liveVCs
-		for m != 0 {
-			i := bits.TrailingZeros64(m)
-			m &= m - 1
-			ivc := r.flatVCs[i]
-			if ivc == nil || (ivc.state == vcIdle && ivc.occupied() == 0) {
-				r.liveVCs &^= 1 << uint(i)
-				continue
-			}
+		if r.waitVA != 0 || r.activeVCs() != 0 {
 			return false, 0
+		}
+		for m := r.liveVCs; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if r.flatVCs[i].occupied() != 0 {
+				return false, 0
+			}
+			r.liveVCs &^= 1 << uint(i)
 		}
 	} else {
 		for _, ivc := range r.flatVCs {
@@ -336,28 +367,22 @@ func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
 			}
 		}
 	}
-	// Only a held port can be replaying or owe an expiry.
-	var wake uint64
-	for m := r.txHeld; m != 0; m &= m - 1 {
-		tx := r.out[bits.TrailingZeros8(m)].tx
-		if tx.HasReplay() {
+	for m := r.txReplay; m != 0; m &= m - 1 {
+		if r.out[bits.TrailingZeros8(m)].tx.HasReplay() {
 			return false, 0
 		}
-		if exp, ok := tx.EarliestExpiry(); ok && (wake == 0 || exp < wake) {
-			wake = exp
-		}
 	}
-	return true, wake
+	return true, 0
 }
 
-// beginOutputs ingests handshakes on the output channels and services
-// misroute NACKs (§4.2 recovery). Only ports with a visible handshake
-// (txPending) or something held (txHeld) are visited, in ascending port
-// order: on any other port BeginCycle would drain two empty wires and
-// ExpireShifters walk empty shifters — no state change, no RNG draw, no
-// event — so skipping it is exact.
+// beginOutputs ingests NACKs on the output channels and services misroute
+// NACKs (§4.2 recovery). Only ports whose wire shows a NACK (txPending)
+// are visited, in ascending port order: on any other port BeginCycle
+// would drain an empty wire — no state change, no RNG draw, no event — so
+// skipping it is exact. A link-error NACK leaves its flits in the replay
+// queue, which the switch allocator must serve: the port joins txReplay.
 func (r *Router) beginOutputs(cycle uint64) {
-	for m := r.txPending | r.txHeld; m != 0; m &= m - 1 {
+	for m := r.txPending; m != 0; m &= m - 1 {
 		p := topology.Port(bits.TrailingZeros8(m))
 		op := r.out[p]
 		for _, n := range op.tx.BeginCycle(cycle) {
@@ -373,9 +398,8 @@ func (r *Router) beginOutputs(cycle uint64) {
 			// invalidation already prevented the erroneous state from
 			// being used; the handshake exists for energy accounting.
 		}
-		op.tx.ExpireShifters(cycle)
-		if !op.tx.Held() {
-			r.txHeld &^= 1 << p
+		if op.tx.HasReplay() {
+			r.txReplay |= 1 << p
 		}
 	}
 	r.txPending = 0
@@ -406,7 +430,7 @@ func (r *Router) recoverMisroute(p topology.Port, ov int, cycle uint64) {
 			})
 		}
 	}
-	ivc.state = vcVAWait
+	r.setState(ivc, vcVAWait)
 	ivc.candidates = r.computeRoute(cycle, ivc)
 	ivc.earliestVA = cycle + 1 // the re-routing process (§4.2)
 	r.cfg.Counters.AddCorrected(fault.RTLogic)
@@ -485,13 +509,19 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
 // advance starts the pipeline for newly headed packets: an idle VC with a
 // Head flit at its buffer front computes its route (the RT stage; folded
 // into arrival by look-ahead for depths <= 3) and enters VA wait. Only a
-// live VC can satisfy the idle-with-front condition, so the sparse path
-// visits the live list (same ascending port-major order as the dense
-// walk).
+// live, idle VC can satisfy the idle-with-front condition, so the sparse
+// path visits the live VCs that neither wait for VA nor hold an output
+// (ascending: the dense walk's port-major order), and retires from the
+// live set the ones it finds empty — the scan that shrinks it.
 func (r *Router) advance(cycle uint64) {
 	if r.sparse {
-		for _, i := range r.liveList {
+		for m := r.liveVCs &^ (r.waitVA | r.activeVCs()); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
 			ivc := r.flatVCs[i]
+			if ivc.occupied() == 0 {
+				r.liveVCs &^= 1 << uint(i)
+				continue
+			}
 			r.advanceVC(cycle, r.in[ivc.port], ivc)
 		}
 		return
@@ -540,7 +570,7 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 	}
 	ivc.dst = flit.DecodeHeader(f.Word).Dst
 	ivc.candidates = r.computeRoute(cycle, ivc)
-	ivc.state = vcVAWait
+	r.setState(ivc, vcVAWait)
 	ivc.earliestVA = cycle + vaOffset(r.cfg.PipelineDepth)
 }
 
@@ -565,7 +595,7 @@ func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	cands := r.memoRoute(r.routeMemo[topology.Local], r.id, ivc.dst)
 	if r.cfg.RTFault.Upset() {
 		r.cfg.Counters.AddInjected(fault.RTLogic)
-		cands = []topology.Port{topology.Port(r.cfg.RTFault.Pick(int(topology.NumPorts)))}
+		cands = singlePort[r.cfg.RTFault.Pick(int(topology.NumPorts))]
 	}
 	if r.cfg.Bus.Enabled() {
 		var pid uint64
@@ -581,6 +611,15 @@ func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	}
 	return cands
 }
+
+// singlePort[p] is the one-element candidate list {p}: what an RT upset
+// leaves a packet with. Shared and read-only, like every candidate list.
+var singlePort = func() (t [topology.NumPorts][]topology.Port) {
+	for p := range t {
+		t[p] = []topology.Port{topology.Port(p)}
+	}
+	return t
+}()
 
 // routeSetsCap pre-sizes the interned candidate-set table so it does not
 // grow during a run: any one static routing function produces at most 9
@@ -673,20 +712,19 @@ func (r *Router) existingBindings() []ac.Binding {
 
 // allocateVA runs the VC allocator: each waiting header arbitrates for a
 // free output VC on one of its candidate ports. Fresh allocations are
-// screened by the Allocation Comparator (§4.1). A VA-waiting VC is never
-// dead (its wormhole keeps it non-idle), so the sparse path visits the
-// live list rotated at the same round-robin origin as the dense walk —
-// identical visit order over the VCs that can request, hence identical
-// grants, event counts, and fault-injector draws.
+// screened by the Allocation Comparator (§4.1). The sparse path visits
+// the waitVA mask rotated at the same round-robin origin as the dense
+// walk — identical visit order over the VCs that can request, hence
+// identical grants, event counts, and fault-injector draws. A grant takes
+// its VC out of waitVA, but no VC enters it during the pass, so the walk
+// is over a copy.
 func (r *Router) allocateVA(cycle uint64) {
 	n := r.inputVCCount()
 	if r.sparse {
-		split := sort.SearchInts(r.liveList, r.vaRR%n)
-		for _, i := range r.liveList[split:] {
-			r.tryVA(cycle, r.flatVCs[i])
-		}
-		for _, i := range r.liveList[:split] {
-			r.tryVA(cycle, r.flatVCs[i])
+		for _, m := range rotated(r.waitVA, r.vaRR%n) {
+			for ; m != 0; m &= m - 1 {
+				r.tryVA(cycle, r.flatVCs[bits.TrailingZeros64(m)])
+			}
 		}
 	} else {
 		for i := 0; i < n; i++ {
@@ -776,8 +814,8 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 	}
 
 	// Commit (possibly corrupt, if the AC is disabled).
-	ivc.state = vcActive
 	ivc.outPort, ivc.outVC = b.OutPort, b.OutVC
+	r.setState(ivc, vcActive)
 	if int(b.OutPort) < int(topology.NumPorts) && r.out[b.OutPort] != nil && b.OutVC >= 0 && b.OutVC < r.cfg.VCs {
 		r.out[b.OutPort].vcs[b.OutVC] = outputVC{busy: true, inPort: ivc.port, inVC: ivc.idx, corrupt: corrupted}
 	}
@@ -862,21 +900,14 @@ func (r *Router) allocateSA(cycle uint64) {
 	// by scanning, so it visits every attached port.
 	ports := r.outAttached
 	if r.sparse {
-		// One pass over the live list buckets the active VCs by output
-		// port; VA ran earlier this tick, so bindings are settled, and
-		// grants execute only after every port is arbitrated, so no
-		// state moves under the buckets mid-pass. Replay needs the
-		// channel whether or not anyone requests it, and only a held
-		// port can be replaying.
-		for p := range r.saCand {
-			r.saCand[p] = r.saCand[p][:0]
-		}
-		ports = r.txHeld
-		for _, fi := range r.liveList {
-			ivc := r.flatVCs[fi]
-			if ivc.state == vcActive && ivc.outPort >= 0 && ivc.outPort < topology.NumPorts {
-				r.saCand[ivc.outPort] = append(r.saCand[ivc.outPort], fi)
-				ports |= 1 << ivc.outPort
+		// A port's requesters are its saMask; VA ran earlier this tick,
+		// so bindings are settled, and grants execute only after every
+		// port is arbitrated, so no mask moves mid-pass. Replay needs the
+		// channel whether or not anyone requests it.
+		ports = r.txReplay
+		for p, m := range r.saMask {
+			if m != 0 {
+				ports |= 1 << p
 			}
 		}
 		ports &= r.outAttached
@@ -951,24 +982,20 @@ func (r *Router) arbitrate(cycle uint64, p topology.Port, grantedIn uint8) (winn
 		op.tx.TickReplay(cycle)
 		return winner, false
 	}
+	r.txReplay &^= 1 << p
 	// The winner is held by value: taking a loop-local request's address
-	// would heap-allocate it every allocation round. An SA-eligible VC is
-	// vcActive, hence live, so the sparse path rotates over the port's
-	// bucket at its round-robin origin — the same requester sequence as
-	// the dense walk.
+	// would heap-allocate it every allocation round. The sparse path
+	// rotates over the port's saMask at its round-robin origin — the same
+	// requester sequence as the dense walk.
 	won := false
 	n := r.inputVCCount()
 	if r.sparse {
-		cand := r.saCand[p]
-		split := sort.SearchInts(cand, op.saRR%n)
-		for _, fi := range cand[split:] {
-			if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
-				winner, won = r.saRequestFor(ivc, winner, won)
-			}
-		}
-		for _, fi := range cand[:split] {
-			if ivc := r.flatVCs[fi]; r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
-				winner, won = r.saRequestFor(ivc, winner, won)
+		for _, m := range rotated(r.saMask[p], op.saRR%n) {
+			for ; m != 0; m &= m - 1 {
+				ivc := r.flatVCs[bits.TrailingZeros64(m)]
+				if r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
+					winner, won = r.saRequestFor(ivc, winner, won)
+				}
 			}
 		}
 	} else {
@@ -1114,7 +1141,6 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 			r.cfg.DeadSend(cycle, r.id, g.OutPort, vc, uint64(f.PID))
 		}
 		op.tx.Send(f, vc, cycle)
-		r.txHeld |= 1 << g.OutPort
 		if corrupted {
 			r.cfg.Counters.AddUndetected(fault.SALogic)
 		}
@@ -1126,7 +1152,7 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 		if ivc.outPort.Valid() && r.out[ivc.outPort] != nil && ivc.outVC < r.cfg.VCs {
 			r.out[ivc.outPort].vcs[ivc.outVC] = outputVC{}
 		}
-		ivc.reset(cycle)
+		r.resetVC(ivc, cycle)
 	}
 }
 
@@ -1154,26 +1180,23 @@ func (r *Router) BufferOccupancy() (occupied, capacity int) {
 	return r.buffered, r.bufCapTotal
 }
 
-// ShifterOccupancy sums retransmission-buffer occupancy and capacity (the
-// metric of Fig. 9). Only a held port's shifters can be occupied, and
-// each transmitter keeps its own running count. Flits parked during
-// deadlock recovery conceptually occupy the shifters (that is the
+// ShifterOccupancy returns retransmission-buffer occupancy and capacity
+// (the metric of Fig. 9) at clock, the kernel's cycle: the entries the
+// output ports sent recently enough to be inside their NACK window,
+// which is a function of the clock — the reading is the same whether or
+// not this router has ticked lately. Flits parked during deadlock
+// recovery conceptually occupy the shifters (that is the
 // resource-sharing point of §3.2), so pending queues count as occupancy.
-func (r *Router) ShifterOccupancy() (occupied, capacity int) {
-	occupied = r.parked
-	for m := r.txHeld; m != 0; m &= m - 1 {
-		o, _ := r.out[bits.TrailingZeros8(m)].tx.ShifterOccupancy()
-		occupied += o
-	}
-	return occupied, r.shCapTotal
+func (r *Router) ShifterOccupancy(clock uint64) (occupied, capacity int) {
+	return r.parked + r.sends.Live(clock), r.shCapTotal
 }
 
 // PortMarks reports port p's three mask bits (see the rxPending field),
 // for the mask-soundness invariant: whoever holds the port's channels
 // checks that a clear bit really means nothing to service.
-func (r *Router) PortMarks(p topology.Port) (rxPending, txPending, txHeld bool) {
+func (r *Router) PortMarks(p topology.Port) (rxPending, txPending, txReplay bool) {
 	bit := uint8(1) << p
-	return r.rxPending&bit != 0, r.txPending&bit != 0, r.txHeld&bit != 0
+	return r.rxPending&bit != 0, r.txPending&bit != 0, r.txReplay&bit != 0
 }
 
 // InRecovery reports whether the router is in deadlock-recovery mode.
@@ -1340,6 +1363,7 @@ func (r *Router) AuditInvariants(clock uint64) string {
 		return fmt.Sprintf("router %d: occupancy counts %d buffered / %d parked, VCs hold %d / %d",
 			r.id, r.buffered, r.parked, buffered, parked)
 	}
+	inWindow := 0
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if r.out[p] == nil {
 			continue
@@ -1347,12 +1371,58 @@ func (r *Router) AuditInvariants(clock uint64) string {
 		if s := r.out[p].tx.AuditRetrans(clock); s != "" {
 			return fmt.Sprintf("router %d out %v: %s", r.id, p, s)
 		}
+		o, _ := r.out[p].tx.ShifterOccupancy()
+		inWindow += o
+	}
+	if got := r.sends.Live(clock); got != inWindow {
+		return fmt.Sprintf("router %d: send window reports %d shifter entries live at %d, the ports' own windows %d",
+			r.id, got, clock, inWindow)
 	}
 	for k, seen := range r.probeSeen {
 		if clock > seen && clock-seen > 3*probeSeenWindow {
 			return fmt.Sprintf("router %d: probeSeen entry origin=%d aged %d cycles (bound %d) — prune leak",
 				r.id, k.origin, clock-seen, 3*probeSeenWindow)
 		}
+	}
+	return ""
+}
+
+// AuditVCMasks checks the allocator masks against the VC state they
+// summarise: waitVA and every saMask[p] must equal a recomputation from
+// a walk of the VCs — exactly, a stale set bit would request for a VC
+// that has moved on and a missing one starve a packet — and liveVCs must
+// cover every VC that is not (idle AND empty). Routers past 64 input VCs
+// walk densely and keep no masks. It returns a description of the first
+// violation, or "".
+func (r *Router) AuditVCMasks() string {
+	if r.inputVCCount() > 64 {
+		return ""
+	}
+	var waitVA, live uint64
+	var saMask [topology.NumPorts]uint64
+	for i, ivc := range r.flatVCs {
+		if ivc == nil {
+			continue
+		}
+		bit := uint64(1) << uint(i)
+		switch {
+		case ivc.state == vcVAWait:
+			waitVA |= bit
+		case ivc.state == vcActive && ivc.outPort.Valid():
+			saMask[ivc.outPort] |= bit
+		}
+		if ivc.state != vcIdle || ivc.occupied() != 0 {
+			live |= bit
+		}
+	}
+	if waitVA != r.waitVA {
+		return fmt.Sprintf("router %d: waitVA %#x, VCs in VA wait %#x", r.id, r.waitVA, waitVA)
+	}
+	if saMask != r.saMask {
+		return fmt.Sprintf("router %d: saMask %#x, active VCs by output port %#x", r.id, r.saMask, saMask)
+	}
+	if r.sparse && live&^r.liveVCs != 0 {
+		return fmt.Sprintf("router %d: liveVCs %#x misses live VCs %#x", r.id, r.liveVCs, live&^r.liveVCs)
 	}
 	return ""
 }

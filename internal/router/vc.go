@@ -27,10 +27,12 @@ type inputVC struct {
 	port topology.Port
 	idx  int
 	// flat is this VC's index in the router's flattened (port, vc) order,
-	// precomputed for the sparse live-set bitmask.
+	// precomputed for the sparse bitmasks.
 	flat int
 	buf  *link.FIFO
 
+	// state is written only by Router.setState, which keeps the allocator
+	// masks in step.
 	state      vcState
 	dst        flit.NodeID
 	candidates []topology.Port
@@ -105,17 +107,6 @@ func (v *inputVC) blockedFor(cycle uint64) uint64 {
 		return 0
 	}
 	return cycle - v.lastProgress
-}
-
-// reset returns the VC to idle between packets.
-func (v *inputVC) reset(cycle uint64) {
-	v.state = vcIdle
-	v.candidates = nil
-	v.outPort = 0
-	v.outVC = 0
-	v.probeOutstanding = false
-	v.member = false
-	v.lastProgress = cycle
 }
 
 // outputVC tracks one output virtual channel's wormhole reservation.
