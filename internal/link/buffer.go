@@ -73,27 +73,29 @@ func (q *FIFO) Full() bool { return q.Free() <= 0 }
 // Empty reports whether the queue holds no flits.
 func (q *FIFO) Empty() bool { return q.head >= len(q.buf) }
 
-// Push appends a flit. It panics on overflow — the credit protocol must
-// prevent it, so an overflow is a flow-control bug, not a runtime
-// condition.
-func (q *FIFO) Push(f flit.Flit) {
+// Push appends a copy of *f — the one write that puts a flit into its
+// buffer slot. It panics on overflow — the credit protocol must prevent
+// it, so an overflow is a flow-control bug, not a runtime condition.
+func (q *FIFO) Push(f *flit.Flit) {
 	if q.Full() {
-		panic(fmt.Sprintf("link: FIFO overflow (cap %d): %v", q.EffectiveCap(), f))
+		panic(fmt.Sprintf("link: FIFO overflow (cap %d): %v", q.EffectiveCap(), *f))
 	}
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, f)
+	q.buf = append(q.buf, *f)
 }
 
-// Front returns the oldest flit without removing it.
-func (q *FIFO) Front() (flit.Flit, bool) {
+// Front returns the slot of the oldest flit without removing it, or nil
+// when the queue is empty. The pointer is good until the next Push or Pop
+// on this queue: a Push may compact or regrow the backing array.
+func (q *FIFO) Front() *flit.Flit {
 	if q.Empty() {
-		return flit.Flit{}, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
 // Pop removes and returns the oldest flit.

@@ -147,11 +147,6 @@ type Channel struct {
 	counters *fault.Counters
 	local    bool // PE<->router channel: no fault injection, separate energy class
 
-	// injScratch backs Send's fault-injection call: passing a stack
-	// flit's address through the Corruptor interface would heap-allocate
-	// the flit on every traversal.
-	injScratch flit.Flit
-
 	// Handshake-line fault modelling (§4.6).
 	hsRate float64
 	hsTMR  bool
@@ -202,23 +197,28 @@ func (c *Channel) fitCredits(vcs int) {
 // Send puts a flit on the wire, applying fault injection. It returns the
 // injection outcome, which the transmitter records but must NOT act on —
 // only the receiver's ECC unit may observe corruption.
-func (c *Channel) Send(f flit.Flit) fault.LinkOutcome {
+func (c *Channel) Send(f flit.Flit) fault.LinkOutcome { return c.send(&f) }
+
+// send is Send reading the flit through a pointer: *f is copied once,
+// into the wire's own slot, and it is that slot the injector corrupts —
+// the caller's flit stays clean, and the slot already lives on the heap,
+// so handing its address through the Corruptor interface costs nothing.
+func (c *Channel) send(f *flit.Flit) fault.LinkOutcome {
+	w := c.flits.PushSlot()
+	*w = *f
 	out := fault.NoError
 	if c.injector != nil {
-		c.injScratch = f
-		out = c.injector.Corrupt(&c.injScratch)
-		f = c.injScratch
+		out = c.injector.Corrupt(w)
 	}
 	if out != fault.NoError {
 		c.counters.AddInjected(fault.LinkError)
 	}
-	f.Hops++
+	w.Hops++
 	if c.local {
 		c.events.LocalTraversals++
 	} else {
 		c.events.LinkTraversals++
 	}
-	c.flits.Push(f)
 	return out
 }
 

@@ -16,16 +16,15 @@ func TestFIFOBasics(t *testing.T) {
 	if !q.Empty() || q.Full() || q.Cap() != 2 {
 		t.Fatal("fresh FIFO state wrong")
 	}
-	q.Push(flit.Flit{Seq: 1})
-	q.Push(flit.Flit{Seq: 2})
+	q.Push(&flit.Flit{Seq: 1})
+	q.Push(&flit.Flit{Seq: 2})
 	if !q.Full() || q.Len() != 2 || q.Free() != 0 {
 		t.Fatal("full FIFO state wrong")
 	}
-	f, ok := q.Front()
-	if !ok || f.Seq != 1 {
-		t.Fatalf("Front = %v,%v", f, ok)
+	if front := q.Front(); front == nil || front.Seq != 1 {
+		t.Fatalf("Front = %v", front)
 	}
-	f, ok = q.Pop()
+	f, ok := q.Pop()
 	if !ok || f.Seq != 1 || q.Len() != 1 {
 		t.Fatalf("Pop = %v,%v len=%d", f, ok, q.Len())
 	}
@@ -38,19 +37,19 @@ func TestFIFOOverflowPanics(t *testing.T) {
 		}
 	}()
 	q := NewFIFO(1)
-	q.Push(flit.Flit{})
-	q.Push(flit.Flit{})
+	q.Push(&flit.Flit{})
+	q.Push(&flit.Flit{})
 }
 
 func TestFIFORecoveryExtension(t *testing.T) {
 	q := NewFIFO(2)
-	q.Push(flit.Flit{Seq: 1})
-	q.Push(flit.Flit{Seq: 2})
+	q.Push(&flit.Flit{Seq: 1})
+	q.Push(&flit.Flit{Seq: 2})
 	q.ExtendForRecovery(3)
 	if q.EffectiveCap() != 5 || q.Free() != 3 || !q.InRecovery() {
 		t.Fatalf("extension wrong: cap=%d free=%d", q.EffectiveCap(), q.Free())
 	}
-	q.Push(flit.Flit{Seq: 3})
+	q.Push(&flit.Flit{Seq: 3})
 	q.EndRecovery()
 	if q.EffectiveCap() != 2 {
 		t.Fatalf("EndRecovery cap = %d", q.EffectiveCap())

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ftnoc/internal/ecc"
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/sim"
@@ -24,6 +25,13 @@ type tickedTx struct {
 	vcs        []tickedVC
 	inShifters int
 	replay     []flit.Flit
+
+	// §4.5 upsets, drawn as the transmitter drew them while it still built
+	// the stored copy on its stack: Bool, then the two bit positions.
+	rbRate      float64
+	rbDuplicate bool
+	rbRNG       *sim.RNG
+	rbFlipped   int // stored copies that took the two flips
 }
 
 type tickedVC struct {
@@ -84,7 +92,12 @@ func (m *tickedTx) expire(cycle uint64) {
 func (m *tickedTx) send(f flit.Flit, vc int, cycle uint64) {
 	f.VC = uint8(vc)
 	m.vcs[vc].credits--
-	m.vcs[vc].shifter = append(m.vcs[vc].shifter, retransEntry{f: f, sent: cycle})
+	stored := f
+	if m.rbRate > 0 && m.rbRNG.Bool(m.rbRate) && !m.rbDuplicate {
+		stored.Word = ecc.FlipDataBit(ecc.FlipDataBit(stored.Word, m.rbRNG.Intn(64)), (m.rbRNG.Intn(63)+17)%64)
+		m.rbFlipped++
+	}
+	m.vcs[vc].shifter = append(m.vcs[vc].shifter, retransEntry{f: stored, sent: cycle})
 	m.inShifters++
 }
 
@@ -137,14 +150,24 @@ func (m *tickedTx) retained() []flit.Flit {
 // or not, both must report the same occupancy — the transmitter's own and
 // the shared window a router would read — and the same retained flits in
 // the same order; every drain must hand over the same flits; and whenever
-// the sender looks, the same credits.
+// the sender looks, the same credits. With retransmission-buffer upsets
+// on (§4.5), plain or masked by the duplicate buffer, the stored copies
+// must take the same two flips from the same draws — the retained flits
+// are compared bit for bit — while every flit reaches the wire clean.
 func TestTransmitterMatchesTickedModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { matchTickedModel(t, seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { matchTickedModel(t, seed, 0, false) })
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, duplicate := range []bool{false, true} {
+			t.Run(fmt.Sprintf("rbfaults/dup=%v/seed%d", duplicate, seed), func(t *testing.T) {
+				matchTickedModel(t, seed, 0.2, duplicate)
+			})
+		}
 	}
 }
 
-func matchTickedModel(t *testing.T, seed int64) {
+func matchTickedModel(t *testing.T, seed int64, rbRate float64, rbDuplicate bool) {
 	const vcs, capacity = 3, 4
 	rng := rand.New(rand.NewSource(seed))
 	var k sim.Kernel
@@ -155,6 +178,10 @@ func matchTickedModel(t *testing.T, seed int64) {
 	var shared SendWindow
 	tx.CountInto(&shared)
 	m := newTickedTx(&k, vcs, capacity)
+	rbRNG := sim.NewRNG(uint64(seed))
+	m.rbRate, m.rbDuplicate, m.rbRNG = rbRate, rbDuplicate, sim.NewRNG(uint64(seed))
+	tx.SetRetransBufFaults(rbRate, rbDuplicate, rbRNG)
+	var onWire []flit.Flit // what the sends of the cycle must put on the wire
 
 	sameFlits := func(c uint64, what string, got, want []flit.Flit) {
 		t.Helper()
@@ -209,12 +236,17 @@ func matchTickedModel(t *testing.T, seed int64) {
 					t.Fatalf("cycle %d: Credits(%d) = %d, model %d", c, vc, got, want)
 				}
 			}
+			var replayed flit.Flit
+			if len(m.replay) > 0 {
+				replayed = m.replay[0]
+			}
 			used, sentVC := m.tickReplay(c)
 			if tx.TickReplay(c) != used {
 				t.Fatalf("cycle %d: TickReplay disagrees with the model (%v)", c, used)
 			}
 			if sentVC >= 0 {
 				owed[sentVC]++
+				onWire = append(onWire, replayed)
 			}
 			if vc := rng.Intn(vcs); !used && m.vcs[vc].credits > 0 && rng.Intn(3) != 0 {
 				f := flit.Flit{PID: flit.PacketID(nextPID), Type: flit.Body, Seq: uint8(c)}
@@ -222,6 +254,8 @@ func matchTickedModel(t *testing.T, seed int64) {
 				tx.Send(f, vc, c)
 				m.send(f, vc, c)
 				owed[vc]++
+				f.VC = uint8(vc)
+				onWire = append(onWire, f)
 			}
 		}
 		if tx.HasReplay() != (len(m.replay) > 0) {
@@ -229,6 +263,16 @@ func matchTickedModel(t *testing.T, seed int64) {
 		}
 
 		k.Step()
+
+		// The wire carries what was sent — a replay, what the shifter held,
+		// upset and all; a fresh flit, clean whatever its stored copy took.
+		for _, want := range onWire {
+			want.Hops++
+			if got, ok := ch.Recv(); !ok || got != want {
+				t.Fatalf("after cycle %d: wire carries %+v (%v), want %+v", c, got, ok, want)
+			}
+		}
+		onWire = onWire[:0]
 
 		// The boundary, where the sampler and the checker look.
 		if occ, _ := tx.ShifterOccupancy(); occ != m.inShifters || shared.Live(k.Cycle()) != m.inShifters {
@@ -250,6 +294,12 @@ func matchTickedModel(t *testing.T, seed int64) {
 	}
 	if ev.RetransWrites == 0 || ev.Retransmitted == 0 || ctr.NACKs == 0 {
 		t.Fatalf("schedule exercised nothing: %d captures, %d replays, %d NACKs", ev.RetransWrites, ev.Retransmitted, ctr.NACKs)
+	}
+	if (m.rbFlipped > 0) != (rbRate > 0 && !rbDuplicate) {
+		t.Fatalf("%d stored copies upset at rate %v, duplicate %v", m.rbFlipped, rbRate, rbDuplicate)
+	}
+	if got, want := rbRNG.Uint64(), m.rbRNG.Uint64(); got != want {
+		t.Fatalf("upset stream left at a different state: next draw %#x, model %#x", got, want)
 	}
 }
 

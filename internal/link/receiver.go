@@ -25,8 +25,15 @@ type Receiver struct {
 	events     *stats.Events
 	counters   *fault.Counters
 
+	// Receive's hand-off to NextControl and NextData: how many checked
+	// arrivals are still on the wire, how many accepted controls among
+	// them are still to be handed out, and where NextControl looks next.
+	arrived int
+	ctrls   int
+	ctrlAt  int
+
 	// Scratch buffers backing ReceiveAll's return values, reused across
-	// cycles; callers consume the slices within the cycle.
+	// calls; untouched, and never allocated, by Receive and Next*.
 	dataScratch []flit.Flit
 	ctrlScratch []flit.Flit
 
@@ -96,42 +103,93 @@ func (r *Receiver) Channel() *Channel { return r.ch }
 // Protection returns the receiver's link-error handling scheme.
 func (r *Receiver) Protection() Protection { return r.protection }
 
-// ReceiveAll processes every arrival visible this cycle. At most one data
-// flit per cycle can be accepted (the transmitter owns the physical
-// channel), but control flits (probes/activations) may share a cycle with
-// it; they bypass buffers and credits. The returned slices alias internal
-// scratch buffers valid only until the next ReceiveAll on this receiver.
+// void marks a wire slot whose arrival the receiver rejected: the zero
+// Type, which no flit carries (package flit), so NextControl and NextData
+// pass over it.
+const void flit.Type = 0
+
+// Receive error-checks every arrival visible this cycle, in arrival order
+// and in place in its wire slot: a correction is written back to the
+// slot, a corrupted VC id is clamped there, and a rejected arrival's slot
+// is voided, its credit and NACK already raised. Nothing is copied and
+// nothing leaves the wire yet; NextControl and then NextData hand out
+// what was accepted, one flit at a time. At most one data flit per cycle
+// can be accepted (the transmitter owns the physical channel), but
+// control flits (probes/activations) may share a cycle with it; they
+// bypass buffers and credits.
+func (r *Receiver) Receive(cycle uint64) {
+	n, ctrls := 0, 0
+	for f := r.ch.flits.PeekSlot(0); f != nil; f = r.ch.flits.PeekSlot(n) {
+		if r.check(f, cycle) {
+			ctrls++
+		}
+		n++
+	}
+	r.arrived, r.ctrls, r.ctrlAt = n, ctrls, 0
+}
+
+// NextControl returns the next control flit the last Receive accepted,
+// still in its wire slot, or nil when there is none left. The controls
+// come first because they always have: a router handles a cycle's probes
+// and activations before it buffers the cycle's data.
+func (r *Receiver) NextControl() *flit.Flit {
+	for r.ctrls > 0 {
+		f := r.ch.flits.PeekSlot(r.ctrlAt)
+		r.ctrlAt++
+		if f.Type != void && !f.IsData() {
+			r.ctrls--
+			return f
+		}
+	}
+	return nil
+}
+
+// NextData takes the last Receive's arrivals off the wire up to and
+// including the next accepted data flit, and returns that flit in its
+// wire slot (good until the sender's next push: through the caller's
+// tick, see sim.Pipe.PopSlot), or nil once the arrivals are used up. A
+// caller must drain it: it is what empties the wire, and NextControl
+// reads only what is still on it.
+func (r *Receiver) NextData() *flit.Flit {
+	for r.arrived > 0 {
+		r.arrived--
+		if f := r.ch.flits.PopSlot(); f.IsData() {
+			return f
+		}
+	}
+	return nil
+}
+
+// ReceiveAll is Receive, NextControl and NextData for a caller that wants
+// the cycle's accepted flits by value. The returned slices alias scratch
+// buffers valid only until the next ReceiveAll on this receiver.
 func (r *Receiver) ReceiveAll(cycle uint64) (data []flit.Flit, ctrl []flit.Flit) {
-	data = r.dataScratch[:0]
-	ctrl = r.ctrlScratch[:0]
-	for {
-		f, got := r.ch.Recv()
-		if !got {
-			break
-		}
-		if d, ok, isCtrl := r.receiveOne(f, cycle); isCtrl {
-			ctrl = append(ctrl, d)
-		} else if ok {
-			data = append(data, d)
-		}
+	r.Receive(cycle)
+	data, ctrl = r.dataScratch[:0], r.ctrlScratch[:0]
+	for f := r.NextControl(); f != nil; f = r.NextControl() {
+		ctrl = append(ctrl, *f)
+	}
+	for f := r.NextData(); f != nil; f = r.NextData() {
+		data = append(data, *f)
 	}
 	r.dataScratch, r.ctrlScratch = data, ctrl
 	return data, ctrl
 }
 
-// receiveOne classifies and error-checks a single arrival. A control
-// flit comes back with isCtrl set (ok is then meaningless); returning it
-// by value rather than by pointer keeps the flit on the caller's stack.
-func (r *Receiver) receiveOne(f flit.Flit, cycle uint64) (res flit.Flit, ok, isCtrl bool) {
+// check classifies and error-checks one arrival in its wire slot,
+// voiding the slot if the arrival is rejected. It reports whether the
+// slot now holds an accepted control flit.
+func (r *Receiver) check(f *flit.Flit, cycle uint64) (isCtrl bool) {
 	if !f.IsData() {
 		// Control flit: always decode (it travels under the error
 		// correcting blanket, §3.2.2); an uncorrectable one is dropped
 		// and the sender's threshold timer will retry.
-		word, check, out := r.decode(f)
+		word, check, out := ecc.Decode(f.Word, f.Check)
 		r.events.ECCDecodes++
 		switch out {
 		case ecc.Detected:
-			return flit.Flit{}, false, false
+			f.Type = void
+			return false
 		case ecc.Corrected:
 			r.events.ECCCorrections++
 			r.counters.AddCorrected(fault.LinkError)
@@ -141,7 +199,7 @@ func (r *Receiver) receiveOne(f flit.Flit, cycle uint64) (res flit.Flit, ok, isC
 			}
 		}
 		f.Word, f.Check = word, check
-		return f, false, true
+		return f.Type != void
 	}
 
 	vc := int(f.VC)
@@ -158,27 +216,26 @@ func (r *Receiver) receiveOne(f flit.Flit, cycle uint64) (res flit.Flit, ok, isC
 		r.counters.DroppedFlits++
 		r.ch.SendCredit(uint8(vc))
 		r.emitDrop(cycle, vc, uint64(f.PID), f.Seq, trace.DropWindow)
-		return flit.Flit{}, false, false
+		f.Type = void
+		return false
 	}
 
-	checkIt := r.protection != E2E || f.Type == flit.Head
-	if !checkIt {
+	if r.protection == E2E && f.Type != flit.Head {
 		// E2E data flit: no hop-by-hop check; corruption (if any) rides
 		// along to the destination.
-		return f, true, false
+		return false
 	}
 
 	r.events.ECCDecodes++
 	word, check, out := ecc.Decode(f.Word, f.Check)
 	switch out {
 	case ecc.OK:
-		return f, true, false
 	case ecc.Corrected:
 		if r.protection == E2E {
 			// E2E provides detection only: even a single-bit header error
 			// goes down the retransmission path.
 			r.nack(vc, cycle, f)
-			return flit.Flit{}, false, false
+			break
 		}
 		r.events.ECCCorrections++
 		r.counters.AddCorrected(fault.LinkError)
@@ -187,22 +244,21 @@ func (r *Receiver) receiveOne(f flit.Flit, cycle uint64) (res flit.Flit, ok, isC
 			r.verify(cycle, vc, uint64(f.PID), word, check)
 		}
 		f.Word, f.Check = word, check
-		return f, true, false
 	default: // ecc.Detected
 		if r.protection == FEC && f.Type != flit.Head {
 			// FEC cannot repair a double error in a data flit; it is
 			// delivered corrupt and caught end-to-end.
-			return f, true, false
+			break
 		}
 		r.nack(vc, cycle, f)
-		return flit.Flit{}, false, false
 	}
+	return false
 }
 
 // nack initiates hop-by-hop retransmission for a VC: drop the corrupt
-// flit (returning its slot), open the drop window for the two in-flight
-// flits behind it, and raise the NACK handshake.
-func (r *Receiver) nack(vc int, cycle uint64, f flit.Flit) {
+// flit (returning its slot and voiding the wire's), open the drop window
+// for the two in-flight flits behind it, and raise the NACK handshake.
+func (r *Receiver) nack(vc int, cycle uint64, f *flit.Flit) {
 	r.counters.DroppedFlits++
 	r.counters.AddCorrected(fault.LinkError)
 	r.ch.SendCredit(uint8(vc))
@@ -210,6 +266,7 @@ func (r *Receiver) nack(vc int, cycle uint64, f flit.Flit) {
 	r.dropUntil[vc] = cycle + dropWindow
 	r.emitNACK(cycle, vc, NACKLinkError)
 	r.emitDrop(cycle, vc, uint64(f.PID), f.Seq, trace.DropNACK)
+	f.Type = void
 }
 
 // emitNACK publishes a NACK handshake event.
@@ -231,12 +288,6 @@ func (r *Receiver) emitDrop(cycle uint64, vc int, pid uint64, seq uint8, reason 
 			PID: pid, Seq: seq, Aux: reason,
 		})
 	}
-}
-
-// decode applies SEC/DED to a flit and returns the (possibly corrected)
-// word/check pair.
-func (r *Receiver) decode(f flit.Flit) (uint64, uint8, ecc.Outcome) {
-	return ecc.Decode(f.Word, f.Check)
 }
 
 // ReturnCredit hands a freed buffer slot back to the transmitter. The

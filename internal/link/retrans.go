@@ -75,13 +75,20 @@ func (rb *RetransBuffer) Empty() bool { return rb.count == 0 }
 // if the shifter is still full: the flow-control invariant is that at
 // most NACKWindow flits can be inside their NACK window at once, so
 // overflow means the sender outran its own window.
-func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
+func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) { rb.capture(&f, cycle) }
+
+// capture is Capture reading the flit through a pointer. It returns the
+// ring entry's copy — the flit's resting place in the shifter — good
+// until the entry expires or is drained.
+func (rb *RetransBuffer) capture(f *flit.Flit, cycle uint64) *flit.Flit {
 	rb.Expire(cycle)
 	if rb.count >= rb.depth {
 		panic(fmt.Sprintf("link: retransmission buffer overflow (depth %d)", rb.depth))
 	}
-	rb.ring[rb.slot(rb.count)] = retransEntry{f: f, sent: cycle}
+	e := &rb.ring[rb.slot(rb.count)]
+	e.f, e.sent = *f, cycle
 	rb.count++
+	return &e.f
 }
 
 // Expire discards entries whose NACK window has elapsed: a flit sent at

@@ -235,13 +235,15 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 	if !t.HasReplay() {
 		return false
 	}
-	f := t.replay[t.replayHead]
+	f := &t.replay[t.replayHead]
 	vc := int(f.VC)
 	if t.Credits(vc) <= 0 {
 		// The credits returned by the receiver's drops are still in
 		// flight; the port idles this cycle but stays reserved.
 		return true
 	}
+	// f stays readable: the queue is recycled by truncation, and nothing
+	// is appended to it before sendOnWire and the emit below are done.
 	t.replayHead++
 	if t.replayHead == len(t.replay) {
 		t.replay = t.replay[:0]
@@ -263,7 +265,13 @@ func (t *Transmitter) TickReplay(cycle uint64) bool {
 // Send transmits a data flit on the given VC, consuming a credit and
 // capturing a clean copy in the VC's retransmission buffer. The caller
 // must have checked Credits(vc) > 0 and HasReplay() == false.
-func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) {
+func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) { t.SendFlit(&f, vc, cycle) }
+
+// SendFlit is Send reading the flit through a pointer. It stamps the VC
+// into *f — the caller's copy, which is about to be discarded — and
+// copies it twice: into the shifter entry and into the wire slot, the
+// two places a sent flit rests.
+func (t *Transmitter) SendFlit(f *flit.Flit, vc int, cycle uint64) {
 	if t.Credits(vc) <= 0 {
 		panic("link: send without credit")
 	}
@@ -274,14 +282,14 @@ func (t *Transmitter) Send(f flit.Flit, vc int, cycle uint64) {
 	t.sendOnWire(f, cycle)
 }
 
-func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
+func (t *Transmitter) sendOnWire(f *flit.Flit, cycle uint64) {
 	tv := &t.vcs[f.VC]
 	tv.credits--
 	// Capture the clean copy before the wire corrupts it. A soft error in
 	// the buffer itself (§4.5) corrupts the stored copy with two bit
 	// flips — uncorrectable, so a replay of it is doomed. Duplicate
 	// buffers hold a second copy that out-survives the single upset.
-	stored := f
+	stored := tv.shifter.capture(f, cycle)
 	if t.rbRate > 0 && t.rbRNG.Bool(t.rbRate) {
 		t.counters.AddInjected(fault.RetransBufError)
 		if t.rbDuplicate {
@@ -291,13 +299,12 @@ func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
 			stored.Word = ecc.FlipDataBit(ecc.FlipDataBit(stored.Word, t.rbRNG.Intn(64)), (t.rbRNG.Intn(63)+17)%64)
 		}
 	}
-	tv.shifter.Capture(stored, cycle)
 	t.sends.add(cycle, 1)
 	if t.total != nil {
 		t.total.add(cycle, 1)
 	}
 	t.events.RetransWrites++
-	t.ch.Send(f)
+	t.ch.send(f)
 }
 
 // SendControl transmits a probe/activation flit. Control flits bypass the
@@ -306,7 +313,7 @@ func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
 // blocked node's threshold timer.
 func (t *Transmitter) SendControl(f flit.Flit) {
 	t.events.Probes++
-	t.ch.Send(f)
+	t.ch.send(&f)
 }
 
 // ShifterOccupancy returns the summed occupancy and capacity of the

@@ -277,9 +277,9 @@ func (p *pe) inject(cycle uint64) {
 		if len(fs) == 0 || p.tx.Credits(v) <= 0 || p.tx.HasReplay() {
 			continue
 		}
-		f := fs[0]
+		f := &fs[0] // read in place: the staging slot is not reused before the packet is out
 		p.vcFlits[v] = fs[1:]
-		p.tx.Send(f, v, cycle)
+		p.tx.SendFlit(f, v, cycle)
 		_, isReq := isNACKRequest(f.Word)
 		if f.Type == flit.Tail && p.usesRetention() && !isReq {
 			p.retention[f.PID] = retained{
@@ -298,8 +298,8 @@ func (p *pe) inject(cycle uint64) {
 // eject consumes the cycle's arrivals from the router and reassembles
 // packets.
 func (p *pe) eject(cycle uint64) {
-	data, _ := p.rx.ReceiveAll(cycle)
-	for _, f := range data {
+	p.rx.Receive(cycle)
+	for f := p.rx.NextData(); f != nil; f = p.rx.NextData() {
 		vc := int(f.VC)
 		if vc >= len(p.sinkPID) {
 			vc = 0
@@ -324,7 +324,7 @@ func (p *pe) emitDrop(cycle uint64, vc int, pid flit.PacketID, reason uint64) {
 
 // consume runs the destination-side integrity check and packet assembly
 // for one flit.
-func (p *pe) consume(cycle uint64, vc int, f flit.Flit) {
+func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 	switch f.Type {
 	case flit.Head:
 		if p.sinkLive[vc] {
@@ -401,7 +401,7 @@ func (p *pe) consume(cycle uint64, vc int, f flit.Flit) {
 }
 
 // flitCorrupt applies the destination's end check per protection scheme.
-func (p *pe) flitCorrupt(f flit.Flit) bool {
+func (p *pe) flitCorrupt(f *flit.Flit) bool {
 	_, _, out := ecc.Decode(f.Word, f.Check)
 	p.net.events.ECCDecodes++
 	switch p.net.cfg.Protection {

@@ -124,7 +124,7 @@ func (r *Router) sendSignal(cycle uint64, t flit.Type, ivc *inputVC, m probeMsg)
 
 // handleControl processes an arriving probe or activation flit (Rules
 // 2-4 of §3.2.2).
-func (r *Router) handleControl(cycle uint64, p topology.Port, f flit.Flit) {
+func (r *Router) handleControl(cycle uint64, p topology.Port, f *flit.Flit) {
 	if !r.cfg.RecoveryEnabled {
 		return
 	}

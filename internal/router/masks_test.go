@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -231,4 +232,40 @@ func TestAuditVCMasksCatchesDrift(t *testing.T) {
 	if !sawWait || !sawActive {
 		t.Fatalf("packet never seen in VA wait (%v) and active (%v) at a boundary", sawWait, sawActive)
 	}
+}
+
+// A flit crosses a hop through pointers — into the wire slot, the VC
+// buffer slot, executeGrant's stack copy, the shifter entry — and if any
+// of them let its address escape, the compiler moves a flit to the heap
+// on every hop. A hand-wired PE -> router -> router -> PE stream, warmed
+// up until every ring and scratch buffer has its size, must therefore
+// run without allocating.
+func TestHopDoesNotAllocate(t *testing.T) {
+	p := newPair(t, 3)
+	packet := flit.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}.Flits()
+	sent, arrived := 0, 0
+	p.k.Register(sim.ActorFunc(func(c uint64) {
+		p.srcTx.BeginCycle(c)
+		if vc := sent / len(packet) % 2; p.srcTx.Credits(vc) > 0 {
+			f := packet[sent%len(packet)]
+			p.srcTx.SendFlit(&f, vc, c)
+			sent++
+		}
+	}))
+	p.k.Register(sim.ActorFunc(func(c uint64) {
+		p.dstRx.Receive(c)
+		for f := p.dstRx.NextData(); f != nil; f = p.dstRx.NextData() {
+			p.dstRx.ReturnCredit(int(f.VC))
+			arrived++
+		}
+	}))
+	p.k.Run(200)
+	before := arrived
+	if allocs := testing.AllocsPerRun(20, func() { p.k.Run(50) }); allocs != 0 {
+		t.Errorf("%v allocations per 50 cycles of a steady two-router stream, want 0", allocs)
+	}
+	if arrived-before < 500 {
+		t.Fatalf("only %d flits crossed both routers while measuring; the guard measured an idle network", arrived-before)
+	}
+	p.audit(t, "after the guard")
 }

@@ -44,7 +44,7 @@ type Router struct {
 	//
 	//   rxPending  input ports whose wire shows flits. Set by the flit
 	//              pipe's delivery (hook installed in AttachInput),
-	//              cleared by ingest once ReceiveAll has drained the wire.
+	//              cleared by ingest once it has taken every arrival off it.
 	//   txPending  output ports whose NACK wire shows a NACK. Set by that
 	//              pipe's delivery (AttachOutput), cleared by beginOutputs
 	//              once BeginCycle has drained it. A delivery marks once,
@@ -223,8 +223,11 @@ func (r *Router) AttachOutput(p topology.Port, tx *link.Transmitter) {
 }
 
 // Tick evaluates one cycle of the router pipeline. The phases mirror the
-// atomic modules of Fig. 2; all cross-router effects go through latched
-// channel wires, so intra-cycle phase order is purely local.
+// atomic modules of Fig. 2; all cross-router effects go through channel
+// wires whose values carry the cycle they become visible at — never
+// this one — so intra-cycle phase order is purely local. For the same
+// reason a pointer ingest takes into an input wire's slot stays good for
+// the whole Tick: only the upstream actor pushes on that wire.
 func (r *Router) Tick(cycle uint64) {
 	if cycle > r.nextExpected {
 		r.catchUp(cycle - r.nextExpected)
@@ -439,23 +442,29 @@ func (r *Router) recoverMisroute(p topology.Port, ov int, cycle uint64) {
 // ingest receives this cycle's arrivals, applies the misroute consistency
 // check to headers, and writes accepted flits into the VC buffers. Only
 // ports whose wire shows flits (rxPending) are visited, in ascending port
-// order; ReceiveAll on an empty wire returns nothing and changes nothing.
+// order; receiving from an empty wire changes nothing. Per port the
+// receiver checks every arrival where it lies, then the controls are
+// handled and then the data buffered, each read through a pointer into
+// its wire slot.
 func (r *Router) ingest(cycle uint64) {
 	for m := r.rxPending; m != 0; m &= m - 1 {
 		p := topology.Port(bits.TrailingZeros8(m))
 		ip := r.in[p]
-		data, ctrl := ip.rx.ReceiveAll(cycle)
-		for _, f := range ctrl {
+		ip.rx.Receive(cycle)
+		for f := ip.rx.NextControl(); f != nil; f = ip.rx.NextControl() {
 			r.handleControl(cycle, p, f)
 		}
-		for _, f := range data {
+		for f := ip.rx.NextData(); f != nil; f = ip.rx.NextData() {
 			r.ingestData(cycle, ip, f)
 		}
 	}
 	r.rxPending = 0
 }
 
-func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
+// ingestData buffers one accepted arrival: f points into the wire slot it
+// arrived in, and Push is the one copy that takes it from there into its
+// VC buffer slot.
+func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 	vc := int(f.VC)
 	if vc >= len(ip.vcs) {
 		vc = 0
@@ -541,14 +550,15 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 	if ivc.state != vcIdle {
 		return
 	}
-	f, ok := ivc.front()
-	if !ok {
+	f := ivc.frontSlot()
+	if f == nil {
 		return
 	}
 	if f.Type != flit.Head {
 		// Stray flit with no wormhole: only possible when an
 		// unprotected fault broke packet framing. Drop it.
-		dropped, fromBuf := r.takeFront(ivc)
+		var dropped flit.Flit
+		fromBuf := r.takeFront(ivc, &dropped)
 		if fromBuf {
 			ip.rx.ReturnCredit(ivc.idx)
 		}
@@ -565,7 +575,7 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 				PID: uint64(dropped.PID), Seq: dropped.Seq, Aux: aux,
 			})
 		}
-		r.emitDrop(cycle, ivc.port, ivc.idx, dropped, trace.DropStray)
+		r.emitDrop(cycle, ivc.port, ivc.idx, &dropped, trace.DropStray)
 		return
 	}
 	ivc.dst = flit.DecodeHeader(f.Word).Dst
@@ -574,17 +584,26 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 	ivc.earliestVA = cycle + vaOffset(r.cfg.PipelineDepth)
 }
 
-// takeFront removes the next flit ivc must emit, keeping the occupancy
-// counts in step. fromBuf reports that the flit left the buffer (and so
-// frees a credited slot) rather than the pending queue.
-func (r *Router) takeFront(ivc *inputVC) (f flit.Flit, fromBuf bool) {
-	f, fromBuf = ivc.popFront()
-	if fromBuf {
-		r.buffered--
-	} else {
+// takeFront removes the next flit ivc must emit — the one frontSlot
+// points at — into *dst, the one copy that takes it out of its buffer
+// slot, keeping the occupancy counts in step. fromBuf reports that the
+// flit left the buffer (and so frees a credited slot) rather than the
+// pending queue.
+func (r *Router) takeFront(ivc *inputVC, dst *flit.Flit) (fromBuf bool) {
+	if len(ivc.pending) > 0 {
+		*dst = ivc.pending[0]
+		ivc.pending = ivc.pending[1:]
 		r.parked--
+		return false
 	}
-	return f, fromBuf
+	src := ivc.buf.Front()
+	if src == nil {
+		panic("router: takeFront on empty VC")
+	}
+	*dst = *src
+	ivc.buf.Pop()
+	r.buffered--
+	return true
 }
 
 // computeRoute runs the routing function for the packet resident in ivc,
@@ -600,7 +619,7 @@ func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	if r.cfg.Bus.Enabled() {
 		var pid uint64
 		var seq uint8
-		if f, ok := ivc.front(); ok {
+		if f := ivc.frontSlot(); f != nil {
 			pid, seq = uint64(f.PID), f.Seq
 		}
 		r.cfg.Bus.Emit(trace.Event{
@@ -689,8 +708,23 @@ func (r *Router) legalCandidates(ivc *inputVC) []topology.Port {
 	return legal
 }
 
-// existingBindings snapshots the VA state table for the comparator. The
-// returned slice is a reusable scratch buffer, consumed synchronously.
+// bindingAt returns the VA state table's entry for output VC (p, v) — the
+// one entry of existingBindings a fresh binding naming (p, v) can be a
+// duplicate of, so all the comparator's duplicate screen has to read —
+// or nothing when that VC is free, out of range or on an unattached
+// port. The returned slice is a reusable scratch buffer, consumed
+// synchronously.
+func (r *Router) bindingAt(p topology.Port, v int) []ac.Binding {
+	if int(p) >= len(r.out) || r.out[p] == nil || v < 0 || v >= len(r.out[p].vcs) || !r.out[p].vcs[v].busy {
+		return nil
+	}
+	e := &r.out[p].vcs[v]
+	return append(r.scratchBind[:0], ac.Binding{InPort: e.inPort, InVC: e.inVC, OutPort: p, OutVC: v})
+}
+
+// existingBindings snapshots the whole VA state table, for corruptBinding
+// to draw a collision victim from. The returned slice is a reusable
+// scratch buffer, consumed synchronously.
 func (r *Router) existingBindings() []ac.Binding {
 	bs := r.scratchBind[:0]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
@@ -746,7 +780,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 		// (§3.2.1): injected packets would consume the recovery slack.
 		return
 	}
-	if _, ok := ivc.front(); !ok {
+	if ivc.occupied() == 0 {
 		return
 	}
 	r.cfg.Events.VAAllocs++
@@ -792,7 +826,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 
 	if r.cfg.ACEnabled {
 		r.cfg.Events.ACChecks++
-		if v := ac.CheckVA(b, ivc.candidates, r.cfg.VCs, int(topology.NumPorts), r.existingBindings()); v != ac.None {
+		if v := ac.CheckVA(b, ivc.candidates, r.cfg.VCs, int(topology.NumPorts), r.bindingAt(b.OutPort, b.OutVC)); v != ac.None {
 			// Invalidate the previous allocation and redo it: one
 			// cycle of latency (§4.1). In routers of depth <= 2 the
 			// speculative transmission must also be squashed with an
@@ -829,7 +863,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 	}
 	if r.cfg.Bus.Enabled() {
 		var pid uint64
-		if f, ok := ivc.front(); ok {
+		if f := ivc.frontSlot(); f != nil {
 			pid = uint64(f.PID)
 		}
 		r.cfg.Bus.Emit(trace.Event{
@@ -1070,8 +1104,8 @@ func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool
 	if ivc.outVC < 0 || ivc.outVC >= r.cfg.VCs {
 		return false // scenario-1 VA corruption left the packet stranded
 	}
-	f, ok := ivc.front()
-	if !ok {
+	f := ivc.frontSlot()
+	if f == nil {
 		return false
 	}
 	if f.Type == flit.Head && cycle < ivc.earliestSA {
@@ -1090,7 +1124,8 @@ func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool
 // physically possible, otherwise it is lost.
 func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 	ivc := r.in[g.InPort].vcs[g.InVC]
-	f, fromBuf := r.takeFront(ivc)
+	var f flit.Flit
+	fromBuf := r.takeFront(ivc, &f)
 	if fromBuf {
 		r.in[g.InPort].rx.ReturnCredit(g.InVC)
 	}
@@ -1125,22 +1160,22 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 		// Uncaught corruption pointed nowhere usable: the flit is lost.
 		r.strayFlits++
 		r.cfg.Counters.AddUndetected(fault.SALogic)
-		r.emitDrop(cycle, g.InPort, g.InVC, f, trace.DropSALost)
+		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
 	case corrupted && op.tx.Credits(vc) <= 0:
 		r.strayFlits++
 		r.cfg.Counters.AddUndetected(fault.SALogic)
-		r.emitDrop(cycle, g.InPort, g.InVC, f, trace.DropSALost)
+		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
 	case op.tx.HasReplay():
 		// The corrupted grant targets a port busy replaying; flit lost.
 		r.strayFlits++
 		r.cfg.Counters.AddUndetected(fault.SALogic)
-		r.emitDrop(cycle, g.InPort, g.InVC, f, trace.DropSALost)
+		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
 	default:
 		if r.cfg.DeadSend != nil && g.OutPort != topology.Local && r.cfg.FaultMap != nil &&
 			r.cfg.FaultMap.LinkDead(r.id, g.OutPort) {
 			r.cfg.DeadSend(cycle, r.id, g.OutPort, vc, uint64(f.PID))
 		}
-		op.tx.Send(f, vc, cycle)
+		op.tx.SendFlit(&f, vc, cycle)
 		if corrupted {
 			r.cfg.Counters.AddUndetected(fault.SALogic)
 		}
@@ -1158,7 +1193,7 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 
 // emitDrop publishes a terminal flit-loss event with its reason code, so
 // conservation audits can account for every discarded flit.
-func (r *Router) emitDrop(cycle uint64, port topology.Port, vc int, f flit.Flit, reason uint64) {
+func (r *Router) emitDrop(cycle uint64, port topology.Port, vc int, f *flit.Flit, reason uint64) {
 	if r.cfg.Bus.Enabled() {
 		r.cfg.Bus.Emit(trace.Event{
 			Cycle: cycle, Kind: trace.FlitDropped,

@@ -69,28 +69,14 @@ type inputVC struct {
 	member bool
 }
 
-// front returns the next flit this VC must emit.
-func (v *inputVC) front() (flit.Flit, bool) {
+// frontSlot returns the next flit this VC must emit, where it rests — the
+// pending queue or the buffer — or nil when the VC is empty. The pointer
+// is for looking, and good until the VC next gains or loses a flit.
+func (v *inputVC) frontSlot() *flit.Flit {
 	if len(v.pending) > 0 {
-		return v.pending[0], true
+		return &v.pending[0]
 	}
 	return v.buf.Front()
-}
-
-// popFront removes the next flit. It reports whether the flit came from
-// the buffer (and therefore frees a credited slot) rather than from the
-// pending queue.
-func (v *inputVC) popFront() (flit.Flit, bool) {
-	if len(v.pending) > 0 {
-		f := v.pending[0]
-		v.pending = v.pending[1:]
-		return f, false
-	}
-	f, ok := v.buf.Pop()
-	if !ok {
-		panic("router: popFront on empty VC")
-	}
-	return f, true
 }
 
 // occupied returns the number of flits resident in this VC (buffer +

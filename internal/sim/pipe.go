@@ -115,17 +115,25 @@ func (p *Pipe[T]) Delivery() Delivery { return p.hook }
 func (p *Pipe[T]) Latency() int { return p.latency }
 
 // Push enqueues v for delivery latency cycles from now.
-func (p *Pipe[T]) Push(v T) {
+func (p *Pipe[T]) Push(v T) { *p.PushSlot() = v }
+
+// PushSlot enqueues a value for delivery latency cycles from now and
+// returns the ring slot it rests in, for the caller to fill: the slot
+// holds whatever its last occupant left, and the pointer is good until
+// the next push on this pipe.
+func (p *Pipe[T]) PushSlot() *T {
 	if p.held == len(p.buf) {
 		p.grow()
 	}
 	at := p.k.cycle + uint64(p.latency)
-	*p.slot(p.held) = stamped[T]{at: at, v: v}
+	e := p.slot(p.held)
+	e.at = at
 	p.held++
 	if p.queued != at {
 		p.queued = at
 		p.k.queueDelivery(&p.hook, at)
 	}
+	return &e.v
 }
 
 // slot returns the ring entry i places behind the oldest one.
@@ -143,21 +151,48 @@ func (p *Pipe[T]) grow() {
 // Pop removes and returns the oldest value visible this cycle. ok is false
 // if no value is available.
 func (p *Pipe[T]) Pop() (v T, ok bool) {
-	if p.Empty() {
-		return v, false
+	if s := p.PopSlot(); s != nil {
+		return *s, true
 	}
-	v = p.buf[p.head].v
+	return v, false
+}
+
+// PopSlot removes the oldest value visible this cycle and returns the
+// ring slot it still rests in, or nil if no value is available. The slot
+// is the caller's to read and write until the next push on this pipe,
+// which may reuse it. A pipe's producer and consumer are different
+// actors, so none can happen before the consumer's Tick returns; Filter
+// runs between steps, when nobody holds one.
+func (p *Pipe[T]) PopSlot() *T {
+	if p.Empty() {
+		return nil
+	}
+	e := &p.buf[p.head]
 	p.head = (p.head + 1) & (len(p.buf) - 1)
 	p.held--
-	return v, true
+	return &e.v
+}
+
+// PeekSlot returns the slot of the i-th value visible this cycle, oldest
+// first (0 is the one PopSlot would take), without removing it, or nil if
+// fewer are visible. A slot still on the ring is never reused; the
+// pointer is good until the next push, which may move the ring.
+func (p *Pipe[T]) PeekSlot(i int) *T {
+	if i >= p.held {
+		return nil
+	}
+	if e := p.slot(i); e.at <= p.k.cycle {
+		return &e.v
+	}
+	return nil
 }
 
 // Peek returns the oldest visible value without removing it.
 func (p *Pipe[T]) Peek() (v T, ok bool) {
-	if p.Empty() {
-		return v, false
+	if s := p.PeekSlot(0); s != nil {
+		return *s, true
 	}
-	return p.buf[p.head].v, true
+	return v, false
 }
 
 // PopAll removes and returns every value visible this cycle. The returned

@@ -65,10 +65,12 @@ func (l *tickLog) Tick(c uint64)                   { l.ticks = append(l.ticks, c
 func (l *tickLog) Quiescent(uint64) (bool, uint64) { return true, 0 }
 
 // The stamped pipe against the latch model under one random sequence of
-// pushes, pops, drains, filters and steps: the same values visible on the
+// pushes, pops, drains, filters and steps — pushes and pops by value and
+// through the slot-returning forms alike: the same values visible on the
 // same cycles, the same counts, a mark exactly when the model's latch
 // brings arrivals, and (event mode) a consumer tick exactly one cycle
-// after each such latch.
+// after each such latch. A popped slot must keep its value until the next
+// push, however the ring grew before the pop.
 func TestPipeMatchesLatchModel(t *testing.T) {
 	for _, mode := range []Mode{ModeNaive, ModeEvent} {
 		for latency := 1; latency <= 3; latency++ {
@@ -94,26 +96,43 @@ func matchLatchModel(t *testing.T, mode Mode, latency int, seed int64) {
 	m := &latchModel{stages: make([][]int, latency+1)}
 	wantTicks := []uint64{0}
 	next := 0
+	var popped *int // the slot the last PopSlot handed out, while it must hold
+	poppedVal := 0
 	for c := uint64(0); c < 300; c++ {
 		for ops := rng.Intn(4); ops > 0; ops-- {
-			switch rng.Intn(8) {
-			case 0, 1, 2: // a burst deep enough to grow the ring now and then
+			switch op := rng.Intn(10); op {
+			case 0, 1, 2, 3: // a burst deep enough to grow the ring now and then
 				for n := rng.Intn(4) * rng.Intn(4); n >= 0; n-- {
-					p.Push(next)
+					if op == 3 {
+						*p.PushSlot() = next
+					} else {
+						p.Push(next)
+					}
+					popped = nil // the push was free to reuse the slot
 					m.push(next)
 					next++
 				}
-			case 3, 4:
+			case 4, 5:
 				gv, gok := p.Pop()
 				wv, wok := m.pop()
 				if gv != wv || gok != wok {
 					t.Fatalf("cycle %d: Pop = %d,%v, model %d,%v", c, gv, gok, wv, wok)
 				}
-			case 5:
+			case 8, 9:
+				slot := p.PopSlot()
+				wv, wok := m.pop()
+				if (slot != nil) != wok || wok && *slot != wv {
+					t.Fatalf("cycle %d: PopSlot = %v, model %d,%v", c, slot, wv, wok)
+				}
+				if slot != nil {
+					popped, poppedVal = slot, wv
+				}
+			case 6:
 				if got, want := p.PopAll(), m.popAll(); !slices.Equal(got, want) {
 					t.Fatalf("cycle %d: PopAll = %v, model %v", c, got, want)
 				}
-			case 6:
+			case 7:
+				popped = nil // Filter runs between steps, when nobody holds a slot
 				div := 2 + rng.Intn(3)
 				remove := func(v int) bool { return v%div == 0 }
 				if got, want := p.Filter(remove, nil), m.filter(remove); got != want {
@@ -126,6 +145,17 @@ func matchLatchModel(t *testing.T, mode Mode, latency int, seed int64) {
 			}
 			if v, ok := p.Peek(); ok && v != m.stages[0][0] {
 				t.Fatalf("cycle %d: Peek = %d, model %d", c, v, m.stages[0][0])
+			}
+			for i, want := range m.stages[0] {
+				if slot := p.PeekSlot(i); slot == nil || *slot != want {
+					t.Fatalf("cycle %d: PeekSlot(%d) = %v, model %d", c, i, slot, want)
+				}
+			}
+			if slot := p.PeekSlot(len(m.stages[0])); slot != nil {
+				t.Fatalf("cycle %d: PeekSlot past the %d visible values = %d", c, len(m.stages[0]), *slot)
+			}
+			if popped != nil && *popped != poppedVal {
+				t.Fatalf("cycle %d: popped slot reads %d before the next push, held %d", c, *popped, poppedVal)
 			}
 		}
 		mask = 0
