@@ -96,9 +96,6 @@ func (r *Ring) Fill(m int) {
 // Delivered reports flits that left the ring via the exit node.
 func (r *Ring) Delivered() int { return r.delivered }
 
-// Step reports the number of Step calls so far.
-func (r *Ring) StepCount() int { return r.step }
-
 // StartRecovery switches every node into deadlock-recovery mode: the
 // initial lateral move of step 2 in Fig. 10 happens on the next Step.
 func (r *Ring) StartRecovery() {

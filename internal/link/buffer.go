@@ -11,15 +11,11 @@ import (
 )
 
 // FIFO is a bounded flit queue: the "normal transmission buffer" of the
-// paper (one per virtual channel). During deadlock recovery its effective
-// capacity is extended by the depth of the associated retransmission
-// buffer (§3.2.1) — the flow-control equivalent of physically shifting
-// flits into the barrel shifter (see DESIGN.md for the equivalence
-// argument; the literal Fig. 10 mechanics are modelled in package
-// deadlock).
+// paper (one per virtual channel). Deadlock recovery (§3.2.1) does not
+// stretch it: the router parks flits from it in the VC's pending queue,
+// which stands for the retransmission shifter's slots.
 type FIFO struct {
-	cap   int
-	extra int // recovery-mode capacity extension
+	cap int
 	// buf[head:] holds the queued flits; the consumed prefix is reclaimed
 	// by compaction instead of reslicing, so a steady-state queue reuses
 	// one backing array forever.
@@ -38,10 +34,8 @@ func NewFIFO(capacity int) *FIFO {
 // NewFIFOs creates n queues of the given capacity whose backing storage
 // is carved out of one contiguous arena, for cache locality when a router
 // walks its VC buffers. Each queue's window is capacity-capped (a
-// three-index slice), so a queue that outgrows its window during a
-// recovery extension reallocates privately instead of clobbering its
-// neighbour. The returned slice itself is contiguous; callers keep
-// pointers &fifos[i].
+// three-index slice), so no append can reach a neighbour's window. The
+// returned slice itself is contiguous; callers keep pointers &fifos[i].
 func NewFIFOs(n, capacity int) []FIFO {
 	if capacity < 1 {
 		panic("link: FIFO capacity must be >= 1")
@@ -55,17 +49,14 @@ func NewFIFOs(n, capacity int) []FIFO {
 	return fifos
 }
 
-// Cap returns the nominal (non-recovery) capacity.
+// Cap returns the capacity.
 func (q *FIFO) Cap() int { return q.cap }
-
-// EffectiveCap returns the capacity including any recovery extension.
-func (q *FIFO) EffectiveCap() int { return q.cap + q.extra }
 
 // Len returns the current occupancy.
 func (q *FIFO) Len() int { return len(q.buf) - q.head }
 
-// Free returns the number of empty slots at the current effective capacity.
-func (q *FIFO) Free() int { return q.EffectiveCap() - q.Len() }
+// Free returns the number of empty slots.
+func (q *FIFO) Free() int { return q.cap - q.Len() }
 
 // Full reports whether no slot is free.
 func (q *FIFO) Full() bool { return q.Free() <= 0 }
@@ -78,7 +69,7 @@ func (q *FIFO) Empty() bool { return q.head >= len(q.buf) }
 // it, so an overflow is a flow-control bug, not a runtime condition.
 func (q *FIFO) Push(f *flit.Flit) {
 	if q.Full() {
-		panic(fmt.Sprintf("link: FIFO overflow (cap %d): %v", q.EffectiveCap(), *f))
+		panic(fmt.Sprintf("link: FIFO overflow (cap %d): %v", q.cap, *f))
 	}
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
@@ -111,23 +102,6 @@ func (q *FIFO) Pop() (flit.Flit, bool) {
 	}
 	return f, true
 }
-
-// ExtendForRecovery grows the effective capacity by extra slots while the
-// VC participates in deadlock recovery.
-func (q *FIFO) ExtendForRecovery(extra int) {
-	if extra < 0 {
-		panic("link: negative recovery extension")
-	}
-	q.extra = extra
-}
-
-// EndRecovery reverts to nominal capacity. Occupancy above nominal
-// capacity is permitted to persist; the queue simply accepts no new flits
-// until it drains below nominal.
-func (q *FIFO) EndRecovery() { q.extra = 0 }
-
-// InRecovery reports whether a capacity extension is active.
-func (q *FIFO) InRecovery() bool { return q.extra > 0 }
 
 // Snapshot returns a copy of the queued flits, oldest first (for tests and
 // trace tooling).

@@ -41,34 +41,6 @@ func TestFIFOOverflowPanics(t *testing.T) {
 	q.Push(&flit.Flit{})
 }
 
-func TestFIFORecoveryExtension(t *testing.T) {
-	q := NewFIFO(2)
-	q.Push(&flit.Flit{Seq: 1})
-	q.Push(&flit.Flit{Seq: 2})
-	q.ExtendForRecovery(3)
-	if q.EffectiveCap() != 5 || q.Free() != 3 || !q.InRecovery() {
-		t.Fatalf("extension wrong: cap=%d free=%d", q.EffectiveCap(), q.Free())
-	}
-	q.Push(&flit.Flit{Seq: 3})
-	q.EndRecovery()
-	if q.EffectiveCap() != 2 {
-		t.Fatalf("EndRecovery cap = %d", q.EffectiveCap())
-	}
-	// Over-nominal occupancy persists but no pushes are allowed.
-	if !q.Full() {
-		t.Fatal("over-capacity FIFO should report full")
-	}
-	if q.Free() > 0 {
-		t.Fatalf("over-capacity FIFO reports %d free slots", q.Free())
-	}
-	// It drains back to nominal normally.
-	q.Pop()
-	q.Pop()
-	if q.Full() || q.Free() != 1 {
-		t.Fatalf("after draining: full=%v free=%d, want free=1", q.Full(), q.Free())
-	}
-}
-
 func TestRetransBufferCaptureExpireDrain(t *testing.T) {
 	rb := NewRetransBuffer(NACKWindow)
 	rb.Capture(flit.Flit{Seq: 0}, 10)

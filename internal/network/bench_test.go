@@ -70,7 +70,8 @@ func BenchmarkKernelSteadyMetrics(b *testing.B) {
 }
 
 // BenchmarkKernelSteadyNaive is the same workload under the naive
-// scheduler — the baseline every other kernel is measured against.
+// scheduler; the two kernels run the same routers, so the ratio to
+// BenchmarkKernelSteady is what the calendar queue is worth here.
 func BenchmarkKernelSteadyNaive(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Kernel = kernel.Naive

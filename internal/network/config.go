@@ -13,6 +13,7 @@ import (
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
+	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
@@ -108,10 +109,10 @@ type Config struct {
 	// actor every cycle (the differential oracle) and kernel.Event (the
 	// default) runs the calendar-queue scheduler that steps actors only
 	// when an event is due. Results are identical under both (that is
-	// the scheduling contract, enforced by the differential tests); the
-	// knob exists as the escape hatch and the baseline axis for
-	// benchmarks. Excluded from JSON so scheduling never perturbs
-	// ConfigHash or canonical configs.
+	// the scheduling contract, enforced by the differential tests), and
+	// the scheduler is all the knob varies: routers, links and PEs run
+	// the same code under both. Excluded from JSON so scheduling never
+	// perturbs ConfigHash or canonical configs.
 	Kernel kernel.Kind `json:"-"`
 
 	Seed uint64
@@ -173,10 +174,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.Width < 2 || c.Height < 1 || c.Width*c.Height < 2:
 		return fail("topology %dx%d too small", c.Width, c.Height)
-	case c.VCs < 1:
-		return fail("need at least one VC, have %d", c.VCs)
-	case c.BufDepth < 1:
-		return fail("BufDepth must be >= 1, have %d", c.BufDepth)
+	case c.VCs < 1 || c.VCs > router.MaxVCs:
+		return fail("VCs must be in [1,%d], have %d", router.MaxVCs, c.VCs)
+	case c.BufDepth < 1 || c.BufDepth > router.MaxBufDepth:
+		return fail("BufDepth must be in [1,%d], have %d", router.MaxBufDepth, c.BufDepth)
 	case c.PacketSize < 2:
 		return fail("PacketSize must be >= 2 (head + tail), have %d", c.PacketSize)
 	case c.PipelineDepth < 1 || c.PipelineDepth > 4:

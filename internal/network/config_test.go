@@ -1,9 +1,11 @@
 package network
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"ftnoc/internal/router"
 	"ftnoc/internal/topology"
 )
 
@@ -76,6 +78,36 @@ func TestConfigValidationPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// Validate must refuse what router.New would panic on, and what would
+// size every router's buffers from an untrusted number; a configuration at
+// the bound must build.
+func TestValidateResourceBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"VCs at router.MaxVCs", func(c *Config) { c.VCs = router.MaxVCs }, true},
+		{"VCs past router.MaxVCs", func(c *Config) { c.VCs = router.MaxVCs + 1 }, false},
+		{"BufDepth at router.MaxBufDepth", func(c *Config) { c.BufDepth = router.MaxBufDepth }, true},
+		{"BufDepth past router.MaxBufDepth", func(c *Config) { c.BufDepth = router.MaxBufDepth + 1 }, false},
+	}
+	for _, tc := range cases {
+		cfg := NewConfig()
+		cfg.Width, cfg.Height = 2, 1
+		tc.set(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		case tc.ok:
+			New(cfg) // must not panic
+		case !errors.Is(err, ErrInvalidConfig):
+			t.Errorf("%s: Validate() = %v, want ErrInvalidConfig", tc.name, err)
+		}
 	}
 }
 

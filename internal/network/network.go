@@ -170,7 +170,6 @@ func New(cfg Config) *Network {
 			XYCheck:         xyCheck,
 			RecoveryEnabled: cfg.RecoveryEnabled,
 			Cthres:          cfg.Cthres,
-			Sparse:          cfg.Kernel == kernel.Event,
 			Events:          &n.events,
 			Counters:        n.counters,
 			Bus:             &n.bus,

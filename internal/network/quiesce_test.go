@@ -11,6 +11,7 @@ import (
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
+	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/trace"
 )
@@ -111,37 +112,44 @@ func diffKernels() []kernel.Kind {
 // are keyed by the config's canonical hash, so a failure names the exact
 // reproducible configuration.
 func TestKernelDifferential(t *testing.T) {
+	point := func(label string, cfg Config) {
+		hash, err := cfg.CanonicalHash()
+		if err != nil {
+			t.Fatalf("hashing config: %v", err)
+		}
+		t.Run(fmt.Sprintf("%s-%s", label, hash[:12]), func(t *testing.T) {
+			t.Parallel()
+			want, naiveSkipped := runKernel(t, cfg, kernel.Naive)
+			if naiveSkipped != 0 {
+				t.Fatalf("naive kernel skipped %d ticks", naiveSkipped)
+			}
+			for _, k := range diffKernels() {
+				got, skipped := runKernel(t, cfg, k)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%v kernel diverged from naive:\nnaive: %+v\n%v:    %+v", k, want, k, got)
+				}
+				if skipped == 0 && cfg.Faults.Link == 0 {
+					t.Errorf("%v kernel never skipped a tick on a fault-free run", k)
+				}
+			}
+		})
+	}
 	algs := []routing.Algorithm{routing.XY, routing.OddEven}
 	prots := []link.Protection{link.HBH, link.E2E, link.FEC}
 	rates := []float64{0, 1e-3, 1e-2}
 	for _, alg := range algs {
 		for _, prot := range prots {
 			for _, rate := range rates {
-				cfg := diffConfig(alg, prot, rate, 7)
-				hash, err := cfg.CanonicalHash()
-				if err != nil {
-					t.Fatalf("hashing config: %v", err)
-				}
-				name := fmt.Sprintf("%s-%s-%g-%s", alg, prot, rate, hash[:12])
-				rate := rate
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					want, naiveSkipped := runKernel(t, cfg, kernel.Naive)
-					if naiveSkipped != 0 {
-						t.Fatalf("naive kernel skipped %d ticks", naiveSkipped)
-					}
-					for _, k := range diffKernels() {
-						got, skipped := runKernel(t, cfg, k)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%v kernel diverged from naive:\nnaive: %+v\n%v:    %+v", k, want, k, got)
-						}
-						if skipped == 0 && rate == 0 {
-							t.Errorf("%v kernel never skipped a tick on a fault-free run", k)
-						}
-					}
-				})
+				point(fmt.Sprintf("%s-%s-%g", alg, prot, rate), diffConfig(alg, prot, rate, 7))
 			}
 		}
+	}
+	// The allocator masks' edges: one VC per channel, and router.MaxVCs,
+	// where the last input VC is bit 59 and a rotation wraps to bit 0.
+	for _, vcs := range []int{1, router.MaxVCs} {
+		cfg := diffConfig(routing.OddEven, link.HBH, 1e-3, 7)
+		cfg.VCs = vcs
+		point(fmt.Sprintf("vcs%d", vcs), cfg)
 	}
 }
 

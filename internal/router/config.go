@@ -6,6 +6,8 @@
 package router
 
 import (
+	"fmt"
+
 	"ftnoc/internal/fault"
 	"ftnoc/internal/faultmap"
 	"ftnoc/internal/flit"
@@ -22,6 +24,15 @@ import (
 // default is a few packet-service times.
 const DefaultCthres = 48
 
+// MaxVCs is the most virtual channels per physical channel a router
+// takes: its allocators index the ports x VCs input VCs as bits of one
+// 64-bit word.
+const MaxVCs = 64 / int(topology.NumPorts)
+
+// MaxBufDepth bounds the per-VC buffer depth, so a configuration document
+// cannot demand an arbitrarily large allocation per router.
+const MaxBufDepth = 255
+
 // Config parameterises one router. The zero value is not usable;
 // populate every non-optional field.
 type Config struct {
@@ -32,7 +43,7 @@ type Config struct {
 	// Route is the routing function (shared, stateless).
 	Route routing.Func
 	// VCs is the number of virtual channels per physical channel
-	// (3 on the paper's evaluation platform, §2.2).
+	// (3 on the paper's evaluation platform, §2.2), at most MaxVCs.
 	VCs int
 	// BufDepth is the per-VC input buffer capacity in flits (the
 	// "transmission buffer" T of §3.2.1).
@@ -55,13 +66,6 @@ type Config struct {
 	// Cthres is the blocked-cycle threshold before probing (Rule 1).
 	// Zero selects DefaultCthres.
 	Cthres uint64
-	// Sparse enables the live-VC bitmask fast path: allocator and
-	// deadlock scans visit only VCs that might hold or expect traffic,
-	// instead of walking every (port, VC) pair each cycle. Results are
-	// identical — the differential grids prove it — but the naive oracle
-	// keeps the exhaustive dense walks, so the two implementations check
-	// each other. Ignored (dense walks) when ports x VCs exceeds 64.
-	Sparse bool
 
 	// Fault injectors; nil disables a class.
 	RTFault   *fault.LogicInjector
@@ -101,10 +105,10 @@ func (c *Config) validate() {
 		panic("router: Config.Topo is required")
 	case c.Route == nil:
 		panic("router: Config.Route is required")
-	case c.VCs < 1 || c.VCs > 250:
-		panic("router: VCs must be in [1,250]")
-	case c.BufDepth < 1:
-		panic("router: BufDepth must be >= 1")
+	case c.VCs < 1 || c.VCs > MaxVCs:
+		panic(fmt.Sprintf("router: VCs must be in [1,%d]", MaxVCs))
+	case c.BufDepth < 1 || c.BufDepth > MaxBufDepth:
+		panic(fmt.Sprintf("router: BufDepth must be in [1,%d]", MaxBufDepth))
 	case c.PipelineDepth < 1 || c.PipelineDepth > 4:
 		panic("router: PipelineDepth must be in [1,4]")
 	case c.Events == nil || c.Counters == nil:

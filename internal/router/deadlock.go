@@ -40,18 +40,10 @@ func (r *Router) deadlock(cycle uint64) {
 		return
 	}
 	// Rule 1: probe for every VC blocked past the threshold. A blocked VC
-	// is non-idle, so the sparse path scans the VA-waiting and active VCs
-	// (ascending, matching the dense flat order).
-	if r.sparse {
-		for m := r.waitVA | r.activeVCs(); m != 0; m &= m - 1 {
-			r.probeRule1(cycle, r.flatVCs[bits.TrailingZeros64(m)])
-		}
-		return
-	}
-	for i, n := 0, r.inputVCCount(); i < n; i++ {
-		if ivc := r.inputVCAt(i); ivc != nil {
-			r.probeRule1(cycle, ivc)
-		}
+	// is non-idle, so the scan is over the VA-waiting and active VCs, in
+	// ascending flat order.
+	for m := r.waitVA | r.activeVCs(); m != 0; m &= m - 1 {
+		r.probeRule1(cycle, r.flatVCs[bits.TrailingZeros64(m)])
 	}
 }
 
@@ -263,8 +255,7 @@ func (r *Router) signalRecovery(kind link.NACKKind) {
 // no VC is starved.
 func (r *Router) recoveryStep(cycle uint64) {
 	done := true
-	for i, n := 0, r.inputVCCount(); i < n; i++ {
-		ivc := r.inputVCAt(i)
+	for _, ivc := range r.flatVCs {
 		if ivc == nil || ivc.state == vcIdle {
 			continue
 		}
@@ -325,8 +316,8 @@ func (r *Router) recoveryStep(cycle uint64) {
 		// deadlock member and must keep its standing (both for prompt
 		// re-probing and for the new-packet gate above). Probe timers
 		// clear so a persisting wedge is re-detected without delay.
-		for i, n := 0, r.inputVCCount(); i < n; i++ {
-			if ivc := r.inputVCAt(i); ivc != nil {
+		for _, ivc := range r.flatVCs {
+			if ivc != nil {
 				ivc.probeOutstanding = false
 			}
 		}

@@ -2,6 +2,9 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,7 +202,6 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 // live set has lost — and pass on every cycle of an honest run.
 func TestAuditVCMasksCatchesDrift(t *testing.T) {
 	p := newPair(t, 3)
-	p.a.sparse = true // the live-set clause is the sparse walk's
 	p.autoSink()
 	p.driveSource(flit.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}.Flits())
 	var sawWait, sawActive bool
@@ -268,4 +270,44 @@ func TestHopDoesNotAllocate(t *testing.T) {
 		t.Fatalf("only %d flits crossed both routers while measuring; the guard measured an idle network", arrived-before)
 	}
 	p.audit(t, "after the guard")
+}
+
+// The allocators visit requesters by walking rotated(mask, origin) low to
+// high. For every VC count a router takes, every origin and a spread of
+// masks, that walk must be the round-robin probe (origin+j)%n, j = 0..n-1,
+// restricted to the mask's set bits, in that order. With the exact
+// vc-masks law this is the whole argument that a mask walk grants what a
+// probe of every VC would; VCs = 12 puts bit 59 and the wrap to bit 0 at
+// the word's edge.
+func TestRotatedWalkIsDenseProbeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for vcs := 1; vcs <= MaxVCs; vcs++ {
+		n := int(topology.NumPorts) * vcs
+		full := ^uint64(0) >> uint(64-n)
+		masks := []uint64{0, full}
+		for b := 0; b < n; b++ {
+			masks = append(masks, 1<<uint(b))
+		}
+		for i := 0; i < 200; i++ {
+			masks = append(masks, rng.Uint64()&full)
+		}
+		for _, mask := range masks {
+			for origin := 0; origin < n; origin++ {
+				var got, want []int
+				for _, m := range rotated(mask, origin) {
+					for ; m != 0; m &= m - 1 {
+						got = append(got, bits.TrailingZeros64(m))
+					}
+				}
+				for j := 0; j < n; j++ {
+					if i := (origin + j) % n; mask&(1<<uint(i)) != 0 {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("VCs %d, mask %#x, origin %d: walk visits %v, the probe %v", vcs, mask, origin, got, want)
+				}
+			}
+		}
+	}
 }

@@ -95,17 +95,17 @@ type Router struct {
 	arena []inputVC
 	fifos []link.FIFO
 
-	// Sparse fast path (Config.Sparse, <=64 input VCs): the allocator
-	// phases walk bitmasks over the flat VC index instead of scanning
-	// ports x VCs. liveVCs is a conservative superset of the VCs that are
-	// not (idle AND empty): the ONLY dead->live transition is a flit
-	// arrival (ingestData), the single place a bit is set, and bits are
-	// cleared lazily when a scan visits a dead VC. waitVA (the vcVAWait
+	// The allocator phases walk bitmasks over the flat VC index (bit i =
+	// flatVCs[i]; MaxVCs keeps the index inside one word) instead of
+	// scanning ports x VCs. liveVCs is a conservative superset of the VCs
+	// that are not (idle AND empty): the ONLY dead->live transition is a
+	// flit arrival (ingestData), the single place a bit is set, and bits
+	// are cleared lazily when a scan visits a dead VC. waitVA (the vcVAWait
 	// VCs) and saMask[p] (the vcActive VCs bound to output port p) are
-	// exact: setState, the one place a VC's state changes, keeps them.
-	// Walking a mask ascending from a round-robin origin (rotated) visits
-	// the same requesters in the same order as the dense (rr+j)%n probe.
-	sparse  bool
+	// exact: setState, the one place a VC's state changes, keeps them
+	// (invariant "vc-masks"). Walking a mask ascending from a round-robin
+	// origin (rotated) visits bit (rr+j)%n for j = 0..n-1, the order a
+	// round-robin probe of every VC would.
 	liveVCs uint64
 	waitVA  uint64
 	saMask  [topology.NumPorts]uint64
@@ -167,7 +167,6 @@ func New(cfg Config) *Router {
 		flatVCs:       make([]*inputVC, n),
 		arena:         make([]inputVC, n),
 		fifos:         link.NewFIFOs(n, cfg.BufDepth),
-		sparse:        cfg.Sparse && n <= 64,
 		routeSets:     make([][]topology.Port, 0, routeSetsCap),
 		scratchLegal:  make([]topology.Port, 0, np),
 		scratchBind:   make([]ac.Binding, 0, np*cfg.VCs),
@@ -241,19 +240,12 @@ func (r *Router) Tick(cycle uint64) {
 	r.deadlock(cycle)
 }
 
-// markLive flags a VC as possibly non-idle/non-empty in the sparse mask.
-func (r *Router) markLive(ivc *inputVC) {
-	r.liveVCs |= 1 << uint(ivc.flat)
-}
-
 // setState moves ivc to state s and keeps the allocator masks equal to
 // what a walk of the VCs would compute: waitVA holds exactly the
 // vcVAWait VCs, saMask[p] exactly the vcActive VCs whose outPort is p
 // (an Active VC with no valid port — never produced today — would join
 // none). It is the only writer of inputVC.state; a caller making a VC
 // Active sets outPort first, and outPort must not change while Active.
-// Beyond 64 input VCs the shifts fall off the word and the masks mean
-// nothing — nor are they read: that router walks densely.
 func (r *Router) setState(ivc *inputVC, s vcState) {
 	bit := uint64(1) << uint(ivc.flat)
 	switch ivc.state {
@@ -297,8 +289,8 @@ func (r *Router) activeVCs() uint64 {
 
 // rotated splits mask at a round-robin origin: walking the first word's
 // set bits ascending and then the second's visits bit (origin+j)%n for
-// j = 0..n-1, skipping clear bits — the dense rotated probe restricted
-// to the mask. origin must be below 64.
+// j = 0..n-1, skipping clear bits — a rotated probe of every VC,
+// restricted to the mask. origin must be below 64.
 func rotated(mask uint64, origin int) [2]uint64 {
 	from := mask >> uint(origin) << uint(origin)
 	return [2]uint64{from, mask &^ from}
@@ -349,26 +341,15 @@ func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
 	if r.inRecovery || len(r.probeSeen) > 0 {
 		return false, 0
 	}
-	if r.sparse {
-		if r.waitVA != 0 || r.activeVCs() != 0 {
+	if r.waitVA != 0 || r.activeVCs() != 0 {
+		return false, 0
+	}
+	for m := r.liveVCs; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if r.flatVCs[i].occupied() != 0 {
 			return false, 0
 		}
-		for m := r.liveVCs; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if r.flatVCs[i].occupied() != 0 {
-				return false, 0
-			}
-			r.liveVCs &^= 1 << uint(i)
-		}
-	} else {
-		for _, ivc := range r.flatVCs {
-			if ivc == nil {
-				continue
-			}
-			if ivc.state != vcIdle || ivc.occupied() != 0 {
-				return false, 0
-			}
-		}
+		r.liveVCs &^= 1 << uint(i)
 	}
 	for m := r.txReplay; m != 0; m &= m - 1 {
 		if r.out[bits.TrailingZeros8(m)].tx.HasReplay() {
@@ -499,12 +480,10 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 	}
 	ivc.buf.Push(f)
 	r.buffered++
-	if r.sparse {
-		// The single dead->live site: every other mutation that keeps a VC
-		// live (VA/SA state changes, recovery parking, misroute recall)
-		// operates on a VC that already holds flits or a wormhole.
-		r.markLive(ivc)
-	}
+	// The single dead->live site: every other mutation that keeps a VC
+	// live (VA/SA state changes, recovery parking, misroute recall)
+	// operates on a VC that already holds flits or a wormhole.
+	r.liveVCs |= 1 << uint(ivc.flat)
 	r.cfg.Events.BufWrites++
 	if r.cfg.Bus.Enabled() {
 		r.cfg.Bus.Emit(trace.Event{
@@ -518,31 +497,19 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 // advance starts the pipeline for newly headed packets: an idle VC with a
 // Head flit at its buffer front computes its route (the RT stage; folded
 // into arrival by look-ahead for depths <= 3) and enters VA wait. Only a
-// live, idle VC can satisfy the idle-with-front condition, so the sparse
-// path visits the live VCs that neither wait for VA nor hold an output
-// (ascending: the dense walk's port-major order), and retires from the
-// live set the ones it finds empty — the scan that shrinks it.
+// live, idle VC can satisfy the idle-with-front condition, so the walk
+// visits the live VCs that neither wait for VA nor hold an output
+// (ascending: port-major order), and retires from the live set the ones
+// it finds empty — the scan that shrinks it.
 func (r *Router) advance(cycle uint64) {
-	if r.sparse {
-		for m := r.liveVCs &^ (r.waitVA | r.activeVCs()); m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			ivc := r.flatVCs[i]
-			if ivc.occupied() == 0 {
-				r.liveVCs &^= 1 << uint(i)
-				continue
-			}
-			r.advanceVC(cycle, r.in[ivc.port], ivc)
-		}
-		return
-	}
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		ip := r.in[p]
-		if ip == nil {
+	for m := r.liveVCs &^ (r.waitVA | r.activeVCs()); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		ivc := r.flatVCs[i]
+		if ivc.occupied() == 0 {
+			r.liveVCs &^= 1 << uint(i)
 			continue
 		}
-		for _, ivc := range ip.vcs {
-			r.advanceVC(cycle, ip, ivc)
-		}
+		r.advanceVC(cycle, r.in[ivc.port], ivc)
 	}
 }
 
@@ -746,25 +713,13 @@ func (r *Router) existingBindings() []ac.Binding {
 
 // allocateVA runs the VC allocator: each waiting header arbitrates for a
 // free output VC on one of its candidate ports. Fresh allocations are
-// screened by the Allocation Comparator (§4.1). The sparse path visits
-// the waitVA mask rotated at the same round-robin origin as the dense
-// walk — identical visit order over the VCs that can request, hence
-// identical grants, event counts, and fault-injector draws. A grant takes
-// its VC out of waitVA, but no VC enters it during the pass, so the walk
-// is over a copy.
+// screened by the Allocation Comparator (§4.1). The waiting VCs are
+// visited in round-robin order from vaRR. A grant takes its VC out of
+// waitVA, but no VC enters it during the pass, so the walk is over a copy.
 func (r *Router) allocateVA(cycle uint64) {
-	n := r.inputVCCount()
-	if r.sparse {
-		for _, m := range rotated(r.waitVA, r.vaRR%n) {
-			for ; m != 0; m &= m - 1 {
-				r.tryVA(cycle, r.flatVCs[bits.TrailingZeros64(m)])
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if ivc := r.inputVCAt((r.vaRR + i) % n); ivc != nil {
-				r.tryVA(cycle, ivc)
-			}
+	for _, m := range rotated(r.waitVA, r.vaRR%len(r.flatVCs)) {
+		for ; m != 0; m &= m - 1 {
+			r.tryVA(cycle, r.flatVCs[bits.TrailingZeros64(m)])
 		}
 	}
 	r.vaRR++
@@ -930,22 +885,17 @@ func (r *Router) allocateSA(cycle uint64) {
 
 	// ports is the set of output ports worth arbitrating: on any other
 	// port no VC requests and nothing replays, so its pass would neither
-	// count, draw, nor rotate anything. The dense walk finds requesters
-	// by scanning, so it visits every attached port.
-	ports := r.outAttached
-	if r.sparse {
-		// A port's requesters are its saMask; VA ran earlier this tick,
-		// so bindings are settled, and grants execute only after every
-		// port is arbitrated, so no mask moves mid-pass. Replay needs the
-		// channel whether or not anyone requests it.
-		ports = r.txReplay
-		for p, m := range r.saMask {
-			if m != 0 {
-				ports |= 1 << p
-			}
+	// count, draw, nor rotate anything. A port's requesters are its
+	// saMask; VA ran earlier this tick, so bindings are settled, and
+	// grants execute only after every port is arbitrated, so no mask moves
+	// mid-pass. Replay needs the channel whether or not anyone requests it.
+	ports := r.txReplay
+	for p, m := range r.saMask {
+		if m != 0 {
+			ports |= 1 << p
 		}
-		ports &= r.outAttached
 	}
+	ports &= r.outAttached
 
 	// Visit ports in rotated order: outRR's port first, wrapping.
 	start := uint(r.outRR % int(topology.NumPorts))
@@ -1018,27 +968,14 @@ func (r *Router) arbitrate(cycle uint64, p topology.Port, grantedIn uint8) (winn
 	}
 	r.txReplay &^= 1 << p
 	// The winner is held by value: taking a loop-local request's address
-	// would heap-allocate it every allocation round. The sparse path
-	// rotates over the port's saMask at its round-robin origin — the same
-	// requester sequence as the dense walk.
+	// would heap-allocate it every allocation round.
 	won := false
-	n := r.inputVCCount()
-	if r.sparse {
-		for _, m := range rotated(r.saMask[p], op.saRR%n) {
-			for ; m != 0; m &= m - 1 {
-				ivc := r.flatVCs[bits.TrailingZeros64(m)]
-				if r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
-					winner, won = r.saRequestFor(ivc, winner, won)
-				}
+	for _, m := range rotated(r.saMask[p], op.saRR%len(r.flatVCs)) {
+		for ; m != 0; m &= m - 1 {
+			ivc := r.flatVCs[bits.TrailingZeros64(m)]
+			if r.eligibleForSA(ivc, p, cycle) && grantedIn&(1<<ivc.port) == 0 {
+				winner, won = r.saRequestFor(ivc, winner, won)
 			}
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			ivc := r.inputVCAt((op.saRR + j) % n)
-			if ivc == nil || !r.eligibleForSA(ivc, p, cycle) || grantedIn&(1<<ivc.port) != 0 {
-				continue
-			}
-			winner, won = r.saRequestFor(ivc, winner, won)
 		}
 	}
 	if !won {
@@ -1202,12 +1139,6 @@ func (r *Router) emitDrop(cycle uint64, port topology.Port, vc int, f *flit.Flit
 		})
 	}
 }
-
-// inputVCCount and inputVCAt flatten (port, vc) pairs for round-robin
-// iteration.
-func (r *Router) inputVCCount() int { return int(topology.NumPorts) * r.cfg.VCs }
-
-func (r *Router) inputVCAt(i int) *inputVC { return r.flatVCs[i] }
 
 // BufferOccupancy returns the input VC buffers' summed occupancy and
 // capacity (the transmission-buffer utilization metric of Fig. 8).
@@ -1426,13 +1357,9 @@ func (r *Router) AuditInvariants(clock uint64) string {
 // summarise: waitVA and every saMask[p] must equal a recomputation from
 // a walk of the VCs — exactly, a stale set bit would request for a VC
 // that has moved on and a missing one starve a packet — and liveVCs must
-// cover every VC that is not (idle AND empty). Routers past 64 input VCs
-// walk densely and keep no masks. It returns a description of the first
-// violation, or "".
+// cover every VC that is not (idle AND empty). It returns a description of
+// the first violation, or "".
 func (r *Router) AuditVCMasks() string {
-	if r.inputVCCount() > 64 {
-		return ""
-	}
 	var waitVA, live uint64
 	var saMask [topology.NumPorts]uint64
 	for i, ivc := range r.flatVCs {
@@ -1456,43 +1383,10 @@ func (r *Router) AuditVCMasks() string {
 	if saMask != r.saMask {
 		return fmt.Sprintf("router %d: saMask %#x, active VCs by output port %#x", r.id, r.saMask, saMask)
 	}
-	if r.sparse && live&^r.liveVCs != 0 {
+	if live&^r.liveVCs != 0 {
 		return fmt.Sprintf("router %d: liveVCs %#x misses live VCs %#x", r.id, r.liveVCs, live&^r.liveVCs)
 	}
 	return ""
-}
-
-// DebugWants lists, for each VA-waiting VC, its legal candidates and
-// their output VC busy states. Test tooling.
-func (r *Router) DebugWants() string {
-	s := ""
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		if r.in[p] == nil {
-			continue
-		}
-		for _, ivc := range r.in[p].vcs {
-			if ivc.state != vcVAWait {
-				continue
-			}
-			s += fmt.Sprintf("[%v%d dst%d wants", p, ivc.idx, ivc.dst)
-			for _, c := range r.legalCandidates(ivc) {
-				busy := "?"
-				if r.out[c] != nil {
-					busy = ""
-					for v := range r.out[c].vcs {
-						if r.out[c].vcs[v].busy {
-							busy += "B"
-						} else {
-							busy += "-"
-						}
-					}
-				}
-				s += fmt.Sprintf(" %v:%s", c, busy)
-			}
-			s += "] "
-		}
-	}
-	return s
 }
 
 // FindPacket lists where a packet's flits currently reside in this

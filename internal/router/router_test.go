@@ -296,12 +296,17 @@ func TestConfigValidation(t *testing.T) {
 	ctr := fault.NewCounters()
 	good := Config{Topo: topo, Route: route, VCs: 2, BufDepth: 2, PipelineDepth: 3, Events: &ev, Counters: ctr}
 	New(good) // must not panic
+	atBounds := good
+	atBounds.VCs, atBounds.BufDepth = MaxVCs, MaxBufDepth
+	New(atBounds)
 
 	bad := []func(*Config){
 		func(c *Config) { c.Topo = nil },
 		func(c *Config) { c.Route = nil },
 		func(c *Config) { c.VCs = 0 },
+		func(c *Config) { c.VCs = MaxVCs + 1 },
 		func(c *Config) { c.BufDepth = 0 },
+		func(c *Config) { c.BufDepth = MaxBufDepth + 1 },
 		func(c *Config) { c.PipelineDepth = 5 },
 		func(c *Config) { c.Events = nil },
 	}

@@ -27,7 +27,7 @@ type inputVC struct {
 	port topology.Port
 	idx  int
 	// flat is this VC's index in the router's flattened (port, vc) order,
-	// precomputed for the sparse bitmasks.
+	// its bit in the allocator masks.
 	flat int
 	buf  *link.FIFO
 

@@ -196,11 +196,6 @@ func (t *Topology) FailLink(from flit.NodeID, dir Port) {
 	t.downed[LinkID{From: from, Dir: dir}] = true
 }
 
-// RepairLink clears a hard fault.
-func (t *Topology) RepairLink(from flit.NodeID, dir Port) {
-	delete(t.downed, LinkID{From: from, Dir: dir})
-}
-
 // LinkUp reports whether the directed link leaving from through dir both
 // exists and is not hard-faulted.
 func (t *Topology) LinkUp(from flit.NodeID, dir Port) bool {

@@ -142,10 +142,6 @@ func TestHardFaults(t *testing.T) {
 	if !m.LinkUp(6, West) {
 		t.Fatal("reverse direction failed too")
 	}
-	m.RepairLink(5, East)
-	if !m.LinkUp(5, East) {
-		t.Fatal("repaired link still down")
-	}
 }
 
 func TestFailNonexistentLinkPanics(t *testing.T) {

@@ -1,57 +1,49 @@
 #!/usr/bin/env bash
-# bench.sh — kernel performance harness.
-#
-# Full mode (default) times the Fig 5/6 quick workloads under both
-# schedulers (naive, event), runs the kernel microbenchmarks, and writes
-# BENCH_kernel.json at the repo root — each kernel's entry records
-# speedup_vs_naive. Pass a git ref to also build
-# that revision's nocsim and record the speedup against it:
-#
-#   scripts/bench.sh                      # current tree only
-#   scripts/bench.sh --baseline HEAD~1    # plus speedup vs a revision
-#   scripts/bench.sh --out /tmp/bench.json --baseline v0.1
-#
-# Smoke mode is the CI guard: it runs every kernel benchmark once (so
-# they cannot bit-rot) and fails the build if the steady-state
-# benchmark of either scheduler — event (BenchmarkKernelSteady), naive,
-# the metrics-on variant, or the low-load 16x16 event-kernel run
+# bench.sh — the allocation guard (CI). It runs every kernel benchmark
+# once, so none can bit-rot, and fails if the steady-state benchmark of
+# either scheduler — event (BenchmarkKernelSteady), naive, the metrics-on
+# variant, or the low-load 16x16 event-kernel run
 # (BenchmarkKernelSparse16x16, where routers sleep with credits still
 # arriving) — reports any allocations per simulated cycle:
 #
 #   scripts/bench.sh --smoke
+#
+# Timings are the benchmark's business (`sh bench/run.sh`); a kernel
+# ratio on one workload is
+# `go test ./internal/network -bench 'BenchmarkKernelSteady(Naive)?$'`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "--smoke" ]]; then
-    # One iteration of everything: compile + run each benchmark body.
-    go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -benchmem
-
-    # Allocation guard. 200 measured cycles after each benchmark's own
-    # warm-up (2000 cycles; 6000 on the 16x16) is enough for any
-    # per-cycle allocation to show up as allocs/op >= 1 (Go reports the
-    # floor of the mean). Both kernels are guarded — the calendar queue
-    # and the naive loop must each stay allocation-free at steady state.
-    # The Metrics variant guards the zero-cost-when-unscraped
-    # observability contract: gauges registered, sampling interval never
-    # firing. The Sparse16x16 variant guards the other regime: most
-    # routers asleep, woken by single flits, credits pooling on their
-    # wires meanwhile.
-    for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
-                 BenchmarkKernelSteadyMetrics BenchmarkKernelSparse16x16; do
-        line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
-            -benchtime=200x -benchmem | grep "^${bench}")
-        allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
-        if [[ -z "$allocs" ]]; then
-            echo "bench.sh: could not parse allocs/op from: $line" >&2
-            exit 1
-        fi
-        if [[ "$allocs" != "0" ]]; then
-            echo "bench.sh: FAIL — ${bench} allocates ($allocs allocs/op); the steady-state hot path must be allocation-free" >&2
-            exit 1
-        fi
-        echo "bench.sh: OK — ${bench} is allocation-free"
-    done
-    exit 0
+if [[ $# -ne 1 || "$1" != "--smoke" ]]; then
+    echo "usage: scripts/bench.sh --smoke" >&2
+    exit 2
 fi
 
-exec go run ./cmd/benchkernel "$@"
+# One iteration of everything: compile + run each benchmark body.
+go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -benchmem
+
+# Allocation guard. 200 measured cycles after each benchmark's own
+# warm-up (2000 cycles; 6000 on the 16x16) is enough for any
+# per-cycle allocation to show up as allocs/op >= 1 (Go reports the
+# floor of the mean). Both kernels are guarded — the calendar queue
+# and the naive loop must each stay allocation-free at steady state.
+# The Metrics variant guards the zero-cost-when-unscraped
+# observability contract: gauges registered, sampling interval never
+# firing. The Sparse16x16 variant guards the other regime: most
+# routers asleep, woken by single flits, credits pooling on their
+# wires meanwhile.
+for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
+             BenchmarkKernelSteadyMetrics BenchmarkKernelSparse16x16; do
+    line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
+        -benchtime=200x -benchmem | grep "^${bench}")
+    allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
+    if [[ -z "$allocs" ]]; then
+        echo "bench.sh: could not parse allocs/op from: $line" >&2
+        exit 1
+    fi
+    if [[ "$allocs" != "0" ]]; then
+        echo "bench.sh: FAIL — ${bench} allocates ($allocs allocs/op); the steady-state hot path must be allocation-free" >&2
+        exit 1
+    fi
+    echo "bench.sh: OK — ${bench} is allocation-free"
+done
