@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ftnoc"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/visual"
 )
 
@@ -55,7 +54,6 @@ func main() {
 	eventsOut := flag.String("events-out", "", "stream structured events to an NDJSON file")
 	metricsOut := flag.String("metrics-out", "", "stream sampled per-router metrics to an NDJSON file")
 	metricsEvery := flag.Uint64("metrics-every", 100, "metrics sampling interval in cycles")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: "+kernel.Names()+"; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the runtime invariant checker alongside the simulation; exit non-zero on any violation")
 	checkEvery := flag.Uint64("check-every", 1, "with -check, audit network state every N cycles (1 = every cycle)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -193,12 +191,8 @@ func main() {
 	// the default handling and kills the process instead of being ignored
 	// while the simulator finishes the abort path.
 	context.AfterFunc(ctx, stop)
-	// Kernel choice is scheduling-only (excluded from canonical JSON), so
-	// it is applied after any -config load rather than read from it. The
-	// invariant checker is likewise an observability attachment.
-	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
-		fatal(err)
-	}
+	// The invariant checker is an observability attachment, applied after
+	// any -config load rather than read from it.
 	var chk *ftnoc.InvariantChecker
 	if *check {
 		chk = ftnoc.NewInvariantChecker(ftnoc.InvariantConfig{Every: *checkEvery})
@@ -237,7 +231,7 @@ func main() {
 		cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, cfg.Routing, cfg.Protection)
 	fmt.Printf("delivered:      %d messages in %d cycles (stalled: %v, aborted: %v)\n",
 		res.Delivered, res.Cycles, res.Stalled, res.Aborted)
-	fmt.Printf("kernel:         %s\n", kernelSummary(net, cfg.Kernel, res.Cycles, wall))
+	fmt.Printf("kernel:         %s\n", kernelSummary(net, res.Cycles, wall))
 	fmt.Printf("latency:        avg %.2f, p95 %.0f, max %.0f cycles\n", res.AvgLatency, res.P95Latency, res.MaxLatency)
 	fmt.Printf("throughput:     %s\n", res.Throughput)
 	fmt.Printf("energy:         %.4f nJ/message\n", ftnoc.EnergyPerMessageNJ(res))
@@ -306,17 +300,16 @@ func main() {
 	}
 }
 
-// kernelSummary renders the end-of-run scheduling line: the scheduler
-// in use, simulated cycles per wall-clock second, the fraction of actor
-// ticks elided relative to the naive schedule, and (for the event
-// kernel) how many calendar events were dispatched.
-func kernelSummary(net *ftnoc.Network, kind ftnoc.KernelKind, cycles uint64, wall time.Duration) string {
+// kernelSummary renders the end-of-run scheduling line: simulated cycles
+// per wall-clock second, the fraction of actor ticks elided relative to
+// ticking every actor every cycle, and how many ticks were dispatched.
+func kernelSummary(net *ftnoc.Network, cycles uint64, wall time.Duration) string {
 	ks := net.KernelStats()
 	rate := "n/a"
 	if wall > 0 {
 		rate = fmt.Sprintf("%.0f cycles/sec", float64(cycles)/wall.Seconds())
 	}
-	s := fmt.Sprintf("%v, %s (wall %v)", kind, rate, wall.Round(time.Millisecond))
+	s := fmt.Sprintf("%s (wall %v)", rate, wall.Round(time.Millisecond))
 	if total := ks.Ticked + ks.Skipped; total > 0 {
 		s += fmt.Sprintf(", %.1f%% actor ticks skipped", 100*float64(ks.Skipped)/float64(total))
 	}

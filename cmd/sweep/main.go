@@ -26,7 +26,6 @@ import (
 
 	"ftnoc"
 	"ftnoc/internal/campaign"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/trace"
 )
 
@@ -47,7 +46,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base simulation seed")
 	seeds := flag.Int("seeds", 1, "replicates per point (distinct derived seeds; metrics print mean ± 95% CI)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: "+kernel.Names()+"; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the invariant checker inside every replicate; violations fail the replicate")
 	csvOut := flag.String("csv", "", "also write the full result table to this CSV file")
 	ndjsonOut := flag.String("ndjson", "", "also write the per-replicate result table to this NDJSON file")
@@ -79,11 +77,6 @@ func main() {
 	}
 	protection, err := ftnoc.ParseProtection(*protName)
 	if err != nil {
-		fatal(err)
-	}
-	// Scheduling-only: kernel choice never changes a replicate's Results,
-	// so it is excluded from the spec's canonical hash.
-	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
 		fatal(err)
 	}
 
@@ -206,8 +199,8 @@ func main() {
 
 // kernelSummary aggregates scheduler throughput across every completed
 // replicate: simulated cycles per wall-clock second (summed over the
-// pool's workers), the fraction of actor ticks elided relative to the
-// naive schedule, and calendar events dispatched (event kernel only).
+// pool's workers), the fraction of actor ticks elided relative to
+// ticking every actor every cycle, and ticks dispatched.
 func kernelSummary(report *campaign.Report) string {
 	var cycles, ticked, skipped, events uint64
 	for _, p := range report.Points {

@@ -30,7 +30,6 @@ import (
 	"ftnoc/internal/deadlock"
 	"ftnoc/internal/fault"
 	"ftnoc/internal/invariant"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/network"
 	"ftnoc/internal/power"
@@ -101,27 +100,10 @@ const (
 	Hotspot       = traffic.Hotspot
 )
 
-// KernelKind selects the simulation scheduler (Config.Kernel): the naive
-// tick-everything oracle or the calendar-queue event-driven kernel (the
-// default). Both produce byte-identical Results; they differ only in
-// wall-clock speed.
-type KernelKind = kernel.Kind
-
-// Kernel kinds.
-const (
-	KernelNaive = kernel.Naive
-	KernelEvent = kernel.Event
-)
-
-// KernelKinds returns every kernel kind in its canonical order — the
-// same set ParseKernel accepts, so tools that iterate schedulers
-// (differential tests, benchmark harnesses) never fall behind a newly
-// added kernel.
-func KernelKinds() []KernelKind { return kernel.Kinds() }
-
 // KernelStats is the scheduler's cumulative counter record (actor ticks
-// executed, ticks skipped relative to the naive schedule, calendar events
-// dispatched), returned by Network.KernelStats.
+// executed, ticks skipped relative to ticking every actor every cycle,
+// ticks dispatched to actors that may sleep), returned by
+// Network.KernelStats.
 type KernelStats = sim.Stats
 
 // TopologyKind selects the network shape.
@@ -274,10 +256,6 @@ func ParseProtection(s string) (Protection, error) { return link.ParseProtection
 // ParseTopology parses a CLI topology name: mesh, torus
 // (case-insensitive).
 func ParseTopology(s string) (TopologyKind, error) { return topology.ParseKind(s) }
-
-// ParseKernel parses a CLI kernel name, one of KernelKinds
-// (case-insensitive).
-func ParseKernel(s string) (KernelKind, error) { return kernel.Parse(s) }
 
 // ParseMortality parses a CLI hard-fault schedule: "none", or a
 // comma-separated list of "link:NODEDIR@CYCLE" / "router:NODE@CYCLE" /

@@ -122,8 +122,8 @@ type RepResult struct {
 	Results network.Results
 	// KernelTicked/KernelSkipped/KernelEvents are the replicate's
 	// scheduler-level counters: actor ticks executed, ticks elided
-	// relative to the naive schedule, and calendar-queue events
-	// dispatched (zero outside the event kernel). They live here rather
+	// relative to ticking every actor every cycle, and ticks dispatched
+	// to actors that may sleep. They live here rather
 	// than in Results because they describe the simulator, not the
 	// simulated network, and must not perturb result hashing or
 	// serialisation.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"ftnoc/internal/fault"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/network"
 	"ftnoc/internal/routing"
@@ -21,10 +20,7 @@ import (
 // (routing "xy", pattern "NR", protection "hbh", topology "mesh") rather
 // than numeric codes; `base` is a network.Config override document with
 // the same semantics as a -config file (absent fields keep NewConfig
-// defaults). Sizes may be given as "8x8" strings. The optional `kernel`
-// field (a kernel.Parse name) picks the simulation scheduler; it never
-// changes results, so it does not contribute to CanonicalHash (the
-// Kernel field is excluded from canonical configs).
+// defaults). Sizes may be given as "8x8" strings.
 type specWire struct {
 	Base           json.RawMessage `json:"base"`
 	Sizes          []wireSize      `json:"sizes"`
@@ -40,7 +36,6 @@ type specWire struct {
 	Seeds          int       `json:"seeds"`
 	Workers        int       `json:"workers"`
 	Invariants     bool      `json:"invariants"`
-	Kernel         string    `json:"kernel"`
 }
 
 // wireSize accepts either {"width":8,"height":8} or the string "8x8";
@@ -102,13 +97,6 @@ func ParseSpec(data []byte) (Spec, error) {
 		Seeds:          w.Seeds,
 		Workers:        w.Workers,
 		Invariants:     w.Invariants,
-	}
-	if w.Kernel != "" {
-		k, err := kernel.Parse(w.Kernel)
-		if err != nil {
-			return Spec{}, fmt.Errorf("campaign: spec kernel: %w", err)
-		}
-		spec.Base.Kernel = k
 	}
 	for _, s := range w.Sizes {
 		spec.Sizes = append(spec.Sizes, s.Size)

@@ -61,8 +61,8 @@ func TestParseSpec(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	// doc, and a substring the one-line error must contain. The removed
-	// schedulers and their knob are plain unknown input: rejected by name,
-	// never mapped to the default kernel.
+	// scheduler fields are plain unknown input: rejected by name, never
+	// ignored.
 	cases := map[string][2]string{
 		"unknown top-level field":  {`{"bogus": 1}`, "bogus"},
 		"unknown base field":       {`{"base": {"Bogus": 1}}`, "Bogus"},
@@ -72,10 +72,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"unknown topology":         {`{"topologies": ["ring"]}`, "ring"},
 		"bad size string":          {`{"sizes": ["4by4"]}`, "4by4"},
 		"unknown size field":       {`{"sizes": [{"width": 4, "depth": 4}]}`, "depth"},
-		"unknown kernel":           {`{"kernel": "warp"}`, "want naive or event"},
-		"removed kernel parallel":  {`{"kernel": "parallel"}`, `"parallel" (want naive or event)`},
-		"removed kernel quiescent": {`{"kernel": "quiescent"}`, `"quiescent" (want naive or event)`},
-		"removed kernel_workers":   {`{"kernel": "event", "kernel_workers": 2}`, `unknown field "kernel_workers"`},
+		"removed kernel selection": {`{"kernel":"event"}`, `unknown field "kernel"`},
+		"removed kernel_workers":   {`{"kernel_workers": 2}`, `unknown field "kernel_workers"`},
 	}
 	for name, c := range cases {
 		_, err := ParseSpec([]byte(c[0]))

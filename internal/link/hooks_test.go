@@ -23,7 +23,6 @@ func (n *napper) Quiescent(uint64) (bool, uint64) { return true, 0 }
 // credits do neither — they wait in their counters to be read.
 func TestChannelHooks(t *testing.T) {
 	var k sim.Kernel
-	k.SetMode(sim.ModeEvent)
 	var ev stats.Events
 	ch := NewChannel(&k, nil, false, &ev, fault.NewCounters())
 	var flits, nacks int

@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/trace"
 )
 
@@ -25,9 +24,8 @@ func benchConfig() Config {
 }
 
 // BenchmarkKernelSteady is the CI-guarded hot path: one simulated cycle
-// of the whole network in steady state under the default (event)
-// scheduler. After the 2000-cycle warm-up all scratch buffers, queues,
-// calendar buckets and wake-heap capacity have reached their
+// of the whole network in steady state. After the 2000-cycle warm-up
+// all scratch buffers, queues and the wake heap have reached their
 // steady-state sizes, so the per-cycle step must allocate nothing — the
 // CI bench-smoke job fails the build if allocs/op is ever > 0.
 func BenchmarkKernelSteady(b *testing.B) {
@@ -69,13 +67,11 @@ func BenchmarkKernelSteadyMetrics(b *testing.B) {
 	reportKernel(b, n)
 }
 
-// BenchmarkKernelSteadyNaive is the same workload under the naive
-// scheduler; the two kernels run the same routers, so the ratio to
-// BenchmarkKernelSteady is what the calendar queue is worth here.
+// BenchmarkKernelSteadyNaive is the same workload with nobody opted into
+// sleeping (the tests' oracle); both run the same routers, so the ratio to
+// BenchmarkKernelSteady is what sleeping is worth here.
 func BenchmarkKernelSteadyNaive(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Kernel = kernel.Naive
-	n := New(cfg)
+	n := naive.build(benchConfig())
 	for i := 0; i < 2000; i++ {
 		n.kernel.Step()
 	}

@@ -11,7 +11,6 @@ import (
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/invariant"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
@@ -105,16 +104,6 @@ type Config struct {
 	// possible retransmission before assuming delivery.
 	E2ETimeout uint64
 
-	// Kernel selects the simulation scheduler: kernel.Naive ticks every
-	// actor every cycle (the differential oracle) and kernel.Event (the
-	// default) runs the calendar-queue scheduler that steps actors only
-	// when an event is due. Results are identical under both (that is
-	// the scheduling contract, enforced by the differential tests), and
-	// the scheduler is all the knob varies: routers, links and PEs run
-	// the same code under both. Excluded from JSON so scheduling never
-	// perturbs ConfigHash or canonical configs.
-	Kernel kernel.Kind `json:"-"`
-
 	Seed uint64
 }
 
@@ -189,8 +178,6 @@ func (c Config) Validate() error {
 			c.TotalMessages, c.WarmupMessages)
 	case c.Width*c.Height > maxNodes:
 		return fail("topology %dx%d exceeds %d nodes", c.Width, c.Height, maxNodes)
-	case c.Kernel != 0 && !c.Kernel.Valid():
-		return fail("unknown kernel %d (want %s)", c.Kernel, kernel.Names())
 	}
 	// Fault rates are probabilities; out-of-range (or NaN) values would
 	// otherwise surface as panics deep inside New's injector assembly.
@@ -288,9 +275,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.E2ETimeout == 0 {
 		c.E2ETimeout = 2_048
-	}
-	if c.Kernel == 0 {
-		c.Kernel = kernel.Event
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ftnoc/internal/invariant"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
@@ -106,7 +105,7 @@ func TestInvariantCheckerHardFaults(t *testing.T) {
 }
 
 // TestRandomizedDifferentialProperty is the property-based harness: a
-// seeded stream of random configurations, each run under both kernels
+// seeded stream of random configurations, each run under both schedules
 // with the invariant checker attached. The property is twofold — the
 // kernels agree exactly, and no configuration drives the simulator into
 // an invariant violation. FTNOC_SOAK=1 widens the sample for long CI
@@ -142,12 +141,9 @@ func TestRandomizedDifferentialProperty(t *testing.T) {
 		}
 		t.Run(hash[:12], func(t *testing.T) {
 			t.Parallel()
-			want, _ := runKernel(t, cfg, kernel.Naive)
-			for _, k := range diffKernels() {
-				got, _ := runKernel(t, cfg, k)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%v kernel diverged on %+v:\nnaive: %+v\n%v:    %+v", k, cfg, want, k, got)
-				}
+			want, _ := runKernel(t, cfg, naive)
+			if got, _ := runKernel(t, cfg, event); !reflect.DeepEqual(want, got) {
+				t.Fatalf("event kernel diverged on %+v:\nnaive: %+v\nevent: %+v", cfg, want, got)
 			}
 		})
 	}
@@ -196,9 +192,9 @@ func TestInvariantConfigDefaults(t *testing.T) {
 // survives), so flits become visible on a port whose rxPending bit stays
 // clear and the router — woken, but told there is nothing to poll —
 // never ingests them. The per-cycle state walk must report exactly that
-// port, under every kernel, from the first cycle a flit sits there.
+// port, under both schedules, from the first cycle a flit sits there.
 func TestInvariantCheckerCatchesDroppedMark(t *testing.T) {
-	for _, k := range kernel.Kinds() {
+	for _, k := range []schedule{naive, event} {
 		cfg := NewConfig()
 		cfg.Width, cfg.Height = 4, 4
 		cfg.WarmupMessages = 0
@@ -206,9 +202,8 @@ func TestInvariantCheckerCatchesDroppedMark(t *testing.T) {
 		cfg.MaxCycles = 20_000
 		cfg.StallCycles = 2_000
 		cfg.Seed = 17
-		cfg.Kernel = k
 		chk := attachChecker(&cfg)
-		n := New(cfg)
+		n := k.build(cfg)
 
 		broken := n.loops[0]
 		if broken.toPE || broken.fromPE {

@@ -18,9 +18,9 @@ import (
 // that applies the mortality schedule, excises every wormhole severed by
 // a death, disseminates per-router fault maps through the network, and
 // accounts messages that can no longer be delivered. Everything here
-// runs serially between kernel steps — every kernel's Step advances
-// exactly one cycle, so death boundaries land identically under both
-// kernels.
+// runs serially between kernel steps — Step advances exactly one cycle
+// whoever sleeps, so death boundaries land identically with and without
+// sleeping actors.
 
 const (
 	// hazardSeedSalt decorrelates the hazard process from every other

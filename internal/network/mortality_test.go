@@ -9,7 +9,6 @@ import (
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
 )
@@ -115,7 +114,7 @@ func oracleFraction(w, h int, deadLinks []undirectedLink, deadRouters []flit.Nod
 // TestMortalityPropertyRandomFaults is the network-level property test
 // of the hard-fault regime: for randomly drawn fault patterns (up to
 // 30% of the mesh's links plus occasional router deaths, striking at
-// random mid-run cycles), every kernel must terminate without stalling,
+// random mid-run cycles), both schedules must terminate without stalling,
 // account for every injected message as delivered or undeliverable,
 // report the exact BFS reachable-pair fraction, and keep the runtime
 // invariant checker silent.
@@ -152,13 +151,12 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 		}
 		want := oracleFraction(w, h, deadLinks, deadRouters)
 
-		for _, k := range kernel.Kinds() {
+		for _, k := range []schedule{naive, event} {
 			cfg := mortalityConfig(uint64(1000 + pat))
 			cfg.Faults.Mortality = mort
-			cfg.Kernel = k
 			chk := attachChecker(&cfg)
 			t.Run(fmt.Sprintf("pattern%d/%v", pat, k), func(t *testing.T) {
-				n := New(cfg)
+				n := k.build(cfg)
 				res := n.Run()
 				if res.Stalled {
 					t.Fatalf("run stalled under schedule %v", mort)
@@ -193,7 +191,7 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 }
 
 // TestKernelDifferentialMortality extends the kernel differential grid
-// with mid-run mortality: every scheduler must reproduce the naive
+// with mid-run mortality: New's network must reproduce the naive
 // oracle's Results and full event stream bit-for-bit while links and a
 // router die mid-flight, vertical (South) links included.
 func TestKernelDifferentialMortality(t *testing.T) {
@@ -212,23 +210,21 @@ func TestKernelDifferentialMortality(t *testing.T) {
 		cfg.Faults.Mortality = mort
 		cfg.TracePIDs = []uint64{1, 2, 3, 5, 8, 13}
 
-		want, wantEvents := runCapture(t, cfg, kernel.Naive)
-		for _, k := range diffKernels() {
-			t.Run(fmt.Sprintf("schedule%d/%v", si, k), func(t *testing.T) {
-				got, gotEvents := runCapture(t, cfg, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("results diverge from naive oracle:\n got %+v\nwant %+v", got, want)
+		want, wantEvents := runCapture(t, cfg, naive)
+		t.Run(fmt.Sprintf("schedule%d/%v", si, event), func(t *testing.T) {
+			got, gotEvents := runCapture(t, cfg, event)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("results diverge from naive oracle:\n got %+v\nwant %+v", got, want)
+			}
+			if len(gotEvents) != len(wantEvents) {
+				t.Fatalf("event stream length %d, want %d", len(gotEvents), len(wantEvents))
+			}
+			for i := range gotEvents {
+				if gotEvents[i] != wantEvents[i] {
+					t.Fatalf("event %d diverges:\n got %+v\nwant %+v", i, gotEvents[i], wantEvents[i])
 				}
-				if len(gotEvents) != len(wantEvents) {
-					t.Fatalf("event stream length %d, want %d", len(gotEvents), len(wantEvents))
-				}
-				for i := range gotEvents {
-					if gotEvents[i] != wantEvents[i] {
-						t.Fatalf("event %d diverges:\n got %+v\nwant %+v", i, gotEvents[i], wantEvents[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

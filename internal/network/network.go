@@ -8,7 +8,6 @@ import (
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/invariant"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
@@ -87,7 +86,12 @@ type Network struct {
 // construction is programmer-driven, not input-driven. Callers handling
 // untrusted or generated configurations should call cfg.Validate first
 // and surface the error themselves.
-func New(cfg Config) *Network {
+func New(cfg Config) *Network { return build(cfg, true) }
+
+// build is New with the choice the tests need: with quiesce false no
+// actor is opted into idle skipping, so the kernel ticks every router and
+// PE every cycle — the oracle the differential tests hold New to.
+func build(cfg Config, quiesce bool) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic("network: " + err.Error())
 	}
@@ -299,12 +303,11 @@ func New(cfg Config) *Network {
 		}
 		w.ch.WakeTx(th)
 	}
-	for i := 0; i < nodes; i++ {
-		n.kernel.EnableQuiescence(n.routerH[i])
-		n.kernel.EnableQuiescence(n.peH[i])
-	}
-	if cfg.Kernel == kernel.Event { // kernel.Naive is the sim.Kernel zero value
-		n.kernel.SetMode(sim.ModeEvent)
+	if quiesce {
+		for i := 0; i < nodes; i++ {
+			n.kernel.EnableQuiescence(n.routerH[i])
+			n.kernel.EnableQuiescence(n.peH[i])
+		}
 	}
 
 	// Metrics registry: per-router gauges, sampled by Run.
@@ -369,8 +372,8 @@ func (n *Network) recordDelivery(cycle, injectedAt uint64, node int) {
 // startMeasuring snapshots the event counters at the warm-up boundary.
 // When triggered by a delivery it fires mid-cycle, from PE node's tick;
 // sleeping routers' lazily deferred idle-tick counters must be replayed
-// to exactly that point first, or the snapshot would differ from the
-// naive kernel's.
+// to exactly that point first, or the snapshot would differ from that
+// of a run in which every actor ticks every cycle.
 func (n *Network) startMeasuring(cycle uint64, node int) {
 	n.syncIdleCounters(cycle, node)
 	n.measuring = true
@@ -379,9 +382,9 @@ func (n *Network) startMeasuring(cycle uint64, node int) {
 }
 
 // syncIdleCounters brings every sleeping router's externally visible
-// counters up to date with what the naive kernel would show at an
-// observation point during cycle's actor loop. Actors tick in node order
-// (router 0, PE 0, router 1, ...), so routers with index <= upTo have
+// counters up to date with what ticking every actor every cycle would
+// show at an observation point during cycle's actor loop. Actors tick in
+// node order (router 0, PE 0, router 1, ...), so routers <= upTo have
 // already ticked this cycle and owe its idle effects too; later routers
 // owe only the cycles before it. Awake routers are already current and
 // the call is a no-op for them. Pass upTo = -1 at a clean cycle boundary.
@@ -440,8 +443,8 @@ func (n *Network) run(done <-chan struct{}) Results {
 		}
 		if n.mort != nil {
 			// Hard-fault boundary processing for cycle c, before the step
-			// executes it: every kernel's Step advances exactly one cycle,
-			// so deaths land at identical boundaries under both.
+			// executes it: Step advances exactly one cycle whoever sleeps,
+			// so deaths land at the same boundaries in the tests' oracle.
 			n.mort.preStep(c)
 			if n.accounted() >= n.cfg.TotalMessages {
 				break
@@ -492,8 +495,8 @@ func (n *Network) sampleUtilization() {
 	// Neither read walks the router: buffer occupancy is a running count
 	// and shifter occupancy sums the router's sends of the last NACKWindow
 	// cycles not since drained. That is a function of the clock, so a
-	// router asleep since its last send reads exactly what the naive
-	// kernel's per-cycle expiry would leave.
+	// router asleep since its last send reads exactly what per-cycle
+	// expiry would leave.
 	clock := n.kernel.Cycle()
 	to, tc, ro, rc := 0, 0, 0, 0
 	for i, r := range n.routers {
@@ -510,10 +513,10 @@ func (n *Network) sampleUtilization() {
 }
 
 // KernelStats reports the kernel's cumulative scheduling counters: actor
-// ticks executed, actor ticks skipped relative to the naive schedule, and
-// calendar-queue events dispatched (event mode only). Deliberately not
-// part of Results — scheduling is an implementation detail and both
-// kernels must produce identical Results.
+// ticks executed, actor ticks skipped relative to ticking every actor
+// every cycle, and ticks dispatched to actors that may sleep.
+// Deliberately not part of Results — scheduling is an implementation
+// detail and must not change them.
 func (n *Network) KernelStats() sim.Stats { return n.kernel.Stats() }
 
 // Snapshot renders every router's live VC state — a debugging view of

@@ -9,10 +9,10 @@ import (
 	"testing"
 
 	"ftnoc/internal/invariant"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/trace"
 )
 
@@ -59,18 +59,37 @@ func diffConfig(alg routing.Algorithm, prot link.Protection, linkRate float64, s
 	return cfg
 }
 
-// runKernel executes cfg under the given scheduler with a fresh checker
-// attached and returns the results plus the scheduler's skipped-tick
-// count. Results are DeepEqual-comparable as returned: the counters are
-// a snapshot with no Observer callback attached.
-func runKernel(t *testing.T, cfg Config, k kernel.Kind) (Results, uint64) {
+// schedule is how a test builds its network: event as New does, with
+// routers and PEs that sleep while idle, or naive, the oracle New is held
+// to, in which nobody was opted in and the kernel ticks every actor every
+// cycle. The names key subtests.
+type schedule bool
+
+const (
+	naive schedule = false
+	event schedule = true
+)
+
+func (s schedule) String() string {
+	if s == event {
+		return "event"
+	}
+	return "naive"
+}
+
+func (s schedule) build(cfg Config) *Network { return build(cfg, bool(s)) }
+
+// runKernel executes cfg under the given schedule with a fresh checker
+// attached and returns the results plus the kernel's counters. Results
+// are DeepEqual-comparable as returned: the counters are a snapshot with
+// no Observer callback attached.
+func runKernel(t *testing.T, cfg Config, k schedule) (Results, sim.Stats) {
 	t.Helper()
-	cfg.Kernel = k
 	chk := attachChecker(&cfg)
-	n := New(cfg)
+	n := k.build(cfg)
 	res := n.Run()
 	assertClean(t, k.String(), chk)
-	return res, n.KernelStats().Skipped
+	return res, n.KernelStats()
 }
 
 // captureSink records every trace event in emission order, so two runs
@@ -81,34 +100,19 @@ type captureSink struct{ events []trace.Event }
 
 func (c *captureSink) Emit(e trace.Event) { c.events = append(c.events, e) }
 
-// runCapture executes cfg under the given scheduler with a trace capture
+// runCapture executes cfg under the given schedule with a trace capture
 // attached and returns the results plus the ordered stream.
-func runCapture(t *testing.T, cfg Config, k kernel.Kind) (Results, []trace.Event) {
+func runCapture(t *testing.T, cfg Config, k schedule) (Results, []trace.Event) {
 	t.Helper()
-	cfg.Kernel = k
 	sink := &captureSink{}
 	cfg.TraceSink = sink
-	return New(cfg).Run(), sink.events
-}
-
-// diffKernels are the schedulers checked against the naive oracle: every
-// registered kind except the oracle itself. Deriving the list from
-// kernel.Kinds keeps the grids honest — a new kernel cannot be added
-// without entering the differential contract.
-func diffKernels() []kernel.Kind {
-	var ks []kernel.Kind
-	for _, k := range kernel.Kinds() {
-		if k != kernel.Naive {
-			ks = append(ks, k)
-		}
-	}
-	return ks
+	return k.build(cfg).Run(), sink.events
 }
 
 // TestKernelDifferential is the scheduling contract made executable: for
-// every grid point, every kernel but the oracle must produce
-// Results — counters, latencies, utilizations, and the traced packet
-// journeys — deeply equal to the naive tick-everyone oracle's. Subtests
+// every grid point, New's network must produce Results — counters,
+// latencies, utilizations, and the traced packet journeys — deeply equal
+// to the naive tick-everyone oracle's. Subtests
 // are keyed by the config's canonical hash, so a failure names the exact
 // reproducible configuration.
 func TestKernelDifferential(t *testing.T) {
@@ -119,18 +123,16 @@ func TestKernelDifferential(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s-%s", label, hash[:12]), func(t *testing.T) {
 			t.Parallel()
-			want, naiveSkipped := runKernel(t, cfg, kernel.Naive)
-			if naiveSkipped != 0 {
-				t.Fatalf("naive kernel skipped %d ticks", naiveSkipped)
+			want, ks := runKernel(t, cfg, naive)
+			if ks.Skipped != 0 || ks.Events != 0 {
+				t.Fatalf("naive kernel skipped %d ticks and dispatched %d", ks.Skipped, ks.Events)
 			}
-			for _, k := range diffKernels() {
-				got, skipped := runKernel(t, cfg, k)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%v kernel diverged from naive:\nnaive: %+v\n%v:    %+v", k, want, k, got)
-				}
-				if skipped == 0 && cfg.Faults.Link == 0 {
-					t.Errorf("%v kernel never skipped a tick on a fault-free run", k)
-				}
+			got, ks := runKernel(t, cfg, event)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("event kernel diverged from naive:\nnaive: %+v\nevent: %+v", want, got)
+			}
+			if ks.Skipped == 0 && cfg.Faults.Link == 0 {
+				t.Errorf("event kernel never skipped a tick on a fault-free run")
 			}
 		})
 	}
@@ -162,37 +164,31 @@ func TestKernelDifferentialBurst(t *testing.T) {
 	cfg.WarmupMessages = 0
 	cfg.InjectLimit = 400
 	cfg.TotalMessages = 400
-	want, _ := runKernel(t, cfg, kernel.Naive)
+	want, _ := runKernel(t, cfg, naive)
 	if want.Delivered != 400 {
 		t.Fatalf("burst delivered %d/400", want.Delivered)
 	}
-	for _, k := range diffKernels() {
-		got, _ := runKernel(t, cfg, k)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("burst run diverged under %v:\nnaive: %+v\n%v:    %+v", k, want, k, got)
-		}
+	if got, _ := runKernel(t, cfg, event); !reflect.DeepEqual(want, got) {
+		t.Fatalf("burst run diverged:\nnaive: %+v\nevent: %+v", want, got)
 	}
 }
 
 // TestKernelDifferentialRecovery drives the deadlock-recovery and
-// hard-fault machinery (probes, activations, reroutes) under every
-// kernel: the protocol state machines must be cycle-identical too.
+// hard-fault machinery (probes, activations, reroutes) under both
+// schedules: the protocol state machines must be cycle-identical too.
 func TestKernelDifferentialRecovery(t *testing.T) {
 	cfg := diffConfig(routing.MinimalAdaptive, link.HBH, 1e-3, 3)
 	cfg.InjectionRate = 0.30
 	cfg.Faults.RT = 5e-4
 	cfg.Faults.SA = 5e-4
 	cfg.Faults.VA = 5e-4
-	want, _ := runKernel(t, cfg, kernel.Naive)
-	for _, k := range diffKernels() {
-		got, _ := runKernel(t, cfg, k)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("recovery run diverged under %v:\nnaive: %+v\n%v:    %+v", k, want, k, got)
-		}
+	want, _ := runKernel(t, cfg, naive)
+	if got, _ := runKernel(t, cfg, event); !reflect.DeepEqual(want, got) {
+		t.Fatalf("recovery run diverged:\nnaive: %+v\nevent: %+v", want, got)
 	}
 }
 
-// TestSparseScheduleUnchanged pins what the event kernel does on the
+// TestSparseScheduleUnchanged pins what the kernel does on the
 // sparse_16x16 benchmark configuration (16x16, 0.02 load, seed 1001): the
 // run's output and length and the exact tick schedule. A scheduler or
 // accounting change that claims "same bytes out" must leave all of it

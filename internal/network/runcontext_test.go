@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"ftnoc/internal/kernel"
 )
 
 func tinyRunConfig() Config {
@@ -34,7 +32,6 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.InjectionRate = -0.1 },
 		func(c *Config) { c.TotalMessages = 0 },
 		func(c *Config) { c.TotalMessages = 5; c.WarmupMessages = 10 },
-		func(c *Config) { c.Kernel = kernel.Kind(len(kernel.Kinds()) + 1) }, // past the last kind
 	}
 	for i, mutate := range bad {
 		cfg := NewConfig()

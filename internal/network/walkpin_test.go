@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ftnoc/internal/fault"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
@@ -77,18 +76,16 @@ func walkPinConfigs(seed uint64) []walkPin {
 }
 
 // TestWalkPinnedAtDenseParent holds the one allocator walk to what the
-// dense walk it replaced produced, under both schedulers. With the exact
+// dense walk it replaced produced, under both schedules. With the exact
 // vc-masks law and TestRotatedWalkIsDenseProbeOrder (router) this stands
 // where the dense code stood as the oracle.
 func TestWalkPinnedAtDenseParent(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		for _, p := range walkPinConfigs(seed) {
-			for _, k := range kernel.Kinds() {
+			for _, k := range []schedule{naive, event} {
 				t.Run(fmt.Sprintf("%s/seed%d/%v", p.name, seed, k), func(t *testing.T) {
 					t.Parallel()
-					cfg := p.cfg
-					cfg.Kernel = k
-					js, err := json.Marshal(New(cfg).Run())
+					js, err := json.Marshal(k.build(p.cfg).Run())
 					if err != nil {
 						t.Fatal(err)
 					}

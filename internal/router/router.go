@@ -315,8 +315,8 @@ func (r *Router) catchUp(gap uint64) {
 // target, as if the router had ticked them all. The kernel normally leaves
 // catch-up to the next Tick; counter observers (the network's measurement
 // snapshots) call this so that a sleeping router's externally visible
-// counters match the naive kernel's at the observation point. No-op for a
-// router that is up to date.
+// counters match an every-cycle run's at the observation point. No-op for
+// a router that is up to date.
 func (r *Router) CatchUpTo(target uint64) {
 	if target > r.nextExpected {
 		r.catchUp(target - r.nextExpected)

@@ -34,7 +34,7 @@ func TestSubmitErrorMessages(t *testing.T) {
 		{"bad size string", `{"sizes": ["4by4"]}`, "4by4"},
 		{"invalid point", `{"base": {"Width": 4, "Height": 4}, "injection_rates": [1.5]}`, "InjectionRate"},
 		{"negative workers", `{"workers": -1}`, "Workers"},
-		{"removed kernel", `{"kernel": "parallel"}`, `"parallel" (want naive or event)`},
+		{"removed kernel", `{"kernel": "event"}`, `unknown field "kernel"`},
 		{"removed kernel knob", `{"kernel_workers": 2}`, "kernel_workers"},
 	}
 	for _, tc := range cases {

@@ -83,10 +83,10 @@ func newServerObs() *serverObs {
 			"Simulated network cycles across every completed replicate."),
 		simTicks: reg.CounterVec("nocd_sim_actor_ticks_total",
 			"Scheduler-level actor ticks across completed replicates, by outcome: "+
-				"ticked (executed) or skipped (elided relative to the naive schedule).",
+				"ticked (executed) or skipped (elided relative to ticking every actor every cycle).",
 			"outcome"),
 		simEvents: reg.Counter("nocd_sim_events_dispatched_total",
-			"Calendar-queue events dispatched across completed replicates (event kernel only)."),
+			"Actor ticks the scheduler dispatched to actors that may sleep, across completed replicates."),
 	}
 
 	// State-derived families: closures over the per-scrape snapshot.

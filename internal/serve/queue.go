@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ftnoc/internal/campaign"
-	"ftnoc/internal/kernel"
 	"ftnoc/internal/trace"
 )
 
@@ -250,12 +249,8 @@ func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
 	s.obs.simTicks.With("ticked").Add(float64(ticked))
 	s.obs.simTicks.With("skipped").Add(float64(skipped))
 	s.obs.simEvents.Add(float64(events))
-	kind := j.spec.Base.Kernel
-	if kind == 0 {
-		kind = kernel.Event // the applyDefaults choice inside network.New
-	}
 	s.log.Info("job kernel telemetry",
-		"job", j.id, "kernel", kind.String(),
+		"job", j.id,
 		"sim_cycles", cycles, "actor_ticks", ticked, "ticks_skipped", skipped,
 		"events_dispatched", events)
 }

@@ -18,43 +18,29 @@
 // tick is immaterial, which is what makes the model cycle-accurate rather
 // than merely event-ordered.
 //
-// # Scheduling modes
-//
-// SetMode selects between two schedulers that share the actor/pipe model
-// and produce identical simulations:
-//
-//   - ModeNaive (the zero value) ticks every actor every cycle — the
-//     exhaustive schedule, and the oracle ModeEvent is checked against.
-//   - ModeEvent is a calendar-queue discrete-event scheduler: each actor
-//     carries a pending-tick cycle, due handles are drained from a ring
-//     of 256 per-cycle bitsets over the actor handles (plus an overflow
-//     min-heap for far-future wakes), and cost scales with dispatched
-//     events rather than cycles x actors. Busy actors simply reschedule
-//     themselves for the next cycle, so a fully-active network
-//     degenerates gracefully to the per-cycle walk.
-//
 // # Quiescence
 //
-// Under ModeEvent an actor that implements Quiescer (and was opted in with
-// EnableQuiescence) may report, after a tick, that it is idle; the kernel
-// then stops ticking it until
+// Every registered actor starts awake and is ticked every cycle. An actor
+// that implements Quiescer and was opted in with EnableQuiescence may
+// report, after a tick, that it is idle; the kernel then clears its bit in
+// the awake set and stops ticking it until
 //
 //   - a delay line delivers a value to it (the pipe's Delivery hook, given
 //     the actor's handle via WithWake, fires as values become visible), or
 //   - its self-declared timed wake cycle arrives (for purely clock-driven
 //     work such as a traffic source's next injection slot).
 //
-// The contract is stated against ModeNaive: every tick the event kernel
-// elides must be one that, under the naive schedule, changed nothing an
-// observer can see apart from state the actor reconstructs when it next
-// ticks (catch-up), and every input the actor reacts to must either
-// arrive through a delay line whose Delivery hook wakes it or be covered
-// by the timed wake. Upholding that is the actor's job (see DESIGN.md,
-// "Kernel performance"); the differential tests hold the two schedules
-// to identical output.
+// The contract is stated against a kernel in which nobody opted in, which
+// ticks every actor every cycle: every tick the kernel elides must be one
+// that, under that schedule, changed nothing an observer can see apart
+// from state the actor reconstructs when it next ticks (catch-up), and
+// every input the actor reacts to must either arrive through a delay line
+// whose Delivery hook wakes it or be covered by the timed wake. Upholding
+// that is the actor's job (see DESIGN.md, "The scheduler"); the
+// differential tests hold the two schedules to identical output.
 //
-// Due handles are dispatched in ascending registration order in both
-// modes, keeping intra-cycle trace order identical across schedulers.
+// Awake actors are ticked in ascending registration order, so intra-cycle
+// trace order does not depend on who slept.
 package sim
 
 import (
@@ -78,10 +64,11 @@ type ActorFunc func(cycle uint64)
 func (f ActorFunc) Tick(cycle uint64) { f(cycle) }
 
 // Quiescer is optionally implemented by actors that can prove themselves
-// idle (see the package comment for the contract). Under ModeEvent,
-// Quiescent is consulted immediately after each of the actor's own ticks;
-// returning quiet=true suspends the actor until a pipe delivery wakes it
-// or, if wakeAt > cycle, until that cycle arrives. ModeNaive never asks.
+// idle (see the package comment for the contract). Once the actor is opted
+// in with EnableQuiescence, Quiescent is consulted immediately after each
+// of its ticks; returning quiet=true suspends the actor until a pipe
+// delivery wakes it or, if wakeAt > cycle, until that cycle arrives. An
+// actor that was not opted in is never asked.
 type Quiescer interface {
 	Actor
 	// Quiescent reports whether the actor is idle after ticking cycle.
@@ -93,52 +80,26 @@ type Quiescer interface {
 // Handle identifies a registered actor, for wake wiring (Delivery.WithWake).
 type Handle int
 
-// Mode selects the kernel's scheduling strategy. Both modes simulate the
-// same network identically; they differ only in which cycles an actor's
-// Tick is physically invoked on (skipped ticks are provably no-ops).
-type Mode uint8
-
-const (
-	// ModeNaive ticks every actor every cycle: the differential oracle,
-	// and the zero value, so a bare Kernel needs no set-up.
-	ModeNaive Mode = iota
-	// ModeEvent dispatches only due actors from a calendar queue.
-	ModeEvent
-)
-
 // Stats is the kernel's cumulative scheduling telemetry. Ticked counts
 // actor ticks executed; Skipped counts actor ticks elided relative to the
-// naive every-actor-every-cycle schedule; Events counts calendar-queue
-// dispatches. Skipped and Events are zero under ModeNaive.
+// every-actor-every-cycle schedule; Events counts the ticks dispatched to
+// actors opted in with EnableQuiescence — the ones the kernel scheduled
+// rather than owed. Skipped and Events are zero when nobody opted in.
 type Stats struct {
 	Ticked  uint64
 	Skipped uint64
 	Events  uint64
 }
 
-// wakeEntry is one far-future scheduled tick in the overflow min-heap.
+// wakeEntry is one timed wake in the min-heap.
 type wakeEntry struct {
 	at uint64
 	h  Handle
 }
 
-const (
-	// numBuckets sizes the calendar-queue ring. Wakes due within the next
-	// numBuckets-1 cycles go in the ring (O(1) insert/drain); anything
-	// further — rare: retention sweeps, low-rate sources — overflows to
-	// the heap. Power of two so the bucket index is a mask, and larger
-	// than every latency constant in the model (pipe depths, NACK window,
-	// reprobe interval) so steady-state scheduling never touches the heap.
-	numBuckets = 256
-	bucketMask = numBuckets - 1
-
-	// noPending marks an actor with no scheduled tick.
-	noPending = ^uint64(0)
-)
-
 // Kernel drives a set of actors and delay lines through simulated time.
-// The zero value is ready to use: a ModeNaive scheduler that ticks every
-// registered actor each cycle.
+// The zero value is ready to use, and with nobody opted into quiescence it
+// ticks every registered actor each cycle.
 type Kernel struct {
 	cycle  uint64
 	actors []Actor
@@ -149,28 +110,20 @@ type Kernel struct {
 	// latency, so a residue names one future cycle.
 	due [][]*Delivery
 
-	// The rest is ModeEvent state. quiescers[i] is actors[i] if it was
-	// opted in with EnableQuiescence, else nil; asleep[i] is set while
-	// actor i has declared itself quiet and not been woken.
+	// awake is a bitset over the handles: bit h set means actor h ticks at
+	// the next Step. Walking it in word and TrailingZeros order is
+	// ascending registration order.
+	awake []uint64
+	// quiescers[h] is actors[h] if it was opted in with EnableQuiescence,
+	// else nil: only those ever have their awake bit cleared.
 	quiescers []Quiescer
-	asleep    []bool
-	// Calendar queue. pendingAt[i] is the cycle actor i is scheduled to
-	// tick on (noPending = none). ring holds one bitset over the actor
-	// handles per cycle residue: bucket b occupies
-	// ring[b*ringWords:(b+1)*ringWords], and bit h of it means "handle h
-	// may be due at the next cycle congruent to b". Draining a bucket in
-	// word and TrailingZeros order IS ascending registration order, a
-	// handle scheduled twice for one cycle is one bit, and the ring never
-	// grows. A bit whose pendingAt no longer matches the drain cycle is
-	// stale — superseded by an earlier wake — and skipped.
-	pendingAt []uint64
-	ring      []uint64
-	ringWords int
-	evInit    bool
-	// heap holds scheduled ticks too far ahead for the ring.
-	heap []wakeEntry
+	// wakeAt[h] is the timed wake actor h last went quiet with, 0 for
+	// none, and while that cycle lies ahead heap holds an entry for it.
+	// An entry whose cycle is not its actor's wakeAt is stale — the actor
+	// has since declared another wake, or none — and pops without effect.
+	wakeAt []uint64
+	heap   []wakeEntry
 
-	mode    Mode
 	ticked  uint64
 	skipped uint64
 	events  uint64
@@ -184,8 +137,8 @@ func (k *Kernel) Register(actors ...Actor) {
 	}
 }
 
-// RegisterActor adds one actor and returns its handle, for wake wiring
-// via Delivery.WithWake.
+// RegisterActor adds one actor, awake at the next Step, and returns its
+// handle, for wake wiring via Delivery.WithWake. Call it between steps.
 //
 // Implementing Quiescer is not by itself enough to be skipped: skipping
 // an actor is only sound once every delay line feeding it has a waking
@@ -195,12 +148,11 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 	h := Handle(len(k.actors))
 	k.actors = append(k.actors, a)
 	k.quiescers = append(k.quiescers, nil)
-	k.asleep = append(k.asleep, false)
-	k.pendingAt = append(k.pendingAt, noPending)
-	if k.evInit {
-		k.growRing()
-		k.scheduleTick(h, k.cycle+1)
+	k.wakeAt = append(k.wakeAt, 0)
+	if int(h)>>6 == len(k.awake) {
+		k.awake = append(k.awake, 0)
 	}
+	k.wake(h)
 	return h
 }
 
@@ -213,32 +165,24 @@ func (k *Kernel) EnableQuiescence(h Handle) {
 	}
 }
 
+// wake returns actor h to the awake set; a no-op if it is there already.
+func (k *Kernel) wake(h Handle) { k.awake[h>>6] |= 1 << (uint(h) & 63) }
+
 // deliver runs a pipe's delivery hook at the end of the cycle before its
-// values become visible: mark the consumer's mask bit, then (ModeEvent)
-// return the consumer to the active set so it ticks next cycle. Under
-// ModeNaive nobody sleeps, so there is nobody to wake.
+// values become visible: mark the consumer's mask bit, then return the
+// consumer to the awake set so it ticks next cycle.
 func (k *Kernel) deliver(d Delivery) {
 	if d.mask != nil {
 		*d.mask |= d.bit
 	}
-	if d.wake == 0 || k.mode != ModeEvent {
-		return
+	if d.wake != 0 {
+		k.wake(d.wake - 1)
 	}
-	h := d.wake - 1
-	k.asleep[h] = false
-	k.scheduleTick(h, k.cycle+1)
 }
 
 // Asleep reports whether the actor is currently suspended as quiescent.
-// An actor merely awaiting its next-cycle tick is not asleep; only one
-// that declared itself quiet is. Always false under ModeNaive.
-func (k *Kernel) Asleep(h Handle) bool { return k.asleep[h] }
-
-// SetMode selects the scheduler. Must be set before stepping.
-func (k *Kernel) SetMode(m Mode) { k.mode = m }
-
-// Mode returns the selected scheduler.
-func (k *Kernel) Mode() Mode { return k.mode }
+// Always false for an actor that was not opted in.
+func (k *Kernel) Asleep(h Handle) bool { return k.awake[h>>6]&(1<<(uint(h)&63)) == 0 }
 
 // Stats returns the kernel's cumulative scheduling telemetry.
 func (k *Kernel) Stats() Stats {
@@ -271,9 +215,9 @@ func (k *Kernel) dueList(at uint64) *[]*Delivery { return &k.due[at&uint64(len(k
 
 // queueDelivery has hook d applied at the end of cycle at-1 (called by
 // Pipe.Push, once per pipe and visible-at cycle). Delivery waits for the
-// end of the actor phase even when at is the next cycle: a consumer still
-// due this cycle would have the wake dropped by scheduleTick, and could
-// then go quiet and sleep through the arrival.
+// end of the actor phase even when at is the next cycle: a consumer woken
+// at push time but still to tick this cycle would see nothing yet, go
+// quiet, clear its own bit and sleep through the arrival.
 func (k *Kernel) queueDelivery(d *Delivery, at uint64) {
 	list := k.dueList(at)
 	*list = append(*list, d)
@@ -330,131 +274,68 @@ func heapPop(heap *[]wakeEntry) wakeEntry {
 	return top
 }
 
-// scheduleTick (ModeEvent) records that actor h must tick at cycle at,
-// unless an earlier tick is already pending. Near wakes set h's bit in
-// the ring bucket for their cycle — a bit lands in bucket at&bucketMask
-// only when at is the next cycle with that residue, so every bit in a
-// drained bucket is due exactly then; far wakes overflow to the heap.
-// Superseded bits are left in place and filtered at drain time.
-func (k *Kernel) scheduleTick(h Handle, at uint64) {
-	if at <= k.cycle {
-		at = k.cycle + 1
-	}
-	if k.pendingAt[h] <= at {
-		return
-	}
-	k.pendingAt[h] = at
-	if at-k.cycle < numBuckets {
-		k.markDue(h, at)
-	} else {
-		heapPush(&k.heap, wakeEntry{at: at, h: h})
-	}
-}
-
-// markDue sets h's bit in the ring bucket of cycle at.
-func (k *Kernel) markDue(h Handle, at uint64) {
-	k.ring[int(at&bucketMask)*k.ringWords+int(h)>>6] |= 1 << (uint(h) & 63)
-}
-
-// growRing sizes the calendar ring for the registered actors, keeping
-// any bits already scheduled. Called at the first event-mode step and by
-// registrations after it; a no-op while the bitsets are wide enough.
-func (k *Kernel) growRing() {
-	words := (len(k.actors) + 63) / 64
-	if words <= k.ringWords {
-		return
-	}
-	ring := make([]uint64, numBuckets*words)
-	for b := 0; b < numBuckets && k.ringWords > 0; b++ {
-		copy(ring[b*words:], k.ring[b*k.ringWords:(b+1)*k.ringWords])
-	}
-	k.ring, k.ringWords = ring, words
-}
-
 // Cycle returns the number of completed cycles.
 func (k *Kernel) Cycle() uint64 { return k.cycle }
 
-// Step advances simulated time by one cycle: tick the due actors, then
-// deliver for the pipes whose values become visible next cycle.
+// Step advances simulated time by one cycle: wake the actors whose timed
+// wake is this cycle, tick the awake set, then deliver for the pipes whose
+// values become visible next cycle.
 func (k *Kernel) Step() {
-	if k.mode == ModeEvent {
-		k.tickDue()
-	} else {
-		c := k.cycle
-		for _, a := range k.actors {
-			a.Tick(c)
+	c := k.cycle
+	for len(k.heap) > 0 && k.heap[0].at <= c {
+		if e := heapPop(&k.heap); k.wakeAt[e.h] == e.at {
+			k.wake(e.h)
 		}
-		k.ticked += uint64(len(k.actors))
 	}
+
+	// Nothing sets an awake bit during the walk — deliveries wait for its
+	// end — so each word is read once; an actor going quiet clears its own
+	// bit in place.
+	ticked, events := 0, 0
+	for w, word := range k.awake {
+		for ; word != 0; word &= word - 1 {
+			h := Handle(w<<6 + bits.TrailingZeros64(word))
+			k.actors[h].Tick(c)
+			ticked++
+			q := k.quiescers[h]
+			if q == nil {
+				continue
+			}
+			events++
+			quiet, at := q.Quiescent(c)
+			if !quiet {
+				continue
+			}
+			k.awake[w] &^= word & -word
+			if at <= c {
+				at = 0
+			}
+			// A quiet actor repeating the wake it already has on the heap
+			// (a PE woken by an ejection, mid-wait for its next injection
+			// slot) pushes nothing.
+			if at != k.wakeAt[h] {
+				k.wakeAt[h] = at
+				if at != 0 {
+					heapPush(&k.heap, wakeEntry{at: at, h: h})
+				}
+			}
+		}
+	}
+	k.ticked += uint64(ticked)
+	k.skipped += uint64(len(k.actors) - ticked)
+	k.events += uint64(events)
 
 	// Delivery order is push order, which may differ from registration
 	// order — sound because deliveries commute: each ORs a mask bit and
-	// asks for a tick next cycle.
+	// an awake bit.
 	if len(k.due) != 0 {
-		list := k.dueList(k.cycle + 1)
+		list := k.dueList(c + 1)
 		for _, d := range *list {
 			k.deliver(*d)
 		}
 		*list = (*list)[:0]
 	}
 	k.cycle++
-}
-
-// tickDue is the calendar-queue scheduler's actor phase: fold any due
-// overflow-heap entries into this cycle's ring bucket, dispatch the
-// bucket's surviving handles in registration order, and let each actor
-// either reschedule for the next cycle (busy), sleep until a delivery
-// (quiet), or sleep with a timed wake (quiet with a deadline).
-func (k *Kernel) tickDue() {
-	c := k.cycle
-	if !k.evInit {
-		// First event-mode step: every registered actor starts due now.
-		k.evInit = true
-		k.growRing()
-		for h := range k.actors {
-			k.pendingAt[h] = c
-			k.markDue(Handle(h), c)
-		}
-	}
-	for len(k.heap) > 0 && k.heap[0].at <= c {
-		k.markDue(heapPop(&k.heap).h, c)
-	}
-
-	// Each word is taken and zeroed before its handles dispatch:
-	// reschedules during dispatch target later cycles, so they can never
-	// land back in this cycle's bucket (at == c+numBuckets overflows to
-	// the heap rather than aliasing the ring). Ascending word and bit
-	// order is registration order = tick order, matching the naive
-	// schedule's intra-cycle trace order exactly.
-	ticked := 0
-	bucket := k.ring[int(c&bucketMask)*k.ringWords:][:k.ringWords]
-	for w := range bucket {
-		word := bucket[w]
-		bucket[w] = 0
-		for ; word != 0; word &= word - 1 {
-			h := Handle(w<<6 + bits.TrailingZeros64(word))
-			if k.pendingAt[h] != c {
-				continue // superseded by an earlier wake
-			}
-			k.pendingAt[h] = noPending
-			k.asleep[h] = false
-			k.actors[h].Tick(c)
-			ticked++
-			if q := k.quiescers[h]; q != nil {
-				if quiet, at := q.Quiescent(c); quiet {
-					k.asleep[h] = true
-					if at > c {
-						k.scheduleTick(h, at)
-					}
-					continue
-				}
-			}
-			k.scheduleTick(h, c+1)
-		}
-	}
-	k.events += uint64(ticked)
-	k.ticked += uint64(ticked)
-	k.skipped += uint64(len(k.actors) - ticked)
 }
 
 // Run advances simulated time by n cycles.

@@ -318,12 +318,18 @@ func TestPipeLatencyAccessor(t *testing.T) {
 // It decides inside Tick whether the cycle is a work tick — its first
 // cycle, a value visible on its pipe, or the cycle it last declared as
 // its timed wake — and logs only those in ticks, so the log is the same
-// under ModeNaive (which ticks it every cycle) as under ModeEvent (which
-// should tick it on exactly the work cycles). calls counts every Tick.
+// in a kernel where it was not opted in (which ticks it every cycle) as
+// in one where it was (which should tick it on exactly the work cycles).
+// calls counts every Tick.
 type sleeper struct {
-	ticks   []uint64
-	calls   int
-	offset  uint64
+	ticks  []uint64
+	calls  int
+	offset uint64
+	// next, if set, replaces offset: the wake to declare after working at
+	// c (0 = none), so a test can repeat, postpone or drop a wake.
+	next func(c uint64) uint64
+	// linger keeps the actor awake while values are in flight towards it.
+	linger  bool
 	in      *Pipe[int]
 	started bool
 	wake    uint64 // declared timed wake, 0 = none
@@ -340,31 +346,40 @@ func (s *sleeper) Tick(c uint64) {
 		s.in.PopAll()
 	}
 	s.wake = 0
-	if s.offset != 0 {
+	if s.next != nil {
+		s.wake = s.next(c)
+	} else if s.offset != 0 {
 		s.wake = c + s.offset
 	}
 }
-func (s *sleeper) Quiescent(uint64) (bool, uint64) { return true, s.wake }
+func (s *sleeper) Quiescent(uint64) (bool, uint64) {
+	return !s.linger || s.in.InFlight() == 0, s.wake
+}
 
+// Opting in an actor that is not a Quiescer changes nothing: it ticks every
+// cycle beside sleepers that do not, and its ticks are owed, not Events.
 func TestEventKernelTicksNonQuiescersEveryCycle(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	var got []uint64
-	k.Register(ActorFunc(func(c uint64) { got = append(got, c) }))
+	k.EnableQuiescence(k.RegisterActor(&sleeper{}))
+	h := k.RegisterActor(ActorFunc(func(c uint64) { got = append(got, c) }))
+	k.EnableQuiescence(h)
 	k.Run(5)
-	if len(got) != 5 {
-		t.Fatalf("non-quiescer ticked %d times in 5 cycles, want 5", len(got))
+	if len(got) != 5 || k.Asleep(h) {
+		t.Fatalf("non-quiescer ticked %d times in 5 cycles (asleep %v), want 5", len(got), k.Asleep(h))
 	}
 	for i, c := range got {
 		if c != uint64(i) {
 			t.Fatalf("tick %d saw cycle %d", i, c)
 		}
 	}
+	if st := k.Stats(); st.Ticked != 6 || st.Skipped != 4 || st.Events != 1 {
+		t.Fatalf("Stats = %+v, want 6 ticked, 4 skipped, 1 event (the sleeper's one tick)", st)
+	}
 }
 
 func TestEventKernelTimedWake(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	s := &sleeper{offset: 7}
 	h := k.RegisterActor(s)
 	k.EnableQuiescence(h)
@@ -390,11 +405,10 @@ func TestEventKernelTimedWake(t *testing.T) {
 	}
 }
 
-// TestEventKernelFarWake exercises the overflow heap: a timed wake beyond
-// the calendar ring must still fire on the exact cycle.
+// TestEventKernelFarWake: a timed wake far in the future fires on the
+// exact cycle.
 func TestEventKernelFarWake(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	s := &sleeper{offset: 1000}
 	h := k.RegisterActor(s)
 	k.EnableQuiescence(h)
@@ -406,11 +420,10 @@ func TestEventKernelFarWake(t *testing.T) {
 }
 
 // TestEventKernelDeliveryWakeSupersedesTimer: a pipe delivery must wake a
-// sleeping actor before its timed deadline, and the stale calendar entry
-// must not cause a duplicate tick when its cycle comes around.
+// sleeping actor before its timed deadline, and the stale heap entry must
+// not cause a duplicate tick when its cycle comes around.
 func TestEventKernelDeliveryWakeSupersedesTimer(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	s := &sleeper{offset: 50}
 	h := k.RegisterActor(s)
 	k.EnableQuiescence(h)
@@ -437,7 +450,6 @@ func TestEventKernelDeliveryWakeSupersedesTimer(t *testing.T) {
 // in registration order regardless of how their wakes were scheduled.
 func TestEventKernelRegistrationOrder(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	var order []int
 	mk := func(id int, offset uint64) Handle {
 		s := &orderSleeper{id: id, offset: offset, order: &order}
@@ -473,22 +485,23 @@ func (s *orderSleeper) Quiescent(c uint64) (bool, uint64) {
 }
 
 // TestEventKernelMatchesQuiescent (named for the quiescence protocol it
-// exercises) runs a mix of sleepers under the naive oracle and the event
-// scheduler and requires identical work-tick logs — the unit-level
-// version of the network differential grids. The event kernel must also
-// execute no tick that is not a work tick, so a missed wake, a late wake
-// and a spurious tick all fail.
+// exercises) runs a mix of sleepers in a kernel nobody opted into and in
+// one where all did, and requires identical work-tick logs — the
+// unit-level version of the network differential grids. The opted-in
+// kernel must also execute no tick that is not a work tick, so a missed
+// wake, a late wake and a spurious tick all fail.
 func TestEventKernelMatchesQuiescent(t *testing.T) {
-	build := func(mode Mode) ([]*sleeper, Stats) {
+	build := func(optIn bool) ([]*sleeper, Stats) {
 		var k Kernel
-		k.SetMode(mode)
 		actors := []*sleeper{
 			{offset: 0}, {offset: 3}, {offset: 1}, {offset: 17}, {offset: 300},
 		}
 		pipes := make([]*Pipe[int], len(actors))
 		for _, s := range actors {
 			h := k.RegisterActor(s)
-			k.EnableQuiescence(h)
+			if optIn {
+				k.EnableQuiescence(h)
+			}
 			p := NewPipe[int](&k, 1)
 			s.in = p
 			p.SetDelivery(Delivery{}.WithWake(h))
@@ -502,44 +515,41 @@ func TestEventKernelMatchesQuiescent(t *testing.T) {
 		}
 		return actors, k.Stats()
 	}
-	want, _ := build(ModeNaive)
-	got, st := build(ModeEvent)
+	want, _ := build(false)
+	got, st := build(true)
 	work := 0
 	for i := range want {
 		requireSameTicks(t, i, want[i].ticks, got[i].ticks)
 		work += len(got[i].ticks)
 	}
 	if st.Ticked != uint64(work) {
-		t.Fatalf("event kernel executed %d ticks for %d work ticks", st.Ticked, work)
+		t.Fatalf("opted-in kernel executed %d ticks for %d work ticks", st.Ticked, work)
 	}
 }
 
-// requireSameTicks fails unless one actor's naive and event work-tick
-// logs are equal.
-func requireSameTicks(t *testing.T, actor int, naive, event []uint64) {
+// requireSameTicks fails unless one actor's work-tick logs in the
+// every-cycle kernel and in the opted-in one are equal.
+func requireSameTicks(t *testing.T, actor int, every, optedIn []uint64) {
 	t.Helper()
-	if len(naive) != len(event) {
-		t.Fatalf("actor %d: naive logged %d work ticks, event %d", actor, len(naive), len(event))
+	if len(every) != len(optedIn) {
+		t.Fatalf("actor %d: ticked every cycle it logged %d work ticks, opted in %d", actor, len(every), len(optedIn))
 	}
-	for j := range naive {
-		if naive[j] != event[j] {
-			t.Fatalf("actor %d work tick %d: naive at %d, event at %d", actor, j, naive[j], event[j])
+	for j := range every {
+		if every[j] != optedIn[j] {
+			t.Fatalf("actor %d work tick %d: at %d ticked every cycle, at %d opted in", actor, j, every[j], optedIn[j])
 		}
 	}
 }
 
-// The zero-value Kernel is a ready serial scheduler: with no SetMode,
-// every registered actor ticks every cycle — Quiescers included, opted in
-// or not — and pipes latch.
+// The zero-value Kernel is a ready serial scheduler: with nobody opted in,
+// every registered actor ticks every cycle — Quiescers included — and
+// pipes latch.
 func TestKernelZeroValueTicksEverything(t *testing.T) {
 	var k Kernel
-	if k.Mode() != ModeNaive {
-		t.Fatalf("zero-value mode = %v, want ModeNaive", k.Mode())
-	}
 	s := &sleeper{}
 	n := 0
 	k.Register(ActorFunc(func(uint64) { n++ }))
-	k.EnableQuiescence(k.RegisterActor(s))
+	h := k.RegisterActor(s)
 	p := NewPipe[int](&k, 2)
 	p.Push(5)
 	k.Run(6)
@@ -549,7 +559,7 @@ func TestKernelZeroValueTicksEverything(t *testing.T) {
 	if v, ok := p.Pop(); !ok || v != 5 {
 		t.Fatalf("pipe did not latch under the zero-value kernel: got (%d,%v)", v, ok)
 	}
-	if st := k.Stats(); st.Ticked != 12 || st.Skipped != 0 || st.Events != 0 {
-		t.Fatalf("Stats = %+v, want 12 ticked, nothing skipped or dispatched", st)
+	if st := k.Stats(); st.Ticked != 12 || st.Skipped != 0 || st.Events != 0 || k.Asleep(h) {
+		t.Fatalf("Stats = %+v, asleep %v; want 12 ticked, nothing skipped or dispatched, nobody asleep", st, k.Asleep(h))
 	}
 }

@@ -58,7 +58,7 @@ func (m *latchModel) latch() bool {
 }
 
 // tickLog is a Quiescer that always goes quiet and logs its ticks, so
-// under ModeEvent the log is cycle 0 plus exactly the wake cycles.
+// once opted in the log is cycle 0 plus exactly the wake cycles.
 type tickLog struct{ ticks []uint64 }
 
 func (l *tickLog) Tick(c uint64)                   { l.ticks = append(l.ticks, c) }
@@ -68,28 +68,29 @@ func (l *tickLog) Quiescent(uint64) (bool, uint64) { return true, 0 }
 // pushes, pops, drains, filters and steps — pushes and pops by value and
 // through the slot-returning forms alike: the same values visible on the
 // same cycles, the same counts, a mark exactly when the model's latch
-// brings arrivals, and (event mode) a consumer tick exactly one cycle
-// after each such latch. A popped slot must keep its value until the next
-// push, however the ring grew before the pop.
+// brings arrivals, and (consumer opted in, mode1) a consumer tick exactly
+// one cycle after each such latch. A popped slot must keep its value until
+// the next push, however the ring grew before the pop.
 func TestPipeMatchesLatchModel(t *testing.T) {
-	for _, mode := range []Mode{ModeNaive, ModeEvent} {
+	for mode, optIn := range []bool{false, true} {
 		for latency := 1; latency <= 3; latency++ {
 			for seed := int64(1); seed <= 20; seed++ {
 				t.Run(fmt.Sprintf("mode%d/lat%d/seed%d", mode, latency, seed), func(t *testing.T) {
-					matchLatchModel(t, mode, latency, seed)
+					matchLatchModel(t, optIn, latency, seed)
 				})
 			}
 		}
 	}
 }
 
-func matchLatchModel(t *testing.T, mode Mode, latency int, seed int64) {
+func matchLatchModel(t *testing.T, optIn bool, latency int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var k Kernel
-	k.SetMode(mode)
 	consumer := &tickLog{}
 	h := k.RegisterActor(consumer)
-	k.EnableQuiescence(h)
+	if optIn {
+		k.EnableQuiescence(h)
+	}
 	p := NewPipe[int](&k, latency)
 	var mask uint8
 	p.SetDelivery(Delivery{}.WithMark(&mask, 1).WithWake(h))
@@ -174,7 +175,7 @@ func matchLatchModel(t *testing.T, mode Mode, latency int, seed int64) {
 		t.Fatalf("Each saw %v, model holds %v", held, want)
 	}
 	k.Step() // runs the wake the last latch may have asked for
-	if mode == ModeEvent && !slices.Equal(consumer.ticks, wantTicks) {
+	if optIn && !slices.Equal(consumer.ticks, wantTicks) {
 		t.Fatalf("consumer ticked at %v, want %v", consumer.ticks, wantTicks)
 	}
 }
@@ -182,11 +183,10 @@ func matchLatchModel(t *testing.T, mode Mode, latency int, seed int64) {
 // A producer registered before its consumer pushes while the consumer is
 // still due this very cycle. The consumer then ticks, sees nothing yet
 // and declares itself quiet; it must still tick on the arrival cycle. A
-// wake requested at Push time would be dropped (the consumer already has
-// a tick pending for this cycle) and the arrival slept through.
+// wake requested at Push time would be undone (the consumer clears its own
+// awake bit as it goes quiet) and the arrival slept through.
 func TestDeliveryWakesConsumerDueTheSameCycle(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	var p *Pipe[int]
 	k.Register(ActorFunc(func(c uint64) {
 		if c == 5 {
@@ -212,7 +212,6 @@ func TestDeliveryWakesConsumerDueTheSameCycle(t *testing.T) {
 // not mark early, and delivers (mark and wake) when they become visible.
 func TestSetDeliveryOverInFlightValues(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	s := &sleeper{}
 	h := k.RegisterActor(s)
 	k.EnableQuiescence(h)
@@ -245,7 +244,6 @@ func TestSetDeliveryOverInFlightValues(t *testing.T) {
 // grown, refilling it to the same depth allocates nothing.
 func TestPipeRingGrowsWhileConsumerSleeps(t *testing.T) {
 	var k Kernel
-	k.SetMode(ModeEvent)
 	s := &sleeper{}
 	h := k.RegisterActor(s)
 	k.EnableQuiescence(h)

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # bench.sh — the allocation guard (CI). It runs every kernel benchmark
-# once, so none can bit-rot, and fails if the steady-state benchmark of
-# either scheduler — event (BenchmarkKernelSteady), naive, the metrics-on
-# variant, or the low-load 16x16 event-kernel run
+# once, so none can bit-rot, and fails if a steady-state benchmark — the
+# default network (BenchmarkKernelSteady), the tests' every-cycle oracle
+# (…Naive), the metrics-on variant, or the low-load 16x16 run
 # (BenchmarkKernelSparse16x16, where routers sleep with credits still
 # arriving) — reports any allocations per simulated cycle:
 #
 #   scripts/bench.sh --smoke
 #
-# Timings are the benchmark's business (`sh bench/run.sh`); a kernel
-# ratio on one workload is
+# Timings are the benchmark's business (`sh bench/run.sh`); what sleeping
+# is worth on one workload is
 # `go test ./internal/network -bench 'BenchmarkKernelSteady(Naive)?$'`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,8 +25,8 @@ go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -ben
 # Allocation guard. 200 measured cycles after each benchmark's own
 # warm-up (2000 cycles; 6000 on the 16x16) is enough for any
 # per-cycle allocation to show up as allocs/op >= 1 (Go reports the
-# floor of the mean). Both kernels are guarded — the calendar queue
-# and the naive loop must each stay allocation-free at steady state.
+# floor of the mean). The tick loop is guarded with sleeping actors and
+# without: both must stay allocation-free at steady state.
 # The Metrics variant guards the zero-cost-when-unscraped
 # observability contract: gauges registered, sampling interval never
 # firing. The Sparse16x16 variant guards the other regime: most
