@@ -115,13 +115,11 @@ const (
 	Torus = topology.Torus
 )
 
-// LinkID names a directed inter-router link, for hard-fault injection.
-type LinkID = topology.LinkID
-
-// Mortality schedules hard faults that strike mid-run: link and router
-// deaths at fixed cycles plus an optional per-cycle hazard process. Set
-// it on Config.Faults.Mortality; pair with the FaultAdaptive routing
-// algorithm to study graceful degradation.
+// Mortality schedules hard faults: link and router deaths at fixed
+// cycles plus an optional per-cycle hazard process. A fault present from
+// boot is a death at cycle 0 ("link:5E@0"). Set it on
+// Config.Faults.Mortality; pair with the FaultAdaptive routing algorithm
+// to study graceful degradation.
 type Mortality = fault.Mortality
 
 // Port identifies a router's physical channel.

@@ -2,11 +2,13 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -182,26 +184,84 @@ func ParseMortality(s string) (Mortality, error) {
 	return m, nil
 }
 
-// Sorted returns copies of the explicit death lists ordered by (cycle,
-// node, direction) — the deterministic application order of the
-// reconfiguration controller.
-func (m Mortality) Sorted() (links []LinkDeath, routers []RouterDeath) {
-	links = append(links, m.Links...)
-	routers = append(routers, m.Routers...)
-	sort.SliceStable(links, func(i, j int) bool {
-		if links[i].Cycle != links[j].Cycle {
-			return links[i].Cycle < links[j].Cycle
+// Death is one entry of a mortality timeline: at the start of Cycle the
+// physical link (Node, Dir) dies in both directions or, with Router set,
+// router Node dies. A fault present from boot is a death at cycle 0.
+type Death struct {
+	Cycle  uint64
+	Router bool
+	Node   flit.NodeID
+	Dir    topology.Port // link deaths only
+}
+
+// hazardSeedSalt decorrelates the hazard process from every other
+// consumer of the run seed.
+const hazardSeedSalt = 0x6d6f7274616c6974
+
+// Timeline expands the schedule into the deaths a run applies, in
+// application order: by cycle, links before routers within a cycle, then
+// by node and direction. Entries equal under that order keep their source
+// order — explicit links, hazard samples, routers — so a hazard draw on an
+// explicitly scheduled link follows it (and finds it already dead).
+//
+// The hazard process picks its victims uniformly among topo's physical
+// links (the East/South half of each), from a generator seeded by seed.
+// It runs on cycles [HazardStart, HazardStop), with stop (the run's
+// horizon) standing in for a zero or later HazardStop.
+func (m Mortality) Timeline(topo *topology.Topology, seed, stop uint64) []Death {
+	var tl []Death
+	for _, l := range m.Links {
+		tl = append(tl, Death{Cycle: l.Cycle, Node: l.From, Dir: l.Dir})
+	}
+	tl = m.appendHazard(tl, topo, seed, stop)
+	for _, r := range m.Routers {
+		tl = append(tl, Death{Cycle: r.Cycle, Router: true, Node: r.Node})
+	}
+	sort.SliceStable(tl, func(i, j int) bool {
+		a, b := tl[i], tl[j]
+		switch {
+		case a.Cycle != b.Cycle:
+			return a.Cycle < b.Cycle
+		case a.Router != b.Router:
+			return b.Router
+		case a.Node != b.Node:
+			return a.Node < b.Node
 		}
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].Dir < links[j].Dir
+		return a.Dir < b.Dir
 	})
-	sort.SliceStable(routers, func(i, j int) bool {
-		if routers[i].Cycle != routers[j].Cycle {
-			return routers[i].Cycle < routers[j].Cycle
+	return tl
+}
+
+// appendHazard pre-draws the memoryless link-death process: geometric
+// gaps between deaths by inverse-transform sampling, one uniform victim
+// per death.
+func (m Mortality) appendHazard(tl []Death, topo *topology.Topology, seed, stop uint64) []Death {
+	if m.HazardRate <= 0 {
+		return tl
+	}
+	if m.HazardStop != 0 && m.HazardStop < stop {
+		stop = m.HazardStop
+	}
+	var reps []topology.LinkID
+	for _, l := range topo.Links() {
+		if l.Dir == topology.East || l.Dir == topology.South {
+			reps = append(reps, l)
 		}
-		return routers[i].Node < routers[j].Node
-	})
-	return links, routers
+	}
+	if len(reps) == 0 {
+		return tl
+	}
+	rng := sim.NewRNG(seed ^ hazardSeedSalt)
+	logq := math.Log1p(-m.HazardRate)
+	for c := m.HazardStart; c < stop; c++ {
+		// Compared as a float: a gap past the horizon may not fit a uint64.
+		gap := math.Floor(math.Log1p(-rng.Float64()) / logq)
+		if gap >= float64(stop-c) {
+			break
+		}
+		c += uint64(gap)
+		v := reps[rng.Intn(len(reps))]
+		tl = append(tl, Death{Cycle: c, Node: v.From, Dir: v.Dir})
+	}
+	return tl
 }

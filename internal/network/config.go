@@ -58,11 +58,10 @@ type Config struct {
 	// behaviour.
 	InjectLimit uint64
 
-	// Fault injection.
+	// Fault injection: transient upset rates, plus the hard-fault
+	// schedule Faults.Mortality (a fault present from boot is a death at
+	// cycle 0).
 	Faults fault.Rates
-	// HardFaults lists permanently failed directed links, applied before
-	// the simulation starts.
-	HardFaults []topology.LinkID
 
 	// TracePIDs lists packet IDs whose journey through the network should
 	// be recorded (one line per location change); the traces appear in
@@ -194,23 +193,6 @@ func (c Config) Validate() error {
 			return fail("%s must be in [0,1], have %g", r.name, r.v)
 		}
 	}
-	// Hard faults must name links that physically exist: New applies them
-	// via Topology.FailLink, which panics on a non-existent link.
-	if len(c.HardFaults) > 0 {
-		kind := c.TopologyKind
-		if kind == 0 {
-			kind = topology.Mesh
-		}
-		topo := topology.New(kind, c.Width, c.Height)
-		for _, hf := range c.HardFaults {
-			if int(hf.From) >= topo.Nodes() {
-				return fail("hard fault names node %d outside the %dx%d topology", hf.From, c.Width, c.Height)
-			}
-			if _, ok := topo.Neighbor(hf.From, hf.Dir); !ok {
-				return fail("hard fault names non-existent link %v from node %d", hf.Dir, hf.From)
-			}
-		}
-	}
 	// Mortality schedules must name real links/routers and die within the
 	// run: a death past MaxCycles silently never happens, which is always
 	// a misconfigured experiment.
@@ -243,9 +225,6 @@ func (c Config) Validate() error {
 			if c.MaxCycles > 0 && rd.Cycle >= c.MaxCycles {
 				return fail("mortality router death at cycle %d is past MaxCycles %d", rd.Cycle, c.MaxCycles)
 			}
-		}
-		if !(mort.HazardRate >= 0 && mort.HazardRate < 1) {
-			return fail("mortality hazard rate must be in [0,1), have %g", mort.HazardRate)
 		}
 		if mort.HazardStop != 0 && mort.HazardStart > mort.HazardStop {
 			return fail("mortality hazard window [%d,%d) is empty", mort.HazardStart, mort.HazardStop)

@@ -2,9 +2,11 @@ package network
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ftnoc/internal/fault"
 	"ftnoc/internal/router"
 	"ftnoc/internal/topology"
 )
@@ -13,7 +15,10 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Width = 6
 	cfg.Faults.Link = 1e-3
-	cfg.HardFaults = []topology.LinkID{{From: 5, Dir: topology.East}}
+	cfg.Faults.Mortality = fault.Mortality{
+		Links:   []fault.LinkDeath{{From: 5, Dir: topology.East, Cycle: 0}},
+		Routers: []fault.RouterDeath{{Node: 10, Cycle: 200}},
+	}
 	cfg.TracePIDs = []uint64{7}
 	cfg.DuplicateRetrans = true
 
@@ -28,8 +33,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if got.Width != 6 || got.Faults.Link != 1e-3 || !got.DuplicateRetrans {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	if len(got.HardFaults) != 1 || got.HardFaults[0].From != 5 || got.HardFaults[0].Dir != topology.East {
-		t.Fatalf("hard faults lost: %+v", got.HardFaults)
+	if !reflect.DeepEqual(got.Faults.Mortality, cfg.Faults.Mortality) {
+		t.Fatalf("mortality schedule lost: %+v", got.Faults.Mortality)
 	}
 	if len(got.TracePIDs) != 1 || got.TracePIDs[0] != 7 {
 		t.Fatalf("trace pids lost: %+v", got.TracePIDs)
@@ -53,6 +58,13 @@ func TestReadConfigPartialKeepsDefaults(t *testing.T) {
 func TestReadConfigRejectsUnknownFields(t *testing.T) {
 	if _, err := ReadConfig(strings.NewReader(`{"Widht": 4}`)); err == nil {
 		t.Fatal("typo field accepted")
+	}
+	// A boot-time fault is a Faults.Mortality death at cycle 0; a document
+	// naming the removed HardFaults list must fail loudly rather than run
+	// fault-free.
+	_, err := ReadConfig(strings.NewReader(`{"HardFaults":[{"From":5,"Dir":2}]}`))
+	if err == nil || !strings.Contains(err.Error(), "HardFaults") {
+		t.Fatalf("HardFaults document: err = %v, want an unknown-field error naming it", err)
 	}
 }
 

@@ -142,32 +142,43 @@ func TestFig13aOrdering(t *testing.T) {
 	}
 }
 
-// Hard link faults: adaptive routing must route around a failed link.
-// Note minimal-adaptive cannot avoid a dead link when it is the only
-// productive direction (a column-edge case), so the failed link here is
-// an interior one with a minimal alternative for all (src,dst) pairs that
-// would use it... which on a mesh is true only for packets with both X
-// and Y offsets. Packets aligned with the dead link would strand, so this
-// test uses a torus-free workaround: fail one direction of a diagonal-
-// adjacent link and accept partial delivery being impossible — instead it
-// verifies no corruption and that the network does not stall thanks to
-// probing discarding suspicion at the faulty neighbor (§3.2.2).
+// A link dead from boot is a death at cycle 0, and a burst across it must
+// end with exactly one verdict per packet under every routing function:
+// no stall, no false deadlock recovery at the dead link, no corruption,
+// no RT correction for a route the dead link alone blocks, and a clean
+// invariant ledger.
 func TestHardFaultNoFalseDeadlock(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Routing = routing.MinimalAdaptive
-	cfg.InjectionRate = 0.05
-	cfg.WarmupMessages = 0
-	cfg.TotalMessages = 300
-	cfg.MaxCycles = 300_000
-	cfg.HardFaults = []topology.LinkID{{From: 5, Dir: topology.East}}
-	res := New(cfg).Run()
-	if res.CorruptedPackets != 0 || res.SinkAnomalies != 0 {
-		t.Fatalf("hard fault corrupted traffic: %+v", res)
-	}
-	// Node 5 -> 6 traffic (same row, eastbound) has no minimal detour, so
-	// a small fraction of packets can strand; the rest must flow.
-	if res.Delivered < cfg.TotalMessages/2 {
-		t.Fatalf("delivered only %d/%d with one hard-faulted link", res.Delivered, cfg.TotalMessages)
+	for _, alg := range []routing.Algorithm{routing.XY, routing.MinimalAdaptive, routing.FaultAdaptive} {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Routing = alg
+			cfg.InjectionRate = 0.05
+			cfg.WarmupMessages = 0
+			cfg.TotalMessages = 300
+			cfg.InjectLimit = cfg.TotalMessages
+			cfg.MaxCycles = 300_000
+			cfg.StallCycles = 20_000
+			cfg.Faults.Mortality = fault.Mortality{Links: []fault.LinkDeath{{From: 5, Dir: topology.East, Cycle: 0}}}
+			chk := attachChecker(&cfg)
+			res := New(cfg).Run()
+			if res.Stalled {
+				t.Fatalf("stalled at %d delivered + %d undeliverable", res.Delivered, res.Undeliverable)
+			}
+			if got := res.Delivered + res.Undeliverable; got != cfg.TotalMessages {
+				t.Fatalf("%d delivered + %d undeliverable = %d verdicts, want %d",
+					res.Delivered, res.Undeliverable, got, cfg.TotalMessages)
+			}
+			if res.DeadLinks != 1 || res.Recoveries != 0 {
+				t.Fatalf("DeadLinks %d, Recoveries %d; want 1 and 0", res.DeadLinks, res.Recoveries)
+			}
+			if res.CorruptedPackets != 0 || res.SinkAnomalies != 0 || res.StrayFlits != 0 {
+				t.Fatalf("dead link damaged traffic: %+v", res)
+			}
+			if got := res.Counters.Corrected[fault.RTLogic]; got != 0 {
+				t.Fatalf("%d RT corrections with no RT fault injected", got)
+			}
+			assertClean(t, alg.String(), chk)
+		})
 	}
 }
 

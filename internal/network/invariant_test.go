@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ftnoc/internal/fault"
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
@@ -83,10 +84,10 @@ func TestInvariantCheckerCleanRun(t *testing.T) {
 	}
 }
 
-// TestInvariantCheckerHardFaults exercises the audit under permanent
-// link failures and adaptive routing — the configuration most likely to
-// bend flow control — and still demands a spotless verdict.
-func TestInvariantCheckerHardFaults(t *testing.T) {
+// TestInvariantCheckerBootDeaths exercises the audit under links dead
+// from boot and adaptive routing — the configuration most likely to bend
+// flow control — and still demands a spotless verdict.
+func TestInvariantCheckerBootDeaths(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Width, cfg.Height = 4, 4
 	cfg.Routing = routing.MinimalAdaptive
@@ -95,13 +96,13 @@ func TestInvariantCheckerHardFaults(t *testing.T) {
 	cfg.MaxCycles = 200_000
 	cfg.Seed = 29
 	cfg.Faults.Link = 1e-3
-	cfg.HardFaults = []topology.LinkID{
-		{From: 5, Dir: topology.East},
-		{From: 10, Dir: topology.North},
-	}
+	cfg.Faults.Mortality = fault.Mortality{Links: []fault.LinkDeath{
+		{From: 5, Dir: topology.East, Cycle: 0},
+		{From: 10, Dir: topology.North, Cycle: 0},
+	}}
 	chk := attachChecker(&cfg)
 	New(cfg).Run()
-	assertClean(t, "hard-faults", chk)
+	assertClean(t, "boot-deaths", chk)
 }
 
 // TestRandomizedDifferentialProperty is the property-based harness: a

@@ -1,15 +1,14 @@
 package network
 
 import (
-	"math"
 	"sort"
 
+	"ftnoc/internal/fault"
 	"ftnoc/internal/faultmap"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
-	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 )
@@ -22,28 +21,14 @@ import (
 // whoever sleeps, so death boundaries land identically with and without
 // sleeping actors.
 
-const (
-	// hazardSeedSalt decorrelates the hazard process from every other
-	// consumer of Config.Seed.
-	hazardSeedSalt = 0x6d6f7274616c6974
-
-	// wedgeSweepInterval is how often (cycles) the controller scans for
-	// worms waiting on an allocation that can never come (their legal
-	// candidate set is empty under the post-fault topology) and excises
-	// them. Only runs once something has died.
-	wedgeSweepInterval = 64
-)
+// wedgeSweepInterval is how often (cycles) the controller scans for
+// worms waiting on an allocation that can never come (their legal
+// candidate set is empty under the post-fault topology) and excises
+// them. Only runs once something has died.
+const wedgeSweepInterval = 64
 
 // mortDirs is the deterministic direction order of every controller walk.
 var mortDirs = [...]topology.Port{topology.North, topology.East, topology.South, topology.West}
-
-// deathEvent is one entry of the mortality timeline.
-type deathEvent struct {
-	cycle    uint64
-	isRouter bool
-	node     flit.NodeID
-	dir      topology.Port // link deaths only
-}
 
 // mortalityState is the per-run hard-fault state.
 type mortalityState struct {
@@ -56,7 +41,7 @@ type mortalityState struct {
 	maps     []*faultmap.Map
 	frontier []flit.NodeID
 
-	timeline []deathEvent
+	timeline []fault.Death
 	next     int
 
 	// comp is the connected-component label of each node over live
@@ -80,10 +65,9 @@ type mortalityState struct {
 	deliveredAtLastDeath uint64
 }
 
-// newMortalityState builds the controller: per-router fault maps seeded
-// with the boot-time hard faults (BIST results are global knowledge; only
-// runtime deaths need dissemination) and the death timeline, with hazard
-// deaths pre-sampled from the run seed so the schedule is reproducible.
+// newMortalityState builds the controller: per-router fault maps and the
+// death timeline, with hazard deaths pre-sampled from the run seed so the
+// schedule is reproducible.
 func newMortalityState(n *Network, route routing.Func) *mortalityState {
 	nodes := n.topo.Nodes()
 	m := &mortalityState{
@@ -91,94 +75,14 @@ func newMortalityState(n *Network, route routing.Func) *mortalityState {
 		killed:   make(map[flit.PacketID]bool),
 		deadNode: make([]bool, nodes),
 		maps:     make([]*faultmap.Map, nodes),
+		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
 	}
 	m.fa, _ = route.(*routing.FaultAdaptiveFunc)
 	for i := range m.maps {
 		m.maps[i] = faultmap.New(nodes)
 	}
-	for _, hf := range n.cfg.HardFaults {
-		for _, mp := range m.maps {
-			mp.MarkLinkDead(hf.From, hf.Dir)
-		}
-	}
-	m.buildTimeline()
 	m.recomputeComponents()
 	return m
-}
-
-// buildTimeline merges scheduled link deaths, router deaths and sampled
-// hazard deaths into one cycle-ordered timeline. Within a cycle links die
-// before routers, each class in its canonical schedule order.
-func (m *mortalityState) buildTimeline() {
-	links, routers := m.n.cfg.Faults.Mortality.Sorted()
-	for _, l := range links {
-		m.timeline = append(m.timeline, deathEvent{cycle: l.Cycle, node: l.From, dir: l.Dir})
-	}
-	m.sampleHazard()
-	sort.SliceStable(m.timeline, func(i, j int) bool {
-		a, b := m.timeline[i], m.timeline[j]
-		if a.cycle != b.cycle {
-			return a.cycle < b.cycle
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.dir < b.dir
-	})
-	for _, r := range routers {
-		m.timeline = append(m.timeline, deathEvent{cycle: r.Cycle, isRouter: true, node: r.Node})
-	}
-	sort.SliceStable(m.timeline, func(i, j int) bool {
-		return m.timeline[i].cycle < m.timeline[j].cycle
-	})
-}
-
-// sampleHazard pre-draws the memoryless link-death process: geometric
-// gaps between deaths via inverse-transform sampling, victims uniform
-// over the physical links. Duplicates are skipped at apply time.
-func (m *mortalityState) sampleHazard() {
-	mort := m.n.cfg.Faults.Mortality
-	if mort.HazardRate <= 0 {
-		return
-	}
-	stop := mort.HazardStop
-	if stop == 0 || stop > m.n.cfg.MaxCycles {
-		stop = m.n.cfg.MaxCycles
-	}
-	// One canonical representative per physical link: its East/South
-	// directed half (every mesh/torus link has exactly one).
-	var reps []topology.LinkID
-	for _, l := range m.n.topo.Links() {
-		if l.Dir == topology.East || l.Dir == topology.South {
-			reps = append(reps, l)
-		}
-	}
-	if len(reps) == 0 {
-		return
-	}
-	rng := sim.NewRNG(m.n.cfg.Seed ^ hazardSeedSalt)
-	logq := math.Log1p(-mort.HazardRate)
-	c := mort.HazardStart
-	for {
-		gap := uint64(math.Floor(math.Log1p(-rng.Float64()) / logq))
-		if c > stop-1-min64(gap, stop-1) { // c+gap >= stop, overflow-safe
-			break
-		}
-		c += gap
-		v := reps[rng.Intn(len(reps))]
-		m.timeline = append(m.timeline, deathEvent{cycle: c, node: v.From, dir: v.Dir})
-		c++
-		if c >= stop {
-			break
-		}
-	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // preStep runs the controller for cycle c, before the kernel executes it:
@@ -186,7 +90,7 @@ func min64(a, b uint64) uint64 {
 // periodically excise worms that can no longer make progress.
 func (m *mortalityState) preStep(c uint64) {
 	boundary := false
-	for m.next < len(m.timeline) && m.timeline[m.next].cycle <= c {
+	for m.next < len(m.timeline) && m.timeline[m.next].Cycle <= c {
 		ev := m.timeline[m.next]
 		m.next++
 		if m.applyDeath(c, ev) {
@@ -197,16 +101,16 @@ func (m *mortalityState) preStep(c uint64) {
 		m.reconfigure(c)
 	}
 	m.gossip(c)
-	if (m.anyDeath || len(m.n.cfg.HardFaults) > 0) && c%wedgeSweepInterval == 0 {
+	if m.anyDeath && c%wedgeSweepInterval == 0 {
 		m.sweepStuckWorms(c)
 	}
 }
 
-func (m *mortalityState) applyDeath(c uint64, ev deathEvent) bool {
-	if ev.isRouter {
-		return m.killRouter(c, ev.node)
+func (m *mortalityState) applyDeath(c uint64, d fault.Death) bool {
+	if d.Router {
+		return m.killRouter(c, d.Node)
 	}
-	return m.killLinkPair(c, ev.node, ev.dir)
+	return m.killLinkPair(c, d.Node, d.Dir)
 }
 
 // reconfigure rebuilds the routing epoch after a boundary: new up*/down*
@@ -265,20 +169,13 @@ func (m *mortalityState) recomputeComponents() {
 	}
 }
 
-// reachable reports whether a message from src can still reach dst. The
-// fault-adaptive tables are authoritative when present (they encode the
-// same component structure); otherwise graph connectivity is used — under
-// deterministic routing a connected pair may still be undeliverable (the
-// fixed path crosses a dead link), which the wedge sweep converts into an
-// undeliverable verdict when the worm jams.
+// reachable reports whether a message from src can still reach dst: both
+// routers live and in one connected component. Up*/down* reaches every
+// pair in a component; under deterministic routing a connected pair may
+// still be undeliverable (the fixed path crosses a dead link), which the
+// wedge sweep converts into an undeliverable verdict when the worm jams.
 func (m *mortalityState) reachable(src, dst flit.NodeID) bool {
-	if m.deadNode[src] || m.deadNode[dst] {
-		return false
-	}
-	if m.fa != nil {
-		return m.fa.Reachable(src, dst)
-	}
-	return m.comp[src] == m.comp[dst]
+	return !m.deadNode[src] && !m.deadNode[dst] && m.comp[src] == m.comp[dst]
 }
 
 // reachablePairFraction is the fraction of ordered node pairs that can

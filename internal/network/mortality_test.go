@@ -191,9 +191,10 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 }
 
 // TestKernelDifferentialMortality extends the kernel differential grid
-// with mid-run mortality: New's network must reproduce the naive
-// oracle's Results and full event stream bit-for-bit while links and a
-// router die mid-flight, vertical (South) links included.
+// with mortality: New's network must reproduce the naive oracle's Results
+// and full event stream bit-for-bit while links and a router die
+// mid-flight, vertical (South) links included, and when they are dead
+// from boot (cycle 0).
 func TestKernelDifferentialMortality(t *testing.T) {
 	schedules := []fault.Mortality{
 		{Links: []fault.LinkDeath{
@@ -203,6 +204,10 @@ func TestKernelDifferentialMortality(t *testing.T) {
 		{
 			Links:   []fault.LinkDeath{{From: 2, Dir: topology.East, Cycle: 200}},
 			Routers: []fault.RouterDeath{{Node: 10, Cycle: 350}},
+		},
+		{
+			Links:   []fault.LinkDeath{{From: 2, Dir: topology.East, Cycle: 0}},
+			Routers: []fault.RouterDeath{{Node: 10, Cycle: 0}},
 		},
 	}
 	for si, mort := range schedules {

@@ -104,9 +104,6 @@ func build(cfg Config, quiesce bool) *Network {
 		kind = topology.Mesh
 	}
 	n.topo = topology.New(kind, cfg.Width, cfg.Height)
-	for _, hf := range cfg.HardFaults {
-		n.topo.FailLink(hf.From, hf.Dir)
-	}
 	route := routing.New(cfg.Routing, n.topo)
 	xyCheck := !cfg.Routing.Adaptive()
 

@@ -88,7 +88,7 @@ func (r *Router) sendSignal(cycle uint64, t flit.Type, ivc *inputVC, m probeMsg)
 		port = ivc.outPort
 		m.TargetVC = uint8(ivc.outVC)
 	case vcVAWait:
-		legal := r.legalCandidates(ivc)
+		legal := r.legalCandidates(ivc.candidates, ivc.dst)
 		if len(legal) == 0 || legal[0] == topology.Local {
 			return false
 		}

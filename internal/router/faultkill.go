@@ -107,24 +107,7 @@ func (r *Router) StuckWorm(p topology.Port, vc int) bool {
 		return false
 	}
 	ivc := ip.vcs[vc]
-	if ivc.state != vcVAWait {
-		return false
-	}
-	for _, c := range r.cfg.Route.Route(r.id, ivc.dst) {
-		if !c.Valid() {
-			continue
-		}
-		if c == topology.Local {
-			if ivc.dst == r.id && r.out[c] != nil {
-				return false
-			}
-			continue
-		}
-		if r.out[c] != nil && r.cfg.Topo.LinkUp(r.id, c) {
-			return false
-		}
-	}
-	return true
+	return ivc.state == vcVAWait && r.deadEnd(r.cfg.Route.Route(r.id, ivc.dst), ivc.dst)
 }
 
 // EachWaitingVC visits every VA-waiting input VC — the candidates for

@@ -649,21 +649,21 @@ func (r *Router) memoRoute(memo []uint8, cur, dst flit.NodeID) []topology.Port {
 	return c
 }
 
-// legalCandidates filters the RT candidate set down to ports that the VC
-// allocator's state information permits: existing, un-faulted links, and
-// Local only for packets that have arrived (§4.2 — the VA "is aware of
-// blocked links or links which are not permitted due to physical
-// constraints").
-func (r *Router) legalCandidates(ivc *inputVC) []topology.Port {
+// legalCandidates filters an RT candidate set for a packet bound to dst
+// down to ports that the VC allocator's state information permits:
+// existing, un-faulted links, and Local only for packets that have arrived
+// (§4.2 — the VA "is aware of blocked links or links which are not
+// permitted due to physical constraints").
+func (r *Router) legalCandidates(cands []topology.Port, dst flit.NodeID) []topology.Port {
 	// Returns the reusable scratch buffer; callers consume it before the
 	// next legalCandidates call on this router.
 	legal := r.scratchLegal[:0]
-	for _, p := range ivc.candidates {
+	for _, p := range cands {
 		if !p.Valid() {
 			continue
 		}
 		if p == topology.Local {
-			if ivc.dst == r.id && r.out[p] != nil {
+			if dst == r.id && r.out[p] != nil {
 				legal = append(legal, p)
 			}
 			continue
@@ -673,6 +673,12 @@ func (r *Router) legalCandidates(ivc *inputVC) []topology.Port {
 		}
 	}
 	return legal
+}
+
+// deadEnd reports whether no port of cands is legal for a packet bound to
+// dst. It overwrites legalCandidates' scratch buffer.
+func (r *Router) deadEnd(cands []topology.Port, dst flit.NodeID) bool {
+	return len(r.legalCandidates(cands, dst)) == 0
 }
 
 // bindingAt returns the VA state table's entry for output VC (p, v) — the
@@ -740,12 +746,16 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 	}
 	r.cfg.Events.VAAllocs++
 
-	legal := r.legalCandidates(ivc)
+	legal := r.legalCandidates(ivc.candidates, ivc.dst)
 	if len(legal) == 0 {
 		// Every candidate is blocked, missing, or physically
-		// impossible: the VA state info has caught a misdirection
-		// (§4.2). Re-route with a one-cycle penalty.
-		r.cfg.Counters.AddCorrected(fault.RTLogic)
+		// impossible. Re-route with a one-cycle penalty. Only when the
+		// packet's true route has a legal port has the VA state info
+		// caught a misdirection (§4.2); otherwise the packet waits on a
+		// dead link and there is nothing to correct.
+		if !r.deadEnd(r.memoRoute(r.routeMemo[topology.Local], r.id, ivc.dst), ivc.dst) {
+			r.cfg.Counters.AddCorrected(fault.RTLogic)
+		}
 		ivc.candidates = r.computeRoute(cycle, ivc)
 		ivc.earliestVA = cycle + 1
 		return

@@ -197,12 +197,6 @@ func (f *FaultAdaptiveFunc) buildDst(dst flit.NodeID, order, queue []flit.NodeID
 	}
 }
 
-// Reachable reports whether a legal path cur ⇝ dst exists on the live
-// graph (equivalently, whether the two nodes share a component).
-func (f *FaultAdaptiveFunc) Reachable(cur, dst flit.NodeID) bool {
-	return f.updown[int(dst)*f.n+int(cur)] != infDist
-}
-
 // Route implements Func. In the down phase (a down-only path to dst
 // exists) it offers every down hop on a shortest down path; otherwise
 // it offers every up hop that shortens the legal distance. An

@@ -1,8 +1,10 @@
 // Package topology models the physical structure of the on-chip network:
-// node placement, ports, inter-router links, and hard faults (permanently
-// failed links). The paper's evaluation platform is an 8x8 2-D mesh
-// (§2.2); a torus is provided as an extension because the tornado traffic
-// pattern and several cited routing algorithms originate there.
+// node placement, ports, inter-router links, and which links have died
+// (FailLink, called by the network's hard-fault controller as its
+// mortality timeline fires). The paper's evaluation platform is an 8x8
+// 2-D mesh (§2.2); a torus is provided as an extension because the
+// tornado traffic pattern and several cited routing algorithms originate
+// there.
 package topology
 
 import (

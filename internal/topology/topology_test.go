@@ -129,7 +129,7 @@ func TestLinkCount(t *testing.T) {
 	}
 }
 
-func TestHardFaults(t *testing.T) {
+func TestFailLink(t *testing.T) {
 	m := New(Mesh, 4, 4)
 	if !m.LinkUp(5, East) {
 		t.Fatal("healthy link reported down")
