@@ -52,16 +52,25 @@ func main() {
 		res.Counters.Corrected[ftnoc.VALogic], res.Counters.Injected[ftnoc.VALogic],
 		res.Counters.Corrected[ftnoc.SALogic], res.Counters.Injected[ftnoc.SALogic])
 
-	// 4. Ablation: the same VA fault rate with the AC disabled.
-	res = run("VA upsets @ 5e-3 with the AC DISABLED (ablation)", func(c *ftnoc.Config) {
-		c.Faults.VA = 5e-3
-		c.ACEnabled = false
-		c.TotalMessages = 2_000
-		c.StallCycles = 30_000
-		c.MaxCycles = 150_000
-	})
-	fmt.Printf("   damage: %d wormhole violations, %d stray flits, %d sink anomalies, stalled=%v\n",
-		res.WormholeViolations, res.StrayFlits, res.SinkAnomalies, res.Stalled)
+	// 4. Ablation: allocator upsets with the AC disabled — VA alone, then
+	// the VA+SA rate the comparator handled above.
+	for _, a := range []struct {
+		name   string
+		faults func(*ftnoc.Config)
+	}{
+		{"VA upsets @ 5e-3 with the AC DISABLED (ablation)", func(c *ftnoc.Config) { c.Faults.VA = 5e-3 }},
+		{"VA+SA upsets @ 1e-3 with the AC DISABLED (ablation)", func(c *ftnoc.Config) { c.Faults.VA, c.Faults.SA = 1e-3, 1e-3 }},
+	} {
+		res = run(a.name, func(c *ftnoc.Config) {
+			a.faults(c)
+			c.ACEnabled = false
+			c.TotalMessages = 2_000
+			c.StallCycles = 30_000
+			c.MaxCycles = 150_000
+		})
+		fmt.Printf("   damage: %d wormhole violations, %d stray flits, %d sink anomalies, stalled=%v\n",
+			res.WormholeViolations, res.StrayFlits, res.SinkAnomalies, res.Stalled)
+	}
 	fmt.Println("\nThe AC unit costs, per Table 1:")
 	fmt.Printf("   +%.2f mW power and +%.4f mm2 area on a %.2f mW / %.4f mm2 router\n",
 		ftnoc.RouterPowerMW(5, 4, 4, 0, true)-ftnoc.RouterPowerMW(5, 4, 4, 0, false),

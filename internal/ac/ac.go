@@ -129,68 +129,86 @@ func CheckVA(b Binding, candidates []topology.Port, vcsPerPC, numPorts int, exis
 // input VC holds no binding — itself a violation). It returns, aligned
 // with grants, the violation found for each grant (None for clean ones).
 func CheckSA(grants []Grant, numPorts int, lookup func(inPort topology.Port, inVC int) (Binding, bool)) []Violation {
-	return CheckSAInto(nil, grants, numPorts, lookup)
+	bound := make([]topology.Port, len(grants))
+	for i, g := range grants {
+		bound[i] = topology.NumPorts // no binding: no grant agrees with it
+		if b, ok := lookup(g.InPort, g.InVC); ok {
+			bound[i] = b.OutPort
+		}
+	}
+	return CheckSAInto(nil, grants, bound, numPorts)
 }
 
-// CheckSAInto is CheckSA writing its result into dst (grown as needed),
-// so steady-state callers can reuse one buffer. A grant vector holds at
-// most one entry per output port, so duplicate detection uses linear
-// scans over small on-stack index lists instead of maps.
-func CheckSAInto(dst []Violation, grants []Grant, numPorts int, lookup func(inPort topology.Port, inVC int) (Binding, bool)) []Violation {
+// CheckSAInto is the SA screen itself, writing its result into dst (grown
+// as needed) so steady-state callers can reuse one buffer. bound[i] is the
+// output port the VA binding of grant i's input VC names — any port not
+// below numPorts when it holds none; the caller resolves it, since the SA
+// agreement check reads nothing else of the binding (a grant with no
+// binding, or a binding on another port, is a StateMismatch). numPorts may
+// not exceed topology.NumPorts: the collision
+// screen reads a port-indexed owner table, and since at most one grant per
+// output port survives it, the multicast screen's list of admitted grants
+// is port-sized too.
+func CheckSAInto(dst []Violation, grants []Grant, bound []topology.Port, numPorts int) []Violation {
+	if numPorts > int(topology.NumPorts) {
+		panic(fmt.Sprintf("ac: CheckSAInto for %d ports, at most %d", numPorts, topology.NumPorts))
+	}
 	if cap(dst) < len(grants) {
 		dst = make([]Violation, len(grants))
 	}
 	out := dst[:len(grants)]
-	for i := range out {
-		out[i] = None
-	}
-	// Indices of grants admitted to the "seen output port" / "seen input
-	// VC" tables; a colliding grant is reported but never admitted, so
-	// later duplicates always blame the first admitted entry.
-	var seenOutBuf, seenInBuf [8]int
-	seenOut := seenOutBuf[:0]
-	seenIn := seenInBuf[:0]
+	// owner[p] is 1 + the index of the grant admitted to output p (0: none);
+	// seenIn lists the grants the multicast screen then admitted, and
+	// inPorts has bit InPort%64 set for each, so a grant whose input port
+	// no admitted grant shares skips the list. A grant that fails a screen
+	// is reported but never admitted, so a later duplicate always blames
+	// the first admitted entry.
+	var owner [topology.NumPorts]int
+	var seenIn [topology.NumPorts]int
+	nIn := 0
+	var inPorts uint64
 	for i, g := range grants {
+		out[i] = None
 		if int(g.OutPort) >= numPorts {
 			out[i] = InvalidPort
 			continue
 		}
-		b, ok := lookup(g.InPort, g.InVC)
-		if !ok || b.OutPort != g.OutPort {
+		if bound[i] != g.OutPort {
 			out[i] = StateMismatch
 			continue
 		}
-		dup := false
-		for _, j := range seenOut {
-			if grants[j].OutPort == g.OutPort {
-				out[i] = CrossbarCollision
-				if out[j] == None {
-					out[j] = CrossbarCollision
-				}
-				dup = true
-				break
+		if j := owner[g.OutPort] - 1; j >= 0 {
+			out[i] = CrossbarCollision
+			if out[j] == None {
+				out[j] = CrossbarCollision
 			}
-		}
-		if dup {
 			continue
 		}
-		seenOut = append(seenOut, i)
-		for _, j := range seenIn {
-			if grants[j].InPort == g.InPort && grants[j].InVC == g.InVC {
-				out[i] = Multicast
-				if out[j] == None {
-					out[j] = Multicast
-				}
-				dup = true
-				break
-			}
-		}
-		if dup {
+		owner[g.OutPort] = i + 1
+		bit := uint64(1) << (g.InPort % 64)
+		if inPorts&bit != 0 && multicast(out, grants, seenIn[:nIn], i) {
 			continue
 		}
-		seenIn = append(seenIn, i)
+		inPorts |= bit
+		seenIn[nIn] = i
+		nIn++
 	}
 	return out
+}
+
+// multicast reports whether an admitted grant of seen shares grant i's
+// input VC, marking both in out if so.
+func multicast(out []Violation, grants []Grant, seen []int, i int) bool {
+	for _, j := range seen {
+		if grants[j].InPort == grants[i].InPort && grants[j].InVC == grants[i].InVC {
+			out[i] = Multicast
+			if out[j] == None {
+				out[j] = Multicast
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // Entries returns the number of state entries the comparator examines for

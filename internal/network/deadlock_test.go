@@ -72,6 +72,23 @@ func TestDeadlockRecoveryUnblocksNetwork(t *testing.T) {
 	}
 }
 
+// The Rule-1 scan sleeps until rule1At, which must stay at or below every
+// live VC's lastProgress + Cthres, and "active" must stay the union of the
+// SA masks — both part of the vc-masks law, audited here on every cycle of
+// the workload that blocks, probes and recovers the most. Mutation-checked:
+// recomputing the bound over the busy (VA-waiting and active) VCs alone,
+// which leaves out an idle VC holding the next packet's head, or dropping
+// the lowering when ingestData restarts a clock, fires the law here.
+func TestRule1BoundHoldsUnderDeadlock(t *testing.T) {
+	cfg := deadlockProneConfig()
+	chk := attachChecker(&cfg)
+	res := New(cfg).Run()
+	assertClean(t, "deadlock-prone", chk)
+	if res.Stalled || res.ProbesSent == 0 || res.Recoveries == 0 {
+		t.Fatalf("workload did not block, probe and recover to completion: %+v", res)
+	}
+}
+
 // Probing must not produce false positives: under heavy but deadlock-free
 // (XY) traffic, blocked packets may exceed Cthres and send probes, but no
 // probe may complete a loop (XY has no cyclic channel dependencies), so

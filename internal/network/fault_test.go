@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"ftnoc/internal/fault"
@@ -107,6 +108,46 @@ func TestVALogicFaultsUnprotected(t *testing.T) {
 	}
 	if res.Counters.Corrected[fault.VALogic] != 0 {
 		t.Fatal("AC disabled but VA corrections recorded")
+	}
+}
+
+// The SA half of the AC-off ablation: an uncaught case-(c) corruption
+// copies another grant's output port, and two flits must not leave one
+// output in one cycle — the upset grant's flit is lost instead. These
+// nine runs each ended in a retransmission-buffer overflow panic before
+// that was so; now each must reach a verdict and show the damage.
+func TestSALogicFaultsUnprotected(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		faults fault.Rates
+	}{
+		{"SA1e-3", fault.Rates{SA: 1e-3}},
+		{"SA1e-2", fault.Rates{SA: 1e-2}},
+		{"VA+SA1e-3", fault.Rates{VA: 1e-3, SA: 1e-3}},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
+				t.Parallel()
+				cfg := NewConfig()
+				cfg.Width, cfg.Height = 4, 4
+				cfg.ACEnabled = false
+				cfg.Faults.SA, cfg.Faults.VA = c.faults.SA, c.faults.VA
+				cfg.Seed = seed
+				res := New(cfg).Run()
+				t.Logf("stalled %v, delivered %d, %d wormhole violations, %d stray flits, %d sink anomalies",
+					res.Stalled, res.Delivered, res.WormholeViolations, res.StrayFlits, res.SinkAnomalies)
+				if !res.Stalled && res.Delivered < cfg.TotalMessages {
+					t.Fatalf("run ended at cycle %d with %d/%d delivered and no stall verdict", res.Cycles, res.Delivered, cfg.TotalMessages)
+				}
+				if res.Counters.Undetected[fault.SALogic] == 0 || res.StrayFlits == 0 {
+					t.Fatalf("AC-off SA upsets did no damage: undetected %d, stray flits %d",
+						res.Counters.Undetected[fault.SALogic], res.StrayFlits)
+				}
+				if res.Counters.Corrected[fault.SALogic] != 0 {
+					t.Fatal("AC disabled but SA corrections recorded")
+				}
+			})
+		}
 	}
 }
 

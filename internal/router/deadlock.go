@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"math/bits"
 
 	"ftnoc/internal/flit"
@@ -39,11 +40,21 @@ func (r *Router) deadlock(cycle uint64) {
 		r.recoveryStep(cycle)
 		return
 	}
-	// Rule 1: probe for every VC blocked past the threshold. A blocked VC
-	// is non-idle, so the scan is over the VA-waiting and active VCs, in
-	// ascending flat order.
-	for m := r.waitVA | r.activeVCs(); m != 0; m &= m - 1 {
-		r.probeRule1(cycle, r.flatVCs[bits.TrailingZeros64(m)])
+	// Rule 1: probe for every VC blocked past the threshold. A VC blocked
+	// for Cthres cycles has cycle >= lastProgress + Cthres >= rule1At, so
+	// before rule1At there is nothing to find. A blocked VC is non-idle
+	// (probeRule1 passes over idle ones), so the probes go out in
+	// ascending flat order over the VA-waiting and active VCs, and the
+	// same walk takes the new bound over every live VC: an idle one
+	// holding the next packet's head keeps the clock resetVC started.
+	if cycle < r.rule1At {
+		return
+	}
+	r.rule1At = math.MaxUint64
+	for m := r.liveVCs | r.waitVA | r.active; m != 0; m &= m - 1 {
+		ivc := r.flatVCs[bits.TrailingZeros64(m)]
+		r.probeRule1(cycle, ivc)
+		r.rule1At = min(r.rule1At, ivc.lastProgress+r.cfg.Cthres)
 	}
 }
 

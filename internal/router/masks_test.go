@@ -74,7 +74,7 @@ func TestHandWiredRouterNeedsNoWaker(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		p.k.Step()
 		p.audit(t, "streaming")
-		if p.a.buffered == 0 && p.a.waitVA == 0 && p.a.activeVCs() == 0 && east.Retained() > 0 {
+		if p.a.buffered == 0 && p.a.waitVA == 0 && p.a.active == 0 && east.Retained() > 0 {
 			quiet, wake := p.a.Quiescent(p.k.Cycle() - 1)
 			if !quiet || wake != 0 {
 				t.Fatalf("cycle %d: sender drained, %d flits still in their NACK window: Quiescent = %v, wake %d; want quiet with no timed wake",
@@ -198,8 +198,9 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 
 // The allocator masks are exact, not supersets: the vc-masks audit must
 // name a set bit over a VC that has moved on, a missing bit under one
-// that waits, a VC filed under the wrong output port, and a live VC the
-// live set has lost — and pass on every cycle of an honest run.
+// that waits, a VC filed under the wrong output port, a live VC the live
+// set has lost and a Rule-1 bound past a live VC's clock — and pass on
+// every cycle of an honest run.
 func TestAuditVCMasksCatchesDrift(t *testing.T) {
 	p := newPair(t, 3)
 	p.autoSink()
@@ -210,25 +211,31 @@ func TestAuditVCMasksCatchesDrift(t *testing.T) {
 		p.audit(t, "honest run")
 		local := p.a.in[topology.Local].vcs[0]
 		bit := uint64(1) << uint(local.flat)
-		breaks := map[string]func(){}
+		breaks := map[string]func(){
+			"rule1At": func() { p.a.rule1At = local.lastProgress + p.a.cfg.Cthres + 1 },
+		}
 		switch local.state {
 		case vcVAWait:
 			sawWait = true
 			breaks["waitVA"] = func() { p.a.waitVA &^= bit }
 			breaks["saMask"] = func() { p.a.saMask[topology.East] |= bit }
+			breaks["active"] = func() { p.a.active |= bit }
 		case vcActive:
 			sawActive = true
 			breaks["waitVA"] = func() { p.a.waitVA |= bit }
 			breaks["saMask"] = func() { p.a.saMask[topology.East], p.a.saMask[topology.West] = 0, bit }
+			breaks["active"] = func() { p.a.active &^= bit }
 			breaks["liveVCs"] = func() { p.a.liveVCs &^= bit }
+		default:
+			continue
 		}
 		for want, damage := range breaks {
-			waitVA, saMask, live := p.a.waitVA, p.a.saMask, p.a.liveVCs
+			waitVA, saMask, active, live, rule1At := p.a.waitVA, p.a.saMask, p.a.active, p.a.liveVCs, p.a.rule1At
 			damage()
 			if msg := p.a.AuditVCMasks(); !strings.Contains(msg, want) {
 				t.Errorf("cycle %d, VC state %d, damaged %s: audit says %q", p.k.Cycle(), local.state, want, msg)
 			}
-			p.a.waitVA, p.a.saMask, p.a.liveVCs = waitVA, saMask, live
+			p.a.waitVA, p.a.saMask, p.a.active, p.a.liveVCs, p.a.rule1At = waitVA, saMask, active, live, rule1At
 		}
 	}
 	if !sawWait || !sawActive {

@@ -30,6 +30,8 @@ type Router struct {
 	cfg Config
 	id  flit.NodeID
 
+	// in[p]/out[p] point into inPorts/outPorts once port p is attached;
+	// nil means unattached.
 	in  [topology.NumPorts]*inPort
 	out [topology.NumPorts]*outputPort
 
@@ -91,9 +93,12 @@ type Router struct {
 
 	// arena backs the attached input VCs contiguously (struct-of-arrays
 	// locality: one router's whole VC state shares cache lines); fifos
-	// backs their buffers the same way. flatVCs/in[p].vcs point into it.
-	arena []inputVC
-	fifos []link.FIFO
+	// backs their buffers and outVCs every output port's VC table the same
+	// way. flatVCs points into arena, in[p].vcs is a window of flatVCs and
+	// out[p].vcs one of outVCs.
+	arena  []inputVC
+	fifos  []link.FIFO
+	outVCs []outputVC
 
 	// The allocator phases walk bitmasks over the flat VC index (bit i =
 	// flatVCs[i]; MaxVCs keeps the index inside one word) instead of
@@ -101,14 +106,22 @@ type Router struct {
 	// that are not (idle AND empty): the ONLY dead->live transition is a
 	// flit arrival (ingestData), the single place a bit is set, and bits
 	// are cleared lazily when a scan visits a dead VC. waitVA (the vcVAWait
-	// VCs) and saMask[p] (the vcActive VCs bound to output port p) are
-	// exact: setState, the one place a VC's state changes, keeps them
-	// (invariant "vc-masks"). Walking a mask ascending from a round-robin
-	// origin (rotated) visits bit (rr+j)%n for j = 0..n-1, the order a
-	// round-robin probe of every VC would.
+	// VCs), saMask[p] (the vcActive VCs bound to output port p) and active
+	// (the union of saMask) are exact: setState, the one place a VC's state
+	// changes, keeps them (invariant "vc-masks"). Walking a mask ascending
+	// from a round-robin origin (rotated) visits bit (rr+j)%n for
+	// j = 0..n-1, the order a round-robin probe of every VC would.
 	liveVCs uint64
 	waitVA  uint64
+	active  uint64
 	saMask  [topology.NumPorts]uint64
+	// rule1At is a lower bound on the first cycle any VC can have been
+	// blocked for Cthres cycles: no live VC has lastProgress+Cthres below
+	// it (invariant "vc-masks"), so the Rule-1 scan waits for it. Each scan
+	// recomputes it over the live VCs. Between scans a clock only moves
+	// forward (executeGrant, resetVC), except the one a flit arrival starts
+	// on a dead VC the scan did not count: ingestData lowers it for that.
+	rule1At uint64
 	// Occupancy, O(1) for the per-cycle utilization sampler. bufCapTotal
 	// and shCapTotal are the summed buffer and shifter capacities of the
 	// attached ports, accumulated at attachment. buffered counts the flits
@@ -140,12 +153,11 @@ type Router struct {
 
 	// Per-cycle scratch buffers, reused across ticks; capacities are
 	// bounded by the port/VC counts so the steady state never allocates.
-	scratchLegal  []topology.Port
-	scratchBind   []ac.Binding
-	scratchGrants []ac.Grant
-	scratchReqs   []saRequest
-	scratchKept   []saRequest
-	scratchViol   []ac.Violation
+	scratchLegal []topology.Port
+	scratchBind  []ac.Binding
+
+	inPorts  [topology.NumPorts]inPort
+	outPorts [topology.NumPorts]outputPort
 }
 
 type inPort struct {
@@ -161,19 +173,16 @@ func New(cfg Config) *Router {
 	np := int(topology.NumPorts)
 	n := np * cfg.VCs
 	r := &Router{
-		cfg:           cfg,
-		id:            cfg.ID,
-		probeSeen:     make(map[probeKey]uint64),
-		flatVCs:       make([]*inputVC, n),
-		arena:         make([]inputVC, n),
-		fifos:         link.NewFIFOs(n, cfg.BufDepth),
-		routeSets:     make([][]topology.Port, 0, routeSetsCap),
-		scratchLegal:  make([]topology.Port, 0, np),
-		scratchBind:   make([]ac.Binding, 0, np*cfg.VCs),
-		scratchGrants: make([]ac.Grant, 0, np),
-		scratchReqs:   make([]saRequest, 0, np),
-		scratchKept:   make([]saRequest, 0, np),
-		scratchViol:   make([]ac.Violation, 0, np),
+		cfg:          cfg,
+		id:           cfg.ID,
+		probeSeen:    make(map[probeKey]uint64),
+		flatVCs:      make([]*inputVC, n),
+		arena:        make([]inputVC, n),
+		fifos:        link.NewFIFOs(n, cfg.BufDepth),
+		outVCs:       make([]outputVC, n),
+		routeSets:    make([][]topology.Port, 0, routeSetsCap),
+		scratchLegal: make([]topology.Port, 0, np),
+		scratchBind:  make([]ac.Binding, 0, np*cfg.VCs),
 	}
 	nodes := cfg.Topo.Nodes()
 	r.memos = make([]uint8, np*nodes)
@@ -192,16 +201,16 @@ func (r *Router) ID() flit.NodeID { return r.id }
 // rxPending bit — attachment is what makes the masks sound, so a router
 // wired by hand needs nothing else.
 func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
-	vcs := make([]*inputVC, r.cfg.VCs)
-	for i := range vcs {
-		slot := int(p)*r.cfg.VCs + i
+	lo := int(p) * r.cfg.VCs
+	for i := 0; i < r.cfg.VCs; i++ {
+		slot := lo + i
 		ivc := &r.arena[slot]
 		*ivc = inputVC{port: p, idx: i, flat: slot, buf: &r.fifos[slot]}
-		vcs[i] = ivc
 		r.flatVCs[slot] = ivc
 		r.bufCapTotal += ivc.buf.Cap()
 	}
-	r.in[p] = &inPort{port: p, rx: rx, vcs: vcs}
+	r.inPorts[p] = inPort{port: p, rx: rx, vcs: r.flatVCs[lo : lo+r.cfg.VCs]}
+	r.in[p] = &r.inPorts[p]
 	rx.Channel().MarkRx(&r.rxPending, 1<<p)
 }
 
@@ -210,7 +219,9 @@ func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
 // has the transmitter count its shifter entries into the router's send
 // window. A transmitter that already awaits replay marks txReplay.
 func (r *Router) AttachOutput(p topology.Port, tx *link.Transmitter) {
-	r.out[p] = &outputPort{port: p, tx: tx, vcs: make([]outputVC, r.cfg.VCs)}
+	lo := int(p) * r.cfg.VCs
+	r.outPorts[p] = outputPort{port: p, tx: tx, vcs: r.outVCs[lo : lo+r.cfg.VCs]}
+	r.out[p] = &r.outPorts[p]
 	_, c := tx.ShifterOccupancy()
 	r.shCapTotal += c
 	tx.Channel().MarkTx(&r.txPending, 1<<p)
@@ -243,9 +254,10 @@ func (r *Router) Tick(cycle uint64) {
 // setState moves ivc to state s and keeps the allocator masks equal to
 // what a walk of the VCs would compute: waitVA holds exactly the
 // vcVAWait VCs, saMask[p] exactly the vcActive VCs whose outPort is p
-// (an Active VC with no valid port — never produced today — would join
-// none). It is the only writer of inputVC.state; a caller making a VC
-// Active sets outPort first, and outPort must not change while Active.
+// and active their union (an Active VC with no valid port — never
+// produced today — would join none). It is the only writer of
+// inputVC.state; a caller making a VC Active sets outPort first, and
+// outPort must not change while Active.
 func (r *Router) setState(ivc *inputVC, s vcState) {
 	bit := uint64(1) << uint(ivc.flat)
 	switch ivc.state {
@@ -254,6 +266,7 @@ func (r *Router) setState(ivc *inputVC, s vcState) {
 	case vcActive:
 		if ivc.outPort.Valid() {
 			r.saMask[ivc.outPort] &^= bit
+			r.active &^= bit
 		}
 	}
 	ivc.state = s
@@ -263,6 +276,7 @@ func (r *Router) setState(ivc *inputVC, s vcState) {
 	case vcActive:
 		if ivc.outPort.Valid() {
 			r.saMask[ivc.outPort] |= bit
+			r.active |= bit
 		}
 	}
 }
@@ -276,15 +290,6 @@ func (r *Router) resetVC(ivc *inputVC, cycle uint64) {
 	ivc.probeOutstanding = false
 	ivc.member = false
 	ivc.lastProgress = cycle
-}
-
-// activeVCs is the union of the per-port SA masks: every vcActive VC.
-func (r *Router) activeVCs() uint64 {
-	var m uint64
-	for _, pm := range r.saMask {
-		m |= pm
-	}
-	return m
 }
 
 // rotated splits mask at a round-robin origin: walking the first word's
@@ -341,7 +346,7 @@ func (r *Router) Quiescent(cycle uint64) (bool, uint64) {
 	if r.inRecovery || len(r.probeSeen) > 0 {
 		return false, 0
 	}
-	if r.waitVA != 0 || r.activeVCs() != 0 {
+	if r.waitVA != 0 || r.active != 0 {
 		return false, 0
 	}
 	for m := r.liveVCs; m != 0; m &= m - 1 {
@@ -476,7 +481,9 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 		return
 	}
 	if ivc.occupied() == 0 {
+		// The clock of a VC the last Rule-1 scan may not have counted.
 		ivc.lastProgress = cycle
+		r.rule1At = min(r.rule1At, cycle+r.cfg.Cthres)
 	}
 	ivc.buf.Push(f)
 	r.buffered++
@@ -502,7 +509,7 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 // (ascending: port-major order), and retires from the live set the ones
 // it finds empty — the scan that shrinks it.
 func (r *Router) advance(cycle uint64) {
-	for m := r.liveVCs &^ (r.waitVA | r.activeVCs()); m != 0; m &= m - 1 {
+	for m := r.liveVCs &^ (r.waitVA | r.active); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		ivc := r.flatVCs[i]
 		if ivc.occupied() == 0 {
@@ -887,11 +894,13 @@ func (r *Router) saRequestFor(ivc *inputVC, winner saRequest, won bool) (saReque
 
 // allocateSA arbitrates the crossbar per output port, screens the grant
 // vector with the Allocation Comparator (§4.3), and performs switch +
-// link traversal for the winners.
+// link traversal for the winners. Each output port grants at most once,
+// so the vector and its requests live in port-sized arrays on the stack.
 func (r *Router) allocateSA(cycle uint64) {
 	var grantedIn uint8 // input ports already granted this cycle
-	grants := r.scratchGrants[:0]
-	grantReqs := r.scratchReqs[:0]
+	var grants [topology.NumPorts]ac.Grant
+	var reqs [topology.NumPorts]saRequest
+	n := 0
 
 	// ports is the set of output ports worth arbitrating: on any other
 	// port no VC requests and nothing replays, so its pass would neither
@@ -899,9 +908,11 @@ func (r *Router) allocateSA(cycle uint64) {
 	// saMask; VA ran earlier this tick, so bindings are settled, and
 	// grants execute only after every port is arbitrated, so no mask moves
 	// mid-pass. Replay needs the channel whether or not anyone requests it.
+	// (The masks are read in place: ranging over the array by value would
+	// copy it to the stack first.)
 	ports := r.txReplay
-	for p, m := range r.saMask {
-		if m != 0 {
+	for p := range r.saMask {
+		if r.saMask[p] != 0 {
 			ports |= 1 << p
 		}
 	}
@@ -918,65 +929,93 @@ func (r *Router) allocateSA(cycle uint64) {
 				continue
 			}
 			grantedIn |= 1 << winner.ivc.port
-			grants = append(grants, ac.Grant{InPort: winner.ivc.port, InVC: winner.ivc.idx, OutPort: p})
-			grantReqs = append(grantReqs, winner)
+			grants[n] = ac.Grant{InPort: winner.ivc.port, InVC: winner.ivc.idx, OutPort: p}
+			reqs[n] = winner
+			n++
 		}
 	}
 	r.outRR++
 
 	// Inject grant-vector corruption for upset winners (cases b-d).
-	for i := range grants {
-		if grantReqs[i].upset {
-			grants[i] = r.corruptGrant(grants, i)
+	for i := range n {
+		if reqs[i].upset {
+			grants[i] = r.corruptGrant(grants[:n], i)
 		}
 	}
 
-	// Allocation Comparator screen (§4.3): cancel violating grants; the
-	// flits retry next cycle (one-cycle latency overhead) and, in the
-	// parallelised pipelines, neighbors are NACKed to ignore the squashed
-	// transmission.
-	keep := grants
+	var collided uint8 // bit i: grant i loses its flit in a crossbar collision
 	if r.cfg.ACEnabled {
-		r.cfg.Events.ACChecks++
-		viol := ac.CheckSAInto(r.scratchViol[:0], grants, int(topology.NumPorts), r.lookupBinding)
-		keep = keep[:0]
-		kept := r.scratchKept[:0]
-		for i, v := range viol {
-			if v == ac.None {
-				keep = append(keep, grants[i])
-				kept = append(kept, grantReqs[i])
-				continue
-			}
-			r.cfg.Counters.AddCorrected(fault.SALogic)
-			r.cfg.Events.NACKs++
-			if r.cfg.Bus.Enabled() {
-				r.cfg.Bus.Emit(trace.Event{
-					Cycle: cycle, Kind: trace.ACMismatch,
-					Node: int32(r.id), Port: int8(grants[i].InPort), VC: int8(grants[i].InVC),
-					Aux: trace.AuxSA,
-				})
+		n = r.screenSA(cycle, grants[:n], reqs[:n])
+	} else {
+		// Unscreened, an upset grant goes where it now points. A shifter
+		// takes one flit per VC per cycle, so when another grant of this
+		// cycle points at the same output the crossbar collides (case c)
+		// and the upset grant's flit is lost — decided before anything is
+		// sent.
+		for i := range n {
+			for j := range n {
+				if j != i && reqs[i].upset && grants[j].OutPort == grants[i].OutPort {
+					collided |= 1 << i
+				}
 			}
 		}
-		grantReqs = kept
 	}
 
-	for i, g := range keep {
-		r.executeGrant(cycle, g, grantReqs[i].upset && !r.cfg.ACEnabled)
+	for i := range n {
+		r.executeGrant(cycle, grants[i], reqs[i].upset && !r.cfg.ACEnabled, collided&(1<<i) != 0)
 	}
+}
+
+// screenSA runs the Allocation Comparator over the cycle's grants (§4.3),
+// every cycle, and compacts the ones it passes to the front of grants and
+// reqs, returning their number. A cancelled grant's flit
+// retries next cycle (one cycle of latency) and, in the parallelised
+// pipelines, neighbors are NACKed to ignore the squashed transmission.
+// The binding each grant is checked against is its winner's own: a
+// winner is an Active input VC, and corruptGrant rewrites nothing but
+// OutPort.
+func (r *Router) screenSA(cycle uint64, grants []ac.Grant, reqs []saRequest) int {
+	r.cfg.Events.ACChecks++
+	var bound [topology.NumPorts]topology.Port
+	for i, req := range reqs {
+		bound[i] = req.ivc.outPort
+	}
+	var verdicts [topology.NumPorts]ac.Violation
+	kept := 0
+	for i, v := range ac.CheckSAInto(verdicts[:0], grants, bound[:len(grants)], int(topology.NumPorts)) {
+		if v == ac.None {
+			grants[kept], reqs[kept] = grants[i], reqs[i]
+			kept++
+			continue
+		}
+		r.cfg.Counters.AddCorrected(fault.SALogic)
+		r.cfg.Events.NACKs++
+		if r.cfg.Bus.Enabled() {
+			r.cfg.Bus.Emit(trace.Event{
+				Cycle: cycle, Kind: trace.ACMismatch,
+				Node: int32(r.id), Port: int8(grants[i].InPort), VC: int8(grants[i].InVC),
+				Aux: trace.AuxSA,
+			})
+		}
+	}
+	return kept
 }
 
 // arbitrate runs switch allocation for output port p: replay takes the
 // channel if one is pending (§3.1), otherwise the requesters are polled
 // from the port's round-robin origin and the first eligible one wins.
 // grantedIn masks input ports already granted this cycle. ok is false
-// when the port grants nothing.
+// when the port grants nothing. A clear txReplay bit means no replay
+// (the port-masks law), so only a set one costs a look at the queue.
 func (r *Router) arbitrate(cycle uint64, p topology.Port, grantedIn uint8) (winner saRequest, ok bool) {
 	op := r.out[p]
-	if op.tx.HasReplay() {
-		op.tx.TickReplay(cycle)
-		return winner, false
+	if r.txReplay&(1<<p) != 0 {
+		if op.tx.HasReplay() {
+			op.tx.TickReplay(cycle)
+			return winner, false
+		}
+		r.txReplay &^= 1 << p
 	}
-	r.txReplay &^= 1 << p
 	// The winner is held by value: taking a loop-local request's address
 	// would heap-allocate it every allocation round.
 	won := false
@@ -1030,19 +1069,6 @@ func (r *Router) corruptGrant(grants []ac.Grant, i int) ac.Grant {
 	return g
 }
 
-// lookupBinding resolves the VA state entry for an input VC, for the
-// comparator's SA/VA agreement check.
-func (r *Router) lookupBinding(inPort topology.Port, inVC int) (ac.Binding, bool) {
-	if r.in[inPort] == nil || inVC >= len(r.in[inPort].vcs) {
-		return ac.Binding{}, false
-	}
-	ivc := r.in[inPort].vcs[inVC]
-	if ivc.state != vcActive {
-		return ac.Binding{}, false
-	}
-	return ac.Binding{InPort: inPort, InVC: inVC, OutPort: ivc.outPort, OutVC: ivc.outVC}, true
-}
-
 // eligibleForSA reports whether ivc may request output port p this cycle.
 func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool {
 	if ivc.state != vcActive || ivc.outPort != p {
@@ -1066,10 +1092,11 @@ func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool
 }
 
 // executeGrant pops the granted flit, traverses the crossbar, and puts it
-// on the wire. corruptedPath marks an uncaught SA corruption (AC-off
+// on the wire. corrupted marks an uncaught SA corruption (AC-off
 // ablation): the flit goes to the corrupted grant's port if that is
-// physically possible, otherwise it is lost.
-func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
+// physically possible, otherwise it is lost — as it is when collided
+// reports another grant on that port this cycle.
+func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted, collided bool) {
 	ivc := r.in[g.InPort].vcs[g.InVC]
 	var f flit.Flit
 	fromBuf := r.takeFront(ivc, &f)
@@ -1103,17 +1130,10 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted bool) {
 	op := r.out[g.OutPort]
 	vc := ivc.outVC
 	switch {
-	case op == nil || vc >= r.cfg.VCs:
-		// Uncaught corruption pointed nowhere usable: the flit is lost.
-		r.strayFlits++
-		r.cfg.Counters.AddUndetected(fault.SALogic)
-		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
-	case corrupted && op.tx.Credits(vc) <= 0:
-		r.strayFlits++
-		r.cfg.Counters.AddUndetected(fault.SALogic)
-		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
-	case op.tx.HasReplay():
-		// The corrupted grant targets a port busy replaying; flit lost.
+	case collided || op == nil || vc >= r.cfg.VCs ||
+		corrupted && op.tx.Credits(vc) <= 0 || op.tx.HasReplay():
+		// Uncaught corruption pointed nowhere usable — a collision, no
+		// port or VC, no credit, or a port busy replaying: the flit is lost.
 		r.strayFlits++
 		r.cfg.Counters.AddUndetected(fault.SALogic)
 		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
@@ -1364,13 +1384,15 @@ func (r *Router) AuditInvariants(clock uint64) string {
 }
 
 // AuditVCMasks checks the allocator masks against the VC state they
-// summarise: waitVA and every saMask[p] must equal a recomputation from
-// a walk of the VCs — exactly, a stale set bit would request for a VC
-// that has moved on and a missing one starve a packet — and liveVCs must
-// cover every VC that is not (idle AND empty). It returns a description of
-// the first violation, or "".
+// summarise: waitVA, every saMask[p] and active must equal a
+// recomputation from a walk of the VCs — exactly, a stale set bit would
+// request for a VC that has moved on and a missing one starve a packet —
+// liveVCs must cover every VC that is not (idle AND empty), and no such
+// VC's blocked-time clock may reach Cthres before rule1At, or the Rule-1
+// scan would sleep through it. It returns a description of the first
+// violation, or "".
 func (r *Router) AuditVCMasks() string {
-	var waitVA, live uint64
+	var waitVA, active, live uint64
 	var saMask [topology.NumPorts]uint64
 	for i, ivc := range r.flatVCs {
 		if ivc == nil {
@@ -1382,9 +1404,14 @@ func (r *Router) AuditVCMasks() string {
 			waitVA |= bit
 		case ivc.state == vcActive && ivc.outPort.Valid():
 			saMask[ivc.outPort] |= bit
+			active |= bit
 		}
 		if ivc.state != vcIdle || ivc.occupied() != 0 {
 			live |= bit
+			if due := ivc.lastProgress + r.cfg.Cthres; due < r.rule1At {
+				return fmt.Sprintf("router %d: rule1At %d, but live VC %v/%d's clock reaches Cthres at %d",
+					r.id, r.rule1At, ivc.port, ivc.idx, due)
+			}
 		}
 	}
 	if waitVA != r.waitVA {
@@ -1392,6 +1419,9 @@ func (r *Router) AuditVCMasks() string {
 	}
 	if saMask != r.saMask {
 		return fmt.Sprintf("router %d: saMask %#x, active VCs by output port %#x", r.id, r.saMask, saMask)
+	}
+	if active != r.active {
+		return fmt.Sprintf("router %d: active %#x, active VCs with a valid port %#x", r.id, r.active, active)
 	}
 	if live&^r.liveVCs != 0 {
 		return fmt.Sprintf("router %d: liveVCs %#x misses live VCs %#x", r.id, r.liveVCs, live&^r.liveVCs)
