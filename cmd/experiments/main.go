@@ -46,43 +46,40 @@ func main() {
 		os.Exit(1)
 	}
 
-	run := func(id string) {
-		switch id {
-		case "5":
-			experiments.Fig5(scale).Render(os.Stdout, format)
-		case "6":
-			experiments.Fig6(scale).Render(os.Stdout, format)
-		case "7":
-			experiments.Fig7(scale).Render(os.Stdout, format)
-		case "8", "9":
-			f8, f9 := experiments.Fig8And9(scale)
-			if id == "8" {
-				f8.Render(os.Stdout, format)
-			} else {
-				f9.Render(os.Stdout, format)
-			}
-		case "13a":
-			experiments.Fig13a(scale).Render(os.Stdout, format)
-		case "13b":
-			experiments.Fig13b(scale).Render(os.Stdout, format)
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", id)
-			os.Exit(1)
-		}
+	render := func(f experiments.Figure) {
+		f.Render(os.Stdout, format)
 		fmt.Println()
 	}
-
 	if *fig != "" {
-		run(*fig)
+		switch *fig {
+		case "5":
+			render(experiments.Fig5(scale))
+		case "6", "7":
+			f6, f7 := experiments.Fig6And7(scale)
+			render(map[string]experiments.Figure{"6": f6, "7": f7}[*fig])
+		case "8", "9":
+			f8, f9 := experiments.Fig8And9(scale)
+			render(map[string]experiments.Figure{"8": f8, "9": f9}[*fig])
+		case "13a", "13b":
+			f13a, f13b := experiments.Fig13(scale)
+			render(map[string]experiments.Figure{"13a": f13a, "13b": f13b}[*fig])
+		default:
+			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", *fig)
+			os.Exit(1)
+		}
 		return
 	}
-	for _, id := range []string{"5", "6", "7", "13a", "13b"} {
-		run(id)
-	}
+
+	// Every figure, each grid simulated once.
+	render(experiments.Fig5(scale))
+	f6, f7 := experiments.Fig6And7(scale)
+	render(f6)
+	render(f7)
+	f13a, f13b := experiments.Fig13(scale)
+	render(f13a)
+	render(f13b)
 	f8, f9 := experiments.Fig8And9(scale)
-	f8.Render(os.Stdout, format)
-	fmt.Println()
-	f9.Render(os.Stdout, format)
-	fmt.Println()
+	render(f8)
+	render(f9)
 	experiments.FprintTable1(os.Stdout, experiments.Table1())
 }

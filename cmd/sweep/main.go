@@ -18,10 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"ftnoc"
@@ -94,9 +96,9 @@ func main() {
 	cfg.MaxCycles = 400_000
 	cfg.StallCycles = cfg.MaxCycles
 
-	var rates []float64
-	for rate := *from; rate <= *to+1e-9; rate += *step {
-		rates = append(rates, rate)
+	rates, err := rateList(*from, *to, *step)
+	if err != nil {
+		fatal(err)
 	}
 	spec := campaign.Spec{
 		Base:           cfg,
@@ -268,6 +270,27 @@ func writeMemProfile(path string) {
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
+	}
+}
+
+// rateList expands -from/-to/-step into the injection-rate axis. Each
+// rate is from + i*step rounded to 12 significant digits, so binary
+// rounding error neither accumulates along the list nor reaches the
+// offered column (0.15, not 0.15000000000000002).
+func rateList(from, to, step float64) ([]float64, error) {
+	if !(step > 0) || math.IsInf(step, 0) {
+		return nil, fmt.Errorf("-step must be positive, have %g", step)
+	}
+	if !(to >= from) || math.IsInf(from, 0) || math.IsInf(to, 0) {
+		return nil, fmt.Errorf("-from %g -to %g is not a finite ascending range", from, to)
+	}
+	var rates []float64
+	for i := 0; ; i++ {
+		rate, _ := strconv.ParseFloat(strconv.FormatFloat(from+float64(i)*step, 'g', 12, 64), 64)
+		if rate > to+1e-9 {
+			return rates, nil
+		}
+		rates = append(rates, rate)
 	}
 }
 

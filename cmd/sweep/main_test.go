@@ -1,0 +1,32 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+func TestRateList(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		from, to, step float64
+		want           []float64 // nil: rejected
+	}{
+		{"default axis", 0.05, 0.5, 0.05, []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}},
+		{"single point", 0.2, 0.2, 0.1, []float64{0.2}},
+		{"step past to", 0.1, 0.25, 0.1, []float64{0.1, 0.2}},
+		{"zero step", 0.1, 0.5, 0, nil},
+		{"negative step", 0.1, 0.5, -0.05, nil},
+		{"to below from", 0.5, 0.1, 0.05, nil},
+	} {
+		got, err := rateList(tc.from, tc.to, tc.step)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted, rates %v", tc.name, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: rateList = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+}

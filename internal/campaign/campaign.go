@@ -6,7 +6,8 @@
 // Design constraints:
 //
 //   - Determinism. Every (point, replicate) derives its seed from the
-//     base seed and its grid coordinates alone, and results land in a
+//     base seed and its grid coordinates alone (RunConfigs' explicit
+//     configs keep their own seeds), and results land in a
 //     preallocated table indexed by those coordinates, so the output is
 //     byte-identical whatever the worker count or scheduling order.
 //   - Error isolation. An invalid or crashing point is captured in its
@@ -290,7 +291,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("campaign: empty grid")
 	}
-	return run(ctx, spec, points, nil)
+	return run(ctx, spec, points, nil, derivedSeed)
 }
 
 // RunRange executes only the grid points with global index in [lo, hi) —
@@ -308,13 +309,26 @@ func RunRange(ctx context.Context, spec Spec, lo, hi int, emit func(PointRow)) (
 		return nil, fmt.Errorf("campaign: %w: point range [%d,%d) outside grid of %d points",
 			network.ErrInvalidConfig, lo, hi, len(points))
 	}
-	return run(ctx, spec, points[lo:hi], emit)
+	return run(ctx, spec, points[lo:hi], emit, derivedSeed)
 }
 
-// run is the shared engine core behind Run (full grid, no streaming) and
-// RunRange (a shard with per-point row emission). points carries global
-// indices in Point.Index; report slots are local.
-func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow)) (*Report, error) {
+// seedRule gives a (point, replicate) its simulation seed from the
+// spec's base seed. The two rules are plain functions, not closures over
+// the spec, so choosing one allocates nothing.
+type seedRule func(base uint64, p Point, rep int) uint64
+
+// derivedSeed is the rule of spec grids: the seed derives from the base
+// seed and the point's global index.
+func derivedSeed(base uint64, p Point, rep int) uint64 { return DeriveSeed(base, p.Index, rep) }
+
+// ownSeed is RunConfigs' rule: each config keeps the seed it was given.
+func ownSeed(_ uint64, p Point, _ int) uint64 { return p.Config.Seed }
+
+// run is the one engine core behind Run (full grid, no streaming),
+// RunRange (a shard with per-point row emission) and RunConfigs (an
+// explicit config list). points carries global indices in Point.Index;
+// report slots are local.
+func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), seed seedRule) (*Report, error) {
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("campaign: %w: Workers must be >= 0 (0 means GOMAXPROCS), have %d",
 			network.ErrInvalidConfig, spec.Workers)
@@ -379,7 +393,7 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow)) (*
 			for j := range jobc {
 				global := points[j.point].Index
 				cfg := points[j.point].Config
-				cfg.Seed = DeriveSeed(spec.Base.Seed, global, j.rep)
+				cfg.Seed = seed(spec.Base.Seed, points[j.point], j.rep)
 				spans.repBegin(worker, j.point, j.rep, cfg.Seed)
 				progress.emit(trace.Event{
 					Kind: trace.CampaignPointStart, Node: -1, Port: -1, VC: -1,
@@ -654,46 +668,20 @@ func finalizePoint(p *PointResult) {
 	}
 }
 
-// ConfigResult is one explicit configuration's outcome (RunConfigs).
-type ConfigResult struct {
-	Results network.Results
-	Err     error
-}
-
-// RunConfigs executes an explicit configuration list on a bounded pool
-// and returns results in input order — the low-level entry point for
-// harnesses (package experiments) whose grids don't fit Spec's axes.
-// Seeds are taken from the configs as given. Invalid or crashing configs
-// are captured per entry; a cancelled ctx aborts in-flight runs.
-func RunConfigs(ctx context.Context, poolSize int, cfgs []network.Config) []ConfigResult {
-	out := make([]ConfigResult, len(cfgs))
-	jobc := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers(poolSize); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobc {
-				if err := cfgs[i].Validate(); err != nil {
-					out[i].Err = err
-					continue
-				}
-				rr := runReplicate(ctx, cfgs[i], false)
-				out[i] = ConfigResult{Results: rr.Results, Err: rr.Err}
-			}
-		}()
+// RunConfigs executes an explicit configuration list on the engine's
+// pool and returns one single-replicate point per config, in input order
+// — the entry point for harnesses (package experiments) whose grids don't
+// fit Spec's axes. Unlike Run, each config keeps its own seed. Invalid or
+// crashing configs are captured per point; a cancelled ctx aborts
+// in-flight runs. A non-positive poolSize means GOMAXPROCS.
+func RunConfigs(ctx context.Context, poolSize int, cfgs []network.Config) *Report {
+	points := make([]Point, len(cfgs))
+	for i, cfg := range cfgs {
+		points[i] = Point{Index: i, Config: cfg}
 	}
-dispatch:
-	for i := range cfgs {
-		select {
-		case jobc <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobc)
-	wg.Wait()
-	return out
+	// run's only error is a negative Workers, which max rules out.
+	report, _ := run(ctx, Spec{Workers: max(poolSize, 0)}, points, nil, ownSeed)
+	return report
 }
 
 // workers resolves a pool-size request to a positive worker count.

@@ -296,7 +296,7 @@ func TestRunConfigsOrderAndIsolation(t *testing.T) {
 	cfgs := []network.Config{good, bad, good}
 	cfgs[2].Seed = 7
 
-	out := RunConfigs(context.Background(), 4, cfgs)
+	out := RunConfigs(context.Background(), 4, cfgs).Points
 	if len(out) != 3 {
 		t.Fatalf("got %d results", len(out))
 	}
@@ -306,12 +306,19 @@ func TestRunConfigsOrderAndIsolation(t *testing.T) {
 	if !errors.Is(out[1].Err, network.ErrInvalidConfig) {
 		t.Fatalf("invalid config error = %v", out[1].Err)
 	}
-	if out[0].Results.Delivered == 0 || out[2].Results.Delivered == 0 {
+	if out[0].Reps[0].Results.Delivered == 0 || out[2].Reps[0].Results.Delivered == 0 {
 		t.Fatal("valid configs delivered nothing")
 	}
 	// Distinct seeds must give distinct runs (order preserved).
-	if reflect.DeepEqual(out[0].Results, out[2].Results) {
+	if reflect.DeepEqual(out[0].Reps[0].Results, out[2].Reps[0].Results) {
 		t.Fatal("different seeds produced identical results — ordering broken?")
+	}
+	// Each config runs with its own seed, exactly as a direct run would:
+	// the paper figures' reproducibility rests on this.
+	for _, i := range []int{0, 2} {
+		if want := network.New(cfgs[i]).Run(); !reflect.DeepEqual(out[i].Reps[0].Results, want) {
+			t.Errorf("config %d: RunConfigs result differs from network.New(cfg).Run()", i)
+		}
 	}
 }
 

@@ -27,18 +27,18 @@ import (
 // their sweeps through campaign.RunConfigs instead of looping serially.
 var Workers int
 
-// runAll executes a generator's configuration list in parallel,
-// returning results in input order. Generators build valid
-// configurations by construction, so a failure is a programmer error
-// and panics, matching network.New.
+// runAll executes a generator's configuration list in parallel, each
+// config under its own seed, returning results in input order.
+// Generators build valid configurations by construction, so a failure is
+// a programmer error and panics, matching network.New.
 func runAll(cfgs []network.Config) []network.Results {
-	out := campaign.RunConfigs(context.Background(), Workers, cfgs)
-	res := make([]network.Results, len(out))
-	for i, r := range out {
-		if r.Err != nil {
-			panic("experiments: " + r.Err.Error())
+	report := campaign.RunConfigs(context.Background(), Workers, cfgs)
+	res := make([]network.Results, len(cfgs))
+	for i, p := range report.Points {
+		if p.Err != nil {
+			panic("experiments: " + p.Err.Error())
 		}
-		res[i] = r.Results
+		res[i] = p.Reps[0].Results
 	}
 	return res
 }
@@ -153,39 +153,26 @@ func Fig5(scale Scale) Figure {
 	return fig
 }
 
-// Fig6 shows the HBH scheme's latency across error rates for the three
-// traffic patterns (NR, BC, TN): near-constant up to 10%.
-func Fig6(scale Scale) Figure {
-	fig := Figure{
+// Fig6And7 sweeps the link error rate under the HBH scheme for the three
+// traffic patterns (NR, BC, TN) and returns both figures the paper
+// measures from the same runs: Fig. 6 (latency, near-constant up to 10%)
+// and Fig. 7 (energy per message).
+func Fig6And7(scale Scale) (fig6, fig7 Figure) {
+	names := []string{"NR", "BC", "TN"}
+	fig6 = Figure{
 		ID:     "Fig6",
 		Title:  "Latency overhead of the HBH retransmission scheme (inj 0.25)",
 		XLabel: "error_rate",
 		YLabel: "latency (cycles)",
-		Series: []string{"NR", "BC", "TN"},
+		Series: names,
 	}
-	rows := hbhPatternSweep(scale, func(res network.Results) float64 { return res.AvgLatency })
-	fig.Rows = rows
-	return fig
-}
-
-// Fig7 shows the HBH scheme's energy per message across error rates for
-// the three traffic patterns.
-func Fig7(scale Scale) Figure {
-	fig := Figure{
+	fig7 = Figure{
 		ID:     "Fig7",
 		Title:  "Energy overhead of the HBH retransmission scheme (inj 0.25)",
 		XLabel: "error_rate",
 		YLabel: "energy (nJ/message)",
-		Series: []string{"NR", "BC", "TN"},
+		Series: names,
 	}
-	fig.Rows = hbhPatternSweep(scale, func(res network.Results) float64 {
-		return power.EnergyPerMessage(res.Events, res.MeasuredMessages)
-	})
-	return fig
-}
-
-func hbhPatternSweep(scale Scale, metric func(network.Results) float64) []Row {
-	names := []string{"NR", "BC", "TN"}
 	patterns := []traffic.Pattern{traffic.UniformRandom, traffic.BitComplement, traffic.Tornado}
 	var cfgs []network.Config
 	for _, rate := range ErrorRates {
@@ -197,15 +184,18 @@ func hbhPatternSweep(scale Scale, metric func(network.Results) float64) []Row {
 		}
 	}
 	results := runAll(cfgs)
-	var rows []Row
 	for ri, rate := range ErrorRates {
-		row := Row{X: rate, Values: map[string]float64{}}
+		r6 := Row{X: rate, Values: map[string]float64{}}
+		r7 := Row{X: rate, Values: map[string]float64{}}
 		for pi, name := range names {
-			row.Values[name] = metric(results[ri*len(patterns)+pi])
+			res := results[ri*len(patterns)+pi]
+			r6.Values[name] = res.AvgLatency
+			r7.Values[name] = power.EnergyPerMessage(res.Events, res.MeasuredMessages)
 		}
-		rows = append(rows, row)
+		fig6.Rows = append(fig6.Rows, r6)
+		fig7.Rows = append(fig7.Rows, r7)
 	}
-	return rows
+	return fig6, fig7
 }
 
 // Fig8And9 sweeps the injection rate for adaptive (AD) and deterministic
@@ -264,41 +254,28 @@ func Fig8And9(scale Scale) (fig8, fig9 Figure) {
 	return fig8, fig9
 }
 
-// Fig13a counts the errors corrected by each protection mechanism across
-// error rates: link errors (LINK-HBH), routing-unit logic errors
-// (RT-Logic) and switch-allocator logic errors (SA-Logic), each injected
-// in isolation as the paper does.
-func Fig13a(scale Scale) Figure {
-	fig := Figure{
+// Fig13 injects each fault class in isolation, as the paper does — link
+// errors (LINK-HBH), routing-unit logic errors (RT-Logic) and
+// switch-allocator logic errors (SA-Logic) — across error rates, and
+// returns both figures measured from the same runs: Fig. 13a (errors
+// corrected by each protection mechanism) and Fig. 13b (energy per
+// packet).
+func Fig13(scale Scale) (fig13a, fig13b Figure) {
+	names := []string{"LINK-HBH", "RT-Logic", "SA-Logic"}
+	fig13a = Figure{
 		ID:     "Fig13a",
 		Title:  "Number of corrected errors (inj 0.25)",
 		XLabel: "error_rate",
 		YLabel: "# errors corrected",
-		Series: []string{"LINK-HBH", "RT-Logic", "SA-Logic"},
+		Series: names,
 	}
-	fig.Rows = fig13Sweep(scale, func(res network.Results, cl fault.Class) float64 {
-		return float64(res.Counters.Corrected[cl])
-	})
-	return fig
-}
-
-// Fig13b measures the energy per packet under each isolated fault class.
-func Fig13b(scale Scale) Figure {
-	fig := Figure{
+	fig13b = Figure{
 		ID:     "Fig13b",
 		Title:  "Energy per packet under soft-error correction (inj 0.25)",
 		XLabel: "error_rate",
 		YLabel: "energy (nJ/message)",
-		Series: []string{"LINK-HBH", "RT-Logic", "SA-Logic"},
+		Series: names,
 	}
-	fig.Rows = fig13Sweep(scale, func(res network.Results, cl fault.Class) float64 {
-		return power.EnergyPerMessage(res.Events, res.MeasuredMessages)
-	})
-	return fig
-}
-
-func fig13Sweep(scale Scale, metric func(network.Results, fault.Class) float64) []Row {
-	names := []string{"LINK-HBH", "RT-Logic", "SA-Logic"}
 	classes := []fault.Class{fault.LinkError, fault.RTLogic, fault.SALogic}
 	var cfgs []network.Config
 	for _, rate := range LogicErrorRates {
@@ -316,15 +293,18 @@ func fig13Sweep(scale Scale, metric func(network.Results, fault.Class) float64) 
 		}
 	}
 	results := runAll(cfgs)
-	var rows []Row
 	for ri, rate := range LogicErrorRates {
-		row := Row{X: rate, Values: map[string]float64{}}
+		ra := Row{X: rate, Values: map[string]float64{}}
+		rb := Row{X: rate, Values: map[string]float64{}}
 		for ci, name := range names {
-			row.Values[name] = metric(results[ri*len(classes)+ci], classes[ci])
+			res := results[ri*len(classes)+ci]
+			ra.Values[name] = float64(res.Counters.Corrected[classes[ci]])
+			rb.Values[name] = power.EnergyPerMessage(res.Events, res.MeasuredMessages)
 		}
-		rows = append(rows, row)
+		fig13a.Rows = append(fig13a.Rows, ra)
+		fig13b.Rows = append(fig13b.Rows, rb)
 	}
-	return rows
+	return fig13a, fig13b
 }
 
 // Table1Row is one line of Table 1.

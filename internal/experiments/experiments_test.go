@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ftnoc/internal/routing"
 )
 
 func value(f Figure, x float64, series string) float64 {
@@ -55,9 +53,8 @@ func TestFig5Generator(t *testing.T) {
 }
 
 func TestFig6And7Generators(t *testing.T) {
-	f6 := Fig6(Tiny)
+	f6, f7 := Fig6And7(Tiny)
 	checkShape(t, f6, len(ErrorRates))
-	f7 := Fig7(Tiny)
 	checkShape(t, f7, len(ErrorRates))
 	for _, s := range f6.Series {
 		lo, hi := value(f6, 1e-5, s), value(f6, 1e-1, s)
@@ -93,7 +90,7 @@ func TestFig8And9Generators(t *testing.T) {
 }
 
 func TestFig13Generators(t *testing.T) {
-	fa := Fig13a(Tiny)
+	fa, fb := Fig13(Tiny)
 	checkShape(t, fa, len(LogicErrorRates))
 	// Corrected counts grow with the rate and keep the paper's ordering
 	// at the top rate.
@@ -108,7 +105,6 @@ func TestFig13Generators(t *testing.T) {
 	if !(value(fa, 1e-2, "LINK-HBH") > value(fa, 1e-2, "RT-Logic")) {
 		t.Error("Fig13a: LINK corrections not above RT")
 	}
-	fb := Fig13b(Tiny)
 	checkShape(t, fb, len(LogicErrorRates))
 	for _, s := range fb.Series {
 		if e := value(fb, 1e-2, s); e <= 0 || e > 2 {
@@ -166,42 +162,5 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("xml"); err == nil {
 		t.Error("unknown format accepted")
-	}
-}
-
-func TestLatencyThroughput(t *testing.T) {
-	fig := LatencyThroughput(Tiny, routing.XY, []float64{0.05, 0.2, 0.6})
-	checkShape(t, fig, 3)
-	// Latency grows with offered load; accepted throughput saturates at
-	// or below the offered rate.
-	if !(value2(fig, 0.05, "latency") < value2(fig, 0.6, "latency")) {
-		t.Fatal("latency not increasing with load")
-	}
-	for _, r := range fig.Rows {
-		if r.Values["accepted"] > r.X+0.03 {
-			t.Fatalf("accepted %.3f exceeds offered %.3f", r.Values["accepted"], r.X)
-		}
-	}
-}
-
-func value2(f Figure, x float64, s string) float64 { return value(f, x, s) }
-
-func TestSaturationPoint(t *testing.T) {
-	sat := SaturationPoint(Tiny, routing.XY, 0.1)
-	// A 4x4 mesh with 3 VCs saturates somewhere between light load and
-	// the bisection's upper bound.
-	if sat <= 0.1 || sat > 1.0 {
-		t.Fatalf("saturation point %.3f implausible", sat)
-	}
-}
-
-func TestTorusVsMesh(t *testing.T) {
-	fig := TorusVsMesh(Tiny)
-	checkShape(t, fig, 3)
-	// At light load a torus beats a mesh under NR (shorter average
-	// paths thanks to the wraparound links).
-	if !(value(fig, 0.05, "torus/NR") < value(fig, 0.05, "mesh/NR")) {
-		t.Errorf("torus NR latency %.2f not below mesh %.2f",
-			value(fig, 0.05, "torus/NR"), value(fig, 0.05, "mesh/NR"))
 	}
 }

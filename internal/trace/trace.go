@@ -7,8 +7,9 @@
 //   - Zero cost when disabled. Publishers guard every emission with
 //     Bus.Enabled(), which inlines to a nil/empty check, and Event is a
 //     flat value type, so a disabled bus adds no allocations and no
-//     measurable overhead to the simulation hot path (see the
-//     disabled-path benchmark in bench_test.go). Tracing therefore stays
+//     measurable overhead to the simulation hot path (guarded by
+//     TestDisabledBusZeroAlloc here and network's
+//     BenchmarkKernelSteadyMetrics). Tracing therefore stays
 //     compiled in unconditionally.
 //   - One pathway. Everything that observes the simulation — NDJSON
 //     event streams, Chrome trace_event exports, the human-readable
