@@ -122,8 +122,8 @@ func main() {
 	srv := serve.New(opts)
 	if coord != nil {
 		// The server's content-addressed cache doubles as the fabric's
-		// cache-peer store: shard results and whole-campaign results
-		// share one byte budget.
+		// shard cache: shard results and whole-campaign results share
+		// one byte budget.
 		coord.SetCache(srv)
 		defer coord.Close()
 	}

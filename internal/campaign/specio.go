@@ -143,9 +143,8 @@ func ParseSpec(data []byte) (Spec, error) {
 // distributed coordinator ships to workers. The round trip preserves
 // everything that determines results (ParseSpec(WireJSON(s)) has the
 // same CanonicalHash as s): the base config travels as its canonical
-// JSON, axes as their CLI names. Workers is deliberately dropped (each
-// worker sizes its own pool — results are scheduling-independent), and
-// the hash-excluded Kernel preference stays local too.
+// JSON, axes as their CLI names. Workers is deliberately dropped: each
+// worker sizes its own pool, and results are scheduling-independent.
 func (s Spec) WireJSON() ([]byte, error) {
 	base, err := s.Base.CanonicalJSON()
 	if err != nil {
@@ -216,16 +215,20 @@ func (s Spec) CanonicalHash() (string, error) {
 // seed derivation) the hash covers the point's *global* grid index,
 // because both the row's point number and its derived seeds depend on
 // where the point sits in the full grid — identical configs at different
-// grid positions produce different rows. It is the key of the fabric's
-// cache-peer protocol: a worker consults the coordinator's cache under
-// this hash before simulating a shard.
+// grid positions produce different rows. It keys the fabric
+// coordinator's shard cache.
 func (s Spec) RangeHash(lo, hi int) (string, error) {
-	points := s.Points()
+	return HashRange(s.Points(), s.Seeds, lo, hi)
+}
+
+// HashRange is RangeHash over an already expanded grid (points as
+// Spec.Points returns them, reps as Spec.Seeds), so a caller hashing
+// many ranges of one grid expands it once.
+func HashRange(points []Point, reps, lo, hi int) (string, error) {
 	if lo < 0 || hi > len(points) || lo >= hi {
 		return "", fmt.Errorf("campaign: %w: point range [%d,%d) outside grid of %d points",
 			network.ErrInvalidConfig, lo, hi, len(points))
 	}
-	reps := s.Seeds
 	if reps <= 0 {
 		reps = 1
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"strconv"
 )
 
@@ -41,45 +40,6 @@ func (r *Report) rows() []PointRow {
 		rows[i] = PointRowOf(&r.Points[i])
 	}
 	return rows
-}
-
-// PointRows returns the report's external row form — the rows WriteCSV
-// and WriteNDJSON render. Distributed differential tests compare these
-// directly against a single-node run's.
-func (r *Report) PointRows() []PointRow { return r.rows() }
-
-// MergeRows assembles the row sets returned by distributed shards into
-// one grid-ordered table over a grid of total points. Duplicate rows for
-// a point are tolerated when identical (redispatch can recompute a point
-// another worker already streamed — determinism makes the copies equal)
-// and rejected otherwise; missing lists the points no shard covered, so
-// a resuming coordinator knows exactly what to re-dispatch.
-func MergeRows(total int, parts ...[]PointRow) (rows []PointRow, missing []int, err error) {
-	seen := make([]*PointRow, total)
-	for _, part := range parts {
-		for i := range part {
-			row := &part[i]
-			if row.Point < 0 || row.Point >= total {
-				return nil, nil, fmt.Errorf("campaign: merged row for point %d outside grid of %d points", row.Point, total)
-			}
-			if prev := seen[row.Point]; prev != nil {
-				if !reflect.DeepEqual(*prev, *row) {
-					return nil, nil, fmt.Errorf("campaign: conflicting rows for point %d", row.Point)
-				}
-				continue
-			}
-			seen[row.Point] = row
-		}
-	}
-	rows = make([]PointRow, 0, total)
-	for i, row := range seen {
-		if row == nil {
-			missing = append(missing, i)
-			continue
-		}
-		rows = append(rows, *row)
-	}
-	return rows, missing, nil
 }
 
 // WriteRowsCSV renders already-flattened rows in the WriteCSV table

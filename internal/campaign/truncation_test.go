@@ -110,42 +110,3 @@ func TestReadCSVTruncated(t *testing.T) {
 		t.Fatalf("whole-record prefix: %d rows, want 1", len(rows))
 	}
 }
-
-func TestMergeRows(t *testing.T) {
-	table, _, n := renderedTable(t)
-	rows, err := ReadNDJSON(bytes.NewReader(table))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shards arrive out of order, with an idempotent duplicate.
-	merged, missing, err := MergeRows(n, []PointRow{rows[1]}, []PointRow{rows[0]}, []PointRow{rows[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 || len(merged) != n {
-		t.Fatalf("merged=%d missing=%v", len(merged), missing)
-	}
-	for i := range merged {
-		if merged[i].Point != i {
-			t.Fatalf("merged[%d].Point = %d", i, merged[i].Point)
-		}
-	}
-
-	_, missing, err = MergeRows(n, []PointRow{rows[1]})
-	if err != nil || len(missing) != 1 || missing[0] != 0 {
-		t.Fatalf("partial merge: missing=%v err=%v", missing, err)
-	}
-
-	conflict := rows[1]
-	conflict.Completed++
-	if _, _, err := MergeRows(n, []PointRow{rows[1]}, []PointRow{conflict}); err == nil {
-		t.Fatal("conflicting duplicate was accepted")
-	}
-
-	bad := rows[0]
-	bad.Point = n + 3
-	if _, _, err := MergeRows(n, []PointRow{bad}); err == nil {
-		t.Fatal("out-of-range row was accepted")
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,8 +20,8 @@ import (
 	"ftnoc/internal/trace"
 )
 
-// CacheStore is the content-addressed byte store behind the coordinator's
-// cache-peer endpoint. *serve.Server satisfies it with the same LRU cache
+// CacheStore is the content-addressed byte store the coordinator keeps
+// shard results in. *serve.Server satisfies it with the same LRU cache
 // that serves whole-campaign results, so shard entries and report entries
 // share one byte budget and one hit/miss ledger.
 type CacheStore interface {
@@ -39,42 +40,32 @@ type CoordinatorOptions struct {
 	// the dispatcher considers it dead (default 15s). Workers are told
 	// to heartbeat at a third of this.
 	HeartbeatTTL time.Duration
-	// ShardTimeout bounds one shard dispatch end to end (default 10m);
-	// a worker that accepts a shard and hangs forfeits it to redispatch.
-	ShardTimeout time.Duration
-	// RetryBaseDelay seeds the exponential backoff applied before a
-	// failed shard is redispatched (default 250ms, doubling per attempt
-	// up to RetryMaxDelay, default 5s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// MaxAttempts bounds redispatches of one shard lineage before the
-	// whole campaign is failed (default 8). Zero capacity is not an
-	// attempt: a shard waiting for any live worker waits indefinitely.
-	MaxAttempts int
-	// BreakerThreshold opens a worker's circuit breaker after that many
-	// consecutive shard failures (default 3): the worker receives no
-	// dispatches for BreakerCooldown (default 10s), then gets another
-	// chance. Heartbeats alone never close an open breaker — only the
-	// cooldown does.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// TenantWeights maps tenant names to weighted-fair-queueing weights
-	// (default 1.0 each). A tenant with weight 2 accrues virtual time at
-	// half rate and thus receives twice the dispatch share under load.
-	TenantWeights map[string]float64
 	// TenantTokens caps one tenant's in-flight shards (default 0 = no
 	// cap). With a cap of k, a tenant can occupy at most k worker slots
-	// no matter how much it has queued — hard isolation on top of WFQ's
-	// proportional sharing.
+	// no matter how much it has queued — hard isolation on top of fair
+	// queueing's proportional sharing.
 	TenantTokens int
-	// Cache backs the cache-peer endpoint. Nil disables it (workers
-	// always simulate). SetCache may install it after construction.
-	Cache CacheStore
-	// Client issues shard requests (default http.DefaultClient).
-	Client *http.Client
 	// Logger receives dispatch lifecycle records. Nil discards.
 	Logger *slog.Logger
 }
+
+// Failure handling. A worker that accepts a shard and hangs forfeits it
+// after dispatchTimeout. The undelivered remainder of a failed shard is
+// redispatched after an exponential backoff (backoffBase doubling per
+// attempt, capped at backoffCap); after maxAttempts dispatches of one
+// shard lineage the whole campaign fails. Zero capacity is not an
+// attempt: a shard waiting for any live worker waits indefinitely.
+// breakerTrip consecutive failures open a worker's circuit breaker: it
+// receives no dispatches for breakerCooldown, then gets another chance.
+// Heartbeats alone never close an open breaker — only the cooldown does.
+const (
+	dispatchTimeout = 10 * time.Minute
+	backoffBase     = 250 * time.Millisecond
+	backoffCap      = 5 * time.Second
+	maxAttempts     = 8
+	breakerTrip     = 3
+	breakerCooldown = 10 * time.Second
+)
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.ShardPoints <= 0 {
@@ -82,27 +73,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.HeartbeatTTL <= 0 {
 		o.HeartbeatTTL = 15 * time.Second
-	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 10 * time.Minute
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 250 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 5 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 8
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 10 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = http.DefaultClient
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -117,7 +87,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 type Coordinator struct {
 	opts   CoordinatorOptions
 	log    *slog.Logger
-	client *http.Client
 	met    *coordMetrics
 	runSeq atomic.Uint64
 
@@ -138,8 +107,8 @@ type workerState struct {
 	slots    int
 	busy     int
 	lastSeen time.Time
-	// fails counts consecutive shard failures; reaching BreakerThreshold
-	// opens the breaker until openUntil.
+	// fails counts consecutive shard failures; reaching breakerTrip opens
+	// the breaker until openUntil.
 	fails     int
 	openUntil time.Time
 }
@@ -160,28 +129,31 @@ type task struct {
 	attempt   int
 	notBefore time.Time
 	cost      float64 // points × replicates, the WFQ service quantum
-	key       string  // cache-peer key, empty if unhashable
+	key       string  // shard-cache key; empty without a cache or if unhashable
 }
 
 // campaignRun is one Run invocation's assembly state: rows keyed by
-// global point index, filled as workers stream them back (online — the
-// first copy of each row is merged the moment it arrives, duplicates
-// from redispatch are dropped; determinism makes them equal anyway).
+// global point index, filled as the cache replays them or workers stream
+// them back (online — the first copy of each row is merged the moment it
+// arrives; a later copy must equal it, or the run fails with conflict).
 type campaignRun struct {
 	c      *Coordinator
 	id     string
 	ctx    context.Context
 	cancel context.CancelFunc
 	spec   campaign.Spec
+	points []campaign.Point // the one grid expansion, for shard keys
 	wire   []byte
 	tenant string
 	reps   int
+	cache  CacheStore // nil: no shard cache
 
-	mu      sync.Mutex
-	rows    []*campaign.PointRow
-	got     int
-	pending int // tasks queued or in flight
-	err     error
+	mu       sync.Mutex
+	rows     []*campaign.PointRow
+	got      int
+	pending  int // tasks queued or in flight
+	err      error
+	conflict error // a duplicate row that differed from the merged one
 
 	once sync.Once
 	done chan struct{}
@@ -212,8 +184,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:    opts,
 		log:     opts.Logger,
-		client:  opts.Client,
-		cache:   opts.Cache,
 		workers: make(map[string]*workerState),
 		tenants: make(map[string]*tenantState),
 	}
@@ -223,9 +193,9 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// SetCache installs the cache-peer store after construction — the daemon
-// builds its serve.Server with the coordinator's Run as Runner, then
-// hands the server back here as the store.
+// SetCache installs the shard cache. Without one every shard is
+// dispatched. The daemon builds its serve.Server with the coordinator's
+// Run as Runner, then hands the server back here as the store.
 func (c *Coordinator) SetCache(store CacheStore) {
 	c.mu.Lock()
 	c.cache = store
@@ -244,10 +214,12 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) broadcast() { c.cond.Broadcast() }
 
 // Run executes the campaign across the fleet and assembles the report
-// from streamed rows. It is shaped exactly like campaign.Run: the only
-// top-level errors are an empty/unshippable grid or exhausted
-// redispatch; cancellation returns the partial rows with Aborted set.
+// from cached and streamed rows. It is shaped exactly like campaign.Run:
+// the only top-level errors are an empty/unshippable grid, exhausted
+// redispatch, or a conflicting duplicate row; cancellation returns the
+// partial rows with Aborted set.
 func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Report, error) {
+	start := time.Now()
 	points := spec.Points()
 	if len(points) == 0 {
 		return nil, fmt.Errorf("campaign: empty grid")
@@ -272,6 +244,7 @@ func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Re
 		ctx:    runCtx,
 		cancel: cancel,
 		spec:   spec,
+		points: points,
 		wire:   wire,
 		tenant: tenant,
 		reps:   reps,
@@ -279,18 +252,22 @@ func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Re
 		done:   make(chan struct{}),
 		idle:   make(chan struct{}),
 	}
+	c.mu.Lock()
+	run.cache = c.cache
+	c.mu.Unlock()
 
+	// Shards the cache already holds replay through deliver; only the
+	// rest queue for workers.
 	var tasks []*task
 	for lo := 0; lo < len(points); lo += c.opts.ShardPoints {
-		hi := min(lo+c.opts.ShardPoints, len(points))
-		tasks = append(tasks, &task{
-			run: run, lo: lo, hi: hi,
-			cost: float64((hi - lo) * reps),
-			key:  c.shardKey(spec, lo, hi),
-		})
+		t := run.newTask(lo, min(lo+c.opts.ShardPoints, len(points)), 0, time.Time{})
+		if run.replay(t) {
+			c.met.cacheHitShards.Inc()
+		} else {
+			tasks = append(tasks, t)
+		}
 	}
 	run.pending = len(tasks)
-	start := time.Now()
 
 	c.mu.Lock()
 	if c.closed {
@@ -314,11 +291,14 @@ func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Re
 	}
 	// Wait for every task to settle — queued ones purge on the next
 	// dispatcher wake, in-flight streams drain (or abort, if the run
-	// failed) — so counters and the report are final when we return.
-	<-run.idle
+	// failed) — so counters, the cache and the report are final when we
+	// return. A run served wholly from the cache queued nothing.
+	if len(tasks) > 0 {
+		<-run.idle
+	}
 
 	run.mu.Lock()
-	got, runErr := run.got, run.err
+	got, runErr, conflict := run.got, run.err, run.conflict
 	ordered := make([]campaign.PointRow, 0, got)
 	for _, row := range run.rows {
 		if row != nil {
@@ -333,6 +313,10 @@ func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Re
 		Elapsed: time.Since(start),
 	}
 	switch {
+	case conflict != nil:
+		// Checked first: a conflicting duplicate can arrive after the
+		// last row completed the run, on a stream that drained above.
+		return nil, conflict
 	case got == len(points):
 		// Complete — even if the context raced cancellation in.
 		return report, nil
@@ -347,16 +331,70 @@ func (c *Coordinator) Run(ctx context.Context, spec campaign.Spec) (*campaign.Re
 	}
 }
 
-// shardKey derives the cache-peer content address for points [lo, hi).
-// An unhashable shard (it contains an invalid point) gets no key: the
-// worker will simulate it and stream the validation-error rows, exactly
-// as the single-node engine records them.
-func (c *Coordinator) shardKey(spec campaign.Spec, lo, hi int) string {
-	h, err := spec.RangeHash(lo, hi)
-	if err != nil {
-		return ""
+// newTask builds the dispatchable shard [lo, hi), keyed for the shard
+// cache when the run has one. An unhashable shard (it contains an
+// invalid point) gets no key: a worker simulates it and streams the
+// validation-error rows, exactly as the single-node engine records them.
+func (r *campaignRun) newTask(lo, hi, attempt int, notBefore time.Time) *task {
+	t := &task{
+		run: r, lo: lo, hi: hi, attempt: attempt, notBefore: notBefore,
+		cost: float64((hi - lo) * r.reps),
 	}
-	return "shard:" + h
+	if r.cache != nil {
+		if h, err := campaign.HashRange(r.points, r.reps, lo, hi); err == nil {
+			t.key = "shard:" + h
+		}
+	}
+	return t
+}
+
+// replay serves t from the shard cache and reports whether it did. Only
+// an entry that decodes to exactly the rows lo..hi-1 counts; those rows
+// then merge through deliver like streamed ones. Anything else means
+// simulating — the cache is an optimisation, never a correctness
+// dependency.
+func (r *campaignRun) replay(t *task) bool {
+	if t.key == "" {
+		return false
+	}
+	val, ok := r.cache.CacheGet(t.key)
+	if !ok {
+		return false
+	}
+	rows, err := campaign.ReadNDJSON(bytes.NewReader(val))
+	ok = err == nil && len(rows) == t.hi-t.lo
+	for i := 0; ok && i < len(rows); i++ {
+		ok = rows[i].Point == t.lo+i
+	}
+	if !ok {
+		r.c.log.Warn("shard cache entry unusable, simulating",
+			"run", r.id, "lo", t.lo, "hi", t.hi, "rows", len(rows), "err", err)
+		return false
+	}
+	for _, row := range rows {
+		r.deliver(row)
+	}
+	return true
+}
+
+// remember stores a completed task's merged rows in the shard cache,
+// rendered exactly as replay reads them back. A run that saw a
+// conflicting duplicate stores nothing: its first copies are suspect.
+func (r *campaignRun) remember(t *task) {
+	if t.key == "" {
+		return
+	}
+	rows := make([]campaign.PointRow, 0, t.hi-t.lo)
+	r.mu.Lock()
+	for _, row := range r.rows[t.lo:t.hi] {
+		rows = append(rows, *row)
+	}
+	conflict := r.conflict
+	r.mu.Unlock()
+	var buf bytes.Buffer
+	if conflict == nil && campaign.WriteRowsNDJSON(&buf, rows) == nil {
+		r.cache.CachePut(t.key, buf.Bytes())
+	}
 }
 
 // tenantLocked interns the tenant's WFQ state. A tenant that was idle
@@ -374,13 +412,6 @@ func (c *Coordinator) tenantLocked(name string) *tenantState {
 		tn.vtime = c.vclock
 	}
 	return tn
-}
-
-func (c *Coordinator) weight(tenant string) float64 {
-	if w, ok := c.opts.TenantWeights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 // dispatcher is the scheduler loop: one goroutine that repeatedly picks
@@ -410,14 +441,14 @@ func (c *Coordinator) dispatcher() {
 			c.cond.Wait()
 			continue
 		}
-		// WFQ accounting: the tenant pays for the shard in virtual time
-		// scaled by its weight; the global clock follows the served
-		// tenant so newly active tenants join at the current position.
+		// WFQ accounting (unit weights): the tenant pays for the shard in
+		// virtual time; the global clock follows the served tenant so
+		// newly active tenants join at the current position.
 		if tn.vtime < c.vclock {
 			tn.vtime = c.vclock
 		}
 		c.vclock = tn.vtime
-		tn.vtime += t.cost / c.weight(tn.name)
+		tn.vtime += t.cost
 		tn.inflight++
 		w.busy++
 		c.noteTenantLocked(tn)
@@ -532,13 +563,13 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 		// duplicate, or client cancel) says nothing about the worker.
 		c.met.failures.Inc()
 		w.fails++
-		if w.fails >= c.opts.BreakerThreshold {
+		if w.fails >= breakerTrip {
 			w.fails = 0
-			w.openUntil = time.Now().Add(c.opts.BreakerCooldown)
+			w.openUntil = time.Now().Add(breakerCooldown)
 			c.met.breakerOpens.Inc()
 			c.log.Warn("worker circuit breaker opened",
-				"worker", w.name, "cooldown", c.opts.BreakerCooldown)
-			time.AfterFunc(c.opts.BreakerCooldown, c.broadcast)
+				"worker", w.name, "cooldown", breakerCooldown)
+			time.AfterFunc(breakerCooldown, c.broadcast)
 		}
 	} else if err == nil {
 		w.fails = 0
@@ -558,6 +589,7 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 	missing := undeliveredRanges(t.lo, delivered)
 	if len(missing) == 0 {
 		c.met.completed.Inc()
+		t.run.remember(t)
 		t.run.settle(0)
 		c.broadcast()
 		return
@@ -570,23 +602,18 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 	if err == nil {
 		err = fmt.Errorf("fabric: worker %s reported done but %d ranges missing", w.name, len(missing))
 	}
-	if t.attempt+1 >= c.opts.MaxAttempts {
+	if t.attempt+1 >= maxAttempts {
 		t.run.finish(fmt.Errorf("fabric: shard [%d,%d) failed after %d attempts: %w",
 			t.lo, t.hi, t.attempt+1, err))
 		t.run.settle(0)
 		c.broadcast()
 		return
 	}
-	delay := backoff(c.opts.RetryBaseDelay, c.opts.RetryMaxDelay, t.attempt)
+	delay := backoff(backoffBase, backoffCap, t.attempt)
 	notBefore := time.Now().Add(delay)
 	retries := make([]*task, 0, len(missing))
 	for _, r := range missing {
-		retries = append(retries, &task{
-			run: t.run, lo: r[0], hi: r[1],
-			attempt: t.attempt + 1, notBefore: notBefore,
-			cost: float64((r[1] - r[0]) * t.run.reps),
-			key:  c.shardKey(t.run.spec, r[0], r[1]),
-		})
+		retries = append(retries, t.run.newTask(r[0], r[1], t.attempt+1, notBefore))
 	}
 	c.mu.Lock()
 	tn.queue = append(tn.queue, retries...)
@@ -602,11 +629,9 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 // Done line; a stream that ends any other way is a failure whose
 // undelivered remainder the caller redispatches.
 func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) error {
-	ctx, cancel := context.WithTimeout(t.run.ctx, c.opts.ShardTimeout)
+	ctx, cancel := context.WithTimeout(t.run.ctx, dispatchTimeout)
 	defer cancel()
-	body, err := json.Marshal(ShardRequest{
-		Job: t.run.id, Spec: t.run.wire, Lo: t.lo, Hi: t.hi, CacheKey: t.key,
-	})
+	body, err := json.Marshal(ShardRequest{Job: t.run.id, Spec: t.run.wire, Lo: t.lo, Hi: t.hi})
 	if err != nil {
 		return err
 	}
@@ -615,7 +640,7 @@ func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) err
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -642,9 +667,6 @@ func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) err
 			t.run.deliver(*line.Row)
 		case line.Done != nil:
 			c.met.simCycles.Add(float64(line.Done.SimCycles))
-			if line.Done.CacheHit {
-				c.met.cacheHitShards.Inc()
-			}
 			return nil
 		case line.Error != "":
 			return fmt.Errorf("fabric: worker %s: %s", w.name, line.Error)
@@ -654,14 +676,31 @@ func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) err
 	}
 }
 
-// deliver merges one streamed row (first copy wins; redispatch
-// duplicates are identical by determinism and dropped) and re-emits the
-// campaign progress events the single-node engine would have produced,
-// so SSE subscribers see per-point progress from a distributed run too.
+// deliver is the run's one row merge, for cached and streamed rows
+// alike. The first copy of a point's row wins. A redispatch duplicate is
+// dropped when it equals that copy, as determinism says it must; one that
+// differs falsifies the determinism law, so it fails the run instead of
+// being merged. A newly merged row re-emits the campaign progress events
+// the single-node engine would have produced, so SSE subscribers see
+// per-point progress from a distributed run too.
 func (r *campaignRun) deliver(row campaign.PointRow) {
 	r.mu.Lock()
-	if row.Point < 0 || row.Point >= len(r.rows) || r.rows[row.Point] != nil {
+	if row.Point < 0 || row.Point >= len(r.rows) {
 		r.mu.Unlock()
+		return
+	}
+	if prev := r.rows[row.Point]; prev != nil {
+		var err error
+		if !reflect.DeepEqual(*prev, row) {
+			err = fmt.Errorf("fabric: conflicting rows for point %d", row.Point)
+			if r.conflict == nil {
+				r.conflict = err
+			}
+		}
+		r.mu.Unlock()
+		if err != nil {
+			r.finish(err)
+		}
 		return
 	}
 	r.rows[row.Point] = &row

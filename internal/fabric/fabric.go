@@ -19,29 +19,26 @@
 //
 //   - Worker: executes shards (campaign.RunRange) and streams each
 //     point's row the moment it completes, NDJSON-framed, over the shard
-//     request's response body. Before simulating it consults the
-//     coordinator's content-addressed cache under the shard's RangeHash
-//     (the cache-peer protocol) and publishes fresh results back.
+//     request's response body.
 //   - Coordinator: owns the worker registry (registration + heartbeats,
-//     staleness-based death detection), the dispatch scheduler (weighted
-//     fair queueing across tenants with per-tenant token quotas, so one
-//     giant sweep cannot starve interactive users), and the failure
-//     machinery (exponential backoff re-dispatch, per-worker circuit
-//     breakers).
+//     staleness-based death detection), the dispatch scheduler (fair
+//     queueing across tenants with per-tenant token quotas, so one giant
+//     sweep cannot starve interactive users), the failure machinery
+//     (exponential backoff re-dispatch, per-worker circuit breakers), the
+//     one row merge (first copy wins; a conflicting duplicate fails the
+//     run), and the shard cache: a shard whose rows it already holds
+//     under the shard's RangeHash is replayed, not dispatched.
 //
 // The coordinator plugs into internal/serve as its Options.Runner, so
 // the public /v1/campaigns API, bounded queue, result cache and SSE
 // progress streaming are exactly the single-node daemon's.
 package fabric
 
-// Protocol paths, shared by both roles. The coordinator serves workers
-// and cache under these; the worker serves shards.
+// Protocol paths. The coordinator serves PathWorkers; the worker serves
+// PathShards.
 const (
 	// PathShards is the worker's shard-execution endpoint.
 	PathShards = "/fabric/v1/shards"
 	// PathWorkers is the coordinator's registration/heartbeat endpoint.
 	PathWorkers = "/fabric/v1/workers"
-	// PathCache is the coordinator's cache-peer endpoint prefix; a key
-	// is appended as the final path element.
-	PathCache = "/fabric/v1/cache/"
 )

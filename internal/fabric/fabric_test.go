@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,12 +104,9 @@ func TestCoordinatorDifferential(t *testing.T) {
 	spec := tinySpec()
 	want := singleNodeNDJSON(t, spec)
 
-	coord := NewCoordinator(CoordinatorOptions{
-		ShardPoints:  1,
-		HeartbeatTTL: time.Minute,
-		Cache:        newMemCache(),
-	})
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 1, HeartbeatTTL: time.Minute})
 	defer coord.Close()
+	coord.SetCache(newMemCache())
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 
@@ -134,12 +132,14 @@ func TestCoordinatorDifferential(t *testing.T) {
 
 // killingHandler emulates a worker SIGKILLed mid-shard: after `limit`
 // streamed lines it severs the TCP connection, and every request after
-// that is severed immediately — the process is gone.
+// that is severed immediately — the process is gone. With midLine set
+// the death lands inside the next line: half of it reaches the wire.
 type killingHandler struct {
-	h     http.Handler
-	limit int
-	dead  atomic.Bool
-	kills atomic.Int64
+	h       http.Handler
+	limit   int
+	midLine bool
+	dead    atomic.Bool
+	kills   atomic.Int64
 }
 
 func (k *killingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -169,6 +169,11 @@ func (w *killingWriter) Write(p []byte) (int, error) {
 	if w.k.dead.Load() {
 		return 0, fmt.Errorf("worker is dead")
 	}
+	if w.k.midLine && w.lines >= w.k.limit {
+		_, _ = w.ResponseWriter.Write(p[:len(p)/2])
+		w.die()
+		return 0, fmt.Errorf("worker is dead")
+	}
 	n, err := w.ResponseWriter.Write(p)
 	w.lines += bytes.Count(p[:n], []byte{'\n'})
 	return n, err
@@ -179,92 +184,221 @@ func (w *killingWriter) Write(p []byte) (int, error) {
 // streamed before the death, which is the partial-delivery path under
 // test.
 func (w *killingWriter) Flush() {
-	if w.k.dead.Load() {
-		return
+	switch {
+	case w.k.dead.Load():
+	case !w.k.midLine && w.lines >= w.k.limit:
+		w.die()
+	default:
+		w.ResponseWriter.(http.Flusher).Flush()
 	}
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-	if w.lines >= w.k.limit {
-		w.k.dead.Store(true)
-		w.k.sever(w.ResponseWriter)
-	}
+}
+
+// die puts everything written so far on the wire, then severs.
+func (w *killingWriter) die() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.k.dead.Store(true)
+	w.k.sever(w.ResponseWriter)
 }
 
 // TestCoordinatorSurvivesWorkerDeath kills one of three workers after
-// its first streamed row: the campaign must still complete, its rows
-// still byte-identical to single-node, with the dead worker's
-// unfinished points redispatched to the survivors.
+// its first streamed row — between rows, or halfway through writing the
+// second, whose fragment must not be merged: the campaign must still
+// complete, its rows still byte-identical to single-node, with the dead
+// worker's unfinished points redispatched to the survivors and its
+// breaker open. Two shards of two points: name order makes the
+// dispatcher offer the first one to the victim ("a-victim" sorts before
+// the healthy workers).
 func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	spec := tinySpec()
 	want := singleNodeNDJSON(t, spec)
+	for _, midLine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("midLine=%v", midLine), func(t *testing.T) {
+			coord := NewCoordinator(CoordinatorOptions{ShardPoints: 2, HeartbeatTTL: time.Minute})
+			defer coord.Close()
+			coordSrv := httptest.NewServer(coord.Handler())
+			defer coordSrv.Close()
 
-	coord := NewCoordinator(CoordinatorOptions{
-		ShardPoints:      2, // 2 shards of 2 points: the victim gets one, dies after 1 row
-		HeartbeatTTL:     time.Minute,
-		RetryBaseDelay:   5 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute, // dead worker stays benched for the whole test
-	})
-	defer coord.Close()
-	coordSrv := httptest.NewServer(coord.Handler())
-	defer coordSrv.Close()
+			victim := NewWorker(WorkerOptions{Name: "a-victim", SimWorkers: 1})
+			killer := &killingHandler{h: victim.Handler(), limit: 1, midLine: midLine}
+			victimSrv := httptest.NewServer(killer)
+			defer victimSrv.Close()
+			registerWorker(t, coordSrv.URL, "a-victim", victimSrv.URL, 1)
+			for _, name := range []string{"b-ok", "c-ok"} {
+				w := NewWorker(WorkerOptions{Name: name, SimWorkers: 1})
+				srv := httptest.NewServer(w.Handler())
+				defer srv.Close()
+				registerWorker(t, coordSrv.URL, name, srv.URL, 1)
+			}
 
-	// Name order makes the dispatcher offer the first shard to the
-	// victim ("a-victim" sorts before the healthy workers).
-	victim := NewWorker(WorkerOptions{Name: "a-victim", SimWorkers: 1})
-	killer := &killingHandler{h: victim.Handler(), limit: 1}
-	victimSrv := httptest.NewServer(killer)
-	defer victimSrv.Close()
-	registerWorker(t, coordSrv.URL, "a-victim", victimSrv.URL, 1)
-	for _, name := range []string{"b-ok", "c-ok"} {
-		w := NewWorker(WorkerOptions{Name: name, SimWorkers: 1})
-		srv := httptest.NewServer(w.Handler())
-		defer srv.Close()
-		registerWorker(t, coordSrv.URL, name, srv.URL, 1)
-	}
-
-	report, err := coord.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("fabric run with dying worker: %v", err)
-	}
-	got := renderNDJSON(t, report)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("rows after worker death differ from single-node:\n--- fabric ---\n%s\n--- single ---\n%s", got, want)
-	}
-	if killer.kills.Load() == 0 {
-		t.Fatal("victim worker was never killed mid-stream; the test exercised nothing")
-	}
-	if v := coord.met.failures.Value(); v < 1 {
-		t.Fatalf("failures = %v, want >= 1", v)
-	}
-	if v := coord.met.breakerOpens.Value(); v < 1 {
-		t.Fatalf("breaker opens = %v, want >= 1", v)
+			report, err := coord.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("fabric run with dying worker: %v", err)
+			}
+			got := renderNDJSON(t, report)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rows after worker death differ from single-node:\n--- fabric ---\n%s\n--- single ---\n%s", got, want)
+			}
+			if killer.kills.Load() == 0 {
+				t.Fatal("victim worker was never killed mid-stream; the test exercised nothing")
+			}
+			if v := coord.met.retries.Value(); v < 1 {
+				t.Fatalf("retries = %v, want >= 1", v)
+			}
+			if v := coord.met.failures.Value(); v < 1 {
+				t.Fatalf("failures = %v, want >= 1", v)
+			}
+			if v := coord.met.breakerOpens.Value(); v < 1 {
+				t.Fatalf("breaker opens = %v, want >= 1", v)
+			}
+		})
 	}
 }
 
-// TestCachePeerReplay resubmits a completed spec: every shard must be
-// served from the coordinator's cache, byte-identical, with no worker
+// conflictingHandler emulates a worker that breaks the determinism law:
+// it streams a second, different copy of the first row it sent, either
+// right after it or just before its done trailer.
+type conflictingHandler struct {
+	h          http.Handler
+	beforeDone bool
+}
+
+func (c conflictingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.h.ServeHTTP(&conflictingWriter{ResponseWriter: w, beforeDone: c.beforeDone}, r)
+}
+
+type conflictingWriter struct {
+	http.ResponseWriter
+	beforeDone bool
+	first      *campaign.PointRow
+}
+
+func (w *conflictingWriter) Write(p []byte) (int, error) {
+	var line ShardLine
+	_ = json.Unmarshal(p, &line)
+	if line.Done != nil && w.beforeDone {
+		w.writeConflict()
+	}
+	n, err := w.ResponseWriter.Write(p)
+	if line.Row != nil && w.first == nil {
+		w.first = line.Row
+		if !w.beforeDone {
+			w.writeConflict()
+		}
+	}
+	return n, err
+}
+
+func (w *conflictingWriter) writeConflict() {
+	dup := *w.first
+	dup.Completed++
+	b, _ := json.Marshal(ShardLine{Row: &dup})
+	_, _ = w.ResponseWriter.Write(append(b, '\n'))
+}
+
+func (w *conflictingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestCoordinatorRejectsConflictingRow: a duplicate row that differs
+// from the merged one fails the run with an error naming the point —
+// also when it arrives after every point already has its row — and
+// nothing from the run enters the shard cache.
+func TestCoordinatorRejectsConflictingRow(t *testing.T) {
+	for _, beforeDone := range []bool{false, true} {
+		t.Run(fmt.Sprintf("beforeDone=%v", beforeDone), func(t *testing.T) {
+			coord := NewCoordinator(CoordinatorOptions{ShardPoints: 4, HeartbeatTTL: time.Minute})
+			defer coord.Close()
+			cache := newMemCache()
+			coord.SetCache(cache)
+			coordSrv := httptest.NewServer(coord.Handler())
+			defer coordSrv.Close()
+			h := conflictingHandler{h: NewWorker(WorkerOptions{SimWorkers: 1}).Handler(), beforeDone: beforeDone}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			registerWorker(t, coordSrv.URL, "liar", srv.URL, 1)
+
+			_, err := coord.Run(context.Background(), tinySpec())
+			if err == nil || !strings.Contains(err.Error(), "conflicting rows for point") {
+				t.Fatalf("Run error = %v; want a conflicting-rows error", err)
+			}
+			cache.mu.Lock()
+			defer cache.mu.Unlock()
+			if len(cache.m) != 0 {
+				t.Fatalf("a conflicting run stored %d shard-cache entries", len(cache.m))
+			}
+		})
+	}
+}
+
+// TestShardCacheBadEntries plants unusable entries under shard keys —
+// garbage, the wrong number of rows, the wrong point — beside one good
+// entry: only the good one is replayed, the others are simulated, and
+// the rows are still byte-identical to single-node.
+func TestShardCacheBadEntries(t *testing.T) {
+	spec := tinySpec()
+	want := singleNodeNDJSON(t, spec)
+	rows, err := campaign.ReadNDJSON(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newMemCache()
+	put := func(point int, val []byte) {
+		h, err := spec.RangeHash(point, point+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache.CachePut("shard:"+h, val)
+	}
+	ndjson := func(rs ...campaign.PointRow) []byte {
+		var buf bytes.Buffer
+		if err := campaign.WriteRowsNDJSON(&buf, rs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	put(0, []byte("not ndjson\n"))
+	put(1, ndjson(rows[1], rows[1]))
+	put(2, ndjson(rows[0]))
+	put(3, ndjson(rows[3]))
+
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 1, HeartbeatTTL: time.Minute})
+	defer coord.Close()
+	coord.SetCache(cache)
+	coordSrv := httptest.NewServer(coord.Handler())
+	defer coordSrv.Close()
+	srv := httptest.NewServer(NewWorker(WorkerOptions{SimWorkers: 1}).Handler())
+	defer srv.Close()
+	registerWorker(t, coordSrv.URL, "w0", srv.URL, 1)
+
+	report, err := coord.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fabric run: %v", err)
+	}
+	if got := renderNDJSON(t, report); !bytes.Equal(got, want) {
+		t.Fatalf("rows differ from single-node:\n--- fabric ---\n%s\n--- single ---\n%s", got, want)
+	}
+	if hits, sent := coord.met.cacheHitShards.Value(), coord.met.dispatched.Value(); hits != 1 || sent != 3 {
+		t.Fatalf("cache-hit shards = %v, dispatched = %v; want 1 and 3", hits, sent)
+	}
+}
+
+// TestCachePeerReplay resubmits a completed spec after every worker is
+// gone: every shard must be replayed from the coordinator's shard
+// cache, byte-identical, with nothing dispatched and no worker
 // simulating anything (sim-cycle counters unchanged).
 func TestCachePeerReplay(t *testing.T) {
 	spec := tinySpec()
-	coord := NewCoordinator(CoordinatorOptions{
-		ShardPoints:  2,
-		HeartbeatTTL: time.Minute,
-		Cache:        newMemCache(),
-	})
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 2, HeartbeatTTL: time.Minute})
 	defer coord.Close()
+	coord.SetCache(newMemCache())
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 
 	workers := make([]*Worker, 2)
+	servers := make([]*httptest.Server, 2)
 	for i := range workers {
-		workers[i] = NewWorker(WorkerOptions{
-			Name: fmt.Sprintf("w%d", i), Coordinator: coordSrv.URL, SimWorkers: 1,
-		})
-		srv := httptest.NewServer(workers[i].Handler())
-		defer srv.Close()
-		registerWorker(t, coordSrv.URL, fmt.Sprintf("w%d", i), srv.URL, 1)
+		workers[i] = NewWorker(WorkerOptions{SimWorkers: 1})
+		servers[i] = httptest.NewServer(workers[i].Handler())
+		defer servers[i].Close()
+		registerWorker(t, coordSrv.URL, fmt.Sprintf("w%d", i), servers[i].URL, 1)
 	}
 	cyclesSum := func() uint64 {
 		var n uint64
@@ -282,6 +416,10 @@ func TestCachePeerReplay(t *testing.T) {
 	if baseline == 0 {
 		t.Fatal("first run simulated zero cycles; nothing to replay")
 	}
+	dispatched := coord.met.dispatched.Value()
+	for _, srv := range servers {
+		srv.Close()
+	}
 
 	second, err := coord.Run(context.Background(), spec)
 	if err != nil {
@@ -292,6 +430,9 @@ func TestCachePeerReplay(t *testing.T) {
 	}
 	if after := cyclesSum(); after != baseline {
 		t.Fatalf("replay simulated: sim cycles %d -> %d, want unchanged", baseline, after)
+	}
+	if after := coord.met.dispatched.Value(); after != dispatched {
+		t.Fatalf("replay dispatched: shards %v -> %v, want unchanged", dispatched, after)
 	}
 	if v := coord.met.cacheHitShards.Value(); v != 2 {
 		t.Fatalf("cache-hit shards = %v, want 2 (every replay shard)", v)

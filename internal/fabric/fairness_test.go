@@ -44,7 +44,7 @@ func (s *stubShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for p := req.Lo; p < req.Hi; p++ {
 		_ = enc.Encode(ShardLine{Row: &campaign.PointRow{Point: p}})
 	}
-	_ = enc.Encode(ShardLine{Done: &ShardDone{Points: req.Hi - req.Lo}})
+	_ = enc.Encode(ShardLine{Done: &ShardDone{}})
 }
 
 // sweepSpec builds an n-point grid by fanning out the injection-rate
@@ -59,7 +59,7 @@ func sweepSpec(n int) campaign.Spec {
 
 // TestTenantFairness submits a 100-point sweep for one tenant, then a
 // 2-point interactive run for another while the sweep is mid-flight.
-// Weighted fair queueing must let the interactive run jump the sweep's
+// Fair queueing must let the interactive run jump the sweep's
 // backlog and complete first, and both tenants must show up in the
 // per-tenant queue-depth metrics.
 func TestTenantFairness(t *testing.T) {

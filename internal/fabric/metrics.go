@@ -41,9 +41,9 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		rows: reg.Counter("nocd_fabric_rows_received_total",
 			"Point rows streamed back from workers (duplicates included)."),
 		simCycles: reg.Counter("nocd_fabric_sim_cycles_total",
-			"Simulated network cycles reported by shard done lines (cache hits report zero)."),
+			"Simulated network cycles reported by shard done lines."),
 		cacheHitShards: reg.Counter("nocd_fabric_cache_hit_shards_total",
-			"Shards a worker served from the coordinator's cache without simulating."),
+			"Shards replayed from the coordinator's shard cache instead of dispatched."),
 		breakerOpens: reg.Counter("nocd_fabric_breaker_opens_total",
 			"Times a worker's circuit breaker opened after consecutive failures."),
 		tenantQueue: reg.GaugeVec("nocd_fabric_tenant_queue_depth",

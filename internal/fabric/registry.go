@@ -3,25 +3,17 @@ package fabric
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
 
-// maxCacheEntryBytes bounds one cache-peer PUT body. Shard row tables
-// are small (kilobytes per point); anything near this limit is a bug or
-// abuse, not a result.
-const maxCacheEntryBytes = 64 << 20
-
 // Handler serves the coordinator's fabric surface: worker registration
-// and heartbeats, the fleet listing, and the cache-peer store. The
-// daemon mounts it under /fabric/ via serve.Options.Fabric.
+// and heartbeats, and the fleet listing. The daemon mounts it under
+// /fabric/ via serve.Options.Fabric.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathWorkers, c.handleRegister)
 	mux.HandleFunc("GET "+PathWorkers, c.handleWorkers)
-	mux.HandleFunc("GET "+PathCache+"{key}", c.handleCacheGet)
-	mux.HandleFunc("PUT "+PathCache+"{key}", c.handleCachePut)
 	return mux
 }
 
@@ -64,46 +56,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.WorkerList())
-}
-
-func (c *Coordinator) cacheStore() CacheStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cache
-}
-
-func (c *Coordinator) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	store := c.cacheStore()
-	if store == nil {
-		http.Error(w, "cache-peer disabled", http.StatusNotFound)
-		return
-	}
-	val, ok := store.CacheGet(r.PathValue("key"))
-	if !ok {
-		http.Error(w, "cache miss", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_, _ = w.Write(val)
-}
-
-func (c *Coordinator) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	store := c.cacheStore()
-	if store == nil {
-		http.Error(w, "cache-peer disabled", http.StatusNotFound)
-		return
-	}
-	val, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCacheEntryBytes))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cache put: %v", err), http.StatusRequestEntityTooLarge)
-		return
-	}
-	if len(val) == 0 {
-		http.Error(w, "cache put: empty body", http.StatusBadRequest)
-		return
-	}
-	store.CachePut(r.PathValue("key"), val)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

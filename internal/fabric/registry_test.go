@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -73,58 +72,6 @@ func TestRegisterValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-	}
-}
-
-// TestCachePeerEndpoints exercises the coordinator's cache store over
-// HTTP: miss, put, hit, and the disabled (no store) path.
-func TestCachePeerEndpoints(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{})
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	get := func(key string) (int, []byte) {
-		resp, err := http.Get(srv.URL + PathCache + key)
-		if err != nil {
-			t.Fatalf("cache get: %v", err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, b
-	}
-	put := func(key string, val []byte) int {
-		req, _ := http.NewRequest(http.MethodPut, srv.URL+PathCache+key, bytes.NewReader(val))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("cache put: %v", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// No store installed: both verbs report not-found.
-	if code, _ := get("shard:abc"); code != http.StatusNotFound {
-		t.Fatalf("get with cache disabled: %d", code)
-	}
-	if code := put("shard:abc", []byte("x")); code != http.StatusNotFound {
-		t.Fatalf("put with cache disabled: %d", code)
-	}
-
-	coord.SetCache(newMemCache())
-	if code, _ := get("shard:abc"); code != http.StatusNotFound {
-		t.Fatalf("miss: %d", code)
-	}
-	if code := put("shard:abc", []byte(`{"point":0}`+"\n")); code != http.StatusNoContent {
-		t.Fatalf("put: %d", code)
-	}
-	if code := put("shard:empty", nil); code != http.StatusBadRequest {
-		t.Fatalf("empty put: %d", code)
-	}
-	code, body := get("shard:abc")
-	if code != http.StatusOK || string(body) != `{"point":0}`+"\n" {
-		t.Fatalf("hit: %d %q", code, body)
 	}
 }
 

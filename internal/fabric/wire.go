@@ -49,11 +49,6 @@ type ShardRequest struct {
 	Spec json.RawMessage `json:"spec"`
 	Lo   int             `json:"lo"`
 	Hi   int             `json:"hi"`
-	// CacheKey, when non-empty, is the shard's content address
-	// ("shard:" + Spec.RangeHash(Lo,Hi)). The worker consults the
-	// coordinator's cache under it before simulating, and publishes
-	// fresh results back — the cache-peer protocol.
-	CacheKey string `json:"cache_key,omitempty"`
 }
 
 // ShardLine is one NDJSON-framed line of a shard response stream:
@@ -67,17 +62,10 @@ type ShardLine struct {
 	Error string             `json:"error,omitempty"`
 }
 
-// ShardDone is the stream's success trailer: a receipt for the whole
-// shard plus the simulator-side telemetry the coordinator aggregates
-// into its metrics.
+// ShardDone is the stream's success trailer. Which rows arrived is the
+// coordinator's own per-point record; the trailer carries only the
+// simulator-side telemetry it aggregates into its metrics.
 type ShardDone struct {
-	// Points is how many rows the worker streamed; the coordinator
-	// cross-checks it against what actually arrived.
-	Points int `json:"points"`
-	// CacheHit marks a shard served from the coordinator's cache
-	// without simulating anything.
-	CacheHit bool `json:"cache_hit,omitempty"`
-	// SimCycles is the total simulated network cycles the shard cost
-	// (zero on cache hits).
+	// SimCycles is the total simulated network cycles the shard cost.
 	SimCycles uint64 `json:"sim_cycles,omitempty"`
 }

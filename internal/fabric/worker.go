@@ -20,10 +20,8 @@ type WorkerOptions struct {
 	// Name identifies the worker to the coordinator (default: required
 	// only for registration; the shard endpoint works unnamed).
 	Name string
-	// Coordinator is the coordinator's base URL. It is where the worker
-	// registers, heartbeats, and resolves cache-peer lookups. Empty
-	// disables both (useful in tests that drive the shard endpoint
-	// directly).
+	// Coordinator is the coordinator's base URL, where the worker
+	// registers and heartbeats (RegisterLoop).
 	Coordinator string
 	// Slots is the concurrent-shard capacity advertised at registration
 	// (default 1). The worker does not enforce it; the coordinator's
@@ -33,9 +31,6 @@ type WorkerOptions struct {
 	// meaning GOMAXPROCS). Results are scheduling-independent, so this
 	// never changes rows — only how hard the worker drives its cores.
 	SimWorkers int
-	// Client issues registration and cache-peer requests (default
-	// http.DefaultClient).
-	Client *http.Client
 	// Logger receives shard lifecycle records. Nil discards.
 	Logger *slog.Logger
 }
@@ -44,13 +39,12 @@ type WorkerOptions struct {
 // POST PathShards) plus the registration/heartbeat loop that keeps the
 // coordinator's liveness view current.
 type Worker struct {
-	opts   WorkerOptions
-	log    *slog.Logger
-	client *http.Client
-	reg    *obs.Registry
+	opts WorkerOptions
+	log  *slog.Logger
+	reg  *obs.Registry
 
 	simCycles    atomic.Uint64
-	shards       *obs.CounterVec // result: simulated | cache_hit | error
+	shards       *obs.CounterVec // result: simulated | error
 	rowsStreamed *obs.Counter
 	active       *obs.Gauge
 }
@@ -60,27 +54,23 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
 	}
-	if opts.Client == nil {
-		opts.Client = http.DefaultClient
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	reg := obs.NewRegistry()
 	w := &Worker{
-		opts:   opts,
-		log:    opts.Logger,
-		client: opts.Client,
-		reg:    reg,
+		opts: opts,
+		log:  opts.Logger,
+		reg:  reg,
 		shards: reg.CounterVec("nocd_fabric_worker_shards_total",
-			"Shards executed, by result: simulated, cache_hit, or error.", "result"),
+			"Shards executed, by result: simulated or error.", "result"),
 		rowsStreamed: reg.Counter("nocd_fabric_worker_rows_streamed_total",
 			"Point rows streamed back to the coordinator."),
 		active: reg.Gauge("nocd_fabric_worker_active_shards",
 			"Shards currently executing."),
 	}
 	reg.CounterFunc("nocd_fabric_worker_sim_cycles_total",
-		"Simulated network cycles across all shards (cache hits cost none).",
+		"Simulated network cycles across all shards.",
 		func() float64 { return float64(w.simCycles.Load()) })
 	return w
 }
@@ -90,8 +80,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 func (w *Worker) Metrics() *obs.Registry { return w.reg }
 
 // SimCycles reports the total simulated network cycles this worker has
-// executed. The cache-peer differential test pins its claim on this
-// counter: a fully cache-served rerun must leave it unchanged.
+// executed. The shard-cache replay test pins its claim on this counter:
+// a fully cache-served rerun must leave it unchanged.
 func (w *Worker) SimCycles() uint64 { return w.simCycles.Load() }
 
 // Handler serves the worker's fabric surface: POST PathShards.
@@ -130,21 +120,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	log := w.log.With("job", req.Job, "lo", req.Lo, "hi", req.Hi)
 
-	// Cache-peer consult: someone may already have computed exactly these
-	// rows (an earlier run of the same shard, possibly on another
-	// worker). Any failure here just means simulating — the cache is an
-	// optimisation, never a correctness dependency.
-	if rows, ok := w.cacheLookup(r.Context(), req.CacheKey); ok {
-		for i := range rows {
-			writeLine(ShardLine{Row: &rows[i]})
-		}
-		writeLine(ShardLine{Done: &ShardDone{Points: len(rows), CacheHit: true}})
-		w.shards.With("cache_hit").Inc()
-		w.rowsStreamed.Add(float64(len(rows)))
-		log.Debug("shard served from cache-peer", "rows", len(rows))
-		return
-	}
-
 	spec.Workers = w.opts.SimWorkers
 	streamed := 0
 	report, err := campaign.RunRange(r.Context(), spec, req.Lo, req.Hi, func(row campaign.PointRow) {
@@ -165,60 +140,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.simCycles.Add(cycles)
-	w.cachePublish(r.Context(), req.CacheKey, report)
-	writeLine(ShardLine{Done: &ShardDone{Points: streamed, SimCycles: cycles}})
+	writeLine(ShardLine{Done: &ShardDone{SimCycles: cycles}})
 	w.shards.With("simulated").Inc()
 	log.Debug("shard simulated", "rows", streamed, "sim_cycles", cycles)
-}
-
-// cacheLookup fetches the shard's rows from the coordinator's cache.
-// A miss, a transport error, or an unparseable body all report !ok.
-func (w *Worker) cacheLookup(ctx context.Context, key string) ([]campaign.PointRow, bool) {
-	if key == "" || w.opts.Coordinator == "" {
-		return nil, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.opts.Coordinator+PathCache+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	rows, err := campaign.ReadNDJSON(resp.Body)
-	if err != nil || len(rows) == 0 {
-		w.log.Warn("cache-peer entry unreadable, simulating", "key", key, "err", err)
-		return nil, false
-	}
-	return rows, true
-}
-
-// cachePublish stores a freshly simulated shard's rows under its content
-// address, best-effort: the next request for these exact points — on any
-// worker — becomes a cache hit.
-func (w *Worker) cachePublish(ctx context.Context, key string, report *campaign.Report) {
-	if key == "" || w.opts.Coordinator == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if err := campaign.WriteRowsNDJSON(&buf, report.PointRows()); err != nil {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.opts.Coordinator+PathCache+key, &buf)
-	if err != nil {
-		return
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		w.log.Warn("cache-peer publish failed", "key", key, "err", err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }
 
 // RegisterLoop announces the worker to the coordinator and keeps
@@ -269,7 +193,7 @@ func (w *Worker) register(ctx context.Context, selfURL string) (RegisterResponse
 		return RegisterResponse{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return RegisterResponse{}, err
 	}

@@ -66,8 +66,8 @@ type Options struct {
 	Runner func(ctx context.Context, spec campaign.Spec) (*campaign.Report, error)
 	// Fabric, when non-nil, is mounted under /fabric/ on the service mux
 	// (instrumented like every other route): the coordinator's worker
-	// registration/heartbeat/cache-peer endpoints, or the worker's shard
-	// endpoint, depending on the daemon's role.
+	// registration/heartbeat endpoint, or the worker's shard endpoint,
+	// depending on the daemon's role.
 	Fabric http.Handler
 	// ExtraMetrics, when non-nil, is appended to every /metrics scrape
 	// after the server's own families — the fabric layer exposes its
@@ -145,10 +145,9 @@ func TenantFrom(ctx context.Context) string {
 }
 
 // CacheGet returns the result bytes stored under key in the server's
-// content-addressed cache. Together with CachePut it is the storage side
-// of the fabric's cache-peer protocol: the coordinator daemon serves its
-// cache to workers over /fabric/v1/cache/{key}. Peer lookups share the
-// cache's hit/miss counters with client submissions.
+// content-addressed cache. Together with CachePut it backs the fabric
+// coordinator's shard cache; shard lookups share the cache's hit/miss
+// counters with client submissions.
 func (s *Server) CacheGet(key string) ([]byte, bool) { return s.cache.get(key) }
 
 // CachePut stores val under key in the server's content-addressed cache

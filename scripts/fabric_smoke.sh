@@ -3,9 +3,12 @@
 # coordinator and two workers on random ports, submit a campaign through
 # the coordinator's public API, SIGKILL one worker while it has a shard
 # in flight, and assert the campaign still completes with rows
-# byte-identical to a single-node run of the same spec. Finishes by
-# scraping the coordinator's /metrics for the nocd_fabric_ families and
-# checking the failure/retry counters recorded the kill.
+# byte-identical to a single-node run of the same spec. Then cancels a
+# second campaign once a shard of it has completed and resubmits it: the
+# completed shards must replay from the coordinator's shard cache and the
+# rows must again match a single-node run. Finishes by scraping the
+# coordinator's /metrics for the nocd_fabric_ families and checking the
+# failure/retry counters recorded the kill.
 #
 # Used by CI; runnable locally from the repo root: scripts/fabric_smoke.sh
 set -euo pipefail
@@ -111,14 +114,68 @@ rows=$(jq 'length' "$workdir/cluster.json")
 [[ "$rows" == "10" ]] || { echo "cluster result has $rows rows, want 10"; exit 1; }
 echo "   done, $rows rows"
 
+# same_as_single BODY CLUSTER_JSON — run BODY on the single-node daemon
+# and require its rows to be byte-identical to CLUSTER_JSON.
+same_as_single() {
+    curl -sf -X POST -d "$1" "http://$single/v1/campaigns" >"$workdir/ssub.json"
+    local sid
+    sid=$(jq -r .id "$workdir/ssub.json")
+    curl -sN --max-time 300 "http://$single/v1/campaigns/$sid/events" >/dev/null
+    curl -sf "http://$single/v1/campaigns/$sid" | jq -c '.result' >"$workdir/single.json"
+    cmp -s "$2" "$workdir/single.json" \
+        || { echo "cluster rows differ from single-node rows"; diff "$2" "$workdir/single.json" || true; exit 1; }
+}
+
+# wait_terminal ID — poll the coordinator until job ID is terminal and
+# print its state.
+wait_terminal() {
+    local st=""
+    for _ in $(seq 1 600); do
+        st=$(curl -sf "http://$coord/v1/campaigns/$1" | jq -r .state)
+        [[ "$st" == "done" || "$st" == "failed" || "$st" == "canceled" ]] && break
+        sleep 0.2
+    done
+    echo "$st"
+}
+
 echo "== single-node run of the same spec must be byte-identical"
-curl -sf -X POST -d "$body" "http://$single/v1/campaigns" >"$workdir/ssub.json"
-sid=$(jq -r .id "$workdir/ssub.json")
-curl -sN --max-time 300 "http://$single/v1/campaigns/$sid/events" >/dev/null
-curl -sf "http://$single/v1/campaigns/$sid" | jq -c '.result' >"$workdir/single.json"
-cmp -s "$workdir/cluster.json" "$workdir/single.json" \
-    || { echo "cluster rows differ from single-node rows"; diff "$workdir/cluster.json" "$workdir/single.json" || true; exit 1; }
+same_as_single "$body" "$workdir/cluster.json"
 echo "   byte-identical"
+
+echo "== cancel a second campaign after its first completed shard, then resume it"
+body2='{"base":{"Width":4,"Height":4,"TotalMessages":8000,"WarmupMessages":200,"Seed":12},
+        "injection_rates":[0.05,0.08,0.1,0.12,0.15,0.18,0.2,0.22],"seeds":1}'
+curl -sf "http://$coord/metrics" >"$workdir/metrics0.txt"
+completed0=$(metric "$workdir/metrics0.txt" nocd_fabric_shards_completed_total)
+curl -sf -X POST -d "$body2" "http://$coord/v1/campaigns" >"$workdir/sub2.json"
+id2=$(jq -r .id "$workdir/sub2.json")
+canceled=""
+for _ in $(seq 1 600); do
+    curl -sf "http://$coord/metrics" >"$workdir/metrics1.txt"
+    completed1=$(metric "$workdir/metrics1.txt" nocd_fabric_shards_completed_total)
+    if awk -v a="$completed1" -v b="$completed0" 'BEGIN {exit !(a > b)}'; then
+        curl -sf -X DELETE "http://$coord/v1/campaigns/$id2" >/dev/null
+        canceled=yes
+        break
+    fi
+    sleep 0.05
+done
+[[ -n "$canceled" ]] || { echo "no shard of the second campaign ever completed"; exit 1; }
+state=$(wait_terminal "$id2")
+[[ "$state" == "canceled" ]] || { echo "second campaign state = $state after DELETE, want canceled"; exit 1; }
+echo "   canceled after shards_completed_total $completed0 -> $completed1"
+
+curl -sf -X POST -d "$body2" "http://$coord/v1/campaigns" >"$workdir/sub3.json"
+id3=$(jq -r .id "$workdir/sub3.json")
+state=$(wait_terminal "$id3")
+[[ "$state" == "done" ]] || { echo "resumed campaign state = $state, want done"; cat "$workdir/coord.log"; exit 1; }
+curl -sf "http://$coord/v1/campaigns/$id3" | jq -c '.result' >"$workdir/resumed.json"
+curl -sf "http://$coord/metrics" >"$workdir/metrics2.txt"
+hits=$(metric "$workdir/metrics2.txt" nocd_fabric_cache_hit_shards_total)
+awk -v h="$hits" 'BEGIN {exit !(h >= 1)}' \
+    || { echo "cache_hit_shards_total = $hits after the resume, want >= 1"; exit 1; }
+same_as_single "$body2" "$workdir/resumed.json"
+echo "   resumed with $hits shard(s) from the cache, rows byte-identical"
 
 echo "== coordinator /metrics carries the fabric families and saw the kill"
 curl -sf "http://$coord/metrics" >"$workdir/metrics.txt"
