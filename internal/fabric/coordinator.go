@@ -89,6 +89,9 @@ type Coordinator struct {
 	log    *slog.Logger
 	met    *coordMetrics
 	runSeq atomic.Uint64
+	// timeout bounds one dispatch; dispatchTimeout unless shortened in
+	// this package.
+	timeout time.Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -184,6 +187,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:    opts,
 		log:     opts.Logger,
+		timeout: dispatchTimeout,
 		workers: make(map[string]*workerState),
 		tenants: make(map[string]*tenantState),
 	}
@@ -629,7 +633,7 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 // Done line; a stream that ends any other way is a failure whose
 // undelivered remainder the caller redispatches.
 func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) error {
-	ctx, cancel := context.WithTimeout(t.run.ctx, dispatchTimeout)
+	ctx, cancel := context.WithTimeout(t.run.ctx, c.timeout)
 	defer cancel()
 	body, err := json.Marshal(ShardRequest{Job: t.run.id, Spec: t.run.wire, Lo: t.lo, Hi: t.hi})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -251,6 +252,50 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 				t.Fatalf("breaker opens = %v, want >= 1", v)
 			}
 		})
+	}
+}
+
+// TestCoordinatorSurvivesStalledWorker registers a worker that accepts
+// every shard and writes nothing until its request context ends, beside
+// a healthy one. With the dispatch timeout at 200 ms the stalled
+// dispatches time out, their shards are redispatched and counted as
+// retries, and the rows are still byte-identical to single-node. The
+// stalled worker sorts first, so the dispatcher offers it a shard.
+func TestCoordinatorSurvivesStalledWorker(t *testing.T) {
+	spec := tinySpec()
+	want := singleNodeNDJSON(t, spec)
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 2, HeartbeatTTL: time.Minute})
+	defer coord.Close()
+	coord.timeout = 200 * time.Millisecond
+	coordSrv := httptest.NewServer(coord.Handler())
+	defer coordSrv.Close()
+
+	var stalls atomic.Int64
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stalls.Add(1)
+		// Reading the shard to its end lets the server notice the
+		// coordinator hanging up, which is what ends the context.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer stalled.Close()
+	registerWorker(t, coordSrv.URL, "a-stalled", stalled.URL, 1)
+	ok := httptest.NewServer(NewWorker(WorkerOptions{Name: "b-ok", SimWorkers: 1}).Handler())
+	defer ok.Close()
+	registerWorker(t, coordSrv.URL, "b-ok", ok.URL, 1)
+
+	report, err := coord.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fabric run with a stalled worker: %v", err)
+	}
+	if got := renderNDJSON(t, report); !bytes.Equal(got, want) {
+		t.Fatalf("rows after a stalled worker differ from single-node:\n--- fabric ---\n%s\n--- single ---\n%s", got, want)
+	}
+	if stalls.Load() == 0 {
+		t.Fatal("the stalled worker was never dispatched to; the test exercised nothing")
+	}
+	if v := coord.met.retries.Value(); v < 1 {
+		t.Fatalf("retries = %v, want >= 1", v)
 	}
 }
 

@@ -32,8 +32,9 @@ var mortDirs = [...]topology.Port{topology.North, topology.East, topology.South,
 
 // mortalityState is the per-run hard-fault state.
 type mortalityState struct {
-	n  *Network
-	fa *routing.FaultAdaptiveFunc // nil under deterministic routing
+	n     *Network
+	route *routing.Memo              // every router's routing function
+	fa    *routing.FaultAdaptiveFunc // route's function; nil under deterministic routing
 
 	// maps[i] is router i's local view of the fault pattern. Updated at
 	// death boundaries (endpoints only) and spread one hop per cycle by
@@ -68,16 +69,17 @@ type mortalityState struct {
 // newMortalityState builds the controller: per-router fault maps and the
 // death timeline, with hazard deaths pre-sampled from the run seed so the
 // schedule is reproducible.
-func newMortalityState(n *Network, route routing.Func) *mortalityState {
+func newMortalityState(n *Network, route *routing.Memo) *mortalityState {
 	nodes := n.topo.Nodes()
 	m := &mortalityState{
 		n:        n,
+		route:    route,
 		killed:   make(map[flit.PacketID]bool),
 		deadNode: make([]bool, nodes),
 		maps:     make([]*faultmap.Map, nodes),
 		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
 	}
-	m.fa, _ = route.(*routing.FaultAdaptiveFunc)
+	m.fa, _ = route.Func.(*routing.FaultAdaptiveFunc)
 	for i := range m.maps {
 		m.maps[i] = faultmap.New(nodes)
 	}
@@ -114,15 +116,16 @@ func (m *mortalityState) applyDeath(c uint64, d fault.Death) bool {
 }
 
 // reconfigure rebuilds the routing epoch after a boundary: new up*/down*
-// orientation, flushed route memos, and rewritten candidate sets for
-// worms still waiting on the old epoch. Deterministic routing has nothing
-// to rebuild — its tables are topology-blind. Connectivity components
-// and the PE injection queues are refreshed under every routing function.
+// orientation, the network's route memo flushed once, and rewritten
+// candidate sets for worms still waiting on the old epoch. Deterministic
+// routing has nothing to rebuild — its tables are topology-blind.
+// Connectivity components and the PE injection queues are refreshed
+// under every routing function.
 func (m *mortalityState) reconfigure(c uint64) {
 	if m.fa != nil {
 		m.fa.Rebuild()
+		m.route.Flush()
 		for _, r := range m.n.routers {
-			r.FlushRouteCache()
 			r.RefreshWaitingRoutes()
 		}
 	}

@@ -104,7 +104,7 @@ func build(cfg Config, quiesce bool) *Network {
 		kind = topology.Mesh
 	}
 	n.topo = topology.New(kind, cfg.Width, cfg.Height)
-	route := routing.New(cfg.Routing, n.topo)
+	route := routing.NewMemo(routing.New(cfg.Routing, n.topo), n.topo.Nodes())
 	xyCheck := !cfg.Routing.Adaptive()
 
 	// Observability: attach the packet-journey tracker and any caller

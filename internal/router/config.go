@@ -40,7 +40,8 @@ type Config struct {
 	ID flit.NodeID
 	// Topo is the network shape (shared, read-only).
 	Topo *topology.Topology
-	// Route is the routing function (shared, stateless).
+	// Route is the routing function, shared by every router of a network
+	// (network.New passes its one routing.Memo).
 	Route routing.Func
 	// VCs is the number of virtual channels per physical channel
 	// (3 on the paper's evaluation platform, §2.2), at most MaxVCs.

@@ -12,18 +12,6 @@ import (
 // deaths. Everything here runs serially, between kernel steps, at fault
 // boundaries — never from a concurrent tick.
 
-// FlushRouteCache invalidates the memoised routing tables. Required
-// after the fault-adaptive routing function rebuilds its distance
-// tables: the memos capture Route() results from the previous topology
-// epoch and would keep steering packets along the dead orientation.
-// Every memo byte returns to "not computed" and the interned sets are
-// forgotten; candidate slices already bound to input VCs keep their own
-// backing arrays (RefreshWaitingRoutes rewrites the ones that matter).
-func (r *Router) FlushRouteCache() {
-	clear(r.memos)
-	r.routeSets = r.routeSets[:0]
-}
-
 // RefreshWaitingRoutes recomputes the candidate set of every VA-waiting
 // input VC from the (just rebuilt) routing function, so headers that
 // were computed under the previous topology epoch re-request along the

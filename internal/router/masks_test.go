@@ -108,8 +108,7 @@ func TestHandWiredRouterNeedsNoWaker(t *testing.T) {
 // Hard-fault surgery runs between steps, behind the routers' backs. Every
 // primitive only removes traffic (or pushes credits through the ordinary
 // latched wire), so the masks must stay sound through and after each one,
-// the routers must go on to drain whatever the surgery left visible, and
-// a route-cache flush must leave every memo byte at "not computed".
+// and the routers must go on to drain whatever the surgery left visible.
 func TestMaskSoundnessUnderSurgery(t *testing.T) {
 	surgeries := []struct {
 		name string
@@ -139,22 +138,6 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 		{"KillVC", func(t *testing.T, r *row) {
 			for vc := 0; vc < 2; vc++ {
 				r.b.KillVC(r.k.Cycle(), topology.West, vc, nil)
-			}
-		}},
-		{"FlushRouteCache", func(t *testing.T, r *row) {
-			if len(r.a.routeSets) == 0 || len(r.b.routeSets) == 0 {
-				t.Fatal("a and b interned no route before the flush; the test flushes nothing")
-			}
-			for _, x := range []*Router{r.a, r.b, r.c} {
-				x.FlushRouteCache()
-				for i, s := range x.memos {
-					if s != 0 {
-						t.Fatalf("router %d memo byte %d = %d after flush, want 0", x.id, i, s)
-					}
-				}
-				if len(x.routeSets) != 0 {
-					t.Fatalf("router %d kept %d interned sets after flush", x.id, len(x.routeSets))
-				}
 			}
 		}},
 	}

@@ -3,7 +3,6 @@ package router
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"ftnoc/internal/ac"
 	"ftnoc/internal/ecc"
@@ -137,20 +136,6 @@ type Router struct {
 	parked      int
 	sends       link.SendWindow
 
-	// Route memos: routes are pure in (cur, dst) — link health is
-	// filtered later, in legalCandidates — so one computation serves the
-	// whole run. A memo is one byte per destination: 0 = not yet computed,
-	// s > 0 = routeSets[s-1]. routeSets interns the distinct candidate
-	// sets this router has seen (a handful: the routing functions return
-	// short ordered port lists), shared by all the memos. routeMemo[p]
-	// memoises the routing function of the node upstream of input port p:
-	// the neighbor through p, for the §4.2 arrival-direction check, and
-	// for Local — whose upstream is this node's own PE — this router's
-	// own function. All are windows of memos, one allocation.
-	memos     []uint8
-	routeMemo [topology.NumPorts][]uint8
-	routeSets [][]topology.Port
-
 	// Per-cycle scratch buffers, reused across ticks; capacities are
 	// bounded by the port/VC counts so the steady state never allocates.
 	scratchLegal []topology.Port
@@ -180,14 +165,8 @@ func New(cfg Config) *Router {
 		arena:        make([]inputVC, n),
 		fifos:        link.NewFIFOs(n, cfg.BufDepth),
 		outVCs:       make([]outputVC, n),
-		routeSets:    make([][]topology.Port, 0, routeSetsCap),
 		scratchLegal: make([]topology.Port, 0, np),
 		scratchBind:  make([]ac.Binding, 0, np*cfg.VCs),
-	}
-	nodes := cfg.Topo.Nodes()
-	r.memos = make([]uint8, np*nodes)
-	for p := range r.routeMemo {
-		r.routeMemo[p] = r.memos[p*nodes : (p+1)*nodes]
 	}
 	return r
 }
@@ -463,7 +442,7 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f *flit.Flit) {
 		// must match the route the previous node should have taken.
 		if up, ok := r.cfg.Topo.Neighbor(r.id, ip.port); ok {
 			dst := flit.DecodeHeader(f.Word).Dst
-			exp := r.memoRoute(r.routeMemo[ip.port], up, dst)
+			exp := r.cfg.Route.Route(up, dst)
 			if len(exp) == 1 && exp[0] != ip.port.Opposite() {
 				ip.rx.ForceDrop(vc, cycle, link.NACKMisroute, uint64(f.PID), f.Seq)
 				return
@@ -585,7 +564,7 @@ func (r *Router) takeFront(ivc *inputVC, dst *flit.Flit) (fromBuf bool) {
 // packet by replacing the candidate set).
 func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	r.cfg.Events.RTComputes++
-	cands := r.memoRoute(r.routeMemo[topology.Local], r.id, ivc.dst)
+	cands := r.cfg.Route.Route(r.id, ivc.dst)
 	if r.cfg.RTFault.Upset() {
 		r.cfg.Counters.AddInjected(fault.RTLogic)
 		cands = singlePort[r.cfg.RTFault.Pick(int(topology.NumPorts))]
@@ -613,48 +592,6 @@ var singlePort = func() (t [topology.NumPorts][]topology.Port) {
 	}
 	return t
 }()
-
-// routeSetsCap pre-sizes the interned candidate-set table so it does not
-// grow during a run: any one static routing function produces at most 9
-// distinct lists (five single ports, four two-port pairs), and up*/down*
-// at most 17 (Local plus the subsets of the four directions) of which a
-// router sees a few. maxRouteSets is what a byte can index; past it
-// routes are simply recomputed.
-const (
-	routeSetsCap = 16
-	maxRouteSets = 255
-)
-
-// memoRoute returns Route(cur, dst) through one of the byte-wide memos
-// (see routeMemo). The static routing functions are pure in (cur, dst):
-// link health is consulted in legalCandidates, not here, so a memoised
-// candidate set stays valid across hard-fault changes. The fault-adaptive
-// function's tables DO change at hard-fault boundaries; the
-// reconfiguration controller calls FlushRouteCache on every router after
-// each table rebuild. Interned sets are shared read-only — input VCs
-// rebind candidates but never mutate them.
-func (r *Router) memoRoute(memo []uint8, cur, dst flit.NodeID) []topology.Port {
-	if int(dst) >= len(memo) {
-		// A corrupted destination outside the node space (possible only in
-		// unprotected ablations): fall through unmemoised.
-		return r.cfg.Route.Route(cur, dst)
-	}
-	if s := memo[dst]; s != 0 {
-		return r.routeSets[s-1]
-	}
-	c := r.cfg.Route.Route(cur, dst)
-	for i, set := range r.routeSets {
-		if slices.Equal(set, c) {
-			memo[dst] = uint8(i + 1)
-			return set
-		}
-	}
-	if len(r.routeSets) < maxRouteSets {
-		r.routeSets = append(r.routeSets, c)
-		memo[dst] = uint8(len(r.routeSets))
-	}
-	return c
-}
 
 // legalCandidates filters an RT candidate set for a packet bound to dst
 // down to ports that the VC allocator's state information permits:
@@ -760,7 +697,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 		// packet's true route has a legal port has the VA state info
 		// caught a misdirection (§4.2); otherwise the packet waits on a
 		// dead link and there is nothing to correct.
-		if !r.deadEnd(r.memoRoute(r.routeMemo[topology.Local], r.id, ivc.dst), ivc.dst) {
+		if !r.deadEnd(r.cfg.Route.Route(r.id, ivc.dst), ivc.dst) {
 			r.cfg.Counters.AddCorrected(fault.RTLogic)
 		}
 		ivc.candidates = r.computeRoute(cycle, ivc)

@@ -6,7 +6,8 @@ import "testing"
 // map to a known algorithm; and the algorithm's String form parses back
 // to the same algorithm (the CLI prints names it must itself accept).
 func FuzzParse(f *testing.F) {
-	for _, s := range []string{"xy", "DT", "adaptive", "ad", "west-first", "WestFirst", "odd-even", "oddeven", "", "bogus"} {
+	for _, s := range []string{"xy", "DT", "adaptive", "ad", "west-first", "WestFirst", "odd-even", "oddeven", "", "bogus",
+		"fault-adaptive", "faultadaptive", "FA", "updown", "up-down"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -15,7 +16,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		switch a {
-		case XY, MinimalAdaptive, WestFirst, OddEven:
+		case XY, MinimalAdaptive, WestFirst, OddEven, FaultAdaptive:
 		default:
 			t.Fatalf("Parse(%q) produced unknown algorithm %d", s, a)
 		}

@@ -203,7 +203,8 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 
 // Route runs on the routers' hot path, once per route-memo miss, and the
 // steady-state kernel benchmarks hold that path to zero allocations:
-// every algorithm must return one of the shared interned lists.
+// every algorithm must return one of the shared interned lists, and a
+// warm Memo must answer from its table.
 func TestRouteAllocatesNothing(t *testing.T) {
 	topo := topology.New(topology.Mesh, 6, 6)
 	topo.FailLink(8, topology.East)
@@ -216,6 +217,16 @@ func TestRouteAllocatesNothing(t *testing.T) {
 		})
 		if n != 0 {
 			t.Errorf("%v: Route allocates %v times per call, want 0", a, n)
+		}
+		m := NewMemo(r, topo.Nodes())
+		for j := 0; j < 36*36; j++ {
+			m.Route(flit.NodeID(j/36), flit.NodeID(j%36))
+		}
+		if n := testing.AllocsPerRun(500, func() {
+			i++
+			sinkPorts = m.Route(flit.NodeID(i%36), flit.NodeID((i*7+13)%36))
+		}); n != 0 {
+			t.Errorf("%v: a warm Memo.Route allocates %v times per call, want 0", a, n)
 		}
 	}
 	// A caller that appends to a shared list must get a copy, not write

@@ -1,10 +1,11 @@
 // Package topology models the physical structure of the on-chip network:
 // node placement, ports, inter-router links, and which links have died
 // (FailLink, called by the network's hard-fault controller as its
-// mortality timeline fires). The paper's evaluation platform is an 8x8
-// 2-D mesh (§2.2); a torus is provided as an extension because the
-// tornado traffic pattern and several cited routing algorithms originate
-// there.
+// mortality timeline fires). New builds a neighbor table and a per-node
+// live-port mask once, so Neighbor and LinkUp are table loads. The
+// paper's evaluation platform is an 8x8 2-D mesh (§2.2); a torus is
+// provided as an extension because the tornado traffic pattern and
+// several cited routing algorithms originate there.
 package topology
 
 import (
@@ -118,9 +119,13 @@ type LinkID struct {
 // Topology describes a W x H grid of routers and which inter-router links
 // exist (and still function, given hard faults).
 type Topology struct {
-	kind   Kind
-	w, h   int
-	downed map[LinkID]bool
+	kind Kind
+	w, h int
+	// nbr[id*NumPorts+p] is the node reached by leaving id through p, -1
+	// where no link exists (Local, mesh edges). live[id] has bit p set
+	// while that link exists and is not hard-faulted.
+	nbr  []int32
+	live []uint8
 }
 
 // New creates a W x H topology of the given kind. Width and height must be
@@ -132,7 +137,14 @@ func New(kind Kind, w, h int) *Topology {
 	if kind != Mesh && kind != Torus {
 		panic("topology: unknown kind")
 	}
-	return &Topology{kind: kind, w: w, h: h, downed: make(map[LinkID]bool)}
+	t := &Topology{kind: kind, w: w, h: h, nbr: make([]int32, w*h*int(NumPorts)), live: make([]uint8, w*h)}
+	for i := range t.nbr {
+		id, p := flit.NodeID(i/int(NumPorts)), Port(i%int(NumPorts))
+		if t.nbr[i] = t.step(id, p); t.nbr[i] >= 0 {
+			t.live[id] |= 1 << p
+		}
+	}
+	return t
 }
 
 // Kind returns the topology shape.
@@ -166,10 +178,9 @@ func (t *Topology) IDOf(c Coord) flit.NodeID {
 	return flit.NodeID(c.Y*t.w + c.X)
 }
 
-// Neighbor returns the node reached by leaving id through dir, and whether
-// such a link physically exists (mesh edges have none; torus wraps).
-// Hard faults do not affect Neighbor; see LinkUp.
-func (t *Topology) Neighbor(id flit.NodeID, dir Port) (flit.NodeID, bool) {
+// step computes the neighbor table entry for (id, dir) from coordinates:
+// the node reached, or -1 where the geometry has no link.
+func (t *Topology) step(id flit.NodeID, dir Port) int32 {
 	c := t.CoordOf(id)
 	switch dir {
 	case North:
@@ -181,12 +192,25 @@ func (t *Topology) Neighbor(id flit.NodeID, dir Port) (flit.NodeID, bool) {
 	case West:
 		c.X--
 	default:
-		return 0, false
+		return -1
 	}
 	if t.kind == Mesh && (c.X < 0 || c.X >= t.w || c.Y < 0 || c.Y >= t.h) {
+		return -1
+	}
+	return int32(t.IDOf(c))
+}
+
+// Neighbor returns the node reached by leaving id through dir, and whether
+// such a link physically exists (mesh edges have none; torus wraps).
+// Hard faults do not affect Neighbor; see LinkUp.
+func (t *Topology) Neighbor(id flit.NodeID, dir Port) (flit.NodeID, bool) {
+	if int(id) >= len(t.live) || dir >= NumPorts {
 		return 0, false
 	}
-	return t.IDOf(c), true
+	if n := t.nbr[int(id)*int(NumPorts)+int(dir)]; n >= 0 {
+		return flit.NodeID(n), true
+	}
+	return 0, false
 }
 
 // FailLink marks the directed link leaving from through dir as permanently
@@ -195,20 +219,17 @@ func (t *Topology) FailLink(from flit.NodeID, dir Port) {
 	if _, ok := t.Neighbor(from, dir); !ok {
 		panic(fmt.Sprintf("topology: no link %v from node %d", dir, from))
 	}
-	t.downed[LinkID{From: from, Dir: dir}] = true
+	t.live[from] &^= 1 << dir
 }
 
 // LinkUp reports whether the directed link leaving from through dir both
 // exists and is not hard-faulted.
 func (t *Topology) LinkUp(from flit.NodeID, dir Port) bool {
-	if _, ok := t.Neighbor(from, dir); !ok {
-		return false
-	}
-	return !t.downed[LinkID{From: from, Dir: dir}]
+	return int(from) < len(t.live) && t.live[from]>>dir&1 != 0
 }
 
 // Links enumerates every directed inter-router link that physically
-// exists, including hard-faulted ones.
+// exists, including hard-faulted ones, node-major in N, E, S, W order.
 func (t *Topology) Links() []LinkID {
 	var ls []LinkID
 	for n := 0; n < t.Nodes(); n++ {

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +143,83 @@ func TestFailLink(t *testing.T) {
 	// Directed: the reverse direction is unaffected.
 	if !m.LinkUp(6, West) {
 		t.Fatal("reverse direction failed too")
+	}
+}
+
+// refNeighbor is the coordinate reference for the neighbor table: the
+// node reached by leaving id through d on a w x h grid of kind k.
+func refNeighbor(k Kind, w, h int, id flit.NodeID, d Port) (flit.NodeID, bool) {
+	x, y := int(id)%w, int(id)/w
+	switch d {
+	case North:
+		y--
+	case South:
+		y++
+	case East:
+		x++
+	case West:
+		x--
+	default:
+		return 0, false
+	}
+	if k == Torus {
+		x, y = (x+w)%w, (y+h)%h
+	} else if x < 0 || x >= w || y < 0 || y >= h {
+		return 0, false
+	}
+	return flit.NodeID(y*w + x), true
+}
+
+// TestTablesMatchGeometry checks the neighbor table and live-port masks
+// against references kept here: Neighbor against coordinates, LinkUp
+// against a map of failed links after a seeded FailLink sequence, and
+// Links() against the node-major N, E, S, W enumeration hazard sampling
+// depends on — at every (id, port), Local and the invalid port 5
+// included, on shapes with torus self-loops (height 1) and parallel
+// links (width 2).
+func TestTablesMatchGeometry(t *testing.T) {
+	shapes := [][2]int{{2, 1}, {3, 1}, {2, 3}, {4, 4}, {8, 8}, {16, 16}}
+	for _, k := range []Kind{Mesh, Torus} {
+		for _, s := range shapes {
+			w, h := s[0], s[1]
+			topo := New(k, w, h)
+			var want []LinkID
+			for n := 0; n < w*h; n++ {
+				for _, d := range []Port{North, East, South, West} {
+					if _, ok := refNeighbor(k, w, h, flit.NodeID(n), d); ok {
+						want = append(want, LinkID{From: flit.NodeID(n), Dir: d})
+					}
+				}
+			}
+			links := topo.Links()
+			if !slices.Equal(links, want) {
+				t.Fatalf("%v %dx%d: Links() = %v, want %v", k, w, h, links, want)
+			}
+			rng := rand.New(rand.NewSource(int64(w*100 + h)))
+			down := map[LinkID]bool{}
+			for i := 0; i < len(links)/3; i++ {
+				l := links[rng.Intn(len(links))]
+				topo.FailLink(l.From, l.Dir)
+				down[l] = true
+			}
+			for id := flit.NodeID(0); int(id) <= w*h; id++ {
+				for p := Local; p <= NumPorts; p++ {
+					wn, wok := refNeighbor(k, w, h, id, p)
+					if int(id) == w*h {
+						wok = false
+					}
+					if n, ok := topo.Neighbor(id, p); ok != wok || (ok && n != wn) {
+						t.Fatalf("%v %dx%d: Neighbor(%d, %v) = %d, %v; want %d, %v", k, w, h, id, p, n, ok, wn, wok)
+					}
+					if got, want := topo.LinkUp(id, p), wok && !down[LinkID{From: id, Dir: p}]; got != want {
+						t.Fatalf("%v %dx%d: LinkUp(%d, %v) = %v, want %v", k, w, h, id, p, got, want)
+					}
+				}
+			}
+			if got := topo.Links(); !slices.Equal(got, want) {
+				t.Fatalf("%v %dx%d: failing links changed Links()", k, w, h)
+			}
+		}
 	}
 }
 
