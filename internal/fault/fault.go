@@ -152,13 +152,23 @@ type LinkInjector struct {
 // NewLinkInjector creates an injector with the given per-traversal error
 // rate and conditional double-bit fraction, drawing from rng.
 func NewLinkInjector(rate, double float64, rng *sim.RNG) *LinkInjector {
+	return &NewLinkInjectors(1, rate, double, func(int) *sim.RNG { return rng })[0]
+}
+
+// NewLinkInjectors creates n injectors sharing one rate and double-bit
+// fraction in one allocation, injector i drawing from rng(i).
+func NewLinkInjectors(n int, rate, double float64, rng func(i int) *sim.RNG) []LinkInjector {
 	if !(rate >= 0 && rate <= 1) { // negated form rejects NaN too
 		panic("fault: link error rate must be in [0,1]")
 	}
 	if !(double >= 0 && double <= 1) {
 		panic("fault: double fraction must be in [0,1]")
 	}
-	return &LinkInjector{rate: rate, double: double, rng: rng}
+	lis := make([]LinkInjector, n)
+	for i := range lis {
+		lis[i] = LinkInjector{rate: rate, double: double, rng: rng(i)}
+	}
+	return lis
 }
 
 // maxMissBatch bounds how many Bernoulli misses a refill draws ahead of
@@ -237,10 +247,20 @@ type LogicInjector struct {
 
 // NewLogicInjector creates an injector for one fault class.
 func NewLogicInjector(class Class, rate float64, rng *sim.RNG) *LogicInjector {
+	return &NewLogicInjectors(1, class, rate, func(int) *sim.RNG { return rng })[0]
+}
+
+// NewLogicInjectors creates n injectors for one fault class in one
+// allocation — one per router — injector i drawing from rng(i).
+func NewLogicInjectors(n int, class Class, rate float64, rng func(i int) *sim.RNG) []LogicInjector {
 	if rate < 0 || rate > 1 {
 		panic("fault: logic upset rate must be in [0,1]")
 	}
-	return &LogicInjector{class: class, rate: rate, rng: rng}
+	lis := make([]LogicInjector, n)
+	for i := range lis {
+		lis[i] = LogicInjector{class: class, rate: rate, rng: rng(i)}
+	}
+	return lis
 }
 
 // NewScriptedLogicInjector creates a deterministic injector: operation k

@@ -261,3 +261,32 @@ func TestLinkInjectorDrawAheadIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// The batch constructors build injectors that behave exactly as ones
+// built alone on the same streams.
+func TestBatchInjectorsMatchSingle(t *testing.T) {
+	streams, alone := sim.NewRNG(4).SplitN(3), sim.NewRNG(4).SplitN(3)
+	links := NewLinkInjectors(3, 0.2, 0.5, func(i int) *sim.RNG { return &streams[i] })
+	for i := range links {
+		one := NewLinkInjector(0.2, 0.5, &alone[i])
+		for n := 0; n < 200; n++ {
+			f1, f2 := cleanFlit(), cleanFlit()
+			if o1, o2 := links[i].Corrupt(&f1), one.Corrupt(&f2); o1 != o2 || f1 != f2 {
+				t.Fatalf("link injector %d traversal %d: batch %v, alone %v", i, n, o1, o2)
+			}
+		}
+	}
+	streams, alone = sim.NewRNG(5).SplitN(3), sim.NewRNG(5).SplitN(3)
+	logic := NewLogicInjectors(3, VALogic, 0.1, func(i int) *sim.RNG { return &streams[i] })
+	for i := range logic {
+		one := NewLogicInjector(VALogic, 0.1, &alone[i])
+		if logic[i].Class() != VALogic {
+			t.Fatalf("logic injector %d has class %v", i, logic[i].Class())
+		}
+		for n := 0; n < 200; n++ {
+			if u1, u2 := logic[i].Upset(), one.Upset(); u1 != u2 {
+				t.Fatalf("logic injector %d operation %d: batch %v, alone %v", i, n, u1, u2)
+			}
+		}
+	}
+}

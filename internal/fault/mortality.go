@@ -1,9 +1,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -210,6 +211,9 @@ const hazardSeedSalt = 0x6d6f7274616c6974
 // horizon) standing in for a zero or later HazardStop.
 func (m Mortality) Timeline(topo *topology.Topology, seed, stop uint64) []Death {
 	var tl []Death
+	if n := len(m.Links) + len(m.Routers); n > 0 {
+		tl = make([]Death, 0, n)
+	}
 	for _, l := range m.Links {
 		tl = append(tl, Death{Cycle: l.Cycle, Node: l.From, Dir: l.Dir})
 	}
@@ -217,17 +221,14 @@ func (m Mortality) Timeline(topo *topology.Topology, seed, stop uint64) []Death 
 	for _, r := range m.Routers {
 		tl = append(tl, Death{Cycle: r.Cycle, Router: true, Node: r.Node})
 	}
-	sort.SliceStable(tl, func(i, j int) bool {
-		a, b := tl[i], tl[j]
-		switch {
-		case a.Cycle != b.Cycle:
-			return a.Cycle < b.Cycle
-		case a.Router != b.Router:
-			return b.Router
-		case a.Node != b.Node:
-			return a.Node < b.Node
+	slices.SortStableFunc(tl, func(a, b Death) int {
+		if c := cmp.Compare(a.Cycle, b.Cycle); c != 0 || a.Router == b.Router {
+			return cmp.Or(c, cmp.Compare(a.Node, b.Node), cmp.Compare(a.Dir, b.Dir))
 		}
-		return a.Dir < b.Dir
+		if a.Router {
+			return 1 // links before routers within a cycle
+		}
+		return -1
 	})
 	return tl
 }

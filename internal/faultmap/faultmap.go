@@ -39,11 +39,23 @@ type Map struct {
 }
 
 // New returns an empty (all-alive) map over the given node count.
-func New(nodes int) *Map {
+func New(nodes int) *Map { return &NewMaps(1, nodes)[0] }
+
+// NewMaps returns n empty maps over the given node count — one per
+// router — in three allocations: the maps are one slice, and their link
+// and router bitmaps capacity-capped windows of one arena each.
+func NewMaps(n, nodes int) []Map {
 	if nodes <= 0 {
 		panic("faultmap: node count must be positive")
 	}
-	return &Map{nodes: nodes, dirs: make([]uint8, nodes), dead: make([]bool, nodes)}
+	ms := make([]Map, n)
+	dirs := make([]uint8, n*nodes)
+	dead := make([]bool, n*nodes)
+	for i := range ms {
+		lo, hi := i*nodes, (i+1)*nodes
+		ms[i] = Map{nodes: nodes, dirs: dirs[lo:hi:hi], dead: dead[lo:hi:hi]}
+	}
+	return ms
 }
 
 // Nodes returns the node count the map covers.

@@ -24,18 +24,15 @@ type FIFO struct {
 }
 
 // NewFIFO creates a queue holding at most capacity flits.
-func NewFIFO(capacity int) *FIFO {
-	if capacity < 1 {
-		panic("link: FIFO capacity must be >= 1")
-	}
-	return &FIFO{cap: capacity}
-}
+func NewFIFO(capacity int) *FIFO { return &NewFIFOs(1, capacity)[0] }
 
-// NewFIFOs creates n queues of the given capacity whose backing storage
+// NewFIFOs creates n queues of the given capacity in two allocations
+// however large n is: the queues are one slice, and their backing storage
 // is carved out of one contiguous arena, for cache locality when a router
-// walks its VC buffers. Each queue's window is capacity-capped (a
-// three-index slice), so no append can reach a neighbour's window. The
-// returned slice itself is contiguous; callers keep pointers &fifos[i].
+// walks its VC buffers (router.NewRouters makes one call for every router
+// of a network). Each queue's window is capacity-capped (a three-index
+// slice), so no append can reach a neighbour's window. Callers keep
+// pointers &fifos[i].
 func NewFIFOs(n, capacity int) []FIFO {
 	if capacity < 1 {
 		panic("link: FIFO capacity must be >= 1")

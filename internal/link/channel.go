@@ -128,8 +128,8 @@ var _ [1]struct{} = [CreditLatency]struct{}{}
 
 // Channel is one direction of an inter-router (or PE-router) connection:
 // a flit wire forward, and credit + NACK wires backward. The wires live
-// inside the channel's own block, so polling an idle one touches no
-// other memory; a Channel must not be copied.
+// inside the channel's own slot of its slab (NewChannels), so polling an
+// idle one touches no other memory; a Channel must not be copied.
 type Channel struct {
 	flits sim.Pipe[flit.Flit]
 	nacks sim.Pipe[NACK]
@@ -170,17 +170,30 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // fault-free link (e.g. the PE-to-router channel, which the paper does
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
-	c := &Channel{
-		k:        k,
-		injector: injector,
-		events:   events,
-		counters: counters,
-		local:    local,
-	}
-	c.flits.Init(k, FlitLatency)
-	c.nacks.Init(k, NACKLatency)
+	c := &NewChannels(k, 1, local, events, counters)[0]
+	c.injector = injector
 	return c
 }
+
+// NewChannels wires n fault-free channels into kernel k in two
+// allocations: the channels are one slice, and every flit wire's first
+// ring is a window of one arena (sim.InitRings). SetCorruptor gives a
+// channel its fault injector. The channels must not be copied.
+func NewChannels(k *sim.Kernel, n int, local bool, events *stats.Events, counters *fault.Counters) []Channel {
+	cs := make([]Channel, n)
+	for i := range cs {
+		c := &cs[i]
+		c.k, c.events, c.counters, c.local = k, events, counters, local
+		c.flits.Init(k, FlitLatency)
+		c.nacks.Init(k, NACKLatency)
+	}
+	sim.InitRings(n, func(i int) *sim.Pipe[flit.Flit] { return &cs[i].flits })
+	return cs
+}
+
+// SetCorruptor installs the link's fault injector; nil makes it
+// fault-free.
+func (c *Channel) SetCorruptor(injector fault.Corruptor) { c.injector = injector }
 
 // fitCredits sizes the credit wire for at least vcs virtual channels,
 // keeping what it holds.

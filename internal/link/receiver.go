@@ -87,13 +87,25 @@ func (r *Receiver) emitECCCorrected(cycle uint64, vc int8, pid uint64, seq uint8
 // NewReceiver creates the receiving side of a channel with vcs virtual
 // channels under the given protection scheme.
 func NewReceiver(ch *Channel, vcs int, protection Protection, events *stats.Events, counters *fault.Counters) *Receiver {
-	return &Receiver{
-		ch:         ch,
-		protection: protection,
-		dropUntil:  make([]uint64, vcs),
-		events:     events,
-		counters:   counters,
+	return &NewReceivers(1, func(int) *Channel { return ch }, vcs, protection, events, counters)[0]
+}
+
+// NewReceivers creates n receivers, receiver i on ch(i), in two
+// allocations: the receivers are one slice, and their drop windows
+// capacity-capped windows of one arena.
+func NewReceivers(n int, ch func(i int) *Channel, vcs int, protection Protection, events *stats.Events, counters *fault.Counters) []Receiver {
+	rs := make([]Receiver, n)
+	drops := make([]uint64, n*vcs)
+	for i := range rs {
+		rs[i] = Receiver{
+			ch:         ch(i),
+			protection: protection,
+			dropUntil:  drops[i*vcs : (i+1)*vcs : (i+1)*vcs],
+			events:     events,
+			counters:   counters,
+		}
 	}
+	return rs
 }
 
 // Channel returns the receiver's channel (hook installation, invariant

@@ -118,33 +118,42 @@ func (t *Transmitter) SetRetransBufFaults(rate float64, duplicate bool, rng *sim
 // NewTransmitter creates the sending side of a channel with vcs virtual
 // channels, each granted downstreamCap credits and a shifterDepth-deep
 // retransmission buffer (NACKWindow for the paper's scheme; 2*NACKWindow
-// with the duplicate-buffer option of §4.5). The per-VC state is one
-// slice and the shifter rings are windows of one arena (as NewFIFOs does
-// for the input buffers): three allocations per transmitter however many
-// VCs it has.
+// with the duplicate-buffer option of §4.5).
 func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) *Transmitter {
+	return &NewTransmitters(1, func(int) *Channel { return ch }, vcs, downstreamCap, shifterDepth, events, counters)[0]
+}
+
+// NewTransmitters creates n transmitters, transmitter i sending on ch(i),
+// in three allocations however many there are and however many VCs each
+// has: the transmitters are one slice, their per-VC state windows of a
+// second and every shifter ring a window of a third (as NewFIFOs does for
+// the input buffers). Each window is capacity-capped, so nothing written
+// through one reaches a neighbour's. A channel whose credit wire must
+// first widen past its four inline VCs adds one allocation (fitCredits).
+func NewTransmitters(n int, ch func(i int) *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) []Transmitter {
 	if vcs < 1 || downstreamCap < 1 {
 		panic("link: transmitter needs >=1 VC and >=1 credit")
 	}
 	if shifterDepth < 1 {
 		panic("link: retransmission buffer depth must be >= 1")
 	}
-	t := &Transmitter{
-		ch:       ch,
-		vcs:      make([]txVC, vcs),
-		events:   events,
-		counters: counters,
-	}
-	ch.fitCredits(vcs)
-	arena := make([]retransEntry, vcs*shifterDepth)
-	for i := range t.vcs {
-		t.vcs[i].credits = downstreamCap
-		t.vcs[i].shifter = RetransBuffer{
-			depth: shifterDepth,
-			ring:  arena[i*shifterDepth : (i+1)*shifterDepth : (i+1)*shifterDepth],
+	ts := make([]Transmitter, n)
+	txVCs := make([]txVC, n*vcs)
+	rings := make([]retransEntry, n*vcs*shifterDepth)
+	for i := range ts {
+		t := &ts[i]
+		t.ch, t.events, t.counters = ch(i), events, counters
+		t.vcs = txVCs[i*vcs : (i+1)*vcs : (i+1)*vcs]
+		t.ch.fitCredits(vcs)
+		for v := range t.vcs {
+			lo := (i*vcs + v) * shifterDepth
+			t.vcs[v] = txVC{
+				credits: downstreamCap,
+				shifter: RetransBuffer{depth: shifterDepth, ring: rings[lo : lo+shifterDepth : lo+shifterDepth]},
+			}
 		}
 	}
-	return t
+	return ts
 }
 
 // clock is the kernel's cycle: the one being ticked, or between steps the

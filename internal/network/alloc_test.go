@@ -1,0 +1,136 @@
+package network
+
+import (
+	"testing"
+
+	"ftnoc/internal/fault"
+	"ftnoc/internal/flit"
+	"ftnoc/internal/link"
+	"ftnoc/internal/routing"
+)
+
+// maxNewAllocs bounds what New may allocate at any mesh size: every
+// component kind is one slab per network, so the count has no per-node or
+// per-channel term.
+const maxNewAllocs = 64
+
+// New costs a constant number of allocations: the same bound holds from
+// 4x4 to 16x16, and under the hard-fault regime (fault-adaptive routing,
+// per-router fault maps, a mortality timeline, link faults).
+func TestNewAllocsSizeIndependent(t *testing.T) {
+	mort, err := fault.ParseMortality("link:8E@300,router:21@700")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := func(w, h int) Config {
+		cfg := NewConfig()
+		cfg.Width, cfg.Height = w, h
+		return cfg
+	}
+	degraded := plain(6, 6)
+	degraded.Routing = routing.FaultAdaptive
+	degraded.Protection = link.FEC
+	degraded.Faults.Link = 1e-2
+	degraded.Faults.Mortality = mort
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"4x4", plain(4, 4)},
+		{"8x8", plain(8, 8)},
+		{"16x16", plain(16, 16)},
+		{"6x6 mortality", degraded},
+	}
+	for _, c := range cases {
+		n := testing.AllocsPerRun(3, func() { New(c.cfg) })
+		t.Logf("%s: %v allocations", c.name, n)
+		if n > maxNewAllocs {
+			t.Errorf("New(%s) = %v allocations, want <= %d", c.name, n, maxNewAllocs)
+		}
+	}
+}
+
+// The windows New carves for neighbouring components must not overlap:
+// with three neighbouring PEs' transmitter shifters, staging buffers and
+// sinks filled to capacity, each holds exactly its own flits, and staging a packet longer than the
+// staging window moves that VC to fresh storage instead of writing into
+// the next window. (The routers' VC buffers are held to the same in
+// package router, TestRouterArenaWindows.)
+func TestNewArenaWindows(t *testing.T) {
+	cfg := NewConfig()
+	cfg.Width, cfg.Height = 4, 4
+	n := New(cfg)
+	pes := n.pes[4:7]
+	want := make([][]flit.PacketID, len(pes)*cfg.VCs) // per (PE, VC): the staged packet and its length
+	stage := func(i, v, size int) {
+		id := flit.PacketID(100*i + 10*v + size)
+		pes[i].queuePush(flit.Packet{ID: id, Src: pes[i].id, Dst: 0, Size: size})
+		pes[i].assign()
+		want[i*cfg.VCs+v] = []flit.PacketID{id, flit.PacketID(size)}
+	}
+	for i := range pes {
+		for v := 0; v < cfg.VCs; v++ {
+			stage(i, v, cfg.PacketSize)
+		}
+	}
+	staged := func(when string) {
+		t.Helper()
+		for i, p := range pes {
+			for v, fs := range p.vcFlits {
+				w := want[i*cfg.VCs+v]
+				if len(fs) != int(w[1]) {
+					t.Fatalf("%s: PE %d VC %d stages %d flits, want %d", when, p.id, v, len(fs), w[1])
+				}
+				for _, f := range fs {
+					if f.PID != w[0] {
+						t.Fatalf("%s: PE %d VC %d stages pid %d, want %d: a neighbour's window overlaps", when, p.id, v, f.PID, w[0])
+					}
+				}
+			}
+		}
+	}
+	staged("staged")
+
+	for i, p := range pes {
+		for v := 0; v < cfg.VCs; v++ {
+			for s := 0; s < link.NACKWindow; s++ {
+				p.tx.Send(flit.Flit{PID: flit.PacketID(900 + 10*i + v), Seq: uint8(s), Type: flit.Body}, v, 0)
+			}
+		}
+	}
+	staged("after filling the shifters")
+
+	// A longer packet outgrows the middle PE's VC 0 window.
+	pes[1].vcFlits[0] = nil
+	stage(1, 0, cfg.PacketSize+3)
+	staged("after staging a longer packet")
+
+	// Sinks: every PE opens a packet on every sink VC.
+	for i, p := range pes {
+		for v := range p.sink {
+			head := flit.Packet{ID: flit.PacketID(500 + 10*i + v), Src: 0, Dst: p.id, Size: 2}.Flits()[0]
+			p.consume(0, v, &head)
+		}
+	}
+	for i, p := range pes {
+		for v, sk := range p.sink {
+			if !sk.live || sk.pid != flit.PacketID(500+10*i+v) {
+				t.Fatalf("PE %d sink VC %d holds %+v: a neighbour's window overlaps", p.id, v, sk)
+			}
+		}
+	}
+
+	for i, p := range pes {
+		for v := 0; v < cfg.VCs; v++ {
+			got := p.tx.Recall(v)
+			if len(got) != link.NACKWindow {
+				t.Fatalf("PE %d VC %d recalled %d flits, want %d", p.id, v, len(got), link.NACKWindow)
+			}
+			for s, f := range got {
+				if f.PID != flit.PacketID(900+10*i+v) || int(f.Seq) != s {
+					t.Fatalf("PE %d VC %d slot %d holds %v: a neighbour's shifter window overlaps", p.id, v, s, f)
+				}
+			}
+		}
+	}
+}

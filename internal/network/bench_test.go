@@ -175,3 +175,21 @@ func BenchmarkRunQuick(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNew16x16 times construction alone on sparse_16x16's mesh: every
+// component kind is one slab per network, so allocs/op is a constant
+// (TestNewAllocsSizeIndependent bounds it) and what is left is the cost
+// of filling the slabs.
+func BenchmarkNew16x16(b *testing.B) {
+	cfg := NewConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.InjectionRate = 0.02
+	cfg.Faults.Link = 1e-5
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builtNet = New(cfg)
+	}
+}
+
+// builtNet keeps BenchmarkNew16x16's result alive.
+var builtNet *Network

@@ -177,6 +177,14 @@ func (c Config) Validate() error {
 			c.TotalMessages, c.WarmupMessages)
 	case c.Width*c.Height > maxNodes:
 		return fail("topology %dx%d exceeds %d nodes", c.Width, c.Height, maxNodes)
+	// Enumerations New would otherwise panic on (zero TopologyKind is a
+	// mesh).
+	case c.TopologyKind > topology.Torus:
+		return fail("unknown topology kind %d", c.TopologyKind)
+	case c.Routing < routing.XY || c.Routing > routing.FaultAdaptive:
+		return fail("unknown routing algorithm %d", c.Routing)
+	case c.Pattern < traffic.UniformRandom || c.Pattern > traffic.Hotspot:
+		return fail("unknown traffic pattern %d", c.Pattern)
 	}
 	// Fault rates are probabilities; out-of-range (or NaN) values would
 	// otherwise surface as panics deep inside New's injector assembly.

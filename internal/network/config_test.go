@@ -8,7 +8,9 @@ import (
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/router"
+	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
+	"ftnoc/internal/traffic"
 )
 
 func TestConfigJSONRoundTrip(t *testing.T) {
@@ -93,9 +95,10 @@ func TestConfigValidationPanics(t *testing.T) {
 	}
 }
 
-// Validate must refuse what router.New would panic on, and what would
-// size every router's buffers from an untrusted number; a configuration at
-// the bound must build.
+// Validate must refuse what New would panic on — out-of-range router
+// sizes, unknown topology kinds, routing algorithms and traffic patterns
+// — and what would size every router's buffers from an untrusted number;
+// a configuration at the bound must build.
 func TestValidateResourceBounds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -106,6 +109,13 @@ func TestValidateResourceBounds(t *testing.T) {
 		{"VCs past router.MaxVCs", func(c *Config) { c.VCs = router.MaxVCs + 1 }, false},
 		{"BufDepth at router.MaxBufDepth", func(c *Config) { c.BufDepth = router.MaxBufDepth }, true},
 		{"BufDepth past router.MaxBufDepth", func(c *Config) { c.BufDepth = router.MaxBufDepth + 1 }, false},
+		{"TopologyKind zero (mesh)", func(c *Config) { c.TopologyKind = 0 }, true},
+		{"TopologyKind past Torus", func(c *Config) { c.TopologyKind = topology.Torus + 1 }, false},
+		{"Routing FaultAdaptive", func(c *Config) { c.Routing = routing.FaultAdaptive }, true},
+		{"Routing zero", func(c *Config) { c.Routing = 0 }, false},
+		{"Routing past FaultAdaptive", func(c *Config) { c.Routing = routing.FaultAdaptive + 1 }, false},
+		{"Pattern Hotspot", func(c *Config) { c.Pattern = traffic.Hotspot }, true},
+		{"Pattern past Hotspot", func(c *Config) { c.Pattern = traffic.Hotspot + 1 }, false},
 	}
 	for _, tc := range cases {
 		cfg := NewConfig()

@@ -25,7 +25,13 @@ func FuzzReadConfig(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"width":3,"height":3,"vcs":2}`)
 	f.Add(`{"faults":{"link":0.001},"protection":2}`)
-	f.Add(`{"hard_faults":[{"from":5,"dir":2}]}`)
+	// Hard faults are mortality timelines: a boot-time link death (cycle
+	// 0), and on a mesh small enough to simulate, a link dead from boot
+	// plus a router dying mid-run under up*/down* routing — fault maps,
+	// routing tables and the reconfiguration controller.
+	f.Add(`{"faults":{"mortality":{"links":[{"from":5,"dir":2,"cycle":0}]}}}`)
+	f.Add(`{"width":6,"height":6,"faults":{"mortality":{"links":[{"from":8,"dir":2,"cycle":0}]}}}`)
+	f.Add(`{"width":6,"height":6,"routing":5,"faults":{"mortality":{"links":[{"from":8,"dir":2,"cycle":0}],"routers":[{"node":21,"cycle":10}]}}}`)
 	f.Add(`{"injection_rate":1e999}`)
 	f.Add(`{"width":-1}`)
 

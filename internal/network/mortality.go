@@ -39,16 +39,18 @@ type mortalityState struct {
 	// maps[i] is router i's local view of the fault pattern. Updated at
 	// death boundaries (endpoints only) and spread one hop per cycle by
 	// gossip over surviving links.
-	maps     []*faultmap.Map
+	maps     []faultmap.Map
 	frontier []flit.NodeID
 
 	timeline []fault.Death
 	next     int
 
 	// comp is the connected-component label of each node over live
-	// links; deadNode marks killed routers.
+	// links; deadNode marks killed routers. bfs is the labelling's queue
+	// (a node enters it at most once).
 	comp     []int32
 	deadNode []bool
+	bfs      []flit.NodeID
 
 	// killed dedupes packet verdicts: a packet destroyed by a boundary
 	// kill, refused at admission, or excised by a wedge sweep is counted
@@ -74,15 +76,13 @@ func newMortalityState(n *Network, route *routing.Memo) *mortalityState {
 	m := &mortalityState{
 		n:        n,
 		route:    route,
-		killed:   make(map[flit.PacketID]bool),
 		deadNode: make([]bool, nodes),
-		maps:     make([]*faultmap.Map, nodes),
+		comp:     make([]int32, nodes),
+		bfs:      make([]flit.NodeID, 0, nodes),
+		maps:     faultmap.NewMaps(nodes, nodes),
 		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
 	}
 	m.fa, _ = route.Func.(*routing.FaultAdaptiveFunc)
-	for i := range m.maps {
-		m.maps[i] = faultmap.New(nodes)
-	}
 	m.recomputeComponents()
 	return m
 }
@@ -140,20 +140,16 @@ func (m *mortalityState) reconfigure(c uint64) {
 // recomputeComponents labels connected components over live links.
 func (m *mortalityState) recomputeComponents() {
 	nodes := m.n.topo.Nodes()
-	if m.comp == nil {
-		m.comp = make([]int32, nodes)
-	}
 	for i := range m.comp {
 		m.comp[i] = -1
 	}
-	var q []flit.NodeID
 	next := int32(0)
 	for s := 0; s < nodes; s++ {
 		if m.comp[s] >= 0 {
 			continue
 		}
 		m.comp[s] = next
-		q = append(q[:0], flit.NodeID(s))
+		q := append(m.bfs[:0], flit.NodeID(s))
 		for len(q) > 0 {
 			v := q[0]
 			q = q[1:]
@@ -259,7 +255,7 @@ func (m *mortalityState) gossip(c uint64) {
 			if m.deadNode[nb] {
 				continue
 			}
-			if m.maps[nb].MergeFrom(m.maps[v]) {
+			if m.maps[nb].MergeFrom(&m.maps[v]) {
 				m.emit(trace.Event{
 					Cycle: c, Kind: trace.FaultMapUpdate,
 					Node: int32(nb), Port: -1, VC: -1,
@@ -334,10 +330,9 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, pid := range ids {
 		info := a.pids[pid]
-		if m.killed[pid] {
+		if !m.kill(pid) {
 			continue
 		}
-		m.killed[pid] = true
 		if int(info.src) < len(m.n.pes) {
 			m.n.pes[info.src].evictRetention(pid)
 		}
@@ -358,10 +353,23 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 // destination is unreachable is counted undeliverable immediately instead
 // of being injected to wedge in the network.
 func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
-	m.killed[pid] = true
+	m.kill(pid)
 	m.undeliverable++
 	m.n.lastEject = cycle
 	p.emitDrop(cycle, -1, pid, trace.DropUnreachable)
+}
+
+// kill records pid's undeliverable verdict, reporting false if it had
+// one already. The table is made on the first verdict.
+func (m *mortalityState) kill(pid flit.PacketID) bool {
+	if m.killed[pid] {
+		return false
+	}
+	if m.killed == nil {
+		m.killed = make(map[flit.PacketID]bool)
+	}
+	m.killed[pid] = true
+	return true
 }
 
 func (m *mortalityState) chanOf(from flit.NodeID, d topology.Port) *link.Channel {
@@ -442,9 +450,7 @@ func (m *mortalityState) killDirected(c uint64, a flit.NodeID, d topology.Port, 
 func (m *mortalityState) killChainUp(c uint64, node flit.NodeID, p topology.Port, vc int, acc *killAcc) {
 	m.n.routers[node].KillVC(c, p, vc, acc.observe)
 	if p == topology.Local {
-		if ch := m.n.peUp[node]; ch != nil {
-			ch.DestroyData(vc, acc.observe)
-		}
+		m.n.peUp[node].DestroyData(vc, acc.observe)
 		src := m.n.pes[node]
 		src.tx.AbandonVC(vc, acc.observe)
 		src.killInjection(vc, acc.observe)
@@ -477,9 +483,7 @@ func (m *mortalityState) killChainDown(c uint64, node flit.NodeID, p topology.Po
 		return
 	}
 	if outP == topology.Local {
-		if ch := m.n.peDown[node]; ch != nil {
-			ch.DestroyData(outV, acc.observe)
-		}
+		m.n.peDown[node].DestroyData(outV, acc.observe)
 		if tx := r.Transmitter(topology.Local); tx != nil {
 			tx.AbandonVC(outV, acc.observe)
 		}
@@ -550,19 +554,15 @@ func (m *mortalityState) killRouter(c uint64, node flit.NodeID) bool {
 		}
 	}
 	dead := m.n.pes[node]
-	if ch := m.n.peUp[node]; ch != nil {
-		ch.DestroyData(-1, acc.observe)
-		ch.DropNACKs()
-	}
+	m.n.peUp[node].DestroyData(-1, acc.observe)
+	m.n.peUp[node].DropNACKs()
 	dead.tx.AbandonAll(acc.observe)
 	for vc := 0; vc < m.n.cfg.VCs; vc++ {
 		dead.killInjection(vc, acc.observe)
 	}
 	dead.killQueued(acc)
-	if ch := m.n.peDown[node]; ch != nil {
-		ch.DestroyData(-1, acc.observe)
-		ch.DropNACKs()
-	}
+	m.n.peDown[node].DestroyData(-1, acc.observe)
+	m.n.peDown[node].DropNACKs()
 	if tx := r.Transmitter(topology.Local); tx != nil {
 		tx.AbandonAll(acc.observe)
 	}

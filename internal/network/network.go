@@ -59,13 +59,13 @@ type Network struct {
 	loops []creditLoop
 
 	// Hard-fault channel registry: chanAt[node*NumPorts+dir] is the
-	// inter-router channel transmitted by node through dir; peUp/peDown
-	// are the local PE<->router channels. The reconfiguration controller
-	// (mortality.go) needs direct wire access to destroy in-flight
-	// traffic at death boundaries.
+	// inter-router channel transmitted by node through dir; peUp[i] and
+	// peDown[i] are node i's local PE->router and router->PE channels.
+	// The reconfiguration controller (mortality.go) needs direct wire
+	// access to destroy in-flight traffic at death boundaries.
 	chanAt []*link.Channel
-	peUp   []*link.Channel
-	peDown []*link.Channel
+	peUp   []link.Channel
+	peDown []link.Channel
 
 	// mort is the hard-fault regime state: per-router fault maps, the
 	// death timeline, undeliverable accounting and the reconfiguration
@@ -124,8 +124,6 @@ func build(cfg Config, quiesce bool) *Network {
 	n.routers = make([]*router.Router, nodes)
 	n.pes = make([]*pe, nodes)
 	n.chanAt = make([]*link.Channel, nodes*int(topology.NumPorts))
-	n.peUp = make([]*link.Channel, nodes)
-	n.peDown = make([]*link.Channel, nodes)
 
 	// Hard-fault regime: per-router fault maps, the mortality timeline
 	// and the reconfiguration controller. Built before the routers so
@@ -157,8 +155,34 @@ func build(cfg Config, quiesce bool) *Network {
 		}
 	}
 
-	logicRNG := root.Split()
-	for i := 0; i < nodes; i++ {
+	// Every component kind is one slab per network: construction costs a
+	// constant number of allocations whatever the mesh size. The RNG
+	// streams are drawn in a fixed order — root: logic, link, traffic;
+	// each parent component-major, one stream per enabled fault kind —
+	// and that order is what pins every run's output.
+	parents := root.SplitN(3)
+
+	// Logic upsets: one injector per router per enabled class.
+	logicClasses := [4]fault.Class{fault.RTLogic, fault.VALogic, fault.SALogic, fault.XbarError}
+	logicRates := [4]float64{cfg.Faults.RT, cfg.Faults.VA, cfg.Faults.SA, cfg.Faults.Xbar}
+	logicSlot, perRouter := streamSlots(logicRates)
+	logicRNGs := parents[0].SplitN(nodes * perRouter)
+	var logic [4][]fault.LogicInjector
+	for c, slot := range logicSlot {
+		if slot >= 0 {
+			logic[c] = fault.NewLogicInjectors(nodes, logicClasses[c], logicRates[c], func(i int) *sim.RNG {
+				return &logicRNGs[i*perRouter+slot]
+			})
+		}
+	}
+	injector := func(c, i int) *fault.LogicInjector {
+		if logic[c] == nil {
+			return nil
+		}
+		return &logic[c][i]
+	}
+
+	routers := router.NewRouters(nodes, func(i int) router.Config {
 		rc := router.Config{
 			ID:              flit.NodeID(i),
 			Topo:            n.topo,
@@ -174,105 +198,100 @@ func build(cfg Config, quiesce bool) *Network {
 			Events:          &n.events,
 			Counters:        n.counters,
 			Bus:             &n.bus,
+			RTFault:         injector(0, i),
+			VAFault:         injector(1, i),
+			SAFault:         injector(2, i),
+			XbarFault:       injector(3, i),
 		}
 		if n.mort != nil {
-			rc.FaultMap = n.mort.maps[i]
+			rc.FaultMap = &n.mort.maps[i]
 			if n.inv != nil {
 				rc.DeadSend = n.deadSendViolation
 			}
 		}
-		if cfg.Faults.RT > 0 {
-			rc.RTFault = fault.NewLogicInjector(fault.RTLogic, cfg.Faults.RT, logicRNG.Split())
-		}
-		if cfg.Faults.VA > 0 {
-			rc.VAFault = fault.NewLogicInjector(fault.VALogic, cfg.Faults.VA, logicRNG.Split())
-		}
-		if cfg.Faults.SA > 0 {
-			rc.SAFault = fault.NewLogicInjector(fault.SALogic, cfg.Faults.SA, logicRNG.Split())
-		}
-		if cfg.Faults.Xbar > 0 {
-			rc.XbarFault = fault.NewLogicInjector(fault.XbarError, cfg.Faults.Xbar, logicRNG.Split())
-		}
-		n.routers[i] = router.New(rc)
+		return rc
+	})
+	for i := range routers {
+		n.routers[i] = &routers[i]
 	}
 
-	// flitWires records, for every channel, which actor consumes its
-	// forward flit pipe and which actor owns its transmitter (the NACK
-	// consumer); the wakes are added to the channels' delivery hooks once
-	// actor handles exist (after registration below).
-	type flitWire struct {
-		ch     *link.Channel
-		node   int
-		toPE   bool
-		txNode int
-		txPE   bool
+	// Channels: one per direction of every inter-router link, in
+	// topo.Links order, then the PE <-> router local channels (fault-free,
+	// §2.2). Transmitter and receiver i serve channel i of that order:
+	// links, then every PE's up channel, then every PE's down channel.
+	linkIDs := n.topo.Links()
+	nl := len(linkIDs)
+	links := link.NewChannels(&n.kernel, nl, false, &n.events, n.counters)
+	locals := link.NewChannels(&n.kernel, 2*nodes, true, &n.events, n.counters)
+	n.peUp, n.peDown = locals[:nodes:nodes], locals[nodes:]
+	chanOf := func(i int) *link.Channel {
+		if i < nl {
+			return &links[i]
+		}
+		return &locals[i-nl]
 	}
-	var wires []flitWire
+	txs := link.NewTransmitters(nl+2*nodes, chanOf, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
+	rxs := link.NewReceivers(nl+2*nodes, chanOf, cfg.VCs, cfg.Protection, &n.events, n.counters)
 
-	// Inter-router links: one channel per direction.
-	linkRNG := root.Split()
-	for _, l := range n.topo.Links() {
-		dst, _ := n.topo.Neighbor(l.From, l.Dir)
-		var inj fault.Corruptor
-		if cfg.Faults.Link > 0 {
-			inj = fault.NewLinkInjector(cfg.Faults.Link, cfg.Faults.LinkDouble, linkRNG.Split())
+	// Inter-router link faults: per link, its injector, handshake and
+	// retransmission-buffer streams, in that order.
+	linkSlot, perLink := streamSlots([4]float64{cfg.Faults.Link, cfg.Faults.Handshake, cfg.Faults.RetransBuf})
+	linkRNGs := parents[1].SplitN(nl * perLink)
+	linkRNG := func(l, kind int) *sim.RNG { return &linkRNGs[l*perLink+linkSlot[kind]] }
+	var injs []fault.LinkInjector
+	if linkSlot[0] >= 0 {
+		injs = fault.NewLinkInjectors(nl, cfg.Faults.Link, cfg.Faults.LinkDouble, func(l int) *sim.RNG { return linkRNG(l, 0) })
+	}
+	for l, id := range linkIDs {
+		dst, _ := n.topo.Neighbor(id.From, id.Dir)
+		ch, tx, rx := &links[l], &txs[l], &rxs[l]
+		n.chanAt[int(id.From)*int(topology.NumPorts)+int(id.Dir)] = ch
+		if injs != nil {
+			ch.SetCorruptor(&injs[l])
 		}
-		ch := link.NewChannel(&n.kernel, inj, false, &n.events, n.counters)
-		n.chanAt[int(l.From)*int(topology.NumPorts)+int(l.Dir)] = ch
-		wires = append(wires, flitWire{ch: ch, node: int(dst), txNode: int(l.From)})
-		if cfg.Faults.Handshake > 0 {
-			ch.SetHandshakeFaults(cfg.Faults.Handshake, cfg.TMREnabled, linkRNG.Split())
+		if linkSlot[1] >= 0 {
+			ch.SetHandshakeFaults(cfg.Faults.Handshake, cfg.TMREnabled, linkRNG(l, 1))
 		}
-		tx := link.NewTransmitter(ch, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
-		if cfg.Faults.RetransBuf > 0 {
-			tx.SetRetransBufFaults(cfg.Faults.RetransBuf, cfg.DuplicateRetrans, linkRNG.Split())
+		if linkSlot[2] >= 0 {
+			tx.SetRetransBufFaults(cfg.Faults.RetransBuf, cfg.DuplicateRetrans, linkRNG(l, 2))
 		}
-		rx := link.NewReceiver(ch, cfg.VCs, cfg.Protection, &n.events, n.counters)
-		tx.SetTrace(&n.bus, int32(l.From), int8(l.Dir))
-		rx.SetTrace(&n.bus, int32(dst), int8(l.Dir.Opposite()))
-		n.routers[l.From].AttachOutput(l.Dir, tx)
-		n.routers[dst].AttachInput(l.Dir.Opposite(), rx)
+		tx.SetTrace(&n.bus, int32(id.From), int8(id.Dir))
+		rx.SetTrace(&n.bus, int32(dst), int8(id.Dir.Opposite()))
+		n.routers[id.From].AttachOutput(id.Dir, tx)
+		n.routers[dst].AttachInput(id.Dir.Opposite(), rx)
 		if n.inv != nil {
-			n.watchLink(tx, rx, ch, int32(l.From), int8(l.Dir), int(dst), l.Dir.Opposite(), false, false)
+			n.watchLink(tx, rx, ch, int32(id.From), int8(id.Dir), int(dst), id.Dir.Opposite(), false, false)
 		}
 	}
 
-	// PE <-> router local channels (fault-free, §2.2).
-	trafficRNG := root.Split()
+	// PE <-> router local channels: on the up channel the PE owns the
+	// transmitter side and router i the receiver side; the down channel is
+	// the mirror image.
+	trafficRNGs := parents[2].SplitN(nodes)
+	srcs := traffic.NewSources(0, nodes, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, func(i int) *sim.RNG { return &trafficRNGs[i] })
+	pes := newPEs(n, srcs, txs[nl:nl+nodes], rxs[nl+nodes:])
+	local := int8(topology.Local)
 	for i := 0; i < nodes; i++ {
-		id := flit.NodeID(i)
-		// PE -> router: the PE owns the transmitter side, router i the
-		// receiver side.
-		up := link.NewChannel(&n.kernel, nil, true, &n.events, n.counters)
-		n.peUp[i] = up
-		wires = append(wires, flitWire{ch: up, node: i, txNode: i, txPE: true})
-		upTx := link.NewTransmitter(up, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
-		upRx := link.NewReceiver(up, cfg.VCs, cfg.Protection, &n.events, n.counters)
-		upTx.SetTrace(&n.bus, int32(i), int8(topology.Local))
-		upRx.SetTrace(&n.bus, int32(i), int8(topology.Local))
+		upTx, upRx := &txs[nl+i], &rxs[nl+i]
+		downTx, downRx := &txs[nl+nodes+i], &rxs[nl+nodes+i]
+		upTx.SetTrace(&n.bus, int32(i), local)
+		upRx.SetTrace(&n.bus, int32(i), local)
 		n.routers[i].AttachInput(topology.Local, upRx)
-		// Router -> PE: mirror image.
-		down := link.NewChannel(&n.kernel, nil, true, &n.events, n.counters)
-		n.peDown[i] = down
-		wires = append(wires, flitWire{ch: down, node: i, toPE: true, txNode: i})
-		downTx := link.NewTransmitter(down, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
-		downRx := link.NewReceiver(down, cfg.VCs, cfg.Protection, &n.events, n.counters)
-		downTx.SetTrace(&n.bus, int32(i), int8(topology.Local))
-		downRx.SetTrace(&n.bus, int32(i), int8(topology.Local))
+		downTx.SetTrace(&n.bus, int32(i), local)
+		downRx.SetTrace(&n.bus, int32(i), local)
 		n.routers[i].AttachOutput(topology.Local, downTx)
 		if n.inv != nil {
-			n.watchLink(upTx, upRx, up, int32(i), int8(topology.Local), i, topology.Local, false, true)
-			n.watchLink(downTx, downRx, down, int32(i), int8(topology.Local), i, topology.Local, true, false)
+			n.watchLink(upTx, upRx, &n.peUp[i], int32(i), local, i, topology.Local, false, true)
+			n.watchLink(downTx, downRx, &n.peDown[i], int32(i), local, i, topology.Local, true, false)
 		}
-
-		src := traffic.NewSource(id, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, trafficRNG.Split())
-		n.pes[i] = newPE(n, id, src, upTx, downRx)
+		n.pes[i] = &pes[i]
 	}
 
 	// Registration order (router i, PE i, router i+1, ...) fixes the
 	// intra-cycle trace-event order and must not change.
-	n.routerH = make([]sim.Handle, nodes)
-	n.peH = make([]sim.Handle, nodes)
+	n.kernel.Reserve(2 * nodes)
+	handles := make([]sim.Handle, 2*nodes)
+	n.routerH, n.peH = handles[:nodes:nodes], handles[nodes:]
 	for i := 0; i < nodes; i++ {
 		n.routerH[i] = n.kernel.RegisterActor(n.routers[i])
 		n.peH[i] = n.kernel.RegisterActor(n.pes[i])
@@ -288,17 +307,16 @@ func build(cfg Config, quiesce bool) *Network {
 	// routers installed at attachment, so one delivery both marks the
 	// router's port mask and wakes it. Only with all deliveries covered is
 	// it sound to opt the actors into idle skipping.
-	for _, w := range wires {
-		h := n.routerH[w.node]
-		if w.toPE {
-			h = n.peH[w.node]
-		}
-		w.ch.WakeRx(h)
-		th := n.routerH[w.txNode]
-		if w.txPE {
-			th = n.peH[w.txNode]
-		}
-		w.ch.WakeTx(th)
+	for l, id := range linkIDs {
+		dst, _ := n.topo.Neighbor(id.From, id.Dir)
+		links[l].WakeRx(n.routerH[dst])
+		links[l].WakeTx(n.routerH[id.From])
+	}
+	for i := 0; i < nodes; i++ {
+		n.peUp[i].WakeRx(n.routerH[i])
+		n.peUp[i].WakeTx(n.peH[i])
+		n.peDown[i].WakeRx(n.peH[i])
+		n.peDown[i].WakeTx(n.routerH[i])
 	}
 	if quiesce {
 		for i := 0; i < nodes; i++ {
@@ -323,6 +341,21 @@ func build(cfg Config, quiesce bool) *Network {
 		}
 	}
 	return n
+}
+
+// streamSlots lays out a component's RNG streams when it draws one per
+// fault kind with a positive rate, in kind order: slot[k] is kind k's
+// index among them (-1 when its rate is zero), and per the number each
+// component draws.
+func streamSlots(rates [4]float64) (slot [4]int, per int) {
+	for k, rate := range rates {
+		slot[k] = -1
+		if rate > 0 {
+			slot[k] = per
+			per++
+		}
+	}
+	return slot, per
 }
 
 // occupancyFraction turns an (occupied, capacity) pair into [0,1].

@@ -46,7 +46,9 @@ type pe struct {
 	ctrl    [][]flit.Flit // pre-built priority packets (e2e NACKs) awaiting a VC
 	vcFlits [][]flit.Flit // per VC, remaining flits of the packet being injected
 	// vcBuf[v] is the reusable backing array vcFlits[v] windows into when
-	// injecting a data packet (control packets keep their own slices).
+	// injecting a data packet (control packets keep their own slices):
+	// a PacketSize-flit window of the network's staging arena until a
+	// longer packet outgrows it.
 	vcBuf [][]flit.Flit
 	vcRR  int
 
@@ -54,36 +56,52 @@ type pe struct {
 	// kernel skipped this PE as quiescent and Tick must catch up first.
 	nextExpected uint64
 
-	// Sink side, per VC of the router->PE channel.
-	sinkPID     []flit.PacketID
-	sinkSrc     []flit.NodeID
-	sinkBorn    []uint64
-	sinkCorrupt []bool
-	sinkLive    []bool
-	sinkNextSeq []uint8
+	// sink is the reassembly state per VC of the router->PE channel.
+	sink []sinkVC
 
-	// E2E/FEC source retention buffer.
+	// E2E/FEC source retention buffer, made on the first retained copy.
 	retention map[flit.PacketID]retained
 }
 
-func newPE(n *Network, id flit.NodeID, src *traffic.Source, tx *link.Transmitter, rx *link.Receiver) *pe {
-	vcs := n.cfg.VCs
-	return &pe{
-		net:         n,
-		id:          id,
-		src:         src,
-		tx:          tx,
-		rx:          rx,
-		vcFlits:     make([][]flit.Flit, vcs),
-		vcBuf:       make([][]flit.Flit, vcs),
-		sinkPID:     make([]flit.PacketID, vcs),
-		sinkSrc:     make([]flit.NodeID, vcs),
-		sinkBorn:    make([]uint64, vcs),
-		sinkCorrupt: make([]bool, vcs),
-		sinkLive:    make([]bool, vcs),
-		sinkNextSeq: make([]uint8, vcs),
-		retention:   make(map[flit.PacketID]retained),
+// sinkVC is the packet being reassembled on one sink VC.
+type sinkVC struct {
+	pid     flit.PacketID
+	src     flit.NodeID
+	born    uint64
+	corrupt bool
+	live    bool
+	nextSeq uint8
+}
+
+// newPEs builds every node's PE in four allocations however many there
+// are: the PEs are one slice, and their staging slices (vcFlits and
+// vcBuf), staging flits and sink state capacity-capped windows of one
+// arena per kind. PE i injects through up[i] and ejects from down[i].
+func newPEs(n *Network, srcs []traffic.Source, up []link.Transmitter, down []link.Receiver) []pe {
+	vcs, size := n.cfg.VCs, n.cfg.PacketSize
+	pes := make([]pe, len(srcs))
+	stages := make([][]flit.Flit, 2*len(pes)*vcs)
+	staging := make([]flit.Flit, len(pes)*vcs*size)
+	sinks := make([]sinkVC, len(pes)*vcs)
+	for i := range pes {
+		lo, hi := i*vcs, (i+1)*vcs
+		p := &pes[i]
+		*p = pe{
+			net:     n,
+			id:      flit.NodeID(i),
+			src:     &srcs[i],
+			tx:      &up[i],
+			rx:      &down[i],
+			vcFlits: stages[2*lo : 2*lo+vcs : 2*lo+vcs],
+			vcBuf:   stages[2*lo+vcs : 2*hi : 2*hi],
+			sink:    sinks[lo:hi:hi],
+		}
+		for v := range p.vcBuf {
+			at := (lo + v) * size
+			p.vcBuf[v] = staging[at : at : at+size]
+		}
 	}
+	return pes
 }
 
 // retentionSweepInterval is how often (cycles) the E2E/FEC retention
@@ -282,6 +300,9 @@ func (p *pe) inject(cycle uint64) {
 		p.tx.SendFlit(f, v, cycle)
 		_, isReq := isNACKRequest(f.Word)
 		if f.Type == flit.Tail && p.usesRetention() && !isReq {
+			if p.retention == nil {
+				p.retention = make(map[flit.PacketID]retained)
+			}
 			p.retention[f.PID] = retained{
 				pkt:      flit.Packet{ID: f.PID, Src: f.Src, Dst: f.Dst, Size: p.net.cfg.PacketSize, InjectedAt: f.InjectedAt},
 				deadline: cycle + p.net.cfg.E2ETimeout,
@@ -301,7 +322,7 @@ func (p *pe) eject(cycle uint64) {
 	p.rx.Receive(cycle)
 	for f := p.rx.NextData(); f != nil; f = p.rx.NextData() {
 		vc := int(f.VC)
-		if vc >= len(p.sinkPID) {
+		if vc >= len(p.sink) {
 			vc = 0
 		}
 		p.rx.ReturnCredit(vc)
@@ -325,29 +346,25 @@ func (p *pe) emitDrop(cycle uint64, vc int, pid flit.PacketID, reason uint64) {
 // consume runs the destination-side integrity check and packet assembly
 // for one flit.
 func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
+	sk := &p.sink[vc]
 	switch f.Type {
 	case flit.Head:
-		if p.sinkLive[vc] {
+		if sk.live {
 			// Previous packet never closed: stranded wormhole debris
 			// (possible only with unprotected logic faults).
 			p.net.sinkAnomalies++
-			p.emitDrop(cycle, vc, p.sinkPID[vc], trace.DropStray)
+			p.emitDrop(cycle, vc, sk.pid, trace.DropStray)
 		}
 		hdr := flit.DecodeHeader(f.Word)
-		p.sinkLive[vc] = true
-		p.sinkPID[vc] = hdr.PID
-		p.sinkSrc[vc] = hdr.Src
-		p.sinkBorn[vc] = f.InjectedAt
-		p.sinkCorrupt[vc] = false
-		p.sinkNextSeq[vc] = 1
+		*sk = sinkVC{pid: hdr.PID, src: hdr.Src, born: f.InjectedAt, live: true, nextSeq: 1}
 		if hdr.Dst != p.id {
 			// Misdelivered packet that escaped every check.
-			p.sinkCorrupt[vc] = true
+			sk.corrupt = true
 			p.net.sinkAnomalies++
 		}
 		return
 	case flit.Body, flit.Tail:
-		if !p.sinkLive[vc] {
+		if !sk.live {
 			p.net.sinkAnomalies++
 			p.emitDrop(cycle, vc, f.PID, trace.DropStray)
 			return
@@ -355,13 +372,13 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 		// Sequence continuity: a gap means flits were lost in transit
 		// (e.g. a retransmission NACK lost on an unprotected handshake
 		// line, §4.6).
-		if f.Seq != p.sinkNextSeq[vc] || f.PID != p.sinkPID[vc] {
-			p.sinkCorrupt[vc] = true
+		if f.Seq != sk.nextSeq || f.PID != sk.pid {
+			sk.corrupt = true
 		} else {
-			p.sinkNextSeq[vc]++
+			sk.nextSeq++
 		}
 		if p.flitCorrupt(f) {
-			p.sinkCorrupt[vc] = true
+			sk.corrupt = true
 		}
 		if f.Type != flit.Tail {
 			return
@@ -371,8 +388,8 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 	}
 
 	// Tail: packet complete.
-	p.sinkLive[vc] = false
-	pid, src, born, corrupt := p.sinkPID[vc], p.sinkSrc[vc], p.sinkBorn[vc], p.sinkCorrupt[vc]
+	sk.live = false
+	pid, src, born, corrupt := sk.pid, sk.src, sk.born, sk.corrupt
 
 	if reqPID, isReq := isNACKRequest(f.Word); isReq && !corrupt && p.usesRetention() {
 		// An end-to-end retransmission request addressed to us.
@@ -478,9 +495,9 @@ func (p *pe) eachResidentPID(fn func(uint64)) {
 	for pid := range p.retention {
 		fn(uint64(pid))
 	}
-	for vc, live := range p.sinkLive {
-		if live {
-			fn(uint64(p.sinkPID[vc]))
+	for _, sk := range p.sink {
+		if sk.live {
+			fn(uint64(sk.pid))
 		}
 	}
 	p.tx.EachRetained(func(f flit.Flit) { fn(uint64(f.PID)) })
@@ -513,11 +530,12 @@ func (p *pe) killInjection(vc int, fn func(flit.Flit)) {
 // killSink abandons the packet half-reassembled on sink VC vc, returning
 // its identity for undeliverable accounting.
 func (p *pe) killSink(vc int) (flit.PacketID, flit.NodeID, bool) {
-	if vc < 0 || vc >= len(p.sinkLive) || !p.sinkLive[vc] {
+	if vc < 0 || vc >= len(p.sink) || !p.sink[vc].live {
 		return 0, 0, false
 	}
-	p.sinkLive[vc] = false
-	return p.sinkPID[vc], p.sinkSrc[vc], true
+	sk := &p.sink[vc]
+	sk.live = false
+	return sk.pid, sk.src, true
 }
 
 // killQueued destroys every packet still waiting in the injection queue
@@ -563,8 +581,7 @@ func (p *pe) dropUnreachableQueued(cycle uint64) {
 			kept = append(kept, pkt)
 			continue
 		}
-		if !m.killed[pkt.ID] {
-			m.killed[pkt.ID] = true
+		if m.kill(pkt.ID) {
 			m.undeliverable++
 			p.net.lastEject = cycle
 			p.emitDrop(cycle, -1, pkt.ID, trace.DropUnreachable)

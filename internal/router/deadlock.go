@@ -125,6 +125,16 @@ func (r *Router) sendSignal(cycle uint64, t flit.Type, ivc *inputVC, m probeMsg)
 	return true
 }
 
+// rememberProbe records that a probe with key k passed at cycle, for
+// validating its activation (Rule 3). The table is made on the first
+// probe: most routers never see one.
+func (r *Router) rememberProbe(k probeKey, cycle uint64) {
+	if r.probeSeen == nil {
+		r.probeSeen = make(map[probeKey]uint64)
+	}
+	r.probeSeen[k] = cycle
+}
+
 // handleControl processes an arriving probe or activation flit (Rules
 // 2-4 of §3.2.2).
 func (r *Router) handleControl(cycle uint64, p topology.Port, f *flit.Flit) {
@@ -140,7 +150,7 @@ func (r *Router) handleControl(cycle uint64, p topology.Port, f *flit.Flit) {
 		}
 		// Rule 2: remember the probe (for Rule 3) and forward it if the
 		// suspected buffer is blocked here too.
-		r.probeSeen[m.key()] = cycle
+		r.rememberProbe(m.key(), cycle)
 		r.forwardSignal(cycle, p, flit.Probe, m)
 	case flit.Activation:
 		if m.Origin == r.id {

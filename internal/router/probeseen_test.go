@@ -27,10 +27,10 @@ func TestProbeSeenPrunedDuringRecovery(t *testing.T) {
 	})
 	r.inRecovery = true
 	stale := probeMsg{Origin: flit.NodeID(3), OriginPort: topology.North, OriginVC: 1}
-	r.probeSeen[stale.key()] = 1 // recorded long ago
+	r.rememberProbe(stale.key(), 1) // recorded long ago
 	fresh := probeMsg{Origin: flit.NodeID(2), OriginPort: topology.East, OriginVC: 0}
 	cycle := uint64(4 * probeSeenWindow) // a prune boundary
-	r.probeSeen[fresh.key()] = cycle - 2
+	r.rememberProbe(fresh.key(), cycle-2)
 	r.deadlock(cycle)
 	if _, ok := r.probeSeen[stale.key()]; ok {
 		t.Fatal("stale probe-memory entry survived pruning during recovery")

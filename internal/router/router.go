@@ -69,7 +69,8 @@ type Router struct {
 	// outAttached marks the output ports that have a transmitter.
 	outAttached uint8
 
-	// Deadlock machinery (§3.2.2).
+	// Deadlock machinery (§3.2.2). probeSeen is made on the first probe
+	// (rememberProbe).
 	probeSeen  map[probeKey]uint64
 	inRecovery bool
 	doneStreak int // consecutive all-clear cycles before recovery exits
@@ -93,8 +94,9 @@ type Router struct {
 	// arena backs the attached input VCs contiguously (struct-of-arrays
 	// locality: one router's whole VC state shares cache lines); fifos
 	// backs their buffers and outVCs every output port's VC table the same
-	// way. flatVCs points into arena, in[p].vcs is a window of flatVCs and
-	// out[p].vcs one of outVCs.
+	// way. Each is this router's window of an arena all the routers of
+	// NewRouters share. flatVCs points into arena, in[p].vcs is a window
+	// of flatVCs and out[p].vcs one of outVCs.
 	arena  []inputVC
 	fifos  []link.FIFO
 	outVCs []outputVC
@@ -138,8 +140,9 @@ type Router struct {
 
 	// Per-cycle scratch buffers, reused across ticks; capacities are
 	// bounded by the port/VC counts so the steady state never allocates.
-	scratchLegal []topology.Port
-	scratchBind  []ac.Binding
+	// legal backs legalCandidates' result.
+	legal       [topology.NumPorts]topology.Port
+	scratchBind []ac.Binding
 
 	inPorts  [topology.NumPorts]inPort
 	outPorts [topology.NumPorts]outputPort
@@ -153,22 +156,43 @@ type inPort struct {
 
 // New creates a router. Ports start unattached; wire them with
 // AttachInput / AttachOutput before the first Tick.
-func New(cfg Config) *Router {
-	cfg.validate()
-	np := int(topology.NumPorts)
-	n := np * cfg.VCs
-	r := &Router{
-		cfg:          cfg,
-		id:           cfg.ID,
-		probeSeen:    make(map[probeKey]uint64),
-		flatVCs:      make([]*inputVC, n),
-		arena:        make([]inputVC, n),
-		fifos:        link.NewFIFOs(n, cfg.BufDepth),
-		outVCs:       make([]outputVC, n),
-		scratchLegal: make([]topology.Port, 0, np),
-		scratchBind:  make([]ac.Binding, 0, np*cfg.VCs),
+func New(cfg Config) *Router { return &NewRouters(1, func(int) Config { return cfg })[0] }
+
+// NewRouters creates n routers, router i configured by cfg(i), in seven
+// allocations however many there are: the routers are one slice, and
+// their input VCs, VC pointers, FIFO headers, flit storage, output VCs
+// and binding scratch are capacity-capped windows of one arena per kind.
+// The n configurations must agree on VCs and BufDepth. A router's
+// probe memory is made on its first probe.
+func NewRouters(n int, cfg func(i int) Config) []Router {
+	rs := make([]Router, n)
+	for i := range rs {
+		c := cfg(i)
+		c.validate()
+		if i > 0 && (c.VCs != rs[0].cfg.VCs || c.BufDepth != rs[0].cfg.BufDepth) {
+			panic("router: NewRouters configurations disagree on VCs or BufDepth")
+		}
+		rs[i].cfg, rs[i].id = c, c.ID
 	}
-	return r
+	if n == 0 {
+		return rs
+	}
+	per := int(topology.NumPorts) * rs[0].cfg.VCs
+	flat := make([]*inputVC, n*per)
+	ivcs := make([]inputVC, n*per)
+	fifos := link.NewFIFOs(n*per, rs[0].cfg.BufDepth)
+	outs := make([]outputVC, n*per)
+	binds := make([]ac.Binding, n*per)
+	for i := range rs {
+		r := &rs[i]
+		lo, hi := i*per, (i+1)*per
+		r.flatVCs = flat[lo:hi:hi]
+		r.arena = ivcs[lo:hi:hi]
+		r.fifos = fifos[lo:hi:hi]
+		r.outVCs = outs[lo:hi:hi]
+		r.scratchBind = binds[lo:lo:hi]
+	}
+	return rs
 }
 
 // ID returns the router's node identifier.
@@ -601,7 +625,7 @@ var singlePort = func() (t [topology.NumPorts][]topology.Port) {
 func (r *Router) legalCandidates(cands []topology.Port, dst flit.NodeID) []topology.Port {
 	// Returns the reusable scratch buffer; callers consume it before the
 	// next legalCandidates call on this router.
-	legal := r.scratchLegal[:0]
+	legal := r.legal[:0]
 	for _, p := range cands {
 		if !p.Valid() {
 			continue

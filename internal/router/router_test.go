@@ -38,32 +38,41 @@ func newPair(t *testing.T, depth int) *pair {
 
 // buildGrid wires a w x h mesh of routers with PE endpoints everywhere;
 // the test drives node 0's local input and consumes the last node's
-// local output.
+// local output. Like the network, it builds each component kind with its
+// batch constructor: the routers are one slab, and so are the channels,
+// transmitters and receivers of the inter-router links.
 func buildGrid(t *testing.T, w, h, depth int) *pair {
 	t.Helper()
 	p := &pair{ctr: fault.NewCounters()}
 	topo := topology.New(topology.Mesh, w, h)
 	route := routing.New(routing.XY, topo)
-	routers := make([]*Router, topo.Nodes())
-	for i := range routers {
-		routers[i] = New(Config{
+	slab := NewRouters(topo.Nodes(), func(i int) Config {
+		return Config{
 			ID: flit.NodeID(i), Topo: topo, Route: route,
 			VCs: 2, BufDepth: 4, PipelineDepth: depth,
 			Protection: link.HBH, ACEnabled: true, XYCheck: true,
 			RecoveryEnabled: true,
 			Events:          &p.ev, Counters: p.ctr,
-		})
+		}
+	})
+	routers := make([]*Router, len(slab))
+	for i := range slab {
+		routers[i] = &slab[i]
 	}
 	p.a, p.b = routers[0], routers[1]
 	if len(routers) > 2 {
 		p.extra = routers[2:]
 	}
 
-	for _, l := range topo.Links() {
+	links := topo.Links()
+	chans := link.NewChannels(&p.k, len(links), false, &p.ev, p.ctr)
+	chanOf := func(i int) *link.Channel { return &chans[i] }
+	txs := link.NewTransmitters(len(links), chanOf, 2, 4, link.NACKWindow, &p.ev, p.ctr)
+	rxs := link.NewReceivers(len(links), chanOf, 2, link.HBH, &p.ev, p.ctr)
+	for i, l := range links {
 		dst, _ := topo.Neighbor(l.From, l.Dir)
-		ch := link.NewChannel(&p.k, nil, false, &p.ev, p.ctr)
-		routers[l.From].AttachOutput(l.Dir, link.NewTransmitter(ch, 2, 4, link.NACKWindow, &p.ev, p.ctr))
-		routers[dst].AttachInput(l.Dir.Opposite(), link.NewReceiver(ch, 2, link.HBH, &p.ev, p.ctr))
+		routers[l.From].AttachOutput(l.Dir, &txs[i])
+		routers[dst].AttachInput(l.Dir.Opposite(), &rxs[i])
 	}
 
 	mkLocal := func(r *Router) (*link.Transmitter, *link.Receiver) {

@@ -1,9 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"ftnoc/internal/flit"
 	"ftnoc/internal/topology"
@@ -46,6 +46,12 @@ type FaultAdaptiveFunc struct {
 	// and climbs along decreasing updown otherwise.
 	down   []uint16
 	updown []uint16
+
+	// order and queue are Rebuild's scratch: the nodes in (level, id)
+	// order and the BFS queue every search reuses — a node enters a
+	// queue at most once, so n slots hold any of them.
+	order []flit.NodeID
+	queue []flit.NodeID
 }
 
 const infDist = math.MaxUint16
@@ -54,12 +60,17 @@ const infDist = math.MaxUint16
 // tables over topo's current live graph.
 func NewFaultAdaptiveFunc(t *topology.Topology) *FaultAdaptiveFunc {
 	n := t.Width() * t.Height()
+	labels := make([]int32, 2*n)
+	dists := make([]uint16, 2*n*n)
+	scratch := make([]flit.NodeID, 2*n)
 	f := &FaultAdaptiveFunc{
 		t: t, n: n,
-		level:  make([]int32, n),
-		comp:   make([]int32, n),
-		down:   make([]uint16, n*n),
-		updown: make([]uint16, n*n),
+		level:  labels[:n:n],
+		comp:   labels[n:],
+		down:   dists[: n*n : n*n],
+		updown: dists[n*n:],
+		order:  scratch[:n:n],
+		queue:  scratch[n:],
 	}
 	f.Rebuild()
 	return f
@@ -99,13 +110,12 @@ func (f *FaultAdaptiveFunc) Rebuild() {
 		f.comp[i] = -1
 	}
 	// BFS forest in id order: each unvisited node roots its component.
-	queue := make([]flit.NodeID, 0, n)
 	for root := 0; root < n; root++ {
 		if f.level[root] >= 0 {
 			continue
 		}
 		f.level[root], f.comp[root] = 0, int32(root)
-		queue = append(queue[:0], flit.NodeID(root))
+		queue := append(f.queue[:0], flit.NodeID(root))
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
@@ -124,25 +134,24 @@ func (f *FaultAdaptiveFunc) Rebuild() {
 	// Nodes in increasing (level, id) order — the up direction points
 	// toward earlier entries, so a single pass in this order computes
 	// updown once down is known.
-	order := make([]flit.NodeID, n)
+	order := f.order
 	for i := range order {
 		order[i] = flit.NodeID(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return f.before(order[i], order[j]) })
+	slices.SortFunc(order, f.compare)
 
 	for dst := 0; dst < n; dst++ {
-		f.buildDst(flit.NodeID(dst), order, queue[:0])
+		f.buildDst(flit.NodeID(dst), order, f.queue[:0])
 	}
+}
+
+// compare orders nodes by (level, id), the up*/down* order.
+func (f *FaultAdaptiveFunc) compare(a, b flit.NodeID) int {
+	return cmp.Or(cmp.Compare(f.level[a], f.level[b]), cmp.Compare(a, b))
 }
 
 // before reports whether a precedes b in the (level, id) order.
-func (f *FaultAdaptiveFunc) before(a, b flit.NodeID) bool {
-	la, lb := f.level[a], f.level[b]
-	if la != lb {
-		return la < lb
-	}
-	return a < b
-}
+func (f *FaultAdaptiveFunc) before(a, b flit.NodeID) bool { return f.compare(a, b) < 0 }
 
 // liveNeighbor returns cur's neighbor through d when the directed link
 // is up.

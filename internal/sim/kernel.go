@@ -156,6 +156,24 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 	return h
 }
 
+// Reserve presizes the actor tables for n more registrations, so that
+// registering them allocates nothing.
+func (k *Kernel) Reserve(n int) {
+	k.actors = reserve(k.actors, n)
+	k.quiescers = reserve(k.quiescers, n)
+	k.wakeAt = reserve(k.wakeAt, n)
+	k.awake = reserve(k.awake, (len(k.actors)+n+63)>>6-len(k.awake))
+}
+
+// reserve returns s with room for n more elements, in one allocation
+// when it has to grow (slices.Grow makes two under the race detector).
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
 // EnableQuiescence opts a registered Quiescer into idle skipping. Call
 // only after installing waking hooks on every pipe that delivers to it. A
 // non-Quiescer actor is left untouched.

@@ -14,8 +14,8 @@ package sim
 // compares the head's stamp with the kernel clock, so a value a consumer
 // does not drain simply stays at the head, and an idle or pooled wire
 // costs nothing until somebody touches it. The ring is allocated on first
-// use and doubles when full, so a pipe in steady state performs zero
-// allocations.
+// use (or handed out by InitRings) and doubles when full, so a pipe in
+// steady state performs zero allocations.
 type Pipe[T any] struct {
 	k       *Kernel
 	latency int
@@ -94,6 +94,25 @@ func (p *Pipe[T]) Init(k *Kernel, latency int) {
 	k.fitDue(latency)
 }
 
+// firstRing is the depth of a pipe's first ring.
+const firstRing = 4
+
+// InitRings gives n pipes their first rings in one allocation: pipe(i)'s
+// ring is a capacity-capped window of a shared arena, so those pipes
+// allocate nothing until one holds more than firstRing values at once. A
+// ring that outgrows its window is replaced by grow, never extended into
+// a neighbour's. The pipes must be empty.
+func InitRings[T any](n int, pipe func(i int) *Pipe[T]) {
+	arena := make([]stamped[T], n*firstRing)
+	for i := 0; i < n; i++ {
+		p := pipe(i)
+		if p.held != 0 {
+			panic("sim: InitRings on a pipe holding values")
+		}
+		p.buf, p.head = arena[i*firstRing:(i+1)*firstRing:(i+1)*firstRing], 0
+	}
+}
+
 // SetDelivery installs the delivery hook, which fires at the end of the
 // cycle before pushed values become visible. One hook per pipe: a pipe
 // has a single consumer. Values already visible mark the new mask at
@@ -142,7 +161,7 @@ func (p *Pipe[T]) slot(i int) *stamped[T] { return &p.buf[(p.head+i)&(len(p.buf)
 // grow doubles a full ring (or allocates the first one), unrolling it to
 // start at index 0.
 func (p *Pipe[T]) grow() {
-	buf := make([]stamped[T], max(4, 2*len(p.buf)))
+	buf := make([]stamped[T], max(firstRing, 2*len(p.buf)))
 	n := copy(buf, p.buf[p.head:])
 	copy(buf[n:], p.buf[:p.head])
 	p.buf, p.head = buf, 0

@@ -15,6 +15,12 @@ type RNG struct {
 // correlated seeds.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from seed via splitmix64.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -23,15 +29,23 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent generator from r. It is used to give each
 // component (per-link fault injectors, per-node traffic sources) its own
 // stream so that changing one component's draw count does not perturb the
 // others.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
+func (r *RNG) Split() *RNG { return &r.SplitN(1)[0] }
+
+// SplitN derives n independent generators from r in one allocation:
+// stream i is the one the (i+1)-th of n successive Split calls would
+// return, so a batch of components can draw from a slab of streams.
+func (r *RNG) SplitN(n int) []RNG {
+	rs := make([]RNG, n)
+	for i := range rs {
+		rs[i].seed(r.Uint64())
+	}
+	return rs
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -114,6 +114,39 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
+// SplitN draws a slab of streams exactly as successive Split calls
+// would, and leaves the parent where those calls would.
+func TestRNGSplitNMatchesSplit(t *testing.T) {
+	a, b := NewRNG(9), NewRNG(9)
+	slab := a.SplitN(5)
+	for i := range slab {
+		one := b.Split()
+		for d := 0; d < 3; d++ {
+			if x, y := slab[i].Uint64(), one.Uint64(); x != y {
+				t.Fatalf("stream %d draw %d: SplitN %d, Split %d", i, d, x, y)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitN left the parent elsewhere than five Splits")
+	}
+}
+
+// Reserve presizes the actor tables: registering that many actors
+// afterwards allocates nothing.
+func TestKernelReserve(t *testing.T) {
+	var k Kernel
+	k.Reserve(200)
+	a := ActorFunc(func(uint64) {})
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			k.RegisterActor(a)
+		}
+	}); n != 0 {
+		t.Fatalf("registering reserved actors made %v allocations", n)
+	}
+}
+
 func TestKernelCycleCount(t *testing.T) {
 	var k Kernel
 	k.Run(17)

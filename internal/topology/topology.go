@@ -231,7 +231,7 @@ func (t *Topology) LinkUp(from flit.NodeID, dir Port) bool {
 // Links enumerates every directed inter-router link that physically
 // exists, including hard-faulted ones, node-major in N, E, S, W order.
 func (t *Topology) Links() []LinkID {
-	var ls []LinkID
+	ls := make([]LinkID, 0, t.Nodes()*4)
 	for n := 0; n < t.Nodes(); n++ {
 		for _, d := range []Port{North, East, South, West} {
 			if _, ok := t.Neighbor(flit.NodeID(n), d); ok {

@@ -96,20 +96,31 @@ type Source struct {
 // NewSource creates the injection process for one node. rate is in
 // flits/node/cycle; packetSize converts it to packets.
 func NewSource(node flit.NodeID, topo *topology.Topology, pattern Pattern, rate float64, packetSize int, rng *sim.RNG) *Source {
+	return &NewSources(node, 1, topo, pattern, rate, packetSize, func(int) *sim.RNG { return rng })[0]
+}
+
+// NewSources creates the injection processes of n consecutive nodes in one
+// allocation: source i is node first+i's, drawing from rng(i).
+func NewSources(first flit.NodeID, n int, topo *topology.Topology, pattern Pattern, rate float64, packetSize int, rng func(i int) *sim.RNG) []Source {
 	if rate < 0 {
 		panic("traffic: negative injection rate")
 	}
 	if packetSize < 1 {
 		panic("traffic: packet size must be >= 1")
 	}
-	return &Source{
-		node:     node,
-		topo:     topo,
-		pattern:  pattern,
-		perCycle: rate / float64(packetSize),
-		acc:      rng.Float64(), // random phase
-		rng:      rng,
+	srcs := make([]Source, n)
+	for i := range srcs {
+		r := rng(i)
+		srcs[i] = Source{
+			node:     first + flit.NodeID(i),
+			topo:     topo,
+			pattern:  pattern,
+			perCycle: rate / float64(packetSize),
+			acc:      r.Float64(), // random phase
+			rng:      r,
+		}
 	}
+	return srcs
 }
 
 // Tick advances one cycle and reports whether a packet should be injected

@@ -201,3 +201,22 @@ func TestPhaseStagger(t *testing.T) {
 		t.Fatal("sources are phase-locked")
 	}
 }
+
+// NewSources is NewSource for a run of nodes: source i is node first+i's
+// and behaves exactly as one built alone on the same stream.
+func TestNewSourcesMatchNewSource(t *testing.T) {
+	topo := mesh8()
+	streams := sim.NewRNG(3).SplitN(4)
+	alone := sim.NewRNG(3).SplitN(4)
+	srcs := NewSources(10, 4, topo, UniformRandom, 0.3, 4, func(i int) *sim.RNG { return &streams[i] })
+	for i := range srcs {
+		one := NewSource(flit.NodeID(10+i), topo, UniformRandom, 0.3, 4, &alone[i])
+		for c := 0; c < 200; c++ {
+			d1, ok1 := srcs[i].Tick()
+			d2, ok2 := one.Tick()
+			if d1 != d2 || ok1 != ok2 {
+				t.Fatalf("source %d cycle %d: batch (%d, %v), alone (%d, %v)", i, c, d1, ok1, d2, ok2)
+			}
+		}
+	}
+}
