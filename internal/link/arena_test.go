@@ -46,7 +46,7 @@ func TestTransmitterArena(t *testing.T) {
 	}
 	for i := range batch {
 		for vc := 0; vc < 3; vc++ {
-			for s, f := range batch[i].Recall(vc) {
+			for s, f := range batch[i].Recall(nil, vc) {
 				if int(f.PID) != 10*i+vc || int(f.Seq) != s {
 					t.Fatalf("transmitter %d VC %d slot %d holds %v: a neighbour's window overlaps", i, vc, s, f)
 				}
@@ -61,7 +61,7 @@ func TestTransmitterArena(t *testing.T) {
 		}
 	}
 	for vc := 0; vc < 3; vc++ {
-		got := tx.Recall(vc)
+		got := tx.Recall(nil, vc)
 		if len(got) != NACKWindow {
 			t.Fatalf("VC %d recalled %d flits, want %d", vc, len(got), NACKWindow)
 		}

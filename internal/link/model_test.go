@@ -205,7 +205,7 @@ func matchTickedModel(t *testing.T, seed int64, rbRate float64, rbDuplicate bool
 			t.Fatalf("cycle %d: BeginCycle returned %v, model %v", c, got, routerNACKs)
 		}
 		for _, n := range routerNACKs {
-			sameFlits(c, "Recall", tx.Recall(int(n.VC)), m.drain(int(n.VC)))
+			sameFlits(c, "Recall", tx.Recall(nil, int(n.VC)), m.drain(int(n.VC)))
 		}
 		m.expire(c)
 

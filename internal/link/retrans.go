@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"slices"
 
 	"ftnoc/internal/flit"
 )
@@ -141,8 +142,9 @@ func (rb *RetransBuffer) Drain() []flit.Flit {
 }
 
 // AppendDrain is Drain into a caller-owned slice: the retained flits are
-// removed and appended to dst, oldest first.
+// removed and appended to dst, oldest first. dst grows at most once.
 func (rb *RetransBuffer) AppendDrain(dst []flit.Flit) []flit.Flit {
+	dst = slices.Grow(dst, rb.count)
 	for i := 0; i < rb.count; i++ {
 		dst = append(dst, rb.ring[rb.slot(i)].f)
 	}

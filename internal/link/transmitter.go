@@ -33,7 +33,8 @@ type Transmitter struct {
 	sends SendWindow
 	total *SendWindow
 	// replay[replayHead:] is the pending replay queue; the backing array
-	// is recycled once it drains.
+	// is recycled once it drains, and the queue slides back to its front
+	// before it takes more flits.
 	replay     []flit.Flit
 	replayHead int
 	events     *stats.Events
@@ -202,6 +203,12 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 		}
 		if int(n.VC) >= len(t.vcs) {
 			continue // corrupted handshake naming a non-existent VC; drop
+		}
+		if t.replayHead > 0 {
+			// Slide the queue to the front of its array, so it grows
+			// only when more flits wait than ever waited before.
+			waiting := copy(t.replay, t.replay[t.replayHead:])
+			t.replay, t.replayHead = t.replay[:waiting], 0
 		}
 		t.replay = t.drainShifter(int(n.VC), t.replay)
 	}
@@ -458,10 +465,13 @@ func (t *Transmitter) AbandonAll(fn func(flit.Flit)) {
 // Recall drains a VC's retransmission buffer without scheduling replay:
 // the misroute-recovery path of §4.2, where the sender must re-route the
 // recalled header (and any body flits behind it) rather than re-send them
-// on the same path. The result is freshly allocated — callers retain it.
-func (t *Transmitter) Recall(vc int) []flit.Flit {
+// on the same path. Like AppendDrain it appends the flits to dst, oldest
+// first, and returns the extended slice, so a caller that keeps dst's
+// backing array recalls into it without allocating. An out-of-range vc
+// recalls nothing.
+func (t *Transmitter) Recall(dst []flit.Flit, vc int) []flit.Flit {
 	if vc < 0 || vc >= len(t.vcs) {
-		return nil
+		return dst
 	}
-	return t.drainShifter(vc, nil)
+	return t.drainShifter(vc, dst)
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"ftnoc/internal/fault"
@@ -122,7 +123,7 @@ func TestNewArenaWindows(t *testing.T) {
 
 	for i, p := range pes {
 		for v := 0; v < cfg.VCs; v++ {
-			got := p.tx.Recall(v)
+			got := p.tx.Recall(nil, v)
 			if len(got) != link.NACKWindow {
 				t.Fatalf("PE %d VC %d recalled %d flits, want %d", p.id, v, len(got), link.NACKWindow)
 			}
@@ -132,5 +133,79 @@ func TestNewArenaWindows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// runCost returns the allocations and bytes Run makes on a network
+// already built from cfg, New's own excluded. The counts are the
+// process's, so a collection first keeps the runtime's own set-up of its
+// first cycle out of them.
+func runCost(cfg Config) (allocs, bytes uint64) {
+	n := New(cfg)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n.Run()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// A run's memory is set by its network, not its length: after New, a run
+// four times as long allocates at most 5% more, in count and in bytes,
+// whether clean, under heavy transient faults, or under end-to-end
+// retention with links and a router dying mid-run. Storage grows only
+// while a high-water mark rises (the latency table, queues, retention),
+// so the longer run's extra cost is what the marks rise by in its tail.
+func TestRunMemoryIndependentOfLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 28 000-message simulations")
+	}
+	mort, err := fault.ParseMortality("link:8E@300,router:21@700")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The runtime allocates when it starts an OS thread, which it does now
+	// and then for a second P; one P keeps that out of the counts. A short
+	// run first takes whatever the process initialises once, so it is
+	// charged to neither side of a comparison.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	warm := NewConfig()
+	warm.Width, warm.Height = 4, 4
+	warm.WarmupMessages, warm.TotalMessages = 10, 100
+	runCost(warm)
+	clean := NewConfig()
+	clean.WarmupMessages = 1000
+	clean.Faults.Link = 1e-5
+	heavy := clean
+	heavy.Faults = fault.Rates{Link: 1e-1, LinkDouble: 0.5, RT: 1e-2, VA: 1e-2, SA: 1e-2}
+	degraded := NewConfig()
+	degraded.Width, degraded.Height = 6, 6
+	degraded.WarmupMessages = 1000
+	degraded.InjectionRate = 0.15
+	degraded.Routing = routing.FaultAdaptive
+	degraded.Protection = link.FEC
+	degraded.Faults.Link = 1e-5
+	degraded.Faults.Mortality = mort
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"hbh_clean", clean},
+		{"faults_heavy", heavy},
+		{"fec_mortality_6x6", degraded},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			short, long := c.cfg, c.cfg
+			short.TotalMessages, long.TotalMessages = 7000, 28000
+			sa, sb := runCost(short)
+			la, lb := runCost(long)
+			t.Logf("%d -> %d allocations, %d -> %d bytes", sa, la, sb, lb)
+			if la > sa+sa/20 {
+				t.Errorf("a 4x longer run makes %d allocations against %d: more than 5%% more", la, sa)
+			}
+			if lb > sb+sb/20 {
+				t.Errorf("a 4x longer run allocates %d bytes against %d: more than 5%% more", lb, sb)
+			}
+		})
 	}
 }

@@ -53,8 +53,8 @@ type mortalityState struct {
 	bfs      []flit.NodeID
 
 	// killed dedupes packet verdicts: a packet destroyed by a boundary
-	// kill, refused at admission, or excised by a wedge sweep is counted
-	// undeliverable exactly once.
+	// kill or excised by a wedge sweep is counted undeliverable exactly
+	// once (a message refused at admission is counted by refuse alone).
 	killed        map[flit.PacketID]bool
 	undeliverable uint64
 
@@ -351,9 +351,11 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 
 // refuse is the admission-time verdict: a freshly generated message whose
 // destination is unreachable is counted undeliverable immediately instead
-// of being injected to wedge in the network.
+// of being injected to wedge in the network. Its id stays out of the
+// killed table: the message never existed anywhere a later verdict could
+// find it, so the table grows with what deaths destroy, not with how
+// many messages a run refuses.
 func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
-	m.kill(pid)
 	m.undeliverable++
 	m.n.lastEject = cycle
 	p.emitDrop(cycle, -1, pid, trace.DropUnreachable)

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"slices"
+
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
@@ -30,6 +32,10 @@ type retained struct {
 	deadline uint64
 }
 
+// retransReqSize is the flit count of an end-to-end retransmission
+// request: a head and the tail carrying nackMagic and the packet id.
+const retransReqSize = 2
+
 // pe is one node's processing element: traffic source, packet injector,
 // destination sink, and — under the E2E/FEC baselines — the end-to-end
 // retransmission endpoint.
@@ -41,14 +47,16 @@ type pe struct {
 	rx  *link.Receiver
 	// Injection side. queue[qHead:] are the waiting packets, front first;
 	// the head index avoids re-slicing the backing array away on every pop.
-	queue   []flit.Packet
-	qHead   int
-	ctrl    [][]flit.Flit // pre-built priority packets (e2e NACKs) awaiting a VC
+	queue []flit.Packet
+	qHead int
+	// ctrl holds the flits of pre-built priority packets (e2e NACKs)
+	// awaiting a VC, retransReqSize flits each, front first; it keeps its
+	// backing array as packets leave it.
+	ctrl    []flit.Flit
 	vcFlits [][]flit.Flit // per VC, remaining flits of the packet being injected
-	// vcBuf[v] is the reusable backing array vcFlits[v] windows into when
-	// injecting a data packet (control packets keep their own slices):
-	// a PacketSize-flit window of the network's staging arena until a
-	// longer packet outgrows it.
+	// vcBuf[v] is the reusable backing array vcFlits[v] windows into while
+	// a packet is injected from VC v: a PacketSize-flit window of the
+	// network's staging arena until a longer packet outgrows it.
 	vcBuf [][]flit.Flit
 	vcRR  int
 
@@ -59,8 +67,13 @@ type pe struct {
 	// sink is the reassembly state per VC of the router->PE channel.
 	sink []sinkVC
 
-	// E2E/FEC source retention buffer, made on the first retained copy.
-	retention map[flit.PacketID]retained
+	// retention is the E2E/FEC source retention buffer: one copy per
+	// packet whose tail has left and whose implicit acknowledgement
+	// (timeout) has not come, in the order of their first injection and
+	// looked up by packet id. It is made on the first retained copy and
+	// compacted in place by sweeps, so it grows only with its high-water
+	// mark — the occupancy e2eBufMax reports.
+	retention []retained
 }
 
 // sinkVC is the packet being reassembled on one sink VC.
@@ -274,8 +287,9 @@ func (p *pe) assign() {
 		}
 		switch {
 		case len(p.ctrl) > 0:
-			p.vcFlits[v] = p.ctrl[0]
-			p.ctrl = p.ctrl[1:]
+			p.vcBuf[v] = append(p.vcBuf[v][:0], p.ctrl[:retransReqSize]...)
+			p.vcFlits[v] = p.vcBuf[v]
+			p.ctrl = p.ctrl[:copy(p.ctrl, p.ctrl[retransReqSize:])]
 		case p.qHead < len(p.queue):
 			p.vcBuf[v] = p.queuePop().AppendFlits(p.vcBuf[v][:0])
 			p.vcFlits[v] = p.vcBuf[v]
@@ -300,16 +314,10 @@ func (p *pe) inject(cycle uint64) {
 		p.tx.SendFlit(f, v, cycle)
 		_, isReq := isNACKRequest(f.Word)
 		if f.Type == flit.Tail && p.usesRetention() && !isReq {
-			if p.retention == nil {
-				p.retention = make(map[flit.PacketID]retained)
-			}
-			p.retention[f.PID] = retained{
+			p.retain(retained{
 				pkt:      flit.Packet{ID: f.PID, Src: f.Src, Dst: f.Dst, Size: p.net.cfg.PacketSize, InjectedAt: f.InjectedAt},
 				deadline: cycle + p.net.cfg.E2ETimeout,
-			}
-			if occ := len(p.retention); occ > p.net.e2eBufMax {
-				p.net.e2eBufMax = occ
-			}
+			})
 		}
 		p.vcRR = v + 1
 		return
@@ -432,42 +440,59 @@ func (p *pe) flitCorrupt(f *flit.Flit) bool {
 	}
 }
 
-// sendRetransRequest injects the 2-flit end-to-end NACK packet back to
-// the source, ahead of local traffic.
+// sendRetransRequest builds the 2-flit end-to-end NACK packet back to
+// the source onto the control queue, where it waits ahead of all data
+// traffic: packet loss recovery cannot wait behind a saturated source.
 func (p *pe) sendRetransRequest(cycle uint64, src flit.NodeID, pid flit.PacketID) {
 	req := flit.Packet{
 		ID:         p.net.nextPID(),
 		Src:        p.id,
 		Dst:        src,
-		Size:       2,
+		Size:       retransReqSize,
 		InjectedAt: cycle,
 	}
-	fs := req.Flits()
-	word := nackMagic<<32 | uint64(pid)&0xffffffff
-	fs[1].Word = word
-	fs[1].Check = ecc.Encode(word)
+	p.ctrl = req.AppendFlits(p.ctrl)
+	tail := &p.ctrl[len(p.ctrl)-1]
+	tail.Word = nackMagic<<32 | uint64(pid)&0xffffffff
+	tail.Check = ecc.Encode(tail.Word)
 	p.net.e2eNACKs++
-	// Control traffic jumps the queue: packet loss recovery cannot wait
-	// behind a saturated source.
-	p.queuePacketFront(fs)
 }
 
-// queuePacketFront stages pre-built flits ahead of all data traffic.
-func (p *pe) queuePacketFront(fs []flit.Flit) {
-	p.ctrl = append(p.ctrl, fs)
+// retainedAt returns the index of pid's retained copy, or -1.
+func (p *pe) retainedAt(pid flit.PacketID) int {
+	for i := range p.retention {
+		if p.retention[i].pkt.ID == pid {
+			return i
+		}
+	}
+	return -1
+}
+
+// retain keeps a copy of a packet whose tail just left, replacing the
+// copy a retransmission of it left in place, and records the buffer's
+// occupancy high-water mark.
+func (p *pe) retain(ret retained) {
+	if i := p.retainedAt(ret.pkt.ID); i >= 0 {
+		p.retention[i] = ret
+	} else {
+		p.retention = append(p.retention, ret)
+	}
+	if occ := len(p.retention); occ > p.net.e2eBufMax {
+		p.net.e2eBufMax = occ
+	}
 }
 
 // handleRetransRequest re-injects a retained packet.
 func (p *pe) handleRetransRequest(cycle uint64, pid flit.PacketID) {
-	ret, ok := p.retention[pid]
-	if !ok {
+	i := p.retainedAt(pid)
+	if i < 0 {
 		// Evicted: the packet is unrecoverable.
 		p.net.lostPackets++
 		p.emitDrop(cycle, -1, pid, trace.DropEvicted)
 		return
 	}
+	ret := &p.retention[i]
 	ret.deadline = cycle + p.net.cfg.E2ETimeout
-	p.retention[pid] = ret
 	p.net.e2eRetransmits++
 	// Retransmission keeps the original injection timestamp so measured
 	// latency includes the recovery round trip.
@@ -482,18 +507,16 @@ func (p *pe) eachResidentPID(fn func(uint64)) {
 	for _, pkt := range p.queue[p.qHead:] {
 		fn(uint64(pkt.ID))
 	}
-	for _, fs := range p.ctrl {
-		for _, f := range fs {
-			fn(uint64(f.PID))
-		}
+	for _, f := range p.ctrl {
+		fn(uint64(f.PID))
 	}
 	for _, fs := range p.vcFlits {
 		for _, f := range fs {
 			fn(uint64(f.PID))
 		}
 	}
-	for pid := range p.retention {
-		fn(uint64(pid))
+	for _, ret := range p.retention {
+		fn(uint64(ret.pkt.ID))
 	}
 	for _, sk := range p.sink {
 		if sk.live {
@@ -503,13 +526,10 @@ func (p *pe) eachResidentPID(fn func(uint64)) {
 	p.tx.EachRetained(func(f flit.Flit) { fn(uint64(f.PID)) })
 }
 
-// sweepRetention drops copies whose implicit-ACK timeout expired.
+// sweepRetention drops copies whose implicit-ACK timeout expired,
+// compacting the buffer in place.
 func (p *pe) sweepRetention(cycle uint64) {
-	for pid, ret := range p.retention {
-		if cycle > ret.deadline {
-			delete(p.retention, pid)
-		}
-	}
+	p.retention = slices.DeleteFunc(p.retention, func(ret retained) bool { return cycle > ret.deadline })
 }
 
 // The helpers below are the PE's hard-fault surface, called only by the
@@ -546,26 +566,24 @@ func (p *pe) killQueued(acc *killAcc) {
 	}
 	p.queue = p.queue[:0]
 	p.qHead = 0
-	for _, fs := range p.ctrl {
-		for _, f := range fs {
-			acc.observe(f)
-		}
+	for _, f := range p.ctrl {
+		acc.observe(f)
 	}
-	p.ctrl = nil
+	p.ctrl = p.ctrl[:0]
 }
 
 // killRetention drops every end-to-end retention copy: a dead source can
 // never service a retransmission request anyway.
 func (p *pe) killRetention() {
-	for pid := range p.retention {
-		delete(p.retention, pid)
-	}
+	p.retention = p.retention[:0]
 }
 
 // evictRetention drops one retained copy (its packet was ruled
 // undeliverable; a retransmission would head back into the dead region).
 func (p *pe) evictRetention(pid flit.PacketID) {
-	delete(p.retention, pid)
+	if i := p.retainedAt(pid); i >= 0 {
+		p.retention = slices.Delete(p.retention, i, i+1)
+	}
 }
 
 // dropUnreachableQueued re-validates the injection queue against the
@@ -589,11 +607,10 @@ func (p *pe) dropUnreachableQueued(cycle uint64) {
 	}
 	p.queue = kept
 	keptCtrl := p.ctrl[:0]
-	for _, fs := range p.ctrl {
-		if len(fs) > 0 && !m.reachable(p.id, fs[0].Dst) {
-			continue
+	for at := 0; at < len(p.ctrl); at += retransReqSize {
+		if req := p.ctrl[at : at+retransReqSize]; m.reachable(p.id, req[0].Dst) {
+			keptCtrl = append(keptCtrl, req...)
 		}
-		keptCtrl = append(keptCtrl, fs)
 	}
 	p.ctrl = keptCtrl
 }

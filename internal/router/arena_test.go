@@ -5,15 +5,17 @@ import (
 
 	"ftnoc/internal/ac"
 	"ftnoc/internal/flit"
+	"ftnoc/internal/link"
 	"ftnoc/internal/topology"
 )
 
 // NewRouters carves every router's VC state out of shared arenas, so the
 // windows must not overlap: with every input VC of three neighbouring
 // routers filled to capacity, each buffer holds exactly its own flits. A
-// misroute recall — the recalled flits appended ahead of a VC's pending
-// queue — must land in fresh storage, leaving every buffer window and
-// every other shifter untouched. The output-VC tables and the binding
+// misroute recall — the recalled flits put ahead of a VC's pending queue
+// — must land in that VC's pending window, or storage of its own once it
+// outgrows the window, leaving every buffer window, every other pending
+// window and every other shifter untouched. The output-VC tables and the binding
 // scratch are windows too: with every output VC of every router bound,
 // each router's table and binding snapshot name only its own bindings.
 func TestRouterArenaWindows(t *testing.T) {
@@ -65,8 +67,25 @@ func TestRouterArenaWindows(t *testing.T) {
 		}
 		east.vcs[round] = outputVC{busy: true, inPort: topology.West, inVC: 0}
 		mid.recoverMisroute(topology.East, round, p.k.Cycle())
-		if len(owner.pending) != 3*(round+1) || owner.pending[0].PID != pkt.ID {
-			t.Fatalf("recall %d: pending %v", round, owner.pending)
+		if q := owner.queued(); len(q) != 3*(round+1) || q[0].PID != pkt.ID {
+			t.Fatalf("recall %d: pending %v", round, q)
+		}
+		// The first recall gave every input VC of the batch a pending
+		// window. Filling the next VC's window leaves the owner's queue
+		// intact, first inside its own window and then, after the second
+		// recall outgrew it, in storage of its own.
+		next := mid.flatVCs[owner.flat+1]
+		for s := 0; s < link.NACKWindow; s++ {
+			next.park(flit.Flit{PID: 999})
+		}
+		if q := owner.queued(); len(q) != 3*(round+1) || q[0].PID != pkt.ID || q[len(q)-1].PID != 50 {
+			t.Fatalf("recall %d: pending %v after filling the next VC's window", round, q)
+		}
+		next.clearPending()
+		for _, ivc := range p.a.flatVCs {
+			if ivc != nil && cap(ivc.pending) != link.NACKWindow {
+				t.Fatalf("recall %d: router 0 %v/%d has a %d-flit pending window, want %d", round, ivc.port, ivc.idx, cap(ivc.pending), link.NACKWindow)
+			}
 		}
 		intact("after recall")
 		for i, r := range rs {

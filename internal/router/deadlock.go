@@ -287,7 +287,7 @@ func (r *Router) recoveryStep(cycle uint64) {
 			}
 			starved = r.out[ivc.outPort].tx.Credits(ivc.outVC) == 0
 		}
-		if room := link.NACKWindow - len(ivc.pending); ivc.port != topology.Local && room > 0 && starved && ivc.buf.Len() > 0 {
+		if room := link.NACKWindow - len(ivc.queued()); ivc.port != topology.Local && room > 0 && starved && ivc.buf.Len() > 0 {
 			// Park into the free shifter slots; each parked flit frees a
 			// credited buffer slot for the preceding node. Using the full
 			// depth every round is what realises the Eq. (1) capacity
@@ -295,9 +295,10 @@ func (r *Router) recoveryStep(cycle uint64) {
 			if l := ivc.buf.Len(); l < room {
 				room = l
 			}
+			r.fitPending(ivc)
 			for j := 0; j < room; j++ {
 				f, _ := ivc.buf.Pop()
-				ivc.pending = append(ivc.pending, f)
+				ivc.park(f)
 				r.buffered--
 				r.parked++
 				r.in[ivc.port].rx.ReturnCredit(ivc.idx)
@@ -312,7 +313,7 @@ func (r *Router) recoveryStep(cycle uint64) {
 				}
 			}
 		}
-		if len(ivc.pending) > 0 && ivc.state == vcActive && starved {
+		if len(ivc.queued()) > 0 && ivc.state == vcActive && starved {
 			done = false
 		}
 		if ivc.state == vcActive && starved && ivc.buf.Len() > 0 && ivc.port != topology.Local {

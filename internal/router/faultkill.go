@@ -135,14 +135,14 @@ func (r *Router) KillVC(cycle uint64, p topology.Port, vc int, fn func(flit.Flit
 			fn(f)
 		}
 	}
-	r.parked -= len(ivc.pending)
-	for _, f := range ivc.pending {
+	r.parked -= len(ivc.queued())
+	for _, f := range ivc.queued() {
 		removed++
 		if fn != nil {
 			fn(f)
 		}
 	}
-	ivc.pending = nil
+	ivc.clearPending()
 	if ivc.state == vcActive && ivc.outPort.Valid() && r.out[ivc.outPort] != nil &&
 		ivc.outVC >= 0 && ivc.outVC < r.cfg.VCs {
 		r.out[ivc.outPort].vcs[ivc.outVC] = outputVC{}

@@ -132,7 +132,7 @@ func TestMaskSoundnessUnderSurgery(t *testing.T) {
 		{"AbandonAll", func(t *testing.T, r *row) { r.a.out[topology.East].tx.AbandonAll(nil) }},
 		{"Recall", func(t *testing.T, r *row) {
 			for vc := 0; vc < 2; vc++ {
-				r.a.out[topology.East].tx.Recall(vc)
+				r.a.out[topology.East].tx.Recall(nil, vc)
 			}
 		}},
 		{"KillVC", func(t *testing.T, r *row) {

@@ -96,8 +96,10 @@ type Router struct {
 	// backs their buffers and outVCs every output port's VC table the same
 	// way. Each is this router's window of an arena all the routers of
 	// NewRouters share. flatVCs points into arena, in[p].vcs is a window
-	// of flatVCs and out[p].vcs one of outVCs.
+	// of flatVCs and out[p].vcs one of outVCs. batch is that whole shared
+	// input-VC arena, which fitPending gives pending-queue storage.
 	arena  []inputVC
+	batch  []inputVC
 	fifos  []link.FIFO
 	outVCs []outputVC
 
@@ -188,6 +190,7 @@ func NewRouters(n int, cfg func(i int) Config) []Router {
 		lo, hi := i*per, (i+1)*per
 		r.flatVCs = flat[lo:hi:hi]
 		r.arena = ivcs[lo:hi:hi]
+		r.batch = ivcs
 		r.fifos = fifos[lo:hi:hi]
 		r.outVCs = outs[lo:hi:hi]
 		r.scratchBind = binds[lo:lo:hi]
@@ -409,9 +412,9 @@ func (r *Router) recoverMisroute(p topology.Port, ov int, cycle uint64) {
 	}
 	owner := op.vcs[ov]
 	ivc := r.in[owner.inPort].vcs[owner.inVC]
-	recalled := op.tx.Recall(ov)
+	r.fitPending(ivc)
+	recalled := ivc.recall(op.tx, ov)
 	op.vcs[ov] = outputVC{}
-	ivc.pending = append(recalled, ivc.pending...)
 	r.parked += len(recalled)
 	if r.cfg.Bus.Enabled() {
 		for _, f := range recalled {
@@ -567,9 +570,8 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 // flit left the buffer (and so frees a credited slot) rather than the
 // pending queue.
 func (r *Router) takeFront(ivc *inputVC, dst *flit.Flit) (fromBuf bool) {
-	if len(ivc.pending) > 0 {
-		*dst = ivc.pending[0]
-		ivc.pending = ivc.pending[1:]
+	if len(ivc.queued()) > 0 {
+		ivc.popPending(dst)
 		r.parked--
 		return false
 	}
@@ -1201,7 +1203,7 @@ func (r *Router) DebugVCs(cycle uint64) string {
 			case vcActive:
 				st = "A"
 			}
-			s += fmt.Sprintf("[%v%d %s occ%d pend%d blk%d ->%v/%d] ", p, ivc.idx, st, ivc.buf.Len(), len(ivc.pending), ivc.blockedFor(cycle), ivc.outPort, ivc.outVC)
+			s += fmt.Sprintf("[%v%d %s occ%d pend%d blk%d ->%v/%d] ", p, ivc.idx, st, ivc.buf.Len(), len(ivc.queued()), ivc.blockedFor(cycle), ivc.outPort, ivc.outVC)
 		}
 	}
 	return s
@@ -1278,7 +1280,7 @@ func (r *Router) EachResidentFlit(fn func(flit.Flit)) {
 			for _, f := range ivc.buf.Snapshot() {
 				fn(f)
 			}
-			for _, f := range ivc.pending {
+			for _, f := range ivc.queued() {
 				fn(f)
 			}
 		}
@@ -1313,7 +1315,7 @@ func (r *Router) AuditInvariants(clock uint64) string {
 	for _, ivc := range r.flatVCs {
 		if ivc != nil {
 			buffered += ivc.buf.Len()
-			parked += len(ivc.pending)
+			parked += len(ivc.queued())
 		}
 	}
 	if buffered != r.buffered || parked != r.parked {
@@ -1406,7 +1408,7 @@ func (r *Router) FindPacket(pid flit.PacketID) []string {
 					inBuf++
 				}
 			}
-			for _, f := range ivc.pending {
+			for _, f := range ivc.queued() {
 				if f.PID == pid {
 					inPend++
 				}

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"slices"
+
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
 	"ftnoc/internal/topology"
@@ -44,13 +46,16 @@ type inputVC struct {
 	earliestVA uint64
 	earliestSA uint64
 
-	// pending holds flits that already left the buffer but must be
-	// (re)sent before anything else from this VC: flits parked in the
-	// retransmission shifter during deadlock recovery (§3.2.1), or
+	// pending[pendHead:] holds flits that already left the buffer but
+	// must be (re)sent before anything else from this VC: flits parked in
+	// the retransmission shifter during deadlock recovery (§3.2.1), or
 	// recalled after a misroute NACK (§4.2). Their buffer credits were
 	// returned when they left the buffer, so popping pending entries
-	// returns no upstream credit.
-	pending []flit.Flit
+	// returns no upstream credit. The head index keeps the backing array
+	// across pops, as the transmitter's replay queue does: it is made on
+	// the first park or recall and grows only with its high-water mark.
+	pending  []flit.Flit
+	pendHead int
 
 	// lastProgress is the last cycle a flit left this VC (or it was
 	// empty); the blocked-time clock for deadlock detection (Rule 1).
@@ -73,15 +78,82 @@ type inputVC struct {
 // pending queue or the buffer — or nil when the VC is empty. The pointer
 // is for looking, and good until the VC next gains or loses a flit.
 func (v *inputVC) frontSlot() *flit.Flit {
-	if len(v.pending) > 0 {
-		return &v.pending[0]
+	if v.pendHead < len(v.pending) {
+		return &v.pending[v.pendHead]
 	}
 	return v.buf.Front()
 }
 
 // occupied returns the number of flits resident in this VC (buffer +
 // pending queue).
-func (v *inputVC) occupied() int { return v.buf.Len() + len(v.pending) }
+func (v *inputVC) occupied() int { return v.buf.Len() + len(v.queued()) }
+
+// queued returns the pending queue, front first. The slice is for
+// looking, and good until the queue next changes.
+func (v *inputVC) queued() []flit.Flit { return v.pending[v.pendHead:] }
+
+// park appends a flit to the pending queue, first sliding the queue to
+// the front of its array when the array is full.
+func (v *inputVC) park(f flit.Flit) {
+	if v.pendHead > 0 && len(v.pending) == cap(v.pending) {
+		v.slideQueue()
+	}
+	v.pending = append(v.pending, f)
+}
+
+// popPending removes the front of a non-empty pending queue into *dst;
+// the backing array is recycled once the queue drains.
+func (v *inputVC) popPending(dst *flit.Flit) {
+	*dst = v.pending[v.pendHead]
+	v.pendHead++
+	if v.pendHead == len(v.pending) {
+		v.clearPending()
+	}
+}
+
+// recall puts the flits tx recalls from output VC ov ahead of the
+// pending queue, in place: they are appended behind the queue and the
+// whole rotated until they lead. It returns the recalled flits.
+func (v *inputVC) recall(tx *link.Transmitter, ov int) []flit.Flit {
+	v.slideQueue()
+	waiting := len(v.pending)
+	q := tx.Recall(v.pending, ov)
+	slices.Reverse(q[:waiting])
+	slices.Reverse(q[waiting:])
+	slices.Reverse(q)
+	v.pending = q
+	return q[:len(q)-waiting]
+}
+
+// slideQueue moves the pending queue to the front of its array.
+func (v *inputVC) slideQueue() {
+	n := copy(v.pending, v.queued())
+	v.pending, v.pendHead = v.pending[:n], 0
+}
+
+// clearPending empties the pending queue, keeping its array.
+func (v *inputVC) clearPending() { v.pending, v.pendHead = v.pending[:0], 0 }
+
+// fitPending gives the pending queue of every input VC of every router
+// built with this one (NewRouters) a NACKWindow-flit window of one array,
+// the first time any of those VCs parks or recalls a flit (ivc is the VC
+// about to): a network that never does allocates nothing for them, one
+// that does allocates once, however many of its VCs ever do. No queue
+// held more than NACKWindow flits in any run measured; the windows are
+// capacity-capped, so one that outgrows its window moves to storage of
+// its own instead of writing into a neighbour's.
+func (r *Router) fitPending(ivc *inputVC) {
+	if cap(ivc.pending) > 0 {
+		return
+	}
+	flits := make([]flit.Flit, len(r.batch)*link.NACKWindow)
+	for i := range r.batch {
+		if v := &r.batch[i]; cap(v.pending) == 0 {
+			lo := i * link.NACKWindow
+			v.pending = flits[lo : lo : lo+link.NACKWindow]
+		}
+	}
+}
 
 // blockedFor returns how many cycles this VC has gone without emitting a
 // flit while holding at least one.

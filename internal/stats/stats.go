@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Events tallies the microarchitectural activity that the power model
@@ -32,74 +32,118 @@ type Events struct {
 }
 
 // LatencyStats accumulates per-message latency samples (injection to tail
-// ejection, in cycles) with warm-up discarding handled by the caller.
+// ejection, in whole cycles) with warm-up discarding handled by the
+// caller. It keeps an exact count per latency rather than the samples
+// themselves, so its size is set by the spread of latencies, not by how
+// many messages a run measures: counts[v] is the number of samples of
+// latency v for v < len(counts), a table that grows by doubling up to
+// denseCap entries, and the rarer samples at or past denseCap are kept
+// one by one in over. The running sum is accumulated in recording order,
+// so Mean is the same float a slice of samples summed in order gives.
 type LatencyStats struct {
-	samples []float64
-	sum     float64
+	counts []uint64
+	over   []uint64 // samples >= denseCap, in no particular order
+	n      int
+	max    uint64
+	sum    float64
 }
+
+// denseCap bounds the count table: 1<<14 cycles of latency, 128 KiB at
+// most. A sample at or past it is an outlier stored exactly in the
+// overflow list.
+const denseCap = 1 << 14
+
+// minDense is the count table's size on its first sample, 2 KiB: it
+// covers the latencies, tail included, of a run below saturation on the
+// paper's 8x8 mesh without growing.
+const minDense = 256
 
 // Record adds one message latency sample.
 func (s *LatencyStats) Record(cycles uint64) {
-	v := float64(cycles)
-	s.samples = append(s.samples, v)
-	s.sum += v
+	s.n++
+	s.sum += float64(cycles)
+	if cycles > s.max {
+		s.max = cycles
+	}
+	if cycles >= denseCap {
+		s.over = append(s.over, cycles)
+		return
+	}
+	if cycles >= uint64(len(s.counts)) {
+		s.grow(cycles)
+	}
+	s.counts[cycles]++
+}
+
+// grow doubles the count table until it covers latency v (< denseCap).
+func (s *LatencyStats) grow(v uint64) {
+	size := max(len(s.counts), minDense)
+	for uint64(size) <= v {
+		size *= 2
+	}
+	counts := make([]uint64, size)
+	copy(counts, s.counts)
+	s.counts = counts
 }
 
 // Count returns the number of recorded samples.
-func (s *LatencyStats) Count() int { return len(s.samples) }
+func (s *LatencyStats) Count() int { return s.n }
 
 // Mean returns the average latency, or 0 with no samples.
 func (s *LatencyStats) Mean() float64 {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.samples))
+	return s.sum / float64(s.n)
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) by
 // nearest-rank, or 0 with no samples. An out-of-domain p — NaN, p <= 0
 // or p > 100 — returns NaN rather than silently clamping to an
 // extremum, so callers cannot mistake a bad query for a valid statistic.
+// The rank is read off the cumulative counts; only the overflow list is
+// sorted (in place), and only when the rank falls inside it.
 func (s *LatencyStats) Percentile(p float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p > 100 {
 		return math.NaN()
 	}
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(s.samples))
-	copy(sorted, s.samples)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// Max returns the largest sample.
-func (s *LatencyStats) Max() float64 {
-	m := 0.0
-	for _, v := range s.samples {
-		if v > m {
-			m = v
+	rank := int(math.Ceil(p/100*float64(s.n))) - 1
+	rank = min(max(rank, 0), s.n-1)
+	for v, c := range s.counts {
+		if uint64(rank) < c {
+			return float64(v)
 		}
+		rank -= int(c)
 	}
-	return m
+	slices.Sort(s.over)
+	return float64(s.over[rank])
 }
 
-// Histogram buckets samples into fixed-width bins for trace tooling.
+// Max returns the largest sample, or 0 with no samples.
+func (s *LatencyStats) Max() float64 { return float64(s.max) }
+
+// Histogram buckets samples into bins fixed-width bins for trace tooling,
+// the last one open-ended. It returns nil for a non-positive bin count
+// or a width that is not a positive number.
 func (s *LatencyStats) Histogram(binWidth float64, bins int) []int {
+	if bins <= 0 || !(binWidth > 0) {
+		return nil
+	}
 	h := make([]int, bins)
-	for _, v := range s.samples {
-		b := int(v / binWidth)
-		if b >= bins {
-			b = bins - 1
+	bin := func(v uint64) int {
+		if q := float64(v) / binWidth; q < float64(bins) {
+			return int(q)
 		}
-		h[b]++
+		return bins - 1
+	}
+	for v, c := range s.counts {
+		h[bin(uint64(v))] += int(c)
+	}
+	for _, v := range s.over {
+		h[bin(v)]++
 	}
 	return h
 }

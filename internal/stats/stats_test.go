@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +72,181 @@ func TestLatencyHistogram(t *testing.T) {
 	if h[0] != 2 || h[1] != 2 || h[4] != 2 {
 		t.Fatalf("histogram = %v", h)
 	}
+	// A bad shape is no histogram, never a panic or a bin read through
+	// int(±Inf) or int(NaN); an empty one has empty bins.
+	for _, c := range []struct {
+		width float64
+		bins  int
+	}{{10, 0}, {10, -1}, {0, 5}, {-10, 5}, {math.NaN(), 5}, {math.Inf(-1), 5}} {
+		if h := s.Histogram(c.width, c.bins); h != nil {
+			t.Errorf("Histogram(%v, %d) = %v, want nil", c.width, c.bins, h)
+		}
+	}
+	var empty LatencyStats
+	if h := empty.Histogram(10, 0); h != nil {
+		t.Errorf("empty Histogram(10, 0) = %v, want nil", h)
+	}
+	if h := empty.Histogram(10, 3); len(h) != 3 || h[0]+h[1]+h[2] != 0 {
+		t.Errorf("empty Histogram(10, 3) = %v, want three empty bins", h)
+	}
+	// A tiny width puts every sample in the open-ended last bin.
+	if h := s.Histogram(1e-300, 2); h[0] != 0 || h[1] != 6 {
+		t.Errorf("Histogram(1e-300, 2) = %v, want [0 6]", h)
+	}
+}
+
+// sampleStats is the slice-of-samples reference LatencyStats is checked
+// against: every sample kept as a float, the sum taken in recording
+// order, percentiles read off a sorted copy.
+type sampleStats struct {
+	samples []float64
+	sum     float64
+}
+
+func (r *sampleStats) Record(cycles uint64) {
+	v := float64(cycles)
+	r.samples = append(r.samples, v)
+	r.sum += v
+}
+
+func (r *sampleStats) Mean() float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	return r.sum / float64(len(r.samples))
+}
+
+func (r *sampleStats) Percentile(p float64) float64 {
+	if math.IsNaN(p) || p <= 0 || p > 100 {
+		return math.NaN()
+	}
+	if len(r.samples) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(r.samples)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
+}
+
+func (r *sampleStats) Max() float64 {
+	m := 0.0
+	for _, v := range r.samples {
+		m = max(m, v)
+	}
+	return m
+}
+
+func (r *sampleStats) Histogram(binWidth float64, bins int) []int {
+	if bins <= 0 || !(binWidth > 0) {
+		return nil
+	}
+	h := make([]int, bins)
+	for _, v := range r.samples {
+		b := bins - 1
+		if q := v / binWidth; q < float64(bins) {
+			b = int(q)
+		}
+		h[b]++
+	}
+	return h
+}
+
+// sameStats compares every LatencyStats query against the reference:
+// floats bit for bit, so an exact table must give exactly what the
+// samples gave, the summation order included.
+func sameStats(s *LatencyStats, r *sampleStats) string {
+	if s.Count() != len(r.samples) {
+		return fmt.Sprintf("Count %d, reference %d", s.Count(), len(r.samples))
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	if a, b := s.Mean(), r.Mean(); !same(a, b) {
+		return fmt.Sprintf("Mean %v, reference %v", a, b)
+	}
+	if a, b := s.Max(), r.Max(); !same(a, b) {
+		return fmt.Sprintf("Max %v, reference %v", a, b)
+	}
+	for _, p := range []float64{0.001, 1, 50, 95, 99, 100, 0, -1, 100.5, math.NaN()} {
+		if a, b := s.Percentile(p), r.Percentile(p); !same(a, b) {
+			return fmt.Sprintf("Percentile(%v) %v, reference %v", p, a, b)
+		}
+	}
+	for _, shape := range []struct {
+		width float64
+		bins  int
+	}{{10, 24}, {1, 1}, {7.5, 40}, {denseCap, 3}, {10, 0}, {0, 5}} {
+		if a, b := s.Histogram(shape.width, shape.bins), r.Histogram(shape.width, shape.bins); !slices.Equal(a, b) {
+			return fmt.Sprintf("Histogram(%v, %d) %v, reference %v", shape.width, shape.bins, a, b)
+		}
+	}
+	return ""
+}
+
+// latencySample maps a random draw onto the latencies a run produces:
+// mostly a narrow band, sometimes zero, sometimes spread up to the dense
+// table's cap, and rarely an outlier past it.
+func latencySample(rng *rand.Rand) uint64 {
+	switch k := rng.Intn(100); {
+	case k < 5:
+		return 0
+	case k < 80:
+		return uint64(20 + rng.Intn(60))
+	case k < 97:
+		return uint64(rng.Intn(denseCap))
+	default:
+		return denseCap + uint64(rng.Int63n(1<<40))
+	}
+}
+
+// LatencyStats is an exact count table: on random runs of every length,
+// checked after every few samples, every query answers exactly what the
+// slice of samples answers.
+func TestLatencyStatsMatchesSamples(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var s LatencyStats
+		var r sampleStats
+		if msg := sameStats(&s, &r); msg != "" {
+			t.Fatalf("seed %d, empty: %s", seed, msg)
+		}
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			v := latencySample(rng)
+			s.Record(v)
+			r.Record(v)
+			if i%97 == 0 || i == n-1 {
+				if msg := sameStats(&s, &r); msg != "" {
+					t.Fatalf("seed %d after %d samples: %s", seed, i+1, msg)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLatencyStats runs the same comparison on arbitrary sample streams:
+// each input byte pair is one latency, and a pair whose first byte has
+// its top bit set is pushed past the dense table's cap.
+func FuzzLatencyStats(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 30, 0, 31, 0, 30, 0x80, 1, 0, 0})
+	f.Add([]byte{0x3f, 0xff, 0x40, 0, 0xff, 0xff, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s LatencyStats
+		var r sampleStats
+		for i := 0; i+1 < len(data); i += 2 {
+			v := uint64(data[i]&0x7f)<<8 | uint64(data[i+1])
+			if data[i]&0x80 != 0 {
+				v = denseCap + v*v*v
+			}
+			s.Record(v)
+			r.Record(v)
+		}
+		if msg := sameStats(&s, &r); msg != "" {
+			t.Fatalf("%d samples: %s", len(r.samples), msg)
+		}
+	})
 }
 
 // Property: mean lies within [min, max] and percentiles are monotone.

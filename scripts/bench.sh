@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — the allocation guard (CI). It runs every kernel benchmark
 # once, so none can bit-rot, and fails if a steady-state benchmark — the
-# default network (BenchmarkKernelSteady), the tests' every-cycle oracle
-# (…Naive), the metrics-on variant, or the low-load 16x16 run
+# default network (BenchmarkKernelSteady), the same network under heavy
+# transient faults (…Faults), the tests' every-cycle oracle (…Naive), the
+# metrics-on variant, or the low-load 16x16 run
 # (BenchmarkKernelSparse16x16, where routers sleep with credits still
 # arriving) — reports any allocations per simulated cycle:
 #
@@ -25,15 +26,19 @@ go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -ben
 # Allocation guard. 200 measured cycles after each benchmark's own
 # warm-up (2000 cycles; 6000 on the 16x16) is enough for any
 # per-cycle allocation to show up as allocs/op >= 1 (Go reports the
-# floor of the mean). The tick loop is guarded with sleeping actors and
-# without: both must stay allocation-free at steady state.
+# floor of the mean). Each benchmark's measurement window is open, so
+# latency recording is guarded too. The tick loop is guarded with
+# sleeping actors and without: both must stay allocation-free at steady
+# state. The Faults variant guards the error path: replays, misroute
+# recalls and their pending queues, NACK wires.
 # The Metrics variant guards the zero-cost-when-unscraped
 # observability contract: gauges registered, sampling interval never
 # firing. The Sparse16x16 variant guards the other regime: most
 # routers asleep, woken by single flits, credits pooling on their
 # wires meanwhile.
-for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
-             BenchmarkKernelSteadyMetrics BenchmarkKernelSparse16x16; do
+for bench in BenchmarkKernelSteady BenchmarkKernelSteadyFaults \
+             BenchmarkKernelSteadyNaive BenchmarkKernelSteadyMetrics \
+             BenchmarkKernelSparse16x16; do
     line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
         -benchtime=200x -benchmem | grep "^${bench}")
     allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
