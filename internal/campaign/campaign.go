@@ -32,6 +32,7 @@ import (
 	"ftnoc/internal/network"
 	"ftnoc/internal/power"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
@@ -390,6 +391,10 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			// The worker builds every replicate in the previous one's
+			// slabs: a pool's construction memory is set by its workers,
+			// not its replicates.
+			var slabs sim.Slabs
 			for j := range jobc {
 				global := points[j.point].Index
 				cfg := points[j.point].Config
@@ -400,7 +405,7 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 					Aux: uint64(global), PID: uint64(j.rep),
 				})
 				repStart := time.Now()
-				rr := runReplicate(ctx, cfg, spec.Invariants)
+				rr := runReplicate(ctx, &slabs, cfg, spec.Invariants)
 				rr.Wall = time.Since(repStart)
 				report.Points[j.point].Reps[j.rep] = rr
 				logRepFailure(spec.Logger, points[j.point], j.rep, rr)
@@ -588,13 +593,15 @@ func logRepFailure(l *slog.Logger, p Point, rep int, rr RepResult) {
 		"err", rr.Err)
 }
 
-// runReplicate builds and runs one simulation, converting any panic into
-// the replicate's error so a crashing point cannot take down the grid.
+// runReplicate builds one simulation in slabs and runs it, converting any
+// panic into the replicate's error so a crashing point cannot take down
+// the grid. Its result copies out of the slabs, so the next build in them
+// leaves it intact.
 // With check set it attaches a fresh invariant checker (replacing any
 // caller-supplied one — checkers are single-run state and must never be
 // shared across concurrent replicates); either way, a checker present on
 // the config turns violations into the replicate's error.
-func runReplicate(ctx context.Context, cfg network.Config, check bool) (rr RepResult) {
+func runReplicate(ctx context.Context, slabs *sim.Slabs, cfg network.Config, check bool) (rr RepResult) {
 	rr.Seed = cfg.Seed
 	defer func() {
 		if r := recover(); r != nil {
@@ -604,7 +611,7 @@ func runReplicate(ctx context.Context, cfg network.Config, check bool) (rr RepRe
 	if check {
 		cfg.Invariants = invariant.New(invariant.Config{})
 	}
-	net := network.New(cfg)
+	net := network.NewIn(slabs, cfg)
 	rr.Results = net.RunContext(ctx)
 	ks := net.KernelStats()
 	rr.KernelTicked, rr.KernelSkipped, rr.KernelEvents = ks.Ticked, ks.Skipped, ks.Events

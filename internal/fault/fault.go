@@ -152,19 +152,19 @@ type LinkInjector struct {
 // NewLinkInjector creates an injector with the given per-traversal error
 // rate and conditional double-bit fraction, drawing from rng.
 func NewLinkInjector(rate, double float64, rng *sim.RNG) *LinkInjector {
-	return &NewLinkInjectors(1, rate, double, func(int) *sim.RNG { return rng })[0]
+	return &NewLinkInjectors(nil, 1, rate, double, func(int) *sim.RNG { return rng })[0]
 }
 
 // NewLinkInjectors creates n injectors sharing one rate and double-bit
-// fraction in one allocation, injector i drawing from rng(i).
-func NewLinkInjectors(n int, rate, double float64, rng func(i int) *sim.RNG) []LinkInjector {
+// fraction in one slab from s (sim.Make), injector i drawing from rng(i).
+func NewLinkInjectors(s *sim.Slabs, n int, rate, double float64, rng func(i int) *sim.RNG) []LinkInjector {
 	if !(rate >= 0 && rate <= 1) { // negated form rejects NaN too
 		panic("fault: link error rate must be in [0,1]")
 	}
 	if !(double >= 0 && double <= 1) {
 		panic("fault: double fraction must be in [0,1]")
 	}
-	lis := make([]LinkInjector, n)
+	lis := sim.Make[LinkInjector](s, n)
 	for i := range lis {
 		lis[i] = LinkInjector{rate: rate, double: double, rng: rng(i)}
 	}
@@ -247,16 +247,16 @@ type LogicInjector struct {
 
 // NewLogicInjector creates an injector for one fault class.
 func NewLogicInjector(class Class, rate float64, rng *sim.RNG) *LogicInjector {
-	return &NewLogicInjectors(1, class, rate, func(int) *sim.RNG { return rng })[0]
+	return &NewLogicInjectors(nil, 1, class, rate, func(int) *sim.RNG { return rng })[0]
 }
 
-// NewLogicInjectors creates n injectors for one fault class in one
-// allocation — one per router — injector i drawing from rng(i).
-func NewLogicInjectors(n int, class Class, rate float64, rng func(i int) *sim.RNG) []LogicInjector {
+// NewLogicInjectors creates n injectors for one fault class in one slab
+// from s (sim.Make) — one per router — injector i drawing from rng(i).
+func NewLogicInjectors(s *sim.Slabs, n int, class Class, rate float64, rng func(i int) *sim.RNG) []LogicInjector {
 	if rate < 0 || rate > 1 {
 		panic("fault: logic upset rate must be in [0,1]")
 	}
-	lis := make([]LogicInjector, n)
+	lis := sim.Make[LogicInjector](s, n)
 	for i := range lis {
 		lis[i] = LogicInjector{class: class, rate: rate, rng: rng(i)}
 	}

@@ -265,8 +265,8 @@ func TestLinkInjectorDrawAheadIsBounded(t *testing.T) {
 // The batch constructors build injectors that behave exactly as ones
 // built alone on the same streams.
 func TestBatchInjectorsMatchSingle(t *testing.T) {
-	streams, alone := sim.NewRNG(4).SplitN(3), sim.NewRNG(4).SplitN(3)
-	links := NewLinkInjectors(3, 0.2, 0.5, func(i int) *sim.RNG { return &streams[i] })
+	streams, alone := sim.NewRNG(4).SplitN(nil, 3), sim.NewRNG(4).SplitN(nil, 3)
+	links := NewLinkInjectors(nil, 3, 0.2, 0.5, func(i int) *sim.RNG { return &streams[i] })
 	for i := range links {
 		one := NewLinkInjector(0.2, 0.5, &alone[i])
 		for n := 0; n < 200; n++ {
@@ -276,8 +276,8 @@ func TestBatchInjectorsMatchSingle(t *testing.T) {
 			}
 		}
 	}
-	streams, alone = sim.NewRNG(5).SplitN(3), sim.NewRNG(5).SplitN(3)
-	logic := NewLogicInjectors(3, VALogic, 0.1, func(i int) *sim.RNG { return &streams[i] })
+	streams, alone = sim.NewRNG(5).SplitN(nil, 3), sim.NewRNG(5).SplitN(nil, 3)
+	logic := NewLogicInjectors(nil, 3, VALogic, 0.1, func(i int) *sim.RNG { return &streams[i] })
 	for i := range logic {
 		one := NewLogicInjector(VALogic, 0.1, &alone[i])
 		if logic[i].Class() != VALogic {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -39,18 +40,19 @@ type Map struct {
 }
 
 // New returns an empty (all-alive) map over the given node count.
-func New(nodes int) *Map { return &NewMaps(1, nodes)[0] }
+func New(nodes int) *Map { return &NewMaps(nil, 1, nodes)[0] }
 
 // NewMaps returns n empty maps over the given node count — one per
-// router — in three allocations: the maps are one slice, and their link
-// and router bitmaps capacity-capped windows of one arena each.
-func NewMaps(n, nodes int) []Map {
+// router — in three slabs from s (sim.Make): the maps are one slice, and
+// their link and router bitmaps capacity-capped windows of one arena
+// each.
+func NewMaps(s *sim.Slabs, n, nodes int) []Map {
 	if nodes <= 0 {
 		panic("faultmap: node count must be positive")
 	}
-	ms := make([]Map, n)
-	dirs := make([]uint8, n*nodes)
-	dead := make([]bool, n*nodes)
+	ms := sim.Make[Map](s, n)
+	dirs := sim.Make[uint8](s, n*nodes)
+	dead := sim.Make[bool](s, n*nodes)
 	for i := range ms {
 		lo, hi := i*nodes, (i+1)*nodes
 		ms[i] = Map{nodes: nodes, dirs: dirs[lo:hi:hi], dead: dead[lo:hi:hi]}

@@ -131,7 +131,7 @@ func TestCloneIndependence(t *testing.T) {
 // NewMaps carves every map's bitmaps from shared arenas: marks made in
 // one map stay out of its neighbours'.
 func TestNewMapsIsolated(t *testing.T) {
-	ms := NewMaps(3, 16)
+	ms := NewMaps(nil, 3, 16)
 	for i := range ms {
 		ms[i].MarkLinkDead(flit.NodeID(i), topology.East)
 		ms[i].MarkRouterDead(flit.NodeID(8 + i))

@@ -19,24 +19,24 @@ func TestTransmitterArena(t *testing.T) {
 	var ev stats.Events
 	ctr := fault.NewCounters()
 	ch := NewChannel(&k, nil, false, &ev, ctr)
-	chans := NewChannels(&k, 64, false, &ev, ctr)
+	chans := NewChannels(nil, &k, 64, false, &ev, ctr)
 	for _, vcs := range []int{1, 3, 8} {
 		if n := testing.AllocsPerRun(20, func() { NewTransmitter(ch, vcs, 8, NACKWindow, &ev, ctr) }); n > 3 {
 			t.Errorf("NewTransmitter(%d VCs) = %v allocations, want <= 3", vcs, n)
 		}
 		for _, n := range []int{1, 7, 64} {
 			allocs := testing.AllocsPerRun(20, func() {
-				NewTransmitters(n, func(i int) *Channel { return &chans[i] }, vcs, 8, NACKWindow, &ev, ctr)
+				NewTransmitters(nil, n, func(i int) *Channel { return &chans[i] }, vcs, 8, NACKWindow, &ev, ctr)
 			})
 			if allocs > 3 {
-				t.Errorf("NewTransmitters(%d, %d VCs) = %v allocations, want <= 3", n, vcs, allocs)
+				t.Errorf("NewTransmitters(nil, %d, %d VCs) = %v allocations, want <= 3", n, vcs, allocs)
 			}
 		}
 	}
 
 	// Neighbouring transmitters of one batch: fill every shifter with its
 	// own flits, and each must give back exactly those.
-	batch := NewTransmitters(3, func(i int) *Channel { return &chans[i] }, 3, 8, NACKWindow, &ev, ctr)
+	batch := NewTransmitters(nil, 3, func(i int) *Channel { return &chans[i] }, 3, 8, NACKWindow, &ev, ctr)
 	for i := range batch {
 		for vc := 0; vc < 3; vc++ {
 			for _, f := range flitsOnVC(10*i+vc, vc, NACKWindow) {
@@ -134,9 +134,9 @@ func TestChannelAndReceiverArenas(t *testing.T) {
 	var k sim.Kernel
 	var ev stats.Events
 	ctr := fault.NewCounters()
-	chans := NewChannels(&k, 3, false, &ev, ctr)
+	chans := NewChannels(nil, &k, 3, false, &ev, ctr)
 	chanOf := func(i int) *Channel { return &chans[i] }
-	rxs := NewReceivers(3, chanOf, 3, HBH, &ev, ctr)
+	rxs := NewReceivers(nil, 3, chanOf, 3, HBH, &ev, ctr)
 	for i := range chans {
 		for s := 0; s < 4; s++ {
 			chans[i].Send(flit.Flit{PID: flit.PacketID(10*i + s), Type: flit.Body})
@@ -166,8 +166,8 @@ func TestChannelAndReceiverArenas(t *testing.T) {
 	}
 
 	// A credit wire wider than the inline one is the channel's own.
-	wide := NewChannels(&k, 3, false, &ev, ctr)
-	txs := NewTransmitters(3, func(i int) *Channel { return &wide[i] }, 6, 8, NACKWindow, &ev, ctr)
+	wide := NewChannels(nil, &k, 3, false, &ev, ctr)
+	txs := NewTransmitters(nil, 3, func(i int) *Channel { return &wide[i] }, 6, 8, NACKWindow, &ev, ctr)
 	for i := range wide {
 		for vc := 0; vc < 6; vc++ {
 			for n := 0; n < i+vc; n++ {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 )
 
 // FIFO is a bounded flit queue: the "normal transmission buffer" of the
@@ -24,21 +25,21 @@ type FIFO struct {
 }
 
 // NewFIFO creates a queue holding at most capacity flits.
-func NewFIFO(capacity int) *FIFO { return &NewFIFOs(1, capacity)[0] }
+func NewFIFO(capacity int) *FIFO { return &NewFIFOs(nil, 1, capacity)[0] }
 
-// NewFIFOs creates n queues of the given capacity in two allocations
-// however large n is: the queues are one slice, and their backing storage
-// is carved out of one contiguous arena, for cache locality when a router
-// walks its VC buffers (router.NewRouters makes one call for every router
-// of a network). Each queue's window is capacity-capped (a three-index
+// NewFIFOs creates n queues of the given capacity in two slabs from s
+// (sim.Make) however large n is: the queues are one slice, and their
+// backing storage is carved out of one contiguous arena, for cache
+// locality when a router walks its VC buffers (router.NewRouters makes
+// one call for every router of a network). Each queue's window is capacity-capped (a three-index
 // slice), so no append can reach a neighbour's window. Callers keep
 // pointers &fifos[i].
-func NewFIFOs(n, capacity int) []FIFO {
+func NewFIFOs(s *sim.Slabs, n, capacity int) []FIFO {
 	if capacity < 1 {
 		panic("link: FIFO capacity must be >= 1")
 	}
-	fifos := make([]FIFO, n)
-	arena := make([]flit.Flit, n*capacity)
+	fifos := sim.Make[FIFO](s, n)
+	arena := sim.Make[flit.Flit](s, n*capacity)
 	for i := range fifos {
 		fifos[i].cap = capacity
 		fifos[i].buf = arena[i*capacity : i*capacity : (i+1)*capacity]

@@ -170,24 +170,24 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // fault-free link (e.g. the PE-to-router channel, which the paper does
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
-	c := &NewChannels(k, 1, local, events, counters)[0]
+	c := &NewChannels(nil, k, 1, local, events, counters)[0]
 	c.injector = injector
 	return c
 }
 
-// NewChannels wires n fault-free channels into kernel k in two
-// allocations: the channels are one slice, and every flit wire's first
-// ring is a window of one arena (sim.InitRings). SetCorruptor gives a
-// channel its fault injector. The channels must not be copied.
-func NewChannels(k *sim.Kernel, n int, local bool, events *stats.Events, counters *fault.Counters) []Channel {
-	cs := make([]Channel, n)
+// NewChannels wires n fault-free channels into kernel k in two slabs
+// from s (sim.Make): the channels are one slice, and every flit wire's
+// first ring is a window of one arena (sim.InitRings). SetCorruptor gives
+// a channel its fault injector. The channels must not be copied.
+func NewChannels(s *sim.Slabs, k *sim.Kernel, n int, local bool, events *stats.Events, counters *fault.Counters) []Channel {
+	cs := sim.Make[Channel](s, n)
 	for i := range cs {
 		c := &cs[i]
 		c.k, c.events, c.counters, c.local = k, events, counters, local
 		c.flits.Init(k, FlitLatency)
 		c.nacks.Init(k, NACKLatency)
 	}
-	sim.InitRings(n, func(i int) *sim.Pipe[flit.Flit] { return &cs[i].flits })
+	sim.InitRings(s, n, func(i int) *sim.Pipe[flit.Flit] { return &cs[i].flits })
 	return cs
 }
 

@@ -4,6 +4,7 @@ import (
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/trace"
 )
@@ -87,15 +88,15 @@ func (r *Receiver) emitECCCorrected(cycle uint64, vc int8, pid uint64, seq uint8
 // NewReceiver creates the receiving side of a channel with vcs virtual
 // channels under the given protection scheme.
 func NewReceiver(ch *Channel, vcs int, protection Protection, events *stats.Events, counters *fault.Counters) *Receiver {
-	return &NewReceivers(1, func(int) *Channel { return ch }, vcs, protection, events, counters)[0]
+	return &NewReceivers(nil, 1, func(int) *Channel { return ch }, vcs, protection, events, counters)[0]
 }
 
-// NewReceivers creates n receivers, receiver i on ch(i), in two
-// allocations: the receivers are one slice, and their drop windows
+// NewReceivers creates n receivers, receiver i on ch(i), in two slabs
+// from s (sim.Make): the receivers are one slice, and their drop windows
 // capacity-capped windows of one arena.
-func NewReceivers(n int, ch func(i int) *Channel, vcs int, protection Protection, events *stats.Events, counters *fault.Counters) []Receiver {
-	rs := make([]Receiver, n)
-	drops := make([]uint64, n*vcs)
+func NewReceivers(s *sim.Slabs, n int, ch func(i int) *Channel, vcs int, protection Protection, events *stats.Events, counters *fault.Counters) []Receiver {
+	rs := sim.Make[Receiver](s, n)
+	drops := sim.Make[uint64](s, n*vcs)
 	for i := range rs {
 		rs[i] = Receiver{
 			ch:         ch(i),

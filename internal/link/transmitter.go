@@ -121,26 +121,26 @@ func (t *Transmitter) SetRetransBufFaults(rate float64, duplicate bool, rng *sim
 // retransmission buffer (NACKWindow for the paper's scheme; 2*NACKWindow
 // with the duplicate-buffer option of §4.5).
 func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) *Transmitter {
-	return &NewTransmitters(1, func(int) *Channel { return ch }, vcs, downstreamCap, shifterDepth, events, counters)[0]
+	return &NewTransmitters(nil, 1, func(int) *Channel { return ch }, vcs, downstreamCap, shifterDepth, events, counters)[0]
 }
 
 // NewTransmitters creates n transmitters, transmitter i sending on ch(i),
-// in three allocations however many there are and however many VCs each
-// has: the transmitters are one slice, their per-VC state windows of a
-// second and every shifter ring a window of a third (as NewFIFOs does for
-// the input buffers). Each window is capacity-capped, so nothing written
-// through one reaches a neighbour's. A channel whose credit wire must
+// in three slabs from s (sim.Make) however many there are and however
+// many VCs each has: the transmitters are one slice, their per-VC state
+// windows of a second and every shifter ring a window of a third (as
+// NewFIFOs does for the input buffers). Each window is capacity-capped,
+// so nothing written through one reaches a neighbour's. A channel whose credit wire must
 // first widen past its four inline VCs adds one allocation (fitCredits).
-func NewTransmitters(n int, ch func(i int) *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) []Transmitter {
+func NewTransmitters(s *sim.Slabs, n int, ch func(i int) *Channel, vcs, downstreamCap, shifterDepth int, events *stats.Events, counters *fault.Counters) []Transmitter {
 	if vcs < 1 || downstreamCap < 1 {
 		panic("link: transmitter needs >=1 VC and >=1 credit")
 	}
 	if shifterDepth < 1 {
 		panic("link: retransmission buffer depth must be >= 1")
 	}
-	ts := make([]Transmitter, n)
-	txVCs := make([]txVC, n*vcs)
-	rings := make([]retransEntry, n*vcs*shifterDepth)
+	ts := sim.Make[Transmitter](s, n)
+	txVCs := sim.Make[txVC](s, n*vcs)
+	rings := sim.Make[retransEntry](s, n*vcs*shifterDepth)
 	for i := range ts {
 		t := &ts[i]
 		t.ch, t.events, t.counters = ch(i), events, counters

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftnoc/internal/fault"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/trace"
 )
 
@@ -213,5 +214,31 @@ func BenchmarkNew16x16(b *testing.B) {
 	}
 }
 
-// builtNet keeps BenchmarkNew16x16's result alive.
+// BenchmarkNewReused6x6 times construction in a store on one of
+// campaign_grid's points, rebuilt in the slabs its previous build left —
+// what every replicate after a campaign worker's first costs. B/op is
+// what the store does not cover; scripts/bench.sh holds it under 2% of a
+// fresh build's.
+func BenchmarkNewReused6x6(b *testing.B) {
+	cfg := gridPointConfig()
+	var s sim.Slabs
+	NewIn(&s, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtNet = NewIn(&s, cfg)
+	}
+}
+
+// BenchmarkNewFresh6x6 is BenchmarkNewReused6x6's point built by New:
+// the bytes the store saves are the difference.
+func BenchmarkNewFresh6x6(b *testing.B) {
+	cfg := gridPointConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builtNet = New(cfg)
+	}
+}
+
+// builtNet keeps the construction benchmarks' results alive.
 var builtNet *Network

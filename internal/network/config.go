@@ -8,6 +8,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/invariant"
@@ -264,6 +265,23 @@ func (c *Config) applyDefaults() {
 		c.E2ETimeout = 2_048
 	}
 }
+
+// retentionWindow is how many packet copies each PE's E2E/FEC retention
+// window holds (pe.retention), 0 when nothing is retained (HBH): the
+// packets a source injects over one timeout plus one sweep interval,
+// which is how long a copy can stay, capped at maxRetentionWindow.
+func (c Config) retentionWindow() int {
+	if c.Protection != link.E2E && c.Protection != link.FEC {
+		return 0
+	}
+	stay := float64(c.E2ETimeout) + retentionSweepInterval
+	return int(min(math.Ceil(c.InjectionRate/float64(c.PacketSize)*stay), maxRetentionWindow))
+}
+
+// maxRetentionWindow caps a PE's retention window, so that a long timeout
+// in an untrusted configuration cannot make New allocate for copies its
+// run may never retain; a PE that retains more grows past its window.
+const maxRetentionWindow = 256
 
 // shifterDepth returns the retransmission-buffer depth implied by the
 // duplicate-buffer option.

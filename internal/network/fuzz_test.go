@@ -2,10 +2,12 @@ package network
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"ftnoc/internal/invariant"
+	"ftnoc/internal/sim"
 )
 
 // FuzzReadConfig throws arbitrary documents at the configuration parser
@@ -15,6 +17,9 @@ import (
 // be simulated — briefly, with the invariant checker attached — without
 // panicking or violating a structural invariant. The last law is what
 // makes this a whole-stack fuzzer rather than a JSON round-trip check.
+// Each simulated config is built twice, fresh and in one slab store kept
+// across inputs, so that it inherits whatever shape the previous input
+// left there; the two runs' Results must be byte-identical.
 func FuzzReadConfig(f *testing.F) {
 	seed := NewConfig()
 	var buf bytes.Buffer
@@ -34,6 +39,12 @@ func FuzzReadConfig(f *testing.F) {
 	f.Add(`{"width":6,"height":6,"routing":5,"faults":{"mortality":{"links":[{"from":8,"dir":2,"cycle":0}],"routers":[{"node":21,"cycle":10}]}}}`)
 	f.Add(`{"injection_rate":1e999}`)
 	f.Add(`{"width":-1}`)
+	// Consecutive inputs that change mesh size, VCs and protection, so the
+	// second builds in slabs shaped by the first.
+	f.Add(`{"width":3,"height":5,"vcs":5,"protection":3,"faults":{"link":0.01}}`)
+	f.Add(`{"width":6,"height":4,"vcs":2,"protection":2,"faults":{"link":0.01}}`)
+
+	var slabs sim.Slabs
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		cfg, err := ReadConfig(strings.NewReader(doc))
@@ -70,11 +81,19 @@ func FuzzReadConfig(f *testing.F) {
 		cfg.MaxCycles = 50_000
 		cfg.StallCycles = 10_000
 		cfg.TracePIDs = nil
-		chk := invariant.New(invariant.Config{})
-		cfg.Invariants = chk
-		New(cfg).Run()
-		for _, v := range chk.Violations() {
-			t.Errorf("invariant violation on fuzzed config: %v", v)
+		var js [2][]byte
+		for i, s := range []*sim.Slabs{nil, &slabs} {
+			chk := invariant.New(invariant.Config{})
+			cfg.Invariants = chk
+			if js[i], err = json.Marshal(NewIn(s, cfg).Run()); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range chk.Violations() {
+				t.Errorf("invariant violation on fuzzed config: %v", v)
+			}
+		}
+		if !bytes.Equal(js[0], js[1]) {
+			t.Errorf("built in a slab store, Results differ from a fresh build's:\nstore: %s\nfresh: %s", js[1], js[0])
 		}
 		if t.Failed() {
 			t.Fatalf("config: %+v", cfg)

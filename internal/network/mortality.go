@@ -9,6 +9,7 @@ import (
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 )
@@ -71,15 +72,15 @@ type mortalityState struct {
 // newMortalityState builds the controller: per-router fault maps and the
 // death timeline, with hazard deaths pre-sampled from the run seed so the
 // schedule is reproducible.
-func newMortalityState(n *Network, route *routing.Memo) *mortalityState {
+func newMortalityState(s *sim.Slabs, n *Network, route *routing.Memo) *mortalityState {
 	nodes := n.topo.Nodes()
 	m := &mortalityState{
 		n:        n,
 		route:    route,
-		deadNode: make([]bool, nodes),
-		comp:     make([]int32, nodes),
-		bfs:      make([]flit.NodeID, 0, nodes),
-		maps:     faultmap.NewMaps(nodes, nodes),
+		deadNode: sim.Make[bool](s, nodes),
+		comp:     sim.Make[int32](s, nodes),
+		bfs:      sim.Make[flit.NodeID](s, nodes)[:0],
+		maps:     faultmap.NewMaps(s, nodes, nodes),
 		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
 	}
 	m.fa, _ = route.Func.(*routing.FaultAdaptiveFunc)

@@ -86,16 +86,25 @@ type Network struct {
 // construction is programmer-driven, not input-driven. Callers handling
 // untrusted or generated configurations should call cfg.Validate first
 // and surface the error themselves.
-func New(cfg Config) *Network { return build(cfg, true) }
+func New(cfg Config) *Network { return NewIn(nil, cfg) }
 
-// build is New with the choice the tests need: with quiesce false no
+// NewIn is New with every component slab taken from the store s
+// (sim.Make): a build in a store that built before allocates nothing for
+// the slabs the previous build left large enough. The network is dead
+// once s builds again — its routers, links and PEs are handed out to the
+// next build — so run it, take its Results (which copy out of the slabs)
+// and drop it first. A nil s is plain New.
+func NewIn(s *sim.Slabs, cfg Config) *Network { return build(s, cfg, true) }
+
+// build is NewIn with the choice the tests need: with quiesce false no
 // actor is opted into idle skipping, so the kernel ticks every router and
 // PE every cycle — the oracle the differential tests hold New to.
-func build(cfg Config, quiesce bool) *Network {
+func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic("network: " + err.Error())
 	}
 	cfg.applyDefaults()
+	s.Begin()
 	n := &Network{cfg: cfg}
 	root := sim.NewRNG(cfg.Seed)
 
@@ -104,7 +113,7 @@ func build(cfg Config, quiesce bool) *Network {
 		kind = topology.Mesh
 	}
 	n.topo = topology.New(kind, cfg.Width, cfg.Height)
-	route := routing.NewMemo(routing.New(cfg.Routing, n.topo), n.topo.Nodes())
+	route := routing.NewMemo(s, routing.NewIn(s, cfg.Routing, n.topo), n.topo.Nodes())
 	xyCheck := !cfg.Routing.Adaptive()
 
 	// Observability: attach the packet-journey tracker and any caller
@@ -121,15 +130,15 @@ func build(cfg Config, quiesce bool) *Network {
 	}
 
 	nodes := n.topo.Nodes()
-	n.routers = make([]*router.Router, nodes)
-	n.pes = make([]*pe, nodes)
-	n.chanAt = make([]*link.Channel, nodes*int(topology.NumPorts))
+	n.routers = sim.Make[*router.Router](s, nodes)
+	n.pes = sim.Make[*pe](s, nodes)
+	n.chanAt = sim.Make[*link.Channel](s, nodes*int(topology.NumPorts))
 
 	// Hard-fault regime: per-router fault maps, the mortality timeline
 	// and the reconfiguration controller. Built before the routers so
 	// each router's Config can capture its local map.
 	if cfg.Faults.Mortality.Enabled() || cfg.Routing == routing.FaultAdaptive {
-		n.mort = newMortalityState(n, route)
+		n.mort = newMortalityState(s, n, route)
 	}
 
 	n.counters = fault.NewCounters()
@@ -160,17 +169,17 @@ func build(cfg Config, quiesce bool) *Network {
 	// streams are drawn in a fixed order — root: logic, link, traffic;
 	// each parent component-major, one stream per enabled fault kind —
 	// and that order is what pins every run's output.
-	parents := root.SplitN(3)
+	parents := root.SplitN(s, 3)
 
 	// Logic upsets: one injector per router per enabled class.
 	logicClasses := [4]fault.Class{fault.RTLogic, fault.VALogic, fault.SALogic, fault.XbarError}
 	logicRates := [4]float64{cfg.Faults.RT, cfg.Faults.VA, cfg.Faults.SA, cfg.Faults.Xbar}
 	logicSlot, perRouter := streamSlots(logicRates)
-	logicRNGs := parents[0].SplitN(nodes * perRouter)
+	logicRNGs := parents[0].SplitN(s, nodes*perRouter)
 	var logic [4][]fault.LogicInjector
 	for c, slot := range logicSlot {
 		if slot >= 0 {
-			logic[c] = fault.NewLogicInjectors(nodes, logicClasses[c], logicRates[c], func(i int) *sim.RNG {
+			logic[c] = fault.NewLogicInjectors(s, nodes, logicClasses[c], logicRates[c], func(i int) *sim.RNG {
 				return &logicRNGs[i*perRouter+slot]
 			})
 		}
@@ -182,7 +191,7 @@ func build(cfg Config, quiesce bool) *Network {
 		return &logic[c][i]
 	}
 
-	routers := router.NewRouters(nodes, func(i int) router.Config {
+	routers := router.NewRouters(s, nodes, func(i int) router.Config {
 		rc := router.Config{
 			ID:              flit.NodeID(i),
 			Topo:            n.topo,
@@ -221,8 +230,8 @@ func build(cfg Config, quiesce bool) *Network {
 	// links, then every PE's up channel, then every PE's down channel.
 	linkIDs := n.topo.Links()
 	nl := len(linkIDs)
-	links := link.NewChannels(&n.kernel, nl, false, &n.events, n.counters)
-	locals := link.NewChannels(&n.kernel, 2*nodes, true, &n.events, n.counters)
+	links := link.NewChannels(s, &n.kernel, nl, false, &n.events, n.counters)
+	locals := link.NewChannels(s, &n.kernel, 2*nodes, true, &n.events, n.counters)
 	n.peUp, n.peDown = locals[:nodes:nodes], locals[nodes:]
 	chanOf := func(i int) *link.Channel {
 		if i < nl {
@@ -230,17 +239,17 @@ func build(cfg Config, quiesce bool) *Network {
 		}
 		return &locals[i-nl]
 	}
-	txs := link.NewTransmitters(nl+2*nodes, chanOf, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
-	rxs := link.NewReceivers(nl+2*nodes, chanOf, cfg.VCs, cfg.Protection, &n.events, n.counters)
+	txs := link.NewTransmitters(s, nl+2*nodes, chanOf, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &n.events, n.counters)
+	rxs := link.NewReceivers(s, nl+2*nodes, chanOf, cfg.VCs, cfg.Protection, &n.events, n.counters)
 
 	// Inter-router link faults: per link, its injector, handshake and
 	// retransmission-buffer streams, in that order.
 	linkSlot, perLink := streamSlots([4]float64{cfg.Faults.Link, cfg.Faults.Handshake, cfg.Faults.RetransBuf})
-	linkRNGs := parents[1].SplitN(nl * perLink)
+	linkRNGs := parents[1].SplitN(s, nl*perLink)
 	linkRNG := func(l, kind int) *sim.RNG { return &linkRNGs[l*perLink+linkSlot[kind]] }
 	var injs []fault.LinkInjector
 	if linkSlot[0] >= 0 {
-		injs = fault.NewLinkInjectors(nl, cfg.Faults.Link, cfg.Faults.LinkDouble, func(l int) *sim.RNG { return linkRNG(l, 0) })
+		injs = fault.NewLinkInjectors(s, nl, cfg.Faults.Link, cfg.Faults.LinkDouble, func(l int) *sim.RNG { return linkRNG(l, 0) })
 	}
 	for l, id := range linkIDs {
 		dst, _ := n.topo.Neighbor(id.From, id.Dir)
@@ -267,9 +276,9 @@ func build(cfg Config, quiesce bool) *Network {
 	// PE <-> router local channels: on the up channel the PE owns the
 	// transmitter side and router i the receiver side; the down channel is
 	// the mirror image.
-	trafficRNGs := parents[2].SplitN(nodes)
-	srcs := traffic.NewSources(0, nodes, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, func(i int) *sim.RNG { return &trafficRNGs[i] })
-	pes := newPEs(n, srcs, txs[nl:nl+nodes], rxs[nl+nodes:])
+	trafficRNGs := parents[2].SplitN(s, nodes)
+	srcs := traffic.NewSources(s, 0, nodes, n.topo, cfg.Pattern, cfg.InjectionRate, cfg.PacketSize, func(i int) *sim.RNG { return &trafficRNGs[i] })
+	pes := newPEs(s, n, srcs, txs[nl:nl+nodes], rxs[nl+nodes:])
 	local := int8(topology.Local)
 	for i := 0; i < nodes; i++ {
 		upTx, upRx := &txs[nl+i], &rxs[nl+i]
@@ -289,8 +298,8 @@ func build(cfg Config, quiesce bool) *Network {
 
 	// Registration order (router i, PE i, router i+1, ...) fixes the
 	// intra-cycle trace-event order and must not change.
-	n.kernel.Reserve(2 * nodes)
-	handles := make([]sim.Handle, 2*nodes)
+	n.kernel.Reserve(s, 2*nodes)
+	handles := sim.Make[sim.Handle](s, 2*nodes)
 	n.routerH, n.peH = handles[:nodes:nodes], handles[nodes:]
 	for i := 0; i < nodes; i++ {
 		n.routerH[i] = n.kernel.RegisterActor(n.routers[i])

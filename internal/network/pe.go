@@ -6,6 +6,7 @@ import (
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/trace"
 	"ftnoc/internal/traffic"
 )
@@ -70,9 +71,10 @@ type pe struct {
 	// retention is the E2E/FEC source retention buffer: one copy per
 	// packet whose tail has left and whose implicit acknowledgement
 	// (timeout) has not come, in the order of their first injection and
-	// looked up by packet id. It is made on the first retained copy and
-	// compacted in place by sweeps, so it grows only with its high-water
-	// mark — the occupancy e2eBufMax reports.
+	// looked up by packet id. It starts as a capacity-capped window of the
+	// network's retention slab (Config.retentionWindow) and is compacted
+	// in place by sweeps; only a high-water mark past the window grows it,
+	// into storage of its own — the occupancy e2eBufMax reports.
 	retention []retained
 }
 
@@ -86,28 +88,35 @@ type sinkVC struct {
 	nextSeq uint8
 }
 
-// newPEs builds every node's PE in four allocations however many there
-// are: the PEs are one slice, and their staging slices (vcFlits and
-// vcBuf), staging flits and sink state capacity-capped windows of one
-// arena per kind. PE i injects through up[i] and ejects from down[i].
-func newPEs(n *Network, srcs []traffic.Source, up []link.Transmitter, down []link.Receiver) []pe {
+// newPEs builds every node's PE in four slabs from s (sim.Make) however
+// many there are, five under E2E/FEC: the PEs are one slice, and their
+// staging slices (vcFlits and vcBuf), staging flits, sink state and
+// retention capacity-capped windows of one arena per kind. PE i injects
+// through up[i] and ejects from down[i].
+func newPEs(s *sim.Slabs, n *Network, srcs []traffic.Source, up []link.Transmitter, down []link.Receiver) []pe {
 	vcs, size := n.cfg.VCs, n.cfg.PacketSize
-	pes := make([]pe, len(srcs))
-	stages := make([][]flit.Flit, 2*len(pes)*vcs)
-	staging := make([]flit.Flit, len(pes)*vcs*size)
-	sinks := make([]sinkVC, len(pes)*vcs)
+	pes := sim.Make[pe](s, len(srcs))
+	stages := sim.Make[[]flit.Flit](s, 2*len(pes)*vcs)
+	staging := sim.Make[flit.Flit](s, len(pes)*vcs*size)
+	sinks := sim.Make[sinkVC](s, len(pes)*vcs)
+	var retention []retained
+	window := n.cfg.retentionWindow()
+	if window > 0 {
+		retention = sim.Make[retained](s, len(pes)*window)
+	}
 	for i := range pes {
 		lo, hi := i*vcs, (i+1)*vcs
 		p := &pes[i]
 		*p = pe{
-			net:     n,
-			id:      flit.NodeID(i),
-			src:     &srcs[i],
-			tx:      &up[i],
-			rx:      &down[i],
-			vcFlits: stages[2*lo : 2*lo+vcs : 2*lo+vcs],
-			vcBuf:   stages[2*lo+vcs : 2*hi : 2*hi],
-			sink:    sinks[lo:hi:hi],
+			net:       n,
+			id:        flit.NodeID(i),
+			src:       &srcs[i],
+			tx:        &up[i],
+			rx:        &down[i],
+			vcFlits:   stages[2*lo : 2*lo+vcs : 2*lo+vcs],
+			vcBuf:     stages[2*lo+vcs : 2*hi : 2*hi],
+			sink:      sinks[lo:hi:hi],
+			retention: retention[i*window : i*window : (i+1)*window],
 		}
 		for v := range p.vcBuf {
 			at := (lo + v) * size

@@ -77,7 +77,7 @@ func (s schedule) String() string {
 	return "naive"
 }
 
-func (s schedule) build(cfg Config) *Network { return build(cfg, bool(s)) }
+func (s schedule) build(cfg Config) *Network { return build(nil, cfg, bool(s)) }
 
 // runKernel executes cfg under the given schedule with a fresh checker
 // attached and returns the results plus the kernel's counters. Results

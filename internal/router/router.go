@@ -9,6 +9,7 @@ import (
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 )
@@ -158,16 +159,17 @@ type inPort struct {
 
 // New creates a router. Ports start unattached; wire them with
 // AttachInput / AttachOutput before the first Tick.
-func New(cfg Config) *Router { return &NewRouters(1, func(int) Config { return cfg })[0] }
+func New(cfg Config) *Router { return &NewRouters(nil, 1, func(int) Config { return cfg })[0] }
 
 // NewRouters creates n routers, router i configured by cfg(i), in seven
-// allocations however many there are: the routers are one slice, and
-// their input VCs, VC pointers, FIFO headers, flit storage, output VCs
-// and binding scratch are capacity-capped windows of one arena per kind.
+// slabs from s (sim.Make) however many there are: the routers are one
+// slice, and their input VCs, VC pointers, FIFO headers, flit storage,
+// output VCs and binding scratch are capacity-capped windows of one arena
+// per kind.
 // The n configurations must agree on VCs and BufDepth. A router's
 // probe memory is made on its first probe.
-func NewRouters(n int, cfg func(i int) Config) []Router {
-	rs := make([]Router, n)
+func NewRouters(s *sim.Slabs, n int, cfg func(i int) Config) []Router {
+	rs := sim.Make[Router](s, n)
 	for i := range rs {
 		c := cfg(i)
 		c.validate()
@@ -180,11 +182,11 @@ func NewRouters(n int, cfg func(i int) Config) []Router {
 		return rs
 	}
 	per := int(topology.NumPorts) * rs[0].cfg.VCs
-	flat := make([]*inputVC, n*per)
-	ivcs := make([]inputVC, n*per)
-	fifos := link.NewFIFOs(n*per, rs[0].cfg.BufDepth)
-	outs := make([]outputVC, n*per)
-	binds := make([]ac.Binding, n*per)
+	flat := sim.Make[*inputVC](s, n*per)
+	ivcs := sim.Make[inputVC](s, n*per)
+	fifos := link.NewFIFOs(s, n*per, rs[0].cfg.BufDepth)
+	outs := sim.Make[outputVC](s, n*per)
+	binds := sim.Make[ac.Binding](s, n*per)
 	for i := range rs {
 		r := &rs[i]
 		lo, hi := i*per, (i+1)*per

@@ -46,7 +46,7 @@ func buildGrid(t *testing.T, w, h, depth int) *pair {
 	p := &pair{ctr: fault.NewCounters()}
 	topo := topology.New(topology.Mesh, w, h)
 	route := routing.New(routing.XY, topo)
-	slab := NewRouters(topo.Nodes(), func(i int) Config {
+	slab := NewRouters(nil, topo.Nodes(), func(i int) Config {
 		return Config{
 			ID: flit.NodeID(i), Topo: topo, Route: route,
 			VCs: 2, BufDepth: 4, PipelineDepth: depth,
@@ -65,10 +65,10 @@ func buildGrid(t *testing.T, w, h, depth int) *pair {
 	}
 
 	links := topo.Links()
-	chans := link.NewChannels(&p.k, len(links), false, &p.ev, p.ctr)
+	chans := link.NewChannels(nil, &p.k, len(links), false, &p.ev, p.ctr)
 	chanOf := func(i int) *link.Channel { return &chans[i] }
-	txs := link.NewTransmitters(len(links), chanOf, 2, 4, link.NACKWindow, &p.ev, p.ctr)
-	rxs := link.NewReceivers(len(links), chanOf, 2, link.HBH, &p.ev, p.ctr)
+	txs := link.NewTransmitters(nil, len(links), chanOf, 2, 4, link.NACKWindow, &p.ev, p.ctr)
+	rxs := link.NewReceivers(nil, len(links), chanOf, 2, link.HBH, &p.ev, p.ctr)
 	for i, l := range links {
 		dst, _ := topo.Neighbor(l.From, l.Dir)
 		routers[l.From].AttachOutput(l.Dir, &txs[i])

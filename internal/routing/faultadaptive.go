@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -59,10 +60,16 @@ const infDist = math.MaxUint16
 // NewFaultAdaptiveFunc builds the routing function and its initial
 // tables over topo's current live graph.
 func NewFaultAdaptiveFunc(t *topology.Topology) *FaultAdaptiveFunc {
+	return newFaultAdaptiveFunc(nil, t)
+}
+
+// newFaultAdaptiveFunc is NewFaultAdaptiveFunc with the tables in three
+// slabs from s (sim.Make).
+func newFaultAdaptiveFunc(s *sim.Slabs, t *topology.Topology) *FaultAdaptiveFunc {
 	n := t.Width() * t.Height()
-	labels := make([]int32, 2*n)
-	dists := make([]uint16, 2*n*n)
-	scratch := make([]flit.NodeID, 2*n)
+	labels := sim.Make[int32](s, 2*n)
+	dists := sim.Make[uint16](s, 2*n*n)
+	scratch := sim.Make[flit.NodeID](s, 2*n)
 	f := &FaultAdaptiveFunc{
 		t: t, n: n,
 		level:  labels[:n:n],

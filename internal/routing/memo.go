@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -27,9 +28,10 @@ type Memo struct {
 // recomputed.
 const maxMemoSets = 255
 
-// NewMemo wraps f with an empty memo over nodes nodes.
-func NewMemo(f Func, nodes int) *Memo {
-	return &Memo{Func: f, n: nodes, memo: make([]uint8, nodes*nodes), sets: make([][]topology.Port, 0, 16)}
+// NewMemo wraps f with an empty memo over nodes nodes, its tables in
+// slabs from s (sim.Make).
+func NewMemo(s *sim.Slabs, f Func, nodes int) *Memo {
+	return &Memo{Func: f, n: nodes, memo: sim.Make[uint8](s, nodes*nodes), sets: sim.Make[[]topology.Port](s, 16)[:0]}
 }
 
 // Route implements Func through the memo. A node outside the node space

@@ -26,7 +26,7 @@ func (c *countingFunc) Route(cur, dst flit.NodeID) []topology.Port {
 func TestMemoFlushLeavesNothingMemoised(t *testing.T) {
 	topo := topology.New(topology.Mesh, 4, 4)
 	topo.FailLink(5, topology.East)
-	m := NewMemo(New(FaultAdaptive, topo), topo.Nodes())
+	m := NewMemo(nil, New(FaultAdaptive, topo), topo.Nodes())
 	for cur := 0; cur < topo.Nodes(); cur++ {
 		for dst := 0; dst < topo.Nodes(); dst++ {
 			m.Route(flit.NodeID(cur), flit.NodeID(dst))
@@ -52,7 +52,7 @@ func TestMemoFlushLeavesNothingMemoised(t *testing.T) {
 func TestMemoOutOfRangeFallsThrough(t *testing.T) {
 	topo := topology.New(topology.Mesh, 4, 4)
 	c := &countingFunc{Func: New(XY, topo)}
-	m := NewMemo(c, topo.Nodes())
+	m := NewMemo(nil, c, topo.Nodes())
 	for i := 0; i < 3; i++ {
 		if got, want := m.Route(0, 16), c.Func.Route(0, 16); !slices.Equal(got, want) {
 			t.Fatalf("Route(0, 16) = %v, want %v", got, want)
@@ -90,7 +90,7 @@ func FuzzMemo(f *testing.F) {
 		topo := topology.New(k, 2+int(w%7), 1+int(h%8))
 		a := Algorithm(1 + alg%5)
 		fn := New(a, topo)
-		m := NewMemo(fn, topo.Nodes())
+		m := NewMemo(nil, fn, topo.Nodes())
 		links := topo.Links()
 		n := topo.Nodes()
 		for i := 0; i+1 < len(ops); i += 2 {

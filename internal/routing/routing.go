@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"ftnoc/internal/flit"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -103,7 +104,11 @@ type Func interface {
 }
 
 // New returns the routing function for algorithm a over topo.
-func New(a Algorithm, topo *topology.Topology) Func {
+func New(a Algorithm, topo *topology.Topology) Func { return NewIn(nil, a, topo) }
+
+// NewIn is New with the fault-adaptive function's tables taken from s
+// (sim.Make); the deterministic functions hold none.
+func NewIn(s *sim.Slabs, a Algorithm, topo *topology.Topology) Func {
 	switch a {
 	case XY:
 		return xyFunc{topo}
@@ -114,7 +119,7 @@ func New(a Algorithm, topo *topology.Topology) Func {
 	case OddEven:
 		return oddEvenFunc{topo}
 	case FaultAdaptive:
-		return NewFaultAdaptiveFunc(topo)
+		return newFaultAdaptiveFunc(s, topo)
 	default:
 		panic("routing: unknown algorithm")
 	}

@@ -218,7 +218,7 @@ func TestRouteAllocatesNothing(t *testing.T) {
 		if n != 0 {
 			t.Errorf("%v: Route allocates %v times per call, want 0", a, n)
 		}
-		m := NewMemo(r, topo.Nodes())
+		m := NewMemo(nil, r, topo.Nodes())
 		for j := 0; j < 36*36; j++ {
 			m.Route(flit.NodeID(j/36), flit.NodeID(j%36))
 		}

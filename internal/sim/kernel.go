@@ -157,21 +157,22 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 }
 
 // Reserve presizes the actor tables for n more registrations, so that
-// registering them allocates nothing.
-func (k *Kernel) Reserve(n int) {
-	k.actors = reserve(k.actors, n)
-	k.quiescers = reserve(k.quiescers, n)
-	k.wakeAt = reserve(k.wakeAt, n)
-	k.awake = reserve(k.awake, (len(k.actors)+n+63)>>6-len(k.awake))
+// registering them allocates nothing. Tables it has to grow come from s
+// (Make).
+func (k *Kernel) Reserve(s *Slabs, n int) {
+	k.actors = reserve(s, k.actors, n)
+	k.quiescers = reserve(s, k.quiescers, n)
+	k.wakeAt = reserve(s, k.wakeAt, n)
+	k.awake = reserve(s, k.awake, (len(k.actors)+n+63)>>6-len(k.awake))
 }
 
-// reserve returns s with room for n more elements, in one allocation
+// reserve returns have with room for n more elements, in one allocation
 // when it has to grow (slices.Grow makes two under the race detector).
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
+func reserve[T any](s *Slabs, have []T, n int) []T {
+	if cap(have)-len(have) >= n {
+		return have
 	}
-	return append(make([]T, 0, len(s)+n), s...)
+	return append(Make[T](s, len(have)+n)[:0], have...)
 }
 
 // EnableQuiescence opts a registered Quiescer into idle skipping. Call

@@ -97,13 +97,13 @@ func (p *Pipe[T]) Init(k *Kernel, latency int) {
 // firstRing is the depth of a pipe's first ring.
 const firstRing = 4
 
-// InitRings gives n pipes their first rings in one allocation: pipe(i)'s
-// ring is a capacity-capped window of a shared arena, so those pipes
-// allocate nothing until one holds more than firstRing values at once. A
-// ring that outgrows its window is replaced by grow, never extended into
-// a neighbour's. The pipes must be empty.
-func InitRings[T any](n int, pipe func(i int) *Pipe[T]) {
-	arena := make([]stamped[T], n*firstRing)
+// InitRings gives n pipes their first rings in one slab from s (Make):
+// pipe(i)'s ring is a capacity-capped window of a shared arena, so those
+// pipes allocate nothing until one holds more than firstRing values at
+// once. A ring that outgrows its window is replaced by grow, never
+// extended into a neighbour's. The pipes must be empty.
+func InitRings[T any](s *Slabs, n int, pipe func(i int) *Pipe[T]) {
+	arena := Make[stamped[T]](s, n*firstRing)
 	for i := 0; i < n; i++ {
 		p := pipe(i)
 		if p.held != 0 {

@@ -35,13 +35,14 @@ func (r *RNG) seed(seed uint64) {
 // component (per-link fault injectors, per-node traffic sources) its own
 // stream so that changing one component's draw count does not perturb the
 // others.
-func (r *RNG) Split() *RNG { return &r.SplitN(1)[0] }
+func (r *RNG) Split() *RNG { return &r.SplitN(nil, 1)[0] }
 
-// SplitN derives n independent generators from r in one allocation:
-// stream i is the one the (i+1)-th of n successive Split calls would
-// return, so a batch of components can draw from a slab of streams.
-func (r *RNG) SplitN(n int) []RNG {
-	rs := make([]RNG, n)
+// SplitN derives n independent generators from r in one slab from s
+// (Make): stream i is the one the (i+1)-th of n successive Split calls
+// would return, so a batch of components can draw from a slab of
+// streams.
+func (r *RNG) SplitN(s *Slabs, n int) []RNG {
+	rs := Make[RNG](s, n)
 	for i := range rs {
 		rs[i].seed(r.Uint64())
 	}

@@ -118,7 +118,7 @@ func TestRNGSplitIndependence(t *testing.T) {
 // would, and leaves the parent where those calls would.
 func TestRNGSplitNMatchesSplit(t *testing.T) {
 	a, b := NewRNG(9), NewRNG(9)
-	slab := a.SplitN(5)
+	slab := a.SplitN(nil, 5)
 	for i := range slab {
 		one := b.Split()
 		for d := 0; d < 3; d++ {
@@ -136,7 +136,7 @@ func TestRNGSplitNMatchesSplit(t *testing.T) {
 // afterwards allocates nothing.
 func TestKernelReserve(t *testing.T) {
 	var k Kernel
-	k.Reserve(200)
+	k.Reserve(nil, 200)
 	a := ActorFunc(func(uint64) {})
 	if n := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 100; i++ {

@@ -1,0 +1,70 @@
+package sim
+
+import "testing"
+
+// A nil store is plain make: a fresh zeroed slice each call.
+func TestMakeNilStore(t *testing.T) {
+	a, b := Make[int](nil, 4), Make[int](nil, 4)
+	if len(a) != 4 || cap(a) != 4 || &a[0] == &b[0] {
+		t.Fatalf("nil store: len %d cap %d, shared backing %v", len(a), cap(a), &a[0] == &b[0])
+	}
+}
+
+// A build in a store gets the previous build's slab of the same element
+// type and ordinal, cleared and capped at the length asked for; a slab
+// too small for the ask is replaced, and the replacement reused next.
+func TestMakeReusesBySlot(t *testing.T) {
+	var s Slabs
+	s.Begin()
+	ints0, ints1 := Make[int](&s, 8), Make[int](&s, 3)
+	bytes0 := Make[byte](&s, 5)
+	for i := range ints0 {
+		ints0[i] = i + 1
+	}
+	ints1[0], bytes0[0] = 7, 9
+
+	s.Begin()
+	// A slab of another type first, and an extra one of it: ints keep
+	// their ordinals.
+	Make[byte](&s, 5)
+	Make[byte](&s, 2)
+	got0, got1 := Make[int](&s, 6), Make[int](&s, 4)
+	if &got0[0] != &ints0[0] {
+		t.Error("int slot 0 was not reused")
+	}
+	if len(got0) != 6 || cap(got0) != 6 {
+		t.Errorf("reused slab has len %d cap %d, want 6 and 6", len(got0), cap(got0))
+	}
+	for i, v := range ints0 {
+		if v != 0 {
+			t.Fatalf("reused slab not cleared: [%d] = %d", i, v)
+		}
+	}
+	if &got1[0] == &ints1[0] || len(got1) != 4 {
+		t.Error("int slot 1 was too small and must be replaced")
+	}
+
+	s.Begin()
+	if again := Make[int](&s, 1); &again[0] != &ints0[0] {
+		t.Error("int slot 0 not reused on the third build")
+	}
+	if again := Make[int](&s, 4); &again[0] != &got1[0] {
+		t.Error("int slot 1's replacement not reused")
+	}
+}
+
+// Reusing a slab allocates nothing: each is boxed once, when recorded.
+func TestMakeReuseAllocatesNothing(t *testing.T) {
+	var s Slabs
+	build := func() {
+		s.Begin()
+		Make[RNG](&s, 64)
+		Make[uint64](&s, 100)
+		Make[uint64](&s, 10)
+		Make[*Kernel](&s, 7)
+	}
+	build()
+	if n := testing.AllocsPerRun(10, build); n != 0 {
+		t.Fatalf("a reused build made %v allocations", n)
+	}
+}

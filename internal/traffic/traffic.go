@@ -96,19 +96,19 @@ type Source struct {
 // NewSource creates the injection process for one node. rate is in
 // flits/node/cycle; packetSize converts it to packets.
 func NewSource(node flit.NodeID, topo *topology.Topology, pattern Pattern, rate float64, packetSize int, rng *sim.RNG) *Source {
-	return &NewSources(node, 1, topo, pattern, rate, packetSize, func(int) *sim.RNG { return rng })[0]
+	return &NewSources(nil, node, 1, topo, pattern, rate, packetSize, func(int) *sim.RNG { return rng })[0]
 }
 
 // NewSources creates the injection processes of n consecutive nodes in one
-// allocation: source i is node first+i's, drawing from rng(i).
-func NewSources(first flit.NodeID, n int, topo *topology.Topology, pattern Pattern, rate float64, packetSize int, rng func(i int) *sim.RNG) []Source {
+// slab from s (sim.Make): source i is node first+i's, drawing from rng(i).
+func NewSources(s *sim.Slabs, first flit.NodeID, n int, topo *topology.Topology, pattern Pattern, rate float64, packetSize int, rng func(i int) *sim.RNG) []Source {
 	if rate < 0 {
 		panic("traffic: negative injection rate")
 	}
 	if packetSize < 1 {
 		panic("traffic: packet size must be >= 1")
 	}
-	srcs := make([]Source, n)
+	srcs := sim.Make[Source](s, n)
 	for i := range srcs {
 		r := rng(i)
 		srcs[i] = Source{

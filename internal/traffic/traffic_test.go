@@ -206,9 +206,9 @@ func TestPhaseStagger(t *testing.T) {
 // and behaves exactly as one built alone on the same stream.
 func TestNewSourcesMatchNewSource(t *testing.T) {
 	topo := mesh8()
-	streams := sim.NewRNG(3).SplitN(4)
-	alone := sim.NewRNG(3).SplitN(4)
-	srcs := NewSources(10, 4, topo, UniformRandom, 0.3, 4, func(i int) *sim.RNG { return &streams[i] })
+	streams := sim.NewRNG(3).SplitN(nil, 4)
+	alone := sim.NewRNG(3).SplitN(nil, 4)
+	srcs := NewSources(nil, 10, 4, topo, UniformRandom, 0.3, 4, func(i int) *sim.RNG { return &streams[i] })
 	for i := range srcs {
 		one := NewSource(flit.NodeID(10+i), topo, UniformRandom, 0.3, 4, &alone[i])
 		for c := 0; c < 200; c++ {

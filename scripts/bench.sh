@@ -52,3 +52,24 @@ for bench in BenchmarkKernelSteady BenchmarkKernelSteadyFaults \
     fi
     echo "bench.sh: OK — ${bench} is allocation-free"
 done
+
+# Slab-store guard: every component slab a build needs must come back
+# from the store, so a rebuild allocates only what stays plain make (the
+# network struct, its topology, counters and RNG root) — at most 2% of a
+# fresh build's bytes.
+out=$(go test ./internal/network -run '^$' -bench 'BenchmarkNew(Fresh|Reused)6x6$' \
+    -benchtime=20x -benchmem)
+bytes_per_op() {
+    awk -v b="$1" '$1 ~ "^"b"(-[0-9]+)?$" {for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i-1)}' <<<"$out"
+}
+fresh=$(bytes_per_op BenchmarkNewFresh6x6)
+reused=$(bytes_per_op BenchmarkNewReused6x6)
+if [[ -z "$fresh" || -z "$reused" ]]; then
+    echo "bench.sh: could not parse B/op from: $out" >&2
+    exit 1
+fi
+if (( reused * 50 > fresh )); then
+    echo "bench.sh: FAIL — a rebuild in a slab store allocates $reused B/op against a fresh build's $fresh; the bound is 2%" >&2
+    exit 1
+fi
+echo "bench.sh: OK — a rebuild in a slab store allocates $reused B/op, a fresh build $fresh"
