@@ -204,18 +204,7 @@ func main() {
 // pool's workers), the fraction of actor ticks elided relative to
 // ticking every actor every cycle, and ticks dispatched.
 func kernelSummary(report *campaign.Report) string {
-	var cycles, ticked, skipped, events uint64
-	for _, p := range report.Points {
-		for _, rr := range p.Reps {
-			if rr.Err != nil || rr.Seed == 0 {
-				continue
-			}
-			cycles += rr.Results.Cycles
-			ticked += rr.KernelTicked
-			skipped += rr.KernelSkipped
-			events += rr.KernelEvents
-		}
-	}
+	cycles, ticked, skipped, events := report.KernelTotals()
 	rate := "n/a"
 	if report.Elapsed > 0 {
 		rate = fmt.Sprintf("%.0f cycles/sec", float64(cycles)/report.Elapsed.Seconds())

@@ -82,15 +82,15 @@ type Spec struct {
 	// contribute to CanonicalHash.
 	Invariants bool
 
-	// Progress, when non-nil, receives CampaignPointStart/Done events as
-	// replicates are dispatched and retired, plus the span-timeline kinds
-	// (CampaignBegin/End, CampaignPointBegin/End, CampaignRepBegin/End)
+	// Progress, when non-nil, receives the span timeline
+	// (CampaignBegin/End, CampaignPointBegin/End, CampaignRepBegin/End),
 	// whose Cycle field carries wall-clock microseconds since Run
-	// started — feed it a trace.ChromeTrace and the whole schedule
-	// (worker lanes, idle gaps, straggler points) renders in
-	// chrome://tracing. The engine serialises emissions, so any Sink
-	// works unmodified; events arrive in completion order, not point
-	// order.
+	// started. One RepBegin/RepEnd pair reports each replicate, the End
+	// carrying its point, simulated cycles and status. Feed it a
+	// trace.ChromeTrace and the whole schedule (worker lanes, idle gaps,
+	// straggler points) renders in chrome://tracing. The engine
+	// serialises emissions, so any Sink works unmodified; events arrive
+	// in completion order, not point order.
 	Progress trace.Sink
 
 	// Logger, when non-nil, receives a structured record for every
@@ -130,11 +130,6 @@ type RepResult struct {
 	// simulated network, and must not perturb result hashing or
 	// serialisation.
 	KernelTicked, KernelSkipped, KernelEvents uint64
-	// Wall is the replicate's wall-clock execution time on its worker.
-	// Like the kernel counters it describes the engine, not the
-	// simulated network: it varies run to run, so it stays out of the
-	// result tables and the content-addressed hash.
-	Wall time.Duration
 	// Err captures a crash inside this replicate's simulation; the
 	// Results are zero when set.
 	Err error
@@ -165,10 +160,6 @@ type PointResult struct {
 	Point
 	Reps []RepResult
 	Agg  Aggregate
-	// Wall is the point's wall-clock window: from its first replicate's
-	// dispatch to its last replicate's retirement (straggler points show
-	// up as outliers here). Zero when no replicate was dispatched.
-	Wall time.Duration
 	// Err is the point's validation error (no replicate ran), or the
 	// first replicate error when every replicate failed.
 	Err error
@@ -193,6 +184,23 @@ type Report struct {
 	// row-level report renders byte-identically to the single-node
 	// engine's without reconstructing simulator internals.
 	Rows []PointRow
+}
+
+// KernelTotals sums the simulated cycles and scheduler counters (see
+// RepResult) over every replicate that ran without error.
+func (r *Report) KernelTotals() (cycles, ticked, skipped, events uint64) {
+	for i := range r.Points {
+		for _, rr := range r.Points[i].Reps {
+			if rr.Err != nil || rr.Seed == 0 {
+				continue // failed, or never dispatched
+			}
+			cycles += rr.Results.Cycles
+			ticked += rr.KernelTicked
+			skipped += rr.KernelSkipped
+			events += rr.KernelEvents
+		}
+	}
+	return cycles, ticked, skipped, events
 }
 
 // Points expands the spec's grid in deterministic order (axes nest
@@ -396,24 +404,12 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 			// not its replicates.
 			var slabs sim.Slabs
 			for j := range jobc {
-				global := points[j.point].Index
 				cfg := points[j.point].Config
 				cfg.Seed = seed(spec.Base.Seed, points[j.point], j.rep)
 				spans.repBegin(worker, j.point, j.rep, cfg.Seed)
-				progress.emit(trace.Event{
-					Kind: trace.CampaignPointStart, Node: -1, Port: -1, VC: -1,
-					Aux: uint64(global), PID: uint64(j.rep),
-				})
-				repStart := time.Now()
 				rr := runReplicate(ctx, &slabs, cfg, spec.Invariants)
-				rr.Wall = time.Since(repStart)
 				report.Points[j.point].Reps[j.rep] = rr
 				logRepFailure(spec.Logger, points[j.point], j.rep, rr)
-				progress.emit(trace.Event{
-					Kind: trace.CampaignPointDone, Cycle: rr.Results.Cycles,
-					Node: -1, Port: -1, VC: -1,
-					Aux: uint64(global), PID: uint64(j.rep),
-				})
 				spans.repEnd(worker, j.point, j.rep, rr)
 			}
 		}(w)
@@ -431,7 +427,7 @@ dispatch:
 	}
 	close(jobc)
 	wg.Wait()
-	spans.flush(report)
+	spans.flush()
 
 	for i := range report.Points {
 		finalizePoint(&report.Points[i])
@@ -446,10 +442,10 @@ dispatch:
 
 // spanTracker turns the workers' replicate lifecycles into the
 // hierarchical span timeline (campaign → point → replicate) published on
-// the progress sink, and accumulates the wall-clock windows recorded on
-// the report. Points open on their first replicate's dispatch and close
-// on their last replicate's retirement; an aborted campaign closes its
-// still-open points in flush so every Begin has a matching End.
+// the progress sink. Points open on their first replicate's dispatch
+// and close on their last replicate's retirement; an aborted campaign
+// closes its still-open points in flush so every Begin has a matching
+// End.
 type spanTracker struct {
 	sink  *lockedSink
 	start time.Time
@@ -467,9 +463,8 @@ type spanTracker struct {
 }
 
 type pointSpan struct {
-	started, done, failed int
-	begun, ended          bool
-	first, last           time.Time
+	done, failed int
+	begun, ended bool
 }
 
 func newSpanTracker(sink *lockedSink, start time.Time, grid []Point, reps int) *spanTracker {
@@ -505,10 +500,8 @@ func (t *spanTracker) repBegin(worker, point, rep int, seed uint64) {
 	now := t.wall()
 	t.mu.Lock()
 	ps := &t.points[point]
-	ps.started++
 	if !ps.begun {
 		ps.begun = true
-		ps.first = time.Now()
 		t.sink.emit(trace.Event{
 			Kind: trace.CampaignPointBegin, Cycle: now, Node: -1, Port: -1, VC: -1,
 			Aux: t.global(point),
@@ -523,16 +516,10 @@ func (t *spanTracker) repBegin(worker, point, rep int, seed uint64) {
 
 func (t *spanTracker) repEnd(worker, point, rep int, rr RepResult) {
 	now := t.wall()
-	status := trace.RepStatusOK
-	switch {
-	case rr.Err != nil:
-		status = trace.RepStatusError
-	case rr.Results.Aborted:
-		status = trace.RepStatusAborted
-	}
 	t.sink.emit(trace.Event{
 		Kind: trace.CampaignRepEnd, Cycle: now, Node: int32(worker), Port: -1, VC: -1,
-		PID: uint64(rep), Aux: rr.KernelTicked, Aux2: rr.KernelSkipped, Seq: status,
+		Aux: t.global(point), PID: uint64(rep), Aux2: rr.Results.Cycles,
+		Seq: trace.RepStatusOf(rr.Err != nil, rr.Results.Aborted),
 	})
 	t.mu.Lock()
 	ps := &t.points[point]
@@ -540,7 +527,6 @@ func (t *spanTracker) repEnd(worker, point, rep int, rr RepResult) {
 	if rr.Err != nil {
 		ps.failed++
 	}
-	ps.last = time.Now()
 	completed := ps.done == t.reps && !ps.ended
 	if completed {
 		ps.ended = true
@@ -555,24 +541,19 @@ func (t *spanTracker) repEnd(worker, point, rep int, rr RepResult) {
 	}
 }
 
-// flush closes the point spans an aborted dispatch left open and copies
-// every begun point's wall window onto the report.
-func (t *spanTracker) flush(report *Report) {
+// flush closes the point spans an aborted dispatch left open.
+func (t *spanTracker) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range t.points {
 		ps := &t.points[i]
-		if !ps.begun {
-			continue
-		}
-		if !ps.ended {
+		if ps.begun && !ps.ended {
 			ps.ended = true
 			t.sink.emit(trace.Event{
 				Kind: trace.CampaignPointEnd, Cycle: t.wall(), Node: -1, Port: -1, VC: -1,
 				Aux: t.global(i), Aux2: uint64(ps.failed),
 			})
 		}
-		report.Points[i].Wall = ps.last.Sub(ps.first)
 	}
 }
 

@@ -122,28 +122,13 @@ func TestCampaignDeterminism(t *testing.T) {
 		if ps.Agg.Completed != len(ps.Reps) {
 			t.Fatalf("point %d incomplete: %+v", i, ps.Agg)
 		}
-		if !reflect.DeepEqual(stripWall(ps.Reps), stripWall(pp.Reps)) {
+		if !reflect.DeepEqual(ps.Reps, pp.Reps) {
 			t.Errorf("point %d replicate results differ between workers=1 and workers=8", i)
-		}
-		for _, rr := range ps.Reps {
-			if rr.Wall <= 0 {
-				t.Errorf("point %d: replicate wall time not recorded", i)
-			}
 		}
 		if !reflect.DeepEqual(ps.Agg, pp.Agg) {
 			t.Errorf("point %d aggregates differ: serial %+v, parallel %+v", i, ps.Agg, pp.Agg)
 		}
 	}
-}
-
-// stripWall clears the wall-clock fields, which legitimately vary
-// between runs — everything else must match exactly.
-func stripWall(reps []RepResult) []RepResult {
-	out := append([]RepResult(nil), reps...)
-	for i := range out {
-		out[i].Wall = 0
-	}
-	return out
 }
 
 // TestCampaignErrorIsolation: one invalid grid point fails with a wrapped
@@ -219,9 +204,9 @@ func (c *countingSink) Emit(e trace.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch e.Kind {
-	case trace.CampaignPointStart:
+	case trace.CampaignRepBegin:
 		c.start++
-	case trace.CampaignPointDone:
+	case trace.CampaignRepEnd:
 		c.done++
 	}
 }

@@ -26,27 +26,7 @@ var csvHeader = []string{
 // WriteCSV renders the report as one CSV row per point, in grid order,
 // with mean and 95%-CI half-width columns for each replicated metric.
 func (r *Report) WriteCSV(w io.Writer) error {
-	return WriteRowsCSV(w, r.rows())
-}
-
-// rows flattens the report's points into their external row form (or
-// returns the pre-flattened Rows of a coordinator-assembled report).
-func (r *Report) rows() []PointRow {
-	if r.Rows != nil {
-		return r.Rows
-	}
-	rows := make([]PointRow, len(r.Points))
-	for i := range r.Points {
-		rows[i] = PointRowOf(&r.Points[i])
-	}
-	return rows
-}
-
-// WriteRowsCSV renders already-flattened rows in the WriteCSV table
-// format. Splitting the row form from the Report lets a parsed table be
-// re-emitted byte-identically — the round-trip law ReadCSV∘WriteRowsCSV
-// is a fixed point, which the fuzz harness exercises.
-func WriteRowsCSV(w io.Writer, rows []PointRow) error {
+	rows := r.rows()
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
@@ -76,8 +56,21 @@ func WriteRowsCSV(w io.Writer, rows []PointRow) error {
 	return cw.Error()
 }
 
+// rows flattens the report's points into their external row form (or
+// returns the pre-flattened Rows of a coordinator-assembled report).
+func (r *Report) rows() []PointRow {
+	if r.Rows != nil {
+		return r.Rows
+	}
+	rows := make([]PointRow, len(r.Points))
+	for i := range r.Points {
+		rows[i] = PointRowOf(&r.Points[i])
+	}
+	return rows
+}
+
 // formatFloat renders a float in the shortest form that parses back to
-// the identical value, so the tables round-trip losslessly.
+// the identical value, so no table cell loses precision.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // PointRow is the flattened external form of a PointResult: one NDJSON
@@ -190,7 +183,8 @@ func (r *Report) WriteNDJSON(w io.Writer) error {
 }
 
 // WriteRowsNDJSON renders already-flattened rows in the WriteNDJSON
-// format (see WriteRowsCSV for why the row form is writable directly).
+// format, so rows read back from a stream (a shard cache entry, a
+// worker's response) re-emit byte-identically.
 func WriteRowsNDJSON(w io.Writer, rows []PointRow) error {
 	enc := json.NewEncoder(w)
 	for i := range rows {
@@ -206,8 +200,8 @@ func WriteRowsNDJSON(w io.Writer, rows []PointRow) error {
 const maxNDJSONRow = 16 << 20
 
 // ReadNDJSON parses a WriteNDJSON table back into its rows, in file
-// order. Together with ReadCSV it guards the export formats: a report
-// written and read back must reconstruct every row.
+// order: the fabric reads workers' row streams and shard cache entries
+// with it, and a report written and read back reconstructs every row.
 //
 // Every writer newline-terminates every row, so a final line without its
 // newline is a truncated stream (a writer that died mid-row) and is
@@ -240,88 +234,4 @@ func ReadNDJSON(r io.Reader) ([]PointRow, error) {
 			return rows, nil
 		}
 	}
-}
-
-// ReadCSV parses a WriteCSV table back into its rows. CSV carries no
-// per-replicate detail and no sample counts, so Replicates is nil and
-// the estimates' N is zero; every other field round-trips exactly
-// (floats are written in shortest-exact form).
-func ReadCSV(r io.Reader) ([]PointRow, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: reading CSV: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("campaign: CSV table has no header")
-	}
-	if got, want := records[0], csvHeader; !equalStrings(got, want) {
-		return nil, fmt.Errorf("campaign: CSV header %q does not match the table format", got)
-	}
-	rows := make([]PointRow, 0, len(records)-1)
-	for i, rec := range records[1:] {
-		row, err := parseCSVRow(rec)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: parsing CSV row %d: %w", i, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func parseCSVRow(rec []string) (PointRow, error) {
-	if len(rec) != len(csvHeader) {
-		return PointRow{}, fmt.Errorf("have %d columns, want %d", len(rec), len(csvHeader))
-	}
-	f := fieldParser{rec: rec}
-	row := PointRow{
-		Point: f.int(0), Width: f.int(1), Height: f.int(2),
-		Topology: rec[3], Routing: rec[4], Protection: rec[5], Pattern: rec[6],
-		LinkErrorRate: f.float(7), Mortality: rec[8], InjectionRate: f.float(9),
-		Reps: f.int(10), Completed: f.int(11), Stalled: f.int(12), Aborted: f.int(13),
-		Delivered:      EstimateRow{Mean: f.float(14)},
-		Undeliverable:  EstimateRow{Mean: f.float(15)},
-		ReachableFrac:  EstimateRow{Mean: f.float(16)},
-		AvgLatency:     EstimateRow{Mean: f.float(17), CI95: f.float(18)},
-		P95Latency:     EstimateRow{Mean: f.float(19), CI95: f.float(20)},
-		Throughput:     EstimateRow{Mean: f.float(21), CI95: f.float(22)},
-		EnergyPerMsgNJ: EstimateRow{Mean: f.float(23), CI95: f.float(24)},
-		Error:          rec[25],
-	}
-	return row, f.err
-}
-
-// fieldParser accumulates the first strconv error across a row's typed
-// columns, so parseCSVRow reads as a table instead of an error ladder.
-type fieldParser struct {
-	rec []string
-	err error
-}
-
-func (f *fieldParser) int(i int) int {
-	v, err := strconv.Atoi(f.rec[i])
-	if err != nil && f.err == nil {
-		f.err = fmt.Errorf("column %q: %w", csvHeader[i], err)
-	}
-	return v
-}
-
-func (f *fieldParser) float(i int) float64 {
-	v, err := strconv.ParseFloat(f.rec[i], 64)
-	if err != nil && f.err == nil {
-		f.err = fmt.Errorf("column %q: %w", csvHeader[i], err)
-	}
-	return v
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log/slog"
 	"strings"
 	"sync"
@@ -27,8 +28,8 @@ func (s *timelineSink) Emit(e trace.Event) {
 
 // TestSpanTimeline checks the hierarchical span stream: exactly one
 // campaign span, one point span per grid point, one replicate span per
-// dispatched replicate, every Begin matched by an End, replicate ends
-// carrying the kernel counters, and wall windows recorded on the report.
+// dispatched replicate, every Begin matched by an End, and replicate
+// ends carrying their point, simulated cycles and status.
 func TestSpanTimeline(t *testing.T) {
 	var sink timelineSink
 	spec := Spec{
@@ -44,29 +45,22 @@ func TestSpanTimeline(t *testing.T) {
 	}
 
 	count := map[trace.Kind]int{}
-	var lastWall uint64
-	var repKernel uint64
 	for _, e := range sink.events {
 		count[e.Kind]++
-		switch e.Kind {
-		case trace.CampaignBegin, trace.CampaignEnd,
-			trace.CampaignPointBegin, trace.CampaignPointEnd,
-			trace.CampaignRepBegin, trace.CampaignRepEnd:
-			// Wall timestamps are per-event non-decreasing only within a
-			// lane; globally they must at least stay sane (≤ elapsed).
-			if e.Cycle > uint64(report.Elapsed.Microseconds())+1000 {
-				t.Errorf("%v wall timestamp %dµs exceeds campaign elapsed %v", e.Kind, e.Cycle, report.Elapsed)
-			}
-			lastWall = e.Cycle
+		// Wall timestamps are per-event non-decreasing only within a
+		// lane; globally they must at least stay sane (≤ elapsed).
+		if e.Cycle > uint64(report.Elapsed.Microseconds())+1000 {
+			t.Errorf("%v wall timestamp %dµs exceeds campaign elapsed %v", e.Kind, e.Cycle, report.Elapsed)
 		}
 		if e.Kind == trace.CampaignRepEnd {
-			repKernel += e.Aux + e.Aux2
 			if e.Seq != trace.RepStatusOK {
 				t.Errorf("replicate status = %d, want ok", e.Seq)
 			}
+			if want := report.Points[e.Aux].Reps[e.PID].Results.Cycles; e.Aux2 != want || want == 0 {
+				t.Errorf("point %d rep %d end carries %d cycles, want %d", e.Aux, e.PID, e.Aux2, want)
+			}
 		}
 	}
-	_ = lastWall
 	if count[trace.CampaignBegin] != 1 || count[trace.CampaignEnd] != 1 {
 		t.Fatalf("campaign span: %d begins, %d ends", count[trace.CampaignBegin], count[trace.CampaignEnd])
 	}
@@ -76,12 +70,8 @@ func TestSpanTimeline(t *testing.T) {
 	if count[trace.CampaignRepBegin] != 4 || count[trace.CampaignRepEnd] != 4 {
 		t.Fatalf("replicate spans: %d begins, %d ends, want 4/4", count[trace.CampaignRepBegin], count[trace.CampaignRepEnd])
 	}
-	// The legacy progress kinds keep flowing on the same sink.
-	if count[trace.CampaignPointStart] != 4 || count[trace.CampaignPointDone] != 4 {
-		t.Fatalf("legacy progress kinds missing: %d starts, %d dones", count[trace.CampaignPointStart], count[trace.CampaignPointDone])
-	}
-	if repKernel == 0 {
-		t.Error("replicate ends carried no kernel tick counters")
+	if len(sink.events) != 1+1+2+2+4+4 {
+		t.Fatalf("%d events, want only the 14 span boundaries", len(sink.events))
 	}
 
 	// First and last span events frame the run.
@@ -91,19 +81,61 @@ func TestSpanTimeline(t *testing.T) {
 	if last := sink.events[len(sink.events)-1].Kind; last != trace.CampaignEnd {
 		t.Errorf("last event = %v, want campaign-end", last)
 	}
+}
 
-	for i, p := range report.Points {
-		if p.Wall <= 0 {
-			t.Errorf("point %d wall window not recorded", i)
+// TestChromeTimelineOfRun renders a real campaign through the Chrome
+// exporter: every event sits on one of the three campaign lanes (no
+// "router -1" process), and each replicate's E event carries the point
+// and simulated cycles of its RepResult.
+func TestChromeTimelineOfRun(t *testing.T) {
+	var buf bytes.Buffer
+	chrome := trace.NewChromeTrace(&buf)
+	spec := Spec{
+		Base:           tinyBase(),
+		InjectionRates: []float64{0.1, 0.2},
+		Seeds:          2,
+		Workers:        2,
+		Progress:       chrome,
+	}
+	report, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chrome.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			PID  int64  `json:"pid"`
+			Args struct {
+				Point  *int   `json:"point"`
+				Rep    int    `json:"rep"`
+				Cycles uint64 `json:"cycles"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("timeline is not valid JSON: %v", err)
+	}
+	ends := 0
+	for _, e := range doc.TraceEvents {
+		if e.PID < trace.CampaignLanePID || e.PID > trace.WorkerLanePID {
+			t.Errorf("%s event on pid %d, outside the campaign lanes", e.Ph, e.PID)
 		}
-		for r, rr := range p.Reps {
-			if rr.Wall <= 0 {
-				t.Errorf("point %d rep %d wall not recorded", i, r)
-			}
-			if p.Wall < rr.Wall {
-				t.Errorf("point %d window %v shorter than its replicate %v", i, p.Wall, rr.Wall)
-			}
+		if e.Ph != "E" || e.PID != trace.WorkerLanePID {
+			continue
 		}
+		ends++
+		if e.Args.Point == nil {
+			t.Fatal("replicate E event has no point")
+		}
+		if want := report.Points[*e.Args.Point].Reps[e.Args.Rep].Results.Cycles; e.Args.Cycles != want || want == 0 {
+			t.Errorf("point %d rep %d: E event carries %d cycles, want %d", *e.Args.Point, e.Args.Rep, e.Args.Cycles, want)
+		}
+	}
+	if ends != 4 {
+		t.Fatalf("%d replicate E events, want 4", ends)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// renderedTable produces a real two-point NDJSON table and its CSV twin
-// for the truncation tests.
-func renderedTable(t *testing.T) (ndjson, csv []byte, rows int) {
+// renderedTable produces a real two-point NDJSON table for the
+// truncation test.
+func renderedTable(t *testing.T) (ndjson []byte, rows int) {
 	t.Helper()
 	spec := Spec{
 		Base:           tinyBase(),
@@ -21,14 +21,11 @@ func renderedTable(t *testing.T) (ndjson, csv []byte, rows int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nb, cb bytes.Buffer
+	var nb bytes.Buffer
 	if err := report.WriteNDJSON(&nb); err != nil {
 		t.Fatal(err)
 	}
-	if err := report.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	return nb.Bytes(), cb.Bytes(), len(report.Points)
+	return nb.Bytes(), len(report.Points)
 }
 
 // TestReadNDJSONTruncated covers partial row streams — the shape a
@@ -37,7 +34,7 @@ func renderedTable(t *testing.T) (ndjson, csv []byte, rows int) {
 // happens to parse as JSON, because there is no way to know the row was
 // complete.
 func TestReadNDJSONTruncated(t *testing.T) {
-	table, _, n := renderedTable(t)
+	table, n := renderedTable(t)
 
 	full, err := ReadNDJSON(bytes.NewReader(table))
 	if err != nil {
@@ -79,34 +76,5 @@ func TestReadNDJSONTruncated(t *testing.T) {
 
 	if rows, err := ReadNDJSON(bytes.NewReader(nil)); err != nil || len(rows) != 0 {
 		t.Fatalf("empty input: rows=%d err=%v", len(rows), err)
-	}
-}
-
-// TestReadCSVTruncated: a record cut mid-line loses columns (or breaks a
-// quoted field) and must be rejected, while a whole-record prefix parses.
-func TestReadCSVTruncated(t *testing.T) {
-	_, table, n := renderedTable(t)
-
-	full, err := ReadCSV(bytes.NewReader(table))
-	if err != nil {
-		t.Fatalf("intact table: %v", err)
-	}
-	if len(full) != n {
-		t.Fatalf("intact table: %d rows, want %d", len(full), n)
-	}
-
-	cut := bytes.TrimRight(table[:len(table)-len(table)/4], "\n")
-	if _, err := ReadCSV(bytes.NewReader(cut)); err == nil {
-		t.Fatal("mid-record truncation was accepted")
-	}
-
-	lines := bytes.SplitAfter(table, []byte{'\n'})
-	prefix := append(append([]byte(nil), lines[0]...), lines[1]...)
-	rows, err := ReadCSV(bytes.NewReader(prefix))
-	if err != nil {
-		t.Fatalf("whole-record prefix: %v", err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("whole-record prefix: %d rows, want 1", len(rows))
 	}
 }

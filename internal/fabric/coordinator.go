@@ -684,9 +684,10 @@ func (c *Coordinator) streamShard(t *task, w *workerState, delivered []bool) err
 // alike. The first copy of a point's row wins. A redispatch duplicate is
 // dropped when it equals that copy, as determinism says it must; one that
 // differs falsifies the determinism law, so it fails the run instead of
-// being merged. A newly merged row re-emits the campaign progress events
-// the single-node engine would have produced, so SSE subscribers see
-// per-point progress from a distributed run too.
+// being merged. A newly merged row re-emits the replicate spans the
+// single-node engine would have produced (on worker lane -1, with no
+// wall-clock timestamps), so SSE subscribers see per-point progress
+// from a distributed run too.
 func (r *campaignRun) deliver(row campaign.PointRow) {
 	r.mu.Lock()
 	if row.Point < 0 || row.Point >= len(r.rows) {
@@ -714,10 +715,11 @@ func (r *campaignRun) deliver(row campaign.PointRow) {
 
 	if sink := r.spec.Progress; sink != nil {
 		for i, rep := range row.Replicates {
-			sink.Emit(trace.Event{Kind: trace.CampaignPointStart,
-				Aux: uint64(row.Point), PID: uint64(i)})
-			sink.Emit(trace.Event{Kind: trace.CampaignPointDone,
-				Aux: uint64(row.Point), PID: uint64(i), Cycle: rep.Cycles})
+			sink.Emit(trace.Event{Kind: trace.CampaignRepBegin, Node: -1, Port: -1, VC: -1,
+				Aux: uint64(row.Point), PID: uint64(i), Aux2: rep.Seed})
+			sink.Emit(trace.Event{Kind: trace.CampaignRepEnd, Node: -1, Port: -1, VC: -1,
+				Aux: uint64(row.Point), PID: uint64(i), Aux2: rep.Cycles,
+				Seq: trace.RepStatusOf(rep.Error != "", rep.Aborted)})
 		}
 	}
 	if complete {

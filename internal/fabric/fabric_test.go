@@ -17,6 +17,7 @@ import (
 	"ftnoc/internal/campaign"
 	"ftnoc/internal/network"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/trace"
 )
 
 // tinyBase is a 4x4 platform small enough that a grid of points runs in
@@ -481,6 +482,74 @@ func TestCachePeerReplay(t *testing.T) {
 	}
 	if v := coord.met.cacheHitShards.Value(); v != 2 {
 		t.Fatalf("cache-hit shards = %v, want 2 (every replay shard)", v)
+	}
+}
+
+// progressRecorder keeps a run's progress events; the coordinator's
+// shard streams deliver concurrently.
+type progressRecorder struct {
+	mu     sync.Mutex
+	events []trace.Event
+}
+
+func (p *progressRecorder) Emit(e trace.Event) {
+	p.mu.Lock()
+	p.events = append(p.events, e)
+	p.mu.Unlock()
+}
+
+// TestCoordinatorProgress: a merged row re-emits one RepBegin/RepEnd
+// pair per replicate — the only SSE progress of a coordinator — and
+// each RepEnd carries the cycles of that replicate's row.
+func TestCoordinatorProgress(t *testing.T) {
+	var rec progressRecorder
+	spec := tinySpec()
+	spec.Routings = spec.Routings[:1] // 2 points x 2 seeds
+	spec.Progress = &rec
+
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 1, HeartbeatTTL: time.Minute})
+	defer coord.Close()
+	coordSrv := httptest.NewServer(coord.Handler())
+	defer coordSrv.Close()
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(NewWorker(WorkerOptions{SimWorkers: 1}).Handler())
+		defer srv.Close()
+		registerWorker(t, coordSrv.URL, fmt.Sprintf("w%d", i), srv.URL, 1)
+	}
+
+	report, err := coord.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fabric run: %v", err)
+	}
+	type key struct{ point, rep uint64 }
+	begins, ends := map[key]int{}, map[key]int{}
+	for _, e := range rec.events {
+		k := key{e.Aux, e.PID}
+		switch e.Kind {
+		case trace.CampaignRepBegin:
+			begins[k]++
+		case trace.CampaignRepEnd:
+			ends[k]++
+			if want := report.Rows[k.point].Replicates[k.rep].Cycles; e.Aux2 != want || want == 0 {
+				t.Errorf("point %d rep %d: RepEnd carries %d cycles, row has %d", k.point, k.rep, e.Aux2, want)
+			}
+			if e.Node != -1 || e.Seq != trace.RepStatusOK {
+				t.Errorf("point %d rep %d: RepEnd node %d status %d, want -1 and ok", k.point, k.rep, e.Node, e.Seq)
+			}
+		default:
+			t.Errorf("unexpected %v event", e.Kind)
+		}
+	}
+	for point := uint64(0); point < 2; point++ {
+		for rep := uint64(0); rep < 2; rep++ {
+			k := key{point, rep}
+			if begins[k] != 1 || ends[k] != 1 {
+				t.Errorf("point %d rep %d: %d begins, %d ends, want 1/1", point, rep, begins[k], ends[k])
+			}
+		}
+	}
+	if len(rec.events) != 8 {
+		t.Fatalf("%d progress events, want 8", len(rec.events))
 	}
 }
 

@@ -15,7 +15,6 @@
 package faultmap
 
 import (
-	"errors"
 	"fmt"
 
 	"ftnoc/internal/flit"
@@ -148,16 +147,6 @@ func (m *Map) MergeFrom(src *Map) bool {
 	return changed
 }
 
-// Clone returns an independent copy of the map.
-func (m *Map) Clone() *Map {
-	c := New(m.nodes)
-	copy(c.dirs, m.dirs)
-	copy(c.dead, m.dead)
-	c.version = m.version
-	c.deadLinks, c.deadRouters = m.deadLinks, m.deadRouters
-	return c
-}
-
 // Equal reports whether two maps record the same faults (version
 // counters are histories, not state, and do not participate).
 func (m *Map) Equal(o *Map) bool {
@@ -189,18 +178,14 @@ func popcount4(b uint8) int {
 	return int(b&0x3 + (b>>2)&0x3)
 }
 
-// Wire codec. The encoding is canonical (one byte string per fault
+// Wire form. The encoding is canonical (one byte string per fault
 // state) and compact: a two-byte magic, uvarint node count and version,
 // then the dead-link table as (delta-encoded node, direction mask)
-// pairs and the dead-router set as delta-encoded node ids. Canonicality
-// makes decode∘encode the identity and lets fuzzing assert the
-// round-trip law byte-for-byte.
+// pairs and the dead-router set as delta-encoded node ids.
 const (
 	magic0 = 0xF7 // "fault"
 	magic1 = 0x3A // "map", loosely
 )
-
-var errCodec = errors.New("faultmap: malformed encoding")
 
 // AppendEncode appends the map's wire form to dst and returns the
 // extended slice.
@@ -230,84 +215,6 @@ func (m *Map) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-// Encode returns the map's canonical wire form.
-func (m *Map) Encode() []byte { return m.AppendEncode(nil) }
-
-// maxNodes bounds a decoded map's size: the simulator itself caps
-// meshes at 1<<16 nodes, and the bound keeps hostile inputs from
-// allocating unbounded bitmaps.
-const maxNodes = 1 << 16
-
-// Decode parses a wire-form map. Every malformed input — bad magic,
-// truncation, out-of-range nodes, zero or oversized direction masks,
-// non-canonical delta coding, trailing bytes — returns an error; Decode
-// never panics.
-func Decode(data []byte) (*Map, error) {
-	if len(data) < 2 || data[0] != magic0 || data[1] != magic1 {
-		return nil, errCodec
-	}
-	data = data[2:]
-	nodes, data, err := readUvarint(data)
-	if err != nil || nodes == 0 || nodes > maxNodes {
-		return nil, errCodec
-	}
-	m := New(int(nodes))
-	if m.version, data, err = readUvarint(data); err != nil {
-		return nil, errCodec
-	}
-	nLinks, data, err := readUvarint(data)
-	if err != nil || nLinks > nodes {
-		return nil, errCodec
-	}
-	prev, first := uint64(0), true
-	for i := uint64(0); i < nLinks; i++ {
-		var delta uint64
-		if delta, data, err = readUvarint(data); err != nil {
-			return nil, errCodec
-		}
-		if !first && delta == 0 {
-			return nil, errCodec // non-canonical: nodes must be strictly ascending
-		}
-		n := prev + delta
-		if n >= nodes || len(data) == 0 {
-			return nil, errCodec
-		}
-		mask := data[0]
-		data = data[1:]
-		if mask == 0 || mask > 0xF {
-			return nil, errCodec
-		}
-		m.dirs[n] = mask
-		m.deadLinks += popcount4(mask)
-		prev, first = n, false
-	}
-	nDead, data, err := readUvarint(data)
-	if err != nil || nDead > nodes {
-		return nil, errCodec
-	}
-	prev, first = 0, true
-	for i := uint64(0); i < nDead; i++ {
-		var delta uint64
-		if delta, data, err = readUvarint(data); err != nil {
-			return nil, errCodec
-		}
-		if !first && delta == 0 {
-			return nil, errCodec
-		}
-		n := prev + delta
-		if n >= nodes {
-			return nil, errCodec
-		}
-		m.dead[n] = true
-		m.deadRouters++
-		prev, first = n, false
-	}
-	if len(data) != 0 {
-		return nil, errCodec
-	}
-	return m, nil
-}
-
 // appendUvarint appends v in LEB128 form.
 func appendUvarint(dst []byte, v uint64) []byte {
 	for v >= 0x80 {
@@ -315,27 +222,4 @@ func appendUvarint(dst []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(dst, byte(v))
-}
-
-// readUvarint consumes one canonical LEB128 value (no over-long
-// encodings, at most ten bytes) from data.
-func readUvarint(data []byte) (uint64, []byte, error) {
-	var v uint64
-	for i := 0; i < len(data); i++ {
-		b := data[i]
-		if i == 9 && b > 1 {
-			return 0, nil, errCodec // overflows uint64
-		}
-		v |= uint64(b&0x7F) << (7 * i)
-		if b < 0x80 {
-			if b == 0 && i > 0 {
-				return 0, nil, errCodec // over-long encoding
-			}
-			return v, data[i+1:], nil
-		}
-		if i == 9 {
-			return 0, nil, errCodec
-		}
-	}
-	return 0, nil, errCodec // truncated
 }

@@ -2,7 +2,6 @@ package faultmap
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"ftnoc/internal/flit"
@@ -63,68 +62,31 @@ func TestMergeFrom(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		nodes := 1 + rng.Intn(64)
-		m := New(nodes)
-		for i := 0; i < rng.Intn(20); i++ {
-			m.MarkLinkDead(flit.NodeID(rng.Intn(nodes)), topology.Port(1+rng.Intn(4)))
-		}
-		for i := 0; i < rng.Intn(5); i++ {
-			m.MarkRouterDead(flit.NodeID(rng.Intn(nodes)))
-		}
-		enc := m.Encode()
-		got, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if !got.Equal(m) || got.Version() != m.Version() ||
-			got.DeadLinks() != m.DeadLinks() || got.DeadRouters() != m.DeadRouters() {
-			t.Fatalf("trial %d: round trip changed the map", trial)
-		}
-		if !bytes.Equal(got.Encode(), enc) {
-			t.Fatalf("trial %d: re-encoding not canonical", trial)
-		}
+// TestEncodeBytes pins the wire form byte for byte: magic, uvarint
+// node count (two bytes for 200) and version, then the dead-link table
+// as delta-coded (node, mask) pairs and the dead routers as delta-coded
+// ids. AppendEncode appends to its argument.
+func TestEncodeBytes(t *testing.T) {
+	m := New(200)
+	m.MarkLinkDead(3, topology.East)
+	m.MarkLinkDead(3, topology.West)
+	m.MarkLinkDead(150, topology.North)
+	m.MarkRouterDead(7)
+	m.MarkRouterDead(160)
+	want := []byte{
+		0xAA,           // caller's prefix
+		magic0, magic1, // magic
+		0xC8, 0x01, // 200 nodes
+		0x05,       // version
+		0x02,       // two nodes with dead links:
+		0x03, 0x0A, // node 3, E|W
+		0x93, 0x01, 0x01, // node 3+147, N
+		0x02,       // two dead routers:
+		0x07,       // 7
+		0x99, 0x01, // 7+153
 	}
-}
-
-func TestDecodeRejectsMalformed(t *testing.T) {
-	m := New(4)
-	m.MarkLinkDead(1, topology.East)
-	m.MarkRouterDead(2)
-	good := m.Encode()
-	cases := map[string][]byte{
-		"empty":          {},
-		"bad magic":      {0x00, 0x00, 1, 0, 0, 0},
-		"truncated":      good[:len(good)-1],
-		"trailing":       append(append([]byte{}, good...), 0),
-		"zero nodes":     {magic0, magic1, 0, 0, 0, 0},
-		"huge nodes":     {magic0, magic1, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0},
-		"node overflow":  {magic0, magic1, 2, 0, 1, 5, 0x1, 0},
-		"zero mask":      {magic0, magic1, 2, 0, 1, 0, 0x0, 0},
-		"oversized mask": {magic0, magic1, 2, 0, 1, 0, 0x10, 0},
-	}
-	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
-		}
-	}
-	if _, err := Decode(good); err != nil {
-		t.Fatalf("good encoding rejected: %v", err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := New(4)
-	m.MarkLinkDead(0, topology.East)
-	c := m.Clone()
-	c.MarkLinkDead(1, topology.West)
-	if m.LinkDead(1, topology.West) {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if !c.LinkDead(0, topology.East) {
-		t.Fatal("clone lost original faults")
+	if got := m.AppendEncode([]byte{0xAA}); !bytes.Equal(got, want) {
+		t.Fatalf("encoding\n got % x\nwant % x", got, want)
 	}
 }
 

@@ -64,8 +64,8 @@ func (v Violation) Error() string {
 }
 
 // Config tunes a Checker. The zero value is usable: every-cycle state
-// audits, 100 recorded violations, the paper's shifter depth, and a
-// 2^17-cycle recovery bound.
+// audits, 100 recorded violations and a 2^17-cycle recovery bound. The
+// retransmission bound uses the paper's shifter depth, link.NACKWindow.
 type Config struct {
 	// Every is the state-audit stride: the network walks component state
 	// (credits, shifters, bindings, quiescence) every Every cycles.
@@ -74,9 +74,6 @@ type Config struct {
 	// Limit caps recorded violations so a systemic breach cannot OOM the
 	// run. 0 means 100. Counting continues past the cap.
 	Limit int
-	// ShifterDepth is the per-VC retransmission-buffer depth used by the
-	// retransmission bound. 0 means link.NACKWindow.
-	ShifterDepth int
 	// RecoveryBound is the maximum cycles a deadlock-recovery episode may
 	// stay open before it is declared a livelock. 0 means 1<<17.
 	RecoveryBound uint64
@@ -91,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Limit == 0 {
 		c.Limit = 100
-	}
-	if c.ShifterDepth == 0 {
-		c.ShifterDepth = link.NACKWindow
 	}
 	if c.RecoveryBound == 0 {
 		c.RecoveryBound = 1 << 17
@@ -171,12 +165,6 @@ func (c *Checker) reportf(check string, cycle uint64, node int32, port, vc int8,
 
 // Emit implements trace.Sink: the event-driven checks.
 func (c *Checker) Emit(e trace.Event) {
-	// Campaign bracketing events carry point/replicate identifiers in the
-	// packet fields and replicate durations in Cycle; they are not part of
-	// any single run's timeline.
-	if e.Kind == trace.CampaignPointStart || e.Kind == trace.CampaignPointDone {
-		return
-	}
 	c.events++
 	if e.Cycle < c.lastCycle {
 		c.reportf("monotonic", e.Cycle, e.Node, e.Port, e.VC, e.PID,
@@ -235,11 +223,11 @@ func (c *Checker) Emit(e trace.Event) {
 
 	case trace.Retransmit:
 		c.retransmits++
-		if bound := c.linkNACKs * uint64(c.cfg.ShifterDepth); c.retransmits > bound && !c.boundTrip {
+		if bound := c.linkNACKs * link.NACKWindow; c.retransmits > bound && !c.boundTrip {
 			c.boundTrip = true
 			c.reportf("retrans-bound", e.Cycle, e.Node, e.Port, e.VC, e.PID,
 				"%d retransmissions exceed %d link-error NACKs x shifter depth %d",
-				c.retransmits, c.linkNACKs, c.cfg.ShifterDepth)
+				c.retransmits, c.linkNACKs, link.NACKWindow)
 		}
 
 	case trace.RecoveryBegin:

@@ -137,36 +137,23 @@ func TestMonotonicity(t *testing.T) {
 	}
 }
 
-func TestCampaignEventsIgnored(t *testing.T) {
-	c := New(Config{})
-	inject(c, 50, 1, 0, 5)
-	// Campaign brackets carry replicate durations in Cycle and replicate
-	// indices in PID — neither belongs to this run's timeline or ledger.
-	c.Emit(trace.Event{Cycle: 3, Kind: trace.CampaignPointDone, Node: -1, Port: -1, VC: -1, PID: 0, Aux: 7})
-	eject(c, 90, 1, 5)
-	c.Finalize(100, true, nil)
-	if err := c.Err(); err != nil {
-		t.Fatalf("campaign event perturbed the checker: %v", err)
-	}
-}
-
 func TestRetransmissionBound(t *testing.T) {
-	c := New(Config{ShifterDepth: 3})
+	c := New(Config{})
 	nack := trace.Event{Cycle: 10, Kind: trace.NACKSent, Node: 1, Port: 0, VC: 0, Aux: uint64(link.NACKLinkError)}
 	retrans := trace.Event{Cycle: 11, Kind: trace.Retransmit, Node: 0, Port: 2, VC: 0, PID: 4}
 	c.Emit(nack)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < link.NACKWindow; i++ {
 		c.Emit(retrans)
 	}
 	if c.Total() != 0 {
-		t.Fatalf("3 retransmits after 1 NACK (depth 3) wrongly flagged: %v", c.Err())
+		t.Fatalf("%d retransmits after 1 NACK wrongly flagged: %v", link.NACKWindow, c.Err())
 	}
 	c.Emit(retrans) // 4th replay from a single 3-deep drain is impossible
 	if c.Total() != 1 || firstCheck(c) != "retrans-bound" {
 		t.Fatalf("retransmission bound not enforced: total=%d first=%q", c.Total(), firstCheck(c))
 	}
 	// Non-link-error NACKs (misroute reports) must not widen the bound.
-	c2 := New(Config{ShifterDepth: 3})
+	c2 := New(Config{})
 	c2.Emit(trace.Event{Cycle: 10, Kind: trace.NACKSent, Node: 1, Port: 0, VC: 0, Aux: uint64(link.NACKMisroute)})
 	c2.Emit(retrans)
 	if c2.Total() != 1 {

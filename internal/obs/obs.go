@@ -172,23 +172,19 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{f: r.register(name, help, histogramKind, labels, checkBuckets(buckets), nil)}
 }
 
+// checkBuckets validates a bucket ladder. +Inf is implicit, so an
+// empty ladder leaves a histogram with its +Inf bucket alone.
 func checkBuckets(buckets []float64) []float64 {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
 	for i := 1; i < len(buckets); i++ {
 		if !(buckets[i] > buckets[i-1]) {
 			panic("obs: histogram buckets must be strictly ascending")
 		}
 	}
-	if math.IsInf(buckets[len(buckets)-1], +1) {
-		buckets = buckets[:len(buckets)-1] // +Inf is implicit
+	if n := len(buckets); n > 0 && math.IsInf(buckets[n-1], +1) {
+		buckets = buckets[:n-1]
 	}
 	return buckets
 }
-
-// DefBuckets is the default latency bucket ladder, in seconds.
-var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60}
 
 // intern returns the series for the given label values, creating it on
 // first use.

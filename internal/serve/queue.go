@@ -137,24 +137,25 @@ func (j *job) finish(state State, result []byte, aborted bool, err error) {
 	}
 }
 
-// progressSink bridges the campaign engine's trace-bus progress kinds
-// onto the job's SSE hub. The engine serialises emissions, so no extra
-// locking is needed beyond the hub's own.
+// progressSink bridges the campaign engine's replicate spans onto the
+// job's SSE hub: RepBegin becomes point-start and RepEnd point-done. The
+// engine serialises emissions, so no extra locking is needed beyond the
+// hub's own.
 type progressSink struct{ j *job }
 
 func (p progressSink) Emit(e trace.Event) {
 	switch e.Kind {
-	case trace.CampaignPointStart:
+	case trace.CampaignRepBegin:
 		p.j.hub.publish(sseEvent{
 			name: "point-start",
 			data: fmt.Appendf(nil, `{"point":%d,"rep":%d}`, e.Aux, e.PID),
 		})
-	case trace.CampaignPointDone:
+	case trace.CampaignRepEnd:
 		done := p.j.repsDone.Add(1)
 		p.j.hub.publish(sseEvent{
 			name: "point-done",
 			data: fmt.Appendf(nil, `{"point":%d,"rep":%d,"cycles":%d,"reps_done":%d,"reps_total":%d}`,
-				e.Aux, e.PID, e.Cycle, done, p.j.repsTotal),
+				e.Aux, e.PID, e.Aux2, done, p.j.repsTotal),
 		})
 	}
 }
@@ -195,11 +196,13 @@ func (s *Server) runJob(j *job) {
 	wait := now.Sub(j.submitted)
 	s.obs.queueWait.Observe(wait.Seconds())
 	s.obs.workersBusy.Inc()
-	defer s.obs.workersBusy.Dec()
 	s.log.Info("job started",
 		"job", j.id, "points", j.points, "reps_total", j.repsTotal,
 		"queue_wait_ms", float64(wait.Microseconds())/1000)
 	report, err := s.run(j.ctx, j.spec)
+	// The worker is free before the job turns terminal, so a scrape that
+	// sees the terminal state never counts it busy.
+	s.obs.workersBusy.Dec()
 	if report != nil {
 		s.recordKernelTelemetry(j, report)
 	}
@@ -230,18 +233,7 @@ func (s *Server) runJob(j *job) {
 // (and cached) result tables, which must be byte-identical for equal
 // spec hashes regardless of the kernel that produced them.
 func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
-	var cycles, ticked, skipped, events uint64
-	for i := range report.Points {
-		for _, rr := range report.Points[i].Reps {
-			if rr.Err != nil || rr.Seed == 0 {
-				continue
-			}
-			cycles += rr.Results.Cycles
-			ticked += rr.KernelTicked
-			skipped += rr.KernelSkipped
-			events += rr.KernelEvents
-		}
-	}
+	cycles, ticked, skipped, events := report.KernelTotals()
 	if ticked+skipped == 0 {
 		return // nothing completed (canceled before the first replicate)
 	}

@@ -26,8 +26,9 @@ import (
 // any router id — CampaignLanePID holds the campaign-wide span,
 // PointLanePID one thread per grid point (stragglers appear as the long
 // lanes), and WorkerLanePID one thread per pool worker (gaps are idle
-// workers). Replicate spans carry the seed, the kernel's ticked/skipped
-// counters and the terminal status in args.
+// workers). A replicate's B event carries its point, replicate index and
+// seed in args; its E event the point, simulated cycles and terminal
+// status.
 //
 // Process and thread names are emitted lazily as metadata events the
 // first time a (node) or (node, port) appears; override the generic
@@ -172,8 +173,8 @@ func (c *ChromeTrace) emitCampaign(e Event) {
 			status = "aborted"
 		}
 		name = fmt.Sprintf("r%d", e.PID)
-		args = fmt.Sprintf(`{"rep":%d,"kernel_ticked":%d,"kernel_skipped":%d,"status":%q}`,
-			e.PID, e.Aux, e.Aux2, status)
+		args = fmt.Sprintf(`{"point":%d,"rep":%d,"cycles":%d,"status":%q}`,
+			e.Aux, e.PID, e.Aux2, status)
 	}
 	c.sep()
 	c.writeString(fmt.Sprintf(`{"ph":"%c","name":%s,"pid":%d,"tid":%d,"ts":%d,"args":%s}`,

@@ -22,8 +22,9 @@ package trace
 import "fmt"
 
 // Kind classifies a structured event. The taxonomy covers the flit
-// lifecycle, the fault-tolerance protocols, and the fault injectors;
-// see the constant docs for the publisher of each kind.
+// lifecycle, the fault-tolerance protocols, the fault injectors and the
+// campaign engine's span timeline; see the constant docs for the
+// publisher of each kind.
 type Kind uint8
 
 // Event kinds.
@@ -79,12 +80,6 @@ const (
 	FaultInjected
 	FaultCorrected
 	FaultUndetected
-	// CampaignPointStart / CampaignPointDone bracket one replicate of one
-	// grid point in a campaign run (package campaign). Aux is the point
-	// index, PID the replicate index; Cycle on Done is the replicate's
-	// simulated length. Node/Port/VC are -1 (not router-attributable).
-	CampaignPointStart
-	CampaignPointDone
 	// FlitDropped: a flit (or, for the terminal reasons, a whole packet)
 	// left the network without reaching its destination cleanly. Aux is a
 	// Drop* reason code. Emitted at every discard site — receiver drop
@@ -112,10 +107,11 @@ const (
 	CampaignPointBegin
 	CampaignPointEnd
 	// CampaignRepBegin / CampaignRepEnd bracket one replicate on its
-	// worker: Node is the worker index, PID the replicate index. Begin:
-	// Aux is the point index, Aux2 the derived simulation seed. End: Aux
-	// and Aux2 carry the kernel's ticked/skipped actor-tick counters,
-	// and Seq is a RepStatus* code.
+	// worker: Node is the worker index (-1 when a fabric coordinator
+	// re-emits a merged row), PID the replicate index and Aux the point
+	// index. Begin's Aux2 is the derived simulation seed; End's Aux2 is
+	// the replicate's simulated cycles and its Seq a RepStatus* code.
+	// These are the engine's only per-replicate progress events.
 	CampaignRepBegin
 	CampaignRepEnd
 
@@ -146,6 +142,18 @@ const (
 	RepStatusError   uint8 = 1
 	RepStatusAborted uint8 = 2
 )
+
+// RepStatusOf is the RepStatus* code of a replicate that failed or was
+// aborted (or neither); a failure wins over an abort.
+func RepStatusOf(failed, aborted bool) uint8 {
+	switch {
+	case failed:
+		return RepStatusError
+	case aborted:
+		return RepStatusAborted
+	}
+	return RepStatusOK
+}
 
 // String implements fmt.Stringer with stable kebab-case names (they are
 // part of the NDJSON output format).
@@ -187,10 +195,6 @@ func (k Kind) String() string {
 		return "fault-corrected"
 	case FaultUndetected:
 		return "fault-undetected"
-	case CampaignPointStart:
-		return "campaign-point-start"
-	case CampaignPointDone:
-		return "campaign-point-done"
 	case FlitDropped:
 		return "flit-dropped"
 	case CampaignBegin:

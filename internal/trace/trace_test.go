@@ -35,9 +35,6 @@ func TestKindStringsStable(t *testing.T) {
 		FaultCorrected:  "fault-corrected",
 		FaultUndetected: "fault-undetected",
 
-		CampaignPointStart: "campaign-point-start",
-		CampaignPointDone:  "campaign-point-done",
-
 		CampaignBegin:      "campaign-begin",
 		CampaignEnd:        "campaign-end",
 		CampaignPointBegin: "campaign-point-begin",
@@ -241,7 +238,7 @@ func TestChromeCampaignTimelineLanes(t *testing.T) {
 	c.Emit(Event{Cycle: 0, Kind: CampaignBegin, Node: -1, Aux: 2, Aux2: 2})
 	c.Emit(Event{Cycle: 1, Kind: CampaignPointBegin, Node: -1, Aux: 0})
 	c.Emit(Event{Cycle: 1, Kind: CampaignRepBegin, Node: 0, Aux: 0, PID: 0, Aux2: 77})
-	c.Emit(Event{Cycle: 9, Kind: CampaignRepEnd, Node: 0, PID: 0, Aux: 100, Aux2: 40, Seq: RepStatusOK})
+	c.Emit(Event{Cycle: 9, Kind: CampaignRepEnd, Node: 0, PID: 0, Aux: 0, Aux2: 515, Seq: RepStatusOK})
 	c.Emit(Event{Cycle: 9, Kind: CampaignPointEnd, Node: -1, Aux: 0, Aux2: 0})
 	c.Emit(Event{Cycle: 10, Kind: CampaignEnd, Node: -1, Aux: 2})
 	if err := c.Close(); err != nil {
@@ -262,7 +259,7 @@ func TestChromeCampaignTimelineLanes(t *testing.T) {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	// Each lane must open and close on the same (pid, tid), and the
-	// replicate end must carry the kernel stats.
+	// replicate end must carry its point, cycles and status.
 	type lane struct{ pid, tid int64 }
 	open := map[lane]int{}
 	var sawRepStats bool
@@ -273,7 +270,7 @@ func TestChromeCampaignTimelineLanes(t *testing.T) {
 		case "E":
 			open[lane{e.PID, e.TID}]--
 			if e.PID == WorkerLanePID {
-				if e.Args["kernel_ticked"] != float64(100) || e.Args["kernel_skipped"] != float64(40) || e.Args["status"] != "ok" {
+				if e.Args["point"] != float64(0) || e.Args["cycles"] != float64(515) || e.Args["status"] != "ok" {
 					t.Errorf("rep-end args wrong: %v", e.Args)
 				}
 				sawRepStats = true

@@ -54,36 +54,6 @@ func Heatmap(w, h int, max float64, title string, at func(x, y int) float64) str
 	return b.String()
 }
 
-// BarChart renders labelled values as horizontal bars scaled to width
-// characters.
-func BarChart(title string, width int, labels []string, values []float64) string {
-	if len(labels) != len(values) || len(values) == 0 || width < 1 {
-		return ""
-	}
-	max := 0.0
-	labelW := 0
-	for i, v := range values {
-		max = math.Max(max, v)
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	if max == 0 {
-		max = 1
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	for i, v := range values {
-		n := int(math.Round(v / max * float64(width)))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "%-*s |%s%s %.4g\n", labelW, labels[i],
-			strings.Repeat("#", n), strings.Repeat(" ", width-n), v)
-	}
-	return b.String()
-}
-
 // Sparkline renders a series as a single line of block glyphs.
 func Sparkline(values []float64) string {
 	if len(values) == 0 {

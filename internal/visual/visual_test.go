@@ -48,26 +48,6 @@ func TestHeatmapDegenerate(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	s := BarChart("t", 10, []string{"aa", "b"}, []float64{10, 5})
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 10)) {
-		t.Fatalf("max bar not full width: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "#####") || strings.Contains(lines[2], "######") {
-		t.Fatalf("half bar wrong: %q", lines[2])
-	}
-}
-
-func TestBarChartMismatched(t *testing.T) {
-	if BarChart("t", 10, []string{"a"}, []float64{1, 2}) != "" {
-		t.Fatal("mismatched inputs not rejected")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 0.5, 1})
 	r := []rune(s)
