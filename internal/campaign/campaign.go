@@ -399,15 +399,13 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// The worker builds every replicate in the previous one's
-			// slabs: a pool's construction memory is set by its workers,
-			// not its replicates.
-			var slabs sim.Slabs
+			slabs := takeSlabs()
+			defer giveSlabs(slabs)
 			for j := range jobc {
 				cfg := points[j.point].Config
 				cfg.Seed = seed(spec.Base.Seed, points[j.point], j.rep)
 				spans.repBegin(worker, j.point, j.rep, cfg.Seed)
-				rr := runReplicate(ctx, &slabs, cfg, spec.Invariants)
+				rr := runReplicate(ctx, slabs, cfg, spec.Invariants)
 				report.Points[j.point].Reps[j.rep] = rr
 				logRepFailure(spec.Logger, points[j.point], j.rep, rr)
 				spans.repEnd(worker, j.point, j.rep, rr)
@@ -670,6 +668,45 @@ func RunConfigs(ctx context.Context, poolSize int, cfgs []network.Config) *Repor
 	// run's only error is a negative Workers, which max rules out.
 	report, _ := run(ctx, Spec{Workers: max(poolSize, 0)}, points, nil, ownSeed)
 	return report
+}
+
+// freeSlabs is the process's free list of slab stores. A pool worker
+// takes one for its life and builds every replicate in the slabs the
+// previous one left; when its campaign ends it gives the store back, so
+// the next campaign in the process builds in them too. Construction
+// memory is thereby set by the process's cores, not by its campaigns or
+// replicates. Each store has one owner at a time. The list keeps the
+// GOMAXPROCS most recently returned stores, and a kept store holds the
+// last network built in it until its next build.
+var freeSlabs struct {
+	mu     sync.Mutex
+	stores []*sim.Slabs
+}
+
+// takeSlabs hands out the most recently returned store, or an empty one.
+func takeSlabs() *sim.Slabs {
+	freeSlabs.mu.Lock()
+	defer freeSlabs.mu.Unlock()
+	n := len(freeSlabs.stores)
+	if n == 0 {
+		return new(sim.Slabs)
+	}
+	s := freeSlabs.stores[n-1]
+	freeSlabs.stores[n-1] = nil
+	freeSlabs.stores = freeSlabs.stores[:n-1]
+	return s
+}
+
+// giveSlabs returns a store to the free list, dropping the least
+// recently returned ones past GOMAXPROCS.
+func giveSlabs(s *sim.Slabs) {
+	freeSlabs.mu.Lock()
+	defer freeSlabs.mu.Unlock()
+	freeSlabs.stores = append(freeSlabs.stores, s)
+	if over := len(freeSlabs.stores) - runtime.GOMAXPROCS(0); over > 0 {
+		clear(freeSlabs.stores[:over])
+		freeSlabs.stores = freeSlabs.stores[over:]
+	}
 }
 
 // workers resolves a pool-size request to a positive worker count.

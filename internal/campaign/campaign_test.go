@@ -352,3 +352,22 @@ func TestCampaignSpeedup(t *testing.T) {
 		t.Errorf("speedup %.2fx < 2x (serial %v, parallel %v)", speedup, serialTime, parallelTime)
 	}
 }
+
+// KernelTotals counts only replicates that ran to a result: a failed
+// replicate (an invariant violation keeps its Results) and one never
+// dispatched add nothing. nocd and fabric workers both report it.
+func TestKernelTotalsSkipsFailedReplicates(t *testing.T) {
+	rep := func(seed uint64, cycles uint64, err error) RepResult {
+		rr := RepResult{Seed: seed, Err: err, KernelTicked: 2 * cycles, KernelSkipped: 3 * cycles, KernelEvents: 4 * cycles}
+		rr.Results.Cycles = cycles
+		return rr
+	}
+	r := &Report{Points: []PointResult{
+		{Reps: []RepResult{rep(1, 100, nil), rep(2, 1000, errors.New("invariant violated"))}},
+		{Reps: []RepResult{rep(3, 10, nil), rep(0, 0, nil)}},
+	}}
+	cycles, ticked, skipped, events := r.KernelTotals()
+	if cycles != 110 || ticked != 220 || skipped != 330 || events != 440 {
+		t.Fatalf("KernelTotals = %d, %d, %d, %d; want 110, 220, 330, 440", cycles, ticked, skipped, events)
+	}
+}

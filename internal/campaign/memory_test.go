@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 
+	"ftnoc/internal/fault"
+	"ftnoc/internal/link"
 	"ftnoc/internal/network"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/sim"
@@ -21,12 +26,12 @@ func bytesOf(fn func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
-// A campaign's memory is set by its workers, not its points: a worker
-// builds every replicate after its first in the slabs the previous one
-// left, so on one worker an 8-point grid of same-shape networks allocates
-// under 1.25x the bytes of a 2-point grid (building each network afresh
-// made it 4x). A rebuild in a store allocates under 2% of a fresh build's
-// bytes.
+// A process's construction memory is set by its cores, not its
+// campaigns: pool workers take their slab stores from the process's free
+// list, so once one campaign has built a shape, an 8-point grid of that
+// shape on one worker allocates less than a single fresh build of it (a
+// store per campaign spent about one fresh build per worker). A rebuild
+// in a store allocates under 2% of a fresh build's bytes.
 func TestCampaignMemoryIndependentOfPoints(t *testing.T) {
 	// One P keeps the runtime's own thread start-up out of the counts
 	// (see network.TestRunMemoryIndependentOfLength).
@@ -49,21 +54,99 @@ func TestCampaignMemoryIndependentOfPoints(t *testing.T) {
 			}
 		}
 	}
-	run(grid(1))() // whatever the process initialises once
-	two, eight := bytesOf(run(grid(2))), bytesOf(run(grid(8)))
-	t.Logf("2 points: %d bytes; 8 points: %d bytes (%.2fx)", two, eight, float64(eight)/float64(two))
-	if eight*4 >= two*5 {
-		t.Errorf("an 8-point grid allocates %d bytes against a 2-point grid's %d: not under 1.25x", eight, two)
+	run(grid(1))() // the warm-up: leaves a 6x6 store on the free list
+	eight := bytesOf(run(grid(8)))
+	fresh := bytesOf(func() { network.New(base) })
+	t.Logf("8-point grid after a warm-up: %d bytes; one fresh 6x6 build: %d bytes", eight, fresh)
+	if eight >= fresh {
+		t.Errorf("an 8-point grid after a warm-up allocates %d bytes, not under one fresh build's %d", eight, fresh)
 	}
 
 	cfg := base
 	cfg.Routing = routing.FaultAdaptive
 	var s sim.Slabs
 	network.NewIn(&s, cfg)
-	fresh := bytesOf(func() { network.New(cfg) })
+	fresh = bytesOf(func() { network.New(cfg) })
 	reused := bytesOf(func() { network.NewIn(&s, cfg) })
-	t.Logf("6x6 build: %d bytes fresh, %d rebuilt in a store", fresh, reused)
+	t.Logf("6x6 fault-adaptive build: %d bytes fresh, %d rebuilt in a store", fresh, reused)
 	if reused*50 >= fresh {
 		t.Errorf("a rebuild in a store allocates %d bytes against a fresh build's %d: not under 2%%", reused, fresh)
+	}
+}
+
+// Slab stores outlive campaigns, so nothing a report keeps may alias a
+// slab: after grid A, grids B and C of other shapes, VCs and protections
+// build in the stores A returned, two campaigns at once, and A's report
+// must still encode byte-identically while B and C match their serial
+// runs.
+func TestReportsSurviveStoreReuse(t *testing.T) {
+	// Both helpers also run on goroutines the test starts, so they report
+	// with t.Error.
+	encode := func(r *Report) []byte {
+		var buf bytes.Buffer
+		if err := r.WriteNDJSON(&buf); err != nil {
+			t.Error(err)
+		}
+		enc := json.NewEncoder(&buf)
+		for i := range r.Points {
+			for j := range r.Points[i].Reps {
+				if err := enc.Encode(&r.Points[i].Reps[j].Results); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		return buf.Bytes()
+	}
+	run := func(spec Spec) *Report {
+		r, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Error(err)
+			return &Report{}
+		}
+		return r
+	}
+
+	a := tinyBase()
+	a.Width, a.Height = 6, 6
+	a.Routing = routing.FaultAdaptive
+	specA := Spec{
+		Base:               a,
+		Protections:        []link.Protection{link.HBH, link.FEC},
+		LinkErrorRates:     []float64{1e-3},
+		MortalitySchedules: []fault.Mortality{{}, mustMortality(t, "link:8E@300,router:21@700")},
+		Seeds:              2,
+		Workers:            2,
+		Invariants:         true,
+	}
+	b := tinyBase()
+	b.VCs = 5
+	specB := Spec{Base: b, Protections: []link.Protection{link.E2E}, LinkErrorRates: []float64{1e-3, 1e-2}, Seeds: 2, Workers: 2, Invariants: true}
+	c := tinyBase()
+	c.Width, c.Height = 8, 8
+	c.Routing = routing.XY
+	specC := Spec{Base: c, InjectionRates: []float64{0.05, 0.1}, Workers: 2, Invariants: true}
+
+	reportA := run(specA)
+	wantA := encode(reportA)
+	var gotB, gotC []byte
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); gotB = encode(run(specB)) }()
+	go func() { defer wg.Done(); gotC = encode(run(specC)) }()
+	wg.Wait()
+
+	if got := encode(reportA); !bytes.Equal(got, wantA) {
+		t.Errorf("grid A's report changed after later campaigns built in its stores:\nbefore: %s\nafter:  %s", wantA, got)
+	}
+	if want := encode(run(specB)); !bytes.Equal(gotB, want) {
+		t.Errorf("grid B run beside grid C differs from its serial run:\nconcurrent: %s\nserial:     %s", gotB, want)
+	}
+	if want := encode(run(specC)); !bytes.Equal(gotC, want) {
+		t.Errorf("grid C run beside grid B differs from its serial run:\nconcurrent: %s\nserial:     %s", gotC, want)
+	}
+	for _, p := range reportA.Points {
+		if p.Err != nil {
+			t.Errorf("grid A point %d failed: %v", p.Index, p.Err)
+		}
 	}
 }

@@ -133,12 +133,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		log.Warn("shard failed", "err", err)
 		return
 	}
-	var cycles uint64
-	for i := range report.Points {
-		for _, rr := range report.Points[i].Reps {
-			cycles += rr.Results.Cycles
-		}
-	}
+	cycles, _, _, _ := report.KernelTotals()
 	w.simCycles.Add(cycles)
 	writeLine(ShardLine{Done: &ShardDone{SimCycles: cycles}})
 	w.shards.With("simulated").Inc()

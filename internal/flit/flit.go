@@ -99,6 +99,11 @@ type Flit struct {
 	VC uint8
 	// Check holds the SEC/DED check bits computed over Word.
 	Check uint8
+	// Request marks a flit of an end-to-end retransmission request: the
+	// packet-type field of a real header. Like Type and Seq it is
+	// sideband that link faults never corrupt, so a request stays a
+	// request even when errors past the end check rewrite its payload.
+	Request bool
 }
 
 // String renders a compact human-readable form, used by trace tests.
@@ -153,7 +158,8 @@ func DecodeHeader(w uint64) Header {
 type Packet struct {
 	ID         PacketID
 	Src, Dst   NodeID
-	Size       int // flits per packet, including head and tail
+	Request    bool // an end-to-end retransmission request (Flit.Request)
+	Size       int  // flits per packet, including head and tail
 	InjectedAt uint64
 }
 
@@ -180,6 +186,7 @@ func (p Packet) AppendFlits(dst []Flit) []Flit {
 			PID:        p.ID,
 			Seq:        uint8(i),
 			InjectedAt: p.InjectedAt,
+			Request:    p.Request,
 		}
 		switch {
 		case i == 0:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftnoc/internal/fault"
+	"ftnoc/internal/flit"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
 )
@@ -250,5 +251,30 @@ func TestXbarFaultsCorrectedByECC(t *testing.T) {
 	if res.TotalEvents.Retransmitted != 0 {
 		t.Fatalf("single-bit crossbar upsets caused %d retransmissions; should be corrected in place",
 			res.TotalEvents.Retransmitted)
+	}
+}
+
+// A request tail word fails its check under every error of one to four
+// bits: SEC/DED can decode three flips clean, one bit further off, so a
+// request that crossed links with accumulated errors drops as corrupt,
+// never read as a request for another packet or delivered as a message.
+func TestRequestWordRejectsCorruption(t *testing.T) {
+	for pid := flit.PacketID(1); pid <= 1<<40; pid = pid*5 + 1 {
+		w := requestWord(pid)
+		if got, ok := requestedPID(w); !ok || got != pid&0xffffffff {
+			t.Fatalf("request for %d decodes to (%d, %v)", pid, got, ok)
+		}
+		for i := 0; i < 64; i++ {
+			for j := i; j < 64; j++ {
+				for k := j; k < 64; k++ {
+					for l := k; l < 64; l++ {
+						e := uint64(1)<<i | uint64(1)<<j | uint64(1)<<k | uint64(1)<<l
+						if got, ok := requestedPID(w ^ e); ok {
+							t.Fatalf("request for %d with error %#x passes its check as a request for %d", pid, e, got)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -77,7 +77,7 @@ func FuzzReadConfig(f *testing.F) {
 			return
 		}
 		cfg.WarmupMessages = 0
-		cfg.TotalMessages = 20
+		cfg.TotalMessages = 200
 		cfg.MaxCycles = 50_000
 		cfg.StallCycles = 10_000
 		cfg.TracePIDs = nil

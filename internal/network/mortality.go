@@ -294,18 +294,10 @@ func (a *killAcc) observe(f flit.Flit) {
 	}
 	info := a.pids[f.PID]
 	info.src = f.Src
-	if f.Type == flit.Tail && a.ctrlTail(f) {
+	if f.Request {
 		info.ctrl = true
 	}
 	a.pids[f.PID] = info
-}
-
-func (a *killAcc) ctrlTail(f flit.Flit) bool {
-	if p := a.m.n.cfg.Protection; p != link.E2E && p != link.FEC {
-		return false
-	}
-	_, isReq := isNACKRequest(f.Word)
-	return isReq
 }
 
 // addPID records a packet known only by identity (queued at a PE, or

@@ -11,20 +11,28 @@ import (
 	"ftnoc/internal/traffic"
 )
 
-// nackMagic marks a tail payload as an end-to-end retransmission request
-// (E2E/FEC baselines): the tail word is nackMagic<<32 | packetID. A
-// 32-bit magic makes accidental collision with a pseudo-random payload
-// word practically impossible.
+// nackMagic keys the check half of a retransmission request's tail word
+// (E2E/FEC baselines): the tail word is the requested packet id's low 32
+// bits under nackMagic XOR a hash of them.
 const nackMagic = uint64(0xE2E1F17A)
 
-// isNACKRequest reports whether a tail word encodes a retransmission
-// request, and for which packet.
-func isNACKRequest(word uint64) (flit.PacketID, bool) {
-	if word>>32 != nackMagic {
-		return 0, false
-	}
-	return flit.PacketID(word & 0xffffffff), true
+// requestWord encodes a request for pid as its tail word.
+func requestWord(pid flit.PacketID) uint64 {
+	id := uint64(pid) & 0xffffffff
+	return (nackMagic^requestCheck(id))<<32 | id
 }
+
+// requestedPID decodes a request tail word and reports whether it passes
+// its check. Errors the SEC/DED end check misses (three flips can decode
+// clean to another word) fail it, so such a request reads as corrupt
+// instead of replaying the wrong packet.
+func requestedPID(word uint64) (flit.PacketID, bool) {
+	id := word & 0xffffffff
+	return flit.PacketID(id), word>>32 == nackMagic^requestCheck(id)
+}
+
+// requestCheck hashes a 32-bit id to 32 bits.
+func requestCheck(id uint64) uint64 { return id * 0x9e3779b97f4a7c15 >> 32 }
 
 // retained is an E2E/FEC source-side packet copy awaiting implicit
 // acknowledgement (timeout) or a retransmission request.
@@ -34,7 +42,7 @@ type retained struct {
 }
 
 // retransReqSize is the flit count of an end-to-end retransmission
-// request: a head and the tail carrying nackMagic and the packet id.
+// request: a head and the tail carrying the requested packet id.
 const retransReqSize = 2
 
 // pe is one node's processing element: traffic source, packet injector,
@@ -321,8 +329,7 @@ func (p *pe) inject(cycle uint64) {
 		f := &fs[0] // read in place: the staging slot is not reused before the packet is out
 		p.vcFlits[v] = fs[1:]
 		p.tx.SendFlit(f, v, cycle)
-		_, isReq := isNACKRequest(f.Word)
-		if f.Type == flit.Tail && p.usesRetention() && !isReq {
+		if f.Type == flit.Tail && p.usesRetention() && !f.Request {
 			p.retain(retained{
 				pkt:      flit.Packet{ID: f.PID, Src: f.Src, Dst: f.Dst, Size: p.net.cfg.PacketSize, InjectedAt: f.InjectedAt},
 				deadline: cycle + p.net.cfg.E2ETimeout,
@@ -408,10 +415,14 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 	sk.live = false
 	pid, src, born, corrupt := sk.pid, sk.src, sk.born, sk.corrupt
 
-	if reqPID, isReq := isNACKRequest(f.Word); isReq && !corrupt && p.usesRetention() {
-		// An end-to-end retransmission request addressed to us.
-		p.handleRetransRequest(cycle, reqPID)
-		return
+	if f.Request {
+		// An end-to-end retransmission request addressed to us; one whose
+		// tail fails its check takes the corrupt path below.
+		if reqPID, ok := requestedPID(f.Word); ok && !corrupt {
+			p.handleRetransRequest(cycle, reqPID)
+			return
+		}
+		corrupt = true
 	}
 	if corrupt {
 		// Terminal under HBH; under E2E/FEC the retransmission request may
@@ -457,12 +468,13 @@ func (p *pe) sendRetransRequest(cycle uint64, src flit.NodeID, pid flit.PacketID
 		ID:         p.net.nextPID(),
 		Src:        p.id,
 		Dst:        src,
+		Request:    true,
 		Size:       retransReqSize,
 		InjectedAt: cycle,
 	}
 	p.ctrl = req.AppendFlits(p.ctrl)
 	tail := &p.ctrl[len(p.ctrl)-1]
-	tail.Word = nackMagic<<32 | uint64(pid)&0xffffffff
+	tail.Word = requestWord(pid)
 	tail.Check = ecc.Encode(tail.Word)
 	p.net.e2eNACKs++
 }

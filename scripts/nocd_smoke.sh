@@ -4,7 +4,8 @@
 # progress to completion, then resubmit the identical spec and assert a
 # cache hit with byte-identical results — scraping /metrics before and
 # after the resubmit to prove the Prometheus counters track the same
-# events. Finishes with a graceful SIGTERM shutdown.
+# events. A job of another shape must then leave the first job's stored
+# result byte-identical. Finishes with a graceful SIGTERM shutdown.
 #
 # Used by CI; runnable locally from the repo root: scripts/nocd_smoke.sh
 set -euo pipefail
@@ -104,6 +105,19 @@ awk -v a="$hits1" -v b="$hits2" 'BEGIN {exit !(b > a)}' \
 jq -e --argjson hits "$hits2" '.cache.hits == $hits' <(curl -sf "http://$addr/v1/stats") >/dev/null \
     || { echo "/v1/stats and /metrics disagree on cache hits"; exit 1; }
 echo "   jobs done $done1->$done2, cache hits $hits1->$hits2, stats agree"
+
+echo "== a job of another shape leaves the first job's result intact"
+# Pool workers build in slab stores kept across jobs, so the second job
+# reuses the first one's slabs; the first job's stored rows must not move.
+obody='{"base":{"Width":6,"Height":6,"TotalMessages":300,"WarmupMessages":50,"Seed":23},"protections":["fec"],"link_error_rates":[0.001],"injection_rates":[0.1],"seeds":2}'
+curl -sf -X POST -d "$obody" "http://$addr/v1/campaigns" >"$workdir/sub4.json"
+oid=$(jq -r .id "$workdir/sub4.json")
+curl -sN --max-time 120 "http://$addr/v1/campaigns/$oid/events" >"$workdir/sse4.txt"
+grep -q "^event: done$" "$workdir/sse4.txt" || { echo "no terminal done event for the 6x6 campaign"; cat "$workdir/sse4.txt"; exit 1; }
+curl -sf "http://$addr/v1/campaigns/$id" | jq -c '.result' >"$workdir/result1-again.json"
+cmp -s "$workdir/result1.json" "$workdir/result1-again.json" \
+    || { echo "first job's result changed after a later job"; diff "$workdir/result1.json" "$workdir/result1-again.json" || true; exit 1; }
+echo "   6x6 fec job done, first job's result bytes unchanged"
 
 echo "== mortality degradation: 2-point hard-fault sweep"
 mbody='{"base":{"Width":4,"Height":4,"TotalMessages":300,"WarmupMessages":50,"Seed":11},"routings":["fault-adaptive"],"injection_rates":[0.2],"mortality_schedules":["none","link:5E@100,router:9@150"],"seeds":2}'
