@@ -209,21 +209,16 @@ func (s Spec) CanonicalHash() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// RangeHash content-addresses one shard's results: the rows RunRange
-// would produce for the grid points in [lo, hi). Beyond each point's
-// canonical Config (which embeds the base seed, the root of replicate
-// seed derivation) the hash covers the point's *global* grid index,
-// because both the row's point number and its derived seeds depend on
-// where the point sits in the full grid — identical configs at different
-// grid positions produce different rows. It keys the fabric
-// coordinator's shard cache.
-func (s Spec) RangeHash(lo, hi int) (string, error) {
-	return HashRange(s.Points(), s.Seeds, lo, hi)
-}
-
-// HashRange is RangeHash over an already expanded grid (points as
-// Spec.Points returns them, reps as Spec.Seeds), so a caller hashing
-// many ranges of one grid expands it once.
+// HashRange content-addresses one shard's results: the rows RunRange
+// would produce for the grid points in [lo, hi) of an expanded grid
+// (points as Spec.Points returns them, reps as Spec.Seeds). Beyond each
+// point's canonical Config (which embeds the base seed, the root of
+// replicate seed derivation) the hash covers the point's *global* grid
+// index, because both the row's point number and its derived seeds
+// depend on where the point sits in the full grid — identical configs at
+// different grid positions produce different rows. It keys the fabric
+// coordinator's shard cache; a caller hashing many ranges of one grid
+// expands it once.
 func HashRange(points []Point, reps, lo, hi int) (string, error) {
 	if lo < 0 || hi > len(points) || lo >= hi {
 		return "", fmt.Errorf("campaign: %w: point range [%d,%d) outside grid of %d points",

@@ -50,22 +50,25 @@ func TestWireJSONPreservesHash(t *testing.T) {
 
 func TestRangeHash(t *testing.T) {
 	spec := wireSpec() // 4 points
-	whole1, err := spec.RangeHash(0, 4)
+	rangeHash := func(s Spec, lo, hi int) (string, error) {
+		return HashRange(s.Points(), s.Seeds, lo, hi)
+	}
+	whole1, err := rangeHash(spec, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole2, err := spec.RangeHash(0, 4)
+	whole2, err := rangeHash(spec, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if whole1 != whole2 {
-		t.Fatal("RangeHash not deterministic")
+		t.Fatal("HashRange not deterministic")
 	}
-	lo, err := spec.RangeHash(0, 2)
+	lo, err := rangeHash(spec, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := spec.RangeHash(2, 4)
+	hi, err := rangeHash(spec, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +80,11 @@ func TestRangeHash(t *testing.T) {
 	// row point numbers and derived seeds depend on the global index.
 	sym := spec
 	sym.InjectionRates = []float64{0.1, 0.1}
-	a, err := sym.RangeHash(0, 1)
+	a, err := rangeHash(sym, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sym.RangeHash(1, 2)
+	b, err := rangeHash(sym, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +93,8 @@ func TestRangeHash(t *testing.T) {
 	}
 
 	for _, r := range [][2]int{{-1, 2}, {0, 5}, {2, 2}, {3, 1}} {
-		if _, err := spec.RangeHash(r[0], r[1]); !errors.Is(err, network.ErrInvalidConfig) {
-			t.Errorf("RangeHash(%d,%d): err = %v, want ErrInvalidConfig", r[0], r[1], err)
+		if _, err := rangeHash(spec, r[0], r[1]); !errors.Is(err, network.ErrInvalidConfig) {
+			t.Errorf("HashRange(%d,%d): err = %v, want ErrInvalidConfig", r[0], r[1], err)
 		}
 	}
 }

@@ -27,7 +27,7 @@
 //     (exponential backoff re-dispatch, per-worker circuit breakers), the
 //     one row merge (first copy wins; a conflicting duplicate fails the
 //     run), and the shard cache: a shard whose rows it already holds
-//     under the shard's RangeHash is replayed, not dispatched.
+//     under the shard's HashRange is replayed, not dispatched.
 //
 // The coordinator plugs into internal/serve as its Options.Runner, so
 // the public /v1/campaigns API, bounded queue, result cache and SSE

@@ -387,7 +387,7 @@ func TestShardCacheBadEntries(t *testing.T) {
 	}
 	cache := newMemCache()
 	put := func(point int, val []byte) {
-		h, err := spec.RangeHash(point, point+1)
+		h, err := campaign.HashRange(spec.Points(), spec.Seeds, point, point+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,7 +136,7 @@ type Corruptor interface {
 // stream, stopping at the first success. Each traversal then consumes one
 // precomputed draw, so the sequence of (hit/miss, bit-position) decisions
 // is bit-identical to the unbatched injector — the RNG stream-stability
-// contract (see DESIGN.md, "Kernel performance") — while the amortised
+// contract (see DESIGN.md, "RNG stream stability") — while the amortised
 // per-flit cost at low error rates is a counter decrement.
 type LinkInjector struct {
 	rate   float64

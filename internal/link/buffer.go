@@ -24,9 +24,6 @@ type FIFO struct {
 	head int
 }
 
-// NewFIFO creates a queue holding at most capacity flits.
-func NewFIFO(capacity int) *FIFO { return &NewFIFOs(nil, 1, capacity)[0] }
-
 // NewFIFOs creates n queues of the given capacity in two slabs from s
 // (sim.Make) however large n is: the queues are one slice, and their
 // backing storage is carved out of one contiguous arena, for cache

@@ -318,10 +318,6 @@ func (c *Channel) RecvNACKs() []NACK {
 	return kept
 }
 
-// Pending reports the number of flits anywhere in the forward wire,
-// including not-yet-visible ones (used by drain detection).
-func (c *Channel) Pending() int { return c.flits.InFlight() }
-
 // InFlightData counts the data flits anywhere in the forward wire that
 // ride the given VC. Control flits (probes/activations) bypass credits
 // and are excluded. Invariant-checker inspection.

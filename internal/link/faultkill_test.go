@@ -47,8 +47,8 @@ func TestChannelDestroyData(t *testing.T) {
 	for _, f := range flitsOnVC(2, 1, 2) {
 		h.ch.Send(f)
 	}
-	if h.ch.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", h.ch.Pending())
+	if h.ch.flits.InFlight() != 5 {
+		t.Fatalf("InFlight = %d, want 5", h.ch.flits.InFlight())
 	}
 	if h.ch.InFlightData(0) != 3 || h.ch.InFlightData(1) != 2 {
 		t.Fatalf("InFlightData = %d,%d want 3,2", h.ch.InFlightData(0), h.ch.InFlightData(1))
@@ -90,8 +90,8 @@ func TestChannelDestroyData(t *testing.T) {
 	if n := h.ch.DestroyData(-1, nil); n != 2 {
 		t.Fatalf("DestroyData(-1) = %d, want 2", n)
 	}
-	if h.ch.Pending() != 0 {
-		t.Fatalf("Pending = %d after full destruction, want 0", h.ch.Pending())
+	if h.ch.flits.InFlight() != 0 {
+		t.Fatalf("InFlight = %d after full destruction, want 0", h.ch.flits.InFlight())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func TestFIFOBasics(t *testing.T) {
-	q := NewFIFO(2)
+	q := &NewFIFOs(nil, 1, 2)[0]
 	if !q.Empty() || q.Full() || q.Cap() != 2 {
 		t.Fatal("fresh FIFO state wrong")
 	}
@@ -36,7 +36,7 @@ func TestFIFOOverflowPanics(t *testing.T) {
 			t.Fatal("overflow did not panic")
 		}
 	}()
-	q := NewFIFO(1)
+	q := &NewFIFOs(nil, 1, 1)[0]
 	q.Push(&flit.Flit{})
 	q.Push(&flit.Flit{})
 }
@@ -58,44 +58,45 @@ func TestRetransBufferCaptureExpireDrain(t *testing.T) {
 	if n := rb.Expire(13); n != 1 {
 		t.Fatalf("Expire(13) freed %d, want 1", n)
 	}
-	got := rb.Drain()
+	got := rb.AppendDrain(nil)
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatalf("Drain = %v", got)
+		t.Fatalf("AppendDrain = %v", got)
 	}
 	if !rb.Empty() {
 		t.Fatal("not empty after drain")
 	}
 }
 
-// Empty buffers must hand back nil, not freshly allocated empty slices:
-// Snapshot and Drain sit on the per-cycle hot path (every NACK and every
+// Empty buffers must hand back nothing without allocating: Snapshot and
+// AppendDrain sit on the per-cycle hot path (every NACK and every
 // recovery step), and the empty case is by far the common one.
 func TestRetransBufferEmptyReturnsNil(t *testing.T) {
 	rb := NewRetransBuffer(NACKWindow)
 	if got := rb.Snapshot(); got != nil {
 		t.Fatalf("empty Snapshot = %v, want nil", got)
 	}
-	if got := rb.Drain(); got != nil {
-		t.Fatalf("empty Drain = %v, want nil", got)
+	if got := rb.AppendDrain(nil); got != nil {
+		t.Fatalf("empty AppendDrain = %v, want nil", got)
 	}
 	rb.Capture(flit.Flit{Seq: 7}, 5)
 	if got := rb.Snapshot(); len(got) != 1 || got[0].Seq != 7 {
 		t.Fatalf("Snapshot = %v", got)
 	}
-	if got := rb.Drain(); len(got) != 1 || got[0].Seq != 7 {
-		t.Fatalf("Drain = %v", got)
+	buf := rb.AppendDrain(nil)
+	if len(buf) != 1 || buf[0].Seq != 7 {
+		t.Fatalf("AppendDrain = %v", buf)
 	}
-	// Drained-to-empty again: back to nil results, and the scratch
+	// Drained-to-empty again: nothing comes back, and the caller's
 	// capacity is reused rather than reallocated.
-	if got := rb.Drain(); got != nil {
-		t.Fatalf("post-drain Drain = %v, want nil", got)
+	if got := rb.AppendDrain(buf[:0]); len(got) != 0 {
+		t.Fatalf("post-drain AppendDrain = %v, want empty", got)
 	}
 	if got := rb.Snapshot(); got != nil {
 		t.Fatalf("post-drain Snapshot = %v, want nil", got)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		rb.Capture(flit.Flit{Seq: 1}, 5)
-		if rb.Drain() == nil {
+		if buf = rb.AppendDrain(buf[:0]); len(buf) != 1 {
 			t.Fatal("drain lost the captured flit")
 		}
 	})

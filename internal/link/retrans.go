@@ -32,10 +32,6 @@ type RetransBuffer struct {
 	ring  []retransEntry
 	head  int
 	count int
-	// scratch backs Drain's return value, reused across drains; allocated
-	// by the first Drain, so buffers drained only through AppendDrain (a
-	// transmitter's) never carry one.
-	scratch []flit.Flit
 }
 
 type retransEntry struct {
@@ -128,21 +124,9 @@ func (rb *RetransBuffer) expired(clock uint64) int {
 	return n
 }
 
-// Drain removes and returns all retained flits, oldest first. The caller
-// retransmits them in order (re-capturing each as it goes back out on the
-// wire). An empty buffer drains to nil. The returned slice aliases an
-// internal scratch buffer valid only until the next Drain; callers that
-// retain flits past that must copy.
-func (rb *RetransBuffer) Drain() []flit.Flit {
-	if rb.count == 0 {
-		return nil
-	}
-	rb.scratch = rb.AppendDrain(rb.scratch[:0])
-	return rb.scratch
-}
-
-// AppendDrain is Drain into a caller-owned slice: the retained flits are
-// removed and appended to dst, oldest first. dst grows at most once.
+// AppendDrain removes the retained flits and appends them to dst, oldest
+// first; the caller retransmits them in order (re-capturing each as it
+// goes back out on the wire). dst grows at most once.
 func (rb *RetransBuffer) AppendDrain(dst []flit.Flit) []flit.Flit {
 	dst = slices.Grow(dst, rb.count)
 	for i := 0; i < rb.count; i++ {

@@ -36,7 +36,7 @@
 // from state the actor reconstructs when it next ticks (catch-up), and
 // every input the actor reacts to must either arrive through a delay line
 // whose Delivery hook wakes it or be covered by the timed wake. Upholding
-// that is the actor's job (see DESIGN.md, "The scheduler"); the
+// that is the actor's job (see DESIGN.md, "Wires and scheduler"); the
 // differential tests hold the two schedules to identical output.
 //
 // Awake actors are ticked in ascending registration order, so intra-cycle

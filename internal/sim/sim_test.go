@@ -90,20 +90,6 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	for trial := 0; trial < 50; trial++ {
-		p := r.Perm(20)
-		seen := make(map[int]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				t.Fatalf("Perm(20) not a permutation: %v", p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(1)
 	child := parent.Split()
