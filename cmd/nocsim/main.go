@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", cfg.Seed, "simulation seed")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's 300k-message runs")
 	heatmap := flag.Bool("heatmap", false, "print a per-router buffer-utilization floorplan")
-	tracePIDs := flag.String("trace", "", "comma-separated packet IDs whose journeys to record and print")
+	tracePIDs := flag.String("trace", "", "comma-separated packet IDs whose journeys to record and print (ID k*nodes+n+1 is node n's k-th packet, from 0)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event file (open in Perfetto / chrome://tracing)")
 	eventsOut := flag.String("events-out", "", "stream structured events to an NDJSON file")
 	metricsOut := flag.String("metrics-out", "", "stream sampled per-router metrics to an NDJSON file")
@@ -302,7 +302,8 @@ func main() {
 
 // kernelSummary renders the end-of-run scheduling line: simulated cycles
 // per wall-clock second, the fraction of actor ticks elided relative to
-// ticking every actor every cycle, and how many ticks were dispatched.
+// ticking every actor every cycle, how many ticks were dispatched, and
+// how many steps ticked as two shards.
 func kernelSummary(net *ftnoc.Network, cycles uint64, wall time.Duration) string {
 	ks := net.KernelStats()
 	rate := "n/a"
@@ -315,6 +316,9 @@ func kernelSummary(net *ftnoc.Network, cycles uint64, wall time.Duration) string
 	}
 	if ks.Events > 0 {
 		s += fmt.Sprintf(", %d events dispatched", ks.Events)
+	}
+	if ks.Sharded > 0 {
+		s += fmt.Sprintf(", %d steps as two shards", ks.Sharded)
 	}
 	return s
 }

@@ -122,14 +122,14 @@ type Point struct {
 type RepResult struct {
 	Seed    uint64
 	Results network.Results
-	// KernelTicked/KernelSkipped/KernelEvents are the replicate's
-	// scheduler-level counters: actor ticks executed, ticks elided
-	// relative to ticking every actor every cycle, and ticks dispatched
-	// to actors that may sleep. They live here rather
-	// than in Results because they describe the simulator, not the
-	// simulated network, and must not perturb result hashing or
+	// KernelTicked/KernelSkipped/KernelEvents/KernelSharded are the
+	// replicate's scheduler-level counters: actor ticks executed, ticks
+	// elided relative to ticking every actor every cycle, ticks dispatched
+	// to actors that may sleep, and steps ticked as two shards. They live
+	// here rather than in Results because they describe the simulator,
+	// not the simulated network, and must not perturb result hashing or
 	// serialisation.
-	KernelTicked, KernelSkipped, KernelEvents uint64
+	KernelTicked, KernelSkipped, KernelEvents, KernelSharded uint64
 	// Err captures a crash inside this replicate's simulation; the
 	// Results are zero when set.
 	Err error
@@ -393,6 +393,12 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 	}
 	spans.campaignBegin(len(points), len(jobs))
 
+	// The pool keeps its workers' cores busy: it claims them for its
+	// lifetime, so a run inside it finds no spare core to shard onto.
+	held := min(report.Workers, runtime.GOMAXPROCS(0))
+	sim.HoldCores(held)
+	defer sim.ReleaseCores(held)
+
 	jobc := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < report.Workers; w++ {
@@ -593,7 +599,7 @@ func runReplicate(ctx context.Context, slabs *sim.Slabs, cfg network.Config, che
 	net := network.NewIn(slabs, cfg)
 	rr.Results = net.RunContext(ctx)
 	ks := net.KernelStats()
-	rr.KernelTicked, rr.KernelSkipped, rr.KernelEvents = ks.Ticked, ks.Skipped, ks.Events
+	rr.KernelTicked, rr.KernelSkipped, rr.KernelEvents, rr.KernelSharded = ks.Ticked, ks.Skipped, ks.Events, ks.Sharded
 	if cfg.Invariants != nil && !rr.Results.Aborted {
 		if err := cfg.Invariants.Err(); err != nil {
 			rr.Err = fmt.Errorf("campaign: replicate seed %d: %w", rr.Seed, err)

@@ -134,6 +134,9 @@ type Channel struct {
 	flits sim.Pipe[flit.Flit]
 	nacks sim.Pipe[NACK]
 	k     *sim.Kernel
+	// out, while set (Outbox.Open), takes what the producers push on the
+	// three wires until the outbox commits it.
+	out *Outbox
 
 	// cred is the credit wire, one entry per VC (see creditVC). It windows
 	// fewVCs until a channel carries more VCs than that, so the usual
@@ -143,6 +146,9 @@ type Channel struct {
 	credOut []Credit
 
 	injector fault.Corruptor // nil for fault-free channels
+	// events and counters are what the bare-wire methods (Send,
+	// SendCredit, SendNACK, RecvNACKs) charge; a Transmitter or Receiver
+	// charges its own.
 	events   *stats.Events
 	counters *fault.Counters
 	local    bool // PE<->router channel: no fault injection, separate energy class
@@ -210,27 +216,34 @@ func (c *Channel) fitCredits(vcs int) {
 // Send puts a flit on the wire, applying fault injection. It returns the
 // injection outcome, which the transmitter records but must NOT act on —
 // only the receiver's ECC unit may observe corruption.
-func (c *Channel) Send(f flit.Flit) fault.LinkOutcome { return c.send(&f) }
+func (c *Channel) Send(f flit.Flit) fault.LinkOutcome { return c.send(&f, c.events, c.counters) }
 
-// send is Send reading the flit through a pointer: *f is copied once,
-// into the wire's own slot, and it is that slot the injector corrupts —
-// the caller's flit stays clean, and the slot already lives on the heap,
-// so handing its address through the Corruptor interface costs nothing.
-func (c *Channel) send(f *flit.Flit) fault.LinkOutcome {
-	w := c.flits.PushSlot()
-	*w = *f
+// send is Send reading the flit through a pointer and charging the given
+// accounts: *f is copied once, into the wire's own slot (or the outbox's),
+// and it is that slot the injector corrupts — the caller's flit stays
+// clean, and the slot already lives on the heap, so handing its address
+// through the Corruptor interface costs nothing.
+func (c *Channel) send(f *flit.Flit, events *stats.Events, counters *fault.Counters) fault.LinkOutcome {
+	var w *flit.Flit
+	if o := c.out; o != nil {
+		o.flits = append(o.flits, *f)
+		w = &o.flits[len(o.flits)-1]
+	} else {
+		w = c.flits.PushSlot()
+		*w = *f
+	}
 	out := fault.NoError
 	if c.injector != nil {
 		out = c.injector.Corrupt(w)
 	}
 	if out != fault.NoError {
-		c.counters.AddInjected(fault.LinkError)
+		counters.AddInjected(fault.LinkError)
 	}
 	w.Hops++
 	if c.local {
-		c.events.LocalTraversals++
+		events.LocalTraversals++
 	} else {
-		c.events.LinkTraversals++
+		events.LinkTraversals++
 	}
 	return out
 }
@@ -239,8 +252,15 @@ func (c *Channel) send(f *flit.Flit) fault.LinkOutcome {
 func (c *Channel) Recv() (flit.Flit, bool) { return c.flits.Pop() }
 
 // SendCredit returns a buffer slot to the transmitter.
-func (c *Channel) SendCredit(vc uint8) {
-	c.events.Credits++
+func (c *Channel) SendCredit(vc uint8) { c.sendCredit(vc, c.events) }
+
+// sendCredit is SendCredit charging events.
+func (c *Channel) sendCredit(vc uint8, events *stats.Events) {
+	events.Credits++
+	if o := c.out; o != nil {
+		o.credits = append(o.credits, vc)
+		return
+	}
 	c.addCredit(vc)
 }
 
@@ -286,16 +306,26 @@ func (c *Channel) RecvCredits() []Credit {
 }
 
 // SendNACK raises the error handshake toward the transmitter.
-func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
-	c.events.NACKs++
-	c.counters.NACKs++
+func (c *Channel) SendNACK(vc uint8, kind NACKKind) { c.sendNACK(vc, kind, c.events, c.counters) }
+
+// sendNACK is SendNACK charging the given accounts.
+func (c *Channel) sendNACK(vc uint8, kind NACKKind, events *stats.Events, counters *fault.Counters) {
+	events.NACKs++
+	counters.NACKs++
+	if o := c.out; o != nil {
+		o.nacks = append(o.nacks, NACK{VC: vc, Kind: kind})
+		return
+	}
 	c.nacks.Push(NACK{VC: vc, Kind: kind})
 }
 
 // RecvNACKs drains all NACKs visible this cycle, applying handshake-line
 // fault injection: a faulted signal is masked by the TMR voter when
 // enabled, or lost otherwise.
-func (c *Channel) RecvNACKs() []NACK {
+func (c *Channel) RecvNACKs() []NACK { return c.recvNACKs(c.counters) }
+
+// recvNACKs is RecvNACKs charging counters.
+func (c *Channel) recvNACKs(counters *fault.Counters) []NACK {
 	ns := c.nacks.PopAll()
 	if c.hsRate == 0 || len(ns) == 0 {
 		return ns
@@ -303,14 +333,14 @@ func (c *Channel) RecvNACKs() []NACK {
 	kept := ns[:0]
 	for _, n := range ns {
 		if c.hsRNG.Bool(c.hsRate) {
-			c.counters.AddInjected(fault.HandshakeError)
+			counters.AddInjected(fault.HandshakeError)
 			if c.hsTMR {
 				// Two clean copies out-vote the faulted line.
-				c.counters.AddCorrected(fault.HandshakeError)
+				counters.AddCorrected(fault.HandshakeError)
 				kept = append(kept, n)
 				continue
 			}
-			c.counters.AddUndetected(fault.HandshakeError)
+			counters.AddUndetected(fault.HandshakeError)
 			continue
 		}
 		kept = append(kept, n)
@@ -423,3 +453,59 @@ func (c *Channel) VisibleFlits() int { return c.flits.Visible() }
 
 // VisibleNACKs: see VisibleFlits.
 func (c *Channel) VisibleNACKs() int { return c.nacks.Visible() }
+
+// Outbox holds what the producers of a cut channel — one whose two ends
+// tick concurrently, in different shards — pushed during one actor
+// phase: the transmitter's flits, the receiver's NACKs and credits.
+// While it is open the channel's wires are the consumer's alone during
+// the phase, and Commit, at the barrier after it, pushes the held values
+// in the order they were sent. Nothing a consumer can see changes: a
+// value is never visible before the cycle after its push, and Commit runs
+// inside the push's cycle.
+type Outbox struct {
+	ch      *Channel
+	flits   []flit.Flit
+	nacks   []NACK
+	credits []uint8 // the VC of each credit
+	// First backing arrays, enough for one step's traffic on one wire.
+	flitBuf   [2]flit.Flit
+	nackBuf   [4]NACK
+	creditBuf [8]uint8
+}
+
+// NewOutboxes makes one closed outbox per channel, in one slab from s
+// (sim.Make).
+func NewOutboxes(s *sim.Slabs, chans []*Channel) []Outbox {
+	os := sim.Make[Outbox](s, len(chans))
+	for i, c := range chans {
+		o := &os[i]
+		o.ch = c
+		o.flits, o.nacks, o.credits = o.flitBuf[:0], o.nackBuf[:0], o.creditBuf[:0]
+	}
+	return os
+}
+
+// Open routes the channel's pushes into the outbox.
+func (o *Outbox) Open() { o.ch.out = o }
+
+// Close commits what the outbox holds and routes pushes to the wires
+// again.
+func (o *Outbox) Close() {
+	o.Commit()
+	o.ch.out = nil
+}
+
+// Commit pushes what the outbox holds onto the channel's wires.
+func (o *Outbox) Commit() {
+	c := o.ch
+	for i := range o.flits {
+		*c.flits.PushSlot() = o.flits[i]
+	}
+	for _, n := range o.nacks {
+		c.nacks.Push(n)
+	}
+	for _, vc := range o.credits {
+		c.addCredit(vc)
+	}
+	o.flits, o.nacks, o.credits = o.flits[:0], o.nacks[:0], o.credits[:0]
+}

@@ -109,6 +109,12 @@ func NewReceivers(s *sim.Slabs, n int, ch func(i int) *Channel, vcs int, protect
 	return rs
 }
 
+// SetAccounts has the receiver charge its events and fault counts to
+// events and counters (its shard's) instead of the ones it was made with.
+func (r *Receiver) SetAccounts(events *stats.Events, counters *fault.Counters) {
+	r.events, r.counters = events, counters
+}
+
 // Channel returns the receiver's channel (hook installation, invariant
 // inspection).
 func (r *Receiver) Channel() *Channel { return r.ch }
@@ -227,7 +233,7 @@ func (r *Receiver) check(f *flit.Flit, cycle uint64) (isCtrl bool) {
 		// reached the transmitter and will be replayed. Return its
 		// reserved slot.
 		r.counters.DroppedFlits++
-		r.ch.SendCredit(uint8(vc))
+		r.ch.sendCredit(uint8(vc), r.events)
 		r.emitDrop(cycle, vc, uint64(f.PID), f.Seq, trace.DropWindow)
 		f.Type = void
 		return false
@@ -274,8 +280,8 @@ func (r *Receiver) check(f *flit.Flit, cycle uint64) (isCtrl bool) {
 func (r *Receiver) nack(vc int, cycle uint64, f *flit.Flit) {
 	r.counters.DroppedFlits++
 	r.counters.AddCorrected(fault.LinkError)
-	r.ch.SendCredit(uint8(vc))
-	r.ch.SendNACK(uint8(vc), NACKLinkError)
+	r.ch.sendCredit(uint8(vc), r.events)
+	r.ch.sendNACK(uint8(vc), NACKLinkError, r.events, r.counters)
 	r.dropUntil[vc] = cycle + dropWindow
 	r.emitNACK(cycle, vc, NACKLinkError)
 	r.emitDrop(cycle, vc, uint64(f.PID), f.Seq, trace.DropNACK)
@@ -312,12 +318,14 @@ func (r *Receiver) ReturnCredit(vc int) {
 			return // deliberate leak (see SkipCreditEvery)
 		}
 	}
-	r.ch.SendCredit(uint8(vc))
+	r.ch.sendCredit(uint8(vc), r.events)
 }
 
 // SendNACK lets the router raise non-link NACKs (AC invalidation,
 // misroute reports) on this receiver's backward handshake wires.
-func (r *Receiver) SendNACK(vc int, kind NACKKind) { r.ch.SendNACK(uint8(vc), kind) }
+func (r *Receiver) SendNACK(vc int, kind NACKKind) {
+	r.ch.sendNACK(uint8(vc), kind, r.events, r.counters)
+}
 
 // ForceDrop lets the router reject a flit the ECC accepted — the
 // misroute-consistency check of §4.2. The flit's slot is returned, the
@@ -326,8 +334,8 @@ func (r *Receiver) SendNACK(vc int, kind NACKKind) { r.ch.SendNACK(uint8(vc), ki
 // identify the rejected flit for the event stream.
 func (r *Receiver) ForceDrop(vc int, cycle uint64, kind NACKKind, pid uint64, seq uint8) {
 	r.counters.DroppedFlits++
-	r.ch.SendCredit(uint8(vc))
-	r.ch.SendNACK(uint8(vc), kind)
+	r.ch.sendCredit(uint8(vc), r.events)
+	r.ch.sendNACK(uint8(vc), kind, r.events, r.counters)
 	r.dropUntil[vc] = cycle + dropWindow
 	r.emitNACK(cycle, vc, kind)
 	r.emitDrop(cycle, vc, pid, seq, trace.DropMisroute)

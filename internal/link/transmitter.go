@@ -157,6 +157,12 @@ func NewTransmitters(s *sim.Slabs, n int, ch func(i int) *Channel, vcs, downstre
 	return ts
 }
 
+// SetAccounts has the transmitter charge its events and fault counts to
+// events and counters (its shard's) instead of the ones it was made with.
+func (t *Transmitter) SetAccounts(events *stats.Events, counters *fault.Counters) {
+	t.events, t.counters = events, counters
+}
+
 // clock is the kernel's cycle: the one being ticked, or between steps the
 // next one to tick.
 func (t *Transmitter) clock() uint64 { return t.ch.k.Cycle() }
@@ -194,7 +200,7 @@ func (t *Transmitter) drainShifter(vc int, dst []flit.Flit) []flit.Flit {
 // costs one look at an empty wire on any other. The returned slice is
 // valid until the next BeginCycle.
 func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
-	ns := t.ch.RecvNACKs()
+	ns := t.ch.recvNACKs(t.counters)
 	routerNACKs := ns[:0] // filtered in place: the wire's own scratch
 	for _, n := range ns {
 		if n.Kind != NACKLinkError {
@@ -320,7 +326,7 @@ func (t *Transmitter) sendOnWire(f *flit.Flit, cycle uint64) {
 		t.total.add(cycle, 1)
 	}
 	t.events.RetransWrites++
-	t.ch.send(f)
+	t.ch.send(f, t.events, t.counters)
 }
 
 // SendControl transmits a probe/activation flit. Control flits bypass the
@@ -329,7 +335,7 @@ func (t *Transmitter) sendOnWire(f *flit.Flit, cycle uint64) {
 // blocked node's threshold timer.
 func (t *Transmitter) SendControl(f flit.Flit) {
 	t.events.Probes++
-	t.ch.send(&f)
+	t.ch.send(&f, t.events, t.counters)
 }
 
 // ShifterOccupancy returns the summed occupancy and capacity of the

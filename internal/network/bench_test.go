@@ -65,6 +65,36 @@ func BenchmarkKernelSteadyFaults(b *testing.B) {
 	reportKernel(b, n)
 }
 
+// BenchmarkKernelSteadyShards is the steady state ticked as two shards:
+// the benchmark workload on the 8x8 mesh, which splits, with the kernel's
+// helper and the cut channels' outboxes in use on every step. The helper
+// and its buffers outlive the network and the outboxes come from its
+// construction, so the step must allocate nothing (scripts/bench.sh
+// --smoke).
+func BenchmarkKernelSteadyShards(b *testing.B) {
+	cfg := benchConfig()
+	cfg.Width, cfg.Height = 8, 8
+	n := New(cfg)
+	n.shards = 2
+	if !n.startShards() {
+		b.Fatal("the 8x8 benchmark network does not shard")
+	}
+	defer n.stopShards()
+	for i := 0; i < 2000; i++ {
+		n.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.step()
+	}
+	b.StopTimer()
+	if n.KernelStats().Sharded == 0 {
+		b.Fatal("no step ticked two shards")
+	}
+	reportKernel(b, n)
+}
+
 // BenchmarkKernelSteadyMetrics proves the zero-cost-when-unscraped
 // observability contract on the hot path: a metrics registry is
 // attached (every router registers its three gauges at construction)

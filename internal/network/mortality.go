@@ -213,7 +213,7 @@ func (m *mortalityState) postFaultThroughput(delivered, cycles uint64) float64 {
 func (m *mortalityState) noteDeath(c uint64) {
 	m.anyDeath = true
 	m.lastDeathCycle = c
-	m.deliveredAtLastDeath = m.n.delivered
+	m.deliveredAtLastDeath = m.n.delivered()
 }
 
 func (m *mortalityState) emit(e trace.Event) {
@@ -338,7 +338,9 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 			continue
 		}
 		m.undeliverable++
-		m.n.lastEject = c // a terminal verdict is progress for stall detection
+		// A terminal verdict is progress for stall detection (a network
+		// with hard-fault state is all shard 0).
+		m.n.acct[0].lastEject = c
 	}
 }
 
@@ -350,7 +352,7 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 // many messages a run refuses.
 func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
 	m.undeliverable++
-	m.n.lastEject = cycle
+	p.acct.lastEject = cycle
 	p.emitDrop(cycle, -1, pid, trace.DropUnreachable)
 }
 

@@ -169,8 +169,8 @@ func TestMortalityPropertyRandomFaults(t *testing.T) {
 					t.Fatalf("accounted %d messages (delivered %d + undeliverable %d), want >= %d",
 						got, res.Delivered, res.Undeliverable, cfg.TotalMessages)
 				}
-				if got > n.injected {
-					t.Fatalf("accounted %d messages but only %d were injected", got, n.injected)
+				if got > n.injected() {
+					t.Fatalf("accounted %d messages but only %d were injected", got, n.injected())
 				}
 				if res.Cycles <= 400 {
 					t.Fatalf("run ended at cycle %d, before the last scheduled death could fire", res.Cycles)

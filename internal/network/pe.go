@@ -51,6 +51,11 @@ const retransReqSize = 2
 type pe struct {
 	net *Network
 	id  flit.NodeID
+	// acct is the account this PE charges (its shard's).
+	acct *account
+	// seq counts the packets this PE has made; the next one's id is
+	// seq·nodes + id + 1, so ids are unique without a global counter.
+	seq uint64
 	src *traffic.Source
 	tx  *link.Transmitter
 	rx  *link.Receiver
@@ -118,6 +123,7 @@ func newPEs(s *sim.Slabs, n *Network, srcs []traffic.Source, up []link.Transmitt
 		*p = pe{
 			net:       n,
 			id:        flit.NodeID(i),
+			acct:      n.acctOf(i),
 			src:       &srcs[i],
 			tx:        &up[i],
 			rx:        &down[i],
@@ -168,7 +174,7 @@ func (p *pe) Tick(cycle uint64) {
 // only grows — so if the limit was hit mid-sleep the accumulator is dead
 // state and needs no replay.
 func (p *pe) catchUp(gap uint64) {
-	if lim := p.net.cfg.InjectLimit; lim != 0 && p.net.injected >= lim {
+	if p.net.injectionClosed() {
 		return
 	}
 	p.src.Skip(gap)
@@ -197,7 +203,7 @@ func (p *pe) Quiescent(cycle uint64) (bool, uint64) {
 		return false, 0
 	}
 	var wake uint64
-	if lim := p.net.cfg.InjectLimit; (lim == 0 || p.net.injected < lim) && !p.dead() {
+	if !p.net.injectionClosed() && !p.dead() {
 		if k, crosses := p.src.NextCrossing(srcLookahead); crosses || k > 0 {
 			if w := cycle + k; wake == 0 || w < wake {
 				wake = w
@@ -222,15 +228,15 @@ func (p *pe) generate(cycle uint64) {
 	if p.dead() {
 		return
 	}
-	if lim := p.net.cfg.InjectLimit; lim != 0 && p.net.injected >= lim {
+	if p.net.injectionClosed() {
 		return
 	}
 	dst, ok := p.src.Tick()
 	if !ok {
 		return
 	}
-	p.net.injected++
-	pid := p.net.nextPID()
+	p.acct.injected++
+	pid := p.nextPID()
 	if p.net.bus.Enabled() {
 		p.net.bus.Emit(trace.Event{
 			Cycle: cycle, Kind: trace.FlitInjected,
@@ -252,6 +258,12 @@ func (p *pe) generate(cycle uint64) {
 		Size:       p.net.cfg.PacketSize,
 		InjectedAt: cycle,
 	})
+}
+
+// nextPID allocates the PE's next packet identifier.
+func (p *pe) nextPID() flit.PacketID {
+	p.seq++
+	return flit.PacketID((p.seq-1)*uint64(len(p.net.pes)) + uint64(p.id) + 1)
 }
 
 // dead reports whether this PE's router has been killed by the mortality
@@ -376,7 +388,7 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 		if sk.live {
 			// Previous packet never closed: stranded wormhole debris
 			// (possible only with unprotected logic faults).
-			p.net.sinkAnomalies++
+			p.acct.sinkAnomalies++
 			p.emitDrop(cycle, vc, sk.pid, trace.DropStray)
 		}
 		hdr := flit.DecodeHeader(f.Word)
@@ -384,12 +396,12 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 		if hdr.Dst != p.id {
 			// Misdelivered packet that escaped every check.
 			sk.corrupt = true
-			p.net.sinkAnomalies++
+			p.acct.sinkAnomalies++
 		}
 		return
 	case flit.Body, flit.Tail:
 		if !sk.live {
-			p.net.sinkAnomalies++
+			p.acct.sinkAnomalies++
 			p.emitDrop(cycle, vc, f.PID, trace.DropStray)
 			return
 		}
@@ -428,7 +440,7 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 		// Terminal under HBH; under E2E/FEC the retransmission request may
 		// still recover the packet (a later clean tail ejects it), but the
 		// drop event keeps the PID accounted even if the request is lost.
-		p.net.corruptedPackets++
+		p.acct.corruptedPackets++
 		p.emitDrop(cycle, vc, pid, trace.DropCorrupt)
 		if p.usesRetention() {
 			p.sendRetransRequest(cycle, src, pid)
@@ -442,13 +454,13 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 			PID: uint64(pid), Aux: uint64(src),
 		})
 	}
-	p.net.recordDelivery(cycle, born, int(p.id))
+	p.net.recordDelivery(p.acct, cycle, born, int(p.id))
 }
 
 // flitCorrupt applies the destination's end check per protection scheme.
 func (p *pe) flitCorrupt(f *flit.Flit) bool {
 	_, _, out := ecc.Decode(f.Word, f.Check)
-	p.net.events.ECCDecodes++
+	p.acct.events.ECCDecodes++
 	switch p.net.cfg.Protection {
 	case link.E2E:
 		// Detection-only at the destination: any error condemns the packet.
@@ -465,7 +477,7 @@ func (p *pe) flitCorrupt(f *flit.Flit) bool {
 // traffic: packet loss recovery cannot wait behind a saturated source.
 func (p *pe) sendRetransRequest(cycle uint64, src flit.NodeID, pid flit.PacketID) {
 	req := flit.Packet{
-		ID:         p.net.nextPID(),
+		ID:         p.nextPID(),
 		Src:        p.id,
 		Dst:        src,
 		Request:    true,
@@ -476,7 +488,7 @@ func (p *pe) sendRetransRequest(cycle uint64, src flit.NodeID, pid flit.PacketID
 	tail := &p.ctrl[len(p.ctrl)-1]
 	tail.Word = requestWord(pid)
 	tail.Check = ecc.Encode(tail.Word)
-	p.net.e2eNACKs++
+	p.acct.e2eNACKs++
 }
 
 // retainedAt returns the index of pid's retained copy, or -1.
@@ -498,8 +510,8 @@ func (p *pe) retain(ret retained) {
 	} else {
 		p.retention = append(p.retention, ret)
 	}
-	if occ := len(p.retention); occ > p.net.e2eBufMax {
-		p.net.e2eBufMax = occ
+	if occ := len(p.retention); occ > p.acct.e2eBufMax {
+		p.acct.e2eBufMax = occ
 	}
 }
 
@@ -508,13 +520,13 @@ func (p *pe) handleRetransRequest(cycle uint64, pid flit.PacketID) {
 	i := p.retainedAt(pid)
 	if i < 0 {
 		// Evicted: the packet is unrecoverable.
-		p.net.lostPackets++
+		p.acct.lostPackets++
 		p.emitDrop(cycle, -1, pid, trace.DropEvicted)
 		return
 	}
 	ret := &p.retention[i]
 	ret.deadline = cycle + p.net.cfg.E2ETimeout
-	p.net.e2eRetransmits++
+	p.acct.e2eRetransmits++
 	// Retransmission keeps the original injection timestamp so measured
 	// latency includes the recovery round trip.
 	p.queueFront(ret.pkt)
@@ -622,7 +634,7 @@ func (p *pe) dropUnreachableQueued(cycle uint64) {
 		}
 		if m.kill(pkt.ID) {
 			m.undeliverable++
-			p.net.lastEject = cycle
+			p.acct.lastEject = cycle
 			p.emitDrop(cycle, -1, pkt.ID, trace.DropUnreachable)
 		}
 	}

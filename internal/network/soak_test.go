@@ -23,8 +23,8 @@ func TestPacketConservation(t *testing.T) {
 	if res.Stalled {
 		t.Fatal("stalled")
 	}
-	if n.injected != 2_000 {
-		t.Fatalf("injected %d, want exactly 2000", n.injected)
+	if n.injected() != 2_000 {
+		t.Fatalf("injected %d, want exactly 2000", n.injected())
 	}
 	if res.Delivered != 2_000 {
 		t.Fatalf("delivered %d of 2000 injected", res.Delivered)

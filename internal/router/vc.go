@@ -134,14 +134,30 @@ func (v *inputVC) slideQueue() {
 // clearPending empties the pending queue, keeping its array.
 func (v *inputVC) clearPending() { v.pending, v.pendHead = v.pending[:0], 0 }
 
+// SplitPending divides routers rs, one NewRouters batch, at router at:
+// from then on fitPending serves rs[:at] and rs[at:] from separate
+// arrays, so routers of the two parts, ticked concurrently, never write
+// each other's VCs.
+func SplitPending(rs []Router, at int) {
+	batch := rs[0].batch
+	cut := at * len(batch) / len(rs)
+	for i := range rs {
+		if i < at {
+			rs[i].batch = batch[:cut:cut]
+		} else {
+			rs[i].batch = batch[cut:]
+		}
+	}
+}
+
 // fitPending gives the pending queue of every input VC of every router
-// built with this one (NewRouters) a NACKWindow-flit window of one array,
-// the first time any of those VCs parks or recalls a flit (ivc is the VC
-// about to): a network that never does allocates nothing for them, one
-// that does allocates once, however many of its VCs ever do. No queue
-// held more than NACKWindow flits in any run measured; the windows are
-// capacity-capped, so one that outgrows its window moves to storage of
-// its own instead of writing into a neighbour's.
+// in this one's batch (NewRouters, SplitPending) a NACKWindow-flit window
+// of one array, the first time any of those VCs parks or recalls a flit
+// (ivc is the VC about to): a batch that never does allocates nothing
+// for them, one that does allocates once, however many of its VCs ever
+// do. No queue held more than NACKWindow flits in any run measured; the
+// windows are capacity-capped, so one that outgrows its window moves to
+// storage of its own instead of writing into a neighbour's.
 func (r *Router) fitPending(ivc *inputVC) {
 	if cap(ivc.pending) > 0 {
 		return

@@ -10,8 +10,8 @@ import (
 )
 
 // Events tallies the microarchitectural activity that the power model
-// converts to energy. A single Events instance is shared by every
-// component of a network (the simulator is single-threaded by design).
+// converts to energy. A network keeps one per shard, charged by the
+// components of that shard and summed (Add) where read.
 type Events struct {
 	BufWrites       uint64 // flit written into an input VC buffer
 	BufReads        uint64 // flit read out of an input VC buffer
@@ -29,6 +29,28 @@ type Events struct {
 	ECCCorrections  uint64 // single-bit corrections performed
 	ACChecks        uint64 // allocation comparator evaluations
 	RTComputes      uint64 // routing-unit computations
+}
+
+// Add returns the field-by-field sum of e and o.
+func (e Events) Add(o Events) Events {
+	return Events{
+		BufWrites:       e.BufWrites + o.BufWrites,
+		BufReads:        e.BufReads + o.BufReads,
+		XbTraversals:    e.XbTraversals + o.XbTraversals,
+		LinkTraversals:  e.LinkTraversals + o.LinkTraversals,
+		LocalTraversals: e.LocalTraversals + o.LocalTraversals,
+		VAAllocs:        e.VAAllocs + o.VAAllocs,
+		SAAllocs:        e.SAAllocs + o.SAAllocs,
+		RetransWrites:   e.RetransWrites + o.RetransWrites,
+		Retransmitted:   e.Retransmitted + o.Retransmitted,
+		NACKs:           e.NACKs + o.NACKs,
+		Credits:         e.Credits + o.Credits,
+		Probes:          e.Probes + o.Probes,
+		ECCDecodes:      e.ECCDecodes + o.ECCDecodes,
+		ECCCorrections:  e.ECCCorrections + o.ECCCorrections,
+		ACChecks:        e.ACChecks + o.ACChecks,
+		RTComputes:      e.RTComputes + o.RTComputes,
+	}
 }
 
 // LatencyStats accumulates per-message latency samples (injection to tail
@@ -84,6 +106,25 @@ func (s *LatencyStats) grow(v uint64) {
 	counts := make([]uint64, size)
 	copy(counts, s.counts)
 	s.counts = counts
+}
+
+// Merge adds o's samples into s, as if each had been recorded in s. The
+// sums are of whole cycles, exact in a float64 up to 2^53, so the merged
+// Mean is the one a single recording in any order gives.
+func (s *LatencyStats) Merge(o *LatencyStats) {
+	if o.n == 0 {
+		return
+	}
+	if len(o.counts) > len(s.counts) {
+		s.grow(uint64(len(o.counts) - 1))
+	}
+	for v, c := range o.counts {
+		s.counts[v] += c
+	}
+	s.over = append(s.over, o.over...)
+	s.n += o.n
+	s.sum += o.sum
+	s.max = max(s.max, o.max)
 }
 
 // Count returns the number of recorded samples.

@@ -3,9 +3,10 @@
 # once, so none can bit-rot, and fails if a steady-state benchmark — the
 # default network (BenchmarkKernelSteady), the same network under heavy
 # transient faults (…Faults), the tests' every-cycle oracle (…Naive), the
-# metrics-on variant, or the low-load 16x16 run
-# (BenchmarkKernelSparse16x16, where routers sleep with credits still
-# arriving) — reports any allocations per simulated cycle:
+# metrics-on variant, the low-load 16x16 run (BenchmarkKernelSparse16x16,
+# where routers sleep with credits still arriving) or the 8x8 network
+# ticked as two shards (…Shards) — reports any allocations per simulated
+# cycle:
 #
 #   scripts/bench.sh --smoke
 #
@@ -35,10 +36,11 @@ go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -ben
 # observability contract: gauges registered, sampling interval never
 # firing. The Sparse16x16 variant guards the other regime: most
 # routers asleep, woken by single flits, credits pooling on their
-# wires meanwhile.
+# wires meanwhile. The Shards variant guards the two-shard step: the
+# helper goroutine, its buffers and the cut channels' outboxes.
 for bench in BenchmarkKernelSteady BenchmarkKernelSteadyFaults \
              BenchmarkKernelSteadyNaive BenchmarkKernelSteadyMetrics \
-             BenchmarkKernelSparse16x16; do
+             BenchmarkKernelSparse16x16 BenchmarkKernelSteadyShards; do
     line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
         -benchtime=200x -benchmem | grep "^${bench}")
     allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
