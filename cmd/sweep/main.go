@@ -202,20 +202,24 @@ func main() {
 // kernelSummary aggregates scheduler throughput across every completed
 // replicate: simulated cycles per wall-clock second (summed over the
 // pool's workers), the fraction of actor ticks elided relative to
-// ticking every actor every cycle, and ticks dispatched.
+// ticking every actor every cycle, ticks dispatched, and steps ticked as
+// two shards.
 func kernelSummary(report *campaign.Report) string {
-	cycles, ticked, skipped, events := report.KernelTotals()
+	cycles, ks := report.KernelTotals()
 	rate := "n/a"
 	if report.Elapsed > 0 {
 		rate = fmt.Sprintf("%.0f cycles/sec", float64(cycles)/report.Elapsed.Seconds())
 	}
-	if ticked+skipped == 0 {
+	if ks.Ticked+ks.Skipped == 0 {
 		return rate
 	}
 	s := fmt.Sprintf("%s aggregate, %.1f%% actor ticks skipped",
-		rate, 100*float64(skipped)/float64(ticked+skipped))
-	if events > 0 {
-		s += fmt.Sprintf(", %d events dispatched", events)
+		rate, 100*float64(ks.Skipped)/float64(ks.Ticked+ks.Skipped))
+	if ks.Events > 0 {
+		s += fmt.Sprintf(", %d events dispatched", ks.Events)
+	}
+	if ks.Sharded > 0 {
+		s += fmt.Sprintf(", %d steps as two shards", ks.Sharded)
 	}
 	return s
 }

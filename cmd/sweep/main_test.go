@@ -3,6 +3,9 @@ package main
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"ftnoc/internal/campaign"
 )
 
 func TestRateList(t *testing.T) {
@@ -28,5 +31,20 @@ func TestRateList(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: rateList = %v, %v; want %v", tc.name, got, err, tc.want)
 		}
+	}
+}
+
+// The kernel line counts the steps the replicates ticked as two shards,
+// and leaves shards out when none did.
+func TestKernelSummary(t *testing.T) {
+	rep := campaign.RepResult{Seed: 1, KernelTicked: 60, KernelSkipped: 40, KernelSharded: 7}
+	rep.Results.Cycles = 10
+	r := &campaign.Report{Points: []campaign.PointResult{{Reps: []campaign.RepResult{rep}}}, Elapsed: time.Second}
+	if got, want := kernelSummary(r), "10 cycles/sec aggregate, 40.0% actor ticks skipped, 7 steps as two shards"; got != want {
+		t.Errorf("kernelSummary = %q, want %q", got, want)
+	}
+	r.Points[0].Reps[0].KernelSharded = 0
+	if got, want := kernelSummary(r), "10 cycles/sec aggregate, 40.0% actor ticks skipped"; got != want {
+		t.Errorf("kernelSummary = %q, want %q", got, want)
 	}
 }

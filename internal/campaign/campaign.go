@@ -188,19 +188,20 @@ type Report struct {
 
 // KernelTotals sums the simulated cycles and scheduler counters (see
 // RepResult) over every replicate that ran without error.
-func (r *Report) KernelTotals() (cycles, ticked, skipped, events uint64) {
+func (r *Report) KernelTotals() (cycles uint64, ks sim.Stats) {
 	for i := range r.Points {
 		for _, rr := range r.Points[i].Reps {
 			if rr.Err != nil || rr.Seed == 0 {
 				continue // failed, or never dispatched
 			}
 			cycles += rr.Results.Cycles
-			ticked += rr.KernelTicked
-			skipped += rr.KernelSkipped
-			events += rr.KernelEvents
+			ks.Ticked += rr.KernelTicked
+			ks.Skipped += rr.KernelSkipped
+			ks.Events += rr.KernelEvents
+			ks.Sharded += rr.KernelSharded
 		}
 	}
-	return cycles, ticked, skipped, events
+	return cycles, ks
 }
 
 // Points expands the spec's grid in deterministic order (axes nest

@@ -14,6 +14,7 @@ import (
 	"ftnoc/internal/link"
 	"ftnoc/internal/network"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 	"ftnoc/internal/traffic"
@@ -358,7 +359,7 @@ func TestCampaignSpeedup(t *testing.T) {
 // dispatched add nothing. nocd and fabric workers both report it.
 func TestKernelTotalsSkipsFailedReplicates(t *testing.T) {
 	rep := func(seed uint64, cycles uint64, err error) RepResult {
-		rr := RepResult{Seed: seed, Err: err, KernelTicked: 2 * cycles, KernelSkipped: 3 * cycles, KernelEvents: 4 * cycles}
+		rr := RepResult{Seed: seed, Err: err, KernelTicked: 2 * cycles, KernelSkipped: 3 * cycles, KernelEvents: 4 * cycles, KernelSharded: 5 * cycles}
 		rr.Results.Cycles = cycles
 		return rr
 	}
@@ -366,9 +367,9 @@ func TestKernelTotalsSkipsFailedReplicates(t *testing.T) {
 		{Reps: []RepResult{rep(1, 100, nil), rep(2, 1000, errors.New("invariant violated"))}},
 		{Reps: []RepResult{rep(3, 10, nil), rep(0, 0, nil)}},
 	}}
-	cycles, ticked, skipped, events := r.KernelTotals()
-	if cycles != 110 || ticked != 220 || skipped != 330 || events != 440 {
-		t.Fatalf("KernelTotals = %d, %d, %d, %d; want 110, 220, 330, 440", cycles, ticked, skipped, events)
+	cycles, ks := r.KernelTotals()
+	if want := (sim.Stats{Ticked: 220, Skipped: 330, Events: 440, Sharded: 550}); cycles != 110 || ks != want {
+		t.Fatalf("KernelTotals = %d, %+v; want 110, %+v", cycles, ks, want)
 	}
 }
 

@@ -133,7 +133,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		log.Warn("shard failed", "err", err)
 		return
 	}
-	cycles, _, _, _ := report.KernelTotals()
+	cycles, _ := report.KernelTotals()
 	w.simCycles.Add(cycles)
 	writeLine(ShardLine{Done: &ShardDone{SimCycles: cycles}})
 	w.shards.With("simulated").Inc()

@@ -2,6 +2,7 @@ package network
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"ftnoc/internal/fault"
@@ -70,12 +71,13 @@ func BenchmarkKernelSteadyFaults(b *testing.B) {
 // helper and the cut channels' outboxes in use on every step. The helper
 // and its buffers outlive the network and the outboxes come from its
 // construction, so the step must allocate nothing (scripts/bench.sh
-// --smoke).
+// --smoke). It runs on two Ps at least, so that the kernel can claim two
+// cores.
 func BenchmarkKernelSteadyShards(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	cfg := benchConfig()
 	cfg.Width, cfg.Height = 8, 8
 	n := New(cfg)
-	n.shards = 2
 	if !n.startShards() {
 		b.Fatal("the 8x8 benchmark network does not shard")
 	}

@@ -66,9 +66,9 @@ type Config struct {
 
 	// TracePIDs lists packet IDs whose journey through the network should
 	// be recorded (one line per location change); the traces appear in
-	// Results.Traces. Packet IDs are allocated sequentially from 1 in
-	// injection order, deterministically per seed. Implemented as a
-	// consumer of the structured event bus.
+	// Results.Traces. Packet IDs are per PE: ID k*nodes+n+1 is node n's
+	// k-th packet (from 0), so IDs 1..nodes name each PE's first packet.
+	// Implemented as a consumer of the structured event bus.
 	TracePIDs []uint64
 
 	// TraceSink, when non-nil, receives every structured event the

@@ -39,14 +39,10 @@ type Network struct {
 	half int
 
 	// Two-shard state (shard.go). outboxes hold the cut channels' pushes
-	// while the run shards (nil when it cannot); shards is the test hook
-	// that overrides the core budget (1 never, 2 whenever the run may);
-	// claimed records a core claim to release; sharding is set from
+	// while the run shards (nil when it cannot); sharding is set from
 	// startShards to stopShards, sharded for a step ticked as two shards,
 	// and closed is InjectLimit reached, as a sharded step reads it.
 	outboxes []link.Outbox
-	shards   int
-	claimed  bool
 	sharding bool
 	sharded  bool
 	closed   bool
@@ -115,22 +111,11 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	}
 	n.topo = topology.New(kind, cfg.Width, cfg.Height)
 	nodes := n.topo.Nodes()
-	// A network that may tick two shards splits its accounts and its
-	// route memo at the shard boundary; any other is all shard 0.
-	n.half = nodes
-	if shardable(&cfg) {
-		n.half = cutNodes(nodes)
-	}
-	routes := routing.NewMemos(s, routing.NewIn(s, cfg.Routing, n.topo), nodes, 0, n.half, nodes)
-	if n.half == nodes {
-		routes = routes[:1]
-	}
-	route := &routes[0]
-	xyCheck := !cfg.Routing.Adaptive()
 
-	// Observability: attach the packet-journey tracker and any caller
-	// sink before construction, so routers capture a bus that is already
-	// final. With no sinks the bus stays disabled and costs nothing.
+	// Observability: attach the packet-journey tracker, any caller sink
+	// and the invariant checker before construction, so routers capture
+	// a bus that is already final. With no sinks the bus stays disabled
+	// and costs nothing.
 	if len(cfg.TracePIDs) > 0 {
 		n.journey = newJourneyTracker(cfg.TracePIDs)
 		n.bus.Attach(n.journey)
@@ -141,6 +126,23 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 		n.bus.Attach(n.inv)
 	}
 
+	// A network splits its accounts and its route memo at the shard
+	// boundary, so that its runs may tick two shards, unless something
+	// observes it mid-step (the bus) or it has hard-fault state, whose
+	// surgery and routing epochs are one-shard code; any other network is
+	// all shard 0.
+	hard := cfg.Faults.Mortality.Enabled() || cfg.Routing == routing.FaultAdaptive
+	n.half = nodes
+	if !n.bus.Enabled() && !hard {
+		n.half = cutNodes(nodes)
+	}
+	routes := routing.NewMemos(s, routing.NewIn(s, cfg.Routing, n.topo), nodes, 0, n.half, nodes)
+	if n.half == nodes {
+		routes = routes[:1]
+	}
+	route := &routes[0]
+	xyCheck := !cfg.Routing.Adaptive()
+
 	n.routers = sim.Make[*router.Router](s, nodes)
 	n.pes = sim.Make[*pe](s, nodes)
 	n.chanAt = sim.Make[*link.Channel](s, nodes*int(topology.NumPorts))
@@ -148,7 +150,7 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	// Hard-fault regime: per-router fault maps, the mortality timeline
 	// and the reconfiguration controller. Built before the routers so
 	// each router's Config can capture its local map.
-	if cfg.Faults.Mortality.Enabled() || cfg.Routing == routing.FaultAdaptive {
+	if hard {
 		n.mort = newMortalityState(s, n, route)
 	}
 
@@ -406,10 +408,6 @@ func occupancyFraction(occupied, capacity int) float64 {
 	}
 	return float64(occupied) / float64(capacity)
 }
-
-// Bus exposes the network's structured event bus, letting embedding
-// harnesses attach additional sinks before Run.
-func (n *Network) Bus() *trace.Bus { return &n.bus }
 
 // Topology returns the network's topology (for tooling).
 func (n *Network) Topology() *topology.Topology { return n.topo }

@@ -3,7 +3,6 @@ package network
 import (
 	"ftnoc/internal/fault"
 	"ftnoc/internal/link"
-	"ftnoc/internal/routing"
 	"ftnoc/internal/sim"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/topology"
@@ -31,15 +30,6 @@ type account struct {
 
 	// Keep the two accounts off each other's cache lines.
 	_ [64]byte
-}
-
-// shardable reports whether a run of cfg may tick two shards: nothing
-// observes it mid-step (no trace sink, journey, invariant checker or
-// metrics) and it has no hard-fault state, whose surgery and routing
-// epochs are one-shard code. The mesh must also split (sim.ShardBoundary).
-func shardable(cfg *Config) bool {
-	return cfg.TraceSink == nil && len(cfg.TracePIDs) == 0 && cfg.Invariants == nil &&
-		cfg.Metrics == nil && !cfg.Faults.Mortality.Enabled() && cfg.Routing != routing.FaultAdaptive
 }
 
 // acctOf returns the account node charges.
@@ -79,21 +69,10 @@ func (n *Network) splitAccounts(s *sim.Slabs, ids []topology.LinkID, links []lin
 }
 
 // startShards has the run tick two shards where it can, and reports
-// whether it will: the network was built split (shardable), nobody has
-// attached a sink since, and the process has two cores to spare — or a
-// test asked for a shard count (n.shards).
+// whether it will: the network was built split (build) and the kernel
+// claimed two cores (sim.Kernel.StartShards).
 func (n *Network) startShards() bool {
-	if n.outboxes == nil || n.bus.Enabled() || n.shards == 1 {
-		return false
-	}
-	if n.shards != 2 {
-		if !sim.ClaimCores(2) {
-			return false
-		}
-		n.claimed = true
-	}
-	if !n.kernel.StartShards((*barrier)(n)) {
-		n.stopShards()
+	if n.half == len(n.routers) || !n.kernel.StartShards((*barrier)(n), n.routerH[n.half]) {
 		return false
 	}
 	for i := range n.outboxes {
@@ -105,19 +84,16 @@ func (n *Network) startShards() bool {
 
 // stopShards undoes startShards; a no-op without it.
 func (n *Network) stopShards() {
-	if n.sharding {
-		// The helper may still be ticking a step the caller left by a
-		// panic, pushing into the outboxes: it stops first.
-		n.kernel.StopShards()
-		for i := range n.outboxes {
-			n.outboxes[i].Close()
-		}
-		n.sharding, n.sharded = false, false
+	if !n.sharding {
+		return
 	}
-	if n.claimed {
-		sim.ReleaseCores(2)
-		n.claimed = false
+	// The helper may still be ticking a step the caller left by a panic,
+	// pushing into the outboxes: it stops first.
+	n.kernel.StopShards()
+	for i := range n.outboxes {
+		n.outboxes[i].Close()
 	}
+	n.sharding, n.sharded = false, false
 }
 
 // step advances the kernel one cycle, as two shards when the run shards

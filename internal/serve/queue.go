@@ -233,16 +233,16 @@ func (s *Server) runJob(j *job) {
 // (and cached) result tables, which must be byte-identical for equal
 // spec hashes regardless of the kernel that produced them.
 func (s *Server) recordKernelTelemetry(j *job, report *campaign.Report) {
-	cycles, ticked, skipped, events := report.KernelTotals()
-	if ticked+skipped == 0 {
+	cycles, ks := report.KernelTotals()
+	if ks.Ticked+ks.Skipped == 0 {
 		return // nothing completed (canceled before the first replicate)
 	}
 	s.obs.simCycles.Add(float64(cycles))
-	s.obs.simTicks.With("ticked").Add(float64(ticked))
-	s.obs.simTicks.With("skipped").Add(float64(skipped))
-	s.obs.simEvents.Add(float64(events))
+	s.obs.simTicks.With("ticked").Add(float64(ks.Ticked))
+	s.obs.simTicks.With("skipped").Add(float64(ks.Skipped))
+	s.obs.simEvents.Add(float64(ks.Events))
 	s.log.Info("job kernel telemetry",
 		"job", j.id,
-		"sim_cycles", cycles, "actor_ticks", ticked, "ticks_skipped", skipped,
-		"events_dispatched", events)
+		"sim_cycles", cycles, "actor_ticks", ks.Ticked, "ticks_skipped", ks.Skipped,
+		"events_dispatched", ks.Events)
 }

@@ -45,8 +45,8 @@
 // # Two shards
 //
 // Because tick order within a cycle is immaterial, Step can run the actor
-// phase as two shards (StartShards, ShardStep): the awake words below
-// ShardBoundary on the calling goroutine, the rest on a long-lived helper
+// phase as two shards (StartShards, ShardStep): the awake words below the
+// owner's cut on the calling goroutine, the rest on a long-lived helper
 // goroutine, joined by a spin-then-yield barrier. The shards must share
 // no written memory, and the kernel keeps its own part of that: each
 // shard makes the deliveries on its own due ring (a delivery belongs to
@@ -57,9 +57,12 @@
 // Barrier): wires whose two ends tick in different shards are pushed at
 // the barrier, and whatever else the actors share is split per shard.
 //
-// Who may shard is a process-wide budget: ClaimCores, HoldCores and
-// ReleaseCores count the cores of GOMAXPROCS that simulation work holds.
-// When may is the owner's call (ShardStep).
+// Who decides what: the owner picks the cut (a handle on an awake-set
+// word boundary, ShardBoundary) and, step by step, whether a step may run
+// as two shards (ShardStep); the kernel claims the two cores from a
+// process-wide budget of GOMAXPROCS (StartShards refuses when they are
+// not free, so never at one P), and a worker pool holds its own share of
+// that budget (HoldCores, ReleaseCores).
 package sim
 
 import (

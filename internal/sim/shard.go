@@ -12,9 +12,9 @@ import (
 // a run that ticks two shards holds two while it runs.
 var cores atomic.Int64
 
-// ClaimCores claims n cores if that many of GOMAXPROCS are unclaimed and
+// claimCores claims n cores if that many of GOMAXPROCS are unclaimed and
 // reports whether it did. Release them with ReleaseCores.
-func ClaimCores(n int) bool {
+func claimCores(n int) bool {
 	for {
 		c := cores.Load()
 		if c+int64(n) > int64(runtime.GOMAXPROCS(0)) {
@@ -30,7 +30,7 @@ func ClaimCores(n int) bool {
 // keeps n workers busy. Release them with ReleaseCores.
 func HoldCores(n int) { cores.Add(int64(n)) }
 
-// ReleaseCores returns n cores claimed by ClaimCores or HoldCores.
+// ReleaseCores returns n cores claimed by HoldCores.
 func ReleaseCores(n int) { cores.Add(-int64(n)) }
 
 // ShardBoundary returns the first handle of shard 1 for a kernel of
@@ -70,28 +70,33 @@ type shards struct {
 }
 
 // StartShards readies the kernel to tick its awake set as two shards,
-// the words below ShardBoundary on the calling goroutine and the rest on
-// a helper goroutine, in the steps ShardStep asks for; b is called after
-// every actor phase until StopShards. StartShards reports false, and
-// does nothing, when the awake set does not split (ShardBoundary). Pipes
+// the actors below first on the calling goroutine and the rest on a
+// helper goroutine, in the steps ShardStep asks for; b is called after
+// every actor phase until StopShards. first must start an awake-set word
+// past the first (ShardBoundary gives one). StartShards claims two cores
+// of GOMAXPROCS for the helper and the caller, and reports false, doing
+// nothing, when they are not free or the kernel already shards. Pipes
 // must all be made first.
-func (k *Kernel) StartShards(b Barrier) bool {
-	split := ShardBoundary(len(k.actors)) >> 6
-	if split == 0 || k.par.h != nil {
+func (k *Kernel) StartShards(b Barrier, first Handle) bool {
+	if first <= 0 || first&63 != 0 || int(first) >= len(k.actors) {
+		panic("sim: shard cut not on an awake-set word boundary")
+	}
+	if k.par.h != nil || !claimCores(2) {
 		return false
 	}
 	h := takeHelper()
-	h.k, h.oneP = k, runtime.GOMAXPROCS(0) < 2
+	h.k = k
 	if len(h.due) != len(k.due) {
 		h.due = make([][]*Delivery, len(k.due))
 	}
-	k.par = shards{h: h, b: b, split: split}
+	k.par = shards{h: h, b: b, split: int(first) >> 6}
 	k.moveDue(k.due, h.due, true)
 	return true
 }
 
-// StopShards returns the helper and goes back to ticking every step on
-// the calling goroutine. A no-op without StartShards.
+// StopShards returns the helper and the two cores and goes back to
+// ticking every step on the calling goroutine. A no-op without
+// StartShards.
 func (k *Kernel) StopShards() {
 	h := k.par.h
 	if h == nil {
@@ -106,6 +111,7 @@ func (k *Kernel) StopShards() {
 	}
 	giveHelper(h)
 	k.par = shards{}
+	ReleaseCores(2)
 }
 
 // moveDue moves queued deliveries from one ring to another: those that
@@ -182,9 +188,7 @@ type helper struct {
 	k *Kernel
 	// seq is the main goroutine's post count.
 	seq uint64
-	// oneP is GOMAXPROCS < 2 when the helper was taken.
-	oneP bool
-	_    [64]byte
+	_   [64]byte
 
 	// Shard 1's side of a step: its tick counts and the timed wakes it
 	// made, for the main goroutine to push; due is its delivery ring
@@ -196,11 +200,10 @@ type helper struct {
 }
 
 // A signal is a count one goroutine publishes and another waits on. The
-// waiter polls (yielding its P at every poll with one P, where the
-// publisher needs it); past spinFor it offers its P and its CPU between
-// polls (runtime.Gosched, osYield), so that a garbage collector's worker,
-// a publisher the OS has descheduled or another process runs; past
-// parkAfter it blocks.
+// waiter polls; past spinFor it offers its P and its CPU between polls
+// (runtime.Gosched, osYield), so that a garbage collector's worker, a
+// publisher the OS has descheduled or left without a P, or another
+// process runs; past parkAfter it blocks.
 type signal struct {
 	seq    atomic.Uint64
 	parked atomic.Bool
@@ -229,7 +232,7 @@ func (s *signal) publish(v uint64) {
 
 // next returns the count once it is other than v; it polls only when
 // spin is set.
-func (s *signal) next(v uint64, oneP, spin bool) uint64 {
+func (s *signal) next(v uint64, spin bool) uint64 {
 	var start time.Time
 	yielding := false
 	for i := 0; ; i++ {
@@ -237,13 +240,11 @@ func (s *signal) next(v uint64, oneP, spin bool) uint64 {
 			return x
 		}
 		if spin {
-			if oneP || yielding {
-				// Offer the P: with one P the publisher needs it, and a
-				// garbage collector's worker waits for one while both
-				// shards tick. Then offer the CPU to other threads.
-				runtime.Gosched()
-			}
 			if yielding {
+				// Offer the P, which a garbage collector's worker, or the
+				// publisher when GOMAXPROCS has dropped to one, waits
+				// for; then the CPU to other threads.
+				runtime.Gosched()
 				osYield()
 			}
 			if !yielding && i%clockPolls != 0 {
@@ -301,7 +302,7 @@ func (h *helper) post() {
 }
 
 // wait returns once the helper has finished the step last posted.
-func (h *helper) wait() { h.done.next(h.seq-1, h.oneP, true) }
+func (h *helper) wait() { h.done.next(h.seq-1, true) }
 
 // run posts a step and waits for it.
 func (h *helper) run() {
@@ -317,7 +318,7 @@ func (h *helper) loop() {
 	var seen uint64
 	held := false
 	for {
-		seen = h.start.next(seen, held && h.oneP, held)
+		seen = h.start.next(seen, held)
 		k := h.k
 		if held = k != nil; held {
 			h.tick(k)

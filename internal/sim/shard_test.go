@@ -65,20 +65,22 @@ func buildRing(k *Kernel, n int) []*ringActor {
 }
 
 // Ticking the awake set as two shards changes nothing the actors see or
-// the kernel counts, at any GOMAXPROCS; each shard reports done once per
-// sharded step.
+// the kernel counts; each shard reports done once per sharded step. At
+// procs1 the shards start on two Ps and step on one: the waits between
+// them stay live with the helper and the caller sharing the only P.
 func TestShardedStepMatchesSerial(t *testing.T) {
-	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+	for _, procs := range []int{max(2, runtime.GOMAXPROCS(0)), 1} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, procs)))
 			const n, cycles = 160, 400
 			var serial, sharded Kernel
 			want := buildRing(&serial, n)
 			got := buildRing(&sharded, n)
 			var b countingBarrier
-			if !sharded.StartShards(&b) {
-				t.Fatal("a three-word kernel did not shard")
+			if !sharded.StartShards(&b, Handle(ShardBoundary(n))) {
+				t.Fatal("a three-word kernel on two free cores did not shard")
 			}
+			runtime.GOMAXPROCS(procs)
 			for c := 0; c < cycles; c++ {
 				serial.Step()
 				sharded.ShardStep(c%5 != 0) // some steps stay one shard
@@ -120,8 +122,9 @@ func TestShardPanicReachesCaller(t *testing.T) {
 					}
 				}))
 			}
-			if !k.StartShards(&countingBarrier{}) {
-				t.Fatal("a two-word kernel did not shard")
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+			if !k.StartShards(&countingBarrier{}, 64) {
+				t.Fatal("a two-word kernel on two free cores did not shard")
 			}
 			defer k.StopShards()
 			defer func() {
@@ -138,29 +141,73 @@ func TestShardPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// The core budget: ClaimCores is all-or-nothing within GOMAXPROCS, and a
-// pool's HoldCores counts against it.
+// The core budget: claimCores is all-or-nothing within GOMAXPROCS, and a
+// pool's HoldCores counts against it. StartShards claims its two cores
+// from it, refusing when they are not free (at one P, always), and
+// StopShards gives them back.
 func TestClaimCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	if !ClaimCores(2) || !ClaimCores(2) {
+	if !claimCores(2) || !claimCores(2) {
 		t.Fatal("four free cores refused two claims of two")
 	}
-	if ClaimCores(1) {
+	if claimCores(1) {
 		t.Fatal("a fifth core was claimed")
 	}
 	ReleaseCores(4)
 	HoldCores(3)
-	if ClaimCores(2) {
+	if claimCores(2) {
 		t.Fatal("two cores claimed beside a pool holding three")
 	}
-	if !ClaimCores(1) {
+	if !claimCores(1) {
 		t.Fatal("the last core was refused")
 	}
 	ReleaseCores(4)
-	if !ClaimCores(4) {
+	if !claimCores(4) {
 		t.Fatal("released cores were not returned")
 	}
 	ReleaseCores(4)
+
+	var k Kernel
+	for i := 0; i < 128; i++ {
+		k.Register(ActorFunc(func(uint64) {}))
+	}
+	HoldCores(3)
+	if k.StartShards(&countingBarrier{}, 64) {
+		t.Fatal("StartShards claimed two cores beside a pool holding three")
+	}
+	ReleaseCores(3)
+	if !k.StartShards(&countingBarrier{}, 64) || k.StartShards(&countingBarrier{}, 64) {
+		t.Fatal("StartShards refused four free cores, or started twice")
+	}
+	k.StopShards()
+	if !claimCores(4) {
+		t.Fatal("StopShards did not return its cores")
+	}
+	ReleaseCores(4)
+	runtime.GOMAXPROCS(1)
+	if k.StartShards(&countingBarrier{}, 64) {
+		t.Fatal("StartShards sharded at one P")
+	}
+}
+
+// StartShards takes only a cut that starts an awake-set word and leaves
+// both shards actors.
+func TestStartShardsCut(t *testing.T) {
+	var k Kernel
+	for i := 0; i < 128; i++ {
+		k.Register(ActorFunc(func(uint64) {}))
+	}
+	for _, first := range []Handle{0, 32, 65, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StartShards took cut %d", first)
+				}
+			}()
+			k.StartShards(&countingBarrier{}, first)
+			k.StopShards()
+		}()
+	}
 }
 
 func TestShardBoundary(t *testing.T) {
