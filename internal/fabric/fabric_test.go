@@ -258,16 +258,18 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 
 // TestCoordinatorSurvivesStalledWorker registers a worker that accepts
 // every shard and writes nothing until its request context ends, beside
-// a healthy one. With the dispatch timeout at 200 ms the stalled
-// dispatches time out, their shards are redispatched and counted as
-// retries, and the rows are still byte-identical to single-node. The
-// stalled worker sorts first, so the dispatcher offers it a shard.
+// a healthy one. With the dispatch timeout at 2 s the stalled dispatches
+// time out, their shards are redispatched and counted as retries, and
+// the rows are still byte-identical to single-node. The stalled worker
+// sorts first, so the dispatcher offers it a shard. The timeout bounds
+// the healthy worker's shards too: a race-built shard on a loaded host
+// overran 200 ms, while a stalled dispatch waits out any timeout.
 func TestCoordinatorSurvivesStalledWorker(t *testing.T) {
 	spec := tinySpec()
 	want := singleNodeNDJSON(t, spec)
 	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 2, HeartbeatTTL: time.Minute})
 	defer coord.Close()
-	coord.timeout = 200 * time.Millisecond
+	coord.timeout = 2 * time.Second
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 

@@ -201,6 +201,47 @@ func BenchmarkKernelSparse16x16(b *testing.B) {
 	reportKernel(b, n)
 }
 
+// BenchmarkKernelSparse16x16Shards is BenchmarkKernelSparse16x16 ticked
+// as two shards, each step followed by the run loop's occupancy sample,
+// with the measurement window open: the shards sample their own routers
+// (barrier.ShardDone) and the caller adds their sums. The step must
+// allocate nothing (scripts/bench.sh --smoke). It runs on two Ps at
+// least, so that the kernel can claim two cores.
+func BenchmarkKernelSparse16x16Shards(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	cfg := benchConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.InjectionRate = 0.02
+	n := New(cfg)
+	if !n.startShards() {
+		b.Fatal("the 16x16 benchmark network does not shard")
+	}
+	defer n.stopShards()
+	step := func() {
+		n.step()
+		if n.measuring {
+			n.sampleUtilization()
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		step()
+	}
+	if !n.measuring {
+		b.Fatal("the measurement window is still closed")
+	}
+	sharded := n.KernelStats().Sharded
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	if n.KernelStats().Sharded == sharded {
+		b.Fatal("no measured step ticked two shards")
+	}
+	reportKernel(b, n)
+}
+
 // reportKernel attaches the skipped-actor-tick ratio to the benchmark
 // output, and cycles/sec as the human-facing inverse of ns/op.
 func reportKernel(b *testing.B, n *Network) {

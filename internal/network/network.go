@@ -555,29 +555,48 @@ func (n *Network) accounted() uint64 {
 }
 
 // sampleUtilization records this cycle's buffer occupancies (Figs. 8-9)
-// plus the per-router breakdown for floorplan heatmaps.
+// plus the per-router breakdown for floorplan heatmaps. A two-shard step
+// has sampled its routers on the shards (barrier.ShardDone); what is left
+// is adding the two sums.
 func (n *Network) sampleUtilization() {
-	if n.routerUtil == nil {
-		n.routerUtil = make([]stats.Utilization, len(n.routers))
+	var o occupancy
+	if n.sharded {
+		o = n.acct[0].occ.add(n.acct[1].occ)
+	} else {
+		if n.routerUtil == nil {
+			n.routerUtil = make([]stats.Utilization, len(n.routers))
+		}
+		o = n.sampleRouters(0, len(n.routers), n.kernel.Cycle())
 	}
-	// Neither read walks the router: buffer occupancy is a running count
-	// and shifter occupancy sums the router's sends of the last NACKWindow
-	// cycles not since drained. That is a function of the clock, so a
-	// router asleep since its last send reads exactly what per-cycle
-	// expiry would leave.
-	clock := n.kernel.Cycle()
-	to, tc, ro, rc := 0, 0, 0, 0
-	for i, r := range n.routers {
+	n.txUtil.Sample(o.tx, o.txCap)
+	n.rtUtil.Sample(o.rt, o.rtCap)
+}
+
+// occupancy sums routers' transmission-buffer and retransmission-buffer
+// occupancies and capacities.
+type occupancy struct{ tx, txCap, rt, rtCap int }
+
+func (o occupancy) add(p occupancy) occupancy {
+	return occupancy{o.tx + p.tx, o.txCap + p.txCap, o.rt + p.rt, o.rtCap + p.rtCap}
+}
+
+// sampleRouters records routers [lo, hi)'s transmission-buffer
+// occupancies at clock in their own tables and returns the range's sums.
+// Neither read walks the router: buffer occupancy is a running count and
+// shifter occupancy sums the router's sends of the last NACKWindow cycles
+// not since drained. That is a function of the clock, so a router asleep
+// since its last send reads exactly what per-cycle expiry would leave.
+func (n *Network) sampleRouters(lo, hi int, clock uint64) (sum occupancy) {
+	for i, r := range n.routers[lo:hi] {
 		o, c := r.BufferOccupancy()
-		n.routerUtil[i].Sample(o, c)
-		to += o
-		tc += c
+		n.routerUtil[lo+i].Sample(o, c)
+		sum.tx += o
+		sum.txCap += c
 		o, c = r.ShifterOccupancy(clock)
-		ro += o
-		rc += c
+		sum.rt += o
+		sum.rtCap += c
 	}
-	n.txUtil.Sample(to, tc)
-	n.rtUtil.Sample(ro, rc)
+	return sum
 }
 
 // KernelStats reports the kernel's cumulative scheduling counters: actor

@@ -28,6 +28,10 @@ type account struct {
 	e2eRetransmits   uint64
 	e2eBufMax        int
 
+	// occ is the shard's routers' occupancy as a measured two-shard step
+	// left it (barrier.ShardDone), for sampleUtilization to add.
+	occ occupancy
+
 	// Keep the two accounts off each other's cache lines.
 	_ [64]byte
 }
@@ -97,16 +101,37 @@ func (n *Network) stopShards() {
 }
 
 // step advances the kernel one cycle, as two shards when the run shards
-// and the step may (shardStep).
+// and the step may (shardStep). The per-router utilization tables, which
+// the shards of a measured step fill (barrier.ShardDone), are made here
+// first, on the caller.
 func (n *Network) step() {
 	if n.sharding {
 		n.sharded = n.kernel.ShardStep(n.shardStep())
+		if n.sharded && n.measuring && n.routerUtil == nil {
+			n.routerUtil = make([]stats.Utilization, len(n.routers))
+		}
 	}
 	n.kernel.Step()
 }
 
 // barrier is the network as its sharded kernel's sim.Barrier.
 type barrier Network
+
+// ShardDone samples shard s's routers when the run is measuring: each
+// router's own table, and the shard's sums into its account. The clock is
+// the one sampleUtilization reads after the step; nothing later in the
+// step moves a router's occupancy.
+func (b *barrier) ShardDone(s int) {
+	n := (*Network)(b)
+	if !n.measuring {
+		return
+	}
+	lo, hi := 0, n.half
+	if s == 1 {
+		lo, hi = n.half, len(n.routers)
+	}
+	n.acct[s].occ = n.sampleRouters(lo, hi, n.kernel.Cycle()+1)
+}
 
 // Commit puts what the cut channels' producers pushed this step on their
 // wires.

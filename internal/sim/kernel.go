@@ -55,7 +55,10 @@
 // the awake set and every tick count end as a serial walk — shard 0's
 // actors, then shard 1's — leaves them. The owner keeps the rest (a
 // Barrier): wires whose two ends tick in different shards are pushed at
-// the barrier, and whatever else the actors share is split per shard.
+// the barrier (Commit), whatever else the actors share is split per
+// shard, and what the owner reads of a shard's actors after every step
+// it may read in ShardDone, on that shard's goroutine before the join,
+// rather than on the caller after it.
 //
 // Who decides what: the owner picks the cut (a handle on an awake-set
 // word boundary, ShardBoundary) and, step by step, whether a step may run

@@ -47,9 +47,15 @@ func ShardBoundary(actors int) int {
 	return b
 }
 
-// A Barrier is what the owner of a sharded kernel does after its actor
-// phases (StartShards).
+// A Barrier is what the owner of a sharded kernel does at the end of its
+// actor phases (StartShards).
 type Barrier interface {
+	// ShardDone runs on shard s's own goroutine in every step ticked as
+	// two shards — shard 0's on the calling goroutine, shard 1's on the
+	// helper — once the shard's actors have ticked and its deliveries are
+	// made, before Commit: it is where the owner reads what only the
+	// shard's own actors wrote. It never runs in a one-shard step.
+	ShardDone(s int)
 	// Commit runs on the calling goroutine after every actor phase until
 	// StopShards, before the remaining deliveries: it is where wires whose
 	// two ends tick in different shards publish what was pushed onto
@@ -71,8 +77,9 @@ type shards struct {
 
 // StartShards readies the kernel to tick its awake set as two shards,
 // the actors below first on the calling goroutine and the rest on a
-// helper goroutine, in the steps ShardStep asks for; b is called after
-// every actor phase until StopShards. first must start an awake-set word
+// helper goroutine, in the steps ShardStep asks for; b's Commit runs
+// after every actor phase until StopShards, its ShardDone at the end of
+// each shard of a two-shard step. first must start an awake-set word
 // past the first (ShardBoundary gives one). StartShards claims two cores
 // of GOMAXPROCS for the helper and the caller, and reports false, doing
 // nothing, when they are not free or the kernel already shards. Pipes
@@ -145,8 +152,9 @@ func (k *Kernel) ShardStep(on bool) bool {
 // pushes its timed wakes onto the heap as it goes; shard 1 buffers them
 // on the helper, and they are pushed here after the join, in the order
 // shard 1 made them, so the heap ends up as a serial walk leaves it. Each
-// shard then makes the deliveries on its own ring for the next cycle:
-// they set bits only the shard's own actors read.
+// shard then makes the deliveries on its own ring for the next cycle —
+// they set bits only the shard's own actors read — and ends with the
+// barrier's ShardDone.
 func (k *Kernel) actorPhase(c uint64) (ticked, events int) {
 	if !k.par.next {
 		return k.tick(c, 0, len(k.awake), nil)
@@ -158,6 +166,7 @@ func (k *Kernel) actorPhase(c uint64) (ticked, events int) {
 	if len(k.due) != 0 {
 		k.deliverDue(k.due, c+1)
 	}
+	k.par.b.ShardDone(0)
 	h.wait()
 	if p := h.panicked; p != nil {
 		h.panicked = nil
@@ -347,4 +356,5 @@ func (h *helper) tick(k *Kernel) {
 	if len(h.due) != 0 {
 		k.deliverDue(h.due, c+1)
 	}
+	k.par.b.ShardDone(1)
 }

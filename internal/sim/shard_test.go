@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,10 +35,14 @@ func (a *ringActor) Quiescent(c uint64) (bool, uint64) {
 	return a.in.Empty(), (c/a.period + 1) * a.period
 }
 
-// countingBarrier counts the kernel's commits.
-type countingBarrier struct{ commits int }
+// countingBarrier counts the kernel's commits and each shard's dones.
+type countingBarrier struct {
+	commits int
+	done    [2]int
+}
 
-func (b *countingBarrier) Commit() { b.commits++ }
+func (b *countingBarrier) ShardDone(s int) { b.done[s]++ }
+func (b *countingBarrier) Commit()         { b.commits++ }
 
 // buildRing registers n ring actors on k, each shard's actors forming
 // their own ring, and returns them.
@@ -93,8 +99,8 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 				}
 			}
 			ws, gs := serial.Stats(), sharded.Stats()
-			if gs.Sharded != cycles*4/5 || b.commits != cycles {
-				t.Fatalf("%d sharded steps, %d commits", gs.Sharded, b.commits)
+			if gs.Sharded != cycles*4/5 || b.commits != cycles || b.done != [2]int{cycles * 4 / 5, cycles * 4 / 5} {
+				t.Fatalf("%d sharded steps, %d commits, %v dones", gs.Sharded, b.commits, b.done)
 			}
 			gs.Sharded = 0
 			if ws != gs {
@@ -104,6 +110,140 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 				t.Fatal("nobody slept: the test proves nothing about wakes")
 			}
 		})
+	}
+}
+
+// barrierCall is one call a sharded kernel made on its Barrier: shard is
+// ShardDone's argument, or -1 for Commit.
+type barrierCall struct {
+	cycle uint64
+	shard int
+	g     string
+}
+
+// orderBarrier logs every call with the goroutine that made it, and
+// checks at each ShardDone that the shard's deliveries for the next
+// cycle are made: every actor of the shard whose input turns visible
+// then is awake.
+type orderBarrier struct {
+	k      *Kernel
+	actors []*ringActor
+	split  int
+
+	mu       sync.Mutex
+	calls    []barrierCall
+	arrivals int
+	asleep   []string
+}
+
+func (b *orderBarrier) ShardDone(s int) {
+	c := b.k.Cycle()
+	lo, hi := 0, b.split
+	if s == 1 {
+		lo, hi = b.split, len(b.actors)
+	}
+	arrivals := 0
+	var asleep []string
+	for i := lo; i < hi; i++ {
+		in := b.actors[i].in
+		if in.held == 0 || in.buf[in.head].at != c+1 {
+			continue
+		}
+		arrivals++
+		if b.k.Asleep(Handle(i)) {
+			asleep = append(asleep, fmt.Sprintf("cycle %d actor %d", c, i))
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.calls = append(b.calls, barrierCall{c, s, goroutine()})
+	b.arrivals += arrivals
+	b.asleep = append(b.asleep, asleep...)
+}
+
+func (b *orderBarrier) Commit() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.calls = append(b.calls, barrierCall{b.k.Cycle(), -1, goroutine()})
+}
+
+// goroutine returns the calling goroutine's id, from its stack header.
+func goroutine() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// In a two-shard step, shard 0's ShardDone runs on the caller and shard
+// 1's on the helper — the same goroutine every step — each once, after
+// the shard's deliveries and before Commit. A one-shard step, and a
+// kernel at one P, which never shards, call neither.
+func TestShardDoneRunsOnItsShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const n, cycles = 160, 400
+	var k Kernel
+	b := &orderBarrier{k: &k, actors: buildRing(&k, n), split: ShardBoundary(n)}
+	if !k.StartShards(b, Handle(b.split)) {
+		t.Fatal("a three-word kernel on two free cores did not shard")
+	}
+	for c := 0; c < cycles; c++ {
+		k.ShardStep(c%5 != 0)
+		k.Step()
+	}
+	k.StopShards()
+	caller, helper := goroutine(), ""
+	calls := b.calls
+	for c := uint64(0); c < cycles; c++ {
+		var step []barrierCall
+		for len(calls) > 0 && calls[0].cycle == c {
+			step, calls = append(step, calls[0]), calls[1:]
+		}
+		if len(step) == 0 || step[len(step)-1] != (barrierCall{c, -1, caller}) {
+			t.Fatalf("cycle %d: calls %v, want Commit on the caller (goroutine %s) last", c, step, caller)
+		}
+		done := step[:len(step)-1]
+		if c%5 == 0 {
+			if len(done) != 0 {
+				t.Fatalf("one-shard cycle %d: ShardDone calls %v", c, done)
+			}
+			continue
+		}
+		if len(done) != 2 || done[0].shard+done[1].shard != 1 {
+			t.Fatalf("two-shard cycle %d: ShardDone calls %v, want one per shard", c, done)
+		}
+		for _, d := range done {
+			switch {
+			case d.shard == 0 && d.g != caller:
+				t.Fatalf("cycle %d: ShardDone(0) on goroutine %s, not the caller's %s", c, d.g, caller)
+			case d.shard == 1 && (d.g == caller || helper != "" && d.g != helper):
+				t.Fatalf("cycle %d: ShardDone(1) on goroutine %s (caller %s, helper %s)", c, d.g, caller, helper)
+			case d.shard == 1:
+				helper = d.g
+			}
+		}
+	}
+	if len(calls) != 0 {
+		t.Fatalf("calls past the last cycle: %v", calls)
+	}
+	if len(b.asleep) != 0 {
+		t.Fatalf("ShardDone ran before its shard's deliveries: %d actors asleep with input due, first %v",
+			len(b.asleep), b.asleep[:min(5, len(b.asleep))])
+	}
+	if b.arrivals == 0 {
+		t.Fatal("no input was due at any ShardDone: the test proves nothing about deliveries")
+	}
+
+	runtime.GOMAXPROCS(1)
+	var one Kernel
+	b1 := &orderBarrier{k: &one, actors: buildRing(&one, n), split: ShardBoundary(n)}
+	if one.StartShards(b1, Handle(b1.split)) {
+		t.Fatal("StartShards sharded at one P")
+	}
+	for c := 0; c < 50; c++ {
+		one.ShardStep(true)
+		one.Step()
+	}
+	if len(b1.calls) != 0 {
+		t.Fatalf("a kernel at one P made barrier calls %v", b1.calls)
 	}
 }
 

@@ -4,9 +4,10 @@
 # default network (BenchmarkKernelSteady), the same network under heavy
 # transient faults (…Faults), the tests' every-cycle oracle (…Naive), the
 # metrics-on variant, the low-load 16x16 run (BenchmarkKernelSparse16x16,
-# where routers sleep with credits still arriving) or the 8x8 network
-# ticked as two shards (…Shards) — reports any allocations per simulated
-# cycle:
+# where routers sleep with credits still arriving), the 8x8 network
+# ticked as two shards (…SteadyShards) or the 16x16 one ticked as two
+# shards that sample their own routers (…Sparse16x16Shards) — reports any
+# allocations per simulated cycle:
 #
 #   scripts/bench.sh --smoke
 #
@@ -36,11 +37,14 @@ go test ./internal/network -run '^$' -bench 'BenchmarkKernel' -benchtime=1x -ben
 # observability contract: gauges registered, sampling interval never
 # firing. The Sparse16x16 variant guards the other regime: most
 # routers asleep, woken by single flits, credits pooling on their
-# wires meanwhile. The Shards variant guards the two-shard step: the
-# helper goroutine, its buffers and the cut channels' outboxes.
+# wires meanwhile. The SteadyShards variant guards the two-shard step:
+# the helper goroutine, its buffers and the cut channels' outboxes. The
+# Sparse16x16Shards variant guards the occupancy sample the shards take
+# of their own routers.
 for bench in BenchmarkKernelSteady BenchmarkKernelSteadyFaults \
              BenchmarkKernelSteadyNaive BenchmarkKernelSteadyMetrics \
-             BenchmarkKernelSparse16x16 BenchmarkKernelSteadyShards; do
+             BenchmarkKernelSparse16x16 BenchmarkKernelSteadyShards \
+             BenchmarkKernelSparse16x16Shards; do
     line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
         -benchtime=200x -benchmem | grep "^${bench}")
     allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
