@@ -21,7 +21,7 @@ func main() {
 		{"HBH", ftnoc.HBH}, {"FEC", ftnoc.FEC}, {"E2E", ftnoc.E2E},
 	}
 
-	var e2eBufMax int
+	bufMax := map[string]int{}
 	for _, rate := range []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1} {
 		lat := map[string]float64{}
 		for _, s := range schemes {
@@ -35,15 +35,13 @@ func main() {
 			cfg.MaxCycles = 300_000
 			res := ftnoc.Run(cfg)
 			lat[s.name] = res.AvgLatency
-			if s.prot == ftnoc.E2E && res.E2EBufMax > e2eBufMax {
-				e2eBufMax = res.E2EBufMax
-			}
+			bufMax[s.name] = max(bufMax[s.name], res.E2EBufMax)
 		}
 		fmt.Printf("%-12.0e %10.1f %10.1f %10.1f\n", rate, lat["HBH"], lat["FEC"], lat["E2E"])
 	}
 
 	fmt.Println("\nHBH stays flat; FEC rises once double errors force end-to-end")
 	fmt.Println("retransmissions; E2E pays a round trip for any error at all.")
-	fmt.Printf("\nbuffer cost: HBH retains 3 flits per VC; E2E sources retained up to %d whole packets\n", e2eBufMax)
+	fmt.Printf("\nbuffer cost: HBH retains 3 flits per VC; E2E sources retained up to %d whole packets\n", bufMax["E2E"])
 	fmt.Println("awaiting acknowledgement — the worst-case round-trip sizing the paper warns about.")
 }

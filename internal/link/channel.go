@@ -1,65 +1,11 @@
 package link
 
 import (
-	"fmt"
-	"strings"
-
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/sim"
 	"ftnoc/internal/stats"
 )
-
-// Protection selects the link-error handling scheme compared in Fig. 5.
-type Protection uint8
-
-// Link protection schemes.
-const (
-	// HBH is the paper's flit-based hop-by-hop scheme (§3.1): every flit
-	// is SEC/DED-checked at every hop; single errors are corrected in
-	// place, double errors trigger a NACK and barrel-shifter
-	// retransmission.
-	HBH Protection = iota + 1
-	// E2E is the end-to-end baseline: data flits are checked only at the
-	// destination and any error forces whole-packet source
-	// retransmission. Header flits still get hop-by-hop checking, as the
-	// paper (following [1]) prescribes for both baselines, so corrupted
-	// headers never misroute.
-	E2E
-	// FEC is the forward-error-correction baseline: single errors are
-	// corrected at each hop, but uncorrectable double errors in data
-	// flits survive to the destination and force source retransmission.
-	FEC
-)
-
-// String implements fmt.Stringer.
-func (p Protection) String() string {
-	switch p {
-	case HBH:
-		return "HBH"
-	case E2E:
-		return "E2E"
-	case FEC:
-		return "FEC"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseProtection maps a protection name (hbh, e2e, fec —
-// case-insensitive) to its Protection.
-func ParseProtection(s string) (Protection, error) {
-	switch strings.ToLower(s) {
-	case "hbh":
-		return HBH, nil
-	case "e2e":
-		return E2E, nil
-	case "fec":
-		return FEC, nil
-	default:
-		return 0, fmt.Errorf("unknown protection %q (want hbh, e2e or fec)", s)
-	}
-}
 
 // Credit is the backpressure token returned when a buffer slot frees.
 type Credit struct {

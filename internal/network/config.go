@@ -186,6 +186,8 @@ func (c Config) Validate() error {
 		return fail("unknown routing algorithm %d", c.Routing)
 	case c.Pattern < traffic.UniformRandom || c.Pattern > traffic.Hotspot:
 		return fail("unknown traffic pattern %d", c.Pattern)
+	case c.Protection > link.FEC:
+		return fail("unknown protection %d", c.Protection)
 	}
 	// Fault rates are probabilities; out-of-range (or NaN) values would
 	// otherwise surface as panics deep inside New's injector assembly.
@@ -271,7 +273,7 @@ func (c *Config) applyDefaults() {
 // packets a source injects over one timeout plus one sweep interval,
 // which is how long a copy can stay, capped at maxRetentionWindow.
 func (c Config) retentionWindow() int {
-	if c.Protection != link.E2E && c.Protection != link.FEC {
+	if !c.Protection.Retains() {
 		return 0
 	}
 	stay := float64(c.E2ETimeout) + retentionSweepInterval

@@ -226,7 +226,6 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 			VCs:             cfg.VCs,
 			BufDepth:        cfg.BufDepth,
 			PipelineDepth:   cfg.PipelineDepth,
-			Protection:      cfg.Protection,
 			ACEnabled:       cfg.ACEnabled,
 			XYCheck:         xyCheck,
 			RecoveryEnabled: cfg.RecoveryEnabled,

@@ -31,7 +31,7 @@ func TestCheckVAOneEntryMatchesTable(t *testing.T) {
 		ctr := fault.NewCounters()
 		r := New(Config{
 			ID: 4, Topo: topo, Route: routing.New(routing.XY, topo),
-			VCs: vcs, BufDepth: 4, PipelineDepth: 3, Protection: link.HBH, ACEnabled: true,
+			VCs: vcs, BufDepth: 4, PipelineDepth: 3, ACEnabled: true,
 			Events: &ev, Counters: ctr,
 			VAFault: fault.NewLogicInjector(fault.VALogic, 1, sim.NewRNG(uint64(seed))),
 		})

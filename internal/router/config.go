@@ -11,7 +11,6 @@ import (
 	"ftnoc/internal/fault"
 	"ftnoc/internal/faultmap"
 	"ftnoc/internal/flit"
-	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/topology"
@@ -52,8 +51,6 @@ type Config struct {
 	// PipelineDepth is the number of router pipeline stages, 1-4 (§2.1).
 	// The paper's platform uses 3.
 	PipelineDepth int
-	// Protection selects the link-error handling scheme.
-	Protection link.Protection
 	// ACEnabled engages the Allocation Comparator (§4.1). Disabling it is
 	// the ablation showing unprotected logic faults corrupting traffic.
 	ACEnabled bool
@@ -114,9 +111,6 @@ func (c *Config) validate() {
 		panic("router: PipelineDepth must be in [1,4]")
 	case c.Events == nil || c.Counters == nil:
 		panic("router: Events and Counters are required")
-	}
-	if c.Protection == 0 {
-		c.Protection = link.HBH
 	}
 	if c.Cthres == 0 {
 		c.Cthres = DefaultCthres

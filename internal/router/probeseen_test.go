@@ -5,7 +5,6 @@ import (
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
-	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/stats"
 	"ftnoc/internal/topology"
@@ -21,8 +20,7 @@ func TestProbeSeenPrunedDuringRecovery(t *testing.T) {
 	topo := topology.New(topology.Mesh, 2, 2)
 	r := New(Config{
 		ID: 0, Topo: topo, Route: routing.New(routing.XY, topo),
-		VCs: 2, BufDepth: 4, PipelineDepth: 1,
-		Protection: link.HBH, RecoveryEnabled: true,
+		VCs: 2, BufDepth: 4, PipelineDepth: 1, RecoveryEnabled: true,
 		Events: &ev, Counters: fault.NewCounters(),
 	})
 	r.inRecovery = true

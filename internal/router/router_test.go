@@ -50,7 +50,7 @@ func buildGrid(t *testing.T, w, h, depth int) *pair {
 		return Config{
 			ID: flit.NodeID(i), Topo: topo, Route: route,
 			VCs: 2, BufDepth: 4, PipelineDepth: depth,
-			Protection: link.HBH, ACEnabled: true, XYCheck: true,
+			ACEnabled: true, XYCheck: true,
 			RecoveryEnabled: true,
 			Events:          &p.ev, Counters: p.ctr,
 		}
