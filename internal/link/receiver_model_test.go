@@ -82,10 +82,6 @@ func (m *valueRx) receiveOne(f flit.Flit, cycle uint64) (res flit.Flit, ok, isCt
 	case ecc.OK:
 		return f, true, false
 	case ecc.Corrected:
-		if m.protection == E2E {
-			m.nack(vc, cycle)
-			return flit.Flit{}, false, false
-		}
 		m.events.ECCCorrections++
 		m.counters.AddCorrected(fault.LinkError)
 		m.verify(cycle, vc, uint64(f.PID), word, check)

@@ -6,6 +6,7 @@ import (
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
+	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
 )
@@ -251,6 +252,32 @@ func TestXbarFaultsCorrectedByECC(t *testing.T) {
 	if res.TotalEvents.Retransmitted != 0 {
 		t.Fatalf("single-bit crossbar upsets caused %d retransmissions; should be corrected in place",
 			res.TotalEvents.Retransmitted)
+	}
+}
+
+// A crossbar upset lands after one hop's check and before the next
+// transmitter captures the flit for retransmission, so the shifter holds
+// the flipped copy. An E2E hop that NACKed a single-bit header error
+// replayed that copy into the same NACK forever: these seeds wedged with
+// 1 059, 1 832 and 1 300 of 4 000 delivered. An E2E hop corrects what it
+// decodes (DESIGN.md §3), so the upsets cost no NACK at all.
+func TestE2EXbarUpsetsDeliverEveryMessage(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := NewConfig()
+		cfg.Protection = link.E2E
+		cfg.TotalMessages = 4_000
+		cfg.Faults.Xbar = 1e-3
+		cfg.StallCycles = 2_000
+		cfg.Seed = seed
+		res := New(cfg).Run()
+		if res.Stalled || res.Delivered < cfg.TotalMessages {
+			t.Fatalf("seed %d: %d of %d delivered (stalled %v) after %d NACKs",
+				seed, res.Delivered, cfg.TotalMessages, res.Stalled, res.Counters.NACKs)
+		}
+		if res.Counters.Injected[fault.XbarError] == 0 || res.Counters.NACKs != 0 {
+			t.Fatalf("seed %d: %d crossbar upsets, %d NACKs; want some upsets and no NACK",
+				seed, res.Counters.Injected[fault.XbarError], res.Counters.NACKs)
+		}
 	}
 }
 
