@@ -353,7 +353,7 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
 	m.undeliverable++
 	p.acct.lastEject = cycle
-	p.emitDrop(cycle, -1, pid, trace.DropUnreachable)
+	p.emit(trace.FlitDropped, cycle, -1, pid, trace.DropUnreachable)
 }
 
 // kill records pid's undeliverable verdict, reporting false if it had

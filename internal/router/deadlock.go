@@ -117,10 +117,7 @@ func (r *Router) sendSignal(cycle uint64, t flit.Type, ivc *inputVC, m probeMsg)
 		if t == flit.Activation {
 			aux = trace.AuxActivation
 		}
-		r.cfg.Bus.Emit(trace.Event{
-			Cycle: cycle, Kind: trace.ProbeSent,
-			Node: int32(r.id), Port: int8(ivc.port), VC: int8(ivc.idx), Aux: aux,
-		})
+		r.emit(trace.ProbeSent, cycle, int8(ivc.port), int8(ivc.idx), 0, 0, aux)
 	}
 	return true
 }
@@ -244,11 +241,7 @@ func (r *Router) enterRecovery(cycle uint64) {
 	r.inRecovery = true
 	r.recoveries++
 	r.signalRecovery(link.NACKRecoveryOn)
-	if r.cfg.Bus.Enabled() {
-		r.cfg.Bus.Emit(trace.Event{
-			Cycle: cycle, Kind: trace.RecoveryBegin, Node: int32(r.id), Port: -1, VC: -1,
-		})
-	}
+	r.emit(trace.RecoveryBegin, cycle, -1, -1, 0, 0, 0)
 }
 
 // signalRecovery raises or lowers the recovery handshake on every
@@ -304,13 +297,7 @@ func (r *Router) recoveryStep(cycle uint64) {
 				r.in[ivc.port].rx.ReturnCredit(ivc.idx)
 				r.cfg.Events.BufReads++
 				r.cfg.Events.RetransWrites++
-				if r.cfg.Bus.Enabled() {
-					r.cfg.Bus.Emit(trace.Event{
-						Cycle: cycle, Kind: trace.FlitParked,
-						Node: int32(r.id), Port: int8(ivc.port), VC: int8(ivc.idx),
-						PID: uint64(f.PID), Seq: f.Seq,
-					})
-				}
+				r.emit(trace.FlitParked, cycle, int8(ivc.port), int8(ivc.idx), uint64(f.PID), f.Seq, 0)
 			}
 		}
 		if len(ivc.queued()) > 0 && ivc.state == vcActive && starved {
@@ -329,11 +316,7 @@ func (r *Router) recoveryStep(cycle uint64) {
 		r.doneStreak = 0
 		r.inRecovery = false
 		r.signalRecovery(link.NACKRecoveryOff)
-		if r.cfg.Bus.Enabled() {
-			r.cfg.Bus.Emit(trace.Event{
-				Cycle: cycle, Kind: trace.RecoveryEnd, Node: int32(r.id), Port: -1, VC: -1,
-			})
-		}
+		r.emit(trace.RecoveryEnd, cycle, -1, -1, 0, 0, 0)
 		// Blocked clocks are NOT reset: a still-starved VC is still a
 		// deadlock member and must keep its standing (both for prompt
 		// re-probing and for the new-packet gate above). Probe timers
