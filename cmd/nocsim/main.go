@@ -13,6 +13,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,10 +239,16 @@ func main() {
 	fmt.Printf("buffer util:    transmission %.4f, retransmission %.4f\n", res.TxBufUtil, res.RtBufUtil)
 	fmt.Printf("fault handling: %d NACKs, %d retransmissions, %d flits dropped\n",
 		res.Counters.NACKs, res.Counters.Retransmissions, res.Counters.DroppedFlits)
-	for _, cl := range []ftnoc.FaultClass{ftnoc.LinkError, ftnoc.RTLogic, ftnoc.VALogic, ftnoc.SALogic} {
-		if res.Counters.Injected[cl] == 0 && res.Counters.Corrected[cl] == 0 {
-			continue
+	var classes []ftnoc.FaultClass
+	for _, m := range []map[ftnoc.FaultClass]uint64{res.Counters.Injected, res.Counters.Corrected, res.Counters.Undetected} {
+		for cl, n := range m {
+			if n > 0 && !slices.Contains(classes, cl) {
+				classes = append(classes, cl)
+			}
 		}
+	}
+	slices.Sort(classes)
+	for _, cl := range classes {
 		fmt.Printf("  %-9v injected %d, corrected %d, undetected %d\n",
 			cl, res.Counters.Injected[cl], res.Counters.Corrected[cl], res.Counters.Undetected[cl])
 	}

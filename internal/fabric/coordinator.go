@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,8 +132,9 @@ type task struct {
 	lo, hi    int
 	attempt   int
 	notBefore time.Time
-	cost      float64 // points × replicates, the WFQ service quantum
-	key       string  // shard-cache key; empty without a cache or if unhashable
+	cost      float64        // points × replicates, the WFQ service quantum
+	key       string         // shard-cache key; empty without a cache or if unhashable
+	failedOn  []*workerState // workers a dispatch of this range failed on
 }
 
 // campaignRun is one Run invocation's assembly state: rows keyed by
@@ -462,35 +464,30 @@ func (c *Coordinator) dispatcher() {
 }
 
 // pickLocked chooses the next dispatch: the eligible shard of the
-// minimum-virtual-time tenant, paired with the least-loaded live worker.
-// It returns nils when nothing can be dispatched right now. Shards whose
-// runs have finished (canceled, or completed through duplicates) are
-// purged here.
+// minimum-virtual-time tenant, paired with the least-loaded live worker
+// that has not failed it. It returns nils when nothing can be dispatched
+// right now. Shards whose runs have finished (canceled, or completed
+// through duplicates) are purged here.
 func (c *Coordinator) pickLocked(now time.Time) (*task, *tenantState, *workerState) {
 	c.purgeLocked()
-	w := c.freeWorkerLocked(now)
-	if w == nil {
-		return nil, nil, nil
-	}
 	var bestT *tenantState
 	var bestIdx int
+	var bestW *workerState
 	for _, tn := range c.tenants {
 		if c.opts.TenantTokens > 0 && tn.inflight >= c.opts.TenantTokens {
 			continue
 		}
-		idx := -1
 		for i, t := range tn.queue {
-			if !t.notBefore.After(now) {
-				idx = i
+			if t.notBefore.After(now) {
+				continue
+			}
+			if w := c.freeWorkerLocked(now, t.failedOn); w != nil {
+				if bestT == nil || tn.vtime < bestT.vtime ||
+					(tn.vtime == bestT.vtime && tn.name < bestT.name) {
+					bestT, bestIdx, bestW = tn, i, w
+				}
 				break
 			}
-		}
-		if idx < 0 {
-			continue
-		}
-		if bestT == nil || tn.vtime < bestT.vtime ||
-			(tn.vtime == bestT.vtime && tn.name < bestT.name) {
-			bestT, bestIdx = tn, idx
 		}
 	}
 	if bestT == nil {
@@ -498,7 +495,7 @@ func (c *Coordinator) pickLocked(now time.Time) (*task, *tenantState, *workerSta
 	}
 	t := bestT.queue[bestIdx]
 	bestT.queue = append(bestT.queue[:bestIdx], bestT.queue[bestIdx+1:]...)
-	return t, bestT, w
+	return t, bestT, bestW
 }
 
 // purgeLocked drops queued shards of ended runs (resolved, canceled, or
@@ -523,14 +520,21 @@ func (c *Coordinator) purgeLocked() {
 }
 
 // freeWorkerLocked returns the live, breaker-closed worker with the most
-// spare capacity (ties by name, for deterministic tests), or nil.
-func (c *Coordinator) freeWorkerLocked(now time.Time) *workerState {
+// spare capacity (ties by name, for deterministic tests), or nil. A
+// worker in failed is passed over while some live worker is not in it:
+// a shard that timed out on a stalled worker goes elsewhere, and one that
+// failed everywhere may go anywhere.
+func (c *Coordinator) freeWorkerLocked(now time.Time, failed []*workerState) *workerState {
+	avoid := false // some live worker has not failed the shard
+	for _, w := range c.workers {
+		avoid = avoid || now.Sub(w.lastSeen) <= c.opts.HeartbeatTTL && !slices.Contains(failed, w)
+	}
 	var best *workerState
 	for _, w := range c.workers {
 		if now.Sub(w.lastSeen) > c.opts.HeartbeatTTL {
 			continue
 		}
-		if w.busy >= w.slots || w.openUntil.After(now) {
+		if w.busy >= w.slots || w.openUntil.After(now) || avoid && slices.Contains(failed, w) {
 			continue
 		}
 		if best == nil || w.busy < best.busy || (w.busy == best.busy && w.name < best.name) {
@@ -617,7 +621,9 @@ func (c *Coordinator) execute(t *task, tn *tenantState, w *workerState) {
 	notBefore := time.Now().Add(delay)
 	retries := make([]*task, 0, len(missing))
 	for _, r := range missing {
-		retries = append(retries, t.run.newTask(r[0], r[1], t.attempt+1, notBefore))
+		retry := t.run.newTask(r[0], r[1], t.attempt+1, notBefore)
+		retry.failedOn = append(slices.Clip(t.failedOn), w)
+		retries = append(retries, retry)
 	}
 	c.mu.Lock()
 	tn.queue = append(tn.queue, retries...)

@@ -206,10 +206,9 @@ func (w *killingWriter) die() {
 // its first streamed row — between rows, or halfway through writing the
 // second, whose fragment must not be merged: the campaign must still
 // complete, its rows still byte-identical to single-node, with the dead
-// worker's unfinished points redispatched to the survivors and its
-// breaker open. Two shards of two points: name order makes the
-// dispatcher offer the first one to the victim ("a-victim" sorts before
-// the healthy workers).
+// worker's unfinished points redispatched to the survivors. Two shards
+// of two points: name order makes the dispatcher offer the first one to
+// the victim ("a-victim" sorts before the healthy workers).
 func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	spec := tinySpec()
 	want := singleNodeNDJSON(t, spec)
@@ -249,10 +248,43 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 			if v := coord.met.failures.Value(); v < 1 {
 				t.Fatalf("failures = %v, want >= 1", v)
 			}
-			if v := coord.met.breakerOpens.Value(); v < 1 {
-				t.Fatalf("breaker opens = %v, want >= 1", v)
-			}
 		})
+	}
+}
+
+// TestCoordinatorBreakerOpensOnFailingWorker gives a worker that refuses
+// every shard first pick of twelve one-point shards beside one healthy
+// worker. No retry goes back to it, but fresh shards are offered to it
+// while it is idle, so it fails breakerTrip of them in a row and its
+// breaker opens; the rows still match single-node.
+func TestCoordinatorBreakerOpensOnFailingWorker(t *testing.T) {
+	spec := tinySpec()
+	spec.LinkErrorRates = []float64{0, 1e-3, 1e-2}
+	spec.InjectionRates = []float64{0.1, 0.15}
+	want := singleNodeNDJSON(t, spec)
+	coord := NewCoordinator(CoordinatorOptions{ShardPoints: 1, HeartbeatTTL: time.Minute})
+	defer coord.Close()
+	coordSrv := httptest.NewServer(coord.Handler())
+	defer coordSrv.Close()
+
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "refusing every shard", http.StatusInternalServerError)
+	}))
+	defer bad.Close()
+	registerWorker(t, coordSrv.URL, "a-bad", bad.URL, 1)
+	ok := httptest.NewServer(NewWorker(WorkerOptions{Name: "b-ok", SimWorkers: 1}).Handler())
+	defer ok.Close()
+	registerWorker(t, coordSrv.URL, "b-ok", ok.URL, 1)
+
+	report, err := coord.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fabric run with a failing worker: %v", err)
+	}
+	if got := renderNDJSON(t, report); !bytes.Equal(got, want) {
+		t.Fatalf("rows differ from single-node:\n--- fabric ---\n%s\n--- single ---\n%s", got, want)
+	}
+	if v := coord.met.breakerOpens.Value(); v < 1 {
+		t.Fatalf("breaker opens = %v after %v failures, want >= 1", v, coord.met.failures.Value())
 	}
 }
 
@@ -261,9 +293,11 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 // a healthy one. With the dispatch timeout at 2 s the stalled dispatches
 // time out, their shards are redispatched and counted as retries, and
 // the rows are still byte-identical to single-node. The stalled worker
-// sorts first, so the dispatcher offers it a shard. The timeout bounds
-// the healthy worker's shards too: a race-built shard on a loaded host
-// overran 200 ms, while a stalled dispatch waits out any timeout.
+// sorts first, so the dispatcher offers it a shard, but never the same
+// range twice: a timed-out shard goes to a worker that has not failed
+// it. The timeout bounds the healthy worker's shards too: a race-built
+// shard on a loaded host overran 200 ms, while a stalled dispatch waits
+// out any timeout.
 func TestCoordinatorSurvivesStalledWorker(t *testing.T) {
 	spec := tinySpec()
 	want := singleNodeNDJSON(t, spec)
@@ -274,11 +308,24 @@ func TestCoordinatorSurvivesStalledWorker(t *testing.T) {
 	defer coordSrv.Close()
 
 	var stalls atomic.Int64
+	var seenMu sync.Mutex
+	seen := map[[2]int]bool{}
 	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		stalls.Add(1)
 		// Reading the shard to its end lets the server notice the
 		// coordinator hanging up, which is what ends the context.
+		var req ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("stalled worker: reading shard: %v", err)
+		}
 		_, _ = io.Copy(io.Discard, r.Body)
+		seenMu.Lock()
+		if rng := [2]int{req.Lo, req.Hi}; seen[rng] {
+			t.Errorf("shard [%d,%d) dispatched again to the worker that failed it", req.Lo, req.Hi)
+		} else {
+			seen[rng] = true
+		}
+		seenMu.Unlock()
 		<-r.Context().Done()
 	}))
 	defer stalled.Close()

@@ -9,7 +9,8 @@ import (
 // §4.5: a soft error inside a retransmission buffer corrupts the stored
 // "clean" copy. When a link error then forces a replay, the corrupt copy
 // can never satisfy the receiver — an endless retransmission loop that
-// wedges the link. The paper's fool-proof fix is duplicate buffers.
+// wedges the link. The paper's fool-proof fix is duplicate buffers. The
+// checker's replay law names the looping hop.
 func TestRetransBufFaultsLoopWithoutDuplicates(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Faults.Link = 0.05
@@ -18,6 +19,7 @@ func TestRetransBufFaultsLoopWithoutDuplicates(t *testing.T) {
 	cfg.DuplicateRetrans = false
 	cfg.StallCycles = 20_000
 	cfg.MaxCycles = 100_000
+	chk := attachChecker(&cfg)
 	res := New(cfg).Run()
 	if res.Counters.Undetected[fault.RetransBufError] == 0 {
 		t.Fatal("no retransmission-buffer upsets landed")
@@ -26,6 +28,18 @@ func TestRetransBufFaultsLoopWithoutDuplicates(t *testing.T) {
 	// retransmission loop stalls the affected links.
 	if !res.Stalled {
 		t.Fatalf("network survived corrupted retransmission copies: %v", res)
+	}
+	replays := 0
+	for _, v := range chk.Violations() {
+		if v.Check == "replay" {
+			replays++
+			if v.Node < 0 || v.Port < 0 || v.VC < 0 || v.PID == 0 {
+				t.Errorf("replay violation does not name its hop, VC and packet: %v", v)
+			}
+		}
+	}
+	if replays == 0 {
+		t.Fatalf("the replay law missed the livelock (%d other violations)", chk.Total())
 	}
 }
 
@@ -36,7 +50,9 @@ func TestRetransBufFaultsMaskedByDuplicates(t *testing.T) {
 	cfg.Faults.LinkDouble = 0.5
 	cfg.Faults.RetransBuf = 0.3
 	cfg.DuplicateRetrans = true
+	chk := attachChecker(&cfg)
 	res := New(cfg).Run()
+	assertClean(t, "duplicate buffers", chk)
 	if res.Stalled || res.Delivered < cfg.TotalMessages {
 		t.Fatalf("duplicate buffers failed to mask: %v", res)
 	}
