@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftnoc/internal/fault"
+	"ftnoc/internal/link"
 	"ftnoc/internal/router"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
@@ -96,8 +97,9 @@ func TestConfigValidationPanics(t *testing.T) {
 }
 
 // Validate must refuse what New would panic on — out-of-range router
-// sizes, unknown topology kinds, routing algorithms and traffic patterns
-// — and what would size every router's buffers from an untrusted number;
+// sizes, unknown topology kinds, routing algorithms, traffic patterns
+// and protection schemes (the policy table has no row past FEC) — and
+// what would size every router's buffers from an untrusted number;
 // a configuration at the bound must build.
 func TestValidateResourceBounds(t *testing.T) {
 	cases := []struct {
@@ -116,6 +118,9 @@ func TestValidateResourceBounds(t *testing.T) {
 		{"Routing past FaultAdaptive", func(c *Config) { c.Routing = routing.FaultAdaptive + 1 }, false},
 		{"Pattern Hotspot", func(c *Config) { c.Pattern = traffic.Hotspot }, true},
 		{"Pattern past Hotspot", func(c *Config) { c.Pattern = traffic.Hotspot + 1 }, false},
+		{"Protection zero (HBH)", func(c *Config) { c.Protection = 0 }, true},
+		{"Protection FEC", func(c *Config) { c.Protection = link.FEC }, true},
+		{"Protection past FEC", func(c *Config) { c.Protection = link.FEC + 1 }, false},
 	}
 	for _, tc := range cases {
 		cfg := NewConfig()
