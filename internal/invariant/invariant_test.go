@@ -280,3 +280,33 @@ func TestCheckPortMarks(t *testing.T) {
 		}
 	}
 }
+
+// The replay law counts NACK drops of one (PID, Seq) per hop VC in a row:
+// a drop of another flit, or on another VC, starts its own run, and a
+// run past ReplayLimit is reported once, naming the hop, VC and packet.
+func TestReplayLaw(t *testing.T) {
+	c := New(Config{})
+	nack := func(cycle, pid uint64, seq uint8, vc int8) {
+		c.Emit(trace.Event{Cycle: cycle, Kind: trace.FlitDropped, Node: 3, Port: 1, VC: vc, PID: pid, Seq: seq, Aux: trace.DropNACK})
+	}
+	cycle := uint64(0)
+	for i := 0; i < ReplayLimit; i++ {
+		cycle++
+		nack(cycle, 7, 2, 0)
+		nack(cycle, 7, 2, 1) // the same flit id on another VC is another run
+	}
+	nack(cycle+1, 7, 3, 0) // another flit resets VC 0's run
+	for i := 0; i < ReplayLimit; i++ {
+		nack(cycle+2, 7, 2, 0)
+	}
+	if c.Total() != 0 {
+		t.Fatalf("runs of at most %d NACKs reported: %v", ReplayLimit, c.Violations())
+	}
+	for i := 0; i < 3; i++ {
+		nack(cycle+3, 7, 2, 0)
+	}
+	v := c.Violations()
+	if c.Total() != 1 || v[0].Check != "replay" || v[0].Node != 3 || v[0].Port != 1 || v[0].VC != 0 || v[0].PID != 7 {
+		t.Fatalf("a run past %d NACKs gave %v, want one replay violation at node 3 port 1 vc 0 pid 7", ReplayLimit, v)
+	}
+}
