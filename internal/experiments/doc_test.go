@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -22,18 +23,24 @@ var docTables = []struct{ prefix, id string }{
 	{"## Table 1 ", "Table1"},
 }
 
-// readDocTables returns every anchored table's rows (header first,
-// separator dropped), each row split into trimmed cells.
-func readDocTables(t *testing.T, path string) map[string][][]string {
+// openDoc opens EXPERIMENTS.md for the rest of the test.
+func openDoc(t *testing.T) io.Reader {
 	t.Helper()
-	f, err := os.Open(path)
+	f, err := os.Open("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// readDocTables returns every anchored table's rows (header first,
+// separator dropped), each row split into trimmed cells.
+func readDocTables(t *testing.T, r io.Reader) map[string][][]string {
+	t.Helper()
 	tables := map[string][][]string{}
 	id := ""
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		for _, a := range docTables {
@@ -84,14 +91,14 @@ func TestExperimentsDocMatchesGenerators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure at quick scale")
 	}
-	tables := readDocTables(t, "../../EXPERIMENTS.md")
+	tables := readDocTables(t, openDoc(t))
 
-	figs := map[string]Figure{"Fig5": Fig5(Quick)}
-	figs["Fig6"], figs["Fig7"] = Fig6And7(Quick)
-	figs["Fig8"], figs["Fig9"] = Fig8And9(Quick)
-	figs["Fig13a"], figs["Fig13b"] = Fig13(Quick)
-
-	for id, fig := range figs {
+	figs, err := Run(Quick, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range figs {
+		id := fig.ID
 		rows := tables[id]
 		if len(rows) < 2 {
 			t.Errorf("%s: no table in EXPERIMENTS.md", id)

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,17 +31,36 @@ func checkShape(t *testing.T, f Figure, xs int) {
 		}
 	}
 	var b strings.Builder
-	f.Fprint(&b)
+	f.Render(&b, Text)
 	out := b.String()
 	if !strings.Contains(out, f.ID) || !strings.Contains(out, f.XLabel) {
-		t.Fatalf("%s: Fprint output malformed:\n%s", f.ID, out)
+		t.Fatalf("%s: text output malformed:\n%s", f.ID, out)
 	}
 }
 
-// One tiny-scale pass over the Fig. 5 generator: structure plus the
-// paper's headline ordering at the top error rate.
+// tinyFigures regenerates every figure once, at Tiny scale, for the
+// tests that check their structure and orderings.
+var tinyFigures = sync.OnceValues(func() ([]Figure, error) { return Run(Tiny, 0) })
+
+func tinyFigure(t *testing.T, id string) Figure {
+	t.Helper()
+	figs, err := tinyFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range figs {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("Run(Tiny) gave no %s", id)
+	return Figure{}
+}
+
+// One tiny-scale pass over Fig. 5: structure plus the paper's headline
+// ordering at the top error rate.
 func TestFig5Generator(t *testing.T) {
-	fig := Fig5(Tiny)
+	fig := tinyFigure(t, "Fig5")
 	checkShape(t, fig, len(ErrorRates))
 	hbh := value(fig, 1e-1, "HBH")
 	e2e := value(fig, 1e-1, "E2E")
@@ -53,7 +76,7 @@ func TestFig5Generator(t *testing.T) {
 }
 
 func TestFig6And7Generators(t *testing.T) {
-	f6, f7 := Fig6And7(Tiny)
+	f6, f7 := tinyFigure(t, "Fig6"), tinyFigure(t, "Fig7")
 	checkShape(t, f6, len(ErrorRates))
 	checkShape(t, f7, len(ErrorRates))
 	for _, s := range f6.Series {
@@ -71,7 +94,7 @@ func TestFig6And7Generators(t *testing.T) {
 }
 
 func TestFig8And9Generators(t *testing.T) {
-	f8, f9 := Fig8And9(Tiny)
+	f8, f9 := tinyFigure(t, "Fig8"), tinyFigure(t, "Fig9")
 	checkShape(t, f8, len(InjectionRates))
 	checkShape(t, f9, len(InjectionRates))
 	// Fig 8: utilization grows from light load to saturation.
@@ -90,7 +113,7 @@ func TestFig8And9Generators(t *testing.T) {
 }
 
 func TestFig13Generators(t *testing.T) {
-	fa, fb := Fig13(Tiny)
+	fa, fb := tinyFigure(t, "Fig13a"), tinyFigure(t, "Fig13b")
 	checkShape(t, fa, len(LogicErrorRates))
 	// Corrected counts grow with the rate and keep the paper's ordering
 	// at the top rate.
@@ -113,6 +136,53 @@ func TestFig13Generators(t *testing.T) {
 	}
 }
 
+// Run selects figures by ID, returns them in table order whatever order
+// they are asked in, and reads the same values off a smaller batch on one
+// worker as off every grid on GOMAXPROCS; an unknown ID is an error.
+func TestRunSelectsByID(t *testing.T) {
+	figs, err := Run(Tiny, 1, "Fig9", "Fig5", "Fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(figs) != 2 || figs[0].ID != "Fig5" || figs[1].ID != "Fig9" {
+		t.Fatalf("Run(Fig9, Fig5, Fig9) gave %d figures, want Fig5 then Fig9", len(figs))
+	}
+	for _, f := range figs {
+		if !reflect.DeepEqual(f, tinyFigure(t, f.ID)) {
+			t.Errorf("%s differs between a one-grid batch on one worker and the full batch", f.ID)
+		}
+	}
+	if _, err := Run(Tiny, 1, "Fig5", "Fig12"); err == nil || !strings.Contains(err.Error(), `"Fig12"`) {
+		t.Errorf("unknown figure: err = %v", err)
+	}
+}
+
+// The table's figure IDs are unique, every table EXPERIMENTS.md anchors
+// names one of them or Table 1 (analytical, not a grid), and every
+// figure has its table in EXPERIMENTS.md.
+func TestTableIDs(t *testing.T) {
+	ids := map[string]bool{}
+	for _, g := range table {
+		for _, f := range g.figures {
+			if ids[f.id] {
+				t.Errorf("figure ID %s is in the table twice", f.id)
+			}
+			ids[f.id] = true
+		}
+	}
+	for _, a := range docTables {
+		if !ids[a.id] && a.id != "Table1" {
+			t.Errorf("docTables anchor %q names %s, which the table does not hold", a.prefix, a.id)
+		}
+	}
+	doc := readDocTables(t, openDoc(t))
+	for id := range ids {
+		if len(doc[id]) < 2 {
+			t.Errorf("%s has no table in EXPERIMENTS.md", id)
+		}
+	}
+}
+
 func TestTable1Values(t *testing.T) {
 	rows := Table1()
 	if len(rows) != 2 {
@@ -125,9 +195,38 @@ func TestTable1Values(t *testing.T) {
 		t.Errorf("AC power pct %.3f", rows[1].PowerPct)
 	}
 	var b strings.Builder
-	FprintTable1(&b, rows)
+	RenderTable1(&b, rows, Text)
 	if !strings.Contains(b.String(), "Allocation Comparator") {
 		t.Error("Table 1 print malformed")
+	}
+}
+
+// Table 1's CSV carries every number at full precision, and its markdown
+// has EXPERIMENTS.md's layout: the same header and the same power and
+// area cells.
+func TestTable1Formats(t *testing.T) {
+	rows := Table1()
+	var b strings.Builder
+	RenderTable1(&b, rows, CSV)
+	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(rows)+1 || recs[1][0] != rows[0].Component || recs[2][3] != strconv.FormatFloat(rows[1].PowerPct, 'g', -1, 64) {
+		t.Fatalf("Table 1 CSV = %q", recs)
+	}
+
+	b.Reset()
+	RenderTable1(&b, rows, Markdown)
+	got := readDocTables(t, strings.NewReader(b.String()))["Table1"]
+	want := readDocTables(t, openDoc(t))["Table1"]
+	if len(got) != len(want) {
+		t.Fatalf("markdown Table 1 has %d rows, EXPERIMENTS.md %d:\n%s", len(got), len(want), b.String())
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i][1:], want[i][1:]) {
+			t.Errorf("markdown Table 1 row %d: %q, EXPERIMENTS.md has %q", i, got[i][1:], want[i][1:])
+		}
 	}
 }
 

@@ -433,7 +433,8 @@ func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int)
 	}
 }
 
-// startMeasuring snapshots the event counters at the warm-up boundary.
+// startMeasuring snapshots the event counters at the warm-up boundary
+// and makes the per-router utilization tables the window's samples fill.
 // When triggered by a delivery it fires mid-cycle, from PE node's tick;
 // sleeping routers' lazily deferred idle-tick counters must be replayed
 // to exactly that point first, or the snapshot would differ from that
@@ -441,6 +442,7 @@ func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int)
 func (n *Network) startMeasuring(cycle uint64, node int) {
 	n.syncIdleCounters(cycle, node)
 	n.measuring = true
+	n.routerUtil = make([]stats.Utilization, len(n.routers))
 	n.warmupEvents = n.events()
 	n.warmupCycle = cycle
 }
@@ -562,9 +564,6 @@ func (n *Network) sampleUtilization() {
 	if n.sharded {
 		o = n.acct[0].occ.add(n.acct[1].occ)
 	} else {
-		if n.routerUtil == nil {
-			n.routerUtil = make([]stats.Utilization, len(n.routers))
-		}
 		o = n.sampleRouters(0, len(n.routers), n.kernel.Cycle())
 	}
 	n.txUtil.Sample(o.tx, o.txCap)

@@ -177,3 +177,25 @@ func TestProtectionSchemeLatencyOrdering(t *testing.T) {
 		t.Fatalf("latency ordering violated: HBH=%.1f FEC=%.1f E2E=%.1f", lat[link.HBH], lat[link.FEC], lat[link.E2E])
 	}
 }
+
+// RouterTxUtil breaks TxBufUtil down per router once the measurement
+// window opens, and stays nil for a run that ends inside its warm-up.
+func TestRouterTxUtilOnlyInMeasuredRuns(t *testing.T) {
+	cfg := smallConfig()
+	res := New(cfg).Run()
+	if len(res.RouterTxUtil) != cfg.Width*cfg.Height {
+		t.Fatalf("measured run: %d per-router utilizations, want %d", len(res.RouterTxUtil), cfg.Width*cfg.Height)
+	}
+	var sum float64
+	for _, u := range res.RouterTxUtil {
+		sum += u
+	}
+	if sum <= 0 || res.TxBufUtil <= 0 {
+		t.Fatalf("measured run: per-router sum %g, TxBufUtil %g", sum, res.TxBufUtil)
+	}
+
+	cfg.MaxCycles = 20 // far short of the 200 warm-up deliveries
+	if res := New(cfg).Run(); res.RouterTxUtil != nil || res.Delivered >= cfg.WarmupMessages {
+		t.Fatalf("warm-up-only run: RouterTxUtil %v after %d deliveries", res.RouterTxUtil, res.Delivered)
+	}
+}

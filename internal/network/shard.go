@@ -101,15 +101,10 @@ func (n *Network) stopShards() {
 }
 
 // step advances the kernel one cycle, as two shards when the run shards
-// and the step may (shardStep). The per-router utilization tables, which
-// the shards of a measured step fill (barrier.ShardDone), are made here
-// first, on the caller.
+// and the step may (shardStep).
 func (n *Network) step() {
 	if n.sharding {
 		n.sharded = n.kernel.ShardStep(n.shardStep())
-		if n.sharded && n.measuring && n.routerUtil == nil {
-			n.routerUtil = make([]stats.Utilization, len(n.routers))
-		}
 	}
 	n.kernel.Step()
 }

@@ -1182,11 +1182,11 @@ func (r *Router) DebugVCs(cycle uint64) string {
 	return s
 }
 
-// CheckInvariants validates internal consistency: every busy output VC
+// checkInvariants validates internal consistency: every busy output VC
 // must be owned by an active input VC bound back to it, and every active
 // input VC's binding must be marked busy. It returns a description of the
-// first violation, or "". Test tooling.
-func (r *Router) CheckInvariants() string {
+// first violation, or "".
+func (r *Router) checkInvariants() string {
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		op := r.out[p]
 		if op == nil {
@@ -1273,7 +1273,7 @@ func (r *Router) EachRetainedFlit(fn func(flit.Flit)) {
 
 // AuditInvariants runs the per-cycle structural audit at a cycle boundary
 // (clock = the cycle about to tick): the VA-binding consistency of
-// CheckInvariants, the running occupancy counts against a walk of the
+// checkInvariants, the running occupancy counts against a walk of the
 // VCs, every output port's retransmission-buffer soundness,
 // and the probe-memory bound — pruning runs every probeSeenWindow cycles
 // and discards entries older than the window, so no entry may be older
@@ -1281,7 +1281,7 @@ func (r *Router) EachRetainedFlit(fn func(flit.Flit)) {
 // refreshed just before a prune). It returns a description of the first
 // violation, or "".
 func (r *Router) AuditInvariants(clock uint64) string {
-	if s := r.CheckInvariants(); s != "" {
+	if s := r.checkInvariants(); s != "" {
 		return s
 	}
 	buffered, parked := 0, 0

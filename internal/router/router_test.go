@@ -128,7 +128,7 @@ func (p *pair) checkInvariants(t *testing.T) {
 	t.Helper()
 	rs := append([]*Router{p.a, p.b}, p.extra...)
 	for _, r := range rs {
-		if msg := r.CheckInvariants(); msg != "" {
+		if msg := r.checkInvariants(); msg != "" {
 			t.Fatalf("invariant violated at cycle %d: %s", p.k.Cycle(), msg)
 		}
 	}
