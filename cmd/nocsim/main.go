@@ -59,7 +59,7 @@ func main() {
 	checkEvery := flag.Uint64("check-every", 1, "with -check, audit network state every N cycles (1 = every cycle)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	configPath := flag.String("config", "", "load the configuration from a JSON file (other config flags are ignored)")
+	configPath := flag.String("config", "", "load the configuration from a JSON file (other config flags except -trace are ignored)")
 	saveConfig := flag.String("save-config", "", "write the effective configuration to a JSON file and exit")
 	flag.Parse()
 
@@ -89,7 +89,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.TracePIDs = pids
 
 	if cfg.Pattern, err = ftnoc.ParsePattern(*pattern); err != nil {
 		fatal(err)
@@ -116,6 +115,12 @@ func main() {
 			fatal(err)
 		}
 	}
+	// -trace, when given, applies on top of a -config load.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "trace" {
+			cfg.TracePIDs = pids
+		}
+	})
 	if *saveConfig != "" {
 		f, err := os.Create(*saveConfig)
 		if err != nil {

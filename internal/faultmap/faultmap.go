@@ -1,24 +1,19 @@
-// Package faultmap is the online hard-fault directory of the network:
-// which links and routers have permanently died. Every router carries
-// its own Map — a local, possibly stale view that starts empty and is
-// filled in by dissemination from the fault sites — and the network's
-// reconfiguration controller keeps one authoritative Map that the
-// boundary kill sweeps update first.
+// Package faultmap is a compact, monotone directory of hard faults: which
+// directed links and routers have permanently died, with an in-place
+// merge and a canonical wire form. The simulator does not use it — the
+// topology's live-link mask is its one record of hard faults — and the
+// package stays only because the bench's faultmap unit rows time New,
+// MarkLinkDead, MarkRouterDead, MergeFrom and AppendEncode. It goes with
+// those rows.
 //
 // A Map is monotone: links and routers only ever die, they never come
-// back, so merging views never loses information and local staleness is
-// always an *under*-approximation of the damage (a router may not yet
-// know about a remote death, but everything its map marks dead really
-// is dead). That monotonicity is what makes local admission decisions
-// sound: a destination the local map proves unreachable is genuinely
-// unreachable.
+// back, so merging views never loses information.
 package faultmap
 
 import (
 	"fmt"
 
 	"ftnoc/internal/flit"
-	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -31,32 +26,19 @@ type Map struct {
 	dirs []uint8
 	// dead[n] reports node n's router has died.
 	dead []bool
-	// version counts state changes, so dissemination can cheaply detect
-	// "this view learned something" without diffing the bitmaps.
+	// version counts state changes, so a holder can tell "this view
+	// learned something" without diffing the bitmaps.
 	version uint64
 	// deadLinks / deadRouters are maintained counts of set entries.
 	deadLinks, deadRouters int
 }
 
 // New returns an empty (all-alive) map over the given node count.
-func New(nodes int) *Map { return &NewMaps(nil, 1, nodes)[0] }
-
-// NewMaps returns n empty maps over the given node count — one per
-// router — in three slabs from s (sim.Make): the maps are one slice, and
-// their link and router bitmaps capacity-capped windows of one arena
-// each.
-func NewMaps(s *sim.Slabs, n, nodes int) []Map {
+func New(nodes int) *Map {
 	if nodes <= 0 {
 		panic("faultmap: node count must be positive")
 	}
-	ms := sim.Make[Map](s, n)
-	dirs := sim.Make[uint8](s, n*nodes)
-	dead := sim.Make[bool](s, n*nodes)
-	for i := range ms {
-		lo, hi := i*nodes, (i+1)*nodes
-		ms[i] = Map{nodes: nodes, dirs: dirs[lo:hi:hi], dead: dead[lo:hi:hi]}
-	}
-	return ms
+	return &Map{nodes: nodes, dirs: make([]uint8, nodes), dead: make([]bool, nodes)}
 }
 
 // Nodes returns the node count the map covers.
@@ -121,9 +103,7 @@ func (m *Map) LinkDead(from flit.NodeID, dir topology.Port) bool {
 func (m *Map) RouterDead(n flit.NodeID) bool { return m.dead[n] }
 
 // MergeFrom folds every fault in src into m, reporting whether m
-// learned anything. It is the dissemination primitive: a router merges
-// its live neighbors' views one hop per cycle, so knowledge spreads
-// along surviving links like a frontier flood.
+// learned anything.
 func (m *Map) MergeFrom(src *Map) bool {
 	if src.nodes != m.nodes {
 		panic("faultmap: merging maps of different sizes")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ftnoc/internal/flit"
 	"ftnoc/internal/topology"
 )
 
@@ -87,28 +86,5 @@ func TestEncodeBytes(t *testing.T) {
 	}
 	if got := m.AppendEncode([]byte{0xAA}); !bytes.Equal(got, want) {
 		t.Fatalf("encoding\n got % x\nwant % x", got, want)
-	}
-}
-
-// NewMaps carves every map's bitmaps from shared arenas: marks made in
-// one map stay out of its neighbours'.
-func TestNewMapsIsolated(t *testing.T) {
-	ms := NewMaps(nil, 3, 16)
-	for i := range ms {
-		ms[i].MarkLinkDead(flit.NodeID(i), topology.East)
-		ms[i].MarkRouterDead(flit.NodeID(8 + i))
-	}
-	for i := range ms {
-		for j := 0; j < 3; j++ {
-			if got := ms[i].LinkDead(flit.NodeID(j), topology.East); got != (i == j) {
-				t.Fatalf("map %d: link %dE dead = %v", i, j, got)
-			}
-			if got := ms[i].RouterDead(flit.NodeID(8 + j)); got != (i == j) {
-				t.Fatalf("map %d: router %d dead = %v", i, 8+j, got)
-			}
-		}
-		if ms[i].DeadLinks() != 1 || ms[i].DeadRouters() != 1 {
-			t.Fatalf("map %d: %d dead links, %d dead routers", i, ms[i].DeadLinks(), ms[i].DeadRouters())
-		}
 	}
 }

@@ -17,7 +17,7 @@ const maxNewAllocs = 64
 
 // New costs a constant number of allocations: the same bound holds from
 // 4x4 to 16x16, and under the hard-fault regime (fault-adaptive routing,
-// per-router fault maps, a mortality timeline, link faults).
+// a mortality timeline, link faults).
 func TestNewAllocsSizeIndependent(t *testing.T) {
 	mort, err := fault.ParseMortality("link:8E@300,router:21@700")
 	if err != nil {

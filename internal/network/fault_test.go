@@ -155,7 +155,10 @@ func TestSALogicFaultsUnprotected(t *testing.T) {
 
 // Fig. 13a's ordering at a common rate: SA corrections > LINK corrections
 // > RT corrections, because SA arbitrates every flit (often repeatedly),
-// links carry each flit once per hop, and RT touches only headers.
+// links carry each flit once per hop, and RT touches only headers. It pins
+// the ordering on this 4×4, 3 000-message run only: at full scale LINK
+// leads SA at every rate, so SA > LINK does not reproduce there
+// (EXPERIMENTS.md divergence 7).
 func TestFig13aOrdering(t *testing.T) {
 	rate := 0.001
 	counts := map[fault.Class]uint64{}

@@ -32,8 +32,8 @@ func FuzzReadConfig(f *testing.F) {
 	f.Add(`{"faults":{"link":0.001},"protection":2}`)
 	// Hard faults are mortality timelines: a boot-time link death (cycle
 	// 0), and on a mesh small enough to simulate, a link dead from boot
-	// plus a router dying mid-run under up*/down* routing — fault maps,
-	// routing tables and the reconfiguration controller.
+	// plus a router dying mid-run under up*/down* routing — routing
+	// tables and the reconfiguration controller.
 	f.Add(`{"faults":{"mortality":{"links":[{"from":5,"dir":2,"cycle":0}]}}}`)
 	f.Add(`{"width":6,"height":6,"faults":{"mortality":{"links":[{"from":8,"dir":2,"cycle":0}]}}}`)
 	f.Add(`{"width":6,"height":6,"routing":5,"faults":{"mortality":{"links":[{"from":8,"dir":2,"cycle":0}],"routers":[{"node":21,"cycle":10}]}}}`)

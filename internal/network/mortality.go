@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"ftnoc/internal/fault"
-	"ftnoc/internal/faultmap"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/invariant"
 	"ftnoc/internal/link"
@@ -16,11 +15,12 @@ import (
 
 // This file is the hard-fault regime: the reconfiguration controller
 // that applies the mortality schedule, excises every wormhole severed by
-// a death, disseminates per-router fault maps through the network, and
-// accounts messages that can no longer be delivered. Everything here
-// runs serially between kernel steps — Step advances exactly one cycle
-// whoever sleeps, so death boundaries land identically with and without
-// sleeping actors.
+// a death, and accounts messages that can no longer be delivered. The
+// topology's live-link mask and deadNode are the one record of what has
+// died: routing, admission and the dead-send law all read them.
+// Everything here runs serially between kernel steps — Step advances
+// exactly one cycle whoever sleeps, so death boundaries land identically
+// with and without sleeping actors.
 
 // wedgeSweepInterval is how often (cycles) the controller scans for
 // worms waiting on an allocation that can never come (their legal
@@ -36,12 +36,6 @@ type mortalityState struct {
 	n     *Network
 	route *routing.Memo              // every router's routing function
 	fa    *routing.FaultAdaptiveFunc // route's function; nil under deterministic routing
-
-	// maps[i] is router i's local view of the fault pattern. Updated at
-	// death boundaries (endpoints only) and spread one hop per cycle by
-	// gossip over surviving links.
-	maps     []faultmap.Map
-	frontier []flit.NodeID
 
 	timeline []fault.Death
 	next     int
@@ -69,9 +63,9 @@ type mortalityState struct {
 	deliveredAtLastDeath uint64
 }
 
-// newMortalityState builds the controller: per-router fault maps and the
-// death timeline, with hazard deaths pre-sampled from the run seed so the
-// schedule is reproducible.
+// newMortalityState builds the controller and its death timeline, with
+// hazard deaths pre-sampled from the run seed so the schedule is
+// reproducible.
 func newMortalityState(s *sim.Slabs, n *Network, route *routing.Memo) *mortalityState {
 	nodes := n.topo.Nodes()
 	m := &mortalityState{
@@ -80,7 +74,6 @@ func newMortalityState(s *sim.Slabs, n *Network, route *routing.Memo) *mortality
 		deadNode: sim.Make[bool](s, nodes),
 		comp:     sim.Make[int32](s, nodes),
 		bfs:      sim.Make[flit.NodeID](s, nodes)[:0],
-		maps:     faultmap.NewMaps(s, nodes, nodes),
 		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
 	}
 	m.fa, _ = route.Func.(*routing.FaultAdaptiveFunc)
@@ -89,8 +82,8 @@ func newMortalityState(s *sim.Slabs, n *Network, route *routing.Memo) *mortality
 }
 
 // preStep runs the controller for cycle c, before the kernel executes it:
-// apply due deaths, reconfigure routing, gossip fault maps, and
-// periodically excise worms that can no longer make progress.
+// apply due deaths, reconfigure routing, and periodically excise worms
+// that can no longer make progress.
 func (m *mortalityState) preStep(c uint64) {
 	boundary := false
 	for m.next < len(m.timeline) && m.timeline[m.next].Cycle <= c {
@@ -103,7 +96,6 @@ func (m *mortalityState) preStep(c uint64) {
 	if boundary {
 		m.reconfigure(c)
 	}
-	m.gossip(c)
 	if m.anyDeath && c%wedgeSweepInterval == 0 {
 		m.sweepStuckWorms(c)
 	}
@@ -219,52 +211,6 @@ func (m *mortalityState) noteDeath(c uint64) {
 func (m *mortalityState) emit(e trace.Event) {
 	if m.n.bus.Enabled() {
 		m.n.bus.Emit(e)
-	}
-}
-
-func (m *mortalityState) frontierAdd(v flit.NodeID) {
-	m.frontier = append(m.frontier, v)
-}
-
-// gossip floods fault-map updates one hop per cycle over surviving links:
-// every router whose map changed last round offers it to each live
-// neighbor; neighbors that learn something join the next round's
-// frontier. Dissemination thus rides the network's own connectivity — a
-// partitioned region never hears about remote deaths, which is exactly
-// the physical reality.
-func (m *mortalityState) gossip(c uint64) {
-	if len(m.frontier) == 0 {
-		return
-	}
-	cur := m.frontier
-	m.frontier = nil
-	sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
-	var last flit.NodeID = ^flit.NodeID(0)
-	for _, v := range cur {
-		if v == last {
-			continue
-		}
-		last = v
-		if m.deadNode[v] {
-			continue
-		}
-		for _, d := range mortDirs {
-			if !m.n.topo.LinkUp(v, d) {
-				continue
-			}
-			nb, _ := m.n.topo.Neighbor(v, d)
-			if m.deadNode[nb] {
-				continue
-			}
-			if m.maps[nb].MergeFrom(&m.maps[v]) {
-				m.emit(trace.Event{
-					Cycle: c, Kind: trace.FaultMapUpdate,
-					Node: int32(nb), Port: -1, VC: -1,
-					Aux: m.maps[nb].Version(), Aux2: uint64(m.maps[nb].DeadLinks()),
-				})
-				m.frontierAdd(nb)
-			}
-		}
 	}
 }
 
@@ -406,12 +352,6 @@ func (m *mortalityState) killLinkPair(c uint64, from flit.NodeID, dir topology.P
 func (m *mortalityState) killDirected(c uint64, a flit.NodeID, d topology.Port, acc *killAcc) {
 	b, _ := m.n.topo.Neighbor(a, d)
 	m.n.topo.FailLink(a, d)
-	if m.maps[a].MarkLinkDead(a, d) {
-		m.frontierAdd(a)
-	}
-	if m.maps[b].MarkLinkDead(a, d) {
-		m.frontierAdd(b)
-	}
 	before := acc.flits
 	r := m.n.routers[a]
 	for vc := 0; vc < m.n.cfg.VCs; vc++ {
@@ -513,17 +453,6 @@ func (m *mortalityState) killRouter(c uint64, node flit.NodeID) bool {
 	m.deadRouters++
 	acc := m.newAcc()
 
-	// The dead router can no longer gossip, so its neighbors learn of
-	// the death directly at the boundary (they observe the silence).
-	m.maps[node].MarkRouterDead(node)
-	for _, d := range mortDirs {
-		if nb, ok := m.n.topo.Neighbor(node, d); ok && !m.deadNode[nb] {
-			if m.maps[nb].MarkRouterDead(node) {
-				m.frontierAdd(nb)
-			}
-		}
-	}
-
 	for _, d := range mortDirs {
 		if m.n.topo.LinkUp(node, d) {
 			m.killDirected(c, node, d, acc)
@@ -614,12 +543,12 @@ func (m *mortalityState) sweepStuckWorms(c uint64) {
 }
 
 // deadSendViolation is wired as router.Config.DeadSend: a flit crossing
-// toward a link the local fault map marks dead means a boundary kill
-// sweep missed a worm.
+// toward a link the topology marks dead means a boundary kill sweep
+// missed a worm.
 func (n *Network) deadSendViolation(cycle uint64, node flit.NodeID, port topology.Port, vc int, pid uint64) {
 	n.inv.Report(invariant.Violation{
 		Check: "dead-send", Cycle: cycle,
 		Node: int32(node), Port: int8(port), VC: int8(vc), PID: pid,
-		Msg: "flit sent toward a link the local fault map marks dead",
+		Msg: "flit sent toward a dead link",
 	})
 }

@@ -234,12 +234,10 @@ func TestKernelDifferentialMortality(t *testing.T) {
 }
 
 // TestMortalityDeadSendInvariant seeds the bug the dead-send invariant
-// exists to catch: a router whose local fault map marks an output link
-// dead while the topology still carries it (the inverse of reality —
-// normally the map lags the topology, never leads it). The allocator
-// legality checks consult the topology, so traffic keeps winning grants
-// toward the "dead" link and every such send must be reported with
-// exact node/port attribution.
+// exists to catch: a link fails in the topology while a worm is bound
+// across it, without the boundary kill sweep that would excise the worm.
+// The bound worm keeps winning the switch toward the dead link, and
+// every such send must be reported with exact node/port attribution.
 func TestMortalityDeadSendInvariant(t *testing.T) {
 	cfg := mortalityConfig(11)
 	chk := attachChecker(&cfg)
@@ -247,12 +245,25 @@ func TestMortalityDeadSendInvariant(t *testing.T) {
 	if n.mort == nil {
 		t.Fatal("fault-adaptive config did not build the mortality controller")
 	}
-	// Poison node 5's local map: link 5→East marked dead, topology alive.
 	const victim, dir = 5, topology.East
-	n.mort.maps[victim].MarkLinkDead(victim, dir)
-	res := n.Run()
-	if res.Stalled {
-		t.Fatal("poisoned run stalled")
+	bound := func() bool {
+		for vc := 0; vc < cfg.VCs; vc++ {
+			if _, _, ok := n.routers[victim].OutputOwner(dir, vc); ok {
+				return true
+			}
+		}
+		return false
+	}
+	for !bound() {
+		if n.kernel.Cycle() >= 10_000 {
+			t.Fatal("no worm bound across link 5→East in 10 000 cycles")
+		}
+		n.step()
+	}
+	// Fail link 5→East behind the controller's back: the worm stays.
+	n.topo.FailLink(victim, dir)
+	for i := 0; i < 1_000 && chk.Total() == 0; i++ {
+		n.step()
 	}
 	found := false
 	for _, v := range chk.Violations() {
@@ -267,7 +278,7 @@ func TestMortalityDeadSendInvariant(t *testing.T) {
 		found = true
 	}
 	if !found {
-		t.Fatal("no dead-send violation reported for a poisoned fault map")
+		t.Fatal("no dead-send violation reported for a worm bound across a dead link")
 	}
 }
 

@@ -72,10 +72,10 @@ type Network struct {
 	peUp   []link.Channel
 	peDown []link.Channel
 
-	// mort is the hard-fault regime state: per-router fault maps, the
-	// death timeline, undeliverable accounting and the reconfiguration
-	// machinery. Nil unless the run is "degraded" (a mortality schedule
-	// or fault-adaptive routing is configured).
+	// mort is the hard-fault regime state: the death timeline, dead
+	// routers, connectivity components, undeliverable accounting and the
+	// reconfiguration machinery. Nil unless the run is "degraded" (a
+	// mortality schedule or fault-adaptive routing is configured).
 	mort *mortalityState
 }
 
@@ -147,9 +147,9 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	n.pes = sim.Make[*pe](s, nodes)
 	n.chanAt = sim.Make[*link.Channel](s, nodes*int(topology.NumPorts))
 
-	// Hard-fault regime: per-router fault maps, the mortality timeline
-	// and the reconfiguration controller. Built before the routers so
-	// each router's Config can capture its local map.
+	// Hard-fault regime: the mortality timeline and the reconfiguration
+	// controller. Built before the routers, whose Configs wire the
+	// dead-send law only when it exists.
 	if hard {
 		n.mort = newMortalityState(s, n, route)
 	}
@@ -238,11 +238,8 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 			SAFault:         injector(2, i),
 			XbarFault:       injector(3, i),
 		}
-		if n.mort != nil {
-			rc.FaultMap = &n.mort.maps[i]
-			if n.inv != nil {
-				rc.DeadSend = n.deadSendViolation
-			}
+		if n.mort != nil && n.inv != nil {
+			rc.DeadSend = n.deadSendViolation
 		}
 		return rc
 	})

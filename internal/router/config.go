@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"ftnoc/internal/fault"
-	"ftnoc/internal/faultmap"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/stats"
@@ -79,21 +78,13 @@ type Config struct {
 	// a bus with no sinks) disables publishing at zero cost.
 	Bus *trace.Bus
 
-	// FaultMap, when non-nil, is this router's local view of hard faults,
-	// maintained by the network's reconfiguration controller and
-	// disseminated router-to-router at fault boundaries. The router only
-	// reads it, and only for the dead-send invariant below; routing
-	// decisions consult the topology's live-link state (legalCandidates)
-	// and the rebuilt routing tables instead.
-	FaultMap *faultmap.Map
-
 	// DeadSend, when non-nil, fires whenever a flit is about to go on the
-	// wire toward a link the local fault map marks dead. Such a send is an
-	// invariant breach by construction — the boundary kill sweeps must
-	// destroy every worm crossing a dying link before the map update
-	// becomes visible — so the network wires this to the invariant
-	// checker. Observation only: the flit is still sent (and self-drains
-	// downstream), keeping the failure observable rather than masked.
+	// wire toward a link Topo marks dead. Such a send is an invariant
+	// breach by construction — the boundary kill sweeps destroy every worm
+	// crossing a link in the same step that fails it in Topo — so the
+	// network wires this to the invariant checker. Observation only: the
+	// flit is still sent (and self-drains downstream), keeping the
+	// failure observable rather than masked.
 	DeadSend func(cycle uint64, node flit.NodeID, port topology.Port, vc int, pid uint64)
 }
 

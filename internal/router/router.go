@@ -1068,8 +1068,7 @@ func (r *Router) executeGrant(cycle uint64, g ac.Grant, corrupted, collided bool
 		r.cfg.Counters.AddUndetected(fault.SALogic)
 		r.emitDrop(cycle, g.InPort, g.InVC, &f, trace.DropSALost)
 	default:
-		if r.cfg.DeadSend != nil && g.OutPort != topology.Local && r.cfg.FaultMap != nil &&
-			r.cfg.FaultMap.LinkDead(r.id, g.OutPort) {
+		if r.cfg.DeadSend != nil && g.OutPort != topology.Local && !r.cfg.Topo.LinkUp(r.id, g.OutPort) {
 			r.cfg.DeadSend(cycle, r.id, g.OutPort, vc, uint64(f.PID))
 		}
 		op.tx.SendFlit(&f, vc, cycle)

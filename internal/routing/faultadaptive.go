@@ -34,12 +34,10 @@ type FaultAdaptiveFunc struct {
 	t *topology.Topology
 	n int
 
-	// level is each node's BFS depth in its component (roots at 0);
-	// comp is the component id (the root's node id). The pair
-	// (level, id) totally orders nodes; a hop a→b is "up" iff
+	// level is each node's BFS depth in its component (roots at 0). The
+	// pair (level, id) totally orders nodes; a hop a→b is "up" iff
 	// (level[b], b) < (level[a], a).
 	level []int32
-	comp  []int32
 
 	// down[dst*n+v] is the length of the shortest down-only path v→dst
 	// (infDist if none); updown[dst*n+v] the shortest legal up*/down*
@@ -67,13 +65,11 @@ func NewFaultAdaptiveFunc(t *topology.Topology) *FaultAdaptiveFunc {
 // slabs from s (sim.Make).
 func newFaultAdaptiveFunc(s *sim.Slabs, t *topology.Topology) *FaultAdaptiveFunc {
 	n := t.Width() * t.Height()
-	labels := sim.Make[int32](s, 2*n)
 	dists := sim.Make[uint16](s, 2*n*n)
 	scratch := sim.Make[flit.NodeID](s, 2*n)
 	f := &FaultAdaptiveFunc{
 		t: t, n: n,
-		level:  labels[:n:n],
-		comp:   labels[n:],
+		level:  sim.Make[int32](s, n),
 		down:   dists[: n*n : n*n],
 		updown: dists[n*n:],
 		order:  scratch[:n:n],
@@ -114,14 +110,13 @@ func (f *FaultAdaptiveFunc) Rebuild() {
 	n := f.n
 	for i := range f.level {
 		f.level[i] = -1
-		f.comp[i] = -1
 	}
 	// BFS forest in id order: each unvisited node roots its component.
 	for root := 0; root < n; root++ {
 		if f.level[root] >= 0 {
 			continue
 		}
-		f.level[root], f.comp[root] = 0, int32(root)
+		f.level[root] = 0
 		queue := append(f.queue[:0], flit.NodeID(root))
 		for len(queue) > 0 {
 			cur := queue[0]
@@ -132,7 +127,6 @@ func (f *FaultAdaptiveFunc) Rebuild() {
 					continue
 				}
 				f.level[nbr] = f.level[cur] + 1
-				f.comp[nbr] = int32(root)
 				queue = append(queue, nbr)
 			}
 		}

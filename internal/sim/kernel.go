@@ -456,15 +456,3 @@ func (k *Kernel) Run(n uint64) {
 		k.Step()
 	}
 }
-
-// RunUntil steps the kernel until done returns true or limit cycles have
-// elapsed. It returns true if done was satisfied within the limit.
-func (k *Kernel) RunUntil(done func() bool, limit uint64) bool {
-	for i := uint64(0); i < limit; i++ {
-		if done() {
-			return true
-		}
-		k.Step()
-	}
-	return done()
-}

@@ -157,22 +157,6 @@ func TestKernelActorsTickEveryCycle(t *testing.T) {
 	}
 }
 
-func TestKernelRunUntil(t *testing.T) {
-	var k Kernel
-	n := 0
-	k.Register(ActorFunc(func(uint64) { n++ }))
-	ok := k.RunUntil(func() bool { return n >= 3 }, 100)
-	if !ok {
-		t.Fatal("RunUntil did not reach condition")
-	}
-	if n != 3 {
-		t.Fatalf("ran %d cycles, want 3", n)
-	}
-	if ok := k.RunUntil(func() bool { return n >= 1000 }, 10); ok {
-		t.Fatal("RunUntil reported success past its limit")
-	}
-}
-
 func TestPipeLatencyOne(t *testing.T) {
 	var k Kernel
 	p := NewPipe[int](&k, 1)

@@ -11,7 +11,7 @@ import "reflect"
 // Slots are keyed by element type and ordinal: the k-th Make of element
 // type T in a build is handed the k-th slab of type T the previous builds
 // recorded. A build that makes an extra slab of one type (a mortality
-// point's fault maps, say) therefore shifts only later slabs of that type,
+// point's controller, say) therefore shifts only later slabs of that type,
 // never those of any other.
 //
 // Whatever a build made from a store is dead once the store builds again:

@@ -119,19 +119,14 @@ const (
 	//
 	// LinkDied: the directed link (Node, Port) hard-failed at Cycle —
 	// emitted by the reconfiguration controller at the death boundary,
-	// before any same-cycle actor event. Aux2 is 1 when the death is part
-	// of a router death rather than an isolated link fault.
+	// before any same-cycle actor event. Aux counts the flits destroyed
+	// with it.
 	LinkDied
 	// RouterDied: router Node hard-failed at Cycle (its PE stops
 	// generating and all incident links die alongside, each with its own
-	// LinkDied event).
+	// LinkDied event). Aux counts every flit destroyed with it, those of
+	// its links' events included.
 	RouterDied
-	// FaultMapUpdate: router Node's local fault map learned of new
-	// damage — at the death boundary for the fault site's own routers,
-	// or via one-hop-per-cycle dissemination from a live neighbor for
-	// everyone else. Aux is the map's new version, Aux2 its dead
-	// directed-link count.
-	FaultMapUpdate
 
 	numKinds
 )
@@ -213,8 +208,6 @@ func (k Kind) String() string {
 		return "link-died"
 	case RouterDied:
 		return "router-died"
-	case FaultMapUpdate:
-		return "fault-map-update"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -42,9 +42,8 @@ func TestKindStringsStable(t *testing.T) {
 		CampaignRepBegin:   "campaign-rep-begin",
 		CampaignRepEnd:     "campaign-rep-end",
 
-		LinkDied:       "link-died",
-		RouterDied:     "router-died",
-		FaultMapUpdate: "fault-map-update",
+		LinkDied:   "link-died",
+		RouterDied: "router-died",
 	}
 	for k := Kind(1); k < numKinds; k++ {
 		if w, ok := want[k]; !ok || k.String() != w {
