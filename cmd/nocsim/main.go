@@ -323,14 +323,8 @@ func kernelSummary(net *ftnoc.Network, cycles uint64, wall time.Duration) string
 		rate = fmt.Sprintf("%.0f cycles/sec", float64(cycles)/wall.Seconds())
 	}
 	s := fmt.Sprintf("%s (wall %v)", rate, wall.Round(time.Millisecond))
-	if total := ks.Ticked + ks.Skipped; total > 0 {
-		s += fmt.Sprintf(", %.1f%% actor ticks skipped", 100*float64(ks.Skipped)/float64(total))
-	}
-	if ks.Events > 0 {
-		s += fmt.Sprintf(", %d events dispatched", ks.Events)
-	}
-	if ks.Sharded > 0 {
-		s += fmt.Sprintf(", %d steps as two shards", ks.Sharded)
+	if k := ks.Summary(); k != "" {
+		s += ", " + k
 	}
 	return s
 }

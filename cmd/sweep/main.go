@@ -210,18 +210,10 @@ func kernelSummary(report *campaign.Report) string {
 	if report.Elapsed > 0 {
 		rate = fmt.Sprintf("%.0f cycles/sec", float64(cycles)/report.Elapsed.Seconds())
 	}
-	if ks.Ticked+ks.Skipped == 0 {
-		return rate
+	if k := ks.Summary(); k != "" {
+		return rate + " aggregate, " + k
 	}
-	s := fmt.Sprintf("%s aggregate, %.1f%% actor ticks skipped",
-		rate, 100*float64(ks.Skipped)/float64(ks.Ticked+ks.Skipped))
-	if ks.Events > 0 {
-		s += fmt.Sprintf(", %d events dispatched", ks.Events)
-	}
-	if ks.Sharded > 0 {
-		s += fmt.Sprintf(", %d steps as two shards", ks.Sharded)
-	}
-	return s
+	return rate
 }
 
 // ci renders a confidence half-width suffix ("±x.xx"), or nothing for

@@ -432,33 +432,27 @@ func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int)
 
 // startMeasuring snapshots the event counters at the warm-up boundary
 // and makes the per-router utilization tables the window's samples fill.
-// When triggered by a delivery it fires mid-cycle, from PE node's tick;
-// sleeping routers' lazily deferred idle-tick counters must be replayed
-// to exactly that point first, or the snapshot would differ from that
-// of a run in which every actor ticks every cycle.
+// When triggered by a delivery it fires mid-cycle, from PE node's tick:
+// actors tick in node order (router 0, PE 0, router 1, ...), so routers
+// 0..node have already ticked cycle. Pass node = -1 at a clean cycle
+// boundary.
 func (n *Network) startMeasuring(cycle uint64, node int) {
-	n.syncIdleCounters(cycle, node)
 	n.measuring = true
 	n.routerUtil = make([]stats.Utilization, len(n.routers))
-	n.warmupEvents = n.events()
+	n.warmupEvents = n.eventsAt(uint64(len(n.routers))*cycle + uint64(node+1))
 	n.warmupCycle = cycle
 }
 
-// syncIdleCounters brings every sleeping router's externally visible
-// counters up to date with what ticking every actor every cycle would
-// show at an observation point during cycle's actor loop. Actors tick in
-// node order (router 0, PE 0, router 1, ...), so routers <= upTo have
-// already ticked this cycle and owe its idle effects too; later routers
-// owe only the cycles before it. Awake routers are already current and
-// the call is a no-op for them. Pass upTo = -1 at a clean cycle boundary.
-func (n *Network) syncIdleCounters(cycle uint64, upTo int) {
-	for i, r := range n.routers {
-		if i <= upTo {
-			r.CatchUpTo(cycle + 1)
-		} else {
-			r.CatchUpTo(cycle)
-		}
+// eventsAt returns the event counters once ticks router ticks have run.
+// The Allocation Comparator screens every router's grant vector on every
+// tick, asleep or awake (router.screenSA), so those checks are not
+// counted as they happen but added here, one per router tick.
+func (n *Network) eventsAt(ticks uint64) stats.Events {
+	ev := n.events()
+	if n.cfg.ACEnabled {
+		ev.ACChecks += ticks
 	}
+	return ev
 }
 
 // AbortCheckInterval is how often (in cycles) RunContext polls its
@@ -618,15 +612,14 @@ func (n *Network) Snapshot() string {
 
 // results assembles the final measurement record.
 func (n *Network) results(stalled bool) Results {
-	// Runs end at a clean cycle boundary; settle any counter catch-up
-	// still pending in sleeping routers before reading the totals.
-	n.syncIdleCounters(n.kernel.Cycle(), -1)
-	total := n.events()
+	// Runs end at a clean cycle boundary: every router has ticked every
+	// cycle, asleep or awake.
+	cycles := n.kernel.Cycle()
+	total := n.eventsAt(uint64(len(n.routers)) * cycles)
 	measured := stats.Events{}
 	if n.measuring {
-		measured = subtractEvents(total, n.warmupEvents)
+		measured = total.Sub(n.warmupEvents)
 	}
-	cycles := n.kernel.Cycle()
 	measuredCycles := uint64(0)
 	if n.measuring && cycles > n.warmupCycle {
 		measuredCycles = cycles - n.warmupCycle
@@ -708,27 +701,6 @@ func routerMeans(us []stats.Utilization) []float64 {
 		out[i] = us[i].Mean()
 	}
 	return out
-}
-
-func subtractEvents(a, b stats.Events) stats.Events {
-	return stats.Events{
-		BufWrites:       a.BufWrites - b.BufWrites,
-		BufReads:        a.BufReads - b.BufReads,
-		XbTraversals:    a.XbTraversals - b.XbTraversals,
-		LinkTraversals:  a.LinkTraversals - b.LinkTraversals,
-		LocalTraversals: a.LocalTraversals - b.LocalTraversals,
-		VAAllocs:        a.VAAllocs - b.VAAllocs,
-		SAAllocs:        a.SAAllocs - b.SAAllocs,
-		RetransWrites:   a.RetransWrites - b.RetransWrites,
-		Retransmitted:   a.Retransmitted - b.Retransmitted,
-		NACKs:           a.NACKs - b.NACKs,
-		Credits:         a.Credits - b.Credits,
-		Probes:          a.Probes - b.Probes,
-		ECCDecodes:      a.ECCDecodes - b.ECCDecodes,
-		ECCCorrections:  a.ECCCorrections - b.ECCCorrections,
-		ACChecks:        a.ACChecks - b.ACChecks,
-		RTComputes:      a.RTComputes - b.RTComputes,
-	}
 }
 
 // Results is the measurement record of one simulation run. Event counts

@@ -202,9 +202,9 @@ func TestKernelDifferentialRecovery(t *testing.T) {
 // shift that entry out. Those ticks read no wire and changed nothing
 // another tick or an observer reads: the entry leaves its NACK window by
 // the clock (link.Transmitter), the occupancy sampler counts it by its
-// send cycle, and the round-robin rotations an idle tick makes are
-// replayed by catch-up either way. The Results digest, the cycle count and
-// the naive kernel's schedule are what they were.
+// send cycle, and a router's round-robin origins are the cycle's either
+// way. The Results digest, the cycle count and the naive kernel's schedule
+// are what they were.
 func TestSparseScheduleUnchanged(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Width, cfg.Height = 16, 16

@@ -49,13 +49,18 @@ func TestProbeCodecRoundTrip(t *testing.T) {
 }
 
 // TestProbeFlitCarriesType pins probeFlit's wrapping: the control flit
-// type is preserved and the payload round-trips through the flit word.
+// type is preserved, the word and check bits are encodeProbe's, and the
+// payload round-trips through the flit word.
 func TestProbeFlitCarriesType(t *testing.T) {
 	m := probeMsg{Origin: 9, OriginPort: topology.South, OriginVC: 2, TargetVC: AnyVC, Hops: 4}
+	word, check := encodeProbe(m)
 	for _, ft := range []flit.Type{flit.Probe, flit.Activation} {
 		f := probeFlit(ft, m)
 		if f.Type != ft {
 			t.Fatalf("flit type %v, want %v", f.Type, ft)
+		}
+		if f.Word != word || f.Check != check {
+			t.Fatalf("probeFlit word/check %#x/%#x, want encodeProbe's %#x/%#x", f.Word, f.Check, word, check)
 		}
 		if got := decodeProbe(f.Word); got != m {
 			t.Fatalf("payload mangled: %+v", got)

@@ -35,9 +35,6 @@ type Router struct {
 	in  [topology.NumPorts]*inPort
 	out [topology.NumPorts]*outputPort
 
-	vaRR  int // rotates VA priority over input VCs
-	outRR int // rotates SA priority over output ports
-
 	// Port masks (bit p = port p): every per-tick port loop walks the set
 	// bits of one of these instead of sweeping all ports, so a tick costs
 	// what is in flight. Each is a superset of the ports that need
@@ -82,11 +79,6 @@ type Router struct {
 	wormholeViolations uint64
 	strayFlits         uint64
 	creditStalls       uint64
-
-	// nextExpected is the cycle the next Tick should see; a gap means the
-	// kernel skipped this router as quiescent, and Tick replays the
-	// per-cycle mutations an idle tick would have made (see catchUp).
-	nextExpected uint64
 
 	// flatVCs flattens (port, vc) pairs for round-robin iteration without
 	// a divmod per probe; nil entries are unattached ports.
@@ -247,10 +239,6 @@ func (r *Router) AttachOutput(p topology.Port, tx *link.Transmitter) {
 // reason a pointer ingest takes into an input wire's slot stays good for
 // the whole Tick: only the upstream actor pushes on that wire.
 func (r *Router) Tick(cycle uint64) {
-	if cycle > r.nextExpected {
-		r.catchUp(cycle - r.nextExpected)
-	}
-	r.nextExpected = cycle + 1
 	r.beginOutputs(cycle)
 	r.ingest(cycle)
 	r.advance(cycle)
@@ -307,34 +295,6 @@ func (r *Router) resetVC(ivc *inputVC, cycle uint64) {
 func rotated(mask uint64, origin int) [2]uint64 {
 	from := mask >> uint(origin) << uint(origin)
 	return [2]uint64{from, mask &^ from}
-}
-
-// catchUp replays the per-cycle mutations a quiescent-eligible router
-// makes on every idle tick, for the gap cycles the kernel skipped: the
-// unconditional VA/SA round-robin rotations, and the per-cycle AC grant
-// screen the comparator performs even on an empty grant vector. Nothing
-// else in an idle tick mutates state (that is what Quiescent certifies),
-// so after catch-up the router is byte-identical to one ticked
-// throughout.
-func (r *Router) catchUp(gap uint64) {
-	r.vaRR += int(gap)
-	r.outRR += int(gap)
-	if r.cfg.ACEnabled {
-		r.cfg.Events.ACChecks += gap
-	}
-}
-
-// CatchUpTo applies the idle-tick effects of every skipped cycle before
-// target, as if the router had ticked them all. The kernel normally leaves
-// catch-up to the next Tick; counter observers (the network's measurement
-// snapshots) call this so that a sleeping router's externally visible
-// counters match an every-cycle run's at the observation point. No-op for
-// a router that is up to date.
-func (r *Router) CatchUpTo(target uint64) {
-	if target > r.nextExpected {
-		r.catchUp(target - r.nextExpected)
-		r.nextExpected = target
-	}
 }
 
 // Quiescent implements sim.Quiescer: the router may be skipped when every
@@ -674,15 +634,16 @@ func (r *Router) existingBindings() []ac.Binding {
 // allocateVA runs the VC allocator: each waiting header arbitrates for a
 // free output VC on one of its candidate ports. Fresh allocations are
 // screened by the Allocation Comparator (§4.1). The waiting VCs are
-// visited in round-robin order from vaRR. A grant takes its VC out of
-// waitVA, but no VC enters it during the pass, so the walk is over a copy.
+// visited in round-robin order from the cycle, which rotates the origin
+// once per cycle whether the router ticks or sleeps. A grant takes its VC
+// out of waitVA, but no VC enters it during the pass, so the walk is over
+// a copy.
 func (r *Router) allocateVA(cycle uint64) {
-	for _, m := range rotated(r.waitVA, r.vaRR%len(r.flatVCs)) {
+	for _, m := range rotated(r.waitVA, int(cycle)%len(r.flatVCs)) {
 		for ; m != 0; m &= m - 1 {
 			r.tryVA(cycle, r.flatVCs[bits.TrailingZeros64(m)])
 		}
 	}
-	r.vaRR++
 }
 
 // tryVA considers one input VC for VC allocation this cycle.
@@ -726,7 +687,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 			// slack the recovery created.
 			continue
 		}
-		if v := r.out[p].freeVC(r.vaRR); v >= 0 {
+		if v := r.out[p].freeVC(int(cycle)); v >= 0 {
 			grantPort, grantVC = p, v
 			break
 		}
@@ -856,8 +817,8 @@ func (r *Router) allocateSA(cycle uint64) {
 	}
 	ports &= r.outAttached
 
-	// Visit ports in rotated order: outRR's port first, wrapping.
-	start := uint(r.outRR % int(topology.NumPorts))
+	// Visit ports in rotated order from the cycle's port, wrapping.
+	start := uint(int(cycle) % int(topology.NumPorts))
 	fromStart := ports >> start << start
 	for _, m := range [2]uint8{fromStart, ports &^ fromStart} {
 		for ; m != 0; m &= m - 1 {
@@ -872,7 +833,6 @@ func (r *Router) allocateSA(cycle uint64) {
 			n++
 		}
 	}
-	r.outRR++
 
 	// Inject grant-vector corruption for upset winners (cases b-d).
 	for i := range n {
@@ -904,16 +864,18 @@ func (r *Router) allocateSA(cycle uint64) {
 	}
 }
 
-// screenSA runs the Allocation Comparator over the cycle's grants (§4.3),
-// every cycle, and compacts the ones it passes to the front of grants and
-// reqs, returning their number. A cancelled grant's flit
+// screenSA runs the Allocation Comparator over the cycle's grants (§4.3)
+// and compacts the ones it passes to the front of grants and reqs,
+// returning their number. The comparator screens every router's grant
+// vector every cycle, empty or not, so Events.ACChecks does not count the
+// screens here: that count is a function of the clock, which the network
+// adds where it reads the counters. A cancelled grant's flit
 // retries next cycle (one cycle of latency) and, in the parallelised
 // pipelines, neighbors are NACKed to ignore the squashed transmission.
 // The binding each grant is checked against is its winner's own: a
 // winner is an Active input VC, and corruptGrant rewrites nothing but
 // OutPort.
 func (r *Router) screenSA(cycle uint64, grants []ac.Grant, reqs []saRequest) int {
-	r.cfg.Events.ACChecks++
 	var bound [topology.NumPorts]topology.Port
 	for i, req := range reqs {
 		bound[i] = req.ivc.outPort

@@ -333,19 +333,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestProbeEncodingRoundTrip(t *testing.T) {
-	m := probeMsg{Origin: 42, OriginPort: topology.West, OriginVC: 2, TargetVC: AnyVC, Hops: 17}
-	w, check := encodeProbe(m)
-	got := decodeProbe(w)
-	if got != m {
-		t.Fatalf("round trip %+v -> %+v", m, got)
-	}
-	f := probeFlit(flit.Probe, m)
-	if f.Type != flit.Probe || f.Word != w || f.Check != check {
-		t.Fatalf("probeFlit wrong: %+v", f)
-	}
-}
-
 func TestVAOffsetPerDepth(t *testing.T) {
 	want := map[int]uint64{1: 0, 2: 1, 3: 1, 4: 2}
 	for d, off := range want {

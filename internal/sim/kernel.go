@@ -33,11 +33,12 @@
 // The contract is stated against a kernel in which nobody opted in, which
 // ticks every actor every cycle: every tick the kernel elides must be one
 // that, under that schedule, changed nothing an observer can see apart
-// from state the actor reconstructs when it next ticks (catch-up), and
-// every input the actor reacts to must either arrive through a delay line
-// whose Delivery hook wakes it or be covered by the timed wake. Upholding
-// that is the actor's job (see DESIGN.md, "Wires and scheduler"); the
-// differential tests hold the two schedules to identical output.
+// from state the actor derives from the clock or reconstructs when it
+// next ticks (a traffic source's catch-up), and every input the actor
+// reacts to must either arrive through a delay line whose Delivery hook
+// wakes it or be covered by the timed wake. Upholding that is the actor's
+// job (see DESIGN.md, "Wires and scheduler"); the differential tests hold
+// the two schedules to identical output.
 //
 // Awake actors are ticked in ascending registration order, so intra-cycle
 // trace order does not depend on who slept.
@@ -69,6 +70,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -116,6 +118,26 @@ type Stats struct {
 	Skipped uint64
 	Events  uint64
 	Sharded uint64
+}
+
+// Summary renders the counters as the tail of a CLI's kernel summary
+// line: the share of actor ticks skipped, then the ticks dispatched and
+// the steps ticked as two shards when there were any. It is empty when no
+// actor tick was due. (It is not String, so %+v keeps printing the raw
+// counters.)
+func (s Stats) Summary() string {
+	total := s.Ticked + s.Skipped
+	if total == 0 {
+		return ""
+	}
+	out := fmt.Sprintf("%.1f%% actor ticks skipped", 100*float64(s.Skipped)/float64(total))
+	if s.Events > 0 {
+		out += fmt.Sprintf(", %d events dispatched", s.Events)
+	}
+	if s.Sharded > 0 {
+		out += fmt.Sprintf(", %d steps as two shards", s.Sharded)
+	}
+	return out
 }
 
 // wakeEntry is one timed wake in the min-heap.

@@ -566,3 +566,20 @@ func TestKernelZeroValueTicksEverything(t *testing.T) {
 		t.Fatalf("Stats = %+v, asleep %v; want 12 ticked, nothing skipped or dispatched, nobody asleep", st, k.Asleep(h))
 	}
 }
+
+// Summary is the kernel line's tail both CLIs print: empty with no ticks
+// due, and naming events and two-shard steps only when there were any.
+func TestStatsSummary(t *testing.T) {
+	for _, tc := range []struct {
+		s    Stats
+		want string
+	}{
+		{Stats{}, ""},
+		{Stats{Ticked: 60, Skipped: 40}, "40.0% actor ticks skipped"},
+		{Stats{Ticked: 60, Skipped: 40, Events: 9, Sharded: 7}, "40.0% actor ticks skipped, 9 events dispatched, 7 steps as two shards"},
+	} {
+		if got := tc.s.Summary(); got != tc.want {
+			t.Errorf("%+v.Summary() = %q, want %q", tc.s, got, tc.want)
+		}
+	}
+}

@@ -53,6 +53,28 @@ func (e Events) Add(o Events) Events {
 	}
 }
 
+// Sub returns the field-by-field difference e - o.
+func (e Events) Sub(o Events) Events {
+	return Events{
+		BufWrites:       e.BufWrites - o.BufWrites,
+		BufReads:        e.BufReads - o.BufReads,
+		XbTraversals:    e.XbTraversals - o.XbTraversals,
+		LinkTraversals:  e.LinkTraversals - o.LinkTraversals,
+		LocalTraversals: e.LocalTraversals - o.LocalTraversals,
+		VAAllocs:        e.VAAllocs - o.VAAllocs,
+		SAAllocs:        e.SAAllocs - o.SAAllocs,
+		RetransWrites:   e.RetransWrites - o.RetransWrites,
+		Retransmitted:   e.Retransmitted - o.Retransmitted,
+		NACKs:           e.NACKs - o.NACKs,
+		Credits:         e.Credits - o.Credits,
+		Probes:          e.Probes - o.Probes,
+		ECCDecodes:      e.ECCDecodes - o.ECCDecodes,
+		ECCCorrections:  e.ECCCorrections - o.ECCCorrections,
+		ACChecks:        e.ACChecks - o.ACChecks,
+		RTComputes:      e.RTComputes - o.RTComputes,
+	}
+}
+
 // LatencyStats accumulates per-message latency samples (injection to tail
 // ejection, in whole cycles) with warm-up discarding handled by the
 // caller. It keeps an exact count per latency rather than the samples

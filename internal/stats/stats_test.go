@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -375,5 +376,27 @@ func TestEstimateString(t *testing.T) {
 	}
 	if s := (Estimate{Mean: 3, CI95: 0.5, N: 4}).String(); s != "3 ± 0.5" {
 		t.Fatalf("replicated string %q", s)
+	}
+}
+
+// Add and Sub must cover every field of Events: each field gets its own
+// value, so a field either one forgets reads zero (or an operand) and a
+// field swapped with another reads the other's value.
+func TestEventsAddSubEveryField(t *testing.T) {
+	var a, b Events
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range va.NumField() {
+		va.Field(i).SetUint(uint64(1000 * (i + 1)))
+		vb.Field(i).SetUint(uint64(i + 1))
+	}
+	sum, diff := reflect.ValueOf(a.Add(b)), reflect.ValueOf(a.Sub(b))
+	for i := range va.NumField() {
+		name := va.Type().Field(i).Name
+		if got, want := sum.Field(i).Uint(), uint64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+		if got, want := diff.Field(i).Uint(), uint64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
 	}
 }
