@@ -13,7 +13,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -244,18 +243,10 @@ func main() {
 	fmt.Printf("buffer util:    transmission %.4f, retransmission %.4f\n", res.TxBufUtil, res.RtBufUtil)
 	fmt.Printf("fault handling: %d NACKs, %d retransmissions, %d flits dropped\n",
 		res.Counters.NACKs, res.Counters.Retransmissions, res.Counters.DroppedFlits)
-	var classes []ftnoc.FaultClass
-	for _, m := range []map[ftnoc.FaultClass]uint64{res.Counters.Injected, res.Counters.Corrected, res.Counters.Undetected} {
-		for cl, n := range m {
-			if n > 0 && !slices.Contains(classes, cl) {
-				classes = append(classes, cl)
-			}
+	for cl, inj := range res.Counters.Injected {
+		if cor, und := res.Counters.Corrected[cl], res.Counters.Undetected[cl]; inj+cor+und > 0 {
+			fmt.Printf("  %-9v injected %d, corrected %d, undetected %d\n", ftnoc.FaultClass(cl), inj, cor, und)
 		}
-	}
-	slices.Sort(classes)
-	for _, cl := range classes {
-		fmt.Printf("  %-9v injected %d, corrected %d, undetected %d\n",
-			cl, res.Counters.Injected[cl], res.Counters.Corrected[cl], res.Counters.Undetected[cl])
 	}
 	if res.Undeliverable > 0 || res.DeadLinks > 0 || res.DeadRouters > 0 {
 		fmt.Printf("hard faults:    %d dead links, %d dead routers, %d undeliverable messages\n",
@@ -330,8 +321,8 @@ func kernelSummary(net *ftnoc.Network, cycles uint64, wall time.Duration) string
 }
 
 // parsePIDs parses the -trace flag: a comma-separated packet ID list.
-// Empty (the default) disables journey tracing; "0" is a valid packet ID
-// list entry no longer conflated with "disabled".
+// Empty (the default) disables journey tracing. IDs start at 1, so 0,
+// which names no packet, is an error.
 func parsePIDs(s string) ([]uint64, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -345,6 +336,9 @@ func parsePIDs(s string) ([]uint64, error) {
 		pid, err := strconv.ParseUint(part, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -trace packet ID %q: %v", part, err)
+		}
+		if pid == 0 {
+			return nil, fmt.Errorf("bad -trace packet ID 0: IDs start at 1 (node n's k-th packet, from 0, is k*nodes+n+1)")
 		}
 		pids = append(pids, pid)
 	}

@@ -37,7 +37,7 @@ func TestRateList(t *testing.T) {
 // The kernel line counts the steps the replicates ticked as two shards,
 // and leaves shards out when none did.
 func TestKernelSummary(t *testing.T) {
-	rep := campaign.RepResult{Seed: 1, KernelTicked: 60, KernelSkipped: 40, KernelSharded: 7}
+	rep := campaign.RepResult{Seed: 1, Ran: true, KernelTicked: 60, KernelSkipped: 40, KernelSharded: 7}
 	rep.Results.Cycles = 10
 	r := &campaign.Report{Points: []campaign.PointResult{{Reps: []campaign.RepResult{rep}}}, Elapsed: time.Second}
 	if got, want := kernelSummary(r), "10 cycles/sec aggregate, 40.0% actor ticks skipped, 7 steps as two shards"; got != want {

@@ -133,6 +133,8 @@ type RepResult struct {
 	// Err captures a crash inside this replicate's simulation; the
 	// Results are zero when set.
 	Err error
+	// Ran marks a replicate run by a worker, not skipped by cancellation.
+	Ran bool
 }
 
 // Aggregate summarises a point's completed replicates.
@@ -191,8 +193,8 @@ type Report struct {
 func (r *Report) KernelTotals() (cycles uint64, ks sim.Stats) {
 	for i := range r.Points {
 		for _, rr := range r.Points[i].Reps {
-			if rr.Err != nil || rr.Seed == 0 {
-				continue // failed, or never dispatched
+			if rr.Err != nil || !rr.Ran {
+				continue
 			}
 			cycles += rr.Results.Cycles
 			ks.Ticked += rr.KernelTicked
@@ -588,7 +590,7 @@ func logRepFailure(l *slog.Logger, p Point, rep int, rr RepResult) {
 // shared across concurrent replicates); either way, a checker present on
 // the config turns violations into the replicate's error.
 func runReplicate(ctx context.Context, slabs *sim.Slabs, cfg network.Config, check bool) (rr RepResult) {
-	rr.Seed = cfg.Seed
+	rr.Seed, rr.Ran = cfg.Seed, true
 	defer func() {
 		if r := recover(); r != nil {
 			rr.Err = fmt.Errorf("campaign: replicate seed %d panicked: %v", rr.Seed, r)
@@ -628,8 +630,8 @@ func finalizePoint(p *PointResult) {
 			}
 			continue
 		}
-		if rr.Seed == 0 {
-			continue // never dispatched (campaign aborted)
+		if !rr.Ran {
+			continue
 		}
 		if rr.Results.Aborted {
 			// A cancelled replicate is a partial measurement: counted,

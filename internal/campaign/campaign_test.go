@@ -308,6 +308,25 @@ func TestRunConfigsOrderAndIsolation(t *testing.T) {
 	}
 }
 
+// Seed 0 is a valid seed: a config that keeps it runs, aggregates, and
+// counts in the kernel totals and the row like any other.
+func TestRunConfigsSeedZero(t *testing.T) {
+	cfg := tinyBase()
+	cfg.Seed = 0
+	report := RunConfigs(context.Background(), 1, []network.Config{cfg})
+	p := &report.Points[0]
+	if p.Err != nil || p.Agg.Completed != 1 || p.Reps[0].Results.Delivered == 0 {
+		t.Fatalf("seed 0: err %v, %d completed, %d delivered; want a completed run",
+			p.Err, p.Agg.Completed, p.Reps[0].Results.Delivered)
+	}
+	if cycles, _ := report.KernelTotals(); cycles != p.Reps[0].Results.Cycles || cycles == 0 {
+		t.Errorf("KernelTotals counted %d cycles, the run took %d", cycles, p.Reps[0].Results.Cycles)
+	}
+	if row := PointRowOf(p); len(row.Replicates) != 1 || row.Replicates[0].Seed != 0 {
+		t.Errorf("row replicates = %+v, want the one seed-0 run", row.Replicates)
+	}
+}
+
 // TestCampaignSpeedup demonstrates the multicore win: a ≥16-point grid
 // must run at least twice as fast on the full pool as on one worker.
 // Skipped on small machines and in -short runs (it is a benchmark in
@@ -356,16 +375,17 @@ func TestCampaignSpeedup(t *testing.T) {
 
 // KernelTotals counts only replicates that ran to a result: a failed
 // replicate (an invariant violation keeps its Results) and one never
-// dispatched add nothing. nocd and fabric workers both report it.
+// dispatched add nothing, and one that ran with seed 0 counts. nocd and
+// fabric workers both report it.
 func TestKernelTotalsSkipsFailedReplicates(t *testing.T) {
 	rep := func(seed uint64, cycles uint64, err error) RepResult {
-		rr := RepResult{Seed: seed, Err: err, KernelTicked: 2 * cycles, KernelSkipped: 3 * cycles, KernelEvents: 4 * cycles, KernelSharded: 5 * cycles}
+		rr := RepResult{Seed: seed, Err: err, Ran: true, KernelTicked: 2 * cycles, KernelSkipped: 3 * cycles, KernelEvents: 4 * cycles, KernelSharded: 5 * cycles}
 		rr.Results.Cycles = cycles
 		return rr
 	}
 	r := &Report{Points: []PointResult{
 		{Reps: []RepResult{rep(1, 100, nil), rep(2, 1000, errors.New("invariant violated"))}},
-		{Reps: []RepResult{rep(3, 10, nil), rep(0, 0, nil)}},
+		{Reps: []RepResult{rep(0, 10, nil), {}}},
 	}}
 	cycles, ks := r.KernelTotals()
 	if want := (sim.Stats{Ticked: 220, Skipped: 330, Events: 440, Sharded: 550}); cycles != 110 || ks != want {

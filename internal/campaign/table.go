@@ -153,8 +153,8 @@ func PointRowOf(p *PointResult) PointRow {
 		row.Error = p.Err.Error()
 	}
 	for _, rr := range p.Reps {
-		if rr.Seed == 0 && rr.Err == nil {
-			continue // never dispatched
+		if !rr.Ran {
+			continue
 		}
 		rep := RepRow{
 			Seed:          rr.Seed,

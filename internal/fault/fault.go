@@ -10,8 +10,10 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"maps"
+	"strconv"
 
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/flit"
@@ -320,20 +322,54 @@ const (
 	OpUndetected
 )
 
+// ClassCounts holds one count per fault class, indexed by Class; slot 0
+// names no class and stays zero. It marshals as the non-zero classes in
+// ascending order keyed by number, {"1":72,"4":9}, or {} when there are
+// none: the form the benchmark's result digests pin.
+type ClassCounts [XbarError + 1]uint64
+
+// MarshalJSON implements json.Marshaler.
+func (cc ClassCounts) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 64), '{')
+	for cl, n := range cc {
+		if n > 0 {
+			b = strconv.AppendUint(append(b, '"'), uint64(cl), 10)
+			b = append(strconv.AppendUint(append(b, '"', ':'), n, 10), ',')
+		}
+	}
+	return append(bytes.TrimSuffix(b, []byte{','}), '}'), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler, reading what MarshalJSON
+// writes. Like encoding/json's own, it keeps what it could read when it
+// returns a type error.
+func (cc *ClassCounts) UnmarshalJSON(b []byte) error {
+	var m map[uint8]uint64
+	err := json.Unmarshal(b, &m)
+	*cc = ClassCounts{}
+	for cl, n := range m {
+		if int(cl) >= len(cc) {
+			return fmt.Errorf("fault: no fault class %d", cl)
+		}
+		cc[cl] = n
+	}
+	return err
+}
+
 // Counters tallies fault-handling activity for the statistics pipeline.
 // The "corrected errors" series of Fig. 13(a) is the sum, per class, of
 // errors the corresponding protection mechanism repaired.
 type Counters struct {
 	// Injected counts upsets actually injected, per class.
-	Injected map[Class]uint64
+	Injected ClassCounts
 	// Corrected counts errors repaired by a protection mechanism:
 	// SEC/DED corrections plus HBH retransmissions for LinkError;
 	// AC invalidations for VA/SA; VA-state catches and neighbor NACKs
 	// for RT.
-	Corrected map[Class]uint64
+	Corrected ClassCounts
 	// Undetected counts upsets no mechanism caught (e.g. benign adaptive
 	// misroutes, or any class with its protection disabled).
-	Undetected map[Class]uint64
+	Undetected ClassCounts
 	// Retransmissions counts HBH flit retransmission events.
 	Retransmissions uint64
 	// NACKs counts NACK signals sent.
@@ -350,51 +386,27 @@ type Counters struct {
 	Observer func(op CounterOp, cl Class) `json:"-"`
 }
 
-// Snapshot returns a deep copy of the counts with no Observer attached:
-// the form in which a finished run hands its counters to callers. The
-// counts of more are added in.
+// Snapshot returns a copy of the counts with no Observer attached: the
+// form in which a finished run hands its counters to callers. The counts
+// of more are added in.
 func (c *Counters) Snapshot(more ...*Counters) *Counters {
 	s := *c
-	s.Injected = maps.Clone(c.Injected)
-	s.Corrected = maps.Clone(c.Corrected)
-	s.Undetected = maps.Clone(c.Undetected)
 	s.Observer = nil
 	for _, o := range more {
+		for cl := range s.Injected {
+			s.Injected[cl] += o.Injected[cl]
+			s.Corrected[cl] += o.Corrected[cl]
+			s.Undetected[cl] += o.Undetected[cl]
+		}
 		s.Retransmissions += o.Retransmissions
 		s.NACKs += o.NACKs
 		s.DroppedFlits += o.DroppedFlits
-		addCounts(s.Injected, o.Injected)
-		addCounts(s.Corrected, o.Corrected)
-		addCounts(s.Undetected, o.Undetected)
 	}
 	return &s
 }
 
-// addCounts adds the counts of o into m.
-func addCounts(m, o map[Class]uint64) {
-	for cl, n := range o {
-		m[cl] += n
-	}
-}
-
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{
-		Injected:   make(map[Class]uint64),
-		Corrected:  make(map[Class]uint64),
-		Undetected: make(map[Class]uint64),
-	}
-}
-
-// Reserve makes the maps' storage now, so that counting allocates
-// nothing: a small map makes it on its first insert, which Reserve makes
-// and undoes.
-func (c *Counters) Reserve() {
-	for _, m := range [...]map[Class]uint64{c.Injected, c.Corrected, c.Undetected} {
-		m[0] = 0
-		delete(m, 0)
-	}
-}
+func NewCounters() *Counters { return new(Counters) }
 
 // AddInjected records an injected upset.
 func (c *Counters) AddInjected(cl Class) {

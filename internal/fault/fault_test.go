@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"ftnoc/internal/ecc"
@@ -175,7 +178,7 @@ func TestCounters(t *testing.T) {
 	other.AddCorrected(VALogic)
 	other.NACKs = 2
 	sum := c.Snapshot(other)
-	if sum.Injected[LinkError] != 3 || sum.Corrected[VALogic] != 1 || sum.NACKs != 6 || len(sum.Corrected) != 2 {
+	if sum.Injected[LinkError] != 3 || sum.Corrected[VALogic] != 1 || sum.NACKs != 6 {
 		t.Fatalf("summed snapshot wrong: %+v", sum)
 	}
 	if c.Corrected[VALogic] != 0 || c.NACKs != 4 || other.NACKs != 2 {
@@ -183,20 +186,88 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// After Reserve, counting a class of every kind allocates nothing, and
-// the counters still read empty.
-func TestCountersReserve(t *testing.T) {
-	c := NewCounters()
-	c.Reserve()
-	if len(c.Injected)+len(c.Corrected)+len(c.Undetected) != 0 {
-		t.Fatalf("reserved counters not empty: %+v", c)
-	}
+// Counting into a zero Counters, a class of every kind, allocates
+// nothing.
+func TestCountingAllocatesNothing(t *testing.T) {
+	var c Counters
 	if n := testing.AllocsPerRun(1, func() {
 		c.AddInjected(LinkError)
 		c.AddCorrected(RTLogic)
 		c.AddUndetected(XbarError)
 	}); n != 0 {
-		t.Fatalf("counting into reserved counters made %v allocations", n)
+		t.Fatalf("counting made %v allocations", n)
+	}
+}
+
+// Snapshot sums every count of the counters it is given: each class slot
+// and each scalar, the way stats.Events.Add sums every field.
+func TestSnapshotSumsEveryField(t *testing.T) {
+	// counts lists c's counts in field order, each class slot in turn.
+	counts := func(c *Counters) (out []reflect.Value) {
+		v := reflect.ValueOf(c).Elem()
+		for i := range v.NumField() {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Array:
+				for cl := range f.Len() {
+					out = append(out, f.Index(cl))
+				}
+			case reflect.Uint64:
+				out = append(out, f)
+			case reflect.Func: // the Observer
+			default:
+				t.Fatalf("Counters.%s: a %v the test does not sum", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return out
+	}
+	var a, b Counters
+	ca, cb := counts(&a), counts(&b)
+	for k := range ca {
+		ca[k].SetUint(uint64(1000 * (k + 1)))
+		cb[k].SetUint(uint64(k + 1))
+	}
+	for k, v := range counts(a.Snapshot(&b)) {
+		if got, want := v.Uint(), uint64(1001*(k+1)); got != want {
+			t.Errorf("count %d in field order = %d, want %d", k, got, want)
+		}
+	}
+}
+
+// ClassCounts marshals byte for byte as the map[Class]uint64 it replaced
+// (the form the benchmark's result digests pin), and reads back.
+func TestClassCountsJSON(t *testing.T) {
+	all := ClassCounts{}
+	for cl := LinkError; cl <= XbarError; cl++ {
+		all[cl] = uint64(cl) * 1_000_000_007
+	}
+	for _, cc := range []ClassCounts{{}, {SALogic: 9}, {LinkError: 72, SALogic: 9}, all} {
+		m := map[Class]uint64{}
+		for cl, n := range cc {
+			if n > 0 {
+				m[Class(cl)] = n
+			}
+		}
+		got, err := json.Marshal(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("Marshal(%v) = %s, want %s", cc, got, want)
+		}
+		var back ClassCounts
+		if err := json.Unmarshal(got, &back); err != nil || back != cc {
+			t.Errorf("Unmarshal(%s) = %v, %v; want %v", got, back, err, cc)
+		}
+	}
+	for _, bad := range []string{`{"8":1}`, `{"x":1}`, `{"1":-1}`, `[1]`} {
+		var cc ClassCounts
+		if err := json.Unmarshal([]byte(bad), &cc); err == nil {
+			t.Errorf("Unmarshal(%s) = %v, want an error", bad, cc)
+		}
 	}
 }
 

@@ -154,8 +154,8 @@ var ErrInvalidConfig = errors.New("invalid config")
 
 // Validate checks the configuration, returning an error wrapping
 // ErrInvalidConfig describing the first violated constraint, or nil.
-// Zero values of optional fields (Protection, MaxCycles, StallCycles,
-// E2ETimeout) are valid: New substitutes defaults for them.
+// Zero values of optional fields (TopologyKind, Protection, MaxCycles,
+// StallCycles, E2ETimeout) are valid: New substitutes defaults for them.
 func (c Config) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidConfig, fmt.Sprintf(format, args...))
@@ -178,8 +178,7 @@ func (c Config) Validate() error {
 			c.TotalMessages, c.WarmupMessages)
 	case c.Width*c.Height > maxNodes:
 		return fail("topology %dx%d exceeds %d nodes", c.Width, c.Height, maxNodes)
-	// Enumerations New would otherwise panic on (zero TopologyKind is a
-	// mesh).
+	// Enumerations New would otherwise panic on.
 	case c.TopologyKind > topology.Torus:
 		return fail("unknown topology kind %d", c.TopologyKind)
 	case c.Routing < routing.XY || c.Routing > routing.FaultAdaptive:
@@ -213,11 +212,9 @@ func (c Config) Validate() error {
 		return fail("mortality hazard rate must be in [0,1), have %g", rate)
 	}
 	if mort := c.Faults.Mortality; mort.Enabled() {
-		kind := c.TopologyKind
-		if kind == 0 {
-			kind = topology.Mesh
-		}
-		topo := topology.New(kind, c.Width, c.Height)
+		d := c
+		d.applyDefaults()
+		topo := topology.New(d.TopologyKind, c.Width, c.Height)
 		for _, ld := range mort.Links {
 			if int(ld.From) >= topo.Nodes() {
 				return fail("mortality schedule names node %d outside the %dx%d topology", ld.From, c.Width, c.Height)
@@ -252,19 +249,24 @@ func (c Config) Validate() error {
 // arbitrarily large allocation.
 const maxNodes = 1 << 16
 
-// applyDefaults substitutes defaults for the optional zero-valued fields.
+// applyDefaults substitutes NewConfig's values for the optional
+// zero-valued fields.
 func (c *Config) applyDefaults() {
+	d := NewConfig()
+	if c.TopologyKind == 0 {
+		c.TopologyKind = d.TopologyKind
+	}
 	if c.Protection == 0 {
-		c.Protection = link.HBH
+		c.Protection = d.Protection
 	}
 	if c.MaxCycles == 0 {
-		c.MaxCycles = 2_000_000
+		c.MaxCycles = d.MaxCycles
 	}
 	if c.StallCycles == 0 {
-		c.StallCycles = 100_000
+		c.StallCycles = d.StallCycles
 	}
 	if c.E2ETimeout == 0 {
-		c.E2ETimeout = 2_048
+		c.E2ETimeout = d.E2ETimeout
 	}
 }
 

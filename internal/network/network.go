@@ -105,11 +105,7 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	n := &Network{cfg: cfg}
 	root := sim.NewRNG(cfg.Seed)
 
-	kind := cfg.TopologyKind
-	if kind == 0 {
-		kind = topology.Mesh
-	}
-	n.topo = topology.New(kind, cfg.Width, cfg.Height)
+	n.topo = topology.New(cfg.TopologyKind, cfg.Width, cfg.Height)
 	nodes := n.topo.Nodes()
 
 	// Observability: attach the packet-journey tracker, any caller sink
@@ -154,15 +150,8 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 		n.mort = newMortalityState(s, n, route)
 	}
 
-	n.acct[0].counters = *fault.NewCounters()
-	if n.half < nodes {
-		// A split network counts into twice the maps, each making its
-		// storage on its first count: made here, they keep a run's memory
-		// set by the network, not by how long it runs.
-		n.acct[1].counters = *fault.NewCounters()
-		n.acct[0].counters.Reserve()
-		n.acct[1].counters.Reserve()
-	}
+	counters := sim.Make[fault.Counters](s, 2)
+	n.acct[0].counters, n.acct[1].counters = &counters[0], &counters[1]
 	if n.bus.Enabled() {
 		// Republish fault accounting as structured events, stamped with
 		// the live cycle (the counters themselves are cycle-blind).
@@ -231,7 +220,7 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 			RecoveryEnabled: cfg.RecoveryEnabled,
 			Cthres:          cfg.Cthres,
 			Events:          &a.events,
-			Counters:        &a.counters,
+			Counters:        a.counters,
 			Bus:             &n.bus,
 			RTFault:         injector(0, i),
 			VAFault:         injector(1, i),
@@ -257,8 +246,8 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	linkIDs := n.topo.Links()
 	nl := len(linkIDs)
 	a0 := &n.acct[0]
-	links := link.NewChannels(s, &n.kernel, nl, false, &a0.events, &a0.counters)
-	locals := link.NewChannels(s, &n.kernel, 2*nodes, true, &a0.events, &a0.counters)
+	links := link.NewChannels(s, &n.kernel, nl, false, &a0.events, a0.counters)
+	locals := link.NewChannels(s, &n.kernel, 2*nodes, true, &a0.events, a0.counters)
 	n.peUp, n.peDown = locals[:nodes:nodes], locals[nodes:]
 	chanOf := func(i int) *link.Channel {
 		if i < nl {
@@ -266,8 +255,8 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 		}
 		return &locals[i-nl]
 	}
-	txs := link.NewTransmitters(s, nl+2*nodes, chanOf, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &a0.events, &a0.counters)
-	rxs := link.NewReceivers(s, nl+2*nodes, chanOf, cfg.VCs, cfg.Protection, &a0.events, &a0.counters)
+	txs := link.NewTransmitters(s, nl+2*nodes, chanOf, cfg.VCs, cfg.BufDepth, cfg.shifterDepth(), &a0.events, a0.counters)
+	rxs := link.NewReceivers(s, nl+2*nodes, chanOf, cfg.VCs, cfg.Protection, &a0.events, a0.counters)
 	if n.half < nodes {
 		n.splitAccounts(s, linkIDs, links, txs, rxs)
 	}
@@ -654,7 +643,7 @@ func (n *Network) results(stalled bool) Results {
 		TxBufUtil:             n.txUtil.Mean(),
 		RtBufUtil:             n.rtUtil.Mean(),
 		RouterTxUtil:          routerMeans(n.routerUtil),
-		Counters:              a0.counters.Snapshot(&a1.counters),
+		Counters:              a0.counters.Snapshot(a1.counters),
 		Recoveries:            recoveries,
 		ProbesSent:            probes,
 		WormholeViolations:    viol,

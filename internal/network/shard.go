@@ -14,7 +14,7 @@ import (
 // same word; readers sum the two.
 type account struct {
 	events   stats.Events
-	counters fault.Counters
+	counters *fault.Counters
 	latency  stats.LatencyStats
 
 	injected  uint64
@@ -56,8 +56,8 @@ func (n *Network) splitAccounts(s *sim.Slabs, ids []topology.LinkID, links []lin
 	for l, id := range ids {
 		dst, _ := n.topo.Neighbor(id.From, id.Dir)
 		from, to := n.acctOf(int(id.From)), n.acctOf(int(dst))
-		txs[l].SetAccounts(&from.events, &from.counters)
-		rxs[l].SetAccounts(&to.events, &to.counters)
+		txs[l].SetAccounts(&from.events, from.counters)
+		rxs[l].SetAccounts(&to.events, to.counters)
 		if from != to {
 			cut = append(cut, &links[l])
 		}
@@ -65,8 +65,8 @@ func (n *Network) splitAccounts(s *sim.Slabs, ids []topology.LinkID, links []lin
 	nodes, nl, a := n.topo.Nodes(), len(links), &n.acct[1]
 	for i := n.half; i < nodes; i++ {
 		for _, j := range [...]int{nl + i, nl + nodes + i} {
-			txs[j].SetAccounts(&a.events, &a.counters)
-			rxs[j].SetAccounts(&a.events, &a.counters)
+			txs[j].SetAccounts(&a.events, a.counters)
+			rxs[j].SetAccounts(&a.events, a.counters)
 		}
 	}
 	n.outboxes = link.NewOutboxes(s, cut)
