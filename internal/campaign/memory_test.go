@@ -27,11 +27,12 @@ func bytesOf(fn func()) uint64 {
 }
 
 // A process's construction memory is set by its cores, not its
-// campaigns: pool workers take their slab stores from the process's free
-// list, so once one campaign has built a shape, an 8-point grid of that
-// shape on one worker allocates less than a single fresh build of it (a
-// store per campaign spent about one fresh build per worker). A rebuild
-// in a store allocates under 2% of a fresh build's bytes.
+// campaigns: every replicate builds in a slab store from sim's free list
+// and its run gives the store back, so once one campaign has built a
+// shape, an 8-point grid of that shape on one worker allocates less than
+// a single fresh build of it, one in an empty store (a store per campaign
+// spent about one fresh build per worker). A rebuild in a store allocates
+// under 2% of a fresh build's bytes.
 func TestCampaignMemoryIndependentOfPoints(t *testing.T) {
 	// One P keeps the runtime's own thread start-up out of the counts
 	// (see network.TestRunMemoryIndependentOfLength).
@@ -56,7 +57,7 @@ func TestCampaignMemoryIndependentOfPoints(t *testing.T) {
 	}
 	run(grid(1))() // the warm-up: leaves a 6x6 store on the free list
 	eight := bytesOf(run(grid(8)))
-	fresh := bytesOf(func() { network.New(base) })
+	fresh := bytesOf(func() { network.NewIn(new(sim.Slabs), base) })
 	t.Logf("8-point grid after a warm-up: %d bytes; one fresh 6x6 build: %d bytes", eight, fresh)
 	if eight >= fresh {
 		t.Errorf("an 8-point grid after a warm-up allocates %d bytes, not under one fresh build's %d", eight, fresh)
@@ -66,7 +67,7 @@ func TestCampaignMemoryIndependentOfPoints(t *testing.T) {
 	cfg.Routing = routing.FaultAdaptive
 	var s sim.Slabs
 	network.NewIn(&s, cfg)
-	fresh = bytesOf(func() { network.New(cfg) })
+	fresh = bytesOf(func() { network.NewIn(new(sim.Slabs), cfg) })
 	reused := bytesOf(func() { network.NewIn(&s, cfg) })
 	t.Logf("6x6 fault-adaptive build: %d bytes fresh, %d rebuilt in a store", fresh, reused)
 	if reused*50 >= fresh {

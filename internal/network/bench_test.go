@@ -289,7 +289,7 @@ func BenchmarkNew16x16(b *testing.B) {
 
 // BenchmarkNewReused6x6 times construction in a store on one of
 // campaign_grid's points, rebuilt in the slabs its previous build left —
-// what every replicate after a campaign worker's first costs. B/op is
+// what every New after a process's first costs. B/op is
 // what the store does not cover; scripts/bench.sh holds it under 2% of a
 // fresh build's.
 func BenchmarkNewReused6x6(b *testing.B) {
@@ -303,13 +303,13 @@ func BenchmarkNewReused6x6(b *testing.B) {
 	}
 }
 
-// BenchmarkNewFresh6x6 is BenchmarkNewReused6x6's point built by New:
-// the bytes the store saves are the difference.
+// BenchmarkNewFresh6x6 is BenchmarkNewReused6x6's point built in an empty
+// store: the bytes the store saves are the difference.
 func BenchmarkNewFresh6x6(b *testing.B) {
 	cfg := gridPointConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		builtNet = New(cfg)
+		builtNet = NewIn(new(sim.Slabs), cfg)
 	}
 }
 

@@ -222,23 +222,23 @@ func (c Config) Validate() error {
 			if _, ok := topo.Neighbor(ld.From, ld.Dir); !ok {
 				return fail("mortality schedule names non-existent link %v from node %d", ld.Dir, ld.From)
 			}
-			if c.MaxCycles > 0 && ld.Cycle >= c.MaxCycles {
-				return fail("mortality link death at cycle %d is past MaxCycles %d", ld.Cycle, c.MaxCycles)
+			if ld.Cycle >= d.MaxCycles {
+				return fail("mortality link death at cycle %d is past MaxCycles %d", ld.Cycle, d.MaxCycles)
 			}
 		}
 		for _, rd := range mort.Routers {
 			if int(rd.Node) >= topo.Nodes() {
 				return fail("mortality schedule names node %d outside the %dx%d topology", rd.Node, c.Width, c.Height)
 			}
-			if c.MaxCycles > 0 && rd.Cycle >= c.MaxCycles {
-				return fail("mortality router death at cycle %d is past MaxCycles %d", rd.Cycle, c.MaxCycles)
+			if rd.Cycle >= d.MaxCycles {
+				return fail("mortality router death at cycle %d is past MaxCycles %d", rd.Cycle, d.MaxCycles)
 			}
 		}
 		if mort.HazardStop != 0 && mort.HazardStart > mort.HazardStop {
 			return fail("mortality hazard window [%d,%d) is empty", mort.HazardStart, mort.HazardStop)
 		}
-		if mort.HazardRate > 0 && c.MaxCycles > 0 && mort.HazardStart >= c.MaxCycles {
-			return fail("mortality hazard start %d is past MaxCycles %d", mort.HazardStart, c.MaxCycles)
+		if mort.HazardRate > 0 && mort.HazardStart >= d.MaxCycles {
+			return fail("mortality hazard start %d is past MaxCycles %d", mort.HazardStart, d.MaxCycles)
 		}
 	}
 	return nil

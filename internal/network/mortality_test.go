@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ftnoc/internal/fault"
@@ -378,6 +379,30 @@ func TestValidateMortality(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
+	}
+}
+
+// A MaxCycles of 0 runs with the 2 000 000-cycle default, so Validate holds
+// a mortality schedule to that horizon: a 4x4 document whose link dies at
+// cycle 3 000 000 is rejected with the same message whether it says 0 or
+// the default.
+func TestValidateMortalityDefaultHorizon(t *testing.T) {
+	check := func(maxCycles string) string {
+		doc := `{"Width":4,"Height":4,"MaxCycles":` + maxCycles +
+			`,"Faults":{"Mortality":{"Links":[{"From":0,"Dir":2,"Cycle":3000000}]}}}`
+		cfg, err := ReadConfig(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cfg.Validate()
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("MaxCycles %s: Validate() = %v, want ErrInvalidConfig", maxCycles, err)
+		}
+		return err.Error()
+	}
+	zero, def := check("0"), check("2000000")
+	if zero != def || !strings.Contains(def, "mortality link death at cycle 3000000 is past MaxCycles 2000000") {
+		t.Errorf("MaxCycles 0: %q\nMaxCycles 2000000: %q", zero, def)
 	}
 }
 

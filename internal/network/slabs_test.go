@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"ftnoc/internal/fault"
@@ -11,6 +12,7 @@ import (
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/sim"
+	"ftnoc/internal/topology"
 )
 
 // checkedRun builds cfg in s with a fresh invariant checker attached, runs
@@ -87,6 +89,126 @@ func TestNewInMatchesNew(t *testing.T) {
 			t.Errorf("build %d's Results changed when the store built again:\nnow:  %s\nwant: %s", i, got, want[i])
 		}
 	}
+}
+
+// Lone runs share sim's free list, so nothing a run hands back may alias
+// a slab, and a New after Run reads reused memory only through misuse,
+// which panics by name. Run A, 6x6 fault-adaptive with links and a router
+// dying, gives its store back; runs B and C, of other shapes, VCs and
+// protections, then build from the list at once, one of them in A's
+// store. A's Results must still marshal byte-identically, B's and C's
+// must equal their runs in a private store, and A must still answer
+// KernelStats and Topology while Routers, Snapshot, Kernel and a second
+// Run panic. A run that panics gives its store back too.
+func TestLoneRunsSurviveStoreReuse(t *testing.T) {
+	// pooled builds cfg with New and a fresh invariant checker, and returns
+	// the store it took and a run that reports its Results as JSON. Both
+	// also run on goroutines the test starts, so they report with t.Error.
+	pooled := func(cfg Config) (*sim.Slabs, func() []byte) {
+		chk := invariant.New(invariant.Config{})
+		cfg.Invariants = chk
+		n := New(cfg)
+		return n.slabs, func() []byte {
+			js, err := json.Marshal(n.Run())
+			if err != nil {
+				t.Error(err)
+			}
+			for _, v := range chk.Violations() {
+				t.Errorf("invariant violation: %v", v)
+			}
+			return js
+		}
+	}
+
+	cfgA := gridPointConfig()
+	chkA := invariant.New(invariant.Config{})
+	cfgA.Invariants = chkA
+	a := New(cfgA)
+	storeA := a.slabs
+	resA := a.Run()
+	wantA, err := json.Marshal(resA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range chkA.Violations() {
+		t.Errorf("run A: invariant violation: %v", v)
+	}
+
+	b := NewConfig()
+	b.Width, b.Height, b.VCs = 4, 4, 5
+	b.Protection = link.E2E
+	b.InjectionRate = 0.15
+	b.WarmupMessages, b.TotalMessages = 100, 600
+	b.Faults.Link = 1e-3
+	c := NewConfig()
+	c.Width, c.Height, c.VCs = 8, 8, 2
+	c.WarmupMessages, c.TotalMessages = 100, 600
+	c.Faults.Link = 1e-3
+	var gotB, gotC []byte
+	var storeB, storeC *sim.Slabs
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var run func() []byte
+		storeB, run = pooled(b)
+		gotB = run()
+	}()
+	go func() {
+		defer wg.Done()
+		var run func() []byte
+		storeC, run = pooled(c)
+		gotC = run()
+	}()
+	wg.Wait()
+	if storeB != storeA && storeC != storeA {
+		t.Error("neither B nor C built in the store A gave back: the test proves nothing")
+	}
+
+	if got, err := json.Marshal(resA); err != nil || !bytes.Equal(got, wantA) {
+		t.Errorf("run A's Results changed after later runs built in its store (%v):\nbefore: %s\nafter:  %s", err, wantA, got)
+	}
+	for _, r := range []struct {
+		name string
+		cfg  Config
+		got  []byte
+	}{{"B", b, gotB}, {"C", c, gotC}} {
+		if _, want := checkedRun(t, new(sim.Slabs), r.cfg); !bytes.Equal(r.got, want) {
+			t.Errorf("run %s from the free list differs from its run in a private store:\nlist:    %s\nprivate: %s", r.name, r.got, want)
+		}
+	}
+
+	if ks := a.KernelStats(); ks.Ticked == 0 || a.Topology().Nodes() != 36 {
+		t.Errorf("after Run: kernel stats %+v, %d nodes", ks, a.Topology().Nodes())
+	}
+	for call, fn := range map[string]func(){
+		"Routers":  func() { a.Routers() },
+		"Snapshot": func() { a.Snapshot() },
+		"Kernel":   func() { a.Kernel() },
+		"Run":      func() { a.Run() },
+	} {
+		if got, want := panicOf(fn), "network: "+call+" after Run: the network's slabs went back to the free list"; got != want {
+			t.Errorf("%s after Run: panic %v, want %q", call, got, want)
+		}
+	}
+
+	d := NewConfig()
+	d.Width, d.Height = 4, 4
+	n := New(d)
+	n.chanAt[0*int(topology.NumPorts)+int(topology.East)].SetCorruptor(&panicAfter{k: 10})
+	if p := panicOf(func() { n.Run() }); p != "boom" {
+		t.Fatalf("recovered %v, want the link's panic", p)
+	}
+	if p := panicOf(func() { n.Routers() }); p == nil {
+		t.Error("a run that panicked kept its store")
+	}
+}
+
+// panicOf calls fn and returns what it panicked with, nil if nothing.
+func panicOf(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
 }
 
 // gridPointConfig is one point of the campaign_grid workload's grid: a

@@ -6,6 +6,7 @@ import (
 
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/traffic"
 )
@@ -18,7 +19,8 @@ func TestPacketConservation(t *testing.T) {
 	cfg.WarmupMessages = 0
 	cfg.InjectLimit = 2_000
 	cfg.TotalMessages = 2_000
-	n := New(cfg)
+	// A private store, never given back: the routers stay readable after Run.
+	n := NewIn(new(sim.Slabs), cfg)
 	res := n.Run()
 	if res.Stalled {
 		t.Fatal("stalled")
@@ -89,7 +91,9 @@ func TestSoakRandomConfigs(t *testing.T) {
 			cfg.WarmupMessages = 100
 			cfg.TotalMessages = 800
 			cfg.MaxCycles = 400_000
-			n := New(cfg)
+			// A private store, never given back: the routers stay readable
+			// after Run.
+			n := NewIn(new(sim.Slabs), cfg)
 			res := n.Run()
 			if res.Stalled || res.Delivered < cfg.TotalMessages {
 				t.Fatalf("delivered %d/%d (stalled=%v): %+v", res.Delivered, cfg.TotalMessages, res.Stalled, cfg)

@@ -119,24 +119,6 @@ func (k *Kernel) StopShards() {
 	giveHelper(h)
 	k.par = shards{}
 	ReleaseCores(2)
-	scrubRegisters()
-}
-
-// scrubLen is a variable so that scrubRegisters copies by runtime.memmove.
-var scrubLen = 256
-
-// scrubRegisters zeroes the calling thread's X0-X15, which an amd64
-// memmove of 129-256 bytes goes through. The collector scans the saved
-// registers of a goroutine it preempts asynchronously as pointers, and a
-// sharded run leaves words pointing into its slabs in X13 and X14: in about
-// one 16x16 run in fifty they kept the finished network alive through the
-// next build's first collection, doubling the heap goal (peak RSS +7 MiB).
-//
-//go:noinline
-func scrubRegisters() byte {
-	var zero, dst [256]byte
-	copy(dst[:scrubLen], zero[:scrubLen])
-	return dst[scrubLen-1]
 }
 
 // moveDue moves queued deliveries from one ring to another: those that
