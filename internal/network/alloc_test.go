@@ -8,6 +8,7 @@ import (
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/sim"
 )
 
 // maxNewAllocs bounds what New may allocate at any mesh size: every
@@ -15,9 +16,11 @@ import (
 // per-channel term.
 const maxNewAllocs = 64
 
-// New costs a constant number of allocations: the same bound holds from
-// 4x4 to 16x16, and under the hard-fault regime (fault-adaptive routing,
-// a mortality timeline, link faults).
+// A cold build, in an empty store, costs a constant number of
+// allocations: the same bound holds from 4x4 to 16x16, and under the
+// hard-fault regime (fault-adaptive routing, a mortality timeline, link
+// faults). The store is made here rather than taken from sim's free list,
+// which may hold a store an earlier test's Run gave back.
 func TestNewAllocsSizeIndependent(t *testing.T) {
 	mort, err := fault.ParseMortality("link:8E@300,router:21@700")
 	if err != nil {
@@ -43,10 +46,10 @@ func TestNewAllocsSizeIndependent(t *testing.T) {
 		{"6x6 mortality", degraded},
 	}
 	for _, c := range cases {
-		n := testing.AllocsPerRun(3, func() { New(c.cfg) })
+		n := testing.AllocsPerRun(3, func() { NewIn(new(sim.Slabs), c.cfg) })
 		t.Logf("%s: %v allocations", c.name, n)
 		if n > maxNewAllocs {
-			t.Errorf("New(%s) = %v allocations, want <= %d", c.name, n, maxNewAllocs)
+			t.Errorf("cold New(%s) = %v allocations, want <= %d", c.name, n, maxNewAllocs)
 		}
 	}
 }
