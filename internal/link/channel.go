@@ -92,9 +92,8 @@ type Channel struct {
 	credOut []Credit
 
 	injector fault.Corruptor // nil for fault-free channels
-	// events and counters are what the bare-wire methods (Send,
-	// SendCredit, SendNACK, RecvNACKs) charge; a Transmitter or Receiver
-	// charges its own.
+	// events and counters are what the bare-wire methods (Send, SendCredit,
+	// SendNACK) charge; a Transmitter or Receiver charges its own.
 	events   *stats.Events
 	counters *fault.Counters
 	local    bool // PE<->router channel: no fault injection, separate energy class
@@ -265,33 +264,24 @@ func (c *Channel) sendNACK(vc uint8, kind NACKKind, events *stats.Events, counte
 	c.nacks.Push(NACK{VC: vc, Kind: kind})
 }
 
-// RecvNACKs drains all NACKs visible this cycle, applying handshake-line
-// fault injection: a faulted signal is masked by the TMR voter when
-// enabled, or lost otherwise.
-func (c *Channel) RecvNACKs() []NACK { return c.recvNACKs(c.counters) }
-
-// recvNACKs is RecvNACKs charging counters.
-func (c *Channel) recvNACKs(counters *fault.Counters) []NACK {
-	ns := c.nacks.PopAll()
-	if c.hsRate == 0 || len(ns) == 0 {
-		return ns
-	}
-	kept := ns[:0]
-	for _, n := range ns {
-		if c.hsRNG.Bool(c.hsRate) {
-			counters.AddInjected(fault.HandshakeError)
-			if c.hsTMR {
-				// Two clean copies out-vote the faulted line.
-				counters.AddCorrected(fault.HandshakeError)
-				kept = append(kept, n)
-				continue
-			}
-			counters.AddUndetected(fault.HandshakeError)
-			continue
+// popNACK removes the next NACK visible this cycle and returns its wire
+// slot (sim.Pipe.PopSlot), nil once none is left, applying handshake-line
+// fault injection charged to counters: a faulted signal is masked by the
+// TMR voter when enabled, or lost otherwise.
+func (c *Channel) popNACK(counters *fault.Counters) *NACK {
+	for {
+		n := c.nacks.PopSlot()
+		if n == nil || c.hsRate == 0 || !c.hsRNG.Bool(c.hsRate) {
+			return n
 		}
-		kept = append(kept, n)
+		counters.AddInjected(fault.HandshakeError)
+		if c.hsTMR {
+			// Two clean copies out-vote the faulted line.
+			counters.AddCorrected(fault.HandshakeError)
+			return n
+		}
+		counters.AddUndetected(fault.HandshakeError)
 	}
-	return kept
 }
 
 // InFlightData counts the data flits anywhere in the forward wire that

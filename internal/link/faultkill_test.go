@@ -106,8 +106,8 @@ func TestChannelDropNACKs(t *testing.T) {
 	h.k.Run(NACKLatency + 1)        // let it reach the visible slot
 	h.ch.SendNACK(1, NACKLinkError) // and stage another, still in flight
 	h.ch.DropNACKs()
-	if ns := h.ch.RecvNACKs(); len(ns) != 0 {
-		t.Fatalf("RecvNACKs returned %v after DropNACKs", ns)
+	if ns := recvNACKs(h.ch); len(ns) != 0 {
+		t.Fatalf("recvNACKs returned %v after DropNACKs", ns)
 	}
 }
 

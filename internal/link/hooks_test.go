@@ -31,7 +31,7 @@ func TestChannelHooks(t *testing.T) {
 			flits++
 		}
 	}}
-	txA := &napper{poll: func() { nacks += len(ch.RecvNACKs()) }}
+	txA := &napper{poll: func() { nacks += len(recvNACKs(ch)) }}
 	rxH, txH := k.RegisterActor(rxA), k.RegisterActor(txA)
 	k.EnableQuiescence(rxH)
 	k.EnableQuiescence(txH)

@@ -61,17 +61,34 @@ func (m *tickedTx) drain(vc int) []flit.Flit {
 	return out
 }
 
+// popAll pops every value visible on p this cycle, oldest first.
+func popAll[T any](p *sim.Pipe[T]) (vs []T) {
+	for v, ok := p.Pop(); ok; v, ok = p.Pop() {
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// recvNACKs drains every NACK visible on c this cycle (popNACK), charged
+// to c's own counters: the bare-wire view for an end with no Transmitter.
+func recvNACKs(c *Channel) (ns []NACK) {
+	for n := c.popNACK(c.counters); n != nil; n = c.popNACK(c.counters) {
+		ns = append(ns, *n)
+	}
+	return ns
+}
+
 // beginCycle is the old BeginCycle: link-error NACKs drain into the replay
 // queue, the rest are returned, then every visible credit is counted.
 func (m *tickedTx) beginCycle() (routerNACKs []NACK) {
-	for _, n := range m.nacks.PopAll() {
+	for _, n := range popAll(m.nacks) {
 		if n.Kind != NACKLinkError {
 			routerNACKs = append(routerNACKs, n)
 			continue
 		}
 		m.replay = append(m.replay, m.drain(int(n.VC))...)
 	}
-	for _, c := range m.credits.PopAll() {
+	for _, c := range popAll(m.credits) {
 		m.vcs[c.VC].credits++
 	}
 	return routerNACKs
@@ -329,7 +346,7 @@ func TestCreditWireMatchesPipeModel(t *testing.T) {
 			}
 			if c >= nextRead {
 				nextRead = c + uint64(rng.Intn(301))
-				if got, want := perVC(ch.RecvCredits()), perVC(pipe.PopAll()); got != want {
+				if got, want := perVC(ch.RecvCredits()), perVC(popAll(pipe)); got != want {
 					t.Fatalf("seed %d cycle %d: RecvCredits per VC %v, pipe %v", seed, c, got, want)
 				}
 			}

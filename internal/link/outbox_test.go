@@ -40,7 +40,7 @@ func TestOutboxMatchesDirectWires(t *testing.T) {
 		for i, e := range []*end{direct, boxed} {
 			cyc := e.k.Cycle()
 			f, ok := e.ch.Recv()
-			seen[i] = append(seen[i], fmt.Sprint(cyc, f.Seq, ok, e.ch.RecvCredits(), e.ch.RecvNACKs()))
+			seen[i] = append(seen[i], fmt.Sprint(cyc, f.Seq, ok, e.ch.RecvCredits(), recvNACKs(e.ch)))
 			for j := 0; j < flits; j++ {
 				e.ch.Send(flit.Flit{Seq: uint8(c*4 + j), Type: flit.Body})
 			}

@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"slices"
 
 	"ftnoc/internal/flit"
 )
@@ -126,9 +125,8 @@ func (rb *RetransBuffer) expired(clock uint64) int {
 
 // AppendDrain removes the retained flits and appends them to dst, oldest
 // first; the caller retransmits them in order (re-capturing each as it
-// goes back out on the wire). dst grows at most once.
+// goes back out on the wire).
 func (rb *RetransBuffer) AppendDrain(dst []flit.Flit) []flit.Flit {
-	dst = slices.Grow(dst, rb.count)
 	for i := 0; i < rb.count; i++ {
 		dst = append(dst, rb.ring[rb.slot(i)].f)
 	}

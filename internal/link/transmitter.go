@@ -37,8 +37,10 @@ type Transmitter struct {
 	// before it takes more flits.
 	replay     []flit.Flit
 	replayHead int
-	events     *stats.Events
-	counters   *fault.Counters
+	// nacks backs BeginCycle's return value.
+	nacks    []NACK
+	events   *stats.Events
+	counters *fault.Counters
 
 	// Retransmission-buffer soft errors (§4.5).
 	rbRate      float64
@@ -167,6 +169,10 @@ func (t *Transmitter) SetAccounts(events *stats.Events, counters *fault.Counters
 // next one to tick.
 func (t *Transmitter) clock() uint64 { return t.ch.k.Cycle() }
 
+// Slabs returns the store the transmitter's owner grows its buffers in:
+// that of the actor its NACK wire wakes (Channel.WakeTx, sim.Kernel.Slabs).
+func (t *Transmitter) Slabs() *sim.Slabs { return t.ch.nacks.Slabs() }
+
 // CountInto makes w count this transmitter's captures and drains too,
 // beginning with the entries it holds now. A router gives all its output
 // ports one window, so its occupancy sampler reads one sum.
@@ -189,7 +195,7 @@ func (t *Transmitter) drainShifter(vc int, dst []flit.Flit) []flit.Flit {
 			t.total.drop(sent)
 		}
 	}
-	return sh.AppendDrain(dst)
+	return sh.AppendDrain(sim.Grow(t.Slabs(), dst, sh.count))
 }
 
 // BeginCycle ingests the NACKs visible this cycle: link-error NACKs drain
@@ -197,14 +203,13 @@ func (t *Transmitter) drainShifter(vc int, dst []flit.Flit) []flit.Flit {
 // invalidations, misroute reports) are returned for the router to act on
 // — their flits stay in the shifters until the router Recalls them. It
 // must run before the cycle's sends on any cycle a NACK is visible, and
-// costs one look at an empty wire on any other. The returned slice is
-// valid until the next BeginCycle.
+// costs one look at an empty wire on any other. It pops the NACKs in
+// place; the returned slice is valid until the next BeginCycle.
 func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
-	ns := t.ch.recvNACKs(t.counters)
-	routerNACKs := ns[:0] // filtered in place: the wire's own scratch
-	for _, n := range ns {
+	t.nacks = t.nacks[:0]
+	for n := t.ch.popNACK(t.counters); n != nil; n = t.ch.popNACK(t.counters) {
 		if n.Kind != NACKLinkError {
-			routerNACKs = append(routerNACKs, n)
+			t.nacks = append(sim.Grow(t.Slabs(), t.nacks, 1), *n)
 			continue
 		}
 		if int(n.VC) >= len(t.vcs) {
@@ -218,7 +223,7 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 		}
 		t.replay = t.drainShifter(int(n.VC), t.replay)
 	}
-	return routerNACKs
+	return t.nacks
 }
 
 // ExpireShifters frees the retransmission-buffer slots no longer live at

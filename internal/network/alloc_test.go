@@ -212,3 +212,58 @@ func TestRunMemoryIndependentOfLength(t *testing.T) {
 		})
 	}
 }
+
+// maxRunAllocs bounds what Run may allocate in a store an earlier run of
+// the same config grew: its Results and their latency table.
+const maxRunAllocs = 32
+
+// A run in a reused store allocates only in New: every buffer a run grows
+// (injection queues, replay queues, NACK rings, delivery lists, pending
+// windows, probe memory) comes from the store, so the second Run of a
+// config, built in the store the first gave back, makes at most
+// maxRunAllocs allocations. Clean, under heavy transient faults, at low
+// load on a 16x16 mesh, and under FEC with links and a router dying.
+func TestRunAllocatesOnlyInNew(t *testing.T) {
+	mort, err := fault.ParseMortality("link:8E@300,router:21@700")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One P: no OS thread starts mid-run, and the free list keeps one
+	// store, so the second run builds in the first one's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	clean := NewConfig()
+	clean.WarmupMessages, clean.TotalMessages = 1000, 7000
+	clean.Faults.Link = 1e-5
+	heavy := clean
+	heavy.Faults = fault.Rates{Link: 1e-1, LinkDouble: 0.5, RT: 1e-2, VA: 1e-2, SA: 1e-2}
+	sparse := clean
+	sparse.Width, sparse.Height = 16, 16
+	sparse.InjectionRate = 0.02
+	sparse.WarmupMessages, sparse.TotalMessages = 500, 2500
+	degraded := NewConfig()
+	degraded.Width, degraded.Height = 6, 6
+	degraded.WarmupMessages, degraded.TotalMessages = 1000, 7000
+	degraded.InjectionRate = 0.15
+	degraded.Routing = routing.FaultAdaptive
+	degraded.Protection = link.FEC
+	degraded.Faults.Link = 1e-5
+	degraded.Faults.Mortality = mort
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"hbh_clean", clean},
+		{"faults_heavy", heavy},
+		{"sparse_16x16", sparse},
+		{"fec_mortality_6x6", degraded},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			first, _ := runCost(c.cfg)
+			again, bytes := runCost(c.cfg)
+			t.Logf("%d allocations in the first run, %d (%d bytes) in the second", first, again, bytes)
+			if again > maxRunAllocs {
+				t.Errorf("a run in a reused store makes %d allocations, want <= %d", again, maxRunAllocs)
+			}
+		})
+	}
+}

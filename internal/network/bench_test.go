@@ -313,5 +313,22 @@ func BenchmarkNewFresh6x6(b *testing.B) {
 	}
 }
 
+// BenchmarkRunReusedFaults times a whole faults_heavy run, New and Run,
+// in the store the previous run gave back: what every lone run after a
+// process's first costs. allocs/op is what the store does not cover, the
+// network's own few objects and its Results; scripts/bench.sh holds it
+// at TestRunAllocatesOnlyInNew's bound, maxRunAllocs.
+func BenchmarkRunReusedFaults(b *testing.B) {
+	cfg := NewConfig()
+	cfg.WarmupMessages, cfg.TotalMessages = 1000, 7000
+	cfg.Faults = fault.Rates{Link: 1e-1, LinkDouble: 0.5, RT: 1e-2, VA: 1e-2, SA: 1e-2}
+	New(cfg).Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(cfg).Run()
+	}
+}
+
 // builtNet keeps the construction benchmarks' results alive.
 var builtNet *Network

@@ -240,9 +240,6 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	for i := range routers {
 		n.routers[i] = &routers[i]
 	}
-	if n.half < nodes {
-		router.SplitPending(routers, n.half)
-	}
 
 	// Channels: one per direction of every inter-router link, in
 	// topo.Links order, then the PE <-> router local channels (fault-free,

@@ -270,7 +270,7 @@ func (p *pe) queuePush(pkt flit.Packet) {
 		p.queue = p.queue[:n]
 		p.qHead = 0
 	}
-	p.queue = append(p.queue, pkt)
+	p.queue = append(sim.Grow(p.tx.Slabs(), p.queue, 1), pkt)
 }
 
 // queuePop removes and returns the front packet; the backing array is
@@ -291,7 +291,7 @@ func (p *pe) queueFront(pkt flit.Packet) {
 		p.qHead--
 		p.queue[p.qHead] = pkt
 	} else {
-		p.queue = append(p.queue, flit.Packet{})
+		p.queue = append(sim.Grow(p.tx.Slabs(), p.queue, 1), flit.Packet{})
 		copy(p.queue[1:], p.queue)
 		p.queue[0] = pkt
 	}
@@ -306,11 +306,12 @@ func (p *pe) assign() {
 		}
 		switch {
 		case len(p.ctrl) > 0:
-			p.vcBuf[v] = append(p.vcBuf[v][:0], p.ctrl[:retransReqSize]...)
+			p.vcBuf[v] = append(sim.Grow(p.tx.Slabs(), p.vcBuf[v][:0], retransReqSize), p.ctrl[:retransReqSize]...)
 			p.vcFlits[v] = p.vcBuf[v]
 			p.ctrl = p.ctrl[:copy(p.ctrl, p.ctrl[retransReqSize:])]
 		case p.qHead < len(p.queue):
-			p.vcBuf[v] = p.queuePop().AppendFlits(p.vcBuf[v][:0])
+			pkt := p.queuePop()
+			p.vcBuf[v] = pkt.AppendFlits(sim.Grow(p.tx.Slabs(), p.vcBuf[v][:0], pkt.Size))
 			p.vcFlits[v] = p.vcBuf[v]
 		default:
 			return
@@ -464,7 +465,7 @@ func (p *pe) sendRetransRequest(cycle uint64, src flit.NodeID, pid flit.PacketID
 		Size:       retransReqSize,
 		InjectedAt: cycle,
 	}
-	p.ctrl = req.AppendFlits(p.ctrl)
+	p.ctrl = req.AppendFlits(sim.Grow(p.tx.Slabs(), p.ctrl, retransReqSize))
 	tail := &p.ctrl[len(p.ctrl)-1]
 	tail.Word = requestWord(pid)
 	tail.Check = ecc.Encode(tail.Word)
@@ -488,7 +489,7 @@ func (p *pe) retain(ret retained) {
 	if i := p.retainedAt(ret.pkt.ID); i >= 0 {
 		p.retention[i] = ret
 	} else {
-		p.retention = append(p.retention, ret)
+		p.retention = append(sim.Grow(p.tx.Slabs(), p.retention, 1), ret)
 	}
 	if occ := len(p.retention); occ > p.acct.e2eBufMax {
 		p.acct.e2eBufMax = occ

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -228,4 +229,39 @@ func gridPointConfig() Config {
 	cfg.Faults.Link = 1e-2
 	cfg.Faults.Mortality = mort
 	return cfg
+}
+
+// One large run does not inflate the small runs after it: a store that
+// ran a 24x24 mesh and then a 4x4 one keeps, between builds, within 2x
+// of what a store that ran 4x4 meshes only keeps.
+func TestStoreShrinksAfterLargeRun(t *testing.T) {
+	small := NewConfig()
+	small.Width, small.Height = 4, 4
+	small.WarmupMessages, small.TotalMessages = 200, 1000
+	large := small
+	large.Width, large.Height = 24, 24
+	large.InjectionRate = 0.02
+	// kept runs cfgs in a private store and returns the live heap it adds
+	// once the store has begun its next build: cleared, and released
+	// what it would not reuse.
+	kept := func(cfgs ...Config) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		s := new(sim.Slabs)
+		for _, cfg := range cfgs {
+			NewIn(s, cfg).Run()
+		}
+		s.Begin()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(s)
+		return m1.HeapAlloc - min(m1.HeapAlloc, m0.HeapAlloc)
+	}
+	only := kept(small, small, small)
+	after := kept(small, small, small, large, small)
+	t.Logf("4x4 runs only: %d KiB kept; after a 24x24 run: %d KiB", only>>10, after>>10)
+	if after > 2*only {
+		t.Errorf("a 4x4 run after a 24x24 one leaves its store holding %d KiB, over 2x the %d KiB of 4x4 runs alone", after>>10, only>>10)
+	}
 }

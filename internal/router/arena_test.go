@@ -70,7 +70,7 @@ func TestRouterArenaWindows(t *testing.T) {
 		if q := owner.queued(); len(q) != 3*(round+1) || q[0].PID != pkt.ID {
 			t.Fatalf("recall %d: pending %v", round, q)
 		}
-		// The first recall gave every input VC of the batch a pending
+		// The first recall gave every input VC of the router a pending
 		// window. Filling the next VC's window leaves the owner's queue
 		// intact, first inside its own window and then, after the second
 		// recall outgrew it, in storage of its own.
@@ -82,9 +82,14 @@ func TestRouterArenaWindows(t *testing.T) {
 			t.Fatalf("recall %d: pending %v after filling the next VC's window", round, q)
 		}
 		next.clearPending()
+		for _, ivc := range mid.flatVCs {
+			if ivc != nil && ivc != owner && cap(ivc.pending) != link.NACKWindow {
+				t.Fatalf("recall %d: router 1 %v/%d has a %d-flit pending window, want %d", round, ivc.port, ivc.idx, cap(ivc.pending), link.NACKWindow)
+			}
+		}
 		for _, ivc := range p.a.flatVCs {
-			if ivc != nil && cap(ivc.pending) != link.NACKWindow {
-				t.Fatalf("recall %d: router 0 %v/%d has a %d-flit pending window, want %d", round, ivc.port, ivc.idx, cap(ivc.pending), link.NACKWindow)
+			if ivc != nil && cap(ivc.pending) != 0 {
+				t.Fatalf("recall %d: router 0 %v/%d has a pending window, though it never parked", round, ivc.port, ivc.idx)
 			}
 		}
 		intact("after recall")

@@ -3,9 +3,11 @@ package router
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 )
@@ -123,13 +125,19 @@ func (r *Router) sendSignal(cycle uint64, t flit.Type, ivc *inputVC, m probeMsg)
 }
 
 // rememberProbe records that a probe with key k passed at cycle, for
-// validating its activation (Rule 3). The table is made on the first
+// validating its activation (Rule 3). The table grows from the first
 // probe: most routers never see one.
 func (r *Router) rememberProbe(k probeKey, cycle uint64) {
-	if r.probeSeen == nil {
-		r.probeSeen = make(map[probeKey]uint64)
+	if i := r.probeAt(k); i >= 0 {
+		r.probeSeen[i].at = cycle
+		return
 	}
-	r.probeSeen[k] = cycle
+	r.probeSeen = append(sim.Grow(r.slabs(), r.probeSeen, 1), probeRecord{k, cycle})
+}
+
+// probeAt returns the index of k's record in probeSeen, or -1.
+func (r *Router) probeAt(k probeKey) int {
+	return slices.IndexFunc(r.probeSeen, func(p probeRecord) bool { return p.key == k })
 }
 
 // handleControl processes an arriving probe or activation flit (Rules
@@ -157,7 +165,7 @@ func (r *Router) handleControl(cycle uint64, p topology.Port, f *flit.Flit) {
 			return
 		}
 		// Rule 3: only honor activations whose probe we forwarded.
-		if _, ok := r.probeSeen[m.key()]; !ok {
+		if r.probeAt(m.key()) < 0 {
 			return
 		}
 		// Rule 4: switch to recovery mode and pass the activation on.
@@ -334,9 +342,5 @@ func (r *Router) pruneProbeSeen(cycle uint64) {
 	if cycle%probeSeenWindow != 0 || len(r.probeSeen) == 0 {
 		return
 	}
-	for k, c := range r.probeSeen {
-		if cycle-c > probeSeenWindow {
-			delete(r.probeSeen, k)
-		}
-	}
+	r.probeSeen = slices.DeleteFunc(r.probeSeen, func(p probeRecord) bool { return cycle-p.at > probeSeenWindow })
 }

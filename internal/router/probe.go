@@ -65,6 +65,12 @@ func (m probeMsg) key() probeKey {
 	return probeKey{origin: m.Origin, port: m.OriginPort, vc: m.OriginVC}
 }
 
+// probeRecord is a probe-memory entry: the probe seen, and when.
+type probeRecord struct {
+	key probeKey
+	at  uint64
+}
+
 // probeFlit wraps a probeMsg into a control flit of the given type.
 func probeFlit(t flit.Type, m probeMsg) flit.Flit {
 	w, c := encodeProbe(m)

@@ -91,9 +91,9 @@ func TestPruneProbeSeenBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &Router{probeSeen: map[probeKey]uint64{key(3): tc.seen}}
+			r := &Router{probeSeen: []probeRecord{{key(3), tc.seen}}}
 			r.pruneProbeSeen(tc.cycle)
-			if _, ok := r.probeSeen[key(3)]; ok != tc.survives {
+			if ok := r.probeAt(key(3)) >= 0; ok != tc.survives {
 				t.Fatalf("entry seen at %d, pruned at %d: survived=%v, want %v",
 					tc.seen, tc.cycle, ok, tc.survives)
 			}

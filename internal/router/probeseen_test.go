@@ -30,10 +30,10 @@ func TestProbeSeenPrunedDuringRecovery(t *testing.T) {
 	cycle := uint64(4 * probeSeenWindow) // a prune boundary
 	r.rememberProbe(fresh.key(), cycle-2)
 	r.deadlock(cycle)
-	if _, ok := r.probeSeen[stale.key()]; ok {
+	if r.probeAt(stale.key()) >= 0 {
 		t.Fatal("stale probe-memory entry survived pruning during recovery")
 	}
-	if _, ok := r.probeSeen[fresh.key()]; !ok {
+	if r.probeAt(fresh.key()) < 0 {
 		t.Fatal("fresh probe-memory entry pruned early")
 	}
 	if !r.inRecovery {

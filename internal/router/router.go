@@ -67,9 +67,9 @@ type Router struct {
 	// outAttached marks the output ports that have a transmitter.
 	outAttached uint8
 
-	// Deadlock machinery (§3.2.2). probeSeen is made on the first probe
+	// Deadlock machinery (§3.2.2). probeSeen grows from the first probe
 	// (rememberProbe).
-	probeSeen  map[probeKey]uint64
+	probeSeen  []probeRecord
 	inRecovery bool
 	doneStreak int // consecutive all-clear cycles before recovery exits
 
@@ -89,10 +89,8 @@ type Router struct {
 	// backs their buffers and outVCs every output port's VC table the same
 	// way. Each is this router's window of an arena all the routers of
 	// NewRouters share. flatVCs points into arena, in[p].vcs is a window
-	// of flatVCs and out[p].vcs one of outVCs. batch is that whole shared
-	// input-VC arena, which fitPending gives pending-queue storage.
+	// of flatVCs and out[p].vcs one of outVCs.
 	arena  []inputVC
-	batch  []inputVC
 	fifos  []link.FIFO
 	outVCs []outputVC
 
@@ -184,7 +182,6 @@ func NewRouters(s *sim.Slabs, n int, cfg func(i int) Config) []Router {
 		lo, hi := i*per, (i+1)*per
 		r.flatVCs = flat[lo:hi:hi]
 		r.arena = ivcs[lo:hi:hi]
-		r.batch = ivcs
 		r.fifos = fifos[lo:hi:hi]
 		r.outVCs = outs[lo:hi:hi]
 		r.scratchBind = binds[lo:lo:hi]
@@ -1271,10 +1268,10 @@ func (r *Router) AuditInvariants(clock uint64) string {
 		return fmt.Sprintf("router %d: send window reports %d shifter entries live at %d, the ports' own windows %d",
 			r.id, got, clock, inWindow)
 	}
-	for k, seen := range r.probeSeen {
-		if clock > seen && clock-seen > 3*probeSeenWindow {
+	for _, p := range r.probeSeen {
+		if clock > p.at && clock-p.at > 3*probeSeenWindow {
 			return fmt.Sprintf("router %d: probeSeen entry origin=%d aged %d cycles (bound %d) — prune leak",
-				r.id, k.origin, clock-seen, 3*probeSeenWindow)
+				r.id, p.key.origin, clock-p.at, 3*probeSeenWindow)
 		}
 	}
 	return ""

@@ -1,10 +1,12 @@
 package router
 
 import (
+	"math/bits"
 	"slices"
 
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
+	"ftnoc/internal/sim"
 	"ftnoc/internal/topology"
 )
 
@@ -134,41 +136,35 @@ func (v *inputVC) slideQueue() {
 // clearPending empties the pending queue, keeping its array.
 func (v *inputVC) clearPending() { v.pending, v.pendHead = v.pending[:0], 0 }
 
-// SplitPending divides routers rs, one NewRouters batch, at router at:
-// from then on fitPending serves rs[:at] and rs[at:] from separate
-// arrays, so routers of the two parts, ticked concurrently, never write
-// each other's VCs.
-func SplitPending(rs []Router, at int) {
-	batch := rs[0].batch
-	cut := at * len(batch) / len(rs)
-	for i := range rs {
-		if i < at {
-			rs[i].batch = batch[:cut:cut]
-		} else {
-			rs[i].batch = batch[cut:]
-		}
-	}
-}
-
-// fitPending gives the pending queue of every input VC of every router
-// in this one's batch (NewRouters, SplitPending) a NACKWindow-flit window
-// of one array, the first time any of those VCs parks or recalls a flit
-// (ivc is the VC about to): a batch that never does allocates nothing
-// for them, one that does allocates once, however many of its VCs ever
-// do. No queue held more than NACKWindow flits in any run measured; the
-// windows are capacity-capped, so one that outgrows its window moves to
-// storage of its own instead of writing into a neighbour's.
+// fitPending gives the pending queue of every input VC of this router a
+// NACKWindow-flit window of one slab from its store, the first time any
+// of them parks or recalls a flit (ivc is the VC about to): a router that
+// never does takes nothing, one that does takes one slab, however many of
+// its VCs ever do. The slab's element type is the window, so its size is
+// the same for every router and its ordinal in the store holds whichever
+// router parks first. No queue held more than NACKWindow flits in any run
+// measured; the windows are capacity-capped, so one that outgrows its
+// window moves to storage of its own instead of writing into a
+// neighbour's.
 func (r *Router) fitPending(ivc *inputVC) {
 	if cap(ivc.pending) > 0 {
 		return
 	}
-	flits := make([]flit.Flit, len(r.batch)*link.NACKWindow)
-	for i := range r.batch {
-		if v := &r.batch[i]; cap(v.pending) == 0 {
-			lo := i * link.NACKWindow
-			v.pending = flits[lo : lo : lo+link.NACKWindow]
+	windows := sim.Make[[link.NACKWindow]flit.Flit](r.slabs(), len(r.arena))
+	for i := range r.arena {
+		if v := &r.arena[i]; cap(v.pending) == 0 {
+			v.pending = windows[i][:0]
 		}
 	}
+}
+
+// slabs returns the store this router grows its buffers in: its
+// transmitters' (link.Transmitter.Slabs); nil while it has none.
+func (r *Router) slabs() *sim.Slabs {
+	if r.outAttached == 0 {
+		return nil
+	}
+	return r.out[bits.TrailingZeros8(r.outAttached)].tx.Slabs()
 }
 
 // blockedFor returns how many cycles this VC has gone without emitting a

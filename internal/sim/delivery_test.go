@@ -48,7 +48,7 @@ func TestDeliveryMarkWithoutWake(t *testing.T) {
 		if mask != 1<<3 || p.Visible() != 2 {
 			t.Fatalf("opted in %v: second arrival left mask %#x with %d visible", optIn, mask, p.Visible())
 		}
-		p.PopAll()
+		popAll(p)
 		mask = 0
 		k.Run(3)
 		if mask != 0 {

@@ -185,7 +185,8 @@ type Kernel struct {
 	sharded uint64
 
 	// par is the two-shard state (StartShards).
-	par shards
+	par   shards
+	slabs *Slabs // the store the actors' buffers grow in (Slabs)
 }
 
 // Register adds actors to the kernel. Actors tick in registration order,
@@ -217,22 +218,26 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 
 // Reserve presizes the actor tables for n more registrations, so that
 // registering them allocates nothing, and the timed-wake heap for one
-// wake per actor. Tables it has to grow come from s (Make).
+// wake per actor. Tables it has to grow come from s (Grow), and so does
+// every buffer the actors grow (Slabs).
 func (k *Kernel) Reserve(s *Slabs, n int) {
-	k.actors = reserve(s, k.actors, n)
-	k.quiescers = reserve(s, k.quiescers, n)
-	k.wakeAt = reserve(s, k.wakeAt, n)
-	k.awake = reserve(s, k.awake, (len(k.actors)+n+63)>>6-len(k.awake))
-	k.heap = reserve(s, k.heap, len(k.actors)+n-len(k.heap))
+	k.slabs = s
+	k.actors = Grow(s, k.actors, n)
+	k.quiescers = Grow(s, k.quiescers, n)
+	k.wakeAt = Grow(s, k.wakeAt, n)
+	k.awake = Grow(s, k.awake, (len(k.actors)+n+63)>>6-len(k.awake))
+	k.heap = Grow(s, k.heap, len(k.actors)+n-len(k.heap))
 }
 
-// reserve returns have with room for n more elements, in one allocation
-// when it has to grow (slices.Grow makes two under the race detector).
-func reserve[T any](s *Slabs, have []T, n int) []T {
-	if cap(have)-len(have) >= n {
-		return have
+// Slabs returns the store actor h grows its buffers in (Grow): Reserve's,
+// or while the kernel shards and h ticks in shard 1, one of that store's
+// own, so the two shards never grow in one store. A handle below 0 names
+// no actor, and gets Reserve's store.
+func (k *Kernel) Slabs(h Handle) *Slabs {
+	if k.slabs != nil && k.par.h != nil && int(h) >= k.par.split<<6 {
+		return k.slabs.shard1
 	}
-	return append(Make[T](s, len(have)+n)[:0], have...)
+	return k.slabs
 }
 
 // EnableQuiescence opts a registered Quiescer into idle skipping. Call
@@ -323,6 +328,9 @@ func (k *Kernel) laneOf(d *Delivery) [][]*Delivery {
 // quiet, clear its own bit and sleep through the arrival.
 func (k *Kernel) queueDelivery(d *Delivery, at uint64) {
 	list := dueList(k.laneOf(d), at)
+	if len(*list) == cap(*list) {
+		*list = Grow(k.Slabs(d.wake-1), *list, 1)
+	}
 	*list = append(*list, d)
 }
 

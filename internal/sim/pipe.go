@@ -13,9 +13,9 @@ package sim
 // become visible at. Nothing advances per cycle: the consumer's side
 // compares the head's stamp with the kernel clock, so a value a consumer
 // does not drain simply stays at the head, and an idle or pooled wire
-// costs nothing until somebody touches it. The ring is allocated on first
-// use (or handed out by InitRings) and doubles when full, so a pipe in
-// steady state performs zero allocations.
+// costs nothing until somebody touches it. The ring starts empty (or as
+// InitRings' window) and doubles when full, in the consumer's store
+// (Slabs), so a pipe in steady state performs zero allocations.
 type Pipe[T any] struct {
 	k       *Kernel
 	latency int
@@ -35,8 +35,6 @@ type Pipe[T any] struct {
 	// points at it, so a hook installed while values are in flight still
 	// fires for them.
 	hook Delivery
-	// out backs PopAll's return value.
-	out []T
 }
 
 // stamped is one ring entry: a value and the cycle it becomes visible at.
@@ -158,10 +156,14 @@ func (p *Pipe[T]) PushSlot() *T {
 // slot returns the ring entry i places behind the oldest one.
 func (p *Pipe[T]) slot(i int) *stamped[T] { return &p.buf[(p.head+i)&(len(p.buf)-1)] }
 
-// grow doubles a full ring (or allocates the first one), unrolling it to
-// start at index 0.
+// Slabs returns the store the pipe's consumer grows its buffers in: that
+// of the actor its delivery wakes (Kernel.Slabs).
+func (p *Pipe[T]) Slabs() *Slabs { return p.k.Slabs(p.hook.wake - 1) }
+
+// grow doubles a full ring (or makes the first one) in the consumer's
+// store, unrolling it to start at index 0.
 func (p *Pipe[T]) grow() {
-	buf := make([]stamped[T], max(firstRing, 2*len(p.buf)))
+	buf := Make[stamped[T]](p.Slabs(), max(firstRing, 2*len(p.buf)))
 	n := copy(buf, p.buf[p.head:])
 	copy(buf[n:], p.buf[:p.head])
 	p.buf, p.head = buf, 0
@@ -212,18 +214,6 @@ func (p *Pipe[T]) Peek() (v T, ok bool) {
 		return *s, true
 	}
 	return v, false
-}
-
-// PopAll removes and returns every value visible this cycle. The returned
-// slice is the pipe's own scratch buffer, valid only until the next
-// PopAll; callers must consume (or copy) it within the cycle.
-func (p *Pipe[T]) PopAll() []T {
-	out := p.out[:0]
-	for v, ok := p.Pop(); ok; v, ok = p.Pop() {
-		out = append(out, v)
-	}
-	p.out = out
-	return out
 }
 
 // Empty reports whether no value is visible this cycle. Values still in

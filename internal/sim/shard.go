@@ -97,6 +97,9 @@ func (k *Kernel) StartShards(b Barrier, first Handle) bool {
 		h.due = make([][]*Delivery, len(k.due))
 	}
 	k.par = shards{h: h, b: b, split: int(first) >> 6}
+	if s := k.slabs; s != nil && s.shard1 == nil {
+		s.shard1 = new(Slabs)
+	}
 	k.moveDue(k.due, h.due, true)
 	return true
 }
@@ -113,9 +116,8 @@ func (k *Kernel) StopShards() {
 	k.moveDue(h.due, k.due, false)
 	h.k = nil
 	h.run() // the helper acknowledges, and parks
-	for _, list := range h.due {
-		clear(list[:cap(list)]) // hold no pointer into this kernel's pipes
-	}
+	// The helper's lists are this kernel's slabs (Slabs) and hold its pipes.
+	clear(h.due)
 	giveHelper(h)
 	k.par = shards{}
 	ReleaseCores(2)

@@ -215,19 +215,12 @@ func TestPipeStalledConsumerKeepsData(t *testing.T) {
 	}
 }
 
-func TestPipePopAll(t *testing.T) {
-	var k Kernel
-	p := NewPipe[int](&k, 1)
-	p.Push(1)
-	p.Push(2)
-	k.Step()
-	all := p.PopAll()
-	if len(all) != 2 || all[0] != 1 || all[1] != 2 {
-		t.Fatalf("PopAll = %v, want [1 2]", all)
+// popAll pops every value visible this cycle, oldest first.
+func popAll[T any](p *Pipe[T]) (vs []T) {
+	for v, ok := p.Pop(); ok; v, ok = p.Pop() {
+		vs = append(vs, v)
 	}
-	if !p.Empty() {
-		t.Fatal("pipe not empty after PopAll")
-	}
+	return vs
 }
 
 func TestPipeInFlight(t *testing.T) {
@@ -247,7 +240,7 @@ func TestPipeInFlight(t *testing.T) {
 	if p.InFlight() != 2 {
 		t.Fatalf("InFlight = %d, want 2 (both visible, unconsumed)", p.InFlight())
 	}
-	p.PopAll()
+	popAll(p)
 	if p.InFlight() != 0 {
 		t.Fatalf("InFlight = %d, want 0", p.InFlight())
 	}
@@ -275,7 +268,7 @@ func TestPipeLosslessProperty(t *testing.T) {
 			k.Step()
 		}
 		k.Run(uint64(lat))
-		got := p.PopAll()
+		got := popAll(p)
 		if len(got) != len(vals) {
 			return false
 		}
@@ -346,7 +339,7 @@ func (s *sleeper) Tick(c uint64) {
 	s.started = true
 	s.ticks = append(s.ticks, c)
 	if s.in != nil {
-		s.in.PopAll()
+		popAll(s.in)
 	}
 	s.wake = 0
 	if s.next != nil {

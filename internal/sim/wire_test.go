@@ -129,8 +129,8 @@ func matchLatchModel(t *testing.T, optIn bool, latency int, seed int64) {
 					popped, poppedVal = slot, wv
 				}
 			case 6:
-				if got, want := p.PopAll(), m.popAll(); !slices.Equal(got, want) {
-					t.Fatalf("cycle %d: PopAll = %v, model %v", c, got, want)
+				if got, want := popAll(p), m.popAll(); !slices.Equal(got, want) {
+					t.Fatalf("cycle %d: popped %v, model %v", c, got, want)
 				}
 			case 7:
 				popped = nil // Filter runs between steps, when nobody holds a slot
@@ -275,7 +275,7 @@ func TestPipeRingGrowsWhileConsumerSleeps(t *testing.T) {
 	if len(s.ticks) != 1 || !k.Asleep(h) {
 		t.Fatalf("mark-only deliveries woke the consumer (ticks %v)", s.ticks)
 	}
-	for i, v := range p.PopAll() {
+	for i, v := range popAll(p) {
 		if v != i+3 {
 			t.Fatalf("value %d after growth = %d, want %d", i, v, i+3)
 		}
@@ -283,7 +283,8 @@ func TestPipeRingGrowsWhileConsumerSleeps(t *testing.T) {
 	from := 100
 	if allocs := testing.AllocsPerRun(10, func() {
 		fill(from)
-		p.PopAll()
+		for _, ok := p.Pop(); ok; _, ok = p.Pop() {
+		}
 		from += 100
 	}); allocs != 0 {
 		t.Fatalf("refilling a grown ring allocated %.0f times per run", allocs)

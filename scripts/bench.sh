@@ -7,7 +7,10 @@
 # where routers sleep with credits still arriving), the 8x8 network
 # ticked as two shards (…SteadyShards) or the 16x16 one ticked as two
 # shards that sample their own routers (…Sparse16x16Shards) — reports any
-# allocations per simulated cycle:
+# allocations per simulated cycle; if a network rebuilt in a slab store
+# allocates over 2% of a fresh build's bytes; or if a whole lone run in a
+# reused store (BenchmarkRunReusedFaults: New and Run) makes more
+# allocations than TestRunAllocatesOnlyInNew allows:
 #
 #   scripts/bench.sh --smoke
 #
@@ -79,3 +82,21 @@ if (( reused * 50 > fresh )); then
     exit 1
 fi
 echo "bench.sh: OK — a rebuild in a slab store allocates $reused B/op, a fresh build $fresh"
+
+# Whole-run guard: a lone run of the faults config, New and Run, in the
+# store the previous run gave back takes every buffer the run grows from
+# the store, so it allocates only the network's few objects and its
+# Results — at most maxRunAllocs, TestRunAllocatesOnlyInNew's bound.
+bound=$(awk '$1 == "const" && $2 == "maxRunAllocs" {print $4}' internal/network/alloc_test.go)
+line=$(go test ./internal/network -run '^$' -bench 'BenchmarkRunReusedFaults$' \
+    -benchtime=5x -benchmem | grep '^BenchmarkRunReusedFaults')
+allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
+if [[ -z "$bound" || -z "$allocs" ]]; then
+    echo "bench.sh: could not parse the bound ($bound) or allocs/op from: $line" >&2
+    exit 1
+fi
+if (( allocs > bound )); then
+    echo "bench.sh: FAIL — a lone run in a reused slab store makes $allocs allocs/op; the bound is $bound" >&2
+    exit 1
+fi
+echo "bench.sh: OK — a lone run in a reused slab store makes $allocs allocs/op (bound $bound)"
