@@ -1,7 +1,7 @@
 package network
 
 import (
-	"sort"
+	"slices"
 
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
@@ -266,7 +266,7 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 	for pid := range a.pids {
 		ids = append(ids, pid)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, pid := range ids {
 		info := a.pids[pid]
 		if !m.kill(pid) {

@@ -241,6 +241,8 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 		n.routers[i] = &routers[i]
 	}
 
+	n.kernel.Reserve(s, 2*nodes) // first: the channels' pipes make the due rings in s
+
 	// Channels: one per direction of every inter-router link, in
 	// topo.Links order, then the PE <-> router local channels (fault-free,
 	// §2.2). Transmitter and receiver i serve channel i of that order:
@@ -318,13 +320,16 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	}
 
 	// Registration order (router i, PE i, router i+1, ...) fixes the
-	// intra-cycle trace-event order and must not change.
-	n.kernel.Reserve(s, 2*nodes)
+	// intra-cycle trace-event order and must not change. The cut between
+	// the kernel's shards is fixed here, once, for every run.
 	handles := sim.Make[sim.Handle](s, 2*nodes)
 	n.routerH, n.peH = handles[:nodes:nodes], handles[nodes:]
 	for i := 0; i < nodes; i++ {
 		n.routerH[i] = n.kernel.RegisterActor(n.routers[i])
 		n.peH[i] = n.kernel.RegisterActor(n.pes[i])
+	}
+	if n.half < nodes {
+		n.kernel.Split(n.routerH[n.half])
 	}
 
 	// Quiescence wiring: every flit pipe wakes its consuming actor as

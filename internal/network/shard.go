@@ -73,10 +73,10 @@ func (n *Network) splitAccounts(s *sim.Slabs, ids []topology.LinkID, links []lin
 }
 
 // startShards has the run tick two shards where it can, and reports
-// whether it will: the network was built split (build) and the kernel
-// claimed two cores (sim.Kernel.StartShards).
+// whether it will: the network was built split (build, sim.Kernel.Split)
+// and the kernel claimed two cores (sim.Kernel.StartShards).
 func (n *Network) startShards() bool {
-	if n.half == len(n.routers) || !n.kernel.StartShards((*barrier)(n), n.routerH[n.half]) {
+	if !n.kernel.StartShards((*barrier)(n)) {
 		return false
 	}
 	for i := range n.outboxes {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -233,7 +232,9 @@ func gridPointConfig() Config {
 
 // One large run does not inflate the small runs after it: a store that
 // ran a 24x24 mesh and then a 4x4 one keeps, between builds, within 2x
-// of what a store that ran 4x4 meshes only keeps.
+// of the slab bytes a store that ran 4x4 meshes only keeps. The store's
+// own count (sim.Slabs.Bytes) is exact and the runs are seeded, so the
+// reading does not move with the garbage collector or other tests.
 func TestStoreShrinksAfterLargeRun(t *testing.T) {
 	small := NewConfig()
 	small.Width, small.Height = 4, 4
@@ -241,22 +242,16 @@ func TestStoreShrinksAfterLargeRun(t *testing.T) {
 	large := small
 	large.Width, large.Height = 24, 24
 	large.InjectionRate = 0.02
-	// kept runs cfgs in a private store and returns the live heap it adds
-	// once the store has begun its next build: cleared, and released
-	// what it would not reuse.
-	kept := func(cfgs ...Config) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
+	// kept runs cfgs in a private store and returns the slab bytes it
+	// keeps once it has begun its next build: cleared, and released what
+	// it would not reuse.
+	kept := func(cfgs ...Config) int {
 		s := new(sim.Slabs)
 		for _, cfg := range cfgs {
 			NewIn(s, cfg).Run()
 		}
 		s.Begin()
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		runtime.KeepAlive(s)
-		return m1.HeapAlloc - min(m1.HeapAlloc, m0.HeapAlloc)
+		return s.Bytes()
 	}
 	only := kept(small, small, small)
 	after := kept(small, small, small, large, small)

@@ -46,27 +46,29 @@
 // # Two shards
 //
 // Because tick order within a cycle is immaterial, Step can run the actor
-// phase as two shards (StartShards, ShardStep): the awake words below the
-// owner's cut on the calling goroutine, the rest on a long-lived helper
+// phase as two shards (Split, StartShards, ShardStep): the awake words
+// below the cut on the calling goroutine, the rest on a long-lived helper
 // goroutine, joined by a spin-then-yield barrier. The shards must share
-// no written memory, and the kernel keeps its own part of that: each
-// shard makes the deliveries on its own due ring (a delivery belongs to
-// the shard of the actor it wakes), and shard 1's timed wakes are pushed
-// onto the heap after the join in the order it made them, so the heap,
-// the awake set and every tick count end as a serial walk — shard 0's
-// actors, then shard 1's — leaves them. The owner keeps the rest (a
+// no written memory, and the kernel keeps its own part of that: a
+// delivery queues on the due ring of the shard whose actor it wakes, each
+// shard makes its own ring's deliveries, and shard 1's timed wakes are
+// pushed onto the heap after the join in the order it made them, so the
+// heap, the awake set and every tick count end as a serial walk — shard
+// 0's actors, then shard 1's — leaves them. The owner keeps the rest (a
 // Barrier): wires whose two ends tick in different shards are pushed at
 // the barrier (Commit), whatever else the actors share is split per
 // shard, and what the owner reads of a shard's actors after every step
 // it may read in ShardDone, on that shard's goroutine before the join,
 // rather than on the caller after it.
 //
-// Who decides what: the owner picks the cut (a handle on an awake-set
-// word boundary, ShardBoundary) and, step by step, whether a step may run
-// as two shards (ShardStep); the kernel claims the two cores from a
-// process-wide budget of GOMAXPROCS (StartShards refuses when they are
-// not free, so never at one P), and a worker pool holds its own share of
-// that budget (HoldCores, ReleaseCores).
+// Who decides what: the owner fixes the cut once, when it builds the
+// kernel (Split, on an awake-set word boundary, ShardBoundary), so an
+// actor's shard, due ring and store never change, and it decides step by
+// step whether a step may run as two shards (ShardStep); the kernel makes
+// both due rings in one slab of the owner's store (Reserve) and claims
+// the two cores from a process-wide budget of GOMAXPROCS (StartShards
+// refuses when they are not free, so never at one P), and a worker pool
+// holds its own share of that budget (HoldCores, ReleaseCores).
 package sim
 
 import (
@@ -152,14 +154,13 @@ type wakeEntry struct {
 type Kernel struct {
 	cycle  uint64
 	actors []Actor
-	// due[c&(len(due)-1)] lists the delivery hooks of the pipes holding
-	// values that become visible at cycle c, for the cycles after the
-	// current one; Step applies a list at the end of cycle c-1 and keeps
-	// its capacity. len(due) is zero or a power of two above every pipe's
-	// latency, so a residue names one future cycle. While the kernel
-	// shards, due holds the hooks that wake shard 0's actors and the
-	// helper's ring of the same length those that wake shard 1's.
-	due [][]*Delivery
+	// due[s][c&(len(due[s])-1)] lists the delivery hooks of the pipes
+	// holding values that become visible at cycle c, for the cycles after
+	// the current one, that wake an actor of shard s (shardOf); Step
+	// applies a list at the end of cycle c-1 and keeps its capacity. Both
+	// rings are zero or the same power of two long, above every pipe's
+	// latency, so a residue names one future cycle.
+	due [2][][]*Delivery
 
 	// awake is a bitset over the handles: bit h set means actor h ticks at
 	// the next Step. Walking it in word and TrailingZeros order is
@@ -184,9 +185,9 @@ type Kernel struct {
 	events  uint64
 	sharded uint64
 
-	// par is the two-shard state (StartShards).
-	par   shards
-	slabs *Slabs // the store the actors' buffers grow in (Slabs)
+	split int       // shard 1's first awake word (Split); 0: one shard
+	slabs [2]*Slabs // the stores each shard's actors grow in (Slabs)
+	par   shards    // the two-shard state (StartShards)
 }
 
 // Register adds actors to the kernel. Actors tick in registration order,
@@ -221,7 +222,7 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 // wake per actor. Tables it has to grow come from s (Grow), and so does
 // every buffer the actors grow (Slabs).
 func (k *Kernel) Reserve(s *Slabs, n int) {
-	k.slabs = s
+	k.slabs[0] = s
 	k.actors = Grow(s, k.actors, n)
 	k.quiescers = Grow(s, k.quiescers, n)
 	k.wakeAt = Grow(s, k.wakeAt, n)
@@ -229,16 +230,39 @@ func (k *Kernel) Reserve(s *Slabs, n int) {
 	k.heap = Grow(s, k.heap, len(k.actors)+n-len(k.heap))
 }
 
-// Slabs returns the store actor h grows its buffers in (Grow): Reserve's,
-// or while the kernel shards and h ticks in shard 1, one of that store's
-// own, so the two shards never grow in one store. A handle below 0 names
-// no actor, and gets Reserve's store.
-func (k *Kernel) Slabs(h Handle) *Slabs {
-	if k.slabs != nil && k.par.h != nil && int(h) >= k.par.split<<6 {
-		return k.slabs.shard1
+// Split fixes the cut between the kernel's two shards: shard 1 is the
+// actors from first on, which must start an awake-set word past the first
+// (ShardBoundary gives one). Call it once, after registering the actors
+// and before any value is pushed. Shard membership never changes after:
+// deliveries that wake shard 1's actors queue on its own due ring, and
+// those actors grow their buffers in a store of its own (Slabs), whether
+// or not a step ticks two shards.
+func (k *Kernel) Split(first Handle) {
+	if first <= 0 || first&63 != 0 || int(first) >= len(k.actors) {
+		panic("sim: shard cut not on an awake-set word boundary")
 	}
-	return k.slabs
+	k.split = int(first) >> 6
+	if s := k.slabs[0]; s != nil {
+		if s.shard1 == nil {
+			s.shard1 = new(Slabs)
+		}
+		k.slabs[1] = s.shard1
+	}
 }
+
+// shardOf returns the shard actor h ticks in: 1 from the cut (Split) on,
+// else 0. A handle below 0 names no actor, and is shard 0's.
+func (k *Kernel) shardOf(h Handle) int {
+	if k.split != 0 && int(h)>>6 >= k.split {
+		return 1
+	}
+	return 0
+}
+
+// Slabs returns the store actor h grows its buffers in (Grow): Reserve's,
+// or for an actor of shard 1 one of that store's own, so the two shards
+// never grow in one store.
+func (k *Kernel) Slabs(h Handle) *Slabs { return k.slabs[k.shardOf(h)] }
 
 // EnableQuiescence opts a registered Quiescer into idle skipping. Call
 // only after installing waking hooks on every pipe that delivers to it. A
@@ -273,63 +297,47 @@ func (k *Kernel) Stats() Stats {
 	return Stats{Ticked: k.ticked, Skipped: k.skipped, Events: k.events, Sharded: k.sharded}
 }
 
-// fitDue sizes the due ring for a pipe of the given latency (called by
-// Pipe.Init), moving any queued deliveries to their new residues.
+// fitDue sizes the due rings for a pipe of the given latency (called by
+// Pipe.Init), in one slab of Reserve's store (Make), moving any queued
+// deliveries to their new residues.
 func (k *Kernel) fitDue(latency int) {
-	if latency < len(k.due) {
+	old := len(k.due[0])
+	if latency < old {
 		return
 	}
-	if k.par.h != nil {
-		panic("sim: pipe made while the kernel shards")
-	}
-	n := max(4, len(k.due))
+	n := max(4, old)
 	for n <= latency {
 		n *= 2
 	}
-	due := make([][]*Delivery, n)
-	for i, list := range k.due {
-		// The one cycle in (cycle, cycle+len(k.due)) with residue i; the
-		// current cycle's own list was applied a step ago and is empty.
-		at := k.cycle + (uint64(i)-k.cycle)&uint64(len(k.due)-1)
-		due[at&uint64(n-1)] = list
+	due := Make[[]*Delivery](k.slabs[0], 2*n)
+	for s, ring := range k.due {
+		for i, list := range ring {
+			// The one cycle in (cycle, cycle+old) with residue i; the
+			// current cycle's own list was applied a step ago and is empty.
+			at := k.cycle + (uint64(i)-k.cycle)&uint64(old-1)
+			due[s*n+int(at&uint64(n-1))] = list
+		}
 	}
-	k.due = due
+	k.due = [2][][]*Delivery{due[:n:n], due[n:]}
 }
 
-// dueList returns ring's list of deliveries to make for cycle at, one of
-// the next len(ring)-1 cycles.
-func dueList(ring [][]*Delivery, at uint64) *[]*Delivery { return &ring[at&uint64(len(ring)-1)] }
-
-// lanes returns the due rings: k.due, and the helper's while the kernel
-// shards.
-func (k *Kernel) lanes() [2][][]*Delivery {
-	if k.par.h == nil {
-		return [2][][]*Delivery{k.due}
-	}
-	return [2][][]*Delivery{k.due, k.par.h.due}
-}
-
-// laneOf returns the ring a delivery belongs on: the helper's when it
-// wakes an actor of shard 1, while the kernel shards. Every push a shard
-// makes while shards tick wakes one of its own actors (a wire between
-// the shards is pushed at the barrier), so each shard appends to its own
-// ring only.
-func (k *Kernel) laneOf(d *Delivery) [][]*Delivery {
-	if k.par.h != nil && int(d.wake) > k.par.split<<6 {
-		return k.par.h.due
-	}
-	return k.due
-}
+// dueList returns shard s's list of deliveries to make for cycle at, one
+// of the next len(k.due[s])-1 cycles.
+func (k *Kernel) dueList(s int, at uint64) *[]*Delivery { return &k.due[s][at&uint64(len(k.due[s])-1)] }
 
 // queueDelivery has hook d applied at the end of cycle at-1 (called by
-// Pipe.Push, once per pipe and visible-at cycle). Delivery waits for the
-// end of the actor phase even when at is the next cycle: a consumer woken
-// at push time but still to tick this cycle would see nothing yet, go
-// quiet, clear its own bit and sleep through the arrival.
+// Pipe.Push, once per pipe and visible-at cycle), from the due ring of
+// the shard it wakes. Every push a shard makes while shards tick wakes
+// one of its own actors (a wire between the shards is pushed at the
+// barrier), so each shard appends to its own ring only. Delivery waits
+// for the end of the actor phase even when at is the next cycle: a
+// consumer woken at push time but still to tick this cycle would see
+// nothing yet, go quiet, clear its own bit and sleep through the arrival.
 func (k *Kernel) queueDelivery(d *Delivery, at uint64) {
-	list := dueList(k.laneOf(d), at)
+	s := k.shardOf(d.wake - 1)
+	list := k.dueList(s, at)
 	if len(*list) == cap(*list) {
-		*list = Grow(k.Slabs(d.wake-1), *list, 1)
+		*list = Grow(k.slabs[s], *list, 1)
 	}
 	*list = append(*list, d)
 }
@@ -337,18 +345,21 @@ func (k *Kernel) queueDelivery(d *Delivery, at uint64) {
 // cancelDelivery withdraws d from cycle at's list, if it is there (called
 // by Pipe.Filter, which destroys in-flight values between steps).
 func (k *Kernel) cancelDelivery(d *Delivery, at uint64) {
-	list := dueList(k.laneOf(d), at)
+	list := k.dueList(k.shardOf(d.wake-1), at)
 	if i := slices.Index(*list, d); i >= 0 {
 		*list = slices.Delete(*list, i, i+1)
 	}
 }
 
-// deliverDue applies ring's deliveries for cycle at and empties its list.
-// Delivery order is push order, which may differ from registration order
-// — sound because deliveries commute: each ORs a mask bit and an awake
-// bit.
-func (k *Kernel) deliverDue(ring [][]*Delivery, at uint64) {
-	list := dueList(ring, at)
+// deliverDue applies shard s's deliveries for cycle at, if the kernel has
+// pipes, and empties its list. Delivery order is push order, which may
+// differ from registration order — sound because deliveries commute: each
+// ORs a mask bit and an awake bit.
+func (k *Kernel) deliverDue(s int, at uint64) {
+	if len(k.due[s]) == 0 {
+		return
+	}
+	list := k.dueList(s, at)
 	for _, d := range *list {
 		k.deliver(*d)
 	}
@@ -420,13 +431,8 @@ func (k *Kernel) Step() {
 	k.skipped += uint64(len(k.actors) - ticked)
 	k.events += uint64(events)
 
-	if len(k.due) != 0 {
-		for _, ring := range k.lanes() {
-			if ring != nil {
-				k.deliverDue(ring, c+1)
-			}
-		}
-	}
+	k.deliverDue(0, c+1)
+	k.deliverDue(1, c+1)
 	k.cycle++
 }
 

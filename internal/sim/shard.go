@@ -68,39 +68,24 @@ type Barrier interface {
 type shards struct {
 	h *helper
 	b Barrier
-	// split is shard 1's first awake word: shard 1's actors are the
-	// handles from split<<6 on.
-	split int
 	// next has the next Step tick shard 1 on the helper.
 	next bool
 }
 
-// StartShards readies the kernel to tick its awake set as two shards,
-// the actors below first on the calling goroutine and the rest on a
-// helper goroutine, in the steps ShardStep asks for; b's Commit runs
-// after every actor phase until StopShards, its ShardDone at the end of
-// each shard of a two-shard step. first must start an awake-set word
-// past the first (ShardBoundary gives one). StartShards claims two cores
-// of GOMAXPROCS for the helper and the caller, and reports false, doing
-// nothing, when they are not free or the kernel already shards. Pipes
-// must all be made first.
-func (k *Kernel) StartShards(b Barrier, first Handle) bool {
-	if first <= 0 || first&63 != 0 || int(first) >= len(k.actors) {
-		panic("sim: shard cut not on an awake-set word boundary")
-	}
-	if k.par.h != nil || !claimCores(2) {
+// StartShards readies a split kernel (Split) to tick its two shards, the
+// actors below the cut on the calling goroutine and the rest on a helper
+// goroutine, in the steps ShardStep asks for; b's Commit runs after every
+// actor phase until StopShards, its ShardDone at the end of each shard of
+// a two-shard step. StartShards claims two cores of GOMAXPROCS for the
+// helper and the caller, and reports false, doing nothing, when the
+// kernel has no cut, already shards, or the cores are not free.
+func (k *Kernel) StartShards(b Barrier) bool {
+	if k.split == 0 || k.par.h != nil || !claimCores(2) {
 		return false
 	}
 	h := takeHelper()
 	h.k = k
-	if len(h.due) != len(k.due) {
-		h.due = make([][]*Delivery, len(k.due))
-	}
-	k.par = shards{h: h, b: b, split: int(first) >> 6}
-	if s := k.slabs; s != nil && s.shard1 == nil {
-		s.shard1 = new(Slabs)
-	}
-	k.moveDue(k.due, h.due, true)
+	k.par = shards{h: h, b: b}
 	return true
 }
 
@@ -113,30 +98,11 @@ func (k *Kernel) StopShards() {
 		return
 	}
 	h.wait() // a step the calling goroutine left by a panic may still run
-	k.moveDue(h.due, k.due, false)
 	h.k = nil
 	h.run() // the helper acknowledges, and parks
-	// The helper's lists are this kernel's slabs (Slabs) and hold its pipes.
-	clear(h.due)
 	giveHelper(h)
 	k.par = shards{}
 	ReleaseCores(2)
-}
-
-// moveDue moves queued deliveries from one ring to another: those that
-// wake an actor of shard 1 when toShard1 is set, else all of them.
-func (k *Kernel) moveDue(from, to [][]*Delivery, toShard1 bool) {
-	for i, list := range from {
-		kept := list[:0]
-		for _, d := range list {
-			if toShard1 && int(d.wake) <= k.par.split<<6 {
-				kept = append(kept, d)
-				continue
-			}
-			to[i] = append(to[i], d)
-		}
-		from[i] = kept
-	}
 }
 
 // ShardStep asks for the next Step to tick shard 1 on the helper (on) or
@@ -164,10 +130,8 @@ func (k *Kernel) actorPhase(c uint64) (ticked, events int) {
 	h := k.par.h
 	h.wakes = h.wakes[:0]
 	h.post()
-	ticked, events = k.tick(c, 0, k.par.split, nil)
-	if len(k.due) != 0 {
-		k.deliverDue(k.due, c+1)
-	}
+	ticked, events = k.tick(c, 0, k.split, nil)
+	k.deliverDue(0, c+1)
 	k.par.b.ShardDone(0)
 	h.wait()
 	if p := h.panicked; p != nil {
@@ -202,11 +166,9 @@ type helper struct {
 	_   [64]byte
 
 	// Shard 1's side of a step: its tick counts and the timed wakes it
-	// made, for the main goroutine to push; due is its delivery ring
-	// (Kernel.due).
+	// made, for the main goroutine to push.
 	ticked, events int
 	wakes          []wakeEntry
-	due            [][]*Delivery
 	panicked       any
 }
 
@@ -354,9 +316,7 @@ func (h *helper) tick(k *Kernel) {
 		}
 	}()
 	c := k.cycle
-	h.ticked, h.events = k.tick(c, k.par.split, len(k.awake), &h.wakes)
-	if len(h.due) != 0 {
-		k.deliverDue(h.due, c+1)
-	}
+	h.ticked, h.events = k.tick(c, k.split, len(k.awake), &h.wakes)
+	k.deliverDue(1, c+1)
 	k.par.b.ShardDone(1)
 }

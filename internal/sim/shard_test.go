@@ -73,23 +73,50 @@ func buildRing(k *Kernel, n int) []*ringActor {
 // Ticking the awake set as two shards changes nothing the actors see or
 // the kernel counts; each shard reports done once per sharded step. At
 // procs1 the shards start on two Ps and step on one: the waits between
-// them stay live with the helper and the caller sharing the only P.
+// them stay live with the helper and the caller sharing the only P. In
+// startstop the split kernel steps serially first, starts its shards
+// with values in flight and timed wakes pending, and stops them mid-run
+// to step serially again: the cut is fixed when the kernel is built, so
+// neither moves a queued delivery.
 func TestShardedStepMatchesSerial(t *testing.T) {
-	for _, procs := range []int{max(2, runtime.GOMAXPROCS(0)), 1} {
-		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, procs)))
-			const n, cycles = 160, 400
+	const n, cycles = 160, 400
+	for _, tc := range []struct {
+		name        string
+		procs       int
+		start, stop int // the cycles StartShards and StopShards run before
+	}{
+		{fmt.Sprintf("procs%d", max(2, runtime.GOMAXPROCS(0))), max(2, runtime.GOMAXPROCS(0)), 0, cycles},
+		{"procs1", 1, 0, cycles},
+		{"startstop", max(2, runtime.GOMAXPROCS(0)), 101, 301},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, tc.procs)))
 			var serial, sharded Kernel
 			want := buildRing(&serial, n)
 			got := buildRing(&sharded, n)
+			sharded.Split(Handle(ShardBoundary(n)))
 			var b countingBarrier
-			if !sharded.StartShards(&b, Handle(ShardBoundary(n))) {
-				t.Fatal("a three-word kernel on two free cores did not shard")
-			}
-			runtime.GOMAXPROCS(procs)
+			steps := 0 // steps asked to tick two shards
 			for c := 0; c < cycles; c++ {
+				switch c {
+				case tc.start:
+					if c != 0 && (!inFlight(got) || len(sharded.heap) == 0) {
+						t.Fatalf("cycle %d: nothing in flight or no timed wake: the test proves nothing about starting", c)
+					}
+					if !sharded.StartShards(&b) {
+						t.Fatal("a three-word kernel on two free cores did not shard")
+					}
+					runtime.GOMAXPROCS(tc.procs)
+				case tc.stop:
+					if !inFlight(got) {
+						t.Fatalf("cycle %d: nothing in flight: the test proves nothing about stopping", c)
+					}
+					sharded.StopShards()
+				}
 				serial.Step()
-				sharded.ShardStep(c%5 != 0) // some steps stay one shard
+				if sharded.ShardStep(c%5 != 0) { // some steps stay one shard
+					steps++
+				}
 				sharded.Step()
 			}
 			sharded.StopShards()
@@ -99,8 +126,9 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 				}
 			}
 			ws, gs := serial.Stats(), sharded.Stats()
-			if gs.Sharded != cycles*4/5 || b.commits != cycles || b.done != [2]int{cycles * 4 / 5, cycles * 4 / 5} {
-				t.Fatalf("%d sharded steps, %d commits, %v dones", gs.Sharded, b.commits, b.done)
+			if gs.Sharded != uint64(steps) || steps != (tc.stop-tc.start)*4/5 ||
+				b.commits != tc.stop-tc.start || b.done != [2]int{steps, steps} {
+				t.Fatalf("%d sharded steps of %d asked, %d commits, %v dones", gs.Sharded, steps, b.commits, b.done)
 			}
 			gs.Sharded = 0
 			if ws != gs {
@@ -111,6 +139,17 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// inFlight reports whether some actor's input holds a value that is not
+// visible yet, so a delivery for it is queued.
+func inFlight(actors []*ringActor) bool {
+	for _, a := range actors {
+		if a.in.held > a.in.Visible() {
+			return true
+		}
+	}
+	return false
 }
 
 // barrierCall is one call a sharded kernel made on its Barrier: shard is
@@ -182,7 +221,8 @@ func TestShardDoneRunsOnItsShard(t *testing.T) {
 	const n, cycles = 160, 400
 	var k Kernel
 	b := &orderBarrier{k: &k, actors: buildRing(&k, n), split: ShardBoundary(n)}
-	if !k.StartShards(b, Handle(b.split)) {
+	k.Split(Handle(b.split))
+	if !k.StartShards(b) {
 		t.Fatal("a three-word kernel on two free cores did not shard")
 	}
 	for c := 0; c < cycles; c++ {
@@ -235,7 +275,8 @@ func TestShardDoneRunsOnItsShard(t *testing.T) {
 	runtime.GOMAXPROCS(1)
 	var one Kernel
 	b1 := &orderBarrier{k: &one, actors: buildRing(&one, n), split: ShardBoundary(n)}
-	if one.StartShards(b1, Handle(b1.split)) {
+	one.Split(Handle(b1.split))
+	if one.StartShards(b1) {
 		t.Fatal("StartShards sharded at one P")
 	}
 	for c := 0; c < 50; c++ {
@@ -262,8 +303,9 @@ func TestShardPanicReachesCaller(t *testing.T) {
 					}
 				}))
 			}
+			k.Split(64)
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-			if !k.StartShards(&countingBarrier{}, 64) {
+			if !k.StartShards(&countingBarrier{}) {
 				t.Fatal("a two-word kernel on two free cores did not shard")
 			}
 			defer k.StopShards()
@@ -311,12 +353,16 @@ func TestClaimCores(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		k.Register(ActorFunc(func(uint64) {}))
 	}
+	if k.StartShards(&countingBarrier{}) {
+		t.Fatal("StartShards sharded a kernel with no cut")
+	}
+	k.Split(64)
 	HoldCores(3)
-	if k.StartShards(&countingBarrier{}, 64) {
+	if k.StartShards(&countingBarrier{}) {
 		t.Fatal("StartShards claimed two cores beside a pool holding three")
 	}
 	ReleaseCores(3)
-	if !k.StartShards(&countingBarrier{}, 64) || k.StartShards(&countingBarrier{}, 64) {
+	if !k.StartShards(&countingBarrier{}) || k.StartShards(&countingBarrier{}) {
 		t.Fatal("StartShards refused four free cores, or started twice")
 	}
 	k.StopShards()
@@ -325,13 +371,13 @@ func TestClaimCores(t *testing.T) {
 	}
 	ReleaseCores(4)
 	runtime.GOMAXPROCS(1)
-	if k.StartShards(&countingBarrier{}, 64) {
+	if k.StartShards(&countingBarrier{}) {
 		t.Fatal("StartShards sharded at one P")
 	}
 }
 
-// StartShards takes only a cut that starts an awake-set word and leaves
-// both shards actors.
+// Split takes only a cut that starts an awake-set word and leaves both
+// shards actors.
 func TestStartShardsCut(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 128; i++ {
@@ -341,11 +387,10 @@ func TestStartShardsCut(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("StartShards took cut %d", first)
+					t.Errorf("Split took cut %d", first)
 				}
 			}()
-			k.StartShards(&countingBarrier{}, first)
-			k.StopShards()
+			k.Split(first)
 		}()
 	}
 }

@@ -21,7 +21,7 @@ import (
 type Slabs struct {
 	slots  []slot     // every recorded slab, in the order first made
 	kinds  []cursor   // every element type, in the order first made
-	shard1 *Slabs     // what shard 1 grows in while a kernel shards (Kernel.Slabs)
+	shard1 *Slabs     // what shard 1 of a split kernel grows in (Kernel.Slabs)
 	buf    [64]slot   // slots' first array: a build's ~40 slabs fit, unallocated
 	kbuf   [48]cursor // kinds' first array
 }
@@ -43,13 +43,17 @@ type cursor struct {
 	at int
 }
 
-// kind is an element type T as a kindOf[T], which clears a slab of it;
-// being zero-sized, it boxes without allocating.
-type kind interface{ clear(p unsafe.Pointer, n int) }
+// kind is an element type T as a kindOf[T], which clears a slab of it
+// and knows its size; being zero-sized, it boxes without allocating.
+type kind interface {
+	clear(p unsafe.Pointer, n int)
+	size() uintptr
+}
 
 type kindOf[T any] struct{}
 
 func (kindOf[T]) clear(p unsafe.Pointer, n int) { clear(unsafe.Slice((*T)(p), n)) }
+func (kindOf[T]) size() uintptr                 { var t T; return unsafe.Sizeof(t) }
 
 // Begin starts a build: ordinals restart from zero, and the slabs the
 // previous build was handed are cleared for reuse, or released when they
@@ -76,6 +80,18 @@ func (s *Slabs) Begin() {
 	s.shard1.Begin()
 }
 
+// Bytes returns the size of the slabs s keeps, shard 1's store's
+// included; zero for a nil store.
+func (s *Slabs) Bytes() (b int) {
+	if s != nil {
+		b = s.shard1.Bytes()
+		for _, sl := range s.slots {
+			b += sl.n * int(sl.k.size()) // n is 0 for a released slab
+		}
+	}
+	return b
+}
+
 // Make returns a zeroed []T of length and capacity n. With a nil store it
 // is make([]T, n). Otherwise it is this build's next slab of type T: the
 // previous builds' slab in that slot if it holds n elements, else a new
@@ -91,6 +107,9 @@ func Make[T any](s *Slabs, n int) []T {
 	}
 	if c.at == len(s.slots) {
 		s.slots = append(s.slots, slot{k: k})
+		if len(s.slots) == len(s.buf)+1 {
+			clear(s.buf[:]) // the slots moved off buf: its copies would pin their slabs
+		}
 	}
 	sl := &s.slots[c.at]
 	c.at, sl.ask = c.at+1, n

@@ -179,11 +179,15 @@ func TestGrowHandsOutEachSlabOnce(t *testing.T) {
 }
 
 // Begin releases a slab more than 4x what the build before asked of it,
-// and keeps one that build did not touch.
+// and keeps one that build did not touch. Slots that outgrew their first
+// array leave no copy there to keep a released slab alive.
 func TestBeginReleasesOversizedSlabs(t *testing.T) {
 	var s Slabs
 	s.Begin()
 	big, kept := Make[int](&s, 1000), Make[byte](&s, 1000)
+	for range len(s.buf) {
+		Make[uint16](&s, 1)
+	}
 	s.Begin()
 	if small := Make[int](&s, 100); &small[0] != &big[0] {
 		t.Fatal("a slab 10x the ask was not handed out")
@@ -194,5 +198,10 @@ func TestBeginReleasesOversizedSlabs(t *testing.T) {
 	}
 	if again := Make[byte](&s, 1000); &again[0] != &kept[0] {
 		t.Fatal("a slab the last build did not touch was released")
+	}
+	for _, sl := range s.buf {
+		if sl.p == unsafe.Pointer(&big[0]) {
+			t.Fatal("the slots' first array still holds a released slab")
+		}
 	}
 }
