@@ -372,10 +372,11 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 	// recorded, dispatches no replicates, and streams its (error) row
 	// immediately.
 	type job struct{ point, rep int }
-	var jobs []job
+	jobs := make([]job, 0, len(points)*reps)
+	repResults := make([]RepResult, len(points)*reps)
 	for i := range points {
 		report.Points[i].Point = points[i]
-		report.Points[i].Reps = make([]RepResult, reps)
+		report.Points[i].Reps = repResults[i*reps : (i+1)*reps : (i+1)*reps]
 		if err := points[i].Config.Validate(); err != nil {
 			report.Points[i].Err = err
 			emitRow(i)
@@ -435,7 +436,9 @@ dispatch:
 	spans.flush()
 
 	for i := range report.Points {
-		finalizePoint(&report.Points[i])
+		if !spans.finished(i) {
+			finalizePoint(&report.Points[i])
+		}
 		if report.Points[i].Agg.Aborted > 0 {
 			report.Aborted = true
 		}
@@ -546,6 +549,10 @@ func (t *spanTracker) repEnd(worker, point, rep int, rr RepResult) {
 	}
 }
 
+// finished reports whether point local's last replicate retired, which
+// finalized it (onPoint). Call it once the workers are done.
+func (t *spanTracker) finished(local int) bool { return t.points[local].done == t.reps }
+
 // flush closes the point spans an aborted dispatch left open.
 func (t *spanTracker) flush() {
 	t.mu.Lock()
@@ -609,55 +616,50 @@ func runReplicate(ctx context.Context, cfg network.Config, check bool) (rr RepRe
 }
 
 // finalizePoint computes the aggregate and promotes an all-replicates
-// failure to the point error. Idempotent: the streaming path finalizes a
-// point the moment its last replicate retires, and the end-of-run sweep
-// finalizes every point again — the recomputation starts from a zero
-// aggregate and identical replicates, so both calls agree.
+// failure to the point error, once per point: when its last replicate
+// retires (onPoint), or in the end-of-run sweep for a point cancellation
+// cut short. Each estimate walks the replicates in place
+// (stats.MeanCI95Of), with no column slices.
 func finalizePoint(p *PointResult) {
 	if p.Err != nil {
 		return // invalid config: no replicates ran
 	}
-	p.Agg = Aggregate{}
-	var lat, p95, thr, energy, delivered, undeliv, reach []float64
 	var firstErr error
-	for _, rr := range p.Reps {
-		if rr.Err != nil {
+	for i := range p.Reps {
+		switch rr := &p.Reps[i]; {
+		case rr.Err != nil:
 			if firstErr == nil {
 				firstErr = rr.Err
 			}
-			continue
-		}
-		if !rr.Ran {
-			continue
-		}
-		if rr.Results.Aborted {
+		case !rr.Ran:
+		case rr.Results.Aborted:
 			// A cancelled replicate is a partial measurement: counted,
 			// but kept out of the aggregates.
 			p.Agg.Aborted++
-			continue
+		default:
+			p.Agg.Completed++
+			if rr.Results.Stalled {
+				p.Agg.Stalled++
+			}
 		}
-		p.Agg.Completed++
-		if rr.Results.Stalled {
-			p.Agg.Stalled++
-		}
-		lat = append(lat, rr.Results.AvgLatency)
-		p95 = append(p95, rr.Results.P95Latency)
-		thr = append(thr, rr.Results.Throughput.FlitsPerNodePerCycle())
-		energy = append(energy, power.EnergyPerMessage(rr.Results.Events, rr.Results.MeasuredMessages))
-		delivered = append(delivered, float64(rr.Results.Delivered))
-		undeliv = append(undeliv, float64(rr.Results.Undeliverable))
-		reach = append(reach, rr.Results.ReachablePairFraction)
 	}
-	p.Agg.AvgLatency = stats.MeanCI95(lat)
-	p.Agg.P95Latency = stats.MeanCI95(p95)
-	p.Agg.Throughput = stats.MeanCI95(thr)
-	p.Agg.EnergyPerMsgNJ = stats.MeanCI95(energy)
-	p.Agg.Delivered = stats.MeanCI95(delivered)
-	p.Agg.Undeliverable = stats.MeanCI95(undeliv)
-	p.Agg.ReachableFrac = stats.MeanCI95(reach)
 	if p.Agg.Completed == 0 {
 		p.Err = firstErr
 	}
+	estimate := func(metric func(r *network.Results) float64) stats.Estimate {
+		return stats.MeanCI95Of(p.Reps, func(rr *RepResult) (float64, bool) {
+			return metric(&rr.Results), rr.Err == nil && rr.Ran && !rr.Results.Aborted
+		})
+	}
+	p.Agg.AvgLatency = estimate(func(r *network.Results) float64 { return r.AvgLatency })
+	p.Agg.P95Latency = estimate(func(r *network.Results) float64 { return r.P95Latency })
+	p.Agg.Throughput = estimate(func(r *network.Results) float64 { return r.Throughput.FlitsPerNodePerCycle() })
+	p.Agg.EnergyPerMsgNJ = estimate(func(r *network.Results) float64 {
+		return power.EnergyPerMessage(r.Events, r.MeasuredMessages)
+	})
+	p.Agg.Delivered = estimate(func(r *network.Results) float64 { return float64(r.Delivered) })
+	p.Agg.Undeliverable = estimate(func(r *network.Results) float64 { return float64(r.Undeliverable) })
+	p.Agg.ReachableFrac = estimate(func(r *network.Results) float64 { return r.ReachablePairFraction })
 }
 
 // RunConfigs executes an explicit configuration list on the engine's

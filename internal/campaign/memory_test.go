@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -150,4 +153,95 @@ func TestReportsSurviveStoreReuse(t *testing.T) {
 			t.Errorf("grid A point %d failed: %v", p.Index, p.Err)
 		}
 	}
+}
+
+// maxGridPointAllocs bounds what one point of the campaign_grid spec
+// shape allocates when the grid reruns in warm stores, its share of
+// parsing the spec, running the pool and encoding the table included.
+// Its own objects are its Results' three heap parts, the network struct
+// and its topology; every replicate buffer comes from a worker's store.
+const maxGridPointAllocs = 16
+
+// gridDoc is the campaign_grid benchmark workload's spec document: 2
+// protections x 2 link error rates x 2 mortality schedules on a 6x6 mesh
+// under fault-adaptive routing, one replicate each, two workers.
+func gridDoc(seed uint64) []byte {
+	return fmt.Appendf(nil, `{"base":{"Width":6,"Height":6,"InjectionRate":0.15,"WarmupMessages":300,"TotalMessages":1500,"Seed":%d},`+
+		`"routings":["fault-adaptive"],"protections":["hbh","fec"],"link_error_rates":[1e-5,1e-2],`+
+		`"mortality_schedules":["none","link:8E@300,router:21@700"],"seeds":1,"workers":2}`, seed)
+}
+
+// gridPoints is the number of points gridDoc expands to.
+const gridPoints = 8
+
+// runGrid is one campaign_grid op: ParseSpec, Run, WriteNDJSON into w.
+func runGrid(tb testing.TB, doc []byte, w io.Writer) {
+	spec, err := ParseSpec(doc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := Run(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.WriteNDJSON(w); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// A campaign point allocates only what its caller keeps: rerun in warm
+// stores, the campaign_grid spec shape makes at most maxGridPointAllocs
+// allocations per point, its rows unchanged. The two workers' stores stay
+// on the free list between ops only while it keeps two (GOMAXPROCS 2),
+// and the runs warm the stores up to every point shape first. The least
+// of three reruns is bounded, which keeps the runtime's own occasional
+// allocations (a goroutine, a type-assertion cache) out of it; under
+// -race the count is only logged (raceEnabled).
+func TestGridAllocatesOnlyRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	doc := gridDoc(3)
+	var want bytes.Buffer
+	runGrid(t, doc, &want)
+	for i := 0; i < 2; i++ {
+		runGrid(t, doc, io.Discard)
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var got bytes.Buffer
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		runGrid(t, doc, &got)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("rerun %d's table differs from the first run's:\nfirst: %s\nrerun: %s", i, want.Bytes(), got.Bytes())
+		}
+	}
+	perPoint := float64(least) / gridPoints
+	t.Logf("%.1f allocations per point", perPoint)
+	if perPoint > maxGridPointAllocs && !raceEnabled {
+		t.Errorf("a grid rerun in warm stores makes %.1f allocations per point, want <= %d", perPoint, maxGridPointAllocs)
+	}
+}
+
+// BenchmarkGridReused times the campaign_grid op shape in warm stores,
+// a fresh seed each op as the workload's variants have; allocs/point is
+// what scripts/bench.sh holds to maxGridPointAllocs. It runs at
+// GOMAXPROCS 2, as TestGridAllocatesOnlyRows does, so both workers'
+// stores stay on the free list whatever the host's core count.
+func BenchmarkGridReused(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for seed := uint64(1); seed <= 3; seed++ {
+		runGrid(b, gridDoc(seed), io.Discard)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runGrid(b, gridDoc(uint64(i+4)), io.Discard)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*gridPoints), "allocs/point")
 }

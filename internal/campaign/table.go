@@ -63,8 +63,16 @@ func (r *Report) rows() []PointRow {
 		return r.Rows
 	}
 	rows := make([]PointRow, len(r.Points))
+	n := 0
 	for i := range r.Points {
-		rows[i] = PointRowOf(&r.Points[i])
+		n += len(r.Points[i].Reps)
+	}
+	// Every row's replicates share one backing array, cut at its Reps.
+	reps := make([]RepRow, n)
+	for i := range r.Points {
+		k := len(r.Points[i].Reps)
+		rows[i] = pointRowIn(&r.Points[i], reps[:0:k])
+		reps = reps[k:]
 	}
 	return rows
 }
@@ -132,7 +140,10 @@ type RepRow struct {
 // PointRowOf flattens a PointResult into its external row form,
 // including per-replicate detail (never-dispatched replicates are
 // omitted, matching the aggregates).
-func PointRowOf(p *PointResult) PointRow {
+func PointRowOf(p *PointResult) PointRow { return pointRowIn(p, nil) }
+
+// pointRowIn is PointRowOf with the replicate rows appended to reps.
+func pointRowIn(p *PointResult, reps []RepRow) PointRow {
 	row := PointRow{
 		Point: p.Index, Width: p.Size.Width, Height: p.Size.Height,
 		Topology: p.Topology.String(), Routing: p.Routing.String(),
@@ -171,7 +182,10 @@ func PointRowOf(p *PointResult) PointRow {
 		if rr.Err != nil {
 			rep.Error = rr.Err.Error()
 		}
-		row.Replicates = append(row.Replicates, rep)
+		reps = append(reps, rep)
+	}
+	if len(reps) > 0 {
+		row.Replicates = reps
 	}
 	return row
 }

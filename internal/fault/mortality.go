@@ -60,39 +60,43 @@ func (m Mortality) Enabled() bool {
 }
 
 // dirNames maps mesh directions to their schedule-grammar letters.
-var dirNames = map[topology.Port]string{
+var dirNames = [topology.NumPorts]string{
 	topology.North: "N", topology.East: "E", topology.South: "S", topology.West: "W",
 }
 
 // String renders the schedule in the ParseMortality grammar — the
 // canonical axis label campaign tables and CLI flags use. Entries print
-// in schedule order; an empty schedule prints as "none".
+// in schedule order, comma-separated; an empty schedule prints as "none".
+// A direction outside the grammar prints as its number in parentheses.
 func (m Mortality) String() string {
 	if !m.Enabled() {
 		return "none"
 	}
-	var parts []string
+	// One allocation, the string, while the text fits the stack buffer.
+	b := make([]byte, 0, 128)
 	for _, l := range m.Links {
-		d, ok := dirNames[l.Dir]
-		if !ok {
-			d = fmt.Sprintf("(%d)", l.Dir)
+		b = strconv.AppendUint(append(b, ",link:"...), uint64(l.From), 10)
+		if int(l.Dir) < len(dirNames) && dirNames[l.Dir] != "" {
+			b = append(b, dirNames[l.Dir]...)
+		} else {
+			b = append(strconv.AppendUint(append(b, '('), uint64(l.Dir), 10), ')')
 		}
-		parts = append(parts, fmt.Sprintf("link:%d%s@%d", l.From, d, l.Cycle))
+		b = strconv.AppendUint(append(b, '@'), l.Cycle, 10)
 	}
 	for _, r := range m.Routers {
-		parts = append(parts, fmt.Sprintf("router:%d@%d", r.Node, r.Cycle))
+		b = strconv.AppendUint(append(b, ",router:"...), uint64(r.Node), 10)
+		b = strconv.AppendUint(append(b, '@'), r.Cycle, 10)
 	}
 	if m.HazardRate > 0 {
-		h := "hazard:" + strconv.FormatFloat(m.HazardRate, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, ",hazard:"...), m.HazardRate, 'g', -1, 64)
 		if m.HazardStart > 0 || m.HazardStop > 0 {
-			h += fmt.Sprintf("@%d", m.HazardStart)
+			b = strconv.AppendUint(append(b, '@'), m.HazardStart, 10)
 			if m.HazardStop > 0 {
-				h += fmt.Sprintf("-%d", m.HazardStop)
+				b = strconv.AppendUint(append(b, '-'), m.HazardStop, 10)
 			}
 		}
-		parts = append(parts, h)
 	}
-	return strings.Join(parts, ",")
+	return string(b[1:])
 }
 
 // ParseMortality parses the schedule grammar: a comma-separated list of
@@ -209,17 +213,20 @@ const hazardSeedSalt = 0x6d6f7274616c6974
 // links (the East/South half of each), from a generator seeded by seed.
 // It runs on cycles [HazardStart, HazardStop), with stop (the run's
 // horizon) standing in for a zero or later HazardStop.
-func (m Mortality) Timeline(topo *topology.Topology, seed, stop uint64) []Death {
+//
+// The timeline and the hazard's scratch are slabs of store s (sim.Make,
+// sim.Grow; nil is plain make).
+func (m Mortality) Timeline(s *sim.Slabs, topo *topology.Topology, seed, stop uint64) []Death {
 	var tl []Death
 	if n := len(m.Links) + len(m.Routers); n > 0 {
-		tl = make([]Death, 0, n)
+		tl = sim.Make[Death](s, n)[:0]
 	}
 	for _, l := range m.Links {
 		tl = append(tl, Death{Cycle: l.Cycle, Node: l.From, Dir: l.Dir})
 	}
-	tl = m.appendHazard(tl, topo, seed, stop)
+	tl = m.appendHazard(s, tl, topo, seed, stop)
 	for _, r := range m.Routers {
-		tl = append(tl, Death{Cycle: r.Cycle, Router: true, Node: r.Node})
+		tl = append(sim.Grow(s, tl, 1), Death{Cycle: r.Cycle, Router: true, Node: r.Node})
 	}
 	slices.SortStableFunc(tl, func(a, b Death) int {
 		if c := cmp.Compare(a.Cycle, b.Cycle); c != 0 || a.Router == b.Router {
@@ -236,19 +243,17 @@ func (m Mortality) Timeline(topo *topology.Topology, seed, stop uint64) []Death 
 // appendHazard pre-draws the memoryless link-death process: geometric
 // gaps between deaths by inverse-transform sampling, one uniform victim
 // per death.
-func (m Mortality) appendHazard(tl []Death, topo *topology.Topology, seed, stop uint64) []Death {
+func (m Mortality) appendHazard(s *sim.Slabs, tl []Death, topo *topology.Topology, seed, stop uint64) []Death {
 	if m.HazardRate <= 0 {
 		return tl
 	}
 	if m.HazardStop != 0 && m.HazardStop < stop {
 		stop = m.HazardStop
 	}
-	var reps []topology.LinkID
-	for _, l := range topo.Links() {
-		if l.Dir == topology.East || l.Dir == topology.South {
-			reps = append(reps, l)
-		}
-	}
+	reps := topo.AppendLinks(sim.Make[topology.LinkID](s, 4*topo.Nodes())[:0])
+	reps = slices.DeleteFunc(reps, func(l topology.LinkID) bool {
+		return l.Dir != topology.East && l.Dir != topology.South
+	})
 	if len(reps) == 0 {
 		return tl
 	}
@@ -262,7 +267,7 @@ func (m Mortality) appendHazard(tl []Death, topo *topology.Topology, seed, stop 
 		}
 		c += uint64(gap)
 		v := reps[rng.Intn(len(reps))]
-		tl = append(tl, Death{Cycle: c, Node: v.From, Dir: v.Dir})
+		tl = append(sim.Grow(s, tl, 1), Death{Cycle: c, Node: v.From, Dir: v.Dir})
 	}
 	return tl
 }

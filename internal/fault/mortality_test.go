@@ -36,6 +36,23 @@ func TestMortalityStringParseRoundTrip(t *testing.T) {
 	if (Mortality{}).String() != "none" {
 		t.Fatal("empty schedule should print as none")
 	}
+	// The canonical text is a campaign axis label and hash input: pinned,
+	// a direction outside the grammar included, and built in one
+	// allocation, the string.
+	pinned := Mortality{
+		Links: []LinkDeath{
+			{From: 3, Dir: topology.East, Cycle: 1000},
+			{From: 7, Dir: topology.Local, Cycle: 5},
+		},
+		Routers:    []RouterDeath{{Node: 9, Cycle: 4000}},
+		HazardRate: 2.5e-3, HazardStart: 500, HazardStop: 9000,
+	}
+	if got, want := pinned.String(), "link:3E@1000,link:7(0)@5,router:9@4000,hazard:0.0025@500-9000"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = pinned.String() }); n != 1 {
+		t.Errorf("String makes %v allocations, want 1", n)
+	}
 	if m, err := ParseMortality(""); err != nil || m.Enabled() {
 		t.Fatal("empty string should parse to the empty schedule")
 	}
@@ -80,7 +97,7 @@ func TestMortalityTimeline(t *testing.T) {
 	// The one hazard death of this window at seed 1, to schedule
 	// explicitly as well.
 	hazard := Mortality{HazardRate: 0.9, HazardStop: 1}
-	drawn := hazard.Timeline(topo, 1, 1000)
+	drawn := hazard.Timeline(nil, topo, 1, 1000)
 	if len(drawn) != 1 {
 		t.Fatalf("hazard window of one cycle drew %+v", drawn)
 	}
@@ -119,7 +136,7 @@ func TestMortalityTimeline(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.m.String()
-			got := tc.m.Timeline(topo, 1, 1000)
+			got := tc.m.Timeline(nil, topo, 1, 1000)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("Timeline = %+v\nwant %+v", got, tc.want)
 			}
@@ -145,7 +162,7 @@ func TestMortalityHazardTimelinePinned(t *testing.T) {
 		2: nil,
 	}
 	for seed, want := range pins {
-		if got := m.Timeline(topo, seed, 2_000_000); !reflect.DeepEqual(got, want) {
+		if got := m.Timeline(nil, topo, seed, 2_000_000); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: hazard timeline %+v, want %+v", seed, got, want)
 		}
 	}
@@ -157,7 +174,7 @@ func TestMortalityHazardStaysInWindow(t *testing.T) {
 	topo := topology.New(topology.Mesh, 6, 6)
 	m := Mortality{HazardRate: 1e-4, HazardStop: 50}
 	for seed := uint64(1); seed <= 20; seed++ {
-		for _, d := range m.Timeline(topo, seed, 2_000_000) {
+		for _, d := range m.Timeline(nil, topo, seed, 2_000_000) {
 			if d.Cycle >= m.HazardStop {
 				t.Fatalf("seed %d: hazard death at cycle %d, window ends at %d", seed, d.Cycle, m.HazardStop)
 			}
@@ -200,7 +217,7 @@ func FuzzParseMortality(f *testing.F) {
 		if !(m.HazardRate <= 0.5) {
 			return
 		}
-		tl := m.Timeline(topo, seed, stop)
+		tl := m.Timeline(nil, topo, seed, stop)
 		late := 0
 		for _, l := range m.Links {
 			if l.Cycle >= stop {

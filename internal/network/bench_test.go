@@ -317,7 +317,7 @@ func BenchmarkNewFresh6x6(b *testing.B) {
 // in the store the previous run gave back: what every lone run after a
 // process's first costs. allocs/op is what the store does not cover, the
 // network's own few objects and its Results; scripts/bench.sh holds it
-// at TestRunAllocatesOnlyInNew's bound, maxRunAllocs.
+// at TestRunAllocatesOnlyInNew's bound, maxRerunAllocs.
 func BenchmarkRunReusedFaults(b *testing.B) {
 	cfg := NewConfig()
 	cfg.WarmupMessages, cfg.TotalMessages = 1000, 7000

@@ -161,7 +161,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: %s", ErrInvalidConfig, fmt.Sprintf(format, args...))
 	}
 	switch {
-	case c.Width < 2 || c.Height < 1 || c.Width*c.Height < 2:
+	case c.Width < 2 || c.Height < 1:
 		return fail("topology %dx%d too small", c.Width, c.Height)
 	case c.VCs < 1 || c.VCs > router.MaxVCs:
 		return fail("VCs must be in [1,%d], have %d", router.MaxVCs, c.VCs)
@@ -176,7 +176,8 @@ func (c Config) Validate() error {
 	case c.TotalMessages == 0 || c.TotalMessages < c.WarmupMessages:
 		return fail("TotalMessages must be >= WarmupMessages and > 0, have %d total / %d warm-up",
 			c.TotalMessages, c.WarmupMessages)
-	case c.Width*c.Height > maxNodes:
+	// Each dimension is bounded before the product, which could overflow.
+	case c.Width > maxNodes || c.Height > maxNodes || c.Width*c.Height > maxNodes:
 		return fail("topology %dx%d exceeds %d nodes", c.Width, c.Height, maxNodes)
 	// Enumerations New would otherwise panic on.
 	case c.TopologyKind > topology.Torus:
@@ -205,7 +206,8 @@ func (c Config) Validate() error {
 	}
 	// Mortality schedules must name real links/routers and die within the
 	// run: a death past MaxCycles silently never happens, which is always
-	// a misconfigured experiment.
+	// a misconfigured experiment. Links are checked by the topology's
+	// arithmetic (topology.HasLink), so Validate builds nothing.
 	// A negative rate is malformed even though Enabled() treats it as
 	// "no hazard" — reject it rather than silently running fault-free.
 	if rate := c.Faults.Mortality.HazardRate; !(rate >= 0 && rate < 1) {
@@ -214,12 +216,12 @@ func (c Config) Validate() error {
 	if mort := c.Faults.Mortality; mort.Enabled() {
 		d := c
 		d.applyDefaults()
-		topo := topology.New(d.TopologyKind, c.Width, c.Height)
+		nodes := c.Width * c.Height
 		for _, ld := range mort.Links {
-			if int(ld.From) >= topo.Nodes() {
+			if int(ld.From) >= nodes {
 				return fail("mortality schedule names node %d outside the %dx%d topology", ld.From, c.Width, c.Height)
 			}
-			if _, ok := topo.Neighbor(ld.From, ld.Dir); !ok {
+			if !topology.HasLink(d.TopologyKind, c.Width, c.Height, ld.From, ld.Dir) {
 				return fail("mortality schedule names non-existent link %v from node %d", ld.Dir, ld.From)
 			}
 			if ld.Cycle >= d.MaxCycles {
@@ -227,7 +229,7 @@ func (c Config) Validate() error {
 			}
 		}
 		for _, rd := range mort.Routers {
-			if int(rd.Node) >= topo.Nodes() {
+			if int(rd.Node) >= nodes {
 				return fail("mortality schedule names node %d outside the %dx%d topology", rd.Node, c.Width, c.Height)
 			}
 			if rd.Cycle >= d.MaxCycles {

@@ -121,6 +121,10 @@ func TestValidateResourceBounds(t *testing.T) {
 		{"Protection zero (HBH)", func(c *Config) { c.Protection = 0 }, true},
 		{"Protection FEC", func(c *Config) { c.Protection = link.FEC }, true},
 		{"Protection past FEC", func(c *Config) { c.Protection = link.FEC + 1 }, false},
+		{"nodes past maxNodes", func(c *Config) { c.Width, c.Height = 256, 257 }, false},
+		// Width*Height wraps to 4 nodes: each dimension is bounded first.
+		{"Width*Height overflowing to 4", func(c *Config) { c.Width, c.Height = 1<<62+1, 4 }, false},
+		{"Height*Width overflowing to 4", func(c *Config) { c.Width, c.Height = 4, 1<<62+1 }, false},
 	}
 	for _, tc := range cases {
 		cfg := NewConfig()
@@ -134,6 +138,33 @@ func TestValidateResourceBounds(t *testing.T) {
 			New(cfg) // must not panic
 		case !errors.Is(err, ErrInvalidConfig):
 			t.Errorf("%s: Validate() = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+}
+
+// Validate checks a mortality schedule's links by the topology's
+// arithmetic rather than by building one, so it allocates nothing on a
+// valid config: campaign.Run validates every point before dispatch and
+// New validates again.
+func TestValidateAllocatesNothing(t *testing.T) {
+	mort, err := fault.ParseMortality("link:8E@300,router:21@700,hazard:1e-4@100-900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := NewConfig()
+	degraded.Width, degraded.Height = 6, 6
+	degraded.Routing = routing.FaultAdaptive
+	degraded.Protection = link.FEC
+	degraded.Faults.Link = 1e-2
+	degraded.Faults.Mortality = mort
+	torus := degraded
+	torus.TopologyKind = topology.Torus
+	for name, cfg := range map[string]Config{"default": NewConfig(), "6x6 mortality": degraded, "6x6 torus mortality": torus} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = cfg.Validate() }); n != 0 {
+			t.Errorf("%s: Validate makes %v allocations, want 0", name, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"cmp"
 	"slices"
 
 	"ftnoc/internal/fault"
@@ -31,9 +32,12 @@ const wedgeSweepInterval = 64
 // mortDirs is the deterministic direction order of every controller walk.
 var mortDirs = [...]topology.Port{topology.North, topology.East, topology.South, topology.West}
 
-// mortalityState is the per-run hard-fault state.
+// mortalityState is the per-run hard-fault state. It and every buffer it
+// grows live in the build's store (slabs): it runs between steps of a
+// network that never shards, so shard 0's store is the only one it uses.
 type mortalityState struct {
 	n     *Network
+	slabs *sim.Slabs
 	route *routing.Memo              // every router's routing function
 	fa    *routing.FaultAdaptiveFunc // route's function; nil under deterministic routing
 
@@ -50,8 +54,14 @@ type mortalityState struct {
 	// killed dedupes packet verdicts: a packet destroyed by a boundary
 	// kill or excised by a wedge sweep is counted undeliverable exactly
 	// once (a message refused at admission is counted by refuse alone).
-	killed        map[flit.PacketID]bool
+	// Packet IDs are dense (pe.nextPID), so it is a bitset by ID.
+	killed        []uint64
 	undeliverable uint64
+
+	// acc is every boundary's and sweep's kill accumulator in turn, and
+	// sites a sweep's stuck worms; both keep their buffers across uses.
+	acc   killAcc
+	sites []site
 
 	deadLinks   int
 	deadRouters int
@@ -68,13 +78,16 @@ type mortalityState struct {
 // reproducible.
 func newMortalityState(s *sim.Slabs, n *Network, route *routing.Memo) *mortalityState {
 	nodes := n.topo.Nodes()
-	m := &mortalityState{
+	m := &sim.Make[mortalityState](s, 1)[0]
+	*m = mortalityState{
 		n:        n,
+		slabs:    s,
 		route:    route,
 		deadNode: sim.Make[bool](s, nodes),
 		comp:     sim.Make[int32](s, nodes),
 		bfs:      sim.Make[flit.NodeID](s, nodes)[:0],
-		timeline: n.cfg.Faults.Mortality.Timeline(n.topo, n.cfg.Seed, n.cfg.MaxCycles),
+		timeline: n.cfg.Faults.Mortality.Timeline(s, n.topo, n.cfg.Seed, n.cfg.MaxCycles),
+		acc:      killAcc{slabs: s},
 	}
 	m.fa, _ = route.Func.(*routing.FaultAdaptiveFunc)
 	m.recomputeComponents()
@@ -177,12 +190,11 @@ func (m *mortalityState) reachablePairFraction() float64 {
 	if nodes <= 1 {
 		return 1
 	}
-	sizes := make(map[int32]int)
+	sizes := sim.Make[int](m.slabs, nodes) // by label: labels are below nodes
 	for i, cp := range m.comp {
-		if m.deadNode[i] {
-			continue
+		if !m.deadNode[i] {
+			sizes[cp]++
 		}
-		sizes[cp]++
 	}
 	pairs := 0
 	for _, s := range sizes {
@@ -214,20 +226,25 @@ func (m *mortalityState) emit(e trace.Event) {
 	}
 }
 
-// killAcc accumulates the packets touched by one boundary's kill walks.
+// killAcc accumulates the packets touched by one boundary's kill walks,
+// one record per destroyed data flit or packet known by identity, in
+// walk order; account merges a packet's records.
+type killAcc struct {
+	slabs *sim.Slabs
+	flits int
+	pids  []killInfo
+}
+
 type killInfo struct {
+	pid  flit.PacketID
 	src  flit.NodeID
 	ctrl bool
 }
 
-type killAcc struct {
-	m     *mortalityState
-	flits int
-	pids  map[flit.PacketID]killInfo
-}
-
+// newAcc empties the state's one accumulator for a boundary or sweep.
 func (m *mortalityState) newAcc() *killAcc {
-	return &killAcc{m: m, pids: make(map[flit.PacketID]killInfo)}
+	m.acc.flits, m.acc.pids = 0, m.acc.pids[:0]
+	return &m.acc
 }
 
 // observe records one destroyed flit. End-to-end retransmission requests
@@ -235,40 +252,31 @@ func (m *mortalityState) newAcc() *killAcc {
 // messages, so they must not count toward the undeliverable tally.
 func (a *killAcc) observe(f flit.Flit) {
 	a.flits++
-	if !f.IsData() {
-		return
+	if f.IsData() {
+		a.pids = append(sim.Grow(a.slabs, a.pids, 1), killInfo{pid: f.PID, src: f.Src, ctrl: f.Request})
 	}
-	info := a.pids[f.PID]
-	info.src = f.Src
-	if f.Request {
-		info.ctrl = true
-	}
-	a.pids[f.PID] = info
 }
 
 // addPID records a packet known only by identity (queued at a PE, or
 // half-reassembled at a sink) rather than through a destroyed flit.
 func (a *killAcc) addPID(pid flit.PacketID, src flit.NodeID) {
-	info := a.pids[pid]
-	info.src = src
-	a.pids[pid] = info
+	a.pids = append(sim.Grow(a.slabs, a.pids, 1), killInfo{pid: pid, src: src})
 }
 
-// account issues one terminal verdict per destroyed packet: mark it
-// killed, evict the source's retention copy (a retransmission would head
-// straight back into the dead region), publish the terminal drop for the
-// conservation ledger, and bump the undeliverable tally.
+// account issues one terminal verdict per destroyed packet, in packet ID
+// order: mark it killed, evict the source's retention copy (a
+// retransmission would head straight back into the dead region), publish
+// the terminal drop for the conservation ledger, and bump the
+// undeliverable tally. A packet's source is its last record's, and it is
+// control traffic if any record says so.
 func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
-	if len(a.pids) == 0 {
-		return
-	}
-	ids := make([]flit.PacketID, 0, len(a.pids))
-	for pid := range a.pids {
-		ids = append(ids, pid)
-	}
-	slices.Sort(ids)
-	for _, pid := range ids {
-		info := a.pids[pid]
+	slices.SortStableFunc(a.pids, func(x, y killInfo) int { return cmp.Compare(x.pid, y.pid) })
+	for i := 0; i < len(a.pids); {
+		info := a.pids[i]
+		for i++; i < len(a.pids) && a.pids[i].pid == info.pid; i++ {
+			info.src, info.ctrl = a.pids[i].src, info.ctrl || a.pids[i].ctrl
+		}
+		pid := info.pid
 		if !m.kill(pid) {
 			continue
 		}
@@ -293,9 +301,8 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 // refuse is the admission-time verdict: a freshly generated message whose
 // destination is unreachable is counted undeliverable immediately instead
 // of being injected to wedge in the network. Its id stays out of the
-// killed table: the message never existed anywhere a later verdict could
-// find it, so the table grows with what deaths destroy, not with how
-// many messages a run refuses.
+// killed set: the message never existed anywhere a later verdict could
+// find it.
 func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
 	m.undeliverable++
 	p.acct.lastEject = cycle
@@ -303,16 +310,15 @@ func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
 }
 
 // kill records pid's undeliverable verdict, reporting false if it had
-// one already. The table is made on the first verdict.
+// one already. The bitset grows in the store.
 func (m *mortalityState) kill(pid flit.PacketID) bool {
-	if m.killed[pid] {
-		return false
+	w, bit := int(pid>>6), uint64(1)<<(pid&63)
+	if w >= len(m.killed) {
+		m.killed = sim.Grow(m.slabs, m.killed, w+1-len(m.killed))[:w+1]
 	}
-	if m.killed == nil {
-		m.killed = make(map[flit.PacketID]bool)
-	}
-	m.killed[pid] = true
-	return true
+	had := m.killed[w]&bit != 0
+	m.killed[w] |= bit
+	return !had
 }
 
 func (m *mortalityState) chanOf(from flit.NodeID, d topology.Port) *link.Channel {
@@ -514,25 +520,20 @@ func (m *mortalityState) killRouter(c uint64, node flit.NodeID) bool {
 // permanent, since hard faults are irreversible). Each is killed with its
 // full upstream chain and its packet ruled undeliverable.
 func (m *mortalityState) sweepStuckWorms(c uint64) {
-	type site struct {
-		node flit.NodeID
-		p    topology.Port
-		vc   int
-	}
-	var sites []site
+	m.sites = m.sites[:0]
 	for i, r := range m.n.routers {
 		id := flit.NodeID(i)
 		r.EachWaitingVC(func(p topology.Port, vc int, dst flit.NodeID) {
 			if r.StuckWorm(p, vc) {
-				sites = append(sites, site{id, p, vc})
+				m.sites = append(sim.Grow(m.slabs, m.sites, 1), site{id, p, vc})
 			}
 		})
 	}
-	if len(sites) == 0 {
+	if len(m.sites) == 0 {
 		return
 	}
 	acc := m.newAcc()
-	for _, s := range sites {
+	for _, s := range m.sites {
 		// An earlier chain kill this sweep may already have excised it.
 		if _, resident := m.n.routers[s.node].WormDst(s.p, s.vc); !resident {
 			continue
@@ -540,6 +541,13 @@ func (m *mortalityState) sweepStuckWorms(c uint64) {
 		m.killChainUp(c, s.node, s.p, s.vc, acc)
 	}
 	m.account(c, acc, trace.DropUnreachable)
+}
+
+// site is an input VC a sweep found holding a stuck worm.
+type site struct {
+	node flit.NodeID
+	p    topology.Port
+	vc   int
 }
 
 // deadSendViolation is wired as router.Config.DeadSend: a flit crossing

@@ -145,6 +145,7 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	xyCheck := !cfg.Routing.Adaptive()
 
 	n.routers = sim.Make[*router.Router](s, nodes)
+	n.routerUtil = sim.Make[stats.Utilization](s, nodes)[:0] // startMeasuring's
 	n.pes = sim.Make[*pe](s, nodes)
 	n.chanAt = sim.Make[*link.Channel](s, nodes*int(topology.NumPorts))
 
@@ -247,7 +248,7 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	// topo.Links order, then the PE <-> router local channels (fault-free,
 	// §2.2). Transmitter and receiver i serve channel i of that order:
 	// links, then every PE's up channel, then every PE's down channel.
-	linkIDs := n.topo.Links()
+	linkIDs := n.topo.AppendLinks(sim.Make[topology.LinkID](s, 4*nodes)[:0])
 	nl := len(linkIDs)
 	a0 := &n.acct[0]
 	links := link.NewChannels(s, &n.kernel, nl, false, &a0.events, a0.counters)
@@ -331,6 +332,9 @@ func build(s *sim.Slabs, cfg Config, quiesce bool) *Network {
 	if n.half < nodes {
 		n.kernel.Split(n.routerH[n.half])
 	}
+	// An account's latency table grows in its PEs' shard's store.
+	n.acct[0].latency.GrowIn(n.kernel.Slabs(n.peH[0]))
+	n.acct[1].latency.GrowIn(n.kernel.Slabs(n.peH[nodes-1]))
 
 	// Quiescence wiring: every flit pipe wakes its consuming actor as
 	// flits become visible, and every NACK pipe wakes the
@@ -434,14 +438,14 @@ func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int)
 }
 
 // startMeasuring snapshots the event counters at the warm-up boundary
-// and makes the per-router utilization tables the window's samples fill.
+// and opens the per-router utilization tables the window's samples fill.
 // When triggered by a delivery it fires mid-cycle, from PE node's tick:
 // actors tick in node order (router 0, PE 0, router 1, ...), so routers
 // 0..node have already ticked cycle. Pass node = -1 at a clean cycle
 // boundary.
 func (n *Network) startMeasuring(cycle uint64, node int) {
 	n.measuring = true
-	n.routerUtil = make([]stats.Utilization, len(n.routers))
+	n.routerUtil = n.routerUtil[:len(n.routers)]
 	n.warmupEvents = n.eventsAt(uint64(len(n.routers))*cycle + uint64(node+1))
 	n.warmupCycle = cycle
 }
@@ -700,9 +704,10 @@ const (
 	latencyBins     = 24
 )
 
-// routerMeans extracts the time-averaged per-router utilizations.
+// routerMeans extracts the time-averaged per-router utilizations, nil
+// when measurement never started.
 func routerMeans(us []stats.Utilization) []float64 {
-	if us == nil {
+	if len(us) == 0 {
 		return nil
 	}
 	out := make([]float64, len(us))

@@ -64,7 +64,7 @@ func buildGrid(t *testing.T, w, h, depth int) *pair {
 		p.extra = routers[2:]
 	}
 
-	links := topo.Links()
+	links := topo.AppendLinks(nil)
 	chans := link.NewChannels(nil, &p.k, len(links), false, &p.ev, p.ctr)
 	chanOf := func(i int) *link.Channel { return &chans[i] }
 	txs := link.NewTransmitters(nil, len(links), chanOf, 2, 4, link.NACKWindow, &p.ev, p.ctr)

@@ -61,13 +61,14 @@ func NewFaultAdaptiveFunc(t *topology.Topology) *FaultAdaptiveFunc {
 	return newFaultAdaptiveFunc(nil, t)
 }
 
-// newFaultAdaptiveFunc is NewFaultAdaptiveFunc with the tables in three
-// slabs from s (sim.Make).
+// newFaultAdaptiveFunc is NewFaultAdaptiveFunc with the function and its
+// tables in four slabs from s (sim.Make).
 func newFaultAdaptiveFunc(s *sim.Slabs, t *topology.Topology) *FaultAdaptiveFunc {
 	n := t.Width() * t.Height()
 	dists := sim.Make[uint16](s, 2*n*n)
 	scratch := sim.Make[flit.NodeID](s, 2*n)
-	f := &FaultAdaptiveFunc{
+	f := &sim.Make[FaultAdaptiveFunc](s, 1)[0]
+	*f = FaultAdaptiveFunc{
 		t: t, n: n,
 		level:  sim.Make[int32](s, n),
 		down:   dists[: n*n : n*n],

@@ -44,7 +44,7 @@ func bfsReachable(t *topology.Topology) []int {
 // directions, and returns the live topology.
 func failRandomLinks(w, h int, frac float64, rng *rand.Rand) *topology.Topology {
 	t := topology.New(topology.Mesh, w, h)
-	links := t.Links()
+	links := t.AppendLinks(nil)
 	for _, l := range links {
 		nbr, _ := t.Neighbor(l.From, l.Dir)
 		if l.From > nbr {
@@ -130,7 +130,7 @@ func TestFaultAdaptiveRebuildTracksDeaths(t *testing.T) {
 	topo := topology.New(topology.Mesh, 4, 4)
 	f := NewFaultAdaptiveFunc(topo)
 	rng := rand.New(rand.NewSource(7))
-	links := topo.Links()
+	links := topo.AppendLinks(nil)
 	for kill := 0; kill < 8; kill++ {
 		l := links[rng.Intn(len(links))]
 		nbr, _ := topo.Neighbor(l.From, l.Dir)

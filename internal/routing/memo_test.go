@@ -91,7 +91,7 @@ func FuzzMemo(f *testing.F) {
 		a := Algorithm(1 + alg%5)
 		fn := New(a, topo)
 		m := NewMemo(nil, fn, topo.Nodes())
-		links := topo.Links()
+		links := topo.AppendLinks(nil)
 		n := topo.Nodes()
 		for i := 0; i+1 < len(ops); i += 2 {
 			if ops[i] == 0xff && a == FaultAdaptive {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"ftnoc/internal/sim"
 )
 
 // Events tallies the microarchitectural activity that the power model
@@ -90,7 +92,12 @@ type LatencyStats struct {
 	n      int
 	max    uint64
 	sum    float64
+	slabs  *sim.Slabs // where counts grows (GrowIn)
 }
+
+// GrowIn has the count table grow in store s (sim.Grow), so a run
+// repeated in one store allocates nothing for it; nil is plain make.
+func (s *LatencyStats) GrowIn(st *sim.Slabs) { s.slabs = st }
 
 // denseCap bounds the count table: 1<<14 cycles of latency, 128 KiB at
 // most. A sample at or past it is an outlier stored exactly in the
@@ -125,9 +132,7 @@ func (s *LatencyStats) grow(v uint64) {
 	for uint64(size) <= v {
 		size *= 2
 	}
-	counts := make([]uint64, size)
-	copy(counts, s.counts)
-	s.counts = counts
+	s.counts = sim.Grow(s.slabs, s.counts, size-len(s.counts))[:size]
 }
 
 // Merge adds o's samples into s, as if each had been recorded in s. The
@@ -272,27 +277,36 @@ var t95 = [...]float64{
 // half-computed mixture — so a corrupted replicate cannot masquerade as
 // a tight confidence interval.
 func MeanCI95(samples []float64) Estimate {
-	n := len(samples)
-	if n == 0 {
-		return Estimate{}
-	}
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			return Estimate{Mean: math.NaN(), CI95: math.NaN(), N: n}
+	return MeanCI95Of(samples, func(v *float64) (float64, bool) { return *v, true })
+}
+
+// MeanCI95Of is MeanCI95 of the samples f picks out of xs, in xs order:
+// f(&xs[i]) returns element i's sample and whether it has one. It keeps
+// no slice of them, so summarising a column of records allocates
+// nothing; the floats are the ones MeanCI95 gives that column.
+func MeanCI95Of[T any](xs []T, f func(*T) (float64, bool)) Estimate {
+	n, sum, nan := 0, 0.0, false
+	for i := range xs {
+		if v, ok := f(&xs[i]); ok {
+			n, sum, nan = n+1, sum+v, nan || math.IsNaN(v)
 		}
 	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
+	switch {
+	case n == 0:
+		return Estimate{}
+	case nan:
+		return Estimate{Mean: math.NaN(), CI95: math.NaN(), N: n}
 	}
 	mean := sum / float64(n)
 	if n == 1 {
 		return Estimate{Mean: mean, N: 1}
 	}
 	ss := 0.0
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
+	for i := range xs {
+		if v, ok := f(&xs[i]); ok {
+			d := v - mean
+			ss += d * d
+		}
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	df := n - 1

@@ -200,6 +200,14 @@ func (t *Topology) step(id flit.NodeID, dir Port) int32 {
 	return int32(t.IDOf(c))
 }
 
+// HasLink reports whether a w x h topology of the given kind has a link
+// leaving node from through dir: New's neighbor arithmetic without its
+// tables, so it allocates nothing.
+func HasLink(kind Kind, w, h int, from flit.NodeID, dir Port) bool {
+	t := Topology{kind: kind, w: w, h: h}
+	return int(from) < t.Nodes() && t.step(from, dir) >= 0
+}
+
 // Neighbor returns the node reached by leaving id through dir, and whether
 // such a link physically exists (mesh edges have none; torus wraps).
 // Hard faults do not affect Neighbor; see LinkUp.
@@ -228,18 +236,18 @@ func (t *Topology) LinkUp(from flit.NodeID, dir Port) bool {
 	return int(from) < len(t.live) && t.live[from]>>dir&1 != 0
 }
 
-// Links enumerates every directed inter-router link that physically
-// exists, including hard-faulted ones, node-major in N, E, S, W order.
-func (t *Topology) Links() []LinkID {
-	ls := make([]LinkID, 0, t.Nodes()*4)
+// AppendLinks appends every directed inter-router link that physically
+// exists, including hard-faulted ones, node-major in N, E, S, W order, to
+// dst, which needs room for 4 links per node to take no allocation.
+func (t *Topology) AppendLinks(dst []LinkID) []LinkID {
 	for n := 0; n < t.Nodes(); n++ {
-		for _, d := range []Port{North, East, South, West} {
+		for _, d := range [...]Port{North, East, South, West} {
 			if _, ok := t.Neighbor(flit.NodeID(n), d); ok {
-				ls = append(ls, LinkID{From: flit.NodeID(n), Dir: d})
+				dst = append(dst, LinkID{From: flit.NodeID(n), Dir: d})
 			}
 		}
 	}
-	return ls
+	return dst
 }
 
 // HopDistance returns the minimal hop count between two nodes under the

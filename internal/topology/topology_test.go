@@ -122,11 +122,11 @@ func TestNeighborSymmetry(t *testing.T) {
 
 func TestLinkCount(t *testing.T) {
 	// 4x4 mesh: 2*(3*4)*2 directed links = 48.
-	if got := len(New(Mesh, 4, 4).Links()); got != 48 {
+	if got := len(New(Mesh, 4, 4).AppendLinks(nil)); got != 48 {
 		t.Errorf("4x4 mesh has %d directed links, want 48", got)
 	}
 	// 4x4 torus: every node has 4 out-links = 64.
-	if got := len(New(Torus, 4, 4).Links()); got != 64 {
+	if got := len(New(Torus, 4, 4).AppendLinks(nil)); got != 64 {
 		t.Errorf("4x4 torus has %d directed links, want 64", got)
 	}
 }
@@ -173,10 +173,10 @@ func refNeighbor(k Kind, w, h int, id flit.NodeID, d Port) (flit.NodeID, bool) {
 // TestTablesMatchGeometry checks the neighbor table and live-port masks
 // against references kept here: Neighbor against coordinates, LinkUp
 // against a map of failed links after a seeded FailLink sequence, and
-// Links() against the node-major N, E, S, W enumeration hazard sampling
-// depends on — at every (id, port), Local and the invalid port 5
-// included, on shapes with torus self-loops (height 1) and parallel
-// links (width 2).
+// AppendLinks against the node-major N, E, S, W enumeration hazard
+// sampling depends on, and HasLink against Neighbor — at every (id,
+// port), Local and the invalid port 5 included, on shapes with torus
+// self-loops (height 1) and parallel links (width 2).
 func TestTablesMatchGeometry(t *testing.T) {
 	shapes := [][2]int{{2, 1}, {3, 1}, {2, 3}, {4, 4}, {8, 8}, {16, 16}}
 	for _, k := range []Kind{Mesh, Torus} {
@@ -191,9 +191,9 @@ func TestTablesMatchGeometry(t *testing.T) {
 					}
 				}
 			}
-			links := topo.Links()
+			links := topo.AppendLinks(nil)
 			if !slices.Equal(links, want) {
-				t.Fatalf("%v %dx%d: Links() = %v, want %v", k, w, h, links, want)
+				t.Fatalf("%v %dx%d: AppendLinks = %v, want %v", k, w, h, links, want)
 			}
 			rng := rand.New(rand.NewSource(int64(w*100 + h)))
 			down := map[LinkID]bool{}
@@ -211,13 +211,16 @@ func TestTablesMatchGeometry(t *testing.T) {
 					if n, ok := topo.Neighbor(id, p); ok != wok || (ok && n != wn) {
 						t.Fatalf("%v %dx%d: Neighbor(%d, %v) = %d, %v; want %d, %v", k, w, h, id, p, n, ok, wn, wok)
 					}
+					if ok := HasLink(k, w, h, id, p); ok != wok {
+						t.Fatalf("%v %dx%d: HasLink(%d, %v) = %v, want %v", k, w, h, id, p, ok, wok)
+					}
 					if got, want := topo.LinkUp(id, p), wok && !down[LinkID{From: id, Dir: p}]; got != want {
 						t.Fatalf("%v %dx%d: LinkUp(%d, %v) = %v, want %v", k, w, h, id, p, got, want)
 					}
 				}
 			}
-			if got := topo.Links(); !slices.Equal(got, want) {
-				t.Fatalf("%v %dx%d: failing links changed Links()", k, w, h)
+			if got := topo.AppendLinks(nil); !slices.Equal(got, want) {
+				t.Fatalf("%v %dx%d: failing links changed AppendLinks", k, w, h)
 			}
 		}
 	}

@@ -10,7 +10,9 @@
 # allocations per simulated cycle; if a network rebuilt in a slab store
 # allocates over 2% of a fresh build's bytes; or if a whole lone run in a
 # reused store (BenchmarkRunReusedFaults: New and Run) makes more
-# allocations than TestRunAllocatesOnlyInNew allows:
+# allocations than TestRunAllocatesOnlyInNew allows; or if a whole
+# campaign grid rerun in warm stores (BenchmarkGridReused) makes more per
+# point than TestGridAllocatesOnlyRows allows:
 #
 #   scripts/bench.sh --smoke
 #
@@ -86,10 +88,12 @@ echo "bench.sh: OK — a rebuild in a slab store allocates $reused B/op, a fresh
 # Whole-run guard: a lone run of the faults config, New and Run, in the
 # store the previous run gave back takes every buffer the run grows from
 # the store, so it allocates only the network's few objects and its
-# Results — at most maxRunAllocs, TestRunAllocatesOnlyInNew's bound.
-bound=$(awk '$1 == "const" && $2 == "maxRunAllocs" {print $4}' internal/network/alloc_test.go)
+# Results — at most maxRerunAllocs, TestRunAllocatesOnlyInNew's bound.
+# Twenty runs average the runtime's own one-off allocations (a type
+# assertion's cache, a helper goroutine) below one per run.
+bound=$(awk '$1 == "const" && $2 == "maxRerunAllocs" {print $4}' internal/network/alloc_test.go)
 line=$(go test ./internal/network -run '^$' -bench 'BenchmarkRunReusedFaults$' \
-    -benchtime=5x -benchmem | grep '^BenchmarkRunReusedFaults')
+    -benchtime=20x -benchmem | grep '^BenchmarkRunReusedFaults')
 allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
 if [[ -z "$bound" || -z "$allocs" ]]; then
     echo "bench.sh: could not parse the bound ($bound) or allocs/op from: $line" >&2
@@ -100,3 +104,21 @@ if (( allocs > bound )); then
     exit 1
 fi
 echo "bench.sh: OK — a lone run in a reused slab store makes $allocs allocs/op (bound $bound)"
+
+# Whole-grid guard: the campaign_grid spec shape rerun in warm stores
+# (ParseSpec, Run, WriteNDJSON) allocates per point only its Results, its
+# network and topology, its row and its share of the spec and the report
+# — at most maxGridPointAllocs, TestGridAllocatesOnlyRows' bound.
+bound=$(awk '$1 == "const" && $2 == "maxGridPointAllocs" {print $4}' internal/campaign/memory_test.go)
+line=$(go test ./internal/campaign -run '^$' -bench 'BenchmarkGridReused$' \
+    -benchtime=5x -benchmem | grep '^BenchmarkGridReused')
+perpoint=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/point") print $(i-1)}' <<<"$line")
+if [[ -z "$bound" || -z "$perpoint" ]]; then
+    echo "bench.sh: could not parse the bound ($bound) or allocs/point from: $line" >&2
+    exit 1
+fi
+if awk -v a="$perpoint" -v b="$bound" 'BEGIN {exit !(a > b)}'; then
+    echo "bench.sh: FAIL — a campaign grid rerun makes $perpoint allocations per point; the bound is $bound" >&2
+    exit 1
+fi
+echo "bench.sh: OK — a campaign grid rerun makes $perpoint allocations per point (bound $bound)"
