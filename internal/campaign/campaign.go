@@ -354,18 +354,19 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 	start := time.Now()
 	progress := newLockedSink(spec.Progress)
 
-	// emitRow serialises streaming emissions: workers finish points
-	// concurrently, but the consumer (typically an NDJSON writer on an
-	// HTTP response) sees one row at a time.
-	var emitMu sync.Mutex
-	emitRow := func(local int) {
-		if emit == nil {
-			return
+	// finish finalizes a point and streams its row. Workers finish points
+	// concurrently; the mutex gives each its turn with the metric columns,
+	// and the consumer (typically an NDJSON writer on an HTTP response)
+	// one row at a time.
+	var finishMu sync.Mutex
+	cols := make([]float64, 7*reps)
+	finish := func(local int) {
+		finishMu.Lock()
+		defer finishMu.Unlock()
+		finalizePoint(&report.Points[local], cols)
+		if emit != nil {
+			emit(PointRowOf(&report.Points[local]))
 		}
-		row := PointRowOf(&report.Points[local])
-		emitMu.Lock()
-		emit(row)
-		emitMu.Unlock()
 	}
 
 	// Validation happens up front, once per point: an invalid point is
@@ -379,7 +380,7 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 		report.Points[i].Reps = repResults[i*reps : (i+1)*reps : (i+1)*reps]
 		if err := points[i].Config.Validate(); err != nil {
 			report.Points[i].Err = err
-			emitRow(i)
+			finish(i)
 			continue
 		}
 		for r := 0; r < reps; r++ {
@@ -391,10 +392,7 @@ func run(ctx context.Context, spec Spec, points []Point, emit func(PointRow), se
 	// A point's row is final the moment its last replicate retires: the
 	// tracker's mutex hand-off ordered every replicate write before this
 	// callback, so finalizing and streaming here races with nothing.
-	spans.onPoint = func(local int) {
-		finalizePoint(&report.Points[local])
-		emitRow(local)
-	}
+	spans.onPoint = finish
 	spans.campaignBegin(len(points), len(jobs))
 
 	// The pool keeps its workers' cores busy: it claims them for its
@@ -437,7 +435,7 @@ dispatch:
 
 	for i := range report.Points {
 		if !spans.finished(i) {
-			finalizePoint(&report.Points[i])
+			finalizePoint(&report.Points[i], cols)
 		}
 		if report.Points[i].Agg.Aborted > 0 {
 			report.Aborted = true
@@ -618,48 +616,56 @@ func runReplicate(ctx context.Context, cfg network.Config, check bool) (rr RepRe
 // finalizePoint computes the aggregate and promotes an all-replicates
 // failure to the point error, once per point: when its last replicate
 // retires (onPoint), or in the end-of-run sweep for a point cancellation
-// cut short. Each estimate walks the replicates in place
-// (stats.MeanCI95Of), with no column slices.
-func finalizePoint(p *PointResult) {
+// cut short. cols is the run's scratch for the seven metric columns, at
+// least 7*len(p.Reps) long; uses of it must not overlap.
+func finalizePoint(p *PointResult, cols []float64) {
 	if p.Err != nil {
 		return // invalid config: no replicates ran
 	}
+	n := len(p.Reps)
+	col := func(i int) []float64 { return cols[i*n : i*n : (i+1)*n] }
+	lat, p95, thr, energy := col(0), col(1), col(2), col(3)
+	delivered, undeliv, reach := col(4), col(5), col(6)
 	var firstErr error
 	for i := range p.Reps {
-		switch rr := &p.Reps[i]; {
-		case rr.Err != nil:
+		rr := &p.Reps[i]
+		if rr.Err != nil {
 			if firstErr == nil {
 				firstErr = rr.Err
 			}
-		case !rr.Ran:
-		case rr.Results.Aborted:
+			continue
+		}
+		if !rr.Ran {
+			continue
+		}
+		if rr.Results.Aborted {
 			// A cancelled replicate is a partial measurement: counted,
 			// but kept out of the aggregates.
 			p.Agg.Aborted++
-		default:
-			p.Agg.Completed++
-			if rr.Results.Stalled {
-				p.Agg.Stalled++
-			}
+			continue
 		}
+		p.Agg.Completed++
+		if rr.Results.Stalled {
+			p.Agg.Stalled++
+		}
+		lat = append(lat, rr.Results.AvgLatency)
+		p95 = append(p95, rr.Results.P95Latency)
+		thr = append(thr, rr.Results.Throughput.FlitsPerNodePerCycle())
+		energy = append(energy, power.EnergyPerMessage(rr.Results.Events, rr.Results.MeasuredMessages))
+		delivered = append(delivered, float64(rr.Results.Delivered))
+		undeliv = append(undeliv, float64(rr.Results.Undeliverable))
+		reach = append(reach, rr.Results.ReachablePairFraction)
 	}
+	p.Agg.AvgLatency = stats.MeanCI95(lat)
+	p.Agg.P95Latency = stats.MeanCI95(p95)
+	p.Agg.Throughput = stats.MeanCI95(thr)
+	p.Agg.EnergyPerMsgNJ = stats.MeanCI95(energy)
+	p.Agg.Delivered = stats.MeanCI95(delivered)
+	p.Agg.Undeliverable = stats.MeanCI95(undeliv)
+	p.Agg.ReachableFrac = stats.MeanCI95(reach)
 	if p.Agg.Completed == 0 {
 		p.Err = firstErr
 	}
-	estimate := func(metric func(r *network.Results) float64) stats.Estimate {
-		return stats.MeanCI95Of(p.Reps, func(rr *RepResult) (float64, bool) {
-			return metric(&rr.Results), rr.Err == nil && rr.Ran && !rr.Results.Aborted
-		})
-	}
-	p.Agg.AvgLatency = estimate(func(r *network.Results) float64 { return r.AvgLatency })
-	p.Agg.P95Latency = estimate(func(r *network.Results) float64 { return r.P95Latency })
-	p.Agg.Throughput = estimate(func(r *network.Results) float64 { return r.Throughput.FlitsPerNodePerCycle() })
-	p.Agg.EnergyPerMsgNJ = estimate(func(r *network.Results) float64 {
-		return power.EnergyPerMessage(r.Events, r.MeasuredMessages)
-	})
-	p.Agg.Delivered = estimate(func(r *network.Results) float64 { return float64(r.Delivered) })
-	p.Agg.Undeliverable = estimate(func(r *network.Results) float64 { return float64(r.Undeliverable) })
-	p.Agg.ReachableFrac = estimate(func(r *network.Results) float64 { return r.ReachablePairFraction })
 }
 
 // RunConfigs executes an explicit configuration list on the engine's

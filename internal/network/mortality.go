@@ -54,8 +54,9 @@ type mortalityState struct {
 	// killed dedupes packet verdicts: a packet destroyed by a boundary
 	// kill or excised by a wedge sweep is counted undeliverable exactly
 	// once (a message refused at admission is counted by refuse alone).
-	// Packet IDs are dense (pe.nextPID), so it is a bitset by ID.
-	killed        []uint64
+	// It is the killed IDs in ascending order, grown in the store, so it
+	// grows with the kills, not with the IDs the run hands out.
+	killed        []flit.PacketID
 	undeliverable uint64
 
 	// acc is every boundary's and sweep's kill accumulator in turn, and
@@ -310,14 +311,12 @@ func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
 }
 
 // kill records pid's undeliverable verdict, reporting false if it had
-// one already. The bitset grows in the store.
+// one already.
 func (m *mortalityState) kill(pid flit.PacketID) bool {
-	w, bit := int(pid>>6), uint64(1)<<(pid&63)
-	if w >= len(m.killed) {
-		m.killed = sim.Grow(m.slabs, m.killed, w+1-len(m.killed))[:w+1]
+	i, had := slices.BinarySearch(m.killed, pid)
+	if !had {
+		m.killed = slices.Insert(sim.Grow(m.slabs, m.killed, 1), i, pid)
 	}
-	had := m.killed[w]&bit != 0
-	m.killed[w] |= bit
 	return !had
 }
 

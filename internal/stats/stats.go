@@ -277,36 +277,27 @@ var t95 = [...]float64{
 // half-computed mixture — so a corrupted replicate cannot masquerade as
 // a tight confidence interval.
 func MeanCI95(samples []float64) Estimate {
-	return MeanCI95Of(samples, func(v *float64) (float64, bool) { return *v, true })
-}
-
-// MeanCI95Of is MeanCI95 of the samples f picks out of xs, in xs order:
-// f(&xs[i]) returns element i's sample and whether it has one. It keeps
-// no slice of them, so summarising a column of records allocates
-// nothing; the floats are the ones MeanCI95 gives that column.
-func MeanCI95Of[T any](xs []T, f func(*T) (float64, bool)) Estimate {
-	n, sum, nan := 0, 0.0, false
-	for i := range xs {
-		if v, ok := f(&xs[i]); ok {
-			n, sum, nan = n+1, sum+v, nan || math.IsNaN(v)
+	n := len(samples)
+	if n == 0 {
+		return Estimate{}
+	}
+	for _, v := range samples {
+		if math.IsNaN(v) {
+			return Estimate{Mean: math.NaN(), CI95: math.NaN(), N: n}
 		}
 	}
-	switch {
-	case n == 0:
-		return Estimate{}
-	case nan:
-		return Estimate{Mean: math.NaN(), CI95: math.NaN(), N: n}
+	sum := 0.0
+	for _, v := range samples {
+		sum += v
 	}
 	mean := sum / float64(n)
 	if n == 1 {
 		return Estimate{Mean: mean, N: 1}
 	}
 	ss := 0.0
-	for i := range xs {
-		if v, ok := f(&xs[i]); ok {
-			d := v - mean
-			ss += d * d
-		}
+	for _, v := range samples {
+		d := v - mean
+		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	df := n - 1

@@ -343,20 +343,6 @@ func TestMeanCI95(t *testing.T) {
 	if want := 1.96 * sd / 10; math.Abs(eb.CI95-want) > 1e-9 {
 		t.Fatalf("large-N CI95 = %g, want %g", eb.CI95, want)
 	}
-	// MeanCI95Of over records is MeanCI95 of the column it picks, to the
-	// bit, and allocates nothing.
-	type rec struct {
-		v    float64
-		keep bool
-	}
-	recs := []rec{{0.1, true}, {9, false}, {0.7, true}, {1e-3, true}, {math.NaN(), false}, {2.9, true}}
-	pick := func(r *rec) (float64, bool) { return r.v, r.keep }
-	if got, want := MeanCI95Of(recs, pick), MeanCI95([]float64{0.1, 0.7, 1e-3, 2.9}); got != want {
-		t.Fatalf("MeanCI95Of = %+v, MeanCI95 of its column = %+v", got, want)
-	}
-	if n := testing.AllocsPerRun(10, func() { MeanCI95Of(recs, pick) }); n != 0 {
-		t.Fatalf("MeanCI95Of makes %v allocations, want 0", n)
-	}
 }
 
 func TestMeanCI95NaNPoisons(t *testing.T) {

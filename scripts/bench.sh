@@ -85,40 +85,37 @@ if (( reused * 50 > fresh )); then
 fi
 echo "bench.sh: OK — a rebuild in a slab store allocates $reused B/op, a fresh build $fresh"
 
+# bound_guard PKG BENCH OPS FILE CONST UNIT WHAT runs BENCH in PKG for
+# OPS ops and fails if its UNIT metric exceeds the const CONST in FILE.
+bound_guard() {
+    local pkg=$1 bench=$2 ops=$3 file=$4 const=$5 unit=$6 what=$7
+    local bound line got
+    bound=$(awk -v c="$const" '$1 == "const" && $2 == c {print $4}' "$file")
+    line=$(go test "$pkg" -run '^$' -bench "${bench}\$" -benchtime="${ops}x" -benchmem | grep "^${bench}")
+    got=$(awk -v u="$unit" '{for (i = 2; i <= NF; i++) if ($i == u) print $(i-1)}' <<<"$line")
+    if [[ -z "$bound" || -z "$got" ]]; then
+        echo "bench.sh: could not parse the bound ($bound) or $unit from: $line" >&2
+        exit 1
+    fi
+    if awk -v a="$got" -v b="$bound" 'BEGIN {exit !(a > b)}'; then
+        echo "bench.sh: FAIL — $what makes $got $unit; the bound is $bound ($const)" >&2
+        exit 1
+    fi
+    echo "bench.sh: OK — $what makes $got $unit (bound $bound)"
+}
+
 # Whole-run guard: a lone run of the faults config, New and Run, in the
 # store the previous run gave back takes every buffer the run grows from
 # the store, so it allocates only the network's few objects and its
 # Results — at most maxRerunAllocs, TestRunAllocatesOnlyInNew's bound.
 # Twenty runs average the runtime's own one-off allocations (a type
 # assertion's cache, a helper goroutine) below one per run.
-bound=$(awk '$1 == "const" && $2 == "maxRerunAllocs" {print $4}' internal/network/alloc_test.go)
-line=$(go test ./internal/network -run '^$' -bench 'BenchmarkRunReusedFaults$' \
-    -benchtime=20x -benchmem | grep '^BenchmarkRunReusedFaults')
-allocs=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")
-if [[ -z "$bound" || -z "$allocs" ]]; then
-    echo "bench.sh: could not parse the bound ($bound) or allocs/op from: $line" >&2
-    exit 1
-fi
-if (( allocs > bound )); then
-    echo "bench.sh: FAIL — a lone run in a reused slab store makes $allocs allocs/op; the bound is $bound" >&2
-    exit 1
-fi
-echo "bench.sh: OK — a lone run in a reused slab store makes $allocs allocs/op (bound $bound)"
+bound_guard ./internal/network BenchmarkRunReusedFaults 20 internal/network/alloc_test.go \
+    maxRerunAllocs allocs/op "a lone run in a reused slab store"
 
 # Whole-grid guard: the campaign_grid spec shape rerun in warm stores
 # (ParseSpec, Run, WriteNDJSON) allocates per point only its Results, its
 # network and topology, its row and its share of the spec and the report
 # — at most maxGridPointAllocs, TestGridAllocatesOnlyRows' bound.
-bound=$(awk '$1 == "const" && $2 == "maxGridPointAllocs" {print $4}' internal/campaign/memory_test.go)
-line=$(go test ./internal/campaign -run '^$' -bench 'BenchmarkGridReused$' \
-    -benchtime=5x -benchmem | grep '^BenchmarkGridReused')
-perpoint=$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/point") print $(i-1)}' <<<"$line")
-if [[ -z "$bound" || -z "$perpoint" ]]; then
-    echo "bench.sh: could not parse the bound ($bound) or allocs/point from: $line" >&2
-    exit 1
-fi
-if awk -v a="$perpoint" -v b="$bound" 'BEGIN {exit !(a > b)}'; then
-    echo "bench.sh: FAIL — a campaign grid rerun makes $perpoint allocations per point; the bound is $bound" >&2
-    exit 1
-fi
-echo "bench.sh: OK — a campaign grid rerun makes $perpoint allocations per point (bound $bound)"
+bound_guard ./internal/campaign BenchmarkGridReused 5 internal/campaign/memory_test.go \
+    maxGridPointAllocs allocs/point "a campaign grid rerun"
