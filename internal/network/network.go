@@ -426,7 +426,9 @@ func (n *Network) live(call string) {
 // the current cycle's tick order has progressed if this delivery opens
 // the measurement window. Once the window is open every delivery is
 // measured; until then the WarmupMessages-th opens it, which only a
-// one-shard step can see (shardStep).
+// one-shard step can see: a step that could make it, one with at least
+// the missing deliveries' worth of flits on the router->PE wires, runs as
+// one shard (shardStep).
 func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int) {
 	a.delivered++
 	a.lastEject = cycle

@@ -138,17 +138,37 @@ func (b *barrier) Commit() {
 
 // shardStep decides whether the next step may tick two shards, and
 // latches what such a step reads of the run-wide counts. A PE reads two
-// counts mid-step: recordDelivery the delivered count at the warm-up
-// boundary, generate the injected count at InjectLimit. A shard sees only
-// its own account, so a step that could cross either limit — the count
-// is below it but within one per node of it — runs as one shard; in any
-// other step the limit reads the same at every point of the step.
+// counts mid-step: generate the injected count at InjectLimit,
+// recordDelivery the delivered count at the warm-up boundary. A shard
+// sees only its own account, so a step that could cross either limit
+// runs as one shard; in any other step the limit reads the same at every
+// point of the step. A PE generates at most one message a step and its
+// router sends it at most one flit a cycle, so only a count within one
+// per node of its limit can cross it. The warm-up boundary is bounded
+// tighter: a delivery is a tail a PE pops off its router->PE wire in the
+// step (eject, consume, recordDelivery), so the step makes at most one
+// per flit visible there now. Nothing pushed during the step is visible
+// in it (link.FlitLatency is 1), and the only writer between steps,
+// mortality's preStep, belongs to hard-fault runs, which never shard, and
+// only removes flits.
 func (n *Network) shardStep() bool {
 	nodes := uint64(n.topo.Nodes())
-	near := func(count, limit uint64) bool { return count < limit && count+nodes >= limit }
-	injected := n.injected()
-	n.closed = n.cfg.InjectLimit != 0 && injected >= n.cfg.InjectLimit
-	return !near(n.delivered(), n.cfg.WarmupMessages) && !near(injected, n.cfg.InjectLimit)
+	injected, limit := n.injected(), n.cfg.InjectLimit
+	n.closed = limit != 0 && injected >= limit
+	if injected < limit && injected+nodes >= limit {
+		return false
+	}
+	delivered, warmup := n.delivered(), n.cfg.WarmupMessages
+	if delivered >= warmup || delivered+nodes < warmup {
+		return true
+	}
+	missing := int(warmup - delivered)
+	for i := range n.peDown {
+		if missing -= n.peDown[i].VisibleFlits(); missing <= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // injectionClosed reports whether InjectLimit messages have been

@@ -23,7 +23,10 @@ import (
 // two shards and with journeys off (an observer on the bus keeps a run to
 // one shard), plus the bench's heavy-fault 8x8 point and its sparse 16x16
 // one, both cut short, and an 8x8 point with a metrics registry attached
-// (runShards gives each run a registry of its own at the same interval).
+// (runShards gives each run a registry of its own at the same interval),
+// and an 8x8 point whose InjectLimit closes injection before TotalMessages
+// is delivered (the run ends stalled), at a limit that a step sharded
+// across it would overshoot.
 func shardConfigs() []walkPin {
 	var out []walkPin
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -44,7 +47,11 @@ func shardConfigs() []walkPin {
 	metrics.WarmupMessages, metrics.TotalMessages = 300, 1500
 	metrics.Faults.Link = 1e-2
 	metrics.Metrics = trace.NewMetrics(io.Discard, 50)
-	return append(out, walkPin{"faults-heavy-8x8", heavy}, walkPin{"sparse-16x16", sparse}, walkPin{"metrics-8x8", metrics})
+	limit := NewConfig()
+	limit.WarmupMessages, limit.TotalMessages = 300, 1500
+	limit.InjectLimit, limit.StallCycles = 1150, 200
+	return append(out, walkPin{"faults-heavy-8x8", heavy}, walkPin{"sparse-16x16", sparse}, walkPin{"metrics-8x8", metrics},
+		walkPin{"inject-limit-8x8", limit})
 }
 
 // runShards runs cfg, as one shard when one is set (every core held) and
@@ -115,6 +122,51 @@ func TestShardedKernelDifferential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// The warm-up boundary keeps a step to one shard only when the step could
+// make the WarmupMessages-th delivery. The bench's sparse 16x16 point
+// ticks all but a few of its steps as two shards (a bound of one delivery
+// per node kept 195 of its 1995 steps on one). Runs stay byte-identical to
+// one shard with the boundary delivery swept over eight positions: at
+// 0.25, where several tails eject in a step, at each position of such a
+// step in turn; at 0.02 with two-flit packets, in steps whose visible
+// flits are exactly the tails still missing, the bound's equality case.
+func TestWarmupBoundaryShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	sparse := NewConfig()
+	sparse.Width, sparse.Height = 16, 16
+	sparse.InjectionRate = 0.02
+	sparse.WarmupMessages, sparse.TotalMessages = 500, 2500
+	sparse.Faults.Link = 1e-5
+	sparse.Seed = 1000
+	js, _, steps := runShards(t, sparse, false)
+	var res Results
+	if err := json.Unmarshal(js, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles-steps > 8 {
+		t.Errorf("sparse 16x16: %d of %d steps ran as one shard, want at most 8", res.Cycles-steps, res.Cycles)
+	}
+
+	busy := NewConfig()
+	busy.TotalMessages = 800
+	quiet := NewConfig()
+	quiet.InjectionRate, quiet.PacketSize = 0.02, 2
+	quiet.TotalMessages = 400
+	for _, p := range []walkPin{{"0.25", busy}, {"0.02", quiet}} {
+		for w := uint64(300); w < 308; w++ {
+			p.cfg.WarmupMessages = w
+			one, _, _ := runShards(t, p.cfg, true)
+			two, _, steps := runShards(t, p.cfg, false)
+			if !bytes.Equal(one, two) {
+				t.Fatalf("%s, warm-up %d: Results differ between one shard and two:\n%s\n%s", p.name, w, one, two)
+			}
+			if steps == 0 {
+				t.Fatalf("%s, warm-up %d: no step ran as two shards", p.name, w)
+			}
+		}
 	}
 }
 
