@@ -8,10 +8,11 @@
 //   - Event-driven (this package, via Emit): packet conservation — every
 //     injected packet is eventually ejected, terminally dropped with a
 //     recorded reason, or still resident when the run ends — plus event
-//     monotonicity, ejection validity (right destination, no double
-//     delivery), the retransmission bound (replays cannot outnumber
-//     link-error NACKs times the shifter depth), replay (no hop NACKs
-//     one flit over ReplayLimit times in a row), and recovery liveness.
+//     monotonicity, ejection validity (right destination), the verdict
+//     law (at most one final verdict per message), the retransmission
+//     bound (replays cannot outnumber link-error NACKs times the shifter
+//     depth), replay (no hop NACKs one flit over ReplayLimit times in a
+//     row), and recovery liveness.
 //
 //   - State-driven (package network, via Report): per-VC credit
 //     conservation, retransmission-buffer window soundness, VA-binding
@@ -28,6 +29,7 @@ package invariant
 
 import (
 	"fmt"
+	"math"
 
 	"ftnoc/internal/link"
 	"ftnoc/internal/trace"
@@ -116,10 +118,10 @@ type replayRun struct {
 
 // pidState tracks one injected packet through the ledger.
 type pidState struct {
-	src     int32
-	dst     int32
-	ejected bool
-	dropped bool // terminal drop reason recorded
+	src      int32
+	dst      int32
+	verdicts uint8 // final verdicts seen (saturating): the verdict law allows one
+	dropped  bool  // terminal drop reason recorded
 }
 
 // Checker audits a simulation run. Attach it to the run's event bus
@@ -211,16 +213,13 @@ func (c *Checker) Emit(e trace.Event) {
 				"ejected packet was never injected")
 			return
 		}
-		if st.ejected {
-			c.reportf("conservation", e.Cycle, e.Node, e.Port, e.VC, e.PID,
-				"packet ejected twice")
+		if !c.verdict(e, st, true) {
 			return
 		}
 		if e.Node != st.dst {
 			c.reportf("conservation", e.Cycle, e.Node, e.Port, e.VC, e.PID,
 				"packet for node %d ejected at node %d", st.dst, e.Node)
 		}
-		st.ejected = true
 		c.ejected++
 
 	case trace.FlitDropped:
@@ -229,12 +228,20 @@ func (c *Checker) Emit(e trace.Event) {
 		}
 		// Transient reasons (drop window, NACK, misroute) leave a live
 		// retransmission copy upstream; only terminal reasons account for
-		// a packet in the conservation ledger.
+		// a packet in the conservation ledger, and those that are
+		// verdicts answer to the verdict law too.
 		switch e.Aux {
 		case trace.DropStray, trace.DropWormhole, trace.DropSALost,
 			trace.DropCorrupt, trace.DropEvicted,
 			trace.DropLinkDead, trace.DropUnreachable:
-			if st, ok := c.ledger[e.PID]; ok && !st.dropped {
+			st, ok := c.ledger[e.PID]
+			if !ok {
+				return
+			}
+			if trace.IsVerdict(e.Aux) {
+				c.verdict(e, st, e.Aux != trace.DropCorrupt)
+			}
+			if !st.dropped {
 				st.dropped = true
 				c.dropped++
 			}
@@ -269,6 +276,29 @@ func (c *Checker) Emit(e trace.Event) {
 		}
 		delete(c.episodes, e.Node)
 	}
+}
+
+// verdict applies the verdict law to a verdict event of an injected data
+// message (a control PID has no ledger entry, so its verdicts are not
+// seen): at most one final verdict, an ejection or a DropEvicted,
+// DropLinkDead or DropUnreachable drop, and nothing after it. A
+// DropCorrupt (final false) is final only when nothing follows it, so
+// under E2E/FEC it may precede the final verdict but never follows one.
+// It reports whether no final verdict came before e.
+func (c *Checker) verdict(e trace.Event, st *pidState, final bool) bool {
+	first := st.verdicts == 0
+	if !first {
+		what := "ejection"
+		if e.Kind == trace.FlitDropped {
+			what = fmt.Sprintf("drop (reason %d)", e.Aux)
+		}
+		c.reportf("verdict", e.Cycle, e.Node, e.Port, e.VC, e.PID,
+			"%s after the packet's final verdict", what)
+	}
+	if final && st.verdicts < math.MaxUint8 {
+		st.verdicts++
+	}
+	return first
 }
 
 // noteReplay applies the replay law to one link-error NACK drop: it
@@ -351,7 +381,7 @@ func (c *Checker) Finalize(cycle uint64, clean bool, resident map[uint64]bool) {
 		return
 	}
 	for pid, st := range c.ledger {
-		if st.ejected || st.dropped || resident[pid] {
+		if st.verdicts > 0 || st.dropped || resident[pid] {
 			continue
 		}
 		c.reportf("conservation", cycle, st.src, -1, -1, pid,

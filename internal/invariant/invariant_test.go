@@ -128,6 +128,48 @@ func TestLedgerEjectionValidity(t *testing.T) {
 	})
 }
 
+func drop(c *Checker, cycle, pid uint64, reason uint64) {
+	c.Emit(trace.Event{Cycle: cycle, Kind: trace.FlitDropped, Node: 2, Port: -1, VC: -1, PID: pid, Aux: reason})
+}
+
+// TestVerdictLaw: an injected data message takes at most one final
+// verdict (an ejection, DropEvicted, DropLinkDead or DropUnreachable); a
+// DropCorrupt is final only when nothing follows it; verdicts of PIDs
+// never injected as data (control traffic) are not the law's business.
+func TestVerdictLaw(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		violations int
+		events     func(c *Checker)
+	}{
+		{"ejected-then-killed", 1, func(c *Checker) { eject(c, 40, 1, 5); drop(c, 41, 1, trace.DropLinkDead) }},
+		{"killed-then-ejected", 1, func(c *Checker) { drop(c, 40, 1, trace.DropLinkDead); eject(c, 41, 1, 5) }},
+		{"evicted-twice", 1, func(c *Checker) { drop(c, 40, 1, trace.DropEvicted); drop(c, 41, 1, trace.DropEvicted) }},
+		{"ejected-then-condemned", 1, func(c *Checker) { eject(c, 40, 1, 5); drop(c, 41, 1, trace.DropCorrupt) }},
+		{"condemned-then-ejected", 0, func(c *Checker) { drop(c, 40, 1, trace.DropCorrupt); eject(c, 41, 1, 5) }},
+		{"condemned-then-evicted", 0, func(c *Checker) { drop(c, 40, 1, trace.DropCorrupt); drop(c, 41, 1, trace.DropEvicted) }},
+		{"condemned-twice", 0, func(c *Checker) { drop(c, 40, 1, trace.DropCorrupt); drop(c, 41, 1, trace.DropCorrupt) }},
+		{"control-pid", 0, func(c *Checker) {
+			drop(c, 40, 9, trace.DropCorrupt)
+			drop(c, 41, 9, trace.DropEvicted)
+			drop(c, 42, 9, trace.DropEvicted)
+			drop(c, 43, 9, trace.DropLinkDead)
+			eject(c, 44, 1, 5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{})
+			inject(c, 10, 1, 0, 5)
+			tc.events(c)
+			c.Finalize(100, true, nil)
+			if c.Total() != tc.violations || (tc.violations > 0 && firstCheck(c) != "verdict") {
+				t.Fatalf("%d violations, first %q; want %d verdict violations: %v",
+					c.Total(), firstCheck(c), tc.violations, c.Err())
+			}
+		})
+	}
+}
+
 func TestMonotonicity(t *testing.T) {
 	c := New(Config{})
 	inject(c, 50, 1, 0, 5)

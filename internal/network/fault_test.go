@@ -9,6 +9,7 @@ import (
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
+	"ftnoc/internal/trace"
 )
 
 // RT-logic faults under deterministic routing with the AC + VA-state +
@@ -305,6 +306,47 @@ func TestRequestWordRejectsCorruption(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// phantomSink splits the lost verdicts (DropEvicted) of a run by whether
+// their PID was injected as a data message.
+type phantomSink struct {
+	data          map[uint64]bool
+	phantom, real int
+}
+
+func (s *phantomSink) Emit(e trace.Event) {
+	switch {
+	case e.Kind == trace.FlitInjected:
+		s.data[e.PID] = true
+	case e.Kind == trace.FlitDropped && e.Aux == trace.DropEvicted && s.data[e.PID]:
+		s.real++
+	case e.Kind == trace.FlitDropped && e.Aux == trace.DropEvicted:
+		s.phantom++
+	}
+}
+
+// Under E2E every lost verdict at 1e-2 link errors is a phantom: a
+// retransmission request condemned at the original sender makes it
+// request the request's own ID, which it never retained. The count pins
+// what a fix must drive to zero; the data messages themselves keep the
+// verdict law.
+func TestE2EPhantomVerdicts(t *testing.T) {
+	for seed, want := range map[uint64]int{1: 80, 2: 90, 3: 74} {
+		cfg := NewConfig()
+		cfg.Protection = link.E2E
+		cfg.Faults.Link = 1e-2
+		cfg.Seed = seed
+		sink := &phantomSink{data: make(map[uint64]bool)}
+		cfg.TraceSink = sink
+		chk := attachChecker(&cfg)
+		res := New(cfg).Run()
+		assertClean(t, fmt.Sprintf("seed %d", seed), chk)
+		if sink.phantom != want || sink.real != 0 || res.LostPackets != uint64(want) {
+			t.Errorf("seed %d: %d phantom and %d data lost verdicts, LostPackets %d; want %d, 0, %d",
+				seed, sink.phantom, sink.real, res.LostPackets, want, want)
 		}
 	}
 }

@@ -51,13 +51,10 @@ type mortalityState struct {
 	deadNode []bool
 	bfs      []flit.NodeID
 
-	// killed dedupes packet verdicts: a packet destroyed by a boundary
-	// kill or excised by a wedge sweep is counted undeliverable exactly
-	// once (a message refused at admission is counted by refuse alone).
-	// It is the killed IDs in ascending order, grown in the store, so it
+	// killed dedupes undeliverable verdicts across kill walks and wedge
+	// sweeps: the killed IDs in ascending order, grown in the store, so it
 	// grows with the kills, not with the IDs the run hands out.
-	killed        []flit.PacketID
-	undeliverable uint64
+	killed []flit.PacketID
 
 	// acc is every boundary's and sweep's kill accumulator in turn, and
 	// sites a sweep's stuck worms; both keep their buffers across uses.
@@ -264,12 +261,11 @@ func (a *killAcc) addPID(pid flit.PacketID, src flit.NodeID) {
 	a.pids = append(sim.Grow(a.slabs, a.pids, 1), killInfo{pid: pid, src: src})
 }
 
-// account issues one terminal verdict per destroyed packet, in packet ID
-// order: mark it killed, evict the source's retention copy (a
-// retransmission would head straight back into the dead region), publish
-// the terminal drop for the conservation ledger, and bump the
-// undeliverable tally. A packet's source is its last record's, and it is
-// control traffic if any record says so.
+// account rules each destroyed packet undeliverable once, in packet ID
+// order, evicting its source's retention copy (a retransmission would head
+// straight back into the dead region). A packet's source is its last
+// record's, and it is control traffic, whose drop is no verdict, if any
+// record says so.
 func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 	slices.SortStableFunc(a.pids, func(x, y killInfo) int { return cmp.Compare(x.pid, y.pid) })
 	for i := 0; i < len(a.pids); {
@@ -277,41 +273,22 @@ func (m *mortalityState) account(c uint64, a *killAcc, reason uint64) {
 		for i++; i < len(a.pids) && a.pids[i].pid == info.pid; i++ {
 			info.src, info.ctrl = a.pids[i].src, info.ctrl || a.pids[i].ctrl
 		}
-		pid := info.pid
-		if !m.kill(pid) {
+		if !m.kill(info.pid) {
 			continue
 		}
 		if int(info.src) < len(m.n.pes) {
-			m.n.pes[info.src].evictRetention(pid)
+			m.n.pes[info.src].evictRetention(info.pid)
 		}
-		m.emit(trace.Event{
-			Cycle: c, Kind: trace.FlitDropped,
-			Node: int32(info.src), Port: -1, VC: -1,
-			PID: uint64(pid), Aux: reason,
-		})
 		if info.ctrl {
-			continue
+			m.n.emitPacket(trace.FlitDropped, c, info.src, -1, info.pid, reason)
+		} else {
+			m.n.verdict(&m.n.acct[0], undeliverable, c, info.src, -1, info.pid, reason)
 		}
-		m.undeliverable++
-		// A terminal verdict is progress for stall detection (a network
-		// with hard-fault state is all shard 0).
-		m.n.acct[0].lastEject = c
 	}
 }
 
-// refuse is the admission-time verdict: a freshly generated message whose
-// destination is unreachable is counted undeliverable immediately instead
-// of being injected to wedge in the network. Its id stays out of the
-// killed set: the message never existed anywhere a later verdict could
-// find it.
-func (m *mortalityState) refuse(cycle uint64, p *pe, pid flit.PacketID) {
-	m.undeliverable++
-	p.acct.lastEject = cycle
-	p.emit(trace.FlitDropped, cycle, -1, pid, trace.DropUnreachable)
-}
-
-// kill records pid's undeliverable verdict, reporting false if it had
-// one already.
+// kill marks pid killed, reporting false if it was already: a packet
+// gets one undeliverable verdict however many kill walks find it.
 func (m *mortalityState) kill(pid flit.PacketID) bool {
 	i, had := slices.BinarySearch(m.killed, pid)
 	if !had {
@@ -429,9 +406,7 @@ func (m *mortalityState) killChainDown(c uint64, node flit.NodeID, p topology.Po
 		if tx := r.Transmitter(topology.Local); tx != nil {
 			tx.AbandonVC(outV, acc.observe)
 		}
-		if pid, src, ok := m.n.pes[node].killSink(outV); ok {
-			acc.addPID(pid, src)
-		}
+		m.n.pes[node].killSink(outV, acc)
 		return
 	}
 	dn, ok := m.n.topo.Neighbor(node, outP)
@@ -498,9 +473,7 @@ func (m *mortalityState) killRouter(c uint64, node flit.NodeID) bool {
 		tx.AbandonAll(acc.observe)
 	}
 	for vc := 0; vc < m.n.cfg.VCs; vc++ {
-		if pid, src, ok := dead.killSink(vc); ok {
-			acc.addPID(pid, src)
-		}
+		dead.killSink(vc, acc)
 	}
 	dead.killRetention()
 

@@ -457,3 +457,37 @@ func TestMortalityRouterDeathCleanup(t *testing.T) {
 		t.Errorf("invariant violation: %v", v)
 	}
 }
+
+// A kill walk destroys the shifter copies of flits the next hop has
+// already accepted (Transmitter.AbandonAll/AbandonVC into killAcc), so a
+// packet whose worm had moved on can be ruled undeliverable and delivered
+// too. The verdict law catches it; these two XY seeds pin the count until
+// the kill walks stop counting such copies: seed 4's pid 3496 reached its
+// PE at cycle 898, and router 20's death at 900 found its tail in the
+// router's local shifter; seed 5's pid 3543 was killed at 900 through an
+// upstream shifter copy of its tail and ejected at 906.
+func TestDeathBoundaryDoubleVerdicts(t *testing.T) {
+	m, err := fault.ParseMortality("link:27E@300,router:20@900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed uint64
+		pid  uint64
+		msg  string
+	}{
+		{4, 3496, "drop (reason 9) after the packet's final verdict"},
+		{5, 3543, "ejection after the packet's final verdict"},
+	} {
+		cfg := NewConfig()
+		cfg.Seed = tc.seed
+		cfg.Faults.Mortality = m
+		chk := attachChecker(&cfg)
+		New(cfg).Run()
+		vs := chk.Violations()
+		if chk.Total() != 1 || vs[0].Check != "verdict" || vs[0].PID != tc.pid || vs[0].Msg != tc.msg {
+			t.Errorf("seed %d: %d violations, first %v; want one verdict violation on pid %d: %s",
+				tc.seed, chk.Total(), chk.Err(), tc.pid, tc.msg)
+		}
+	}
+}

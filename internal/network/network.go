@@ -73,7 +73,7 @@ type Network struct {
 	peDown []link.Channel
 
 	// mort is the hard-fault regime state: the death timeline, dead
-	// routers, connectivity components, undeliverable accounting and the
+	// routers, connectivity components, kill records and the
 	// reconfiguration machinery. Nil unless the run is "degraded" (a
 	// mortality schedule or fault-adaptive routing is configured).
 	mort *mortalityState
@@ -421,17 +421,47 @@ func (n *Network) live(call string) {
 	}
 }
 
-// recordDelivery accounts one cleanly ejected message to a, the
-// delivering PE's account; node is that PE's index, which fixes how far
-// the current cycle's tick order has progressed if this delivery opens
-// the measurement window. Once the window is open every delivery is
-// measured; until then the WarmupMessages-th opens it, which only a
-// one-shard step can see: a step that could make it, one with at least
-// the missing deliveries' worth of flits on the router->PE wires, runs as
-// one shard (shardStep).
-func (n *Network) recordDelivery(a *account, cycle, injectedAt uint64, node int) {
-	a.delivered++
-	a.lastEject = cycle
+// verdictKind is a message's fate, named by its Results count.
+type verdictKind uint8
+
+const (
+	delivered     verdictKind = iota // FlitEjected
+	condemned                        // DropCorrupt
+	lost                             // DropEvicted
+	undeliverable                    // DropUnreachable or DropLinkDead
+	numVerdicts
+)
+
+// verdict is the one place a message's fate is decided: it publishes the
+// fate's event (aux a delivery's source, else the drop reason), counts it
+// in a, the deciding shard's account, and marks the fates a run waits for
+// as stall progress. A condemnation is provisional under E2E/FEC.
+func (n *Network) verdict(a *account, k verdictKind, cycle uint64, node flit.NodeID, vc int, pid flit.PacketID, aux uint64) {
+	kind := trace.FlitDropped
+	if k == delivered {
+		kind = trace.FlitEjected
+	}
+	n.emitPacket(kind, cycle, node, vc, pid, aux)
+	a.verdicts[k]++
+	if k == delivered || k == undeliverable {
+		a.lastEject = cycle
+	}
+}
+
+// emitPacket publishes a packet event at node's PE.
+func (n *Network) emitPacket(kind trace.Kind, cycle uint64, node flit.NodeID, vc int, pid flit.PacketID, aux uint64) {
+	if n.bus.Enabled() {
+		n.bus.Emit(trace.Event{
+			Cycle: cycle, Kind: kind, Node: int32(node), Port: -1, VC: int8(vc),
+			PID: uint64(pid), Aux: aux,
+		})
+	}
+}
+
+// measureDelivery records a delivery's latency in a once the measurement
+// window is open; until then the WarmupMessages-th delivery opens it, mid
+// cycle after PE node's tick, which only a one-shard step sees (shardStep).
+func (n *Network) measureDelivery(a *account, cycle, injectedAt uint64, node int) {
 	if n.measuring {
 		a.latency.Record(cycle - injectedAt)
 	} else if !n.sharded && n.delivered() == n.cfg.WarmupMessages {
@@ -549,15 +579,11 @@ func (n *Network) run(done <-chan struct{}) Results {
 	return res
 }
 
-// accounted is the termination tally: messages that have reached a final
-// verdict. Delivered always counts; in the hard-fault regime messages
-// proven undeliverable (destination unreachable, or destroyed by a death
-// boundary) count too — waiting for them would spin until MaxCycles.
+// accounted is the termination tally: messages delivered or, in the
+// hard-fault regime, proven undeliverable, which a run cannot wait for.
 func (n *Network) accounted() uint64 {
-	if n.mort == nil {
-		return n.delivered()
-	}
-	return n.delivered() + n.mort.undeliverable
+	v := n.verdicts()
+	return v[delivered] + v[undeliverable]
 }
 
 // sampleUtilization records this cycle's buffer occupancies (Figs. 8-9)
@@ -646,10 +672,10 @@ func (n *Network) results(stalled bool) Results {
 		viol += r.WormholeViolations()
 		stray += r.StrayFlits()
 	}
-	delivered := n.delivered()
+	v := n.verdicts()
 	measuredMsgs := uint64(0)
-	if delivered > n.cfg.WarmupMessages {
-		measuredMsgs = delivered - n.cfg.WarmupMessages
+	if v[delivered] > n.cfg.WarmupMessages {
+		measuredMsgs = v[delivered] - n.cfg.WarmupMessages
 	}
 	a0, a1 := &n.acct[0], &n.acct[1]
 	a0.latency.Merge(&a1.latency)
@@ -659,7 +685,7 @@ func (n *Network) results(stalled bool) Results {
 		Cycles:                cycles,
 		LatencyHist:           latency.Histogram(latencyBinWidth, latencyBins),
 		MeasuredCycles:        measuredCycles,
-		Delivered:             delivered,
+		Delivered:             v[delivered],
 		MeasuredMessages:      measuredMsgs,
 		AvgLatency:            latency.Mean(),
 		P95Latency:            latency.Percentile(95),
@@ -674,8 +700,9 @@ func (n *Network) results(stalled bool) Results {
 		ProbesSent:            probes,
 		WormholeViolations:    viol,
 		StrayFlits:            stray,
-		CorruptedPackets:      a0.corruptedPackets + a1.corruptedPackets,
-		LostPackets:           a0.lostPackets + a1.lostPackets,
+		CorruptedPackets:      v[condemned],
+		LostPackets:           v[lost],
+		Undeliverable:         v[undeliverable],
 		SinkAnomalies:         a0.sinkAnomalies + a1.sinkAnomalies,
 		E2ENACKs:              a0.e2eNACKs + a1.e2eNACKs,
 		E2ERetransmits:        a0.e2eRetransmits + a1.e2eRetransmits,
@@ -691,11 +718,10 @@ func (n *Network) results(stalled bool) Results {
 		},
 	}
 	if n.mort != nil {
-		res.Undeliverable = n.mort.undeliverable
 		res.DeadLinks = n.mort.deadLinks
 		res.DeadRouters = n.mort.deadRouters
 		res.ReachablePairFraction = n.mort.reachablePairFraction()
-		res.PostFaultThroughput = n.mort.postFaultThroughput(delivered, cycles)
+		res.PostFaultThroughput = n.mort.postFaultThroughput(v[delivered], cycles)
 	}
 	return res
 }
@@ -723,8 +749,9 @@ func routerMeans(us []stats.Utilization) []float64 {
 // and latency cover the post-warm-up window; Total* fields cover the
 // whole run.
 type Results struct {
-	Cycles           uint64
-	MeasuredCycles   uint64
+	Cycles         uint64
+	MeasuredCycles uint64
+	// Delivered counts delivered verdicts: messages ejected intact.
 	Delivered        uint64
 	MeasuredMessages uint64
 
@@ -751,12 +778,17 @@ type Results struct {
 	ProbesSent         uint64
 	WormholeViolations uint64
 	StrayFlits         uint64
-	CorruptedPackets   uint64
-	LostPackets        uint64
-	SinkAnomalies      uint64
-	E2ENACKs           uint64
-	E2ERetransmits     uint64
-	E2EBufMax          int
+	// CorruptedPackets counts condemned verdicts (failed end checks): final
+	// under HBH, provisional under E2E/FEC, where a re-sent message counts
+	// again in Delivered or LostPackets.
+	CorruptedPackets uint64
+	// LostPackets counts lost verdicts: E2E/FEC requests that found no
+	// retained copy, including those asking for a condemned request.
+	LostPackets    uint64
+	SinkAnomalies  uint64
+	E2ENACKs       uint64
+	E2ERetransmits uint64
+	E2EBufMax      int
 
 	// Traces holds the recorded journeys of Config.TracePIDs packets,
 	// keyed by packet ID, one line per location change.
@@ -767,11 +799,11 @@ type Results struct {
 	// was cancelled; all measurements cover only the completed prefix.
 	Aborted bool
 
-	// Hard-fault regime measurements. Undeliverable counts messages with
-	// a terminal negative verdict: refused at injection because the
-	// destination was unreachable, or destroyed mid-flight by a death
-	// boundary or stuck-worm sweep. DeadLinks/DeadRouters are the final
-	// mortality tallies. ReachablePairFraction is the fraction of ordered
+	// Hard-fault regime measurements. Undeliverable counts undeliverable
+	// verdicts: messages whose destination became unreachable (at
+	// admission or in the queue) or destroyed by a death boundary or
+	// stuck-worm sweep. DeadLinks/DeadRouters are the final mortality
+	// tallies. ReachablePairFraction is the fraction of ordered
 	// source/destination pairs still connected at the end of the run
 	// (1 when no hard-fault state exists). PostFaultThroughput is the
 	// flits/node/cycle rate over the window after the last applied death

@@ -233,12 +233,12 @@ func (p *pe) generate(cycle uint64) {
 	}
 	p.acct.injected++
 	pid := p.nextPID()
-	p.emit(trace.FlitInjected, cycle, -1, pid, uint64(dst))
+	p.net.emitPacket(trace.FlitInjected, cycle, p.id, -1, pid, uint64(dst))
 	if m := p.net.mort; m != nil && !m.reachable(p.id, dst) {
-		// Admission verdict: the destination is unreachable under the
-		// current fault pattern, so the message gets its terminal
-		// accounting now instead of wedging in the network.
-		m.refuse(cycle, p, pid)
+		// Admission verdict: the destination is unreachable, so the
+		// message is ruled now instead of wedging in the network. No kill
+		// walk can find it, so it stays out of the killed set.
+		p.net.verdict(p.acct, undeliverable, cycle, p.id, -1, pid, trace.DropUnreachable)
 		return
 	}
 	p.queuePush(flit.Packet{
@@ -357,18 +357,6 @@ func (p *pe) eject(cycle uint64) {
 	}
 }
 
-// emit publishes one of the PE's packet events: an injection or ejection
-// (aux the other end's node) or a terminal loss (aux its reason), so
-// conservation audits can account for every packet.
-func (p *pe) emit(kind trace.Kind, cycle uint64, vc int, pid flit.PacketID, aux uint64) {
-	if p.net.bus.Enabled() {
-		p.net.bus.Emit(trace.Event{
-			Cycle: cycle, Kind: kind, Node: int32(p.id), Port: -1, VC: int8(vc),
-			PID: uint64(pid), Aux: aux,
-		})
-	}
-}
-
 // consume runs the destination-side integrity check and packet assembly
 // for one flit.
 func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
@@ -379,7 +367,7 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 			// Previous packet never closed: stranded wormhole debris
 			// (possible only with unprotected logic faults).
 			p.acct.sinkAnomalies++
-			p.emit(trace.FlitDropped, cycle, vc, sk.pid, trace.DropStray)
+			p.net.emitPacket(trace.FlitDropped, cycle, p.id, vc, sk.pid, trace.DropStray)
 		}
 		hdr := flit.DecodeHeader(f.Word)
 		*sk = sinkVC{pid: hdr.PID, src: hdr.Src, born: f.InjectedAt, live: true, nextSeq: 1, corrupt: p.flitCorrupt(f)}
@@ -392,7 +380,7 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 	case flit.Body, flit.Tail:
 		if !sk.live {
 			p.acct.sinkAnomalies++
-			p.emit(trace.FlitDropped, cycle, vc, f.PID, trace.DropStray)
+			p.net.emitPacket(trace.FlitDropped, cycle, p.id, vc, f.PID, trace.DropStray)
 			return
 		}
 		// Sequence continuity: a gap means flits were lost in transit
@@ -429,16 +417,15 @@ func (p *pe) consume(cycle uint64, vc int, f *flit.Flit) {
 	if corrupt {
 		// Terminal under HBH; under E2E/FEC the retransmission request may
 		// still recover the packet (a later clean tail ejects it), but the
-		// drop event keeps the PID accounted even if the request is lost.
-		p.acct.corruptedPackets++
-		p.emit(trace.FlitDropped, cycle, vc, pid, trace.DropCorrupt)
+		// condemnation keeps the PID accounted even if the request is lost.
+		p.net.verdict(p.acct, condemned, cycle, p.id, vc, pid, trace.DropCorrupt)
 		if p.net.cfg.Protection.Retains() {
 			p.sendRetransRequest(cycle, src, pid)
 		}
 		return
 	}
-	p.emit(trace.FlitEjected, cycle, vc, pid, uint64(src))
-	p.net.recordDelivery(p.acct, cycle, born, int(p.id))
+	p.net.verdict(p.acct, delivered, cycle, p.id, vc, pid, uint64(src))
+	p.net.measureDelivery(p.acct, cycle, born, int(p.id))
 }
 
 // flitCorrupt is the destination's end check (link.SiteDest): whether
@@ -501,8 +488,7 @@ func (p *pe) handleRetransRequest(cycle uint64, pid flit.PacketID) {
 	i := p.retainedAt(pid)
 	if i < 0 {
 		// Evicted: the packet is unrecoverable.
-		p.acct.lostPackets++
-		p.emit(trace.FlitDropped, cycle, -1, pid, trace.DropEvicted)
+		p.net.verdict(p.acct, lost, cycle, p.id, -1, pid, trace.DropEvicted)
 		return
 	}
 	ret := &p.retention[i]
@@ -561,15 +547,13 @@ func (p *pe) killInjection(vc int, fn func(flit.Flit)) {
 	p.vcFlits[vc] = nil
 }
 
-// killSink abandons the packet half-reassembled on sink VC vc, returning
-// its identity for undeliverable accounting.
-func (p *pe) killSink(vc int) (flit.PacketID, flit.NodeID, bool) {
-	if vc < 0 || vc >= len(p.sink) || !p.sink[vc].live {
-		return 0, 0, false
+// killSink abandons the packet half-reassembled on sink VC vc, if any,
+// recording it in acc.
+func (p *pe) killSink(vc int, acc *killAcc) {
+	if vc >= 0 && vc < len(p.sink) && p.sink[vc].live {
+		p.sink[vc].live = false
+		acc.addPID(p.sink[vc].pid, p.sink[vc].src)
 	}
-	sk := &p.sink[vc]
-	sk.live = false
-	return sk.pid, sk.src, true
 }
 
 // killQueued destroys every packet still waiting in the injection queue
@@ -614,9 +598,7 @@ func (p *pe) dropUnreachableQueued(cycle uint64) {
 			continue
 		}
 		if m.kill(pkt.ID) {
-			m.undeliverable++
-			p.acct.lastEject = cycle
-			p.emit(trace.FlitDropped, cycle, -1, pkt.ID, trace.DropUnreachable)
+			p.net.verdict(p.acct, undeliverable, cycle, p.id, -1, pkt.ID, trace.DropUnreachable)
 		}
 	}
 	p.queue = kept

@@ -17,16 +17,15 @@ type account struct {
 	counters *fault.Counters
 	latency  stats.LatencyStats
 
-	injected  uint64
-	delivered uint64
-	lastEject uint64 // cycle of the latest delivery, for stall detection
+	injected uint64
+	// verdicts and lastEject (stall detection) are Network.verdict's alone.
+	verdicts  [numVerdicts]uint64
+	lastEject uint64
 
-	corruptedPackets uint64
-	lostPackets      uint64
-	sinkAnomalies    uint64
-	e2eNACKs         uint64
-	e2eRetransmits   uint64
-	e2eBufMax        int
+	sinkAnomalies  uint64
+	e2eNACKs       uint64
+	e2eRetransmits uint64
+	e2eBufMax      int
 
 	// occ is the shard's routers' occupancy as a measured two-shard step
 	// left it (barrier.ShardDone), for sampleUtilization to add.
@@ -139,18 +138,18 @@ func (b *barrier) Commit() {
 // shardStep decides whether the next step may tick two shards, and
 // latches what such a step reads of the run-wide counts. A PE reads two
 // counts mid-step: generate the injected count at InjectLimit,
-// recordDelivery the delivered count at the warm-up boundary. A shard
+// measureDelivery the delivered count at the warm-up boundary. A shard
 // sees only its own account, so a step that could cross either limit
 // runs as one shard; in any other step the limit reads the same at every
 // point of the step. A PE generates at most one message a step and its
 // router sends it at most one flit a cycle, so only a count within one
 // per node of its limit can cross it. The warm-up boundary is bounded
 // tighter: a delivery is a tail a PE pops off its router->PE wire in the
-// step (eject, consume, recordDelivery), so the step makes at most one
-// per flit visible there now. Nothing pushed during the step is visible
-// in it (link.FlitLatency is 1), and the only writer between steps,
-// mortality's preStep, belongs to hard-fault runs, which never shard, and
-// only removes flits.
+// step (eject, consume, verdict), so the step makes at most one per flit
+// visible there now. Nothing pushed during the step is visible in it
+// (link.FlitLatency is 1), and the only writer between steps, mortality's
+// preStep, belongs to hard-fault runs, which never shard, and only
+// removes flits.
 func (n *Network) shardStep() bool {
 	nodes := uint64(n.topo.Nodes())
 	injected, limit := n.injected(), n.cfg.InjectLimit
@@ -184,8 +183,18 @@ func (n *Network) injectionClosed() bool {
 }
 
 func (n *Network) injected() uint64  { return n.acct[0].injected + n.acct[1].injected }
-func (n *Network) delivered() uint64 { return n.acct[0].delivered + n.acct[1].delivered }
+func (n *Network) delivered() uint64 { return n.verdicts()[delivered] }
 func (n *Network) lastEject() uint64 { return max(n.acct[0].lastEject, n.acct[1].lastEject) }
+
+// verdicts sums the two accounts' verdict counts.
+func (n *Network) verdicts() [numVerdicts]uint64 {
+	v := n.acct[0].verdicts
+	for k, c := range n.acct[1].verdicts {
+		v[k] += c
+	}
+	return v
+}
+
 func (n *Network) events() stats.Events {
 	return n.acct[0].events.Add(n.acct[1].events)
 }

@@ -245,14 +245,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	version, revision, modified := buildInfo()
+	b := buildInfo()
 	resp := healthzResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		GoVersion:     runtime.Version(),
-		Version:       version,
-		Revision:      revision,
-		Modified:      modified,
+		Version:       b.version,
+		Revision:      b.revision,
+		Modified:      b.modified,
 	}
 	if draining {
 		resp.Status = "draining"

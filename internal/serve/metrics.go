@@ -141,11 +141,11 @@ func newServerObs() *serverObs {
 			return float64(m.HeapAlloc)
 		})
 
-	version, revision, _ := buildInfo()
+	b := buildInfo()
 	reg.GaugeVec("nocd_build_info",
 		"Constant 1, labelled with build metadata so fleet tooling can tell nodes apart.",
 		"go_version", "revision", "version").
-		With(runtime.Version(), revision, version).Set(1)
+		With(runtime.Version(), b.revision, b.version).Set(1)
 
 	return o
 }
@@ -161,24 +161,29 @@ func (o *serverObs) refresh(st Stats) {
 	}
 }
 
-// buildInfo extracts the module version and VCS revision stamped into
-// the binary (empty strings under plain `go test`, which does not stamp
-// VCS metadata).
-func buildInfo() (version, revision string, modified bool) {
+// buildInfo is the module version and VCS revision stamped into the
+// binary (empty strings under plain `go test`, which does not stamp VCS
+// metadata), read once per process.
+var buildInfo = sync.OnceValue(func() (b build) {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
-		return "", "", false
+		return b
 	}
-	version = bi.Main.Version
+	b.version = bi.Main.Version
 	for _, s := range bi.Settings {
 		switch s.Key {
 		case "vcs.revision":
-			revision = s.Value
+			b.revision = s.Value
 		case "vcs.modified":
-			modified = s.Value == "true"
+			b.modified = s.Value == "true"
 		}
 	}
-	return version, revision, modified
+	return b
+})
+
+type build struct {
+	version, revision string
+	modified          bool
 }
 
 // statusWriter captures the response status and size for metrics and

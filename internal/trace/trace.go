@@ -230,7 +230,9 @@ const (
 // Aux reason codes for FlitDropped. Transient reasons mean the flit has a
 // live retransmission copy upstream (the packet is still in flight);
 // terminal reasons mean this copy of the packet can only be recovered
-// end-to-end, if at all.
+// end-to-end, if at all. The last four are verdicts (IsVerdict): the
+// drop is the event that marks the message's fate, as FlitEjected marks
+// a delivery.
 const (
 	// DropWindow: discarded inside a receiver's post-NACK drop window
 	// (transient — the transmitter's shifter replays it).
@@ -251,21 +253,29 @@ const (
 	// nowhere usable (terminal for the flit).
 	DropSALost
 	// DropCorrupt: the packet completed at its destination but failed the
-	// end check (terminal unless an E2E/FEC retransmission revives it).
+	// end check: the condemned verdict, final under HBH and provisional
+	// under E2E/FEC, where a retransmission's verdict supersedes it.
 	DropCorrupt
 	// DropEvicted: an E2E/FEC retransmission request arrived after the
-	// retained copy timed out — the packet is unrecoverable.
+	// retained copy timed out — the lost verdict: the packet is
+	// unrecoverable.
 	DropEvicted
 	// DropLinkDead: the packet occupied (or was in flight on) a link that
 	// hard-failed; the reconfiguration controller destroyed the whole
-	// worm at the death boundary (terminal — the packet counts as
-	// undeliverable, never as lost in transit).
+	// worm at the death boundary (the undeliverable verdict, never lost in
+	// transit).
 	DropLinkDead
 	// DropUnreachable: the packet's destination is unreachable on the
-	// surviving topology — detected at injection admission or by the
-	// controller's wedge sweep (terminal; counted as undeliverable).
+	// surviving topology — detected at injection admission, at a death
+	// boundary in the injection queue, or by the controller's wedge sweep
+	// (the undeliverable verdict).
 	DropUnreachable
 )
+
+// IsVerdict reports whether a FlitDropped reason is a packet verdict:
+// DropCorrupt (provisional under E2E/FEC), DropEvicted, DropLinkDead or
+// DropUnreachable. Every other reason is about one flit.
+func IsVerdict(reason uint64) bool { return reason >= DropCorrupt && reason <= DropUnreachable }
 
 // Event is one structured record. It is a flat value type — publishing
 // one allocates nothing. Fields not meaningful for a Kind are zero;
